@@ -239,7 +239,6 @@ class StudyConfig:
     split: str = "proportional"
     payoff: str = "call"
     rate_policy: Optional[str] = None
-    solver: Optional[str] = None
     benchmark: Optional[float] = None
     benchmark_note: str = ""
     self_benchmark: bool = False
@@ -406,24 +405,23 @@ def price_point(cfg: StudyConfig, n: int) -> PriceOutcome:
         flavor=flavor,
     )
     policy = resolve_rate_policy(cfg.rate_policy, model)
-    solver_kw = {} if cfg.solver is None else {"solver": cfg.solver}
 
     if math.isinf(cfg.maturity):
         gen = build_generator(model, grid, 0.0, policy)
         if flavor is Flavor.DOWN_IN:
-            res = price_perpetual_downin(gen, contract, model, **solver_kw)
+            res = price_perpetual_downin(gen, contract, model)
         else:
-            res = price_perpetual_downout(gen, contract, model, dtick=cfg.dd, **solver_kw)
+            res = price_perpetual_downout(gen, contract, model, dtick=cfg.dd)
     else:
         timegrid = TimeGrid(dt=cfg.dt, horizon=cfg.maturity)
         if flavor is Flavor.DOWN_IN:
             res = price_finite_downin(
-                model, grid, timegrid, contract, rate_policy=policy, **solver_kw
+                model, grid, timegrid, contract, rate_policy=policy
             )
         else:
             res = price_finite_downout(
                 model, grid, timegrid, contract, dtick=cfg.dd,
-                rate_policy=policy, **solver_kw
+                rate_policy=policy,
             )
     return PriceOutcome(
         value=float(res.value_at(cfg.spot)),
@@ -1058,12 +1056,13 @@ def _random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
 
 
 def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
-    from .numerics import LCPProblem, lemke_solve
+    from .numerics import LCPProblem, lemke_solve, policy_solve
     from .oracle import lcp_by_enumeration
 
     rng = np.random.default_rng(seed)
+    solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
     checks = failures = 0
-    worst = 0.0
+    worst = dict.fromkeys(solvers, 0.0)
     for trial in range(200):
         n = int(rng.integers(2, 9))
         if trial % 2 == 0:
@@ -1074,17 +1073,20 @@ def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
             A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
         psi = rng.normal(scale=2.0, size=n)
         z_ref, _ = lcp_by_enumeration(A, psi)
-        sol = lemke_solve(LCPProblem(A, psi))
-        gap = float(np.max(np.abs(sol.z - z_ref)))
-        worst = max(worst, gap)
-        ok = (
-            sol.status.value == "solved"
-            and gap < 1e-9
-            and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
-        )
+        ok = True
+        for name, solve in solvers.items():
+            sol = solve(LCPProblem(A, psi))
+            gap = float(np.max(np.abs(sol.z - z_ref)))
+            worst[name] = max(worst[name], gap)
+            ok &= (
+                sol.solved
+                and gap < 1e-9
+                and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
+            )
         checks += 1
         failures += not ok
-    emit(f"  pivoting vs enumeration on 200 random instances: worst gap {worst:.2e}")
+    for name, gap in worst.items():
+        emit(f"  {name} vs enumeration on 200 random instances: worst gap {gap:.2e}")
     return checks, failures
 
 
@@ -1194,7 +1196,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
             rate=rate, flavor=Flavor.DOWN_OUT,
         )
         res = price_finite_downout(
-            carrier, grid, timegrid, c_out, dtick=dtick, gen=R, solver="policy"
+            carrier, grid, timegrid, c_out, dtick=dtick, gen=R
         )
         ora = dp_parisian_lattice(
             R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
@@ -1303,7 +1305,6 @@ _SHARED_KEYS = (
     "split",
     "payoff",
     "rate_policy",
-    "solver",
     "seed",
 )
 
@@ -1351,7 +1352,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", choices=["proportional", "sqrt"])
     parser.add_argument("--payoff", choices=["call", "put"])
     parser.add_argument("--rate-policy", dest="rate_policy", help="negative-rate handling")
-    parser.add_argument("--solver", help="complementarity solver override")
     parser.add_argument("--seed", type=int)
 
 

@@ -66,7 +66,7 @@ class SpatialGrid:
 
     @property
     def idx_l_plus(self) -> int:
-        return int(np.searchsorted(self.states, self.barrier - 1e-12))
+        return int(self.below_mask.sum())
 
     @property
     def idx_l_minus(self) -> int:
@@ -74,7 +74,19 @@ class SpatialGrid:
 
     @property
     def below_mask(self) -> np.ndarray:
-        return self.states < self.barrier - 1e-12
+        return self.below_barrier()
+
+    def below_barrier(self, level: Optional[float] = None) -> np.ndarray:
+        """Mask of the states strictly below ``level`` (default: ``barrier``).
+
+        A state within 1e-12 relative of the level counts as on it.  The
+        states increase strictly (checked at construction), so the mask is
+        always a prefix: the below-barrier block is states 0..m-1, which the
+        pricers' block eliminations rely on.
+        """
+
+        L = self.barrier if level is None else float(level)
+        return self.states < L - 1e-12 * max(1.0, abs(L))
 
     @property
     def cell_edges(self) -> np.ndarray:
@@ -280,6 +292,25 @@ class GeneratorMatrix:
         if self.jump is not None:
             s += self.jump.sum(axis=1)
         return s
+
+
+def dense_rates(gen: Union[GeneratorMatrix, np.ndarray]) -> np.ndarray:
+    """Dense rate matrix of a generator or of a plain (hand-built) matrix."""
+
+    if isinstance(gen, GeneratorMatrix):
+        return gen.as_dense()
+    return np.asarray(gen, dtype=float)
+
+
+def generator_sequence(gen, n_slices: int) -> list:
+    """One generator per clock slice: a sequence of that length, checked,
+    or a single generator shared by every slice."""
+
+    if isinstance(gen, (list, tuple)):
+        if len(gen) != n_slices:
+            raise ValueError(f"need {n_slices} generators, got {len(gen)}")
+        return list(gen)
+    return [gen] * n_slices
 
 
 def _clip_to_unit_ball(a: np.ndarray, b: np.ndarray):

@@ -1,33 +1,29 @@
 """Core numerical kernels.
 
-Tridiagonal and dense linear solves, matrix-exponential actions and a suite of
-linear-complementarity (LCP) solvers.  The LCP convention throughout is
+Tridiagonal solves, uniformized matrix exponentials and linear-complementarity
+(LCP) solvers.  The LCP convention throughout is
 
     find z >= 0 with w = A z + psi >= 0 and z . w = 0.
 
-``lemke_solve`` is the pivoting solver used for small/medium dense problems,
-``psor_solve`` an independent iterative cross-check, ``policy_solve`` a
-primal-dual active-set method for large sparse/banded systems, and
-``projected_jacobi`` a vectorized fixed-point sweep for diagonally dominant
-slice problems.  All functions are pure; parallel calls on disjoint inputs are
-safe.  Set ``PARISIAN_LCP_TRACE=1`` to log Lemke pivot sequences.
+``policy_solve`` (primal-dual active-set iteration) is the one production
+solver: every pricing LCP has an M-matrix (rate I - G, I - dt G or a duration
+ladder operator), on which it converges in finitely many steps, with sparse or
+dense factorizations chosen from the type of A.  ``lemke_solve`` (pivoting) is
+kept as an independent reference for tests and ``parisian verify``.  All
+functions are pure; parallel calls on disjoint inputs are safe.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
-
-_lcp_log = logging.getLogger("parisian.lcp")
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +97,6 @@ def _matvec(A: MatrixLike, x: np.ndarray) -> np.ndarray:
     return A @ x
 
 
-def _norm_inf(A: MatrixLike) -> float:
-    if isinstance(A, TriDiag):
-        return A.norm_inf()
-    if sparse.issparse(A):
-        return float(abs(A).sum(axis=1).max())
-    return float(np.abs(A).sum(axis=1).max()) if A.size else 0.0
-
-
 def solve_tridiag(A: TriDiag, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for tridiagonal A (b may be a vector or a matrix)."""
 
@@ -121,50 +109,8 @@ def solve_tridiag(A: TriDiag, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix exponential actions
+# uniformized matrix exponentials
 # ---------------------------------------------------------------------------
-
-
-def expm_action(
-    A: MatrixLike,
-    b: np.ndarray,
-    t: float,
-    k: Optional[int] = None,
-) -> np.ndarray:
-    """Approximate exp(t A) b by k backward-Euler substeps.
-
-    Each substep solves (I - t A / k) x_{j+1} = x_j; for tridiagonal A a
-    substep is a tridiagonal solve.  The global error is first order in 1/k.
-    Default k = max(64, ceil(8 t ||A||_inf)).
-    """
-
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if k is None:
-        k = max(64, int(math.ceil(8.0 * t * _norm_inf(A))))
-    if k < 1:
-        raise ValueError("substep count k must be >= 1")
-    x = np.array(b, dtype=float, copy=True)
-    if t == 0.0:
-        return x
-    h = t / k
-    if isinstance(A, TriDiag):
-        step = TriDiag(-h * A.sub, 1.0 - h * A.main, -h * A.sup)
-        ab = step.to_banded()
-        for _ in range(k):
-            x = solve_banded((1, 1), ab, x)
-        return x
-    if sparse.issparse(A):
-        n = A.shape[0]
-        lu = splu((sparse.identity(n, format="csc") - h * A.tocsc()).tocsc())
-        for _ in range(k):
-            x = lu.solve(x)
-        return x
-    n = A.shape[0]
-    lu = lu_factor(np.eye(n) - h * np.asarray(A, dtype=float))
-    for _ in range(k):
-        x = lu_solve(lu, x)
-    return x
 
 
 def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
@@ -254,6 +200,14 @@ class LCPSolution:
         return self.status is LCPStatus.SOLVED
 
 
+def require_solved(sol: LCPSolution, what: str) -> LCPSolution:
+    """Return ``sol``; raise RuntimeError naming ``what`` if it is unsolved."""
+
+    if not sol.solved:
+        raise RuntimeError(f"{what}: LCP solver failed with {sol.status.value}")
+    return sol
+
+
 def complementarity_residual(problem: LCPProblem, z: np.ndarray) -> float:
     """max_i |min(z_i, (A z + psi)_i)|, the natural LCP residual."""
 
@@ -289,7 +243,6 @@ def lemke_solve(
     if np.min(psi, initial=0.0) >= 0.0:
         return _finish(problem, np.zeros(n), 0, LCPStatus.SOLVED)
 
-    trace = os.environ.get("PARISIAN_LCP_TRACE") == "1"
     A = _as_dense(problem.A)
     # tableau rows: basic-variable equations over columns
     # [w_0..w_{n-1} | z_0..z_{n-1} | z_art | rhs]
@@ -316,16 +269,12 @@ def lemke_solve(
     row = int(np.argmin(T[:, rhs]))
     leaving = pivot(row, art)
     entering = leaving + n  # complement of the w that just left
-    if trace:
-        _lcp_log.info("lemke start: n=%d art enters, w_%d leaves", n, leaving)
 
     lex_cols = [rhs] + list(range(n))
     for it in range(1, max_pivots + 1):
         col = T[:, entering]
         eligible = np.flatnonzero(col > tol * scale)
         if eligible.size == 0:
-            if trace:
-                _lcp_log.info("lemke ray termination at pivot %d", it)
             z = np.zeros(n)
             in_z = (basis >= n) & (basis < 2 * n)
             z[basis[in_z] - n] = T[in_z, rhs]
@@ -340,13 +289,6 @@ def lemke_solve(
                 break
         row = int(cand[0])
         left = pivot(row, entering)
-        if trace:
-            _lcp_log.info(
-                "pivot %d: enter %s leave %s",
-                it,
-                _var_name(entering, n),
-                _var_name(left, n),
-            )
         if left == art:
             z = np.zeros(n)
             in_z = (basis >= n) & (basis < 2 * n)
@@ -358,49 +300,6 @@ def lemke_solve(
     in_z = (basis >= n) & (basis < 2 * n)
     z[basis[in_z] - n] = T[in_z, rhs]
     return _finish(problem, z, max_pivots, LCPStatus.MAX_ITERATIONS)
-
-
-def _var_name(idx: int, n: int) -> str:
-    if idx < n:
-        return f"w_{idx}"
-    if idx < 2 * n:
-        return f"z_{idx - n}"
-    return "z_art"
-
-
-def psor_solve(
-    problem: LCPProblem,
-    relaxation: float = 1.2,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    z0: Optional[np.ndarray] = None,
-) -> LCPSolution:
-    """Projected SOR sweeps (Gauss-Seidel order).  Needs a positive diagonal.
-
-    Intended as an independent small-scale cross-check of the pivoting and
-    active-set solvers, not as the production path for large systems.
-    """
-
-    A = _as_dense(problem.A)
-    psi = np.asarray(problem.psi, dtype=float)
-    n = problem.n
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("psor_solve requires a positive diagonal")
-    z = np.zeros(n) if z0 is None else np.array(z0, dtype=float)
-    z = np.maximum(z, 0.0)
-    for it in range(1, max_iter + 1):
-        delta = 0.0
-        for i in range(n):
-            w_i = A[i] @ z + psi[i]
-            z_new = max(0.0, z[i] - relaxation * w_i / diag[i])
-            delta = max(delta, abs(z_new - z[i]))
-            z[i] = z_new
-        if delta <= tol:
-            res = complementarity_residual(problem, z)
-            if res <= max(tol * 100, 1e-8):
-                return _finish(problem, z, it, LCPStatus.SOLVED)
-    return _finish(problem, z, max_iter, LCPStatus.MAX_ITERATIONS)
 
 
 def policy_solve(
@@ -462,41 +361,3 @@ def policy_solve(
         prev_active = active
         active = new_active
     return _finish(problem, np.maximum(z, 0.0), max_iter, LCPStatus.MAX_ITERATIONS)
-
-
-def projected_jacobi(
-    problem: LCPProblem,
-    relaxation: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-    z0: Optional[np.ndarray] = None,
-) -> LCPSolution:
-    """Damped projected Jacobi sweeps z <- max(0, z - w*(Az+psi)/diag).
-
-    Fully vectorized (one matrix-vector product per sweep), so it is the
-    method of choice for large strictly diagonally dominant slice systems
-    where factorizations are too expensive; warm starts via ``z0``.
-    """
-
-    A = problem.A
-    psi = np.asarray(problem.psi, dtype=float)
-    n = problem.n
-    if isinstance(A, TriDiag):
-        diag = A.main
-    elif sparse.issparse(A):
-        diag = A.diagonal()
-    else:
-        diag = np.asarray(A).diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("projected_jacobi requires a positive diagonal")
-    z = np.zeros(n) if z0 is None else np.maximum(np.asarray(z0, dtype=float), 0.0)
-    for it in range(1, max_iter + 1):
-        w = _matvec(A, z) + psi
-        z_new = np.maximum(0.0, z - relaxation * w / diag)
-        delta = float(np.max(np.abs(z_new - z), initial=0.0))
-        z = z_new
-        if delta <= tol:
-            res = complementarity_residual(problem, z)
-            if res <= max(100 * tol, 1e-8):
-                return _finish(problem, z, it, LCPStatus.SOLVED)
-    return _finish(problem, z, max_iter, LCPStatus.MAX_ITERATIONS)

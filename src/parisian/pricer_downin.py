@@ -28,17 +28,15 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from .ctmc import GeneratorMatrix, SpatialGrid, TimeGrid
-from .models import ModelSpec
-from .numerics import (
-    LCPProblem,
-    LCPStatus,
-    generator_expm,
-    lemke_solve,
-    policy_solve,
-    projected_jacobi,
-    psor_solve,
+from .ctmc import (
+    GeneratorMatrix,
+    SpatialGrid,
+    TimeGrid,
+    dense_rates,
+    generator_sequence,
 )
+from .models import ModelSpec
+from .numerics import LCPProblem, generator_expm, policy_solve, require_solved
 
 _log = logging.getLogger("parisian.downin")
 
@@ -107,45 +105,30 @@ def _dense_and_below(
     barrier: Optional[float],
     below: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(gen, GeneratorMatrix):
-        R = gen.as_dense()
-        if below is None:
-            if barrier is None:
-                below = gen.grid.below_mask
-            else:
-                below = gen.grid.states < barrier - 1e-12 * max(1.0, abs(barrier))
-    else:
-        R = np.asarray(gen, dtype=float)
-        if below is None:
+    if below is None:
+        if not isinstance(gen, GeneratorMatrix):
             raise ValueError("plain rate matrices need an explicit below mask")
-    below = np.asarray(below, dtype=bool)
-    if below.all() or not below.any():
-        # degenerate splits are allowed (empty region => trivial kernels)
-        pass
-    return R, below
+        below = gen.grid.below_barrier(barrier)
+    # degenerate splits are allowed (empty region => trivial kernels)
+    return dense_rates(gen), np.asarray(below, dtype=bool)
 
 
-def _contiguous_below(below: np.ndarray) -> bool:
-    m = int(below.sum())
-    return bool(np.all(below[:m]) and not np.any(below[m:]))
+def _lcp_operator(gen, a0: float, cG: float):
+    """a0 I - cG G: banded sparse for tridiagonal chains, dense otherwise.
 
+    Keeping the banded form makes each policy iteration one sparse
+    factorization instead of a dense solve.
+    """
 
-def _solve_lcp(problem: LCPProblem, solver: str, warm=None):
-    if solver == "lemke":
-        return lemke_solve(problem)
-    if solver == "psor":
-        return psor_solve(problem)
-    if solver == "policy":
-        return policy_solve(problem, active0=warm)
-    if solver == "jacobi":
-        return projected_jacobi(problem, z0=warm)
-    raise ValueError(f"unknown LCP solver {solver!r}")
-
-
-def _require_solved(sol, what: str):
-    if sol.status is not LCPStatus.SOLVED:
-        raise RuntimeError(f"{what}: LCP solver failed with {sol.status.value}")
-    return sol
+    if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
+        T = gen.as_tridiag()
+        return sparse.diags(
+            [-cG * T.sub, a0 - cG * T.main, -cG * T.sup],
+            offsets=[-1, 0, 1],
+            format="csr",
+        )
+    R = dense_rates(gen)
+    return a0 * np.eye(R.shape[0]) - cG * R
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +140,6 @@ def vanilla_american_perpetual(
     gen: GeneratorMatrix,
     payoff: np.ndarray,
     rate: float,
-    solver: str = "auto",
 ) -> np.ndarray:
     """Perpetual American value c_p: min((rI - G)c_p, c_p - payoff) = 0."""
 
@@ -166,29 +148,9 @@ def vanilla_american_perpetual(
     f = np.asarray(payoff, dtype=float)
     if np.any(f < 0):
         raise ValueError("payoff must be nonnegative")
-    tridiag = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-    if solver == "auto":
-        if tridiag:
-            solver = "policy"
-        else:
-            n = gen.dimension if isinstance(gen, GeneratorMatrix) else len(gen)
-            solver = "lemke" if n <= 600 else "policy"
-    if tridiag and solver == "policy":
-        # keep the operator banded: free-boundary travel costs one sparse
-        # factorization per node instead of a dense solve
-        tri = gen.as_tridiag()
-        n = gen.dimension
-        A = sparse.diags(
-            [-tri.sub, rate - tri.main, -tri.sup], offsets=[-1, 0, 1],
-            format="csr",
-        )
-    else:
-        R = gen.as_dense() if isinstance(gen, GeneratorMatrix) else np.asarray(gen)
-        n = R.shape[0]
-        A = rate * np.eye(n) - R
-    psi = A @ f
-    sol = _require_solved(
-        _solve_lcp(LCPProblem(A, psi), solver), "perpetual American"
+    A = _lcp_operator(gen, rate, 1.0)
+    sol = require_solved(
+        policy_solve(LCPProblem(A, A @ f)), "perpetual American"
     )
     return f + sol.z
 
@@ -276,7 +238,6 @@ def price_perpetual_downin(
     gen: GeneratorMatrix,
     contract: ContractSpec,
     model: ModelSpec,
-    solver: str = "auto",
 ) -> PerpetualDownInResult:
     """Perpetual down-in value C_pi = H_p(rate) c_p on the chain."""
 
@@ -287,7 +248,7 @@ def price_perpetual_downin(
     if not model.time_homogeneous:
         raise ValueError("perpetual pipeline requires a time-homogeneous model")
     f = contract.payoff_states(model, gen.grid.states)
-    c_p = vanilla_american_perpetual(gen, f, contract.rate, solver=solver)
+    c_p = vanilla_american_perpetual(gen, f, contract.rate)
     H = parisian_transform(
         gen,
         window=contract.window,
@@ -370,14 +331,6 @@ def _poisson_weights(lam: float, kmax: int, skip: float = _POISSON_SKIP):
     return a, last
 
 
-def _gen_sequence(gens, n_slices):
-    if isinstance(gens, (list, tuple)):
-        if len(gens) != n_slices:
-            raise ValueError(f"need {n_slices} generators, got {len(gens)}")
-        return list(gens)
-    return [gens] * n_slices
-
-
 def kernel_v(
     gens,
     disc_cf: np.ndarray,
@@ -397,7 +350,7 @@ def kernel_v(
 
     disc_cf = np.asarray(disc_cf, dtype=float)
     n_slices, N = disc_cf.shape
-    gens = _gen_sequence(gens, n_slices)
+    gens = generator_sequence(gens, n_slices)
     out = np.zeros_like(disc_cf)
     a, last = _poisson_weights(window / dt, n_slices - 1)
     cache = {}
@@ -459,7 +412,7 @@ def kernel_u_plus(
 
     disc_cfi = np.asarray(disc_cfi, dtype=float)
     n_slices, N = disc_cfi.shape
-    gens = _gen_sequence(gens, n_slices)
+    gens = generator_sequence(gens, n_slices)
     out = np.zeros_like(disc_cfi)
     cache = {}
     for j in range(n_slices):
@@ -500,7 +453,7 @@ def kernel_u_minus(
 
     disc_cfi = np.asarray(disc_cfi, dtype=float)
     n_slices, N = disc_cfi.shape
-    gens = _gen_sequence(gens, n_slices)
+    gens = generator_sequence(gens, n_slices)
     out = np.zeros_like(disc_cfi)
     cache = {}
     for j in range(n_slices - 2, -1, -1):
@@ -538,7 +491,6 @@ def bermudan_slice(
     c_next: np.ndarray,
     obstacle: np.ndarray,
     dt: float,
-    solver: str = "policy",
     warm_active: Optional[np.ndarray] = None,
     return_active: bool = False,
 ):
@@ -549,23 +501,10 @@ def bermudan_slice(
 
     c_next = np.asarray(c_next, dtype=float)
     obstacle = np.asarray(obstacle, dtype=float)
-    if isinstance(gen, GeneratorMatrix):
-        if gen.is_tridiagonal and solver == "policy":
-            T = gen.as_tridiag()
-            n = T.n
-            A = sparse.diags(
-                [-dt * T.sub, 1.0 - dt * T.main, -dt * T.sup],
-                offsets=[-1, 0, 1],
-                format="csr",
-            )
-        else:
-            A = np.eye(gen.dimension) - dt * gen.as_dense()
-    else:
-        R = np.asarray(gen, dtype=float)
-        A = np.eye(R.shape[0]) - dt * R
+    A = _lcp_operator(gen, 1.0, dt)
     psi = A @ obstacle - c_next
-    sol = _require_solved(
-        _solve_lcp(LCPProblem(A, psi), solver, warm=warm_active),
+    sol = require_solved(
+        policy_solve(LCPProblem(A, psi), active0=warm_active),
         "continuation slice",
     )
     values = obstacle + sol.z
@@ -604,7 +543,6 @@ def price_finite_downin(
     contract: ContractSpec,
     gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
     rate_policy: str = "error",
-    solver: str = "policy",
     force_dense: bool = False,
     vanilla_discounting: str = "activation",
 ) -> FiniteDownInResult:
@@ -643,14 +581,11 @@ def price_finite_downin(
                 build_generator(model, grid, float(t), rate_policy) for t in times
             ]
     else:
-        gens = _gen_sequence(gen, n_slices)
+        gens = generator_sequence(gen, n_slices)
 
     N = gens[0].dimension if isinstance(gens[0], GeneratorMatrix) else gens[0].shape[0]
     f = contract.payoff_states(model, grid.states)
-    L_state = contract.barrier_state(model)
-    below = grid.states < L_state - 1e-12 * max(1.0, abs(L_state))
-    if not _contiguous_below(below):
-        raise ValueError("below-barrier states must form a prefix of the grid")
+    below = grid.below_barrier(contract.barrier_state(model))
     m = int(below.sum())
     homogeneous = all(g is gens[0] for g in gens)
     rate = contract.rate
@@ -663,8 +598,7 @@ def price_finite_downin(
         # undiscounted stopping value; discount applied at the slice date only
         for j in range(J - 1, -1, -1):
             W[j], warm = bermudan_slice(
-                gens[j], W[j + 1], f, dt,
-                solver=solver, warm_active=warm, return_active=True,
+                gens[j], W[j + 1], f, dt, warm_active=warm, return_active=True,
             )
         W *= np.exp(-rate * times)[:, None]
     elif vanilla_discounting == "exercise":
@@ -672,7 +606,7 @@ def price_finite_downin(
         for j in range(J - 1, -1, -1):
             W[j], warm = bermudan_slice(
                 gens[j], W[j + 1], disc_f[j], dt,
-                solver=solver, warm_active=warm, return_active=True,
+                warm_active=warm, return_active=True,
             )
     else:
         raise ValueError(
@@ -721,7 +655,7 @@ def _finite_downin_dense(gens, W, below, window, dt, homogeneous):
     a_wt, last_wt = _poisson_weights(window / dt, n_slices - 1)
 
     def blocks(g):
-        R = g.as_dense() if isinstance(g, GeneratorMatrix) else np.asarray(g)
+        R = dense_rates(g)
         Gbb = R[np.ix_(bi, bi)]
         Gba = R[np.ix_(bi, ai)]
         Gaa = R[np.ix_(ai, ai)]

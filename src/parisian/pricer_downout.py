@@ -11,10 +11,12 @@ the window) is absorbing and worthless, which encodes the knock-out.
 Perpetual prices solve one linear complementarity problem on the ladder,
 min((rate I - A) C, C - payoff) = 0; finite-maturity prices run a backward
 slice recursion min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff)
-= 0 from zero past the horizon.  Tridiagonal chains keep the stacked ladder
-operator sparse; dense jump chains avoid stacking altogether whenever the
-payoff vanishes below the barrier, by eliminating the duration levels (no
-exercise happens there) down to base-level problems of the spatial size.
+= 0 from zero past the horizon.  Every LCP is solved by policy iteration, and
+the route follows from the input alone: dense jump chains whose payoff
+vanishes below the barrier eliminate the duration levels (no exercise happens
+there) down to base-level problems of the spatial size ("reduced"); every
+other input, tridiagonal chains in particular, solves on the stacked ladder
+operator, kept sparse whenever that is smaller ("stacked").
 """
 
 from __future__ import annotations
@@ -29,17 +31,16 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from .ctmc import GeneratorMatrix, SpatialGrid, TimeGrid
-from .models import ModelSpec
-from .numerics import LCPProblem
-from .pricer_downin import (
-    ContractSpec,
-    Flavor,
-    _contiguous_below,
-    _dense_and_below,
-    _require_solved,
-    _solve_lcp,
+from .ctmc import (
+    GeneratorMatrix,
+    SpatialGrid,
+    TimeGrid,
+    dense_rates,
+    generator_sequence,
 )
+from .models import ModelSpec
+from .numerics import LCPProblem, policy_solve, require_solved
+from .pricer_downin import ContractSpec, Flavor, vanilla_american_perpetual
 
 _log = logging.getLogger("parisian.downout")
 
@@ -134,12 +135,11 @@ def duration_generator(
     that up-crosses land on level 0; the top level is absorbing.
     """
 
-    if isinstance(gen, GeneratorMatrix):
-        R, below = _dense_and_below(gen, None, None)
-        if not np.array_equal(below, ladder.below):
-            raise ValueError("generator below mask disagrees with the ladder")
-    else:
-        R, below = _dense_and_below(gen, None, ladder.below)
+    if isinstance(gen, GeneratorMatrix) and not np.array_equal(
+        gen.grid.below_mask, ladder.below
+    ):
+        raise ValueError("generator below mask disagrees with the ladder")
+    R = dense_rates(gen)
     N = ladder.n_states
     m = ladder.n_below
     bi = ladder.below_indices
@@ -253,14 +253,13 @@ def price_perpetual_downout(
     model: ModelSpec,
     dtick: float,
     grid: Optional[SpatialGrid] = None,
-    solver: str = "auto",
 ) -> PerpetualDownOutResult:
     """Perpetual down-out value: one complementarity problem on the ladder.
 
-    ``solver="auto"`` stacks the ladder for tridiagonal chains and uses the
-    duration-level elimination (``"reduced"``) for dense jump chains whose
-    payoff vanishes below the barrier; explicit stacked-route solvers
-    (``"policy"``, ``"lemke"``, ``"psor"``, ``"jacobi"``) are accepted too.
+    Dense jump chains whose payoff vanishes below the barrier eliminate the
+    duration levels and solve over the spatial states alone; every other
+    input solves on the stacked ladder.  Both routes use policy iteration,
+    warm-started from the vanilla exercise region.
     """
 
     if not contract.is_perpetual:
@@ -274,60 +273,52 @@ def price_perpetual_downout(
     if grid is None:
         raise ValueError("need a spatial grid for plain matrix generators")
 
-    L_state = contract.barrier_state(model)
-    below = grid.states < L_state - 1e-12 * max(1.0, abs(L_state))
-    if not _contiguous_below(below):
-        raise ValueError("below-barrier states must form a prefix of the grid")
+    below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
     f0 = contract.payoff_states(model, grid.states)
     tridiag = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-    reducible = ladder.n_below > 0 and _payoff_vanishes_below(f0, ladder.below)
-    if solver == "auto":
-        solver = "reduced" if (reducible and not tridiag) else "stacked"
-    if solver == "reduced" and not reducible:
-        raise ValueError(
-            "level elimination needs a payoff that vanishes below the barrier"
-        )
+    route = "reduced" if not tridiag and _reducible(f0, ladder) else "stacked"
 
     start = time.perf_counter()
-    if solver == "reduced":
-        R, _ = _dense_and_below(gen, None, ladder.below)
-        ops = _ReducedLadderOps(R, ladder, contract.rate)
-        warm = _vanilla_active_guess(gen, contract, model, grid, ladder)
-        if warm is not None:
-            warm = warm[: ladder.n_states]
-        sol = _require_solved(
-            _solve_lcp(LCPProblem(ops.A_eff, ops.A_eff @ f0), "policy", warm=warm),
-            "perpetual down-out (reduced)",
-        )
-        values = ops.expand(f0 + sol.z)
-    else:
-        A_gen = duration_generator(gen, ladder)
-        Ident = _identity_like(A_gen)
-        A = contract.rate * Ident - A_gen
-        f = ladder.stack_payoff(f0)
-        psi = A @ f
-        if solver == "stacked":
-            solver = "policy" if (sparse.issparse(A) or ladder.total > 600) else "lemke"
-        warm = (
-            _vanilla_active_guess(gen, contract, model, grid, ladder)
-            if solver == "policy"
-            else None
-        )
-        sol = _require_solved(
-            _solve_lcp(LCPProblem(A, psi), solver, warm=warm), "perpetual down-out"
-        )
-        values = f + sol.z
+    solve = _perpetual_reduced if route == "reduced" else _perpetual_stacked
+    values, iterations = solve(gen, ladder, f0, contract.rate)
     _log.info(
         "perpetual down-out LCP (%s): %.3fs, %d ladder states, %d iterations",
-        solver, time.perf_counter() - start, ladder.total, sol.iterations,
+        route, time.perf_counter() - start, ladder.total, iterations,
     )
     return PerpetualDownOutResult(
         values=values, ladder=ladder, model=model, grid=grid
     )
 
 
-def _vanilla_active_guess(gen, contract, model, grid, ladder):
+def _perpetual_stacked(gen, ladder, f0, rate):
+    """Perpetual route on the stacked ladder: (values, LCP iterations)."""
+
+    A_gen = duration_generator(gen, ladder)
+    A = rate * _identity_like(A_gen) - A_gen
+    f = ladder.stack_payoff(f0)
+    warm = _vanilla_active_guess(gen, f0, rate, ladder)
+    sol = require_solved(
+        policy_solve(LCPProblem(A, A @ f), active0=warm), "perpetual down-out"
+    )
+    return f + sol.z, sol.iterations
+
+
+def _perpetual_reduced(gen, ladder, f0, rate):
+    """Perpetual route with the duration levels eliminated: (values, LCP
+    iterations).  Needs a payoff that vanishes below the barrier."""
+
+    _require_reducible(f0, ladder)
+    ops = _ReducedLadderOps(dense_rates(gen), ladder, rate)
+    warm = _vanilla_active_guess(gen, f0, rate, ladder)[: ladder.n_states]
+    sol = require_solved(
+        policy_solve(LCPProblem(ops.A_eff, ops.A_eff @ f0), active0=warm),
+        "perpetual down-out (reduced)",
+    )
+    return ops.expand(f0 + sol.z), sol.iterations
+
+
+def _vanilla_active_guess(gen, f0, rate, ladder):
     """Initial active set for policy iteration from the vanilla problem.
 
     The knock-out only lowers values, so the vanilla exercise region is a
@@ -335,14 +326,8 @@ def _vanilla_active_guess(gen, contract, model, grid, ladder):
     travel short.
     """
 
-    from .pricer_downin import vanilla_american_perpetual
-
-    try:
-        f = contract.payoff_states(model, grid.states)
-        v = vanilla_american_perpetual(gen, f, contract.rate)
-    except Exception:
-        return None
-    exercised = v <= f + 1e-12 * np.maximum(1.0, np.abs(f))
+    v = vanilla_american_perpetual(gen, f0, rate)
+    exercised = v <= f0 + 1e-12 * np.maximum(1.0, np.abs(f0))
     parts = [exercised]
     parts += [exercised[ladder.below]] * (ladder.n_ticks - 1)
     parts += [np.ones(ladder.n_below, dtype=bool)]
@@ -354,8 +339,17 @@ def _vanilla_active_guess(gen, contract, model, grid, ladder):
 # ---------------------------------------------------------------------------
 
 
-def _payoff_vanishes_below(f: np.ndarray, below: np.ndarray) -> bool:
-    return bool(np.all(np.asarray(f, dtype=float)[below] == 0.0))
+def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
+    """Level elimination applies: below-barrier states with zero payoff."""
+
+    return ladder.n_below > 0 and bool(np.all(f0[ladder.below] == 0.0))
+
+
+def _require_reducible(f0: np.ndarray, ladder: DurationLadder) -> None:
+    if not _reducible(f0, ladder):
+        raise ValueError(
+            "level elimination needs a payoff that vanishes below the barrier"
+        )
 
 
 class _ReducedLadderOps:
@@ -489,20 +483,16 @@ def price_finite_downout(
     dtick: float,
     gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
     rate_policy: str = "error",
-    solver: str = "auto",
 ) -> FiniteDownOutResult:
     """Backward recursion for the finite-maturity down-out surface.
 
     Slice values are prices at that slice (not pre-discounted): each step
     back multiplies the continuation by 1/(1 + rate dt).
 
-    ``solver="auto"`` picks the route per operator shape: tridiagonal
-    chains run the stacked ladder with sparse policy iteration; dense jump
-    chains with a payoff that vanishes below the barrier eliminate the
-    duration levels (``"reduced"``) and solve base-level problems only;
-    anything else falls back to matrix-free projected Jacobi sweeps on the
-    stacked ladder.  Passing ``"policy"``, ``"jacobi"``, ``"psor"`` or
-    ``"lemke"`` forces the stacked route with that solver.
+    Dense jump chains whose payoff vanishes below the barrier eliminate the
+    duration levels and solve base-level problems only; every other input,
+    tridiagonal chains included, solves on the stacked ladder.  Each slice
+    LCP is solved by policy iteration, warm-started from the slice after it.
     """
 
     from .ctmc import build_generator
@@ -512,15 +502,11 @@ def price_finite_downout(
     if contract.flavor is not Flavor.DOWN_OUT:
         raise ValueError("contract flavor must be down-out")
 
-    J = timegrid.idx_t_plus
     dt = timegrid.dt
     times = timegrid.times
-    n_slices = J + 1
+    n_slices = timegrid.idx_t_plus + 1
 
-    L_state = contract.barrier_state(model)
-    below = grid.states < L_state - 1e-12 * max(1.0, abs(L_state))
-    if not _contiguous_below(below):
-        raise ValueError("below-barrier states must form a prefix of the grid")
+    below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
 
     if gen is None:
@@ -531,78 +517,64 @@ def price_finite_downout(
                 build_generator(model, grid, float(t), rate_policy) for t in times
             ]
     else:
-        from .pricer_downin import _gen_sequence
-
-        gens = _gen_sequence(gen, n_slices)
+        gens = generator_sequence(gen, n_slices)
 
     f0 = contract.payoff_states(model, grid.states)
-    rate = contract.rate
-    uniq_gens = list({id(g): g for g in gens}.values())
-    tridiag = all(
-        isinstance(g, GeneratorMatrix) and g.is_tridiagonal for g in uniq_gens
-    )
-    reducible = ladder.n_below > 0 and _payoff_vanishes_below(f0, ladder.below)
-    if solver == "auto":
-        if tridiag:
-            solver = "policy"
-        elif reducible:
-            solver = "reduced"
-        else:
-            solver = "jacobi"
-    if solver == "reduced" and not reducible:
-        raise ValueError(
-            "level elimination needs a payoff that vanishes below the barrier"
-        )
+    tridiag = all(isinstance(g, GeneratorMatrix) and g.is_tridiagonal for g in gens)
+    route = "reduced" if not tridiag and _reducible(f0, ladder) else "stacked"
 
-    C = np.zeros((n_slices, ladder.total))
     start = time.perf_counter()
-    if solver == "reduced":
-        ops = {}
-
-        def slice_ops(j):
-            key = id(gens[j])
-            if key not in ops:
-                R, _ = _dense_and_below(gens[j], None, ladder.below)
-                ops[key] = _ReducedLadderOps(R, ladder, rate, dt=dt)
-            return ops[key]
-
-        warm = None
-        for j in range(J - 1, -1, -1):
-            red = slice_ops(j)
-            q, M = red.sources(C[j + 1])
-            psi = red.A_eff @ f0 - q
-            sol = _require_solved(
-                _solve_lcp(LCPProblem(red.A_eff, psi), "policy", warm=warm),
-                "down-out slice (reduced)",
-            )
-            C[j] = red.expand(f0 + sol.z, M)
-            warm = sol.z <= 0.0
-    else:
-        f = ladder.stack_payoff(f0)
-        ops = {}
-
-        def slice_operator(j):
-            key = id(gens[j])
-            if key not in ops:
-                A_gen = duration_generator(gens[j], ladder)
-                Ident = _identity_like(A_gen)
-                ops[key] = (1.0 + rate * dt) * Ident - dt * A_gen
-            return ops[key]
-
-        warm = None
-        for j in range(J - 1, -1, -1):
-            A = slice_operator(j)
-            psi = A @ f - C[j + 1]
-            sol = _require_solved(
-                _solve_lcp(LCPProblem(A, psi), solver, warm=warm),
-                "down-out slice",
-            )
-            C[j] = f + sol.z
-            warm = (sol.z <= 0.0) if solver == "policy" else sol.z
+    recurse = _finite_reduced if route == "reduced" else _finite_stacked
+    C = recurse(gens, ladder, f0, contract.rate, dt)
     _log.info(
         "finite down-out recursion (%s): %.3fs for %d slices, %d ladder states",
-        solver, time.perf_counter() - start, n_slices, ladder.total,
+        route, time.perf_counter() - start, n_slices, ladder.total,
     )
     return FiniteDownOutResult(
         values=C, times=times, ladder=ladder, model=model, grid=grid
     )
+
+
+def _finite_stacked(gens, ladder, f0, rate, dt):
+    """Finite route on the stacked ladder: surface over (slice, ladder slot)."""
+
+    f = ladder.stack_payoff(f0)
+    C = np.zeros((len(gens), ladder.total))
+    ops = {}
+    warm = None
+    for j in range(len(gens) - 2, -1, -1):
+        key = id(gens[j])
+        if key not in ops:
+            A_gen = duration_generator(gens[j], ladder)
+            ops[key] = (1.0 + rate * dt) * _identity_like(A_gen) - dt * A_gen
+        A = ops[key]
+        sol = require_solved(
+            policy_solve(LCPProblem(A, A @ f - C[j + 1]), active0=warm),
+            "down-out slice",
+        )
+        C[j] = f + sol.z
+        warm = sol.z <= 0.0
+    return C
+
+
+def _finite_reduced(gens, ladder, f0, rate, dt):
+    """Finite route with the duration levels eliminated; needs a payoff that
+    vanishes below the barrier.  Surface over (slice, ladder slot)."""
+
+    _require_reducible(f0, ladder)
+    C = np.zeros((len(gens), ladder.total))
+    ops = {}
+    warm = None
+    for j in range(len(gens) - 2, -1, -1):
+        key = id(gens[j])
+        if key not in ops:
+            ops[key] = _ReducedLadderOps(dense_rates(gens[j]), ladder, rate, dt=dt)
+        red = ops[key]
+        q, M = red.sources(C[j + 1])
+        sol = require_solved(
+            policy_solve(LCPProblem(red.A_eff, red.A_eff @ f0 - q), active0=warm),
+            "down-out slice (reduced)",
+        )
+        C[j] = red.expand(f0 + sol.z, M)
+        warm = sol.z <= 0.0
+    return C

@@ -16,7 +16,7 @@ import pytest
 from parisian.bench_cli import price_point, reference_option, richardson
 from parisian.ctmc import TimeGrid, build_grid, build_generator, validate_generator
 from parisian.models import bs_model
-from parisian.numerics import LCPProblem, lemke_solve
+from parisian.numerics import LCPProblem, lemke_solve, policy_solve
 from parisian.oracle import (
     UniformizedChain,
     dp_parisian_lattice,
@@ -161,10 +161,11 @@ class TestOracleAgreement:
                 A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
             psi = rng.normal(scale=2.0, size=n)
             z_ref, _ = lcp_by_enumeration(A, psi)
-            sol = lemke_solve(LCPProblem(A, psi))
-            assert sol.status.value == "solved"
-            assert np.max(np.abs(sol.z - z_ref)) < 1e-9
-            assert np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
+            for solver in (lemke_solve, policy_solve):
+                sol = solver(LCPProblem(A, psi))
+                assert sol.status.value == "solved", solver.__name__
+                assert np.max(np.abs(sol.z - z_ref)) < 1e-9, solver.__name__
+                assert np.array_equal(sol.z > 1e-9, z_ref > 1e-9), solver.__name__
         assert time.perf_counter() - t0 < self.budget
 
     def test_perpetual_solver_vs_value_iteration(self):
@@ -210,7 +211,7 @@ class TestOracleAgreement:
                                  maturity=horizon, rate=rate,
                                  flavor=Flavor.DOWN_OUT)
             res = price_finite_downout(carrier, grid, timegrid, c_out,
-                                       dtick=dtick, gen=R, solver="policy")
+                                       dtick=dtick, gen=R)
             ora = dp_parisian_lattice(R, below, f, rate, dt, horizon, window,
                                       "down-out", dtick=dtick)
             worst_out = max(worst_out, float(

@@ -148,6 +148,9 @@ class TestStudyConfig:
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             StudyConfig.from_mapping({"model": "bs", "window_size": 3})
+        # the LCP solver is fixed; a config that still names one fails loudly
+        with pytest.raises(ValueError, match="unknown config keys.*solver"):
+            StudyConfig.from_mapping({"model": "bs", "solver": "lemke"})
 
 
 class TestBuildNamedModel:

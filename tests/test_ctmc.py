@@ -46,6 +46,13 @@ class TestBuildGrid:
         assert g.states[g.idx_l_plus] == pytest.approx(90.0)
         assert g.states[g.idx_l_minus] < 90.0
         assert g.below_mask.sum() == g.idx_l_plus
+        # a barrier level off by round-off still puts the barrier node above
+        np.testing.assert_array_equal(g.below_barrier(90.0 * (1 + 1e-14)),
+                                      g.below_mask)
+        for level in (25.0, 60.0, 95.0, 300.0):
+            mask = g.below_barrier(level)
+            m = int(mask.sum())
+            assert mask[:m].all() and not mask[m:].any()
 
     def test_strike_below_barrier_mirrored(self):
         g = build_grid(30, 270, barrier=95.0, strike=90.0, n=96)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from parisian.ctmc import TimeGrid, build_generator, build_grid, simulate_paths
 from parisian.models import bs_model
-from parisian.numerics import generator_expm
+from parisian.numerics import LCPProblem, generator_expm, lemke_solve
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
@@ -85,7 +85,7 @@ class TestVanillaPerpetual:
                           split=(150, 300, 750))
         gen = build_generator(BS, grid, 0.0, "error")
         f = np.maximum(grid.states - 95.0, 0.0)
-        v = vanilla_american_perpetual(gen, f, rate=0.10, solver="policy")
+        v = vanilla_american_perpetual(gen, f, rate=0.10)
         # positive root of 0.045 b^2 + 0.005 b - 0.1 = 0 and smooth fit
         b1 = (-0.005 + math.sqrt(0.005**2 + 4 * 0.045 * 0.1)) / (2 * 0.045)
         s_star = 95.0 * b1 / (b1 - 1.0)
@@ -97,7 +97,7 @@ class TestVanillaPerpetual:
         grid = build_grid(1.0, 2000.0, 90.0, 95.0, 1000, split=(400, 200, 400))
         gen = build_generator(BS, grid, 0.0, "error")
         f = np.maximum(95.0 - grid.states, 0.0)
-        v = vanilla_american_perpetual(gen, f, rate=0.10, solver="policy")
+        v = vanilla_american_perpetual(gen, f, rate=0.10)
         b2 = (-0.005 - math.sqrt(0.005**2 + 4 * 0.045 * 0.1)) / (2 * 0.045)
         s_star = 95.0 * b2 / (b2 - 1.0)
         ref = (95.0 - s_star) * (90.0 / s_star) ** b2
@@ -114,11 +114,12 @@ class TestVanillaPerpetual:
     def test_solver_variants_agree(self):
         grid, gen = small_bs_setup(n=20)
         f = np.maximum(grid.states - 95.0, 0.0)
-        a = vanilla_american_perpetual(gen, f, 0.10, solver="lemke")
-        b = vanilla_american_perpetual(gen, f, 0.10, solver="psor")
-        c = vanilla_american_perpetual(gen, f, 0.10, solver="policy")
-        assert np.allclose(a, b, atol=1e-7)
-        assert np.allclose(a, c, atol=1e-9)
+        # the production solve against the Lemke reference on the same LCP
+        A = 0.10 * np.eye(gen.dimension) - gen.as_dense()
+        ref = lemke_solve(LCPProblem(A, A @ f))
+        assert ref.solved
+        got = vanilla_american_perpetual(gen, f, 0.10)
+        assert np.allclose(got, f + ref.z, atol=1e-9)
 
 
 class TestParisianTransform:
@@ -349,7 +350,7 @@ class TestBermudanSlice:
         R = random_generator(rng, n, absorb_ends=True)
         g = rng.uniform(0.0, 2.0, n)
         c = rng.uniform(0.0, 2.0, n)
-        vals = bermudan_slice(R, c, g, dt, solver="lemke")
+        vals = bermudan_slice(R, c, g, dt)
         resid = (np.eye(n) - dt * R) @ vals - c
         assert np.all(vals >= g - 1e-8)
         assert np.all(resid >= -1e-8)

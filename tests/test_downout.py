@@ -14,8 +14,13 @@ from parisian.pricer_downin import (
     american_call,
     vanilla_american_perpetual,
 )
+from parisian import pricer_downout
 from parisian.pricer_downout import (
     DurationLadder,
+    _finite_reduced,
+    _finite_stacked,
+    _perpetual_reduced,
+    _perpetual_stacked,
     build_ladder,
     duration_generator,
     price_finite_downout,
@@ -44,6 +49,13 @@ def contract(flavor, window=1 / 12, maturity=math.inf, rate=0.1, strike=95.0):
     return ContractSpec(payoff=american_call(strike), barrier=90.0,
                         window=window, maturity=maturity, rate=rate,
                         flavor=flavor)
+
+
+def route_inputs(model, grid, c, dtick):
+    """(ladder, payoff on the states): what the private routes take."""
+    below = grid.below_barrier(c.barrier_state(model))
+    return (build_ladder(c.window, dtick, below),
+            c.payoff_states(model, grid.states))
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +199,42 @@ class TestPerpetualDownOut:
     def test_reduced_equals_stacked_bs(self):
         model, grid, gen = small_bs_setup(n=40)
         c = contract(Flavor.DOWN_OUT)
-        red = price_perpetual_downout(gen, c, model, dtick=1 / 36,
-                                      solver="reduced")
-        stk = price_perpetual_downout(gen, c, model, dtick=1 / 36,
-                                      solver="lemke")
-        np.testing.assert_allclose(red.values, stk.values, atol=1e-9)
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+        red, _ = _perpetual_reduced(gen, ladder, f0, c.rate)
+        stk, _ = _perpetual_stacked(gen, ladder, f0, c.rate)
+        np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_equals_stacked_kou(self):
         model, grid, gen = small_kou_setup(n=36)
         c = contract(Flavor.DOWN_OUT, rate=0.05)
-        red = price_perpetual_downout(gen, c, model, dtick=1 / 36,
-                                      solver="reduced")
-        stk = price_perpetual_downout(gen, c, model, dtick=1 / 36,
-                                      solver="lemke")
-        np.testing.assert_allclose(red.values, stk.values, atol=1e-9)
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+        red, _ = _perpetual_reduced(gen, ladder, f0, c.rate)
+        stk, _ = _perpetual_stacked(gen, ladder, f0, c.rate)
+        np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_requires_vanishing_payoff_below(self):
         model, grid, gen = small_bs_setup(n=40)
         c = ContractSpec(payoff=lambda s: np.maximum(80.0 - s, 0.0),
                          barrier=90.0, window=1 / 12, maturity=math.inf,
                          rate=0.1, flavor=Flavor.DOWN_OUT)
-        with pytest.raises(ValueError):
-            price_perpetual_downout(gen, c, model, dtick=1 / 36,
-                                    solver="reduced")
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+        with pytest.raises(ValueError, match="vanishes below the barrier"):
+            _perpetual_reduced(gen, ladder, f0, c.rate)
+
+    def test_vanilla_warm_start_failure_reaches_caller(self, monkeypatch):
+        def failing_vanilla(*args, **kwargs):
+            raise RuntimeError("vanilla solve failed")
+
+        monkeypatch.setattr(pricer_downout, "vanilla_american_perpetual",
+                            failing_vanilla)
+        bs_model_, _, bs_gen = small_bs_setup(n=24)      # stacked route
+        kou_model_, _, kou_gen = small_kou_setup(n=24)   # reduced route
+        for model, gen, rate in ((bs_model_, bs_gen, 0.1),
+                                 (kou_model_, kou_gen, 0.05)):
+            with pytest.raises(RuntimeError, match="vanilla solve failed"):
+                price_perpetual_downout(gen, contract(Flavor.DOWN_OUT,
+                                                      rate=rate),
+                                        model, dtick=1 / 36)
 
     def test_validation(self):
         model, grid, gen = small_bs_setup(n=24)
@@ -272,11 +297,13 @@ class TestFiniteDownOut:
         model, grid, gen = small_kou_setup(n=32)
         tg = TimeGrid(dt=1 / 12, horizon=0.5)
         c = contract(Flavor.DOWN_OUT, maturity=0.5, rate=0.05)
-        kw = dict(dtick=1 / 36)
-        ref = price_finite_downout(model, grid, tg, c, solver="policy", **kw)
-        for solver in ("reduced", "jacobi"):
-            alt = price_finite_downout(model, grid, tg, c, solver=solver, **kw)
-            np.testing.assert_allclose(alt.values, ref.values, atol=1e-7)
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+        gens = [gen] * (tg.idx_t_plus + 1)
+        stk = _finite_stacked(gens, ladder, f0, c.rate, tg.dt)
+        red = _finite_reduced(gens, ladder, f0, c.rate, tg.dt)
+        np.testing.assert_allclose(red, stk, atol=1e-7)
+        auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
+        np.testing.assert_allclose(auto.values, red, atol=1e-12)
 
     def test_auto_picks_reduced_for_jump_models(self, caplog):
         import logging

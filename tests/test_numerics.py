@@ -1,6 +1,5 @@
-"""Numerics kernel tests: linear solves, exponential actions, LCP solvers."""
+"""Numerics kernel tests: linear solves, uniformized exponentials, LCP solvers."""
 
-import logging
 import math
 
 import numpy as np
@@ -14,12 +13,10 @@ from parisian.numerics import (
     LCPStatus,
     TriDiag,
     complementarity_residual,
-    expm_action,
     generator_expm,
     lemke_solve,
     policy_solve,
-    projected_jacobi,
-    psor_solve,
+    require_solved,
     solve_tridiag,
 )
 
@@ -95,63 +92,6 @@ class TestTriDiag:
         assert np.allclose(T.matvec(x), T.to_dense() @ x)
 
 
-class TestExpmAction:
-    def test_zero_matrix_is_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        out = expm_action(np.zeros((3, 3)), b, t=5.0, k=16)
-        assert np.allclose(out, b)
-
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(4, 4))
-        b = rng.normal(size=4)
-        assert np.allclose(expm_action(A, b, t=0.0), b)
-
-    def test_scalar_exponential(self):
-        out = expm_action(np.array([[-1.0]]), np.array([1.0]), t=1.0, k=100_000)
-        assert out[0] == pytest.approx(math.exp(-1.0), rel=1e-4)
-
-    def test_matches_dense_expm_on_generator(self):
-        rng = np.random.default_rng(2)
-        A = random_generator(rng, 20)
-        b = rng.normal(size=20)
-        ref = expm(0.7 * A) @ b
-        out = expm_action(A, b, t=0.7, k=4096)
-        assert np.max(np.abs(out - ref)) <= 1e-4 * np.max(np.abs(ref))
-
-    def test_error_halves_with_doubled_substeps(self):
-        rng = np.random.default_rng(5)
-        for trial in range(4):
-            A = random_generator(rng, 12)
-            b = rng.normal(size=12)
-            ref = expm(0.5 * A) @ b
-            errs = [
-                np.max(np.abs(expm_action(A, b, 0.5, k=k) - ref))
-                for k in (256, 512, 1024)
-            ]
-            assert errs[1] <= 0.75 * errs[0]
-            assert errs[2] <= 0.75 * errs[1]
-
-    def test_tridiagonal_path_matches_dense_path(self):
-        rng = np.random.default_rng(8)
-        n = 15
-        T = TriDiag(
-            np.abs(rng.normal(size=n - 1)),
-            -2 - np.abs(rng.normal(size=n)),
-            np.abs(rng.normal(size=n - 1)),
-        )
-        b = rng.normal(size=n)
-        out_tri = expm_action(T, b, t=0.4, k=512)
-        out_dense = expm_action(T.to_dense(), b, t=0.4, k=512)
-        assert np.allclose(out_tri, out_dense, atol=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            expm_action(np.eye(2), np.ones(2), t=-1.0)
-        with pytest.raises(ValueError):
-            expm_action(np.eye(2), np.ones(2), t=1.0, k=0)
-
-
 class TestGeneratorExpm:
     def test_matches_scaling_and_squaring(self):
         rng = np.random.default_rng(11)
@@ -221,11 +161,12 @@ class TestLemke:
         sol = lemke_solve(LCPProblem(A, np.array([-1.0, -1.0])))
         assert sol.status is LCPStatus.RAY_TERMINATION
 
-    def test_pivot_trace_logging(self, monkeypatch, caplog):
-        monkeypatch.setenv("PARISIAN_LCP_TRACE", "1")
-        with caplog.at_level(logging.INFO, logger="parisian.lcp"):
-            lemke_solve(LCPProblem(np.eye(2), -np.ones(2)))
-        assert any("enter" in r.message or "lemke" in r.message for r in caplog.records)
+    def test_require_solved_raises_on_unsolved(self):
+        sol = lemke_solve(LCPProblem(-np.eye(2), np.array([-1.0, -1.0])))
+        with pytest.raises(RuntimeError, match="toy problem.*ray_termination"):
+            require_solved(sol, "toy problem")
+        ok = lemke_solve(LCPProblem(np.eye(2), -np.ones(2)))
+        assert require_solved(ok, "toy problem") is ok
 
 
 def obstacle_problem(n=200, load=8.0, left_height=1.0):
@@ -244,9 +185,7 @@ def obstacle_problem(n=200, load=8.0, left_height=1.0):
 
 
 class TestPsorAndFriends:
-    def test_trivial_identity(self):
-        sol = psor_solve(LCPProblem(np.eye(3), np.array([1.0, 0.5, 2.0])))
-        assert sol.solved and np.allclose(sol.z, 0.0)
+    """Policy iteration (the production solver) against the Lemke reference."""
 
     def test_agrees_with_lemke_on_random_instances(self):
         rng = np.random.default_rng(9)
@@ -255,16 +194,14 @@ class TestPsorAndFriends:
             A, q = random_pd_lcp(rng, n)
             prob = LCPProblem(A, q)
             z_l = lemke_solve(prob).z
-            z_p = psor_solve(prob).z
             z_pi = policy_solve(prob).z
-            assert np.max(np.abs(z_p - z_l)) <= 1e-7
             assert np.max(np.abs(z_pi - z_l)) <= 1e-7
 
     def test_obstacle_contact_point(self):
         n = 200
         A, psi, s = obstacle_problem(n)
         prob = LCPProblem(A, psi)
-        for solver in (psor_solve, policy_solve, lemke_solve):
+        for solver in (policy_solve, lemke_solve):
             sol = solver(prob)
             assert sol.solved
             # first index where the string touches the obstacle (z == 0)
@@ -272,16 +209,6 @@ class TestPsorAndFriends:
             contact_idx = touching[0]
             predicted = s * (n + 1) - 1
             assert abs(contact_idx - predicted) <= 1.0, solver.__name__
-
-    def test_projected_jacobi_on_diagonally_dominant(self):
-        rng = np.random.default_rng(21)
-        n = 40
-        A = 3.0 * np.eye(n) + rng.uniform(0.0, 0.04, size=(n, n))
-        q = rng.normal(size=n)
-        prob = LCPProblem(A, q)
-        z_j = projected_jacobi(prob).z
-        z_l = lemke_solve(prob).z
-        assert np.max(np.abs(z_j - z_l)) <= 1e-8
 
     def test_policy_solve_sparse_matches_dense(self):
         from scipy import sparse
@@ -295,18 +222,11 @@ class TestPsorAndFriends:
         assert dense.solved and sp.solved
         assert np.max(np.abs(dense.z - sp.z)) <= 1e-9
 
-    def test_positive_diagonal_required(self):
-        bad = LCPProblem(np.array([[0.0, 1.0], [1.0, 1.0]]), np.ones(2))
-        with pytest.raises(ValueError):
-            psor_solve(bad)
-        with pytest.raises(ValueError):
-            projected_jacobi(bad)
-
 
 class TestSolutionInvariants:
     def test_every_solved_solution_is_complementary(self):
         rng = np.random.default_rng(77)
-        solvers = [lemke_solve, psor_solve, policy_solve, projected_jacobi]
+        solvers = [lemke_solve, policy_solve]
         for trial in range(20):
             n = int(rng.integers(2, 10))
             A, q = random_pd_lcp(rng, n)
@@ -343,7 +263,8 @@ class TestSolutionInvariants:
 def test_lemke_solution_matches_enumeration_property(n, seed):
     rng = np.random.default_rng(seed)
     A, q = random_pd_lcp(rng, n)
-    sol = lemke_solve(LCPProblem(A, q))
     z_ref = brute_force_lcp(A, q)
-    assert sol.solved
-    assert np.max(np.abs(sol.z - z_ref)) <= 1e-8
+    for solver in (lemke_solve, policy_solve):
+        sol = solver(LCPProblem(A, q))
+        assert sol.solved, solver.__name__
+        assert np.max(np.abs(sol.z - z_ref)) <= 1e-8, solver.__name__

@@ -263,7 +263,7 @@ class TestDpParisianLattice:
                                  maturity=horizon, rate=rate,
                                  flavor=Flavor.DOWN_OUT)
             res = price_finite_downout(model, grid, tg, c_out, dtick=dtick,
-                                       gen=R, solver="policy")
+                                       gen=R)
             ora = dp_parisian_lattice(R, below, f, rate, dt, horizon, window,
                                       "down-out", dtick=dtick)
             n_live = ora.shape[1]
