@@ -1056,7 +1056,7 @@ def _random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
 
 
 def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
-    from .numerics import LCPProblem, lemke_solve, policy_solve
+    from .numerics import LCPOperator, LCPProblem, lemke_solve, policy_solve
     from .oracle import lcp_by_enumeration
 
     rng = np.random.default_rng(seed)
@@ -1073,9 +1073,10 @@ def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
             A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
         psi = rng.normal(scale=2.0, size=n)
         z_ref, _ = lcp_by_enumeration(A, psi)
+        problem = LCPProblem(LCPOperator(A), psi)
         ok = True
         for name, solve in solvers.items():
-            sol = solve(LCPProblem(A, psi))
+            sol = solve(problem)
             gap = float(np.max(np.abs(sol.z - z_ref)))
             worst[name] = max(worst[name], gap)
             ok &= (

@@ -6,8 +6,9 @@ state owns the half-open cell between the midpoints towards its neighbours
 (unbounded at both ends).  Transition rates combine central (or upwind)
 finite differences of the drift/diffusion with cell-integrated jump masses;
 mass landing in a state's own cell is folded into the local second moment
-and the jump-drift correction instead of a self-rate.  Spatial boundary
-states are absorbing (identically zero rows).
+and the jump-drift correction instead of a self-rate.  Cell masses are
+differences of jump tails evaluated once per cell edge and row.  Spatial
+boundary states are absorbing (identically zero rows).
 
 Also provides exact event-by-event simulation of the chain together with the
 barrier excursion clock, used as a Monte-Carlo oracle for the transform-based
@@ -18,9 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,10 +313,34 @@ def generator_sequence(gen, n_slices: int) -> list:
     return [gen] * n_slices
 
 
-def _clip_to_unit_ball(a: np.ndarray, b: np.ndarray):
-    lo = np.maximum(a, -1.0)
-    hi = np.minimum(b, 1.0)
-    return lo, np.maximum(hi, lo)
+def slice_operators(gens: Sequence, build: Callable) -> Iterator[tuple]:
+    """Pairs (j, build(gens[j])) for the backward slices j = len(gens)-2..0.
+
+    An operator is built only when a slice's generator is not the one of the
+    slice after it, and only the current one is kept: a time-homogeneous
+    recursion builds one operator, whose cached factor every slice can reuse;
+    a time-dependent one builds one per slice and never holds them all.
+    """
+
+    gen = op = None
+    for j in range(len(gens) - 2, -1, -1):
+        if gens[j] is not gen:
+            op = None  # drop this reference to the old operator first
+            gen, op = gens[j], build(gens[j])
+        yield j, op
+
+
+def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Jump mass beyond each offset z != 0, away from the origin.
+
+    [z, +inf) for z > 0 and (-inf, z) for z < 0, from one ``interval_mass``
+    call; ``xs`` (a column of states) broadcasts against ``z``.
+    """
+
+    pos = z > 0.0
+    lo = np.where(pos, z, -np.inf)
+    hi = np.where(pos, np.inf, z)
+    return np.asarray(jm.interval_mass(t, xs, lo, hi), dtype=float)
 
 
 def build_generator(
@@ -335,13 +359,18 @@ def build_generator(
     where s2_bar is the jump second moment inside the state's own cell and
     mu_bar sums displacement times small-jump cell mass over other cells.
     ``rate_policy`` controls what happens when the central form turns an
-    off-diagonal negative: "error" raises NegativeRateError, "clamp" zeroes
-    the offenders (with a warning), and "upwind" switches the drift part of
-    the affected states to one-sided differencing (nonnegative by
-    construction, first-order accurate there).
+    off-diagonal negative: "error" raises NegativeRateError, and "upwind"
+    switches the drift part of the affected states to one-sided differencing
+    (nonnegative by construction, first-order accurate there).
+
+    Jump masses come from tails: one ``interval_mass`` evaluation per cell
+    edge and row gives the mass beyond that edge, and a cell's mass is the
+    difference of its two edge tails.  The small-jump masses behind mu_bar
+    reuse the same tails, clamped at +-1.  Offsets are taken per row, so
+    measures that depend on the state are handled.
     """
 
-    if rate_policy not in ("error", "clamp", "upwind"):
+    if rate_policy not in ("error", "upwind"):
         raise ValueError(f"unknown rate policy {rate_policy!r}")
     x = grid.states
     N = grid.n_states
@@ -359,18 +388,30 @@ def build_generator(
     jm = model.jump_measure
     if jm is not None:
         jump = np.zeros((N, N))
+        inner = edges[1:-1]
         for i0 in range(1, N - 1, _CHUNK_ROWS):
             i1 = min(i0 + _CHUNK_ROWS, N - 1)
             rows = np.arange(i0, i1)
+            local = rows - i0
             xs = x[rows, None]
-            a = edges[None, :-1] - xs
-            b = edges[None, 1:] - xs
-            mass = np.asarray(jm.interval_mass(t, xs, a, b), dtype=float)
-            lo, hi = _clip_to_unit_ball(a, b)
-            small = np.asarray(jm.interval_mass(t, xs, lo, hi), dtype=float)
-            mass[rows - i0, rows] = 0.0
-            small[rows - i0, rows] = 0.0
+            z = inner[None, :] - xs
+            # tails at every cell edge, zero at the +-inf outer edges; the
+            # mass of a cell off the own one is the difference of its two
+            # edge tails (both edges lie on the same side of the state)
+            tails = np.zeros((len(rows), N + 1))
+            tails[:, 1:-1] = _tail_masses(jm, t, xs, z)
+            mass = np.abs(tails[:, :-1] - tails[:, 1:])
+            mass[local, rows] = 0.0
             jump[i0:i1] = mass
+            # small-jump cell masses (jumps within [-1, 1]) from the same
+            # tails: every edge beyond +-1 reads the tail at +-1
+            unit = _tail_masses(jm, t, xs, np.array([[-1.0, 1.0]]))
+            clamped = np.where(np.abs(z) <= 1.0, tails[:, 1:-1],
+                               np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
+            tails[:, 1:-1] = clamped
+            tails[:, 0], tails[:, -1] = unit[:, 0], unit[:, 1]
+            small = np.abs(tails[:, :-1] - tails[:, 1:])
+            small[local, rows] = 0.0
             mu_bar[i0:i1] = ((x[None, :] - xs) * small).sum(axis=1)
             s2_bar[i0:i1] = np.asarray(
                 jm.small_jump_second_moment(
@@ -404,28 +445,20 @@ def build_generator(
             raise NegativeRateError(
                 f"central rate construction produced negative rates "
                 f"(worst {worst:.4g} at state index {int(np.argmin(neg))}); "
-                f"rerun with rate_policy='upwind' or 'clamp'"
+                f"rerun with rate_policy='upwind'"
             )
-        if rate_policy == "clamp":
-            warnings.warn(
-                f"clamping negative rates (worst {worst:.4g})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            np.maximum(up, 0.0, out=up)
-            np.maximum(down, 0.0, out=down)
-        else:  # upwind only where central failed, keeping second order elsewhere
-            bad = np.zeros(N, dtype=bool)
-            bad[interior] = (central_up < 0.0) | (central_down < 0.0)
-            j = np.flatnonzero(bad)
-            up[j] = (
-                np.maximum(drift_eff[j], 0.0) / dp[j]
-                + diffusion[j] / (2.0 * dp[j] * dav[j])
-            )
-            down[j] = (
-                np.maximum(-drift_eff[j], 0.0) / dm[j]
-                + diffusion[j] / (2.0 * dm[j] * dav[j])
-            )
+        # upwind only where central failed, keeping second order elsewhere
+        bad = np.zeros(N, dtype=bool)
+        bad[interior] = (central_up < 0.0) | (central_down < 0.0)
+        j = np.flatnonzero(bad)
+        up[j] = (
+            np.maximum(drift_eff[j], 0.0) / dp[j]
+            + diffusion[j] / (2.0 * dp[j] * dav[j])
+        )
+        down[j] = (
+            np.maximum(-drift_eff[j], 0.0) / dm[j]
+            + diffusion[j] / (2.0 * dm[j] * dav[j])
+        )
 
     if jump is not None:
         # neighbour jump mass rides on the tridiagonal rates

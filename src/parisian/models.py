@@ -52,14 +52,6 @@ class JumpMeasure:
     truncated_first_moment: Callable[..., np.ndarray]
     total_activity: float
 
-    def state_independent(self) -> bool:
-        return bool(getattr(self, "_state_independent", False))
-
-
-def _with_flag(jm: JumpMeasure, state_independent: bool) -> JumpMeasure:
-    object.__setattr__(jm, "_state_independent", state_independent)
-    return jm
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -238,13 +230,12 @@ def kou_jump_measure(params: KouParams) -> JumpMeasure:
         a = np.minimum(a, b)  # empty intersection -> zero-length interval
         return _split(a, b, _pos_first, _neg_first)
 
-    jm = JumpMeasure(
+    return JumpMeasure(
         interval_mass=interval_mass,
         small_jump_second_moment=second_moment,
         truncated_first_moment=truncated_first,
         total_activity=lam,
     )
-    return _with_flag(jm, True)
 
 
 def kou_model(params: KouParams) -> ModelSpec:
@@ -300,10 +291,16 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
 
     def _mass_side(lam, a, b):
         # integral of e^{-lam z}/z over [a,b), 0 <= a <= b; E1(0) = inf is the
-        # correct (infinite-activity) answer for cells touching the origin
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = exp1(lam * a) - exp1(lam * b)
-        return np.where(a >= b, 0.0, val)
+        # correct (infinite-activity) answer for cells touching the origin.
+        # exp1 runs only on nonempty intervals and finite b (E1(inf) = 0).
+        a, b = np.broadcast_arrays(a, b)
+        out = np.zeros(a.shape)
+        live = a < b
+        upper = live & np.isfinite(b)
+        with np.errstate(divide="ignore"):
+            out[live] = exp1(lam * a[live])
+            out[upper] -= exp1(lam * b[upper])
+        return out
 
     def _first_side(lam, a, b):
         return (np.exp(-lam * a) - np.exp(-lam * b)) / lam
@@ -340,13 +337,12 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         neg = -_first_side(lam_m, an, bn)
         return C * (pos + neg)
 
-    jm = JumpMeasure(
+    return JumpMeasure(
         interval_mass=interval_mass,
         small_jump_second_moment=second_moment,
         truncated_first_moment=truncated_first,
         total_activity=math.inf,
     )
-    return _with_flag(jm, True)
 
 
 def vg_model(params: VGParams) -> ModelSpec:
@@ -434,13 +430,12 @@ def jump_measure_from_density(
         a = np.minimum(a, b)
         return _vectorize(lambda z: z * density(z))(t, x, a, b)
 
-    jm = JumpMeasure(
+    return JumpMeasure(
         interval_mass=mass,
         small_jump_second_moment=second,
         truncated_first_moment=trunc_first,
         total_activity=total_activity,
     )
-    return _with_flag(jm, True)
 
 
 # ---------------------------------------------------------------------------

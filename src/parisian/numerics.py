@@ -7,10 +7,15 @@ Tridiagonal solves, uniformized matrix exponentials and linear-complementarity
 
 ``policy_solve`` (primal-dual active-set iteration) is the one production
 solver: every pricing LCP has an M-matrix (rate I - G, I - dt G or a duration
-ladder operator), on which it converges in finitely many steps, with sparse or
-dense factorizations chosen from the type of A.  ``lemke_solve`` (pivoting) is
-kept as an independent reference for tests and ``parisian verify``.  All
-functions are pure; parallel calls on disjoint inputs are safe.
+ladder operator), on which it converges in finitely many steps.  It works on
+an ``LCPOperator``, which holds A once in solving form (dense, or CSC when A
+is sparse) together with the LU factors of the last principal block A_FF it
+solved; a recursion that passes one operator to every clock slice factors
+A_FF once per distinct free set instead of once per iteration.  ``lemke_solve``
+(pivoting) is kept as an independent reference for tests and
+``parisian verify``.  Functions are pure apart from the factor an operator
+caches, so an operator must not be shared across threads; calls on distinct
+operators are safe in parallel.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.linalg import lu_factor, lu_solve, solve_banded
 from scipy.sparse.linalg import splu
 
 
@@ -84,6 +89,8 @@ MatrixLike = Union[np.ndarray, TriDiag, sparse.spmatrix]
 
 
 def _as_dense(A: MatrixLike) -> np.ndarray:
+    if isinstance(A, LCPOperator):
+        A = A.matrix
     if isinstance(A, TriDiag):
         return A.to_dense()
     if sparse.issparse(A):
@@ -157,6 +164,63 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class LCPOperator:
+    """The matrix A of a family of LCPs, held once in solving form.
+
+    A sparse A is converted to CSC once; anything else is held dense.  The
+    operator also keeps the LU factors (``lu_factor`` dense, ``splu`` sparse)
+    of the last principal block A_FF that ``solve_free`` solved, keyed by the
+    free index set F.  A solve on the same F reuses them; a different F drops
+    them before the new block is extracted, so at most one factor is alive.
+    Policy iteration solves every A_FF exactly, so reusing the factor leaves
+    every solution as it was.  The factor lives as long as the operator, and
+    an operator is not meant to be shared across threads.
+    """
+
+    def __init__(self, A: MatrixLike):
+        self.is_sparse = sparse.issparse(A)
+        self.matrix = A.tocsc() if self.is_sparse else _as_dense(A)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("A must be square")
+        self._free: Optional[np.ndarray] = None
+        self._lu = None
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[0]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x
+
+    def solve_free(self, free: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Solve A_FF x = rhs for the free mask ``free``.
+
+        Returns x and the number of factorizations made (0 or 1).
+        """
+
+        factorizations = 0
+        if self._lu is None or not np.array_equal(free, self._free):
+            self._lu = self._free = None
+            idx = np.flatnonzero(free)
+            if self.is_sparse:
+                self._lu = splu(self.matrix[idx][:, idx])
+            else:
+                block = self.matrix[np.ix_(idx, idx)]
+                lu = lu_factor(block, overwrite_a=True, check_finite=False)
+                if not np.all(np.diagonal(lu[0])):
+                    raise np.linalg.LinAlgError("singular free block A_FF")
+                self._lu = lu
+            self._free = free.copy()
+            factorizations = 1
+        if self.is_sparse:
+            return self._lu.solve(rhs), factorizations
+        return lu_solve(self._lu, rhs, check_finite=False), factorizations
+
+
 class LCPStatus(enum.Enum):
     SOLVED = "solved"
     RAY_TERMINATION = "ray_termination"
@@ -165,9 +229,12 @@ class LCPStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class LCPProblem:
-    """LCP data (A, psi): find z >= 0, A z + psi >= 0, z.(A z + psi) = 0."""
+    """LCP data (A, psi): find z >= 0, A z + psi >= 0, z.(A z + psi) = 0.
 
-    A: MatrixLike
+    ``A`` is a matrix or an ``LCPOperator`` built on one.
+    """
+
+    A: Union[MatrixLike, LCPOperator]
     psi: np.ndarray
 
     def __post_init__(self):
@@ -194,6 +261,7 @@ class LCPSolution:
     complementarity: float
     iterations: int
     status: LCPStatus
+    factorizations: int = 0  # LU factorizations of free blocks made
 
     @property
     def solved(self) -> bool:
@@ -215,12 +283,13 @@ def complementarity_residual(problem: LCPProblem, z: np.ndarray) -> float:
     return float(np.max(np.abs(np.minimum(z, w)))) if len(z) else 0.0
 
 
-def _finish(problem, z, iters, status) -> LCPSolution:
+def _finish(problem, z, iters, status, factorizations=0) -> LCPSolution:
     return LCPSolution(
         z=np.asarray(z, dtype=float),
         complementarity=complementarity_residual(problem, z),
         iterations=iters,
         status=status,
+        factorizations=factorizations,
     )
 
 
@@ -310,11 +379,14 @@ def policy_solve(
 ) -> LCPSolution:
     """Primal-dual active-set (policy) iteration.
 
-    Maintains a guess of the active set {i : z_i = 0}; on the complement it
+    Maintains a guess of the active set {i : z_i = 0}; on the complement F it
     solves the reduced linear system A_FF z_F = -psi_F exactly, then updates
     the sets from the signs of z and w = A z + psi.  Converges in finitely
-    many iterations for the M-matrix-like systems produced by the pricers;
-    each iteration costs one sparse or dense factorization.  For banded
+    many iterations for the M-matrix-like systems produced by the pricers.
+    ``problem.A`` may be an ``LCPOperator`` (a plain matrix is wrapped in a
+    new one): an iteration whose F equals the one the operator solved last,
+    in this call or an earlier one, reuses its factor, and
+    ``LCPSolution.factorizations`` counts the ones made.  For banded
     operators the free boundary can travel only one node per iteration, so
     the default iteration cap scales with the problem size when ``A`` is
     sparse (where an iteration is cheap).
@@ -322,26 +394,21 @@ def policy_solve(
 
     n = problem.n
     psi = np.asarray(problem.psi, dtype=float)
-    A = problem.A
-    use_sparse = sparse.issparse(A)
+    op = problem.A if isinstance(problem.A, LCPOperator) else LCPOperator(problem.A)
     if max_iter is None:
-        max_iter = max(200, 4 * n) if use_sparse else 200
-    Ad = None if use_sparse else _as_dense(A)
-    Acsc = A.tocsc() if use_sparse else None
+        max_iter = max(200, 4 * n) if op.is_sparse else 200
 
     active = (psi >= 0.0) if active0 is None else np.array(active0, dtype=bool)
     prev_active = None
+    factorizations = 0
     for it in range(1, max_iter + 1):
         free = ~active
         z = np.zeros(n)
         idx = np.flatnonzero(free)
         if idx.size:
-            if use_sparse:
-                sub = Acsc[idx][:, idx]
-                z[idx] = splu(sub.tocsc()).solve(-psi[idx])
-            else:
-                z[idx] = np.linalg.solve(Ad[np.ix_(idx, idx)], -psi[idx])
-        w = problem.residual_w(z)
+            z[idx], made = op.solve_free(free, -psi[idx])
+            factorizations += made
+        w = op @ z + psi
         w[idx] = 0.0  # exact by construction; remove round-off
         new_active = (z - w) < 0.0
         # tolerances follow the problem's scale: z lives on the solution
@@ -352,12 +419,17 @@ def policy_solve(
             res = complementarity_residual(problem, np.maximum(z, 0.0))
             ok = res <= max(100 * tol, 1e-8) * z_scale
             status = LCPStatus.SOLVED if ok else LCPStatus.MAX_ITERATIONS
-            return _finish(problem, np.maximum(z, 0.0), it, status)
+            return _finish(problem, np.maximum(z, 0.0), it, status, factorizations)
         if (
             np.min(z, initial=0.0) >= -tol * z_scale
             and np.min(w, initial=0.0) >= -tol * w_scale
         ):
-            return _finish(problem, np.maximum(z, 0.0), it, LCPStatus.SOLVED)
+            return _finish(
+                problem, np.maximum(z, 0.0), it, LCPStatus.SOLVED, factorizations
+            )
         prev_active = active
         active = new_active
-    return _finish(problem, np.maximum(z, 0.0), max_iter, LCPStatus.MAX_ITERATIONS)
+    return _finish(
+        problem, np.maximum(z, 0.0), max_iter, LCPStatus.MAX_ITERATIONS,
+        factorizations,
+    )

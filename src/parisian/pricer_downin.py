@@ -12,7 +12,10 @@ trigger term v, and the window-interrupted terms u+/u- through one linear
 system.  For pure-diffusion (tridiagonal) chains the crossing kernels
 collapse to single columns at the barrier-adjacent states and the slice
 system reduces to a 2x2 solve (fast path); the dense path handles jump
-models and arbitrary generators.
+models and arbitrary generators.  The vanilla Bermudan surface behind it
+keeps one continuation operator I - dt G alive, rebuilt only when the
+slice's generator changes, so slices with an unchanged exercise region reuse
+one factorization.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     generator_sequence,
+    slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPProblem, generator_expm, policy_solve, require_solved
+from .numerics import (
+    LCPOperator,
+    LCPProblem,
+    generator_expm,
+    policy_solve,
+    require_solved,
+)
 
 _log = logging.getLogger("parisian.downin")
 
@@ -113,7 +123,7 @@ def _dense_and_below(
     return dense_rates(gen), np.asarray(below, dtype=bool)
 
 
-def _lcp_operator(gen, a0: float, cG: float):
+def _lcp_operator(gen, a0: float, cG: float) -> LCPOperator:
     """a0 I - cG G: banded sparse for tridiagonal chains, dense otherwise.
 
     Keeping the banded form makes each policy iteration one sparse
@@ -122,13 +132,13 @@ def _lcp_operator(gen, a0: float, cG: float):
 
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
         T = gen.as_tridiag()
-        return sparse.diags(
+        return LCPOperator(sparse.diags(
             [-cG * T.sub, a0 - cG * T.main, -cG * T.sup],
             offsets=[-1, 0, 1],
-            format="csr",
-        )
+            format="csc",
+        ))
     R = dense_rates(gen)
-    return a0 * np.eye(R.shape[0]) - cG * R
+    return LCPOperator(a0 * np.eye(R.shape[0]) - cG * R)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +503,19 @@ def bermudan_slice(
     dt: float,
     warm_active: Optional[np.ndarray] = None,
     return_active: bool = False,
+    operator: Optional[LCPOperator] = None,
 ):
     """One backward step: solve min((I - dt G)c - c_next, c - obstacle) = 0.
 
     Discounting, when wanted, is the caller's job (pass discounted inputs).
+    ``operator`` is I - dt G of ``gen``, built once by a caller that steps
+    through several slices; it keeps the factor of the last free set, which
+    the next slice often reuses.
     """
 
     c_next = np.asarray(c_next, dtype=float)
     obstacle = np.asarray(obstacle, dtype=float)
-    A = _lcp_operator(gen, 1.0, dt)
+    A = _lcp_operator(gen, 1.0, dt) if operator is None else operator
     psi = A @ obstacle - c_next
     sol = require_solved(
         policy_solve(LCPProblem(A, psi), active0=warm_active),
@@ -592,27 +606,25 @@ def price_finite_downin(
 
     # vanilla continuation surface, expressed in the discounted variable
     # (zero past the last exercise date either way)
-    W = np.zeros((n_slices, N))
-    warm = None
     if vanilla_discounting == "activation":
         # undiscounted stopping value; discount applied at the slice date only
-        for j in range(J - 1, -1, -1):
-            W[j], warm = bermudan_slice(
-                gens[j], W[j + 1], f, dt, warm_active=warm, return_active=True,
-            )
-        W *= np.exp(-rate * times)[:, None]
+        obstacles = [f] * n_slices
     elif vanilla_discounting == "exercise":
-        disc_f = np.exp(-rate * times)[:, None] * f[None, :]
-        for j in range(J - 1, -1, -1):
-            W[j], warm = bermudan_slice(
-                gens[j], W[j + 1], disc_f[j], dt,
-                warm_active=warm, return_active=True,
-            )
+        obstacles = np.exp(-rate * times)[:, None] * f[None, :]
     else:
         raise ValueError(
             "vanilla_discounting must be 'activation' or 'exercise', got "
             f"{vanilla_discounting!r}"
         )
+    W = np.zeros((n_slices, N))
+    warm = None
+    for j, op in slice_operators(gens, lambda g: _lcp_operator(g, 1.0, dt)):
+        W[j], warm = bermudan_slice(
+            gens[j], W[j + 1], obstacles[j], dt,
+            warm_active=warm, return_active=True, operator=op,
+        )
+    if vanilla_discounting == "activation":
+        W *= np.exp(-rate * times)[:, None]
 
     use_fast = (
         not force_dense

@@ -16,7 +16,10 @@ the route follows from the input alone: dense jump chains whose payoff
 vanishes below the barrier eliminate the duration levels (no exercise happens
 there) down to base-level problems of the spatial size ("reduced"); every
 other input, tridiagonal chains in particular, solves on the stacked ladder
-operator, kept sparse whenever that is smaller ("stacked").
+operator, kept sparse whenever that is smaller ("stacked").  A finite
+recursion keeps one slice operator alive, rebuilt only when the slice's
+generator changes, and passes it to every slice it serves; a slice whose
+exercise region did not move reuses the factor of the one after it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     generator_sequence,
+    slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPProblem, policy_solve, require_solved
+from .numerics import LCPOperator, LCPProblem, policy_solve, require_solved
 from .pricer_downin import ContractSpec, Flavor, vanilla_american_perpetual
 
 _log = logging.getLogger("parisian.downout")
@@ -177,43 +181,27 @@ def duration_generator(
         A[top, :] = 0.0
         return A
 
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    bpos = {int(s): k for k, s in enumerate(bi)}
-    nz_by_row = [np.flatnonzero(R[x]) for x in range(N)]
-
-    # level 0: full spatial coupling; below states also tick up
-    for x in range(N):
-        for y in nz_by_row[x]:
-            put(x, int(y), R[x, y])
-        if ladder.below[x]:
-            put(x, x, -tick)
-            put(x, N + bpos[x], tick)
-
-    # levels 1..n_ticks-1: below-only spatial block, resets to level 0
+    # COO triplets, level by level; the -tick entries on the diagonal are
+    # summed into R's diagonal when the matrix is assembled
+    level = np.arange(N)  # slot of each state on the current level
+    r0, c0 = np.nonzero(R)  # level 0: full spatial coupling
+    rows = [r0, bi, bi]
+    cols = [c0, bi, N + np.arange(m)]
+    vals = [R[r0, c0], np.full(m, -tick), np.full(m, tick)]
+    # levels 1..n_ticks-1: below-only spatial block, up-crosses reset to
+    # level 0; the top level is absorbing (no entries)
+    kb, yb = np.nonzero(R[bi])
+    below_vals = R[bi[kb], yb]
     for lvl in range(1, ladder.n_ticks):
         base = N + (lvl - 1) * m
-        for k, x in enumerate(bi):
-            r = base + k
-            for y in nz_by_row[int(x)]:
-                y = int(y)
-                if ladder.below[y]:
-                    put(r, base + bpos[y], R[x, y])
-                else:
-                    put(r, y, R[x, y])
-            put(r, r, -tick)
-            put(r, base + m + k, tick)
-
-    # top level: absorbing zero rows (no entries)
+        own = base + np.arange(m)
+        level[bi] = own
+        rows += [base + kb, own, own]
+        cols += [level[yb], own, own + m]
+        vals += [below_vals, np.full(m, -tick), np.full(m, tick)]
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(total, total)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(total, total),
     )
 
 
@@ -414,7 +402,7 @@ class _ReducedLadderOps:
         self.cup = cup
         self.luQ = luQ
         self.P = P
-        self.A_eff = A
+        self.A_eff = LCPOperator(A)
 
     def sources(self, c_next: np.ndarray):
         """Per-level source terms M_k from the next clock slice.
@@ -535,19 +523,21 @@ def price_finite_downout(
     )
 
 
+def _ladder_slice_operator(gen, ladder, rate, dt) -> LCPOperator:
+    """The stacked slice operator (1 + rate dt) I - dt A of the ladder."""
+
+    A_gen = duration_generator(gen, ladder)
+    return LCPOperator((1.0 + rate * dt) * _identity_like(A_gen) - dt * A_gen)
+
+
 def _finite_stacked(gens, ladder, f0, rate, dt):
     """Finite route on the stacked ladder: surface over (slice, ladder slot)."""
 
     f = ladder.stack_payoff(f0)
     C = np.zeros((len(gens), ladder.total))
-    ops = {}
     warm = None
-    for j in range(len(gens) - 2, -1, -1):
-        key = id(gens[j])
-        if key not in ops:
-            A_gen = duration_generator(gens[j], ladder)
-            ops[key] = (1.0 + rate * dt) * _identity_like(A_gen) - dt * A_gen
-        A = ops[key]
+    ops = slice_operators(gens, lambda g: _ladder_slice_operator(g, ladder, rate, dt))
+    for j, A in ops:
         sol = require_solved(
             policy_solve(LCPProblem(A, A @ f - C[j + 1]), active0=warm),
             "down-out slice",
@@ -563,13 +553,11 @@ def _finite_reduced(gens, ladder, f0, rate, dt):
 
     _require_reducible(f0, ladder)
     C = np.zeros((len(gens), ladder.total))
-    ops = {}
     warm = None
-    for j in range(len(gens) - 2, -1, -1):
-        key = id(gens[j])
-        if key not in ops:
-            ops[key] = _ReducedLadderOps(dense_rates(gens[j]), ladder, rate, dt=dt)
-        red = ops[key]
+    ops = slice_operators(
+        gens, lambda g: _ReducedLadderOps(dense_rates(g), ladder, rate, dt=dt)
+    )
+    for j, red in ops:
         q, M = red.sources(C[j + 1])
         sol = require_solved(
             policy_solve(LCPProblem(red.A_eff, red.A_eff @ f0 - q), active0=warm),

@@ -20,7 +20,16 @@ from parisian.ctmc import (
     simulate_paths,
     validate_generator,
 )
-from parisian.models import KouParams, VGParams, bs_model, kou_model, vg_model
+from parisian.models import (
+    Coordinate,
+    JumpMeasure,
+    KouParams,
+    ModelSpec,
+    VGParams,
+    bs_model,
+    kou_model,
+    vg_model,
+)
 
 BS = bs_model(r_f=0.10, dividend=0.05, sigma=0.3)
 KOU = kou_model(
@@ -122,6 +131,55 @@ class TestTimeGrid:
         assert tg.n_exercise * dt <= horizon * (1 + 1e-9)
 
 
+def per_cell_jump_rates(model, grid, t=0.0):
+    """Jump rates and mu_bar the direct way: one interval per cell and row.
+
+    Every cell [a, b) of row i is integrated as it stands, and the small-jump
+    mass as its intersection with [-1, 1].  Rows 0 and N-1 (absorbing) and
+    the own cell are zero.
+    """
+    jm = model.jump_measure
+    x, edges = grid.states, grid.cell_edges
+    N = len(x)
+    jump = np.zeros((N, N))
+    mu_bar = np.zeros(N)
+    for i in range(1, N - 1):
+        a, b = edges[:-1] - x[i], edges[1:] - x[i]
+        mass = np.asarray(jm.interval_mass(t, x[i], a, b), dtype=float)
+        lo = np.maximum(a, -1.0)
+        hi = np.maximum(np.minimum(b, 1.0), lo)
+        small = np.asarray(jm.interval_mass(t, x[i], lo, hi), dtype=float)
+        mass[i] = small[i] = 0.0
+        jump[i] = mass
+        mu_bar[i] = ((x - x[i]) * small).sum()
+    return jump, mu_bar
+
+
+def state_dependent_kou(intensity_slope=0.4):
+    """Kou-shaped measure whose intensity grows with the state x."""
+    base = KOU.jump_measure
+
+    def scale(x):
+        return 1.0 + intensity_slope * np.asarray(x, dtype=float) ** 2
+
+    def scaled(f):
+        return lambda t, x, a, b: scale(x) * f(t, x, a, b)
+
+    jm = JumpMeasure(
+        interval_mass=scaled(base.interval_mass),
+        small_jump_second_moment=scaled(base.small_jump_second_moment),
+        truncated_first_moment=scaled(base.truncated_first_moment),
+        total_activity=math.nan,
+    )
+    return ModelSpec(
+        drift=lambda t, x: np.full_like(np.asarray(x, dtype=float), 0.02),
+        diffusion_sq=lambda t, x: np.full_like(np.asarray(x, dtype=float), 0.09),
+        jump_measure=jm,
+        coordinate=Coordinate.LOG,
+        name="kou-state-dependent",
+    )
+
+
 class TestBuildGenerator:
     def test_uniform_grid_rate_formula(self):
         # uniform h=1 grid: up = mu/(2h) + sigma^2/(2 h^2)
@@ -163,6 +221,47 @@ class TestBuildGenerator:
         validate_generator(gen)  # raises on violation
         assert gen.row_sums()[0] == 0.0 and gen.row_sums()[-1] == 0.0
 
+    @pytest.mark.parametrize(
+        "model,policy",
+        [(KOU, "error"), (VG, "upwind"), (state_dependent_kou(), "error")],
+        ids=["kou", "vg", "state-dependent"],
+    )
+    def test_tail_assembly_matches_per_cell_reference(self, model, policy):
+        g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 160)
+        gen = build_generator(model, g, rate_policy=policy)
+        validate_generator(gen)
+        jump, mu_bar = per_cell_jump_rates(model, g)
+        idx = np.arange(1, g.n_states - 1)
+        # far jump rates: everything beyond the nearest neighbours
+        far = jump.copy()
+        far[idx, idx + 1] = 0.0
+        far[idx, idx - 1] = 0.0
+        np.testing.assert_allclose(gen.jump, far, rtol=1e-13, atol=0.0)
+        # nearest-neighbour rates carry mu_bar and the neighbour jump mass;
+        # rebuild them from the reference (central, or upwind where central
+        # turns a rate negative)
+        x = g.states[idx]
+        dp, dm, dav = g.delta_plus[idx], g.delta_minus[idx], g.delta[idx]
+        edges = g.cell_edges
+        mu = model.drift(0.0, x) - mu_bar[idx]
+        s2 = model.diffusion_sq(0.0, x) + np.asarray(
+            model.jump_measure.small_jump_second_moment(
+                0.0, x, edges[idx] - x, edges[idx + 1] - x
+            ),
+            dtype=float,
+        )
+        up = mu * dm / (2 * dp * dav) + s2 / (2 * dp * dav)
+        down = -mu * dp / (2 * dm * dav) + s2 / (2 * dm * dav)
+        upwind = (up < 0.0) | (down < 0.0)
+        up[upwind] = (np.maximum(mu, 0.0) / dp + s2 / (2 * dp * dav))[upwind]
+        down[upwind] = (np.maximum(-mu, 0.0) / dm + s2 / (2 * dm * dav))[upwind]
+        np.testing.assert_allclose(
+            gen.up[idx], up + jump[idx, idx + 1], rtol=1e-13, atol=0.0
+        )
+        np.testing.assert_allclose(
+            gen.down[idx], down + jump[idx, idx - 1], rtol=1e-13, atol=0.0
+        )
+
     def test_kou_jump_mass_conservation(self):
         g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 224)
         gen = build_generator(KOU, g)
@@ -186,16 +285,16 @@ class TestBuildGenerator:
         validate_generator(gen)
         assert min(gen.up[1:-1].min(), gen.down[1:-1].min()) >= 0.0
 
-    def test_clamp_policy_warns(self):
+    def test_clamp_policy_rejected(self):
+        # zeroing negative rates priced VG at 3.29 against 52.4; it is gone
         g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 480)
-        with pytest.warns(RuntimeWarning):
-            gen = build_generator(VG, g, rate_policy="clamp")
-        validate_generator(gen)
+        with pytest.raises(ValueError, match="unknown rate policy 'clamp'"):
+            build_generator(VG, g, rate_policy="clamp")
 
     def test_policy_resolution(self):
         assert resolve_rate_policy(None, VG) == "upwind"
         assert resolve_rate_policy(None, BS) == "error"
-        assert resolve_rate_policy("clamp", VG) == "clamp"
+        assert resolve_rate_policy("upwind", BS) == "upwind"
 
     def test_refinement_consistency_uniform_family(self):
         # uniform grids halving h exactly: observed order ~2 (>= 1 required)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parisian.ctmc import TimeGrid, build_generator, build_grid, simulate_paths
-from parisian.models import bs_model
+from parisian.models import KouParams, bs_model, kou_model
 from parisian.numerics import LCPProblem, generator_expm, lemke_solve
 from parisian.pricer_downin import (
     ContractSpec,
@@ -375,6 +375,27 @@ class TestFiniteDownIn:
                                     force_dense=True)
         assert fast.fast_path and not dense.fast_path
         assert np.allclose(fast.disc_values, dense.disc_values, atol=1e-9)
+
+    def test_vanilla_surface_equals_fresh_slice_solves(self):
+        # the surface shares one operator (and its last factor) across
+        # slices; solving every slice on a fresh operator gives the same bits
+        model = kou_model(KouParams(sigma=0.3, lam=3.0, eta_plus=10.0,
+                                    eta_minus=10.0, p_plus=0.5, p_minus=0.5,
+                                    r_f=0.05))
+        grid = build_grid(math.log(18.0), math.log(360.0), math.log(90.0),
+                          math.log(95.0), 60)
+        tg = TimeGrid(horizon=1.0, dt=1 / 20)
+        contract = self.make()
+        res = price_finite_downin(model, grid, tg, contract)
+        gen = build_generator(model, grid)
+        f = contract.payoff_states(model, grid.states)
+        W = np.zeros_like(res.disc_vanilla)
+        warm = None
+        for j in range(tg.idx_t_plus - 1, -1, -1):
+            W[j], warm = bermudan_slice(gen, W[j + 1], f, tg.dt,
+                                        warm_active=warm, return_active=True)
+        W *= np.exp(-contract.rate * tg.times)[:, None]
+        np.testing.assert_array_equal(res.disc_vanilla, W)
 
     def test_bounded_by_vanilla_and_monotone_in_window(self):
         model = self.setup_model()

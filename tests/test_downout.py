@@ -126,7 +126,14 @@ class TestDurationGenerator:
             dense = duration_generator(R, lad, use_sparse=False)
             sp = duration_generator(R, lad, use_sparse=True)
             assert sparse.issparse(sp)
-            np.testing.assert_allclose(sp.toarray(), dense, atol=0.0)
+            np.testing.assert_array_equal(sp.toarray(), dense)
+        # a tridiagonal BS ladder, with absorbing boundary rows
+        model, grid, gen = small_bs_setup(n=40)
+        lad = build_ladder(0.25, 0.05, grid.below_mask)
+        dense = duration_generator(gen, lad, use_sparse=False)
+        sp = duration_generator(gen, lad, use_sparse=True)
+        assert sparse.issparse(sp)
+        np.testing.assert_array_equal(sp.toarray(), dense)
 
     def test_row_sums_and_absorbing_top(self):
         rng = np.random.default_rng(22)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parisian.numerics import (
+    LCPOperator,
     LCPProblem,
     LCPStatus,
     TriDiag,
@@ -221,6 +222,48 @@ class TestPsorAndFriends:
         sp = policy_solve(LCPProblem(sparse.csr_matrix(A), q))
         assert dense.solved and sp.solved
         assert np.max(np.abs(dense.z - sp.z)) <= 1e-9
+
+
+class TestLCPOperator:
+    """One operator across solves: the free block is factored once per set."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_factor_reused_only_on_the_same_free_set(self, fmt):
+        from scipy import sparse
+
+        A, psi, _ = obstacle_problem(60)
+        matrix = sparse.csr_matrix(A) if fmt == "sparse" else A
+        op = LCPOperator(matrix)
+        first = policy_solve(LCPProblem(op, psi))
+        assert first.solved and first.factorizations == first.iterations
+        # a scaled load keeps the contact set: the next "slice" factors nothing
+        warm = first.z <= 0.0
+        again = policy_solve(LCPProblem(op, 1.001 * psi), active0=warm)
+        assert again.solved and again.factorizations == 0
+        fresh = policy_solve(LCPProblem(LCPOperator(matrix), 1.001 * psi),
+                             active0=warm)
+        assert fresh.factorizations == 1
+        np.testing.assert_array_equal(again.z, fresh.z)
+        # a lower left end moves the contact point: one new factorization
+        _, psi_low, _ = obstacle_problem(60, left_height=0.5)
+        low = policy_solve(LCPProblem(LCPOperator(matrix), psi_low))
+        moved = low.z <= 0.0
+        assert not np.array_equal(moved, warm)
+        changed = policy_solve(LCPProblem(op, psi_low), active0=moved)
+        assert changed.solved and changed.factorizations == 1
+        np.testing.assert_array_equal(changed.z, low.z)
+
+    def test_lemke_accepts_an_operator(self):
+        rng = np.random.default_rng(5)
+        A, q = random_pd_lcp(rng, 6)
+        plain = lemke_solve(LCPProblem(A, q))
+        wrapped = lemke_solve(LCPProblem(LCPOperator(A), q))
+        assert wrapped.solved and wrapped.factorizations == 0
+        np.testing.assert_array_equal(wrapped.z, plain.z)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            LCPOperator(np.zeros((2, 3)))
 
 
 class TestSolutionInvariants:
