@@ -7,7 +7,6 @@ from .models import (
     ModelSpec,
     VGParams,
     bs_model,
-    build_model,
     jump_measure_from_density,
     kou_model,
     vg_model,
@@ -20,7 +19,6 @@ __all__ = [
     "ModelSpec",
     "VGParams",
     "bs_model",
-    "build_model",
     "jump_measure_from_density",
     "kou_model",
     "vg_model",

@@ -15,7 +15,6 @@ convention when it converts drift and cell-integrated jump masses into rates.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -436,79 +435,3 @@ def jump_measure_from_density(
         truncated_first_moment=trunc_first,
         total_activity=total_activity,
     )
-
-
-# ---------------------------------------------------------------------------
-# parameter files and model dispatch
-# ---------------------------------------------------------------------------
-
-_ALIASES = {
-    "lambda": "lam",
-    "eta+": "eta_plus",
-    "eta-": "eta_minus",
-    "p+": "p_plus",
-    "p-": "p_minus",
-    "q": "dividend",
-    "div": "dividend",
-    "r": "r_f",
-}
-
-
-def parse_param_text(text: str) -> dict:
-    """Parse either a JSON object or flat ``name = value`` lines."""
-
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        raw = json.loads(stripped)
-    else:
-        raw = {}
-        for line in stripped.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"cannot parse parameter line: {line!r}")
-            key, val = line.split("=", 1)
-            raw[key.strip()] = float(val.strip())
-    return {_ALIASES.get(k, k): float(v) for k, v in raw.items()}
-
-
-def load_param_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_param_text(fh.read())
-
-
-def build_model(name: str, params: dict) -> ModelSpec:
-    """Construct a built-in model from a flat parameter dict."""
-
-    name = name.lower()
-    if name == "bs":
-        return bs_model(
-            r_f=params["r_f"],
-            dividend=params.get("dividend", 0.0),
-            sigma=params["sigma"],
-        )
-    if name == "kou":
-        return kou_model(
-            KouParams(
-                sigma=params["sigma"],
-                lam=params["lam"],
-                eta_plus=params["eta_plus"],
-                eta_minus=params["eta_minus"],
-                p_plus=params["p_plus"],
-                p_minus=params["p_minus"],
-                r_f=params["r_f"],
-                dividend=params.get("dividend", 0.0),
-            )
-        )
-    if name == "vg":
-        return vg_model(
-            VGParams(
-                sigma=params["sigma"],
-                nu=params["nu"],
-                theta=params["theta"],
-                r_f=params["r_f"],
-                dividend=params.get("dividend", 0.0),
-            )
-        )
-    raise ValueError(f"unknown model {name!r}; expected bs, kou or vg")

@@ -5,10 +5,10 @@ deliberately different numerical routes: fixed-point value iteration on
 uniformized chains instead of complementarity pivoting or factorized
 solves, exhaustive complementary-basis enumeration for small LCPs, dense
 matrix exponentials for excursion kernels instead of resolvent algebra,
-and Monte-Carlo estimation delegating path generation to
-``ctmc.simulate_paths``.  Nothing in the pricing modules imports from
-here, so a disagreement implicates the pipeline under test rather than a
-shared subroutine.
+and Monte-Carlo estimation by exact event-by-event simulation of the chain
+with its barrier excursion clock.  Nothing in the pricing modules imports
+from here, so a disagreement implicates the pipeline under test rather than
+a shared subroutine.
 
 All engines are desk-scale: dense, O(states^3) or slower, and meant for
 dozens of states -- they trade speed for transparency.
@@ -24,14 +24,18 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg import expm
 
-from .ctmc import GeneratorMatrix, ParisianSimResult, simulate_paths
+from .ctmc import GeneratorMatrix
 
 __all__ = [
+    "ChainPath",
+    "ParisianSimResult",
     "UniformizedChain",
     "value_iterate_american",
     "lcp_by_enumeration",
     "dp_parisian_lattice",
     "mc_transform_row",
+    "sample_path",
+    "simulate_paths",
 ]
 
 
@@ -366,6 +370,217 @@ def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discou
     if na:
         out[:J, ai] = V.reshape(J, len(ai))
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact path simulation (Monte Carlo)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChainPath:
+    """One simulated trajectory: state s_k holds on [times[k], times[k+1])."""
+
+    times: np.ndarray     # event times, times[0] = 0
+    states: np.ndarray    # states[k] = state entered at times[k]
+    horizon: float
+
+    def __post_init__(self):
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("event times must be strictly increasing")
+        if np.any(np.diff(self.states) == 0):
+            raise ValueError("state must change at every event")
+
+    def state_at(self, t: float) -> int:
+        k = int(np.searchsorted(self.times, t, side="right")) - 1
+        return int(self.states[k])
+
+    def first_passage(self, target_mask: np.ndarray) -> float:
+        """First time the path enters any state flagged in target_mask."""
+        hits = np.flatnonzero(target_mask[self.states])
+        return float(self.times[hits[0]]) if hits.size else math.inf
+
+    def excursion_trigger(self, below_mask: np.ndarray, window: float):
+        """First time the running stay below the barrier reaches ``window``.
+
+        Returns (trigger_time, state_at_trigger) or (inf, None); the clock
+        resets whenever the path is at or above the barrier.
+        """
+        times = np.append(self.times, self.horizon)
+        clock = 0.0
+        for k, s in enumerate(self.states):
+            seg = times[k + 1] - times[k]
+            if below_mask[s]:
+                if clock + seg >= window:
+                    return float(times[k] + (window - clock)), int(s)
+                clock += seg
+            else:
+                clock = 0.0
+        return math.inf, None
+
+
+def sample_path(
+    rates: np.ndarray,
+    x0: int,
+    horizon: float,
+    rng: np.random.Generator,
+) -> ChainPath:
+    """Simulate one exact trajectory of the chain with generator ``rates``."""
+
+    times = [0.0]
+    states = [int(x0)]
+    t, s = 0.0, int(x0)
+    n = rates.shape[0]
+    while True:
+        total = -rates[s, s]
+        if total <= 0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= horizon:
+            break
+        probs = rates[s].copy()
+        probs[s] = 0.0
+        s = int(rng.choice(n, p=probs / total))
+        times.append(t)
+        states.append(s)
+    return ChainPath(
+        times=np.array(times), states=np.array(states), horizon=horizon
+    )
+
+
+@dataclass(frozen=True)
+class ParisianSimResult:
+    """Monte-Carlo estimate of E[e^{-r tau} 1{Y_tau = y}] per state y."""
+
+    estimate: np.ndarray
+    std_error: np.ndarray
+    n_paths: int
+    degenerate: bool
+    mean_trigger_time: float
+
+    @property
+    def total(self) -> float:
+        return float(self.estimate.sum())
+
+
+def simulate_paths(
+    gen: Union[GeneratorMatrix, np.ndarray],
+    x0: int,
+    window: float,
+    rate: float,
+    n_paths: int,
+    rng_seed: int,
+    below: Optional[np.ndarray] = None,
+    horizon: Optional[float] = None,
+    batch_size: int = 100_000,
+) -> ParisianSimResult:
+    """Estimate the discounted excursion-trigger kernel by simulation.
+
+    Tracks each path's state and its running below-barrier clock between
+    exact exponential events; a path triggers when the clock reaches
+    ``window`` and contributes e^{-rate * trigger_time} to the entry of the
+    state it occupies at that instant.  Paths that exceed ``horizon``
+    (default: long enough that the neglected discount tail is < 1e-12)
+    contribute zero.  Absorbing below-barrier states trigger after the
+    remaining window deterministically; starting in an absorbing state at or
+    above the barrier is degenerate (flagged, never triggers).
+    """
+
+    if isinstance(gen, GeneratorMatrix):
+        R = gen.as_dense()
+        if below is None:
+            below = gen.grid.below_mask
+    else:
+        R = np.asarray(gen, dtype=float)
+    if below is None:
+        raise ValueError("need a below-barrier mask for plain matrices")
+    below = np.asarray(below, dtype=bool)
+    N = R.shape[0]
+    if window < 0 or rate < 0:
+        raise ValueError("window and rate must be nonnegative")
+    if horizon is None:
+        horizon = 30.0 * window + (40.0 / rate if rate > 0 else 1e4)
+
+    exit_rates = -R.diagonal()
+    probs = np.where(exit_rates[:, None] > 0, R / np.where(exit_rates == 0, 1, exit_rates)[:, None], 0.0)
+    np.fill_diagonal(probs, 0.0)
+    cum = np.cumsum(probs, axis=1)
+
+    degenerate = exit_rates[x0] <= 0 and not below[x0]
+    rng = np.random.default_rng(rng_seed)
+    disc_sum = np.zeros(N)
+    disc_sq = np.zeros(N)
+    tau_sum, tau_count = 0.0, 0
+
+    done = 0
+    while done < n_paths:
+        m = min(batch_size, n_paths - done)
+        done += m
+        state = np.full(m, x0, dtype=np.int64)
+        t = np.zeros(m)
+        clock = np.zeros(m)
+        alive = np.ones(m, dtype=bool)
+        while np.any(alive):
+            s = state[alive]
+            rates_a = exit_rates[s]
+            is_below = below[s]
+            # absorbing states: either trigger after the residual window
+            # (below) or never (at/above the barrier)
+            absorbed = rates_a <= 0
+            if np.any(absorbed):
+                ai = np.flatnonzero(alive)[absorbed]
+                trig = below[state[ai]]
+                ti = ai[trig]
+                tau = t[ti] + (window - clock[ti])
+                w = np.exp(-rate * tau)
+                np.add.at(disc_sum, state[ti], w)
+                np.add.at(disc_sq, state[ti], w * w)
+                tau_sum += tau.sum()
+                tau_count += len(ti)
+                alive[ai] = False
+                continue
+            hold = rng.exponential(1.0, size=len(s)) / rates_a
+            # below-barrier paths whose clock fills the window mid-holding
+            fill = np.where(is_below, window - clock[alive], np.inf)
+            trigger = hold >= fill
+            ai = np.flatnonzero(alive)
+            ti = ai[trigger]
+            if len(ti):
+                tau = t[ti] + fill[trigger]
+                w = np.exp(-rate * tau)
+                np.add.at(disc_sum, state[ti], w)
+                np.add.at(disc_sq, state[ti], w * w)
+                tau_sum += tau.sum()
+                tau_count += len(ti)
+                alive[ti] = False
+            mi = ai[~trigger]
+            if not len(mi):
+                continue
+            holds = hold[~trigger]
+            t[mi] += holds
+            was_below = below[state[mi]]
+            u = rng.random(len(mi))
+            rowcum = cum[state[mi]]
+            new_state = (u[:, None] <= rowcum).argmax(axis=1)
+            state[mi] = new_state
+            now_below = below[new_state]
+            clock[mi] = np.where(
+                now_below & was_below, clock[mi] + holds, 0.0
+            )
+            timed_out = t[mi] > horizon
+            if np.any(timed_out):
+                alive[mi[timed_out]] = False
+
+    est = disc_sum / n_paths
+    var = disc_sq / n_paths - est**2
+    se = np.sqrt(np.maximum(var, 0.0) / n_paths)
+    return ParisianSimResult(
+        estimate=est,
+        std_error=se,
+        n_paths=n_paths,
+        degenerate=degenerate,
+        mean_trigger_time=tau_sum / tau_count if tau_count else math.inf,
+    )
 
 
 # ---------------------------------------------------------------------------

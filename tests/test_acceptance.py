@@ -220,8 +220,7 @@ class TestOracleAgreement:
             c_in = ContractSpec(payoff=payoff, barrier=1.5, window=window,
                                 maturity=horizon, rate=rate,
                                 flavor=Flavor.DOWN_IN)
-            res_in = price_finite_downin(carrier, grid, timegrid, c_in, gen=R,
-                                         force_dense=True)
+            res_in = price_finite_downin(carrier, grid, timegrid, c_in, gen=R)
             ora_in = dp_parisian_lattice(R, below, f, rate, dt, horizon,
                                          window, "down-in")
             worst_in = max(worst_in, float(

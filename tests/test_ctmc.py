@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parisian.ctmc import (
-    ChainPath,
     NegativeRateError,
     SpatialGrid,
     TimeGrid,
@@ -16,8 +15,6 @@ from parisian.ctmc import (
     build_grid,
     dump_generator_csv,
     resolve_rate_policy,
-    sample_path,
-    simulate_paths,
     validate_generator,
 )
 from parisian.models import (
@@ -30,6 +27,7 @@ from parisian.models import (
     kou_model,
     vg_model,
 )
+from parisian.oracle import ChainPath, sample_path, simulate_paths
 
 BS = bs_model(r_f=0.10, dividend=0.05, sigma=0.3)
 KOU = kou_model(

@@ -1,4 +1,4 @@
-"""Excursion-trigger pricing tests: transform, kernels and surfaces."""
+"""Excursion-trigger pricing tests: transform, slices and surfaces."""
 
 import math
 
@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parisian.ctmc import TimeGrid, build_generator, build_grid, simulate_paths
+from parisian.ctmc import TimeGrid, build_generator, build_grid
 from parisian.models import KouParams, bs_model, kou_model
-from parisian.numerics import LCPProblem, generator_expm, lemke_solve
+from parisian.numerics import LCPProblem, lemke_solve
+from parisian.oracle import sample_path, simulate_paths
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
+    _finite_downin,
+    _slice_blocks,
     american_call,
     bermudan_slice,
-    kernel_h,
-    kernel_u_minus,
-    kernel_u_plus,
-    kernel_v,
     parisian_transform,
     price_finite_downin,
     price_perpetual_downin,
@@ -209,31 +208,46 @@ class TestPerpetualDownIn:
 
 
 class TestSliceKernels:
+    """The slice blocks and the finite down-in recursion against oracles.
+
+    Slice j of the recursion satisfies C_b = v + sum_k w_k C_a[j+k] and
+    C_a = sum_m E^m h- C_b[j+m]; the tests rebuild v, the u+ weights w_k
+    and the unrolled u- sum independently and check the recursion's own
+    output against them.
+    """
+
     def setup_method(self):
         self.rng = np.random.default_rng(11)
 
+    @staticmethod
+    def split(below):
+        return np.flatnonzero(below), np.flatnonzero(~below)
+
     def test_h_kernel_rows_columns_and_bounds(self):
         grid, gen = small_bs_setup()
-        ker = kernel_h(gen, window=1 / 12, dt=1 / 60)
-        below = grid.below_mask
-        bi, ai = np.flatnonzero(below), np.flatnonzero(~below)
-        # below rows of h1+ land above the barrier only
-        assert np.allclose(ker.h1_plus[np.ix_(bi, bi)], 0.0)
-        assert np.all(ker.h1_plus[np.ix_(bi, ai)] >= -1e-14)
-        assert np.all(ker.h1_plus[bi].sum(axis=1) <= 1 + 1e-12)
+        bi, ai = self.split(grid.below_mask)
+        _, h1, _, _, hm, hp, _ = _slice_blocks(gen, bi, ai, 1 / 12, 1 / 60)
+        # up-cross before the tick: subprobability rows into the above block
+        assert np.all(h1 >= -1e-14)
+        assert np.all(h1.sum(axis=1) <= 1 + 1e-12)
         # completed-window correction never exceeds the plain kernel
-        assert np.all(ker.h_plus[bi] >= -1e-14)
+        assert np.all(hp >= -1e-14)
+        assert np.all(hp <= h1 + 1e-14)
         # down-cross kernel: above rows land below
-        assert np.allclose(ker.h_minus[np.ix_(ai, ai)], 0.0)
-        assert np.all(ker.h_minus[ai].sum(axis=1) <= 1 + 1e-12)
+        assert np.all(hm >= -1e-14)
+        assert np.all(hm.sum(axis=1) <= 1 + 1e-12)
+        # a diffusion crosses at the barrier-adjacent nodes only
+        assert np.all(h1[:, 1:] == 0.0)
+        assert np.all(hm[:, :-1] == 0.0)
 
     def test_h1_is_up_cross_before_tick_probability(self):
         # 2-state chain: state 0 below with rate a up; probability of
         # reaching state 1 before an exp(1/dt) tick is a / (a + 1/dt)
         a, dt = 3.0, 0.25
         R = np.array([[-a, a], [0.0, 0.0]])
-        ker = kernel_h(R, window=0.5, dt=dt, below=np.array([True, False]))
-        assert ker.h1_plus[0, 1] == pytest.approx(a / (a + 1 / dt))
+        bi, ai = self.split(np.array([True, False]))
+        _, h1, *_ = _slice_blocks(R, bi, ai, 0.5, dt)
+        assert h1[0, 0] == pytest.approx(a / (a + 1 / dt))
 
     def test_v_kernel_scalar_poisson_oracle(self):
         # single absorbing below state: trigger happens iff the window
@@ -242,44 +256,48 @@ class TestSliceKernels:
         lam = window / dt
         disc = self.rng.uniform(0.5, 2.0, size=(n_slices, 1))
         R = np.zeros((1, 1))
-        out = kernel_v([R] * n_slices, disc, window, dt,
-                       below=np.array([True]))
+        C = _finite_downin([R] * n_slices, disc, np.array([True]), window, dt)
         from scipy.stats import poisson
-        for j in range(n_slices):
+        for j in range(n_slices - 1):
             ks = np.arange(n_slices - j)
             ref = float(np.sum(poisson.pmf(ks, lam) * disc[j:, 0]))
-            assert out[j, 0] == pytest.approx(ref, rel=1e-10)
+            assert C[j, 0] == pytest.approx(ref, rel=1e-10)
+        assert C[-1, 0] == 0.0
 
     def test_u_plus_quadrature_oracle(self):
         # the weight on the slice reached after k ticks is the integral over
         # the up-cross time s of (stay below for s) x (k ticks land in s):
         # int_0^D e^{G_bb s} e^{-s/dt} (s/dt)^k / k!  ds  G_ba
         from scipy.integrate import quad_vec
+        from scipy.linalg import expm
+        from scipy.stats import poisson
 
-        n = 5
-        R = random_generator(self.rng, n + 2, absorb_ends=True)
-        below = np.zeros(n + 2, bool)
-        below[: n + 1] = True  # state 0 absorbing, states 1..n active below
+        n = 7
+        R = random_generator(self.rng, n, absorb_ends=False)
+        below = np.arange(n) < 4
         window, dt = 0.4, 0.1
-        bi, ai = np.flatnonzero(below), np.flatnonzero(~below)
+        bi, ai = self.split(below)
         Gbb = R[np.ix_(bi, bi)]
         Gba = R[np.ix_(bi, ai)]
-        n_slices = 3
-        disc = self.rng.uniform(0.5, 2.0, size=(n_slices, n + 2))
-        out = kernel_u_plus([R] * n_slices, disc, window, dt, below=below)
+        n_slices = 4
+        W = self.rng.uniform(0.5, 2.0, size=(n_slices, n))
+        W[-1] = 0.0
+        C = _finite_downin([R] * n_slices, W, below, window, dt)
+        assert np.all(C[:-1, ai] > 0.0)
 
         M = Gbb - np.eye(len(bi)) / dt
 
         def weight(k):
             def integrand(s):
-                return generator_expm(M, s) * (s / dt) ** k / math.factorial(k)
+                return expm(M * s) * (s / dt) ** k / math.factorial(k)
             return quad_vec(integrand, 0.0, window, epsabs=1e-12)[0] @ Gba
 
-        ref0 = weight(1) @ disc[1][ai] + weight(2) @ disc[2][ai]
-        ref1 = weight(1) @ disc[2][ai]
-        assert np.allclose(out[0][bi], ref0, atol=1e-9)
-        assert np.allclose(out[1][bi], ref1, atol=1e-9)
-        assert np.allclose(out[2], 0.0)
+        survive = expm(window * Gbb)
+        for j in range(n_slices - 1):
+            ks = np.arange(n_slices - j)
+            v = survive @ (poisson.pmf(ks, window / dt) @ W[j:, bi])
+            up = sum(weight(k) @ C[j + k, ai] for k in ks)
+            assert np.allclose(C[j, bi], v + up, atol=1e-9)
 
     def test_u_minus_matches_explicit_unrolled_sum(self):
         n = 7
@@ -287,22 +305,22 @@ class TestSliceKernels:
         below = np.arange(n) < 3
         dt = 0.2
         n_slices = 6
-        disc = self.rng.uniform(0.0, 1.5, size=(n_slices, n))
-        out = kernel_u_minus([R] * n_slices, disc, dt, below=below)
+        W = self.rng.uniform(0.0, 1.5, size=(n_slices, n))
+        C = _finite_downin([R] * n_slices, W, below, 0.3, dt)
 
-        bi, ai = np.flatnonzero(below), np.flatnonzero(~below)
+        bi, ai = self.split(below)
         Gaa = R[np.ix_(ai, ai)]
         Gab = R[np.ix_(ai, bi)]
         E = np.linalg.inv(np.eye(len(ai)) - dt * Gaa)
         hm = np.linalg.solve(np.eye(len(ai)) / dt - Gaa, Gab)
         for j in range(n_slices):
-            # direct unroll: u-(j) = sum_m E^m hm disc[j+m]
+            # direct unroll: C_a(j) = sum_m E^m hm C_b(j+m)
             ref = np.zeros(len(ai))
             power = np.eye(len(ai))
-            for m in range(1, n_slices - j):
+            for m in range(n_slices - j):
+                ref += power @ (hm @ C[j + m][bi])
                 power = power @ E
-                ref += power @ (hm @ disc[j + m][bi])
-            assert np.allclose(out[j][ai], ref, atol=1e-10)
+            assert np.allclose(C[j][ai], ref, atol=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(4, 10), st.integers(1, 3),
@@ -313,9 +331,9 @@ class TestSliceKernels:
         np.fill_diagonal(R, 0.0)
         R[0, :] = 0.0
         np.fill_diagonal(R, -R.sum(axis=1))
-        below = np.arange(n) < min(m, n - 1)
-        ker = kernel_h(R, window, dt, below=below)
-        for mat in (ker.h1_plus, ker.h2_plus, ker.h_plus, ker.h_minus):
+        bi, ai = self.split(np.arange(n) < min(m, n - 1))
+        _, h1, _, _, hm, hp, _ = _slice_blocks(R, bi, ai, window, dt)
+        for mat in (h1, h1 - hp, hp, hm):
             assert np.all(mat >= -1e-12)
             assert np.all(mat.sum(axis=1) <= 1 + 1e-10)
 
@@ -364,17 +382,6 @@ class TestFiniteDownIn:
 
     def setup_model(self):
         return bs_model(r_f=0.05, dividend=0.0, sigma=0.3)
-
-    def test_fast_and_dense_paths_agree(self):
-        model = self.setup_model()
-        grid = build_grid(18.0, 360.0, 90.0, 95.0, 60)
-        tg = TimeGrid(horizon=1.0, dt=1 / 20)
-        contract = self.make()
-        fast = price_finite_downin(model, grid, tg, contract)
-        dense = price_finite_downin(model, grid, tg, contract,
-                                    force_dense=True)
-        assert fast.fast_path and not dense.fast_path
-        assert np.allclose(fast.disc_values, dense.disc_values, atol=1e-9)
 
     def test_vanilla_surface_equals_fresh_slice_solves(self):
         # the surface shares one operator (and its last factor) across
@@ -430,8 +437,6 @@ class TestFiniteDownIn:
         R = gen.as_dense()
         below = grid.below_mask
 
-        from parisian.ctmc import sample_path
-
         rng = np.random.default_rng(5)
         x0 = int(np.searchsorted(grid.states, 90.0))
         times = res.times
@@ -475,7 +480,7 @@ class TestFiniteDownIn:
         single = price_finite_downin(model, grid, tg, contract, gen=gen)
         listed = price_finite_downin(
             model, grid, tg, contract,
-            gen=[gen] * (tg.idx_t_plus + 1), force_dense=True,
+            gen=[gen] * (tg.idx_t_plus + 1),
         )
         assert np.allclose(single.disc_values, listed.disc_values, atol=1e-9)
 
@@ -495,7 +500,14 @@ class TestFiniteDownIn:
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
         tg = TimeGrid(horizon=0.5, dt=1 / 10)
         res = price_finite_downin(model, grid, tg, self.make(T=0.5))
-        assert not res.fast_path
+        # pins the frozen-generator u+ (slice j's generator prices its whole
+        # sum over later slices); the lattice DP oracle takes one generator
+        assert res.value_at(90.0) == pytest.approx(0.638740975011075, rel=1e-12)
+        pinned = {(0, 5): 0.31389977549188924, (0, 7): 1.8153931418217943,
+                  (0, 10): 0.09248335258077103, (3, 6): 0.281496324974504,
+                  (3, 9): 0.04756807461730095}
+        for (j, i), ref in pinned.items():
+            assert res.disc_values[j, i] == pytest.approx(ref, rel=1e-12)
         assert np.all(res.disc_values >= -1e-12)
         assert np.all(res.disc_values <= res.disc_vanilla + 1e-9)
 

@@ -13,10 +13,8 @@ from parisian.models import (
     KouParams,
     VGParams,
     bs_model,
-    build_model,
     jump_measure_from_density,
     kou_model,
-    parse_param_text,
     vg_model,
 )
 
@@ -217,22 +215,3 @@ def test_partition_sums_recover_total_mass():
     edges = np.concatenate([[-np.inf], np.linspace(-2, 2, 41), [np.inf]])
     masses = jm.interval_mass(0, 0, edges[:-1], edges[1:])
     assert float(np.sum(masses)) == pytest.approx(3.0, rel=1e-12)
-
-
-class TestParamParsing:
-    def test_json_with_aliases(self):
-        d = parse_param_text('{"r": 0.05, "lambda": 3.0, "eta+": 10, "q": 0.02}')
-        assert d == {"r_f": 0.05, "lam": 3.0, "eta_plus": 10.0, "dividend": 0.02}
-
-    def test_key_value_lines_with_comments(self):
-        d = parse_param_text("r = 0.05\nsigma = 0.3  # vol\n\nnu=0.17")
-        assert d == {"r_f": 0.05, "sigma": 0.3, "nu": 0.17}
-
-    def test_build_model_dispatch(self):
-        m = build_model("kou", {
-            "sigma": 0.3, "lam": 3.0, "eta_plus": 10.0, "eta_minus": 10.0,
-            "p_plus": 0.5, "p_minus": 0.5, "r_f": 0.05,
-        })
-        assert m.name == "kou"
-        with pytest.raises(ValueError):
-            build_model("heston", {})

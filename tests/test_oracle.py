@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from parisian.ctmc import build_grid, TimeGrid
+from parisian.ctmc import TimeGrid, build_generator, build_grid
 from parisian.models import bs_model
 from parisian.numerics import LCPProblem, generator_expm, lemke_solve
 from parisian.oracle import (
@@ -237,17 +237,21 @@ class TestDpParisianLattice:
                                 window=0.1, flavor="up-and-away")
 
     def test_pricers_match_lattice_dp_on_random_instances(self):
-        """Acceptance: 20 random instances (n <= 12 spatial, <= 4 duration
-        levels, <= 6 slices), both flavors, agreement to 1e-5."""
+        """Acceptance: 20 random instances plus one tridiagonal Black-Scholes
+        chain (n <= 12 spatial, <= 4 duration levels, <= 6 slices), both
+        flavors, agreement to 1e-5."""
 
         rng = np.random.default_rng(7)
         model = _coordinate_carrier()
         worst_out = worst_in = 0.0
-        for _ in range(20):
+        for trial in range(21):
             n = int(rng.integers(8, 13))
             grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
             N = grid.n_states
             R = random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
+            if trial == 20:
+                R = build_generator(model, grid)
+                assert R.is_tridiagonal
             rate = float(rng.uniform(0.01, 0.2))
             dt = float(rng.uniform(0.05, 0.3))
             J = int(rng.integers(2, 6))
@@ -275,7 +279,6 @@ class TestDpParisianLattice:
                                 maturity=horizon, rate=rate,
                                 flavor=Flavor.DOWN_IN)
             ri = price_finite_downin(model, grid, tg, c_in, gen=R,
-                                     force_dense=True,
                                      vanilla_discounting=conv)
             oi = dp_parisian_lattice(R, below, f, rate, dt, horizon, window,
                                      "down-in", vanilla_discounting=conv)
