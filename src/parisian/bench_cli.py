@@ -1173,21 +1173,31 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
     rng = np.random.default_rng(seed)
     carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
     checks = failures = 0
-    worst_out = worst_in = 0.0
-    for _ in range(10):
+    worst_out = worst_in = worst_bs = 0.0
+    for trial in range(11):
+        # instances 0-9: dense random chains and payoffs, both flavors;
+        # instance 10: the carrier's own tridiagonal chain with a call struck
+        # at or above the barrier, which takes the reduced down-out route
+        bs_call = trial == 10
         n = int(rng.integers(8, 13))
         grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
         N = grid.n_states
-        R = _random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
+        if bs_call:
+            R = build_generator(carrier, grid)
+        else:
+            R = _random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
         rate = float(rng.uniform(0.01, 0.2))
         dt = float(rng.uniform(0.05, 0.3))
         n_slices = int(rng.integers(2, 6))
         horizon = (n_slices - 0.5) * dt
         window = float(rng.uniform(0.5, 2.5)) * dt
         dtick = window / float(rng.integers(1, 4))
-        knots = np.sort(rng.uniform(0.4, 4.2, size=4))
-        vals = rng.uniform(0.0, 3.0, size=4)
-        payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
+        if bs_call:
+            payoff = american_call(float(rng.uniform(1.5, 3.0)))
+        else:
+            knots = np.sort(rng.uniform(0.4, 4.2, size=4))
+            vals = rng.uniform(0.0, 3.0, size=4)
+            payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
         below = grid.states < 1.5 - 1e-12
         f = payoff(grid.states)
         timegrid = TimeGrid(dt=dt, horizon=horizon)
@@ -1203,9 +1213,12 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
             R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
         )
         gap = float(np.max(np.abs(res.values[:, : ora.shape[1]] - ora)))
-        worst_out = max(worst_out, gap)
         checks += 1
         failures += gap >= 1e-5
+        if bs_call:
+            worst_bs = gap
+            continue
+        worst_out = max(worst_out, gap)
 
         c_in = ContractSpec(
             payoff=payoff, barrier=1.5, window=window, maturity=horizon,
@@ -1221,6 +1234,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
         failures += gap >= 1e-5
     emit(f"  down-out recursion vs joint-lattice DP: worst gap {worst_out:.2e}")
     emit(f"  down-in recursion vs renewal DP: worst gap {worst_in:.2e}")
+    emit(f"  reduced down-out, BS chain and call, vs joint-lattice DP: gap {worst_bs:.2e}")
     return checks, failures
 
 

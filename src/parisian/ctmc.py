@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from .models import ModelSpec
 from .numerics import TriDiag
@@ -269,12 +270,17 @@ class GeneratorMatrix:
         return TriDiag(self.down[1:], self.diag, self.up[:-1])
 
     def as_dense(self) -> np.ndarray:
+        return self.dense_rows(np.arange(self.dimension))
+
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows`` of the dense rate matrix, without forming the others."""
         n = self.dimension
-        out = np.zeros((n, n)) if self.jump is None else self.jump.copy()
-        idx = np.arange(n - 1)
-        out[idx, idx + 1] = self.up[:-1]
-        out[idx + 1, idx] = self.down[1:]
-        out[np.arange(n), np.arange(n)] = self.diag
+        out = np.zeros((len(rows), n)) if self.jump is None else self.jump[rows]
+        k = np.arange(len(rows))
+        out[k, rows] = self.diag[rows]
+        up, down = rows < n - 1, rows > 0
+        out[k[up], rows[up] + 1] = self.up[rows[up]]
+        out[k[down], rows[down] - 1] = self.down[rows[down]]
         return out
 
     def norm_inf(self) -> float:
@@ -296,6 +302,32 @@ def dense_rates(gen: Union[GeneratorMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(gen, GeneratorMatrix):
         return gen.as_dense()
     return np.asarray(gen, dtype=float)
+
+
+def rate_rows(gen: Union[GeneratorMatrix, np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """``dense_rates(gen)[rows]`` without forming the other rows."""
+
+    if isinstance(gen, GeneratorMatrix):
+        return gen.dense_rows(rows)
+    return np.asarray(gen, dtype=float)[rows]
+
+
+def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
+    """a0 I - cG G: banded CSC for a tridiagonal chain, dense otherwise.
+
+    Keeping the banded form makes each policy iteration on it one sparse
+    factorization instead of a dense solve.
+    """
+
+    if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
+        T = gen.as_tridiag()
+        return sparse.diags(
+            [-cG * T.sub, a0 - cG * T.main, -cG * T.sup],
+            offsets=[-1, 0, 1],
+            format="csc",
+        )
+    R = dense_rates(gen)
+    return a0 * np.eye(R.shape[0]) - cG * R
 
 
 def generator_sequence(gen, n_slices: int) -> list:

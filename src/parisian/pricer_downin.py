@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
 from .ctmc import (
@@ -35,6 +34,7 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     generator_sequence,
+    slice_matrix,
     slice_operators,
 )
 from .models import ModelSpec
@@ -119,24 +119,6 @@ def _dense_and_below(
     return dense_rates(gen), np.asarray(below, dtype=bool)
 
 
-def _lcp_operator(gen, a0: float, cG: float) -> LCPOperator:
-    """a0 I - cG G: banded sparse for tridiagonal chains, dense otherwise.
-
-    Keeping the banded form makes each policy iteration one sparse
-    factorization instead of a dense solve.
-    """
-
-    if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-        T = gen.as_tridiag()
-        return LCPOperator(sparse.diags(
-            [-cG * T.sub, a0 - cG * T.main, -cG * T.sup],
-            offsets=[-1, 0, 1],
-            format="csc",
-        ))
-    R = dense_rates(gen)
-    return LCPOperator(a0 * np.eye(R.shape[0]) - cG * R)
-
-
 # ---------------------------------------------------------------------------
 # perpetual pipeline
 # ---------------------------------------------------------------------------
@@ -154,7 +136,7 @@ def vanilla_american_perpetual(
     f = np.asarray(payoff, dtype=float)
     if np.any(f < 0):
         raise ValueError("payoff must be nonnegative")
-    A = _lcp_operator(gen, rate, 1.0)
+    A = LCPOperator(slice_matrix(gen, rate, 1.0))
     sol = require_solved(
         policy_solve(LCPProblem(A, A @ f)), "perpetual American"
     )
@@ -290,7 +272,7 @@ def bermudan_slice(
 
     c_next = np.asarray(c_next, dtype=float)
     obstacle = np.asarray(obstacle, dtype=float)
-    A = _lcp_operator(gen, 1.0, dt) if operator is None else operator
+    A = LCPOperator(slice_matrix(gen, 1.0, dt)) if operator is None else operator
     psi = A @ obstacle - c_next
     sol = require_solved(
         policy_solve(LCPProblem(A, psi), active0=warm_active),
@@ -389,7 +371,8 @@ def price_finite_downin(
         )
     W = np.zeros((n_slices, N))
     warm = None
-    for j, op in slice_operators(gens, lambda g: _lcp_operator(g, 1.0, dt)):
+    ops = slice_operators(gens, lambda g: LCPOperator(slice_matrix(g, 1.0, dt)))
+    for j, op in ops:
         W[j], warm = bermudan_slice(
             gens[j], W[j + 1], obstacles[j], dt,
             warm_active=warm, return_active=True, operator=op,
@@ -407,34 +390,42 @@ def price_finite_downin(
 
 
 def _poisson_weights(lam: float, kmax: int):
-    """(a_k, last useful k) with a_k = lam^k / k!;  pmf = e^{-lam} a_k."""
+    """(pmf_k for k = 0..kmax, last useful k) of a Poisson(lam) count.
 
-    a = np.ones(kmax + 1)
-    for k in range(1, kmax + 1):
-        a[k] = a[k - 1] * lam / k
-    pmf = np.exp(-lam) * a
+    The pmf is built by its ratios outwards from the mode and normalised over
+    all of its mass, so neither e^{-lam} (which underflows once lam passes
+    about 745) nor lam^k / k! (which then overflows) is ever formed.
+    """
+
+    mode = int(lam)
+    top = max(kmax, int(lam + 40.0 * math.sqrt(lam) + 40.0))
+    w = np.ones(top + 1)
+    w[mode + 1:] = np.cumprod(lam / np.arange(mode + 1, top + 1))
+    w[:mode] = np.cumprod(np.arange(mode, 0, -1) / lam)[::-1]
+    pmf = w[: kmax + 1] / w.sum()
     useful = np.flatnonzero(pmf >= _POISSON_SKIP)
     last = int(useful[-1]) if useful.size else 0
-    return a, last
+    return pmf, last
 
 
 def _slice_blocks(gen, bi, ai, window, dt):
     """Dense blocks of one generator's slice system (b: below, a: above).
 
     N = (I - dt G_bb)^{-1}; h1 = N dt G_ba (up-cross before the next tick);
-    EM = e^{-window/dt} exp(window G_bb) (window completes first); hm = (I -
-    dt G_aa)^{-1} dt G_ab (down-cross before the next tick); hp = h1 - EM h1.
+    E = exp(window G_bb) (survival below for the window, to be weighted by
+    the Poisson count of ticks in it); hm = (I - dt G_aa)^{-1} dt G_ab
+    (down-cross before the next tick); hp = h1 - e^{-window/dt} E h1.
     """
 
     R = dense_rates(gen)
     Gbb = R[np.ix_(bi, bi)]
     n_lu = lu_factor(np.eye(len(bi)) - dt * Gbb)
     h1 = lu_solve(n_lu, dt * R[np.ix_(bi, ai)])
-    EM = math.exp(-window / dt) * generator_expm(Gbb, window)
+    E = generator_expm(Gbb, window)
     a_lu = lu_factor(np.eye(len(ai)) - dt * R[np.ix_(ai, ai)])
     hm = lu_solve(a_lu, dt * R[np.ix_(ai, bi)])
-    hp = h1 - EM @ h1
-    return n_lu, h1, EM, a_lu, hm, hp, lu_factor(np.eye(len(bi)) - hp @ hm)
+    hp = h1 - (math.exp(-window / dt) * E) @ h1
+    return n_lu, h1, E, a_lu, hm, hp, lu_factor(np.eye(len(bi)) - hp @ hm)
 
 
 def _finite_downin(gens, W, below, window, dt):
@@ -442,9 +433,10 @@ def _finite_downin(gens, W, below, window, dt):
 
     Slice j solves the two-block system C_b = u+ + v + hp C_a, C_a = u- +
     hm C_b.  u+ runs in Horner form: P_j = N Q_{j+1} with Q_t = h1 C_t[a] +
-    P_t and P_J = 0, so u+_j = P_j - EM (a_0 P_j + sum_i a_i Q_{j+i}), and
-    v shares its EM product.  Slice j's generator prices its whole u+ sum,
-    so a slice with new blocks restarts the tail at t = J.
+    P_t and P_J = 0, so u+_j = P_j - E (p_0 P_j + sum_i p_i Q_{j+i}) with p
+    the Poisson(window/dt) pmf, and v shares its E product.  Slice j's
+    generator prices its whole u+ sum, so a slice with new blocks restarts
+    the tail at t = J.
     """
 
     n_slices = W.shape[0]
@@ -454,7 +446,7 @@ def _finite_downin(gens, W, below, window, dt):
     C = np.zeros_like(W)
     if not bi.size:
         return C  # never below the barrier: the in-event cannot trigger
-    a, last = _poisson_weights(window / dt, J)
+    pmf, last = _poisson_weights(window / dt, J)
     Wb = W[:, bi]
     Q = np.zeros((n_slices, len(bi)))
     u_minus = np.zeros(len(ai))
@@ -462,7 +454,7 @@ def _finite_downin(gens, W, below, window, dt):
     for j, blocks in slice_operators(
         gens, lambda g: _slice_blocks(g, bi, ai, window, dt)
     ):
-        n_lu, h1, EM, a_lu, hm, hp, slice_lu = blocks
+        n_lu, h1, E, a_lu, hm, hp, slice_lu = blocks
         top = j + 1
         if blocks is not current:  # new generator: restart the tail at t = J
             current, P, top = blocks, np.zeros(len(bi)), J
@@ -471,9 +463,9 @@ def _finite_downin(gens, W, below, window, dt):
             P = lu_solve(n_lu, Q[t])
         k = min(J - j, last)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
-        acc = a[0] * (Wb[j] - P) + a[1:k + 1] @ later
+        acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
         u_minus = lu_solve(a_lu, u_minus + hm @ C[j + 1, bi])
-        C[j, bi] = lu_solve(slice_lu, P + EM @ acc + hp @ u_minus)
+        C[j, bi] = lu_solve(slice_lu, P + E @ acc + hp @ u_minus)
         C[j, ai] = u_minus + hm @ C[j, bi]
     return C
 

@@ -12,23 +12,22 @@ Perpetual prices solve one linear complementarity problem on the ladder,
 min((rate I - A) C, C - payoff) = 0; finite-maturity prices run a backward
 slice recursion min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff)
 = 0 from zero past the horizon.  Every LCP is solved by policy iteration, and
-the route follows from the input alone: dense jump chains whose payoff
-vanishes below the barrier eliminate the duration levels (no exercise happens
-there) down to base-level problems of the spatial size ("reduced"); every
-other input, tridiagonal chains in particular, solves on the stacked ladder
-operator, kept sparse whenever that is smaller ("stacked").  A finite
-recursion keeps one slice operator alive, rebuilt only when the slice's
-generator changes, and passes it to every slice it serves; a slice whose
-exercise region did not move reuses the factor of the one after it.
+the route follows from the payoff alone: whenever it vanishes below the
+barrier, no exercise happens on levels >= 1, so those levels are eliminated
+down to base-level problems of the spatial size ("reduced"); the base-level
+operator stays banded sparse on tridiagonal chains and dense on jump chains.
+Otherwise the LCP is solved on the stacked ladder operator, kept sparse
+whenever that is smaller ("stacked").  A finite recursion keeps one slice
+operator alive, rebuilt only when the slice's generator changes, and passes
+it to every slice it serves; a slice whose exercise region did not move
+reuses the factor of the one after it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -40,13 +39,13 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     generator_sequence,
+    rate_rows,
+    slice_matrix,
     slice_operators,
 )
 from .models import ModelSpec
 from .numerics import LCPOperator, LCPProblem, policy_solve, require_solved
 from .pricer_downin import ContractSpec, Flavor, vanilla_american_perpetual
-
-_log = logging.getLogger("parisian.downout")
 
 
 @dataclass(frozen=True)
@@ -244,10 +243,9 @@ def price_perpetual_downout(
 ) -> PerpetualDownOutResult:
     """Perpetual down-out value: one complementarity problem on the ladder.
 
-    Dense jump chains whose payoff vanishes below the barrier eliminate the
-    duration levels and solve over the spatial states alone; every other
-    input solves on the stacked ladder.  Both routes use policy iteration,
-    warm-started from the vanilla exercise region.
+    Reduced (duration levels eliminated, spatial-size problem) whenever the
+    payoff vanishes below the barrier; stacked otherwise.  Both routes use
+    policy iteration, warm-started from the vanilla exercise region.
     """
 
     if not contract.is_perpetual:
@@ -264,23 +262,17 @@ def price_perpetual_downout(
     below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
     f0 = contract.payoff_states(model, grid.states)
-    tridiag = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-    route = "reduced" if not tridiag and _reducible(f0, ladder) else "stacked"
-
-    start = time.perf_counter()
-    solve = _perpetual_reduced if route == "reduced" else _perpetual_stacked
-    values, iterations = solve(gen, ladder, f0, contract.rate)
-    _log.info(
-        "perpetual down-out LCP (%s): %.3fs, %d ladder states, %d iterations",
-        route, time.perf_counter() - start, ladder.total, iterations,
-    )
+    solve = _perpetual_reduced if _reducible(f0, ladder) else _perpetual_stacked
     return PerpetualDownOutResult(
-        values=values, ladder=ladder, model=model, grid=grid
+        values=solve(gen, ladder, f0, contract.rate),
+        ladder=ladder,
+        model=model,
+        grid=grid,
     )
 
 
 def _perpetual_stacked(gen, ladder, f0, rate):
-    """Perpetual route on the stacked ladder: (values, LCP iterations)."""
+    """Perpetual route on the stacked ladder: values over the ladder slots."""
 
     A_gen = duration_generator(gen, ladder)
     A = rate * _identity_like(A_gen) - A_gen
@@ -289,21 +281,21 @@ def _perpetual_stacked(gen, ladder, f0, rate):
     sol = require_solved(
         policy_solve(LCPProblem(A, A @ f), active0=warm), "perpetual down-out"
     )
-    return f + sol.z, sol.iterations
+    return f + sol.z
 
 
 def _perpetual_reduced(gen, ladder, f0, rate):
-    """Perpetual route with the duration levels eliminated: (values, LCP
-    iterations).  Needs a payoff that vanishes below the barrier."""
+    """Perpetual route with the duration levels eliminated: values over the
+    ladder slots.  Needs a payoff that vanishes below the barrier."""
 
     _require_reducible(f0, ladder)
-    ops = _ReducedLadderOps(dense_rates(gen), ladder, rate)
+    ops = _ReducedLadderOps(gen, ladder, rate)
     warm = _vanilla_active_guess(gen, f0, rate, ladder)[: ladder.n_states]
     sol = require_solved(
         policy_solve(LCPProblem(ops.A_eff, ops.A_eff @ f0), active0=warm),
         "perpetual down-out (reduced)",
     )
-    return ops.expand(f0 + sol.z), sol.iterations
+    return ops.expand(f0 + sol.z)
 
 
 def _vanilla_active_guess(gen, f0, rate, ladder):
@@ -347,15 +339,17 @@ class _ReducedLadderOps:
     exercise can happen while the duration clock is running, so every slot
     on levels 1..n_ticks-1 satisfies a plain linear equation
 
-        Q C_k = source_k + B C_0[above] + cup * C_{k+1},    C_top = 0,
+        Q C_k = source_k + B C_0[coupled] + cup * C_{k+1},    C_top = 0,
 
-    with the same below-barrier block Q for every level.  Backward
-    substitution writes C_k = M_k + P_k @ C_0[above]; plugging level 1 into
-    the base-level rows leaves a complementarity problem over the spatial
-    states alone, with the level coupling folded into an extra block on the
-    below rows.  One LU factorization of Q is shared by everything, which
-    keeps dense jump models tractable where the stacked ladder operator
-    would be far too large to factor.
+    with the same below-barrier block Q for every level.  B holds the rates
+    from the below-barrier rows to the above-barrier states they reach (the
+    "coupled" columns: one for a diffusion, all of them for a jump chain).
+    Backward substitution gives C_1 = M_1 + P_1 C_0[coupled]; plugging it
+    into the base-level rows leaves a complementarity problem over the
+    spatial states alone, with the level coupling folded into the below
+    diagonal and the coupled columns.  That operator A_eff is banded sparse
+    plus the coupled columns on a tridiagonal chain and dense otherwise.  One
+    dense LU of Q serves P_1, the per-slice sources and the level values.
 
     ``dt=None`` builds the perpetual operator rate*I - A; otherwise the
     backward-slice operator (1 + rate*dt)*I - dt*A.
@@ -363,80 +357,79 @@ class _ReducedLadderOps:
 
     def __init__(
         self,
-        R: np.ndarray,
+        gen: Union[GeneratorMatrix, np.ndarray],
         ladder: DurationLadder,
         rate: float,
         dt: Optional[float] = None,
     ):
         if ladder.n_below == 0:
             raise ValueError("level elimination needs below-barrier states")
-        R = np.asarray(R, dtype=float)
         bi = ladder.below_indices
         ai = np.flatnonzero(~ladder.below)
-        tick = 1.0 / ladder.dtick
         if dt is None:
             a0, cG = rate, 1.0
         else:
             a0, cG = 1.0 + rate * dt, dt
-        cup = cG * tick
-        m, N = len(bi), ladder.n_states
+        cup = cG * (1.0 / ladder.dtick)
+        m = len(bi)
 
-        Q = (a0 + cup) * np.eye(m) - cG * R[np.ix_(bi, bi)]
-        luQ = lu_factor(Q)
-        B = cG * R[np.ix_(bi, ai)]
-        P: List[Optional[np.ndarray]] = [None] * (ladder.n_ticks + 1)
-        P[ladder.n_ticks] = np.zeros((m, len(ai)))
-        for k in range(ladder.n_ticks - 1, 0, -1):
-            P[k] = lu_solve(luQ, B + cup * P[k + 1])
+        Rb = rate_rows(gen, bi)
+        coupled = ai[np.any(Rb[:, ai] != 0.0, axis=0)]
+        luQ = lu_factor((a0 + cup) * np.eye(m) - cG * Rb[:, bi])
+        B = cG * Rb[:, coupled]
+        # P_1 by Horner from the knock-out level (P = 0 there); it stays the
+        # zero map when the first tick already knocks out
+        P = np.zeros_like(B)
+        for _ in range(ladder.n_ticks - 1):
+            P = lu_solve(luQ, B + cup * P, overwrite_b=True)
 
-        A = a0 * np.eye(N) - cG * R
-        A[bi, bi] += cup
-        if len(ai):
-            # level-1 feedback; P[1] is the zero map when the first tick
-            # already knocks out, so this is a no-op there
-            A[np.ix_(bi, ai)] -= cup * P[1]
+        A = slice_matrix(gen, a0, cG)
+        if sparse.issparse(A):
+            rows = np.concatenate([bi, np.repeat(bi, len(coupled))])
+            cols = np.concatenate([bi, np.tile(coupled, m)])
+            vals = np.concatenate([np.full(m, cup), -cup * P.ravel()])
+            A = A + sparse.coo_matrix((vals, (rows, cols)), shape=A.shape)
+        else:
+            A[bi, bi] += cup
+            A[np.ix_(bi, coupled)] -= cup * P
 
         self.ladder = ladder
         self.bi = bi
-        self.ai = ai
+        self.coupled = coupled
+        self.B = B
         self.cup = cup
         self.luQ = luQ
-        self.P = P
         self.A_eff = LCPOperator(A)
 
-    def sources(self, c_next: np.ndarray):
-        """Per-level source terms M_k from the next clock slice.
-
-        Returns the effective base-level source q (next-slice base values
-        plus the level-1 feed-in on the below rows) and the list M for
-        reconstruction.
-        """
+    def sources(self, c_next: np.ndarray) -> np.ndarray:
+        """Base-level source q from the next clock slice: its level-0 values
+        plus the level-1 feed-in cup M_1 on the below rows."""
 
         ladder = self.ladder
-        M: List[Optional[np.ndarray]] = [None] * (ladder.n_ticks + 1)
-        M[ladder.n_ticks] = np.zeros(ladder.n_below)
+        M = np.zeros(ladder.n_below)
         for k in range(ladder.n_ticks - 1, 0, -1):
-            M[k] = lu_solve(
-                self.luQ, c_next[ladder.level_slice(k)] + self.cup * M[k + 1]
-            )
+            M = lu_solve(self.luQ, c_next[ladder.level_slice(k)] + self.cup * M)
         q = np.array(c_next[: ladder.n_states], dtype=float, copy=True)
-        q[self.bi] += self.cup * M[1]
-        return q, M
+        q[self.bi] += self.cup * M
+        return q
 
     def expand(
-        self, c0: np.ndarray, M: Optional[List[Optional[np.ndarray]]] = None
+        self, c0: np.ndarray, c_next: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """Stacked ladder values from the base-level solution."""
+        """Stacked ladder values from the base-level solution ``c0``;
+        ``c_next`` is the next clock slice (None: perpetual, no source)."""
 
         ladder = self.ladder
         out = np.zeros(ladder.total)
         out[: ladder.n_states] = c0
-        ca = c0[self.ai]
-        for k in range(1, ladder.n_ticks):
-            vals = self.P[k] @ ca
-            if M is not None:
-                vals = vals + M[k]
-            out[ladder.level_slice(k)] = vals
+        feed = self.B @ c0[self.coupled]
+        level = np.zeros(ladder.n_below)  # the knock-out level
+        for k in range(ladder.n_ticks - 1, 0, -1):
+            rhs = feed + self.cup * level
+            if c_next is not None:
+                rhs += c_next[ladder.level_slice(k)]
+            level = lu_solve(self.luQ, rhs)
+            out[ladder.level_slice(k)] = level
         return out
 
 
@@ -477,10 +470,9 @@ def price_finite_downout(
     Slice values are prices at that slice (not pre-discounted): each step
     back multiplies the continuation by 1/(1 + rate dt).
 
-    Dense jump chains whose payoff vanishes below the barrier eliminate the
-    duration levels and solve base-level problems only; every other input,
-    tridiagonal chains included, solves on the stacked ladder.  Each slice
-    LCP is solved by policy iteration, warm-started from the slice after it.
+    Reduced (duration levels eliminated, base-level problems only) whenever
+    the payoff vanishes below the barrier; stacked otherwise.  Each slice LCP
+    is solved by policy iteration, warm-started from the slice after it.
     """
 
     from .ctmc import build_generator
@@ -508,18 +500,13 @@ def price_finite_downout(
         gens = generator_sequence(gen, n_slices)
 
     f0 = contract.payoff_states(model, grid.states)
-    tridiag = all(isinstance(g, GeneratorMatrix) and g.is_tridiagonal for g in gens)
-    route = "reduced" if not tridiag and _reducible(f0, ladder) else "stacked"
-
-    start = time.perf_counter()
-    recurse = _finite_reduced if route == "reduced" else _finite_stacked
-    C = recurse(gens, ladder, f0, contract.rate, dt)
-    _log.info(
-        "finite down-out recursion (%s): %.3fs for %d slices, %d ladder states",
-        route, time.perf_counter() - start, n_slices, ladder.total,
-    )
+    recurse = _finite_reduced if _reducible(f0, ladder) else _finite_stacked
     return FiniteDownOutResult(
-        values=C, times=times, ladder=ladder, model=model, grid=grid
+        values=recurse(gens, ladder, f0, contract.rate, dt),
+        times=times,
+        ladder=ladder,
+        model=model,
+        grid=grid,
     )
 
 
@@ -554,15 +541,13 @@ def _finite_reduced(gens, ladder, f0, rate, dt):
     _require_reducible(f0, ladder)
     C = np.zeros((len(gens), ladder.total))
     warm = None
-    ops = slice_operators(
-        gens, lambda g: _ReducedLadderOps(dense_rates(g), ladder, rate, dt=dt)
-    )
+    ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     for j, red in ops:
-        q, M = red.sources(C[j + 1])
+        q = red.sources(C[j + 1])
         sol = require_solved(
             policy_solve(LCPProblem(red.A_eff, red.A_eff @ f0 - q), active0=warm),
             "down-out slice (reduced)",
         )
-        C[j] = red.expand(f0 + sol.z, M)
+        C[j] = red.expand(f0 + sol.z, C[j + 1])
         warm = sol.z <= 0.0
     return C

@@ -14,6 +14,7 @@ from parisian.ctmc import (
     build_generator,
     build_grid,
     dump_generator_csv,
+    rate_rows,
     resolve_rate_policy,
     validate_generator,
 )
@@ -334,6 +335,18 @@ class TestBuildGenerator:
             errs.append(np.abs(act[1:-1] - exact[1:-1]).max())
         slope = np.polyfit(np.log2([1, 2, 4, 8]), -np.log2(errs), 1)[0]
         assert slope >= 0.85
+
+    @pytest.mark.parametrize("model,log_space", [(BS, False), (KOU, True)],
+                             ids=["tridiagonal", "jump"])
+    def test_rate_rows_are_the_dense_rows(self, model, log_space):
+        lo, hi = (np.log(18), np.log(360)) if log_space else (18.0, 360.0)
+        L, K = (np.log(90), np.log(95)) if log_space else (90.0, 95.0)
+        gen = build_generator(model, build_grid(lo, hi, L, K, 40))
+        dense = gen.as_dense()
+        for rows in (np.flatnonzero(gen.grid.below_mask), np.arange(41),
+                     np.array([40, 0, 7])):
+            np.testing.assert_array_equal(rate_rows(gen, rows), dense[rows])
+            np.testing.assert_array_equal(rate_rows(dense, rows), dense[rows])
 
     def test_csv_dump_roundtrip(self, tmp_path):
         import csv as csvmod

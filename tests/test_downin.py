@@ -1,6 +1,7 @@
 """Excursion-trigger pricing tests: transform, slices and surfaces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestSliceKernels:
             ref = float(np.sum(poisson.pmf(ks, lam) * disc[j:, 0]))
             assert C[j, 0] == pytest.approx(ref, rel=1e-10)
         assert C[-1, 0] == 0.0
+
+    def test_v_kernel_survives_poisson_underflow(self):
+        # window/dt past ~745: e^{-window/dt} underflows and (window/dt)^k/k!
+        # overflows, yet an absorbing below state still triggers (and
+        # collects the unit value) well before a horizon of twice the window
+        for dt in (1 / 760, 1 / 2000):
+            n_slices = int(round(2.0 / dt)) + 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                C = _finite_downin([np.zeros((1, 1))] * n_slices,
+                                   np.ones((n_slices, 1)), np.array([True]),
+                                   1.0, dt)
+            assert C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_u_plus_quadrature_oracle(self):
         # the weight on the slice reached after k ticks is the integral over

@@ -17,6 +17,7 @@ from parisian.pricer_downin import (
 from parisian import pricer_downout
 from parisian.pricer_downout import (
     DurationLadder,
+    _ReducedLadderOps,
     _finite_reduced,
     _finite_stacked,
     _perpetual_reduced,
@@ -207,16 +208,16 @@ class TestPerpetualDownOut:
         model, grid, gen = small_bs_setup(n=40)
         c = contract(Flavor.DOWN_OUT)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
-        red, _ = _perpetual_reduced(gen, ladder, f0, c.rate)
-        stk, _ = _perpetual_stacked(gen, ladder, f0, c.rate)
+        red = _perpetual_reduced(gen, ladder, f0, c.rate)
+        stk = _perpetual_stacked(gen, ladder, f0, c.rate)
         np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_equals_stacked_kou(self):
         model, grid, gen = small_kou_setup(n=36)
         c = contract(Flavor.DOWN_OUT, rate=0.05)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
-        red, _ = _perpetual_reduced(gen, ladder, f0, c.rate)
-        stk, _ = _perpetual_stacked(gen, ladder, f0, c.rate)
+        red = _perpetual_reduced(gen, ladder, f0, c.rate)
+        stk = _perpetual_stacked(gen, ladder, f0, c.rate)
         np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_requires_vanishing_payoff_below(self):
@@ -234,14 +235,17 @@ class TestPerpetualDownOut:
 
         monkeypatch.setattr(pricer_downout, "vanilla_american_perpetual",
                             failing_vanilla)
-        bs_model_, _, bs_gen = small_bs_setup(n=24)      # stacked route
-        kou_model_, _, kou_gen = small_kou_setup(n=24)   # reduced route
-        for model, gen, rate in ((bs_model_, bs_gen, 0.1),
-                                 (kou_model_, kou_gen, 0.05)):
+        bs_model_, _, bs_gen = small_bs_setup(n=24)
+        kou_model_, _, kou_gen = small_kou_setup(n=24)
+        put = ContractSpec(payoff=lambda s: np.maximum(95.0 - s, 0.0),
+                           barrier=90.0, window=1 / 12, maturity=math.inf,
+                           rate=0.1, flavor=Flavor.DOWN_OUT)
+        for model, gen, c in (
+                (bs_model_, bs_gen, put),                              # stacked
+                (bs_model_, bs_gen, contract(Flavor.DOWN_OUT)),        # reduced
+                (kou_model_, kou_gen, contract(Flavor.DOWN_OUT, rate=0.05))):
             with pytest.raises(RuntimeError, match="vanilla solve failed"):
-                price_perpetual_downout(gen, contract(Flavor.DOWN_OUT,
-                                                      rate=rate),
-                                        model, dtick=1 / 36)
+                price_perpetual_downout(gen, c, model, dtick=1 / 36)
 
     def test_validation(self):
         model, grid, gen = small_bs_setup(n=24)
@@ -312,15 +316,22 @@ class TestFiniteDownOut:
         auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
         np.testing.assert_allclose(auto.values, red, atol=1e-12)
 
-    def test_auto_picks_reduced_for_jump_models(self, caplog):
-        import logging
-        model, grid, gen = small_kou_setup(n=32)
-        tg = TimeGrid(dt=1 / 12, horizon=0.25)
-        with caplog.at_level(logging.INFO, logger="parisian.downout"):
-            price_finite_downout(model, grid, tg,
-                                 contract(Flavor.DOWN_OUT, maturity=0.25,
-                                          rate=0.05), dtick=1 / 36)
-        assert any("reduced" in rec.message for rec in caplog.records)
+    def test_public_output_is_the_route_output(self):
+        # a call struck above the barrier vanishes below it, so both the
+        # jump chain and the tridiagonal chain take the reduced route
+        for setup, rate in ((small_kou_setup, 0.05), (small_bs_setup, 0.1)):
+            model, grid, gen = setup(n=32)
+            tg = TimeGrid(dt=1 / 12, horizon=0.25)
+            c = contract(Flavor.DOWN_OUT, maturity=0.25, rate=rate)
+            ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+            gens = [gen] * (tg.idx_t_plus + 1)
+            auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
+            np.testing.assert_array_equal(
+                auto.values, _finite_reduced(gens, ladder, f0, rate, tg.dt))
+            c = contract(Flavor.DOWN_OUT, rate=rate)
+            auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            np.testing.assert_array_equal(
+                auto.values, _perpetual_reduced(gen, ladder, f0, rate))
 
     def test_time_dependent_generator_sequence(self):
         model, grid, _ = small_bs_setup(n=32)
@@ -345,3 +356,65 @@ class TestFiniteDownOut:
             price_finite_downout(model, grid, tg,
                                  contract(Flavor.DOWN_IN, maturity=0.5),
                                  dtick=1 / 24)
+
+
+# ---------------------------------------------------------------------------
+# level elimination ("reduced") against the stacked ladder
+# ---------------------------------------------------------------------------
+
+
+def rel_gap(a, b):
+    """max|a - b| / max|b|: the surface-wide relative gap."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestReducedRoute:
+    def test_equals_stacked_on_bs_to_1e12(self):
+        model, grid, gen = small_bs_setup(n=48)
+        c = contract(Flavor.DOWN_OUT)
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 48)
+        assert rel_gap(_perpetual_reduced(gen, ladder, f0, c.rate),
+                       _perpetual_stacked(gen, ladder, f0, c.rate)) <= 1e-12
+
+        tg = TimeGrid(dt=1 / 24, horizon=0.5)
+        homogeneous = [gen] * (tg.idx_t_plus + 1)
+        # a time-dependent volatility: a new generator every slice
+        varying = [build_generator(bs_model(r_f=0.1, dividend=0.05,
+                                            sigma=0.3 * (1 + t / 2)),
+                                   grid, 0.0, "error") for t in tg.times]
+        for gens in (homogeneous, varying):
+            red = _finite_reduced(gens, ladder, f0, c.rate, tg.dt)
+            stk = _finite_stacked(gens, ladder, f0, c.rate, tg.dt)
+            assert rel_gap(red, stk) <= 1e-12
+
+    def test_tridiagonal_a_eff_is_sparse_with_one_coupled_column(self):
+        model, grid, gen = small_bs_setup(n=40)
+        ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+        for dt in (None, 1 / 24):
+            ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
+            assert ops.A_eff.is_sparse
+            np.testing.assert_array_equal(ops.coupled, [ladder.n_below])
+            # the same operator, assembled dense from the plain rate matrix
+            dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.1, dt=dt)
+            assert not dense.A_eff.is_sparse
+            np.testing.assert_array_equal(ops.A_eff.matrix.toarray(),
+                                          dense.A_eff.matrix)
+
+    def test_partly_coupled_hand_built_chain(self):
+        # below rows 0..3 reach only above states 5 and 7
+        rng = np.random.default_rng(5)
+        n = 9
+        R = rng.uniform(0.2, 2.0, size=(n, n))
+        R[:4, [4, 6, 8]] = 0.0
+        np.fill_diagonal(R, 0.0)
+        np.fill_diagonal(R, -R.sum(axis=1))
+        below = np.arange(n) < 4
+        f0 = np.where(below, 0.0, rng.uniform(0.5, 3.0, size=n))
+        ladder = build_ladder(0.3, 0.1, below)
+        ops = _ReducedLadderOps(R, ladder, 0.1)
+        np.testing.assert_array_equal(ops.coupled, [5, 7])
+        assert rel_gap(_perpetual_reduced(R, ladder, f0, 0.1),
+                       _perpetual_stacked(R, ladder, f0, 0.1)) <= 1e-12
+        gens = [R] * 6
+        assert rel_gap(_finite_reduced(gens, ladder, f0, 0.1, 0.1),
+                       _finite_stacked(gens, ladder, f0, 0.1, 0.1)) <= 1e-12

@@ -25,6 +25,7 @@ from parisian.oracle import (
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
+    american_call,
     parisian_transform,
     price_finite_downin,
     vanilla_american_perpetual,
@@ -285,6 +286,39 @@ class TestDpParisianLattice:
             worst_in = max(worst_in, float(np.max(np.abs(ri.disc_values - oi))))
         assert worst_out < 1e-5
         assert worst_in < 1e-5
+
+    def test_reduced_route_matches_lattice_dp_on_bs_calls(self):
+        """Acceptance: 5 tridiagonal Black-Scholes chains with a call struck
+        at or above the barrier (payoff zero below it, so the down-out
+        pricer eliminates the duration levels), agreement to 1e-5."""
+
+        rng = np.random.default_rng(8)
+        model = _coordinate_carrier()
+        worst = 0.0
+        for _ in range(5):
+            grid = build_grid(0.5, 4.0, 1.5, 2.0, int(rng.integers(8, 13)),
+                              "proportional")
+            gen = build_generator(model, grid)
+            rate = float(rng.uniform(0.01, 0.2))
+            dt = float(rng.uniform(0.05, 0.3))
+            horizon = (int(rng.integers(2, 6)) - 0.5) * dt
+            window = float(rng.uniform(0.5, 2.5)) * dt
+            dtick = window / float(rng.integers(1, 4))
+            payoff = american_call(float(rng.uniform(1.5, 3.0)))
+            below = grid.states < 1.5 - 1e-12
+            f = payoff(grid.states)
+            assert gen.is_tridiagonal and np.all(f[below] == 0.0)
+            c_out = ContractSpec(payoff=payoff, barrier=1.5, window=window,
+                                 maturity=horizon, rate=rate,
+                                 flavor=Flavor.DOWN_OUT)
+            res = price_finite_downout(model, grid,
+                                       TimeGrid(dt=dt, horizon=horizon),
+                                       c_out, dtick=dtick, gen=gen)
+            ora = dp_parisian_lattice(gen, below, f, rate, dt, horizon,
+                                      window, "down-out", dtick=dtick)
+            worst = max(worst, float(
+                np.max(np.abs(res.values[:, :ora.shape[1]] - ora))))
+        assert worst < 1e-5
 
 
 # ---------------------------------------------------------------------------
