@@ -245,7 +245,6 @@ class StudyConfig:
     order: float = 2.0
     csv_out: Optional[str] = None
     plot_out: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "model", self.model.strip().lower())
@@ -317,8 +316,6 @@ class StudyConfig:
         for name in _FLOAT_FIELDS:
             if clean.get(name) is not None:
                 clean[name] = float(clean[name])  # type: ignore[arg-type]
-        if "seed" in clean:
-            clean["seed"] = int(clean["seed"])  # type: ignore[arg-type]
         if "self_benchmark" in clean and isinstance(clean["self_benchmark"], str):
             clean["self_benchmark"] = clean["self_benchmark"].strip().lower() in (
                 "1",
@@ -1318,7 +1315,6 @@ _SHARED_KEYS = (
     "split",
     "payoff",
     "rate_policy",
-    "seed",
 )
 
 
@@ -1365,7 +1361,6 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", choices=["proportional", "sqrt"])
     parser.add_argument("--payoff", choices=["call", "put"])
     parser.add_argument("--rate-policy", dest="rate_policy", help="negative-rate handling")
-    parser.add_argument("--seed", type=int)
 
 
 def _cmd_price(args) -> int:

@@ -104,10 +104,6 @@ class SpatialGrid:
     def delta(self) -> np.ndarray:
         return 0.5 * (self.delta_plus + self.delta_minus)
 
-    @property
-    def mesh(self) -> float:
-        return float(np.diff(self.states).max())
-
     def interp(self, values: np.ndarray, x: float) -> float:
         """Linear interpolation of per-state values at position x."""
         return float(np.interp(x, self.states, np.asarray(values, dtype=float)))
@@ -282,9 +278,6 @@ class GeneratorMatrix:
         out[k[up], rows[up] + 1] = self.up[rows[up]]
         out[k[down], rows[down] - 1] = self.down[rows[down]]
         return out
-
-    def norm_inf(self) -> float:
-        return 2.0 * float(np.abs(self.diag).max())
 
     def row_sums(self) -> np.ndarray:
         n = self.dimension
@@ -507,30 +500,6 @@ def build_generator(
     return GeneratorMatrix(
         grid=grid, t=t, up=up, down=down, diag=diag, jump=jump
     )
-
-
-def generator_from_dense(
-    grid: SpatialGrid, rates: np.ndarray, t: float = 0.0
-) -> GeneratorMatrix:
-    """Wrap an explicit rate matrix (testing hook for hand-built chains)."""
-
-    R = np.asarray(rates, dtype=float)
-    N = grid.n_states
-    if R.shape != (N, N):
-        raise ValueError(f"rate matrix must be {N}x{N}")
-    idx = np.arange(N)
-    up = np.zeros(N)
-    down = np.zeros(N)
-    up[:-1] = R[idx[:-1], idx[:-1] + 1]
-    down[1:] = R[idx[1:], idx[1:] - 1]
-    jump = R.copy()
-    jump[idx[:-1], idx[:-1] + 1] = 0.0
-    jump[idx[1:], idx[1:] - 1] = 0.0
-    jump[idx, idx] = 0.0
-    diag = R.diagonal().copy()
-    if not np.any(jump):
-        jump = None
-    return GeneratorMatrix(grid=grid, t=t, up=up, down=down, diag=diag, jump=jump)
 
 
 def resolve_rate_policy(flag: Optional[str], model: ModelSpec) -> str:

@@ -8,14 +8,14 @@ Tridiagonal solves, uniformized matrix exponentials and linear-complementarity
 ``policy_solve`` (primal-dual active-set iteration) is the one production
 solver: every pricing LCP has an M-matrix (rate I - G, I - dt G or a duration
 ladder operator), on which it converges in finitely many steps.  It works on
-an ``LCPOperator``, which holds A once in solving form (dense, or CSC when A
-is sparse) together with the LU factors of the last principal block A_FF it
-solved; a recursion that passes one operator to every clock slice factors
-A_FF once per distinct free set instead of once per iteration.  ``lemke_solve``
-(pivoting) is kept as an independent reference for tests and
-``parisian verify``.  Functions are pure apart from the factor an operator
-caches, so an operator must not be shared across threads; calls on distinct
-operators are safe in parallel.
+an ``LCPOperator``, which holds A once in solving form (CSC when A is sparse
+and less than half full, dense otherwise) together with the LU factors of the
+last principal block A_FF it solved; a recursion that passes one operator to
+every clock slice factors A_FF once per distinct free set instead of once per
+iteration.  ``lemke_solve`` (pivoting) is kept as an independent reference
+for tests and ``parisian verify``.  Functions are pure apart from the factor
+an operator caches, so an operator must not be shared across threads; calls
+on distinct operators are safe in parallel.
 """
 
 from __future__ import annotations
@@ -167,18 +167,20 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
 class LCPOperator:
     """The matrix A of a family of LCPs, held once in solving form.
 
-    A sparse A is converted to CSC once; anything else is held dense.  The
-    operator also keeps the LU factors (``lu_factor`` dense, ``splu`` sparse)
-    of the last principal block A_FF that ``solve_free`` solved, keyed by the
-    free index set F.  A solve on the same F reuses them; a different F drops
-    them before the new block is extracted, so at most one factor is alive.
+    A sparse A with fewer than n^2/2 stored entries is converted to CSC once;
+    anything else, a sparse A at least half full included, is held dense,
+    where a dense LU is cheaper than a sparse one.  The operator also keeps
+    the LU factors (``lu_factor`` dense, ``splu`` sparse) of the last principal
+    block A_FF that ``solve_free`` solved, keyed by the free index set F.  A
+    solve on the same F reuses them; a different F drops them before the new
+    block is extracted, so at most one factor is alive.
     Policy iteration solves every A_FF exactly, so reusing the factor leaves
     every solution as it was.  The factor lives as long as the operator, and
     an operator is not meant to be shared across threads.
     """
 
     def __init__(self, A: MatrixLike):
-        self.is_sparse = sparse.issparse(A)
+        self.is_sparse = sparse.issparse(A) and 2 * A.nnz < math.prod(A.shape)
         self.matrix = A.tocsc() if self.is_sparse else _as_dense(A)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("A must be square")

@@ -217,10 +217,6 @@ class PerpetualDownInResult:
         x0 = float(self.model.state_of_price(spot))
         return self.grid.interp(self.values, x0)
 
-    def vanilla_at(self, spot: float) -> float:
-        x0 = float(self.model.state_of_price(spot))
-        return self.grid.interp(self.vanilla, x0)
-
 
 def price_perpetual_downin(
     gen: GeneratorMatrix,
@@ -300,10 +296,6 @@ class FiniteDownInResult:
     def value_at(self, spot: float, slice_idx: int = 0) -> float:
         x0 = float(self.model.state_of_price(spot))
         return self.grid.interp(self.disc_values[slice_idx], x0)
-
-    def vanilla_at(self, spot: float, slice_idx: int = 0) -> float:
-        x0 = float(self.model.state_of_price(spot))
-        return self.grid.interp(self.disc_vanilla[slice_idx], x0)
 
 
 def price_finite_downin(

@@ -8,19 +8,20 @@ rate 1/dtick advances the level while the spot is below the barrier.  Any
 up-cross resets the level to 0; the top level (first duration value past
 the window) is absorbing and worthless, which encodes the knock-out.
 
-Perpetual prices solve one linear complementarity problem on the ladder,
-min((rate I - A) C, C - payoff) = 0; finite-maturity prices run a backward
-slice recursion min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff)
-= 0 from zero past the horizon.  Every LCP is solved by policy iteration, and
-the route follows from the payoff alone: whenever it vanishes below the
-barrier, no exercise happens on levels >= 1, so those levels are eliminated
-down to base-level problems of the spatial size ("reduced"); the base-level
-operator stays banded sparse on tridiagonal chains and dense on jump chains.
-Otherwise the LCP is solved on the stacked ladder operator, kept sparse
-whenever that is smaller ("stacked").  A finite recursion keeps one slice
-operator alive, rebuilt only when the slice's generator changes, and passes
-it to every slice it serves; a slice whose exercise region did not move
-reuses the factor of the one after it.
+Finite-maturity prices run a backward slice recursion
+min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff) = 0 from zero past
+the horizon.  A perpetual price is the same recursion's one-slice case: no
+continuation and the operator rate I - A, min((rate I - A) C, C - payoff) = 0.
+Every LCP is solved by policy iteration, and the route follows from the
+payoff alone: whenever it vanishes below the barrier, no exercise happens on
+levels >= 1, so those levels are eliminated down to base-level problems of
+the spatial size ("reduced"); the base-level operator stays banded sparse on
+tridiagonal chains and dense on jump chains.  Otherwise the LCP is solved on
+the stacked ladder operator ("stacked"), assembled sparse and stored dense
+by its ``LCPOperator`` only when at least half full.  A recursion keeps one
+slice operator alive, rebuilt only when the slice's generator changes, and
+passes it to every slice it serves; a slice whose exercise region did not
+move reuses the factor of the one after it.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class DurationLadder:
         return int(np.sum(self.below))
 
     @property
-    def n_levels(self) -> int:
-        return self.n_ticks + 1
-
-    @property
     def total(self) -> int:
         return self.n_states + self.n_ticks * self.n_below
 
@@ -129,9 +126,8 @@ def build_ladder(
 def duration_generator(
     gen: Union[GeneratorMatrix, np.ndarray],
     ladder: DurationLadder,
-    use_sparse: Optional[bool] = None,
-):
-    """Generator of the augmented (duration, state) chain.
+) -> sparse.csr_matrix:
+    """Generator of the augmented (duration, state) chain, in CSR form.
 
     Rows follow the ladder layout.  While below the barrier the duration
     clock ticks up at rate 1/dtick and spatial moves keep the level, except
@@ -146,40 +142,8 @@ def duration_generator(
     N = ladder.n_states
     m = ladder.n_below
     bi = ladder.below_indices
-    ai = np.flatnonzero(~ladder.below)
     tick = 1.0 / ladder.dtick
     total = ladder.total
-    if use_sparse is None:
-        # compare materialized sizes: the sparse layout only stores the
-        # below-barrier blocks once per level, so it wins even for dense
-        # spatial coupling whenever the ladder has several levels
-        nnz_below = int(np.count_nonzero(R[bi, :])) if m else 0
-        est_nnz = (
-            int(np.count_nonzero(R))
-            + max(ladder.n_ticks - 1, 0) * nnz_below
-            + ladder.n_ticks * max(m, 1)
-        )
-        use_sparse = 2 * est_nnz < total * total
-
-    if not use_sparse:
-        A = np.zeros((total, total))
-        A[:N, :N] = R
-        for lvl in range(1, ladder.n_ticks):
-            sl = ladder.level_slice(lvl)
-            lvl_rows = np.arange(sl.start, sl.stop)
-            A[np.ix_(lvl_rows, lvl_rows)] = R[np.ix_(bi, bi)]
-            A[np.ix_(lvl_rows, ai)] = R[np.ix_(bi, ai)]
-        # duration ticks: below rows push one level up and lose 1/dtick
-        for lvl in range(ladder.n_ticks):
-            sl = ladder.level_slice(lvl)
-            lvl_rows = bi if lvl == 0 else np.arange(sl.start, sl.stop)
-            nxt = ladder.level_slice(lvl + 1)
-            A[lvl_rows, lvl_rows] -= tick
-            A[lvl_rows, np.arange(nxt.start, nxt.stop)] += tick
-        top = ladder.level_slice(ladder.n_ticks)
-        A[top, :] = 0.0
-        return A
-
     # COO triplets, level by level; the -tick entries on the diagonal are
     # summed into R's diagonal when the matrix is assembled
     level = np.arange(N)  # slot of each state on the current level
@@ -202,12 +166,6 @@ def duration_generator(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),
     )
-
-
-def _identity_like(A):
-    if sparse.issparse(A):
-        return sparse.identity(A.shape[0], format="csr")
-    return np.eye(A.shape[0])
 
 
 @dataclass(frozen=True)
@@ -235,17 +193,19 @@ class PerpetualDownOutResult:
 
 
 def price_perpetual_downout(
-    gen: Union[GeneratorMatrix, np.ndarray],
+    gen: GeneratorMatrix,
     contract: ContractSpec,
     model: ModelSpec,
     dtick: float,
-    grid: Optional[SpatialGrid] = None,
 ) -> PerpetualDownOutResult:
-    """Perpetual down-out value: one complementarity problem on the ladder.
+    """Perpetual down-out value: the down-out recursion's one-slice case.
 
-    Reduced (duration levels eliminated, spatial-size problem) whenever the
-    payoff vanishes below the barrier; stacked otherwise.  Both routes use
-    policy iteration, warm-started from the vanilla exercise region.
+    With no continuation, the price is row 0 of a two-slice recursion whose
+    last row is zero, run with the perpetual operator rate I - A
+    (``dt=None``).  Reduced (duration levels eliminated, spatial-size
+    problem) whenever the payoff vanishes below the barrier; stacked
+    otherwise.  Policy iteration is warm-started from the vanilla exercise
+    region.
     """
 
     if not contract.is_perpetual:
@@ -254,48 +214,24 @@ def price_perpetual_downout(
         raise ValueError("contract flavor must be down-out")
     if not model.time_homogeneous:
         raise ValueError("perpetual pricing needs a time-homogeneous model")
-    if isinstance(gen, GeneratorMatrix) and grid is None:
-        grid = gen.grid
-    if grid is None:
-        raise ValueError("need a spatial grid for plain matrix generators")
+    if not isinstance(gen, GeneratorMatrix):
+        raise ValueError("need a GeneratorMatrix: its grid places the barrier")
+    grid = gen.grid
 
     below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
     f0 = contract.payoff_states(model, grid.states)
-    solve = _perpetual_reduced if _reducible(f0, ladder) else _perpetual_stacked
+    warm = _vanilla_active_guess(gen, f0, contract.rate, ladder)
+    if _reducible(f0, ladder):
+        route, warm = _reduced, warm[: ladder.n_states]
+    else:
+        route = _stacked
     return PerpetualDownOutResult(
-        values=solve(gen, ladder, f0, contract.rate),
+        values=route([gen, gen], ladder, f0, contract.rate, None, warm)[0],
         ladder=ladder,
         model=model,
         grid=grid,
     )
-
-
-def _perpetual_stacked(gen, ladder, f0, rate):
-    """Perpetual route on the stacked ladder: values over the ladder slots."""
-
-    A_gen = duration_generator(gen, ladder)
-    A = rate * _identity_like(A_gen) - A_gen
-    f = ladder.stack_payoff(f0)
-    warm = _vanilla_active_guess(gen, f0, rate, ladder)
-    sol = require_solved(
-        policy_solve(LCPProblem(A, A @ f), active0=warm), "perpetual down-out"
-    )
-    return f + sol.z
-
-
-def _perpetual_reduced(gen, ladder, f0, rate):
-    """Perpetual route with the duration levels eliminated: values over the
-    ladder slots.  Needs a payoff that vanishes below the barrier."""
-
-    _require_reducible(f0, ladder)
-    ops = _ReducedLadderOps(gen, ladder, rate)
-    warm = _vanilla_active_guess(gen, f0, rate, ladder)[: ladder.n_states]
-    sol = require_solved(
-        policy_solve(LCPProblem(ops.A_eff, ops.A_eff @ f0), active0=warm),
-        "perpetual down-out (reduced)",
-    )
-    return ops.expand(f0 + sol.z)
 
 
 def _vanilla_active_guess(gen, f0, rate, ladder):
@@ -350,9 +286,7 @@ class _ReducedLadderOps:
     diagonal and the coupled columns.  That operator A_eff is banded sparse
     plus the coupled columns on a tridiagonal chain and dense otherwise.  One
     dense LU of Q serves P_1, the per-slice sources and the level values.
-
-    ``dt=None`` builds the perpetual operator rate*I - A; otherwise the
-    backward-slice operator (1 + rate*dt)*I - dt*A.
+    ``dt`` picks the operator as in ``_slice_coefficients``.
     """
 
     def __init__(
@@ -366,10 +300,7 @@ class _ReducedLadderOps:
             raise ValueError("level elimination needs below-barrier states")
         bi = ladder.below_indices
         ai = np.flatnonzero(~ladder.below)
-        if dt is None:
-            a0, cG = rate, 1.0
-        else:
-            a0, cG = 1.0 + rate * dt, dt
+        a0, cG = _slice_coefficients(rate, dt)
         cup = cG * (1.0 / ladder.dtick)
         m = len(bi)
 
@@ -413,11 +344,9 @@ class _ReducedLadderOps:
         q[self.bi] += self.cup * M
         return q
 
-    def expand(
-        self, c0: np.ndarray, c_next: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def expand(self, c0: np.ndarray, c_next: np.ndarray) -> np.ndarray:
         """Stacked ladder values from the base-level solution ``c0``;
-        ``c_next`` is the next clock slice (None: perpetual, no source)."""
+        ``c_next`` is the next clock slice."""
 
         ladder = self.ladder
         out = np.zeros(ladder.total)
@@ -425,9 +354,7 @@ class _ReducedLadderOps:
         feed = self.B @ c0[self.coupled]
         level = np.zeros(ladder.n_below)  # the knock-out level
         for k in range(ladder.n_ticks - 1, 0, -1):
-            rhs = feed + self.cup * level
-            if c_next is not None:
-                rhs += c_next[ladder.level_slice(k)]
+            rhs = feed + self.cup * level + c_next[ladder.level_slice(k)]
             level = lu_solve(self.luQ, rhs)
             out[ladder.level_slice(k)] = level
         return out
@@ -500,9 +427,9 @@ def price_finite_downout(
         gens = generator_sequence(gen, n_slices)
 
     f0 = contract.payoff_states(model, grid.states)
-    recurse = _finite_reduced if _reducible(f0, ladder) else _finite_stacked
+    route = _reduced if _reducible(f0, ladder) else _stacked
     return FiniteDownOutResult(
-        values=recurse(gens, ladder, f0, contract.rate, dt),
+        values=route(gens, ladder, f0, contract.rate, dt),
         times=times,
         ladder=ladder,
         model=model,
@@ -510,19 +437,29 @@ def price_finite_downout(
     )
 
 
+def _slice_coefficients(rate: float, dt: Optional[float]):
+    """(a0, cG) of a slice operator a0 I - cG A: the backward slice
+    (1 + rate dt) I - dt A, or the perpetual rate I - A when ``dt`` is None."""
+
+    return (rate, 1.0) if dt is None else (1.0 + rate * dt, dt)
+
+
 def _ladder_slice_operator(gen, ladder, rate, dt) -> LCPOperator:
-    """The stacked slice operator (1 + rate dt) I - dt A of the ladder."""
+    """The stacked slice operator a0 I - cG A of the ladder (see
+    ``_slice_coefficients``)."""
 
-    A_gen = duration_generator(gen, ladder)
-    return LCPOperator((1.0 + rate * dt) * _identity_like(A_gen) - dt * A_gen)
+    a0, cG = _slice_coefficients(rate, dt)
+    eye = sparse.identity(ladder.total, format="csr")
+    return LCPOperator(a0 * eye - cG * duration_generator(gen, ladder))
 
 
-def _finite_stacked(gens, ladder, f0, rate, dt):
-    """Finite route on the stacked ladder: surface over (slice, ladder slot)."""
+def _stacked(gens, ladder, f0, rate, dt, warm=None):
+    """Recursion on the stacked ladder, from zero past the last slice:
+    surface over (slice, ladder slot).  ``dt=None`` solves the perpetual
+    problem at every slice; ``warm`` is the first slice's active-set guess."""
 
     f = ladder.stack_payoff(f0)
     C = np.zeros((len(gens), ladder.total))
-    warm = None
     ops = slice_operators(gens, lambda g: _ladder_slice_operator(g, ladder, rate, dt))
     for j, A in ops:
         sol = require_solved(
@@ -534,13 +471,12 @@ def _finite_stacked(gens, ladder, f0, rate, dt):
     return C
 
 
-def _finite_reduced(gens, ladder, f0, rate, dt):
-    """Finite route with the duration levels eliminated; needs a payoff that
-    vanishes below the barrier.  Surface over (slice, ladder slot)."""
+def _reduced(gens, ladder, f0, rate, dt, warm=None):
+    """``_stacked`` with the duration levels eliminated; needs a payoff that
+    vanishes below the barrier, and ``warm`` covers level 0 only."""
 
     _require_reducible(f0, ladder)
     C = np.zeros((len(gens), ladder.total))
-    warm = None
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     for j, red in ops:
         q = red.sources(C[j + 1])

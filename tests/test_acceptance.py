@@ -328,8 +328,8 @@ class TestStructuralInvariants:
         res = price_perpetual_downout(gen, contract, model, dtick=1.0 / 120.0)
         ladder = res.ladder
         A_aug = rate * np.eye(ladder.total) - duration_generator(
-            gen, ladder, use_sparse=False
-        )
+            gen, ladder
+        ).toarray()
         f_aug = ladder.stack_payoff(f)
         self._residual_ok(A_aug @ res.values, res.values - f_aug,
                           scale=float(np.max(np.abs(res.values))))
@@ -343,7 +343,7 @@ class TestStructuralInvariants:
         res = price_finite_downout(model, grid, timegrid, contract,
                                    dtick=1.0 / 120.0, gen=gen)
         ladder = res.ladder
-        G_aug = duration_generator(gen, ladder, use_sparse=False)
+        G_aug = duration_generator(gen, ladder).toarray()
         f_aug = ladder.stack_payoff(f)
         eye = np.eye(ladder.total)
         scale = float(np.max(np.abs(res.values)))

@@ -151,6 +151,9 @@ class TestStudyConfig:
         # the LCP solver is fixed; a config that still names one fails loudly
         with pytest.raises(ValueError, match="unknown config keys.*solver"):
             StudyConfig.from_mapping({"model": "bs", "solver": "lemke"})
+        # no pricer draws random numbers; a config seed fails loudly too
+        with pytest.raises(ValueError, match="unknown config keys.*seed"):
+            StudyConfig.from_mapping({"model": "bs", "seed": 3})
 
 
 class TestBuildNamedModel:

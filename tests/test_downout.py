@@ -1,10 +1,11 @@
 """Down-out pricing: ladder bookkeeping, operators, and both solve routes."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from parisian.ctmc import TimeGrid, build_generator, build_grid
 from parisian.models import bs_model, kou_model, KouParams
@@ -18,10 +19,9 @@ from parisian import pricer_downout
 from parisian.pricer_downout import (
     DurationLadder,
     _ReducedLadderOps,
-    _finite_reduced,
-    _finite_stacked,
-    _perpetual_reduced,
-    _perpetual_stacked,
+    _reduced,
+    _stacked,
+    _vanilla_active_guess,
     build_ladder,
     duration_generator,
     price_finite_downout,
@@ -57,6 +57,11 @@ def route_inputs(model, grid, c, dtick):
     below = grid.below_barrier(c.barrier_state(model))
     return (build_ladder(c.window, dtick, below),
             c.payoff_states(model, grid.states))
+
+
+def perpetual(route, gen, ladder, f0, rate, warm=None):
+    """A route run as the perpetual one-slice case: row 0, ``dt=None``."""
+    return route([gen, gen], ladder, f0, rate, None, warm)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -118,30 +123,14 @@ class TestDurationGenerator:
         np.fill_diagonal(R, -R.sum(axis=1))
         return R
 
-    def test_dense_equals_sparse(self):
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            R = self.random_chain(rng)
-            below = np.arange(9) < int(rng.integers(1, 8))
-            lad = build_ladder(0.3, 0.1, below)
-            dense = duration_generator(R, lad, use_sparse=False)
-            sp = duration_generator(R, lad, use_sparse=True)
-            assert sparse.issparse(sp)
-            np.testing.assert_array_equal(sp.toarray(), dense)
-        # a tridiagonal BS ladder, with absorbing boundary rows
-        model, grid, gen = small_bs_setup(n=40)
-        lad = build_ladder(0.25, 0.05, grid.below_mask)
-        dense = duration_generator(gen, lad, use_sparse=False)
-        sp = duration_generator(gen, lad, use_sparse=True)
-        assert sparse.issparse(sp)
-        np.testing.assert_array_equal(sp.toarray(), dense)
-
     def test_row_sums_and_absorbing_top(self):
         rng = np.random.default_rng(22)
         R = self.random_chain(rng)
         below = np.arange(9) < 4
         lad = build_ladder(0.3, 0.1, below)
-        A = duration_generator(R, lad, use_sparse=False)
+        A = duration_generator(R, lad)
+        assert A.format == "csr"
+        A = A.toarray()
         # live rows keep the spatial row sums (the clock redistributes mass,
         # never creates or destroys it); the knocked-out level is frozen
         np.testing.assert_allclose(A.sum(axis=1)[: lad.total - lad.n_below],
@@ -158,7 +147,7 @@ class TestDurationGenerator:
         np.fill_diagonal(R, -R.sum(axis=1))
         below = np.array([True, True, False])
         lad = build_ladder(0.2, 0.1, below)
-        A = duration_generator(R, lad, use_sparse=False)
+        A = duration_generator(R, lad).toarray()
         r1 = lad.slot(1, 0)
         assert A[r1, 2] == pytest.approx(1.5)           # lands on level 0
         assert A[r1, lad.slot(2, 0)] == pytest.approx(10.0)  # clock tick
@@ -208,16 +197,16 @@ class TestPerpetualDownOut:
         model, grid, gen = small_bs_setup(n=40)
         c = contract(Flavor.DOWN_OUT)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
-        red = _perpetual_reduced(gen, ladder, f0, c.rate)
-        stk = _perpetual_stacked(gen, ladder, f0, c.rate)
+        red = perpetual(_reduced, gen, ladder, f0, c.rate)
+        stk = perpetual(_stacked, gen, ladder, f0, c.rate)
         np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_equals_stacked_kou(self):
         model, grid, gen = small_kou_setup(n=36)
         c = contract(Flavor.DOWN_OUT, rate=0.05)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
-        red = _perpetual_reduced(gen, ladder, f0, c.rate)
-        stk = _perpetual_stacked(gen, ladder, f0, c.rate)
+        red = perpetual(_reduced, gen, ladder, f0, c.rate)
+        stk = perpetual(_stacked, gen, ladder, f0, c.rate)
         np.testing.assert_allclose(red, stk, atol=1e-9)
 
     def test_reduced_requires_vanishing_payoff_below(self):
@@ -227,7 +216,7 @@ class TestPerpetualDownOut:
                          rate=0.1, flavor=Flavor.DOWN_OUT)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
         with pytest.raises(ValueError, match="vanishes below the barrier"):
-            _perpetual_reduced(gen, ladder, f0, c.rate)
+            perpetual(_reduced, gen, ladder, f0, c.rate)
 
     def test_vanilla_warm_start_failure_reaches_caller(self, monkeypatch):
         def failing_vanilla(*args, **kwargs):
@@ -310,8 +299,8 @@ class TestFiniteDownOut:
         c = contract(Flavor.DOWN_OUT, maturity=0.5, rate=0.05)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
         gens = [gen] * (tg.idx_t_plus + 1)
-        stk = _finite_stacked(gens, ladder, f0, c.rate, tg.dt)
-        red = _finite_reduced(gens, ladder, f0, c.rate, tg.dt)
+        stk = _stacked(gens, ladder, f0, c.rate, tg.dt)
+        red = _reduced(gens, ladder, f0, c.rate, tg.dt)
         np.testing.assert_allclose(red, stk, atol=1e-7)
         auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
         np.testing.assert_allclose(auto.values, red, atol=1e-12)
@@ -327,11 +316,14 @@ class TestFiniteDownOut:
             gens = [gen] * (tg.idx_t_plus + 1)
             auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
             np.testing.assert_array_equal(
-                auto.values, _finite_reduced(gens, ladder, f0, rate, tg.dt))
+                auto.values, _reduced(gens, ladder, f0, rate, tg.dt))
             c = contract(Flavor.DOWN_OUT, rate=rate)
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            warm = _vanilla_active_guess(gen, f0, rate, ladder)
             np.testing.assert_array_equal(
-                auto.values, _perpetual_reduced(gen, ladder, f0, rate))
+                auto.values,
+                perpetual(_reduced, gen, ladder, f0, rate,
+                          warm[: ladder.n_states]))
 
     def test_time_dependent_generator_sequence(self):
         model, grid, _ = small_bs_setup(n=32)
@@ -373,8 +365,8 @@ class TestReducedRoute:
         model, grid, gen = small_bs_setup(n=48)
         c = contract(Flavor.DOWN_OUT)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 48)
-        assert rel_gap(_perpetual_reduced(gen, ladder, f0, c.rate),
-                       _perpetual_stacked(gen, ladder, f0, c.rate)) <= 1e-12
+        assert rel_gap(perpetual(_reduced, gen, ladder, f0, c.rate),
+                       perpetual(_stacked, gen, ladder, f0, c.rate)) <= 1e-12
 
         tg = TimeGrid(dt=1 / 24, horizon=0.5)
         homogeneous = [gen] * (tg.idx_t_plus + 1)
@@ -383,8 +375,8 @@ class TestReducedRoute:
                                             sigma=0.3 * (1 + t / 2)),
                                    grid, 0.0, "error") for t in tg.times]
         for gens in (homogeneous, varying):
-            red = _finite_reduced(gens, ladder, f0, c.rate, tg.dt)
-            stk = _finite_stacked(gens, ladder, f0, c.rate, tg.dt)
+            red = _reduced(gens, ladder, f0, c.rate, tg.dt)
+            stk = _stacked(gens, ladder, f0, c.rate, tg.dt)
             assert rel_gap(red, stk) <= 1e-12
 
     def test_tridiagonal_a_eff_is_sparse_with_one_coupled_column(self):
@@ -413,8 +405,57 @@ class TestReducedRoute:
         ladder = build_ladder(0.3, 0.1, below)
         ops = _ReducedLadderOps(R, ladder, 0.1)
         np.testing.assert_array_equal(ops.coupled, [5, 7])
-        assert rel_gap(_perpetual_reduced(R, ladder, f0, 0.1),
-                       _perpetual_stacked(R, ladder, f0, 0.1)) <= 1e-12
+        assert rel_gap(perpetual(_reduced, R, ladder, f0, 0.1),
+                       perpetual(_stacked, R, ladder, f0, 0.1)) <= 1e-12
         gens = [R] * 6
-        assert rel_gap(_finite_reduced(gens, ladder, f0, 0.1, 0.1),
-                       _finite_stacked(gens, ladder, f0, 0.1, 0.1)) <= 1e-12
+        assert rel_gap(_reduced(gens, ladder, f0, 0.1, 0.1),
+                       _stacked(gens, ladder, f0, 0.1, 0.1)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked ladder: payoffs that do not vanish below the barrier
+# ---------------------------------------------------------------------------
+
+# no benchmark workload prices a put, so these surfaces are the only guard
+# on the stacked recursion's values
+PINNED_PUTS = Path(__file__).parent / "data" / "stacked_put_surfaces.json"
+
+
+def put_contract(maturity, rate):
+    return ContractSpec(payoff=lambda s: np.maximum(95.0 - s, 0.0),
+                        barrier=90.0, window=1 / 12, maturity=maturity,
+                        rate=rate, flavor=Flavor.DOWN_OUT)
+
+
+PUT_SETUPS = (("bs", small_bs_setup, 0.1), ("kou", small_kou_setup, 0.05))
+
+
+class TestStackedRoute:
+    def test_put_surfaces_match_pinned_values(self):
+        pinned = json.loads(PINNED_PUTS.read_text())
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        for name, setup, rate in PUT_SETUPS:
+            model, grid, gen = setup(n=24)
+            perp = price_perpetual_downout(gen, put_contract(math.inf, rate),
+                                           model, dtick=1 / 36)
+            fin = price_finite_downout(model, grid, tg,
+                                       put_contract(0.25, rate), dtick=1 / 36)
+            for key, values in ((f"{name}/perpetual", perp.values),
+                                (f"{name}/finite", fin.values)):
+                assert rel_gap(values, np.array(pinned[key])) <= 1e-12, key
+
+    def test_public_output_is_the_stacked_output(self):
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        for _, setup, rate in PUT_SETUPS:
+            model, grid, gen = setup(n=24)
+            c = put_contract(0.25, rate)
+            ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+            gens = [gen] * (tg.idx_t_plus + 1)
+            auto = price_finite_downout(model, grid, tg, c, dtick=1 / 36)
+            np.testing.assert_array_equal(
+                auto.values, _stacked(gens, ladder, f0, rate, tg.dt))
+            c = put_contract(math.inf, rate)
+            auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            warm = _vanilla_active_guess(gen, f0, rate, ladder)
+            np.testing.assert_array_equal(
+                auto.values, perpetual(_stacked, gen, ladder, f0, rate, warm))

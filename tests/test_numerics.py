@@ -253,6 +253,34 @@ class TestLCPOperator:
         assert changed.solved and changed.factorizations == 1
         np.testing.assert_array_equal(changed.z, low.z)
 
+    def test_sparse_input_stored_dense_from_half_full(self):
+        from scipy import sparse
+
+        rng = np.random.default_rng(14)
+        # a 4x4 with 8 stored entries is half full: dense; with 7, CSC
+        off = [(i, j) for i in range(4) for j in range(4) if i != j]
+        for nnz, stays_sparse in ((8, False), (7, True)):
+            A = 10.0 * np.eye(4)
+            for k in rng.permutation(len(off))[: nnz - 4]:
+                A[off[k]] = -rng.uniform(0.5, 2.0)
+            assert LCPOperator(sparse.csr_matrix(A)).is_sparse is stays_sparse
+        # a full M-matrix stored dense solves like the dense operator, a
+        # banded one stays CSC and solves like the CSC operator
+        full = 0.1 * np.eye(30) - random_generator(rng, 30)
+        banded, psi, _ = obstacle_problem(60)
+        cases = ((full, 2.0 * rng.normal(size=30), LCPOperator(full)),
+                 (banded, psi, LCPOperator(sparse.csc_matrix(banded))))
+        for A, q, same in cases:
+            op = LCPOperator(sparse.csr_matrix(A))
+            assert op.is_sparse is same.is_sparse
+            if op.is_sparse:
+                assert op.matrix.format == "csc"
+            else:
+                np.testing.assert_array_equal(op.matrix, A)
+            got = policy_solve(LCPProblem(op, q))
+            assert got.solved
+            np.testing.assert_array_equal(got.z, policy_solve(LCPProblem(same, q)).z)
+
     def test_lemke_accepts_an_operator(self):
         rng = np.random.default_rng(5)
         A, q = random_pd_lcp(rng, 6)
