@@ -267,6 +267,12 @@ class StudyConfig:
                 raise ValueError(f"{name} must be positive")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
+        # a spot on or past the (absorbing) domain edge would be quoted at the
+        # boundary state's value; the default domain always contains it
+        if self.lo is not None and self.lo >= self.spot:
+            raise ValueError(f"domain lower end {self.lo:g} must lie below the spot")
+        if self.hi is not None and self.hi <= self.spot:
+            raise ValueError(f"domain upper end {self.hi:g} must lie above the spot")
         if self.maturity <= 0:
             raise ValueError("maturity must be positive (inf for perpetual)")
         if math.isfinite(self.maturity) and (self.dt is None or self.dt <= 0):
@@ -435,12 +441,21 @@ def bump_greeks(
     """Central-difference delta and gamma from the solved price surface.
 
     Re-reads the surface at bumped spots (no re-solve); the bump is
-    ``bump_rel`` of spot and both bumped spots must stay inside the grid.
+    ``bump_rel`` of spot and both bumped spots must map to states inside
+    the grid (ValueError otherwise: the end states are absorbing).
     """
 
     if bump_rel <= 0:
         raise ValueError("bump must be positive")
     h = bump_rel * spot
+    states = outcome.grid.states
+    for bumped in (spot - h, spot + h):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = float(np.asarray(outcome.model.state_of_price(bumped)))
+        if not states[0] <= x <= states[-1]:  # False for NaN and +-inf too
+            raise ValueError(
+                f"bumped spot {bumped:g} lies outside the grid; use a smaller bump"
+            )
     value_at = outcome.result.value_at  # type: ignore[attr-defined]
     up = float(value_at(spot + h))
     mid = float(value_at(spot))

@@ -323,15 +323,20 @@ def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
     return a0 * np.eye(R.shape[0]) - cG * R
 
 
-def generator_sequence(gen, n_slices: int) -> list:
-    """One generator per clock slice: a sequence of that length, checked,
-    or a single generator shared by every slice."""
+def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
+    """One generator per clock slice ``times``: ``gen`` (a sequence of that
+    length, checked, or one generator shared by every slice), else built
+    from ``model``, once if it is time-homogeneous and per slice if not."""
 
+    if gen is None:
+        if not model.time_homogeneous:
+            return [build_generator(model, grid, float(t), rate_policy) for t in times]
+        gen = build_generator(model, grid, 0.0, rate_policy)
     if isinstance(gen, (list, tuple)):
-        if len(gen) != n_slices:
-            raise ValueError(f"need {n_slices} generators, got {len(gen)}")
+        if len(gen) != len(times):
+            raise ValueError(f"need {len(times)} generators, got {len(gen)}")
         return list(gen)
-    return [gen] * n_slices
+    return [gen] * len(times)
 
 
 def slice_operators(gens: Sequence, build: Callable) -> Iterator[tuple]:

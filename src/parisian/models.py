@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1
 
 
@@ -391,6 +390,8 @@ def jump_measure_from_density(
     as an independent cross-check of the closed forms; cell-by-cell quadrature
     is too slow for large production grids.
     """
+
+    from scipy import integrate  # the one user of quadrature; loaded on demand
 
     def _quad(f, a, b):
         if a >= b:

@@ -12,10 +12,12 @@ chains alike.  Each slice couples the barrier-crossing kernels H+/H-
 the window-interrupted terms u+/u- through one two-block linear system on
 dense below/above blocks, built once per slice generator.  u+ is a sum over
 all later slices; it is accumulated in Horner form (one below-block solve
-per slice while the generator is unchanged).  The vanilla Bermudan surface
-behind it keeps one continuation operator I - dt G alive, rebuilt only when
-the slice's generator changes, so slices with an unchanged exercise region
-reuse one factorization.
+per slice while the generator is unchanged).  Every pricing LCP, here and
+in ``pricer_downout``, is one exercise step, ``bermudan_slice``, on a slice
+operator A.  ``american_surface`` runs it backwards over the clock slices,
+rebuilding A only when the generator changes (slices with an unchanged
+exercise region reuse one factorization): the vanilla Bermudan surface
+(A = I - dt G) and, as its one-slice case, the perpetual value (rate I - G).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .ctmc import (
     SpatialGrid,
     TimeGrid,
     dense_rates,
-    generator_sequence,
+    slice_generators,
     slice_matrix,
     slice_operators,
 )
@@ -120,6 +122,46 @@ def _dense_and_below(
 
 
 # ---------------------------------------------------------------------------
+# the exercise step
+# ---------------------------------------------------------------------------
+
+
+def bermudan_slice(
+    A: LCPOperator, c_next: np.ndarray, obstacle: np.ndarray, warm=None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One exercise step: min(A c - c_next, c - obstacle) = 0 by policy
+    iteration from the active-set guess ``warm``; returns the values and
+    their exercise mask.
+
+    ``A`` is the slice operator: I - dt G, rate I - G or a duration-ladder
+    operator.  A caller passes one to every slice it serves, so a slice can
+    reuse the factor of the last free set.  Discounting is the caller's job.
+    """
+
+    obstacle = np.asarray(obstacle, dtype=float)
+    sol = require_solved(
+        policy_solve(LCPProblem(A, A @ obstacle - c_next), active0=warm),
+        "exercise step",
+    )
+    return obstacle + sol.z, sol.z <= 0.0
+
+
+def american_surface(
+    gens: Sequence, operator: Callable, obstacles: Sequence, warm=None
+) -> np.ndarray:
+    """Exercise recursion from zero past the last slice: the surface over
+    (slice, state).  Slice j is ``bermudan_slice`` on ``operator(gens[j])``
+    (built only when the generator changes, see ``slice_operators``) against
+    ``obstacles[j]``, warm-started from the exercise region of slice j + 1;
+    ``warm`` seeds the first solve."""
+
+    C = np.zeros((len(gens), len(obstacles[0])))
+    for j, A in slice_operators(gens, operator):
+        C[j], warm = bermudan_slice(A, C[j + 1], obstacles[j], warm)
+    return C
+
+
+# ---------------------------------------------------------------------------
 # perpetual pipeline
 # ---------------------------------------------------------------------------
 
@@ -129,18 +171,17 @@ def vanilla_american_perpetual(
     payoff: np.ndarray,
     rate: float,
 ) -> np.ndarray:
-    """Perpetual American value c_p: min((rI - G)c_p, c_p - payoff) = 0."""
+    """Perpetual American value c_p: min((rI - G)c_p, c_p - payoff) = 0,
+    the one-slice case of ``american_surface`` (operator rI - G, row 0)."""
 
     if rate <= 0:
         raise ValueError("perpetual valuation requires rate > 0")
     f = np.asarray(payoff, dtype=float)
     if np.any(f < 0):
         raise ValueError("payoff must be nonnegative")
-    A = LCPOperator(slice_matrix(gen, rate, 1.0))
-    sol = require_solved(
-        policy_solve(LCPProblem(A, A @ f)), "perpetual American"
-    )
-    return f + sol.z
+    return american_surface(
+        [gen, gen], lambda g: LCPOperator(slice_matrix(g, rate, 1.0)), [f, f]
+    )[0]
 
 
 def parisian_transform(
@@ -245,42 +286,6 @@ def price_perpetual_downin(
 
 
 # ---------------------------------------------------------------------------
-# Bermudan continuation slices
-# ---------------------------------------------------------------------------
-
-
-def bermudan_slice(
-    gen: Union[GeneratorMatrix, np.ndarray],
-    c_next: np.ndarray,
-    obstacle: np.ndarray,
-    dt: float,
-    warm_active: Optional[np.ndarray] = None,
-    return_active: bool = False,
-    operator: Optional[LCPOperator] = None,
-):
-    """One backward step: solve min((I - dt G)c - c_next, c - obstacle) = 0.
-
-    Discounting, when wanted, is the caller's job (pass discounted inputs).
-    ``operator`` is I - dt G of ``gen``, built once by a caller that steps
-    through several slices; it keeps the factor of the last free set, which
-    the next slice often reuses.
-    """
-
-    c_next = np.asarray(c_next, dtype=float)
-    obstacle = np.asarray(obstacle, dtype=float)
-    A = LCPOperator(slice_matrix(gen, 1.0, dt)) if operator is None else operator
-    psi = A @ obstacle - c_next
-    sol = require_solved(
-        policy_solve(LCPProblem(A, psi), active0=warm_active),
-        "continuation slice",
-    )
-    values = obstacle + sol.z
-    if return_active:
-        return values, sol.z <= 0.0
-    return values
-
-
-# ---------------------------------------------------------------------------
 # finite-maturity pricer
 # ---------------------------------------------------------------------------
 
@@ -322,29 +327,14 @@ def price_finite_downin(
     one validated against path simulation.
     """
 
-    from .ctmc import build_generator
-
     if contract.is_perpetual:
         raise ValueError("contract must have finite maturity")
     if contract.flavor is not Flavor.DOWN_IN:
         raise ValueError("contract flavor must be down-in")
 
-    J = timegrid.idx_t_plus
     dt = timegrid.dt
     times = timegrid.times
-    n_slices = J + 1
-
-    if gen is None:
-        if model.time_homogeneous:
-            gens = [build_generator(model, grid, 0.0, rate_policy)] * n_slices
-        else:
-            gens = [
-                build_generator(model, grid, float(t), rate_policy) for t in times
-            ]
-    else:
-        gens = generator_sequence(gen, n_slices)
-
-    N = gens[0].dimension if isinstance(gens[0], GeneratorMatrix) else gens[0].shape[0]
+    gens = slice_generators(model, grid, times, rate_policy, gen)
     f = contract.payoff_states(model, grid.states)
     below = grid.below_barrier(contract.barrier_state(model))
     rate = contract.rate
@@ -353,7 +343,7 @@ def price_finite_downin(
     # (zero past the last exercise date either way)
     if vanilla_discounting == "activation":
         # undiscounted stopping value; discount applied at the slice date only
-        obstacles = [f] * n_slices
+        obstacles = [f] * len(times)
     elif vanilla_discounting == "exercise":
         obstacles = np.exp(-rate * times)[:, None] * f[None, :]
     else:
@@ -361,14 +351,9 @@ def price_finite_downin(
             "vanilla_discounting must be 'activation' or 'exercise', got "
             f"{vanilla_discounting!r}"
         )
-    W = np.zeros((n_slices, N))
-    warm = None
-    ops = slice_operators(gens, lambda g: LCPOperator(slice_matrix(g, 1.0, dt)))
-    for j, op in ops:
-        W[j], warm = bermudan_slice(
-            gens[j], W[j + 1], obstacles[j], dt,
-            warm_active=warm, return_active=True, operator=op,
-        )
+    W = american_surface(
+        gens, lambda g: LCPOperator(slice_matrix(g, 1.0, dt)), obstacles
+    )
     if vanilla_discounting == "activation":
         W *= np.exp(-rate * times)[:, None]
 

@@ -39,14 +39,20 @@ from .ctmc import (
     SpatialGrid,
     TimeGrid,
     dense_rates,
-    generator_sequence,
     rate_rows,
+    slice_generators,
     slice_matrix,
     slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPOperator, LCPProblem, policy_solve, require_solved
-from .pricer_downin import ContractSpec, Flavor, vanilla_american_perpetual
+from .numerics import LCPOperator
+from .pricer_downin import (
+    ContractSpec,
+    Flavor,
+    american_surface,
+    bermudan_slice,
+    vanilla_american_perpetual,
+)
 
 
 @dataclass(frozen=True)
@@ -261,13 +267,6 @@ def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
     return ladder.n_below > 0 and bool(np.all(f0[ladder.below] == 0.0))
 
 
-def _require_reducible(f0: np.ndarray, ladder: DurationLadder) -> None:
-    if not _reducible(f0, ladder):
-        raise ValueError(
-            "level elimination needs a payoff that vanishes below the barrier"
-        )
-
-
 class _ReducedLadderOps:
     """Closes the duration levels >= 1 in terms of the base level.
 
@@ -402,8 +401,6 @@ def price_finite_downout(
     is solved by policy iteration, warm-started from the slice after it.
     """
 
-    from .ctmc import build_generator
-
     if contract.is_perpetual:
         raise ValueError("contract must have finite maturity")
     if contract.flavor is not Flavor.DOWN_OUT:
@@ -411,20 +408,9 @@ def price_finite_downout(
 
     dt = timegrid.dt
     times = timegrid.times
-    n_slices = timegrid.idx_t_plus + 1
-
     below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
-
-    if gen is None:
-        if model.time_homogeneous:
-            gens = [build_generator(model, grid, 0.0, rate_policy)] * n_slices
-        else:
-            gens = [
-                build_generator(model, grid, float(t), rate_policy) for t in times
-            ]
-    else:
-        gens = generator_sequence(gen, n_slices)
+    gens = slice_generators(model, grid, times, rate_policy, gen)
 
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
@@ -459,31 +445,23 @@ def _stacked(gens, ladder, f0, rate, dt, warm=None):
     problem at every slice; ``warm`` is the first slice's active-set guess."""
 
     f = ladder.stack_payoff(f0)
-    C = np.zeros((len(gens), ladder.total))
-    ops = slice_operators(gens, lambda g: _ladder_slice_operator(g, ladder, rate, dt))
-    for j, A in ops:
-        sol = require_solved(
-            policy_solve(LCPProblem(A, A @ f - C[j + 1]), active0=warm),
-            "down-out slice",
-        )
-        C[j] = f + sol.z
-        warm = sol.z <= 0.0
-    return C
+    return american_surface(
+        gens, lambda g: _ladder_slice_operator(g, ladder, rate, dt),
+        [f] * len(gens), warm,
+    )
 
 
 def _reduced(gens, ladder, f0, rate, dt, warm=None):
     """``_stacked`` with the duration levels eliminated; needs a payoff that
     vanishes below the barrier, and ``warm`` covers level 0 only."""
 
-    _require_reducible(f0, ladder)
+    if not _reducible(f0, ladder):
+        raise ValueError(
+            "level elimination needs a payoff that vanishes below the barrier"
+        )
     C = np.zeros((len(gens), ladder.total))
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     for j, red in ops:
-        q = red.sources(C[j + 1])
-        sol = require_solved(
-            policy_solve(LCPProblem(red.A_eff, red.A_eff @ f0 - q), active0=warm),
-            "down-out slice (reduced)",
-        )
-        C[j] = red.expand(f0 + sol.z, C[j + 1])
-        warm = sol.z <= 0.0
+        c0, warm = bermudan_slice(red.A_eff, red.sources(C[j + 1]), f0, warm)
+        C[j] = red.expand(c0, C[j + 1])
     return C

@@ -117,6 +117,17 @@ class TestStudyConfig:
     def test_benchmark_is_optional(self):
         assert _small_cfg().benchmark is None
 
+    def test_spot_must_lie_inside_an_explicit_domain(self):
+        # the domain ends are absorbing: a spot on or past one would be
+        # quoted at the boundary state's value
+        with pytest.raises(ValueError, match="lower end"):
+            _small_cfg(lo=90.0)
+        with pytest.raises(ValueError, match="upper end"):
+            _small_cfg(spot=720.0)
+        with pytest.raises(ValueError, match="upper end"):
+            _small_cfg(spot=900.0, lo=10.0)
+        assert _small_cfg(spot=900.0, lo=None, hi=None).spot == 900.0
+
     def test_from_mapping_aliases_and_param_prefix(self):
         cfg = StudyConfig.from_mapping(
             {
@@ -568,3 +579,17 @@ class TestBumpGreeks:
         outcome = price_point(cfg, 65)
         with pytest.raises(ValueError):
             bump_greeks(outcome, cfg.spot, 0.0)
+
+    def test_rejects_bumped_spot_outside_grid(self):
+        outcome = price_point(_small_cfg(spot=400.0), 65)
+        assert math.isfinite(bump_greeks(outcome, 400.0, 0.5)[0])
+        with pytest.raises(ValueError, match="outside the grid"):
+            bump_greeks(outcome, 400.0, 0.9)  # 760 lies above the grid
+        with pytest.raises(ValueError, match="outside the grid"):
+            bump_greeks(outcome, 90.0, 1.5)  # -45 lies below it, 225 inside
+        # log coordinates: spot - h = 0 maps to a non-finite state
+        cfg = _small_cfg(model="kou", lo=None, hi=None, model_params={
+            "sigma": 0.3, "lam": 3.0, "eta_plus": 10.0, "eta_minus": 10.0,
+            "p_plus": 0.5, "p_minus": 0.5, "r_f": 0.05})
+        with pytest.raises(ValueError, match="outside the grid"):
+            bump_greeks(price_point(cfg, 65), cfg.spot, 1.0)

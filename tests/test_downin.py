@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parisian.ctmc import TimeGrid, build_generator, build_grid
+from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_matrix
 from parisian.models import KouParams, bs_model, kou_model
-from parisian.numerics import LCPProblem, lemke_solve
+from parisian.numerics import LCPOperator, LCPProblem, lemke_solve
 from parisian.oracle import sample_path, simulate_paths
 from parisian.pricer_downin import (
     ContractSpec,
@@ -18,6 +18,7 @@ from parisian.pricer_downin import (
     _finite_downin,
     _slice_blocks,
     american_call,
+    american_surface,
     bermudan_slice,
     parisian_transform,
     price_finite_downin,
@@ -352,6 +353,11 @@ class TestSliceKernels:
             assert np.all(mat.sum(axis=1) <= 1 + 1e-10)
 
 
+def slice_operator(gen, dt):
+    """A fresh Bermudan slice operator I - dt G."""
+    return LCPOperator(slice_matrix(gen, 1.0, dt))
+
+
 class TestBermudanSlice:
     def test_two_state_hand_computation(self):
         # state 0 -> 1 with rate a; obstacle g; next-slice values c
@@ -359,7 +365,7 @@ class TestBermudanSlice:
         R = np.array([[-a, a], [0.0, 0.0]])
         g = np.array([1.0, 0.0])
         c = np.array([0.0, 3.0])
-        vals = bermudan_slice(R, c, g, dt)
+        vals, _ = bermudan_slice(slice_operator(R, dt), c, g)
         # continuation at 0: solve (I - dt G) x = c -> x0 = (c0 + dt a c1)/(1+dt a)
         cont0 = (0.0 + dt * a * 3.0) / (1 + dt * a)
         assert vals[1] == pytest.approx(3.0)
@@ -369,9 +375,11 @@ class TestBermudanSlice:
         grid, gen = small_bs_setup(n=30)
         f = np.maximum(grid.states - 95.0, 0.0)
         c = 1.1 * f + 0.5
-        cold = bermudan_slice(gen, c, f, 1 / 60)
-        warm, active = bermudan_slice(gen, c, f, 1 / 60, return_active=True)
-        again = bermudan_slice(gen, c, f, 1 / 60, warm_active=active)
+        cold, active = bermudan_slice(slice_operator(gen, 1 / 60), c, f)
+        shared = slice_operator(gen, 1 / 60)
+        bermudan_slice(shared, c, f)
+        warm, _ = bermudan_slice(shared, c, f, active)  # reuses the factor
+        again, _ = bermudan_slice(slice_operator(gen, 1 / 60), c, f, active)
         assert np.allclose(cold, warm)
         assert np.allclose(cold, again)
 
@@ -382,7 +390,7 @@ class TestBermudanSlice:
         R = random_generator(rng, n, absorb_ends=True)
         g = rng.uniform(0.0, 2.0, n)
         c = rng.uniform(0.0, 2.0, n)
-        vals = bermudan_slice(R, c, g, dt)
+        vals, _ = bermudan_slice(slice_operator(R, dt), c, g)
         resid = (np.eye(n) - dt * R) @ vals - c
         assert np.all(vals >= g - 1e-8)
         assert np.all(resid >= -1e-8)
@@ -400,9 +408,20 @@ class TestFiniteDownIn:
     def test_vanilla_surface_equals_fresh_slice_solves(self):
         # the surface shares one operator (and its last factor) across
         # slices; solving every slice on a fresh operator gives the same bits
-        model = kou_model(KouParams(sigma=0.3, lam=3.0, eta_plus=10.0,
-                                    eta_minus=10.0, p_plus=0.5, p_minus=0.5,
-                                    r_f=0.05))
+        def fresh_slices(gens, obstacles, dt):
+            W = np.zeros((len(gens), len(obstacles[0])))
+            warm = None
+            for j in range(len(gens) - 2, -1, -1):
+                W[j], warm = bermudan_slice(slice_operator(gens[j], dt),
+                                            W[j + 1], obstacles[j], warm)
+            return W
+
+        def kou(sigma):
+            return kou_model(KouParams(sigma=sigma, lam=3.0, eta_plus=10.0,
+                                       eta_minus=10.0, p_plus=0.5,
+                                       p_minus=0.5, r_f=0.05))
+
+        model = kou(0.3)
         grid = build_grid(math.log(18.0), math.log(360.0), math.log(90.0),
                           math.log(95.0), 60)
         tg = TimeGrid(horizon=1.0, dt=1 / 20)
@@ -410,13 +429,24 @@ class TestFiniteDownIn:
         res = price_finite_downin(model, grid, tg, contract)
         gen = build_generator(model, grid)
         f = contract.payoff_states(model, grid.states)
-        W = np.zeros_like(res.disc_vanilla)
-        warm = None
-        for j in range(tg.idx_t_plus - 1, -1, -1):
-            W[j], warm = bermudan_slice(gen, W[j + 1], f, tg.dt,
-                                        warm_active=warm, return_active=True)
+        n_slices = len(tg.times)
+        W = fresh_slices([gen] * n_slices, [f] * n_slices, tg.dt)
         W *= np.exp(-contract.rate * tg.times)[:, None]
         np.testing.assert_array_equal(res.disc_vanilla, W)
+
+        # a generator switch mid-way and per-slice ("exercise") obstacles
+        half = n_slices // 2
+        gens = [gen] * half + [build_generator(kou(0.4), grid)] * (n_slices - half)
+        obstacles = np.exp(-contract.rate * tg.times)[:, None] * f[None, :]
+        fresh = fresh_slices(gens, obstacles, tg.dt)
+        surface = american_surface(
+            gens, lambda g: slice_operator(g, tg.dt), obstacles)
+        np.testing.assert_array_equal(surface, fresh)
+        switched = price_finite_downin(model, grid, tg, contract, gen=gens,
+                                       vanilla_discounting="exercise")
+        np.testing.assert_array_equal(switched.disc_vanilla, fresh)
+        assert not np.array_equal(
+            fresh, fresh_slices([gen] * n_slices, obstacles, tg.dt))
 
     def test_bounded_by_vanilla_and_monotone_in_window(self):
         model = self.setup_model()

@@ -1,6 +1,10 @@
 """Model coefficient tests: closed-form cell integrals vs quadrature."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import parisian
 from parisian.models import (
     Coordinate,
     KouParams,
@@ -215,3 +220,17 @@ def test_partition_sums_recover_total_mass():
     edges = np.concatenate([[-np.inf], np.linspace(-2, 2, 41), [np.inf]])
     masses = jm.interval_mass(0, 0, edges[:-1], edges[1:])
     assert float(np.sum(masses)) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_pricing_imports_do_not_load_quadrature():
+    # scipy.integrate (and the scipy.optimize it pulls in) is loaded only by
+    # jump_measure_from_density, not by every import of the package
+    code = (
+        "import sys, parisian.bench_cli, parisian.pricer_downout; "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    src = str(Path(parisian.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
