@@ -9,6 +9,12 @@ mass landing in a state's own cell is folded into the local second moment
 and the jump-drift correction instead of a self-rate.  Cell masses are
 differences of jump tails evaluated once per cell edge and row.  Spatial
 boundary states are absorbing (identically zero rows).
+
+The jump part of a generator (far rates, neighbour masses, row sums and the
+small-jump moments) depends only on the measure and the grid, so it is
+assembled once into a frozen ``JumpPart``; the per-slice generators of a
+time-dependent model whose measure declares itself time-homogeneous share
+that one assembly and rebuild only their drift and diffusion rates.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import sparse
 
-from .models import ModelSpec
+from .models import JumpMeasure, ModelSpec
 from .numerics import TriDiag
 
 _CHUNK_ROWS = 512
@@ -104,9 +110,23 @@ class SpatialGrid:
     def delta(self) -> np.ndarray:
         return 0.5 * (self.delta_plus + self.delta_minus)
 
-    def interp(self, values: np.ndarray, x: float) -> float:
-        """Linear interpolation of per-state values at position x."""
-        return float(np.interp(x, self.states, np.asarray(values, dtype=float)))
+    def interp(
+        self, values: np.ndarray, x: float, mask: Optional[np.ndarray] = None
+    ) -> float:
+        """Linear interpolation at position x of values on the states
+        (on ``states[mask]`` when a mask is given).
+
+        Raises ValueError when x is not finite or lies outside those states:
+        the end states are absorbing, so clamping would quietly quote a
+        boundary value.
+        """
+
+        states = self.states if mask is None else self.states[mask]
+        x = float(x)
+        if not (states.size and math.isfinite(x) and states[0] <= x <= states[-1]):
+            span = f"[{states[0]!r}, {states[-1]!r}]" if states.size else "(none)"
+            raise ValueError(f"position {x!r} lies outside the states {span}")
+        return float(np.interp(x, states, np.asarray(values, dtype=float)))
 
 
 def _split_counts(n: int, lengths: Sequence[float]) -> Tuple[int, int, int]:
@@ -236,13 +256,38 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
+class JumpPart:
+    """The jump rates of a generator, as assembled once for a measure and grid.
+
+    ``far`` holds rates to states two or more cells away (neighbour entries
+    and the boundary rows zero), ``up``/``down`` the mass landing in the
+    adjacent cells, ``far_sums`` the row sums of ``far``, and ``mu_bar`` /
+    ``s2_bar`` the small-jump drift correction and in-cell second moment
+    (see ``build_generator``).  Every array is read-only, so generators of
+    several clock slices can share one assembly.
+    """
+
+    far: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    far_sums: np.ndarray
+    mu_bar: np.ndarray
+    s2_bar: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class GeneratorMatrix:
     """Spatial generator at one time slice.
 
     ``up``/``down`` hold nearest-neighbour rates (drift/diffusion plus the
-    jump mass landing in the adjacent cells); ``jump`` holds rates to states
-    two or more cells away (None for jump-free models); ``diag`` makes every
-    interior row sum to zero.  Boundary rows are identically zero.
+    jump mass landing in the adjacent cells); ``jump`` holds the read-only
+    rates to states two or more cells away, from the jump part ``jumps``
+    (both None for jump-free models); ``diag`` makes every interior row sum
+    to zero.  Boundary rows are identically zero.
     """
 
     grid: SpatialGrid
@@ -250,7 +295,11 @@ class GeneratorMatrix:
     up: np.ndarray
     down: np.ndarray
     diag: np.ndarray
-    jump: Optional[np.ndarray]
+    jumps: Optional[JumpPart]
+
+    @property
+    def jump(self) -> Optional[np.ndarray]:
+        return None if self.jumps is None else self.jumps.far
 
     @property
     def dimension(self) -> int:
@@ -284,8 +333,8 @@ class GeneratorMatrix:
         s = self.diag.copy()
         s[:-1] += self.up[:-1]
         s[1:] += self.down[1:]
-        if self.jump is not None:
-            s += self.jump.sum(axis=1)
+        if self.jumps is not None:
+            s += self.jumps.far_sums
         return s
 
 
@@ -326,11 +375,23 @@ def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
 def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
     """One generator per clock slice ``times``: ``gen`` (a sequence of that
     length, checked, or one generator shared by every slice), else built
-    from ``model``, once if it is time-homogeneous and per slice if not."""
+    from ``model``, once if it is time-homogeneous and per slice if not.
+
+    A time-dependent model whose jump measure is time-homogeneous pays for
+    its jump part once: the first slice's generator assembles it and every
+    later slice shares that read-only ``JumpPart``, rebuilding only the
+    drift and diffusion rates.
+    """
 
     if gen is None:
         if not model.time_homogeneous:
-            return [build_generator(model, grid, float(t), rate_policy) for t in times]
+            first = build_generator(model, grid, float(times[0]), rate_policy)
+            jm = model.jump_measure
+            shared = first.jumps if jm is not None and jm.time_homogeneous else None
+            return [first] + [
+                build_generator(model, grid, float(t), rate_policy, jumps=shared)
+                for t in times[1:]
+            ]
         gen = build_generator(model, grid, 0.0, rate_policy)
     if isinstance(gen, (list, tuple)):
         if len(gen) != len(times):
@@ -369,11 +430,74 @@ def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.asarray(jm.interval_mass(t, xs, lo, hi), dtype=float)
 
 
+def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
+    """Assemble the jump rates of measure ``jm`` on ``grid`` at time ``t``.
+
+    Jump masses come from tails: one ``interval_mass`` evaluation per cell
+    edge and row gives the mass beyond that edge, and a cell's mass is the
+    difference of its two edge tails.  The small-jump masses behind mu_bar
+    reuse the same tails, clamped at +-1.  Offsets are taken per row, so
+    measures that depend on the state are handled.
+    """
+
+    x = grid.states
+    N = grid.n_states
+    edges = grid.cell_edges
+    far = np.zeros((N, N))
+    mu_bar = np.zeros(N)
+    s2_bar = np.zeros(N)
+    inner = edges[1:-1]
+    for i0 in range(1, N - 1, _CHUNK_ROWS):
+        i1 = min(i0 + _CHUNK_ROWS, N - 1)
+        rows = np.arange(i0, i1)
+        local = rows - i0
+        xs = x[rows, None]
+        z = inner[None, :] - xs
+        # tails at every cell edge, zero at the +-inf outer edges; the
+        # mass of a cell off the own one is the difference of its two
+        # edge tails (both edges lie on the same side of the state)
+        tails = np.zeros((len(rows), N + 1))
+        tails[:, 1:-1] = _tail_masses(jm, t, xs, z)
+        mass = np.abs(tails[:, :-1] - tails[:, 1:])
+        mass[local, rows] = 0.0
+        far[i0:i1] = mass
+        # small-jump cell masses (jumps within [-1, 1]) from the same
+        # tails: every edge beyond +-1 reads the tail at +-1
+        unit = _tail_masses(jm, t, xs, np.array([[-1.0, 1.0]]))
+        clamped = np.where(np.abs(z) <= 1.0, tails[:, 1:-1],
+                           np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
+        tails[:, 1:-1] = clamped
+        tails[:, 0], tails[:, -1] = unit[:, 0], unit[:, 1]
+        small = np.abs(tails[:, :-1] - tails[:, 1:])
+        small[local, rows] = 0.0
+        mu_bar[i0:i1] = ((x[None, :] - xs) * small).sum(axis=1)
+        s2_bar[i0:i1] = np.asarray(
+            jm.small_jump_second_moment(
+                t, x[rows], edges[rows] - x[rows], edges[rows + 1] - x[rows]
+            ),
+            dtype=float,
+        )
+
+    # neighbour jump mass rides on the tridiagonal rates
+    idx = np.arange(1, N - 1)
+    up = np.zeros(N)
+    down = np.zeros(N)
+    up[idx] = far[idx, idx + 1]
+    down[idx] = far[idx, idx - 1]
+    far[idx, idx + 1] = 0.0
+    far[idx, idx - 1] = 0.0
+    far[0, :] = 0.0
+    far[N - 1, :] = 0.0
+    return JumpPart(far=far, up=up, down=down, far_sums=far.sum(axis=1),
+                    mu_bar=mu_bar, s2_bar=s2_bar)
+
+
 def build_generator(
     model: ModelSpec,
     grid: SpatialGrid,
     t: float = 0.0,
     rate_policy: str = "error",
+    jumps: Optional[JumpPart] = None,
 ) -> GeneratorMatrix:
     """Assemble the chain generator for ``model`` on ``grid`` at time ``t``.
 
@@ -389,18 +513,15 @@ def build_generator(
     switches the drift part of the affected states to one-sided differencing
     (nonnegative by construction, first-order accurate there).
 
-    Jump masses come from tails: one ``interval_mass`` evaluation per cell
-    edge and row gives the mass beyond that edge, and a cell's mass is the
-    difference of its two edge tails.  The small-jump masses behind mu_bar
-    reuse the same tails, clamped at +-1.  Offsets are taken per row, so
-    measures that depend on the state are handled.
+    The jump part (``jump_part``) is assembled from the model's measure at
+    ``t`` unless ``jumps`` passes one in, as ``slice_generators`` does for a
+    measure that does not change with time; the generator then shares it.
     """
 
     if rate_policy not in ("error", "upwind"):
         raise ValueError(f"unknown rate policy {rate_policy!r}")
     x = grid.states
     N = grid.n_states
-    edges = grid.cell_edges
     dp, dm, dav = grid.delta_plus, grid.delta_minus, grid.delta
 
     mu = np.asarray(model.drift(t, x), dtype=float)
@@ -408,46 +529,16 @@ def build_generator(
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(s2))):
         raise ValueError("model coefficients must be finite on the grid")
 
-    jump = None
-    mu_bar = np.zeros(N)
-    s2_bar = np.zeros(N)
     jm = model.jump_measure
-    if jm is not None:
-        jump = np.zeros((N, N))
-        inner = edges[1:-1]
-        for i0 in range(1, N - 1, _CHUNK_ROWS):
-            i1 = min(i0 + _CHUNK_ROWS, N - 1)
-            rows = np.arange(i0, i1)
-            local = rows - i0
-            xs = x[rows, None]
-            z = inner[None, :] - xs
-            # tails at every cell edge, zero at the +-inf outer edges; the
-            # mass of a cell off the own one is the difference of its two
-            # edge tails (both edges lie on the same side of the state)
-            tails = np.zeros((len(rows), N + 1))
-            tails[:, 1:-1] = _tail_masses(jm, t, xs, z)
-            mass = np.abs(tails[:, :-1] - tails[:, 1:])
-            mass[local, rows] = 0.0
-            jump[i0:i1] = mass
-            # small-jump cell masses (jumps within [-1, 1]) from the same
-            # tails: every edge beyond +-1 reads the tail at +-1
-            unit = _tail_masses(jm, t, xs, np.array([[-1.0, 1.0]]))
-            clamped = np.where(np.abs(z) <= 1.0, tails[:, 1:-1],
-                               np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
-            tails[:, 1:-1] = clamped
-            tails[:, 0], tails[:, -1] = unit[:, 0], unit[:, 1]
-            small = np.abs(tails[:, :-1] - tails[:, 1:])
-            small[local, rows] = 0.0
-            mu_bar[i0:i1] = ((x[None, :] - xs) * small).sum(axis=1)
-            s2_bar[i0:i1] = np.asarray(
-                jm.small_jump_second_moment(
-                    t, x[rows], edges[rows] - x[rows], edges[rows + 1] - x[rows]
-                ),
-                dtype=float,
-            )
+    if jumps is None and jm is not None:
+        jumps = jump_part(jm, grid, t)
+    elif jumps is not None and (jm is None or jumps.far.shape != (N, N)):
+        raise ValueError("jump part does not fit the model and grid")
 
-    drift_eff = mu - mu_bar
-    diffusion = s2 + s2_bar
+    if jumps is None:
+        drift_eff, diffusion = mu, s2
+    else:
+        drift_eff, diffusion = mu - jumps.mu_bar, s2 + jumps.s2_bar
     up = np.zeros(N)
     down = np.zeros(N)
     interior = slice(1, N - 1)
@@ -486,24 +577,19 @@ def build_generator(
             + diffusion[j] / (2.0 * dm[j] * dav[j])
         )
 
-    if jump is not None:
-        # neighbour jump mass rides on the tridiagonal rates
-        up[idx] += jump[idx, idx + 1]
-        down[idx] += jump[idx, idx - 1]
-        jump[idx, idx + 1] = 0.0
-        jump[idx, idx - 1] = 0.0
-        jump[0, :] = 0.0
-        jump[N - 1, :] = 0.0
+    if jumps is not None:
+        up += jumps.up
+        down += jumps.down
 
     up[0] = down[0] = up[N - 1] = down[N - 1] = 0.0
 
     diag = -(up + down)
-    if jump is not None:
-        diag -= jump.sum(axis=1)
+    if jumps is not None:
+        diag -= jumps.far_sums
     diag[0] = diag[N - 1] = 0.0
 
     return GeneratorMatrix(
-        grid=grid, t=t, up=up, down=down, diag=diag, jump=jump
+        grid=grid, t=t, up=up, down=down, diag=diag, jumps=jumps
     )
 
 

@@ -43,12 +43,24 @@ class JumpMeasure:
     * ``truncated_first_moment``    integral of z 1{|z| <= 1} nu(t, x, dz)
 
     ``total_activity`` is the mass of the whole real line (may be ``inf``).
+
+    ``time_homogeneous`` declares that the three callables ignore ``t``.  The
+    generator assembly then builds the jump part of a time-dependent model
+    (say, one with a volatility term structure) once per grid instead of
+    once per clock slice.  It defaults to False because a measure cannot be
+    checked for it: a wrong True silently prices every slice with the jumps
+    of the first, while a wrong False only costs time.  ``kou_jump_measure``
+    and ``vg_jump_measure`` set it.  ``jump_measure_from_density`` leaves it
+    False: its density is an arbitrary callable that may read state changing
+    between slices, which the builder cannot see.  A caller who knows the
+    measure is fixed sets it with ``dataclasses.replace``.
     """
 
     interval_mass: Callable[..., np.ndarray]
     small_jump_second_moment: Callable[..., np.ndarray]
     truncated_first_moment: Callable[..., np.ndarray]
     total_activity: float
+    time_homogeneous: bool = False
 
 
 @dataclass(frozen=True)
@@ -233,6 +245,7 @@ def kou_jump_measure(params: KouParams) -> JumpMeasure:
         small_jump_second_moment=second_moment,
         truncated_first_moment=truncated_first,
         total_activity=lam,
+        time_homogeneous=True,
     )
 
 
@@ -340,6 +353,7 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         small_jump_second_moment=second_moment,
         truncated_first_moment=truncated_first,
         total_activity=math.inf,
+        time_homogeneous=True,
     )
 
 

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import inv
 
 from .ctmc import (
     GeneratorMatrix,
@@ -194,8 +194,7 @@ class PerpetualDownOutResult:
         x = float(np.asarray(self.model.state_of_price(spot)))
         if level == 0:
             return self.grid.interp(self.level0, x)
-        states = self.grid.states[self.ladder.below]
-        return float(np.interp(x, states, self.level_values(level)))
+        return self.grid.interp(self.level_values(level), x, self.ladder.below)
 
 
 def price_perpetual_downout(
@@ -283,9 +282,17 @@ class _ReducedLadderOps:
     into the base-level rows leaves a complementarity problem over the
     spatial states alone, with the level coupling folded into the below
     diagonal and the coupled columns.  That operator A_eff is banded sparse
-    plus the coupled columns on a tridiagonal chain and dense otherwise.  One
-    dense LU of Q serves P_1, the per-slice sources and the level values.
+    plus the coupled columns on a tridiagonal chain and dense otherwise.
     ``dt`` picks the operator as in ``_slice_coefficients``.
+
+    Q is inverted explicitly, once, and the explicit Q^-1 serves P_1 (the
+    Horner loop becomes matrix products), the per-slice sources and the level
+    values (matrix-vector products).  That is safe here: Q = (a0 + cup) I -
+    cG R_bb, with R_bb the below block of a generator (off-diagonals >= 0,
+    rows summing to <= 0) and a0 > 0, is a strictly diagonally dominant
+    M-matrix, so Q^-1 >= 0 entrywise.  With B >= 0, every term of the
+    Horner sum for P_1 is nonnegative: nothing cancels, and the products
+    keep the relative accuracy of Q^-1 itself.
     """
 
     def __init__(
@@ -305,13 +312,23 @@ class _ReducedLadderOps:
 
         Rb = rate_rows(gen, bi)
         coupled = ai[np.any(Rb[:, ai] != 0.0, axis=0)]
-        luQ = lu_factor((a0 + cup) * np.eye(m) - cG * Rb[:, bi])
+        # Q = (a0 + cup) I - cG R_bb in Fortran order, which LAPACK inverts
+        # in place: no second m x m array is alive while A_eff is built
+        Q = np.multiply(Rb[:, bi], -cG, order="F")
+        Q[np.diag_indices(m)] += a0 + cup
+        Qinv = inv(Q, overwrite_a=True, check_finite=False)
         B = cG * Rb[:, coupled]
         # P_1 by Horner from the knock-out level (P = 0 there); it stays the
-        # zero map when the first tick already knocks out
+        # zero map when the first tick already knocks out.  The loop
+        # allocates nothing per level; its scratch is freed before the
+        # larger A_eff assembly below.
         P = np.zeros_like(B)
+        rhs = np.empty_like(B)
         for _ in range(ladder.n_ticks - 1):
-            P = lu_solve(luQ, B + cup * P, overwrite_b=True)
+            np.multiply(P, cup, out=rhs)
+            rhs += B
+            np.matmul(Qinv, rhs, out=P)
+        del rhs
 
         A = slice_matrix(gen, a0, cG)
         if sparse.issparse(A):
@@ -328,7 +345,7 @@ class _ReducedLadderOps:
         self.coupled = coupled
         self.B = B
         self.cup = cup
-        self.luQ = luQ
+        self.Qinv = Qinv
         self.A_eff = LCPOperator(A)
 
     def sources(self, c_next: np.ndarray) -> np.ndarray:
@@ -338,7 +355,7 @@ class _ReducedLadderOps:
         ladder = self.ladder
         M = np.zeros(ladder.n_below)
         for k in range(ladder.n_ticks - 1, 0, -1):
-            M = lu_solve(self.luQ, c_next[ladder.level_slice(k)] + self.cup * M)
+            M = self.Qinv @ (c_next[ladder.level_slice(k)] + self.cup * M)
         q = np.array(c_next[: ladder.n_states], dtype=float, copy=True)
         q[self.bi] += self.cup * M
         return q
@@ -354,7 +371,7 @@ class _ReducedLadderOps:
         level = np.zeros(ladder.n_below)  # the knock-out level
         for k in range(ladder.n_ticks - 1, 0, -1):
             rhs = feed + self.cup * level + c_next[ladder.level_slice(k)]
-            level = lu_solve(self.luQ, rhs)
+            level = self.Qinv @ rhs
             out[ladder.level_slice(k)] = level
         return out
 
@@ -377,9 +394,8 @@ class FiniteDownOutResult:
         x = float(np.asarray(self.model.state_of_price(spot)))
         if level == 0:
             return self.grid.interp(self.level0[slice_idx], x)
-        states = self.grid.states[self.ladder.below]
         vals = self.values[slice_idx, self.ladder.level_slice(level)]
-        return float(np.interp(x, states, vals))
+        return self.grid.interp(vals, x, self.ladder.below)
 
 
 def price_finite_downout(

@@ -1,5 +1,6 @@
 """Grid construction, generator assembly and path-simulation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from parisian.ctmc import (
     dump_generator_csv,
     rate_rows,
     resolve_rate_policy,
+    slice_generators,
     validate_generator,
 )
 from parisian.models import (
@@ -95,6 +97,19 @@ class TestBuildGrid:
         g = build_grid(30, 270, 90.0, 95.0, 32)
         vals = g.states.astype(float) ** 2
         assert g.interp(vals, g.states[5]) == pytest.approx(g.states[5] ** 2)
+
+    def test_interp_rejects_positions_off_the_states(self):
+        g = build_grid(30, 270, 90.0, 95.0, 32)
+        vals = g.states.astype(float)
+        assert g.interp(vals, 30.0) == 30.0 and g.interp(vals, 270.0) == 270.0
+        for x in (29.9, 270.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="outside the states"):
+                g.interp(vals, x)
+        # a mask restricts the states, here to those below the barrier
+        below = g.below_mask
+        assert g.interp(vals[below], 31.0, below) == pytest.approx(31.0)
+        with pytest.raises(ValueError, match="outside the states"):
+            g.interp(vals[below], 90.0, below)
 
 
 class TestTimeGrid:
@@ -364,6 +379,71 @@ class TestBuildGenerator:
             for i, j, rate in reader:
                 rebuilt[int(i), int(j)] = float(rate)
         assert np.array_equal(rebuilt, dense)
+
+
+def kou_sigma_t():
+    """Kou with a diffusive volatility that grows in time; its jump measure
+    (``kou_jump_measure``) declares itself time-homogeneous."""
+    return dataclasses.replace(
+        KOU,
+        diffusion_sq=lambda t, x: np.full_like(np.asarray(x, dtype=float),
+                                               (0.3 * (1 + t / 2)) ** 2),
+        time_homogeneous=False,
+    )
+
+
+class TestSharedJumpPart:
+    TIMES = TimeGrid(dt=0.25, horizon=1.0).times
+
+    def grid(self):
+        return build_grid(math.log(20), math.log(400), math.log(90),
+                          math.log(95), 24)
+
+    def test_slices_equal_fresh_assembly_and_share_one_jump_array(self):
+        model, g = kou_sigma_t(), self.grid()
+        assert model.jump_measure.time_homogeneous
+        gens = slice_generators(model, g, self.TIMES)
+        for gen, t in zip(gens, self.TIMES):
+            fresh = build_generator(model, g, float(t))
+            for field in ("up", "down", "diag", "jump"):
+                assert np.array_equal(getattr(gen, field), getattr(fresh, field))
+            assert gen.jumps is gens[0].jumps and gen.jump is gens[0].jump
+        assert not np.array_equal(gens[0].diag, gens[-1].diag)  # sigma moved
+        with pytest.raises(ValueError):
+            gens[0].jump[3, 7] = 1.0
+        with pytest.raises(ValueError):
+            gens[0].jumps.mu_bar[3] = 1.0
+
+    def test_undeclared_measure_is_assembled_per_slice(self):
+        base = KOU.jump_measure
+
+        def growing(f):
+            return lambda t, x, a, b: (1.0 + t) * f(t, x, a, b)
+
+        jm = JumpMeasure(
+            interval_mass=growing(base.interval_mass),
+            small_jump_second_moment=growing(base.small_jump_second_moment),
+            truncated_first_moment=growing(base.truncated_first_moment),
+            total_activity=math.nan,
+        )
+        assert not jm.time_homogeneous
+        model = dataclasses.replace(kou_sigma_t(), jump_measure=jm)
+        g = self.grid()
+        gens = slice_generators(model, g, self.TIMES)
+        for gen, t in zip(gens, self.TIMES):
+            assert np.array_equal(gen.jump, build_generator(model, g, float(t)).jump)
+        assert len({id(gen.jump) for gen in gens}) == len(gens)
+        assert not np.array_equal(gens[0].jump, gens[-1].jump)
+
+    def test_jump_part_must_fit_model_and_grid(self):
+        g = self.grid()
+        jumps = build_generator(KOU, g).jumps
+        with pytest.raises(ValueError, match="jump part"):
+            build_generator(BS, g, jumps=jumps)  # jump-free model
+        small = build_grid(math.log(20), math.log(400), math.log(90),
+                           math.log(95), 16)
+        with pytest.raises(ValueError, match="jump part"):
+            build_generator(KOU, small, jumps=jumps)
 
 
 class TestChainPath:

@@ -184,6 +184,14 @@ class TestPerpetualDownIn:
         assert np.all(res.values <= res.vanilla + 1e-9)
         assert res.value_at(90.0) > 0
 
+    def test_value_at_rejects_spots_off_the_states(self):
+        grid, gen = small_bs_setup(n=48)  # states 30..270
+        res = price_perpetual_downin(gen, self.make_contract(), BS)
+        assert res.value_at(270.0) == res.values[-1]
+        for spot in (300.0, 20.0, math.nan):
+            with pytest.raises(ValueError, match="outside the states"):
+                res.value_at(spot)
+
     def test_monotone_in_window(self):
         grid, gen = small_bs_setup(n=48)
         v_short = price_perpetual_downin(gen, self.make_contract(1 / 24), BS)
@@ -514,6 +522,16 @@ class TestFiniteDownIn:
         with pytest.raises(ValueError):
             price_finite_downin(model, grid, tg, self.make(),
                                 vanilla_discounting="bogus")
+
+    def test_value_at_rejects_spots_off_the_states(self):
+        grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
+        res = price_finite_downin(self.setup_model(), grid,
+                                  TimeGrid(horizon=0.5, dt=1 / 10),
+                                  self.make(T=0.5))
+        assert res.value_at(18.0, slice_idx=2) == res.disc_values[2, 0]
+        for spot in (400.0, 10.0, -math.inf):
+            with pytest.raises(ValueError, match="outside the states"):
+                res.value_at(spot)
 
     def test_explicit_generator_list_matches_single(self):
         model = self.setup_model()

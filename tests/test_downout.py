@@ -1,5 +1,6 @@
 """Down-out pricing: ladder bookkeeping, operators, and both solve routes."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from parisian.ctmc import TimeGrid, build_generator, build_grid
+from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_generators
 from parisian.models import bs_model, kou_model, KouParams
 from parisian.pricer_downin import (
     ContractSpec,
@@ -218,6 +219,17 @@ class TestPerpetualDownOut:
         with pytest.raises(ValueError, match="vanishes below the barrier"):
             perpetual(_reduced, gen, ladder, f0, c.rate)
 
+    def test_value_at_rejects_spots_off_the_states(self):
+        model, grid, gen = small_bs_setup(n=40)  # states 10..360
+        res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
+                                      dtick=1 / 36)
+        assert res.value_at(360.0) == res.level0[-1]
+        assert res.value_at(50.0, level=1) >= 0.0
+        for spot, level in ((400.0, 0), (5.0, 0), (math.nan, 0),
+                            (95.0, 1), (5.0, 1)):  # level 1: below 90 only
+            with pytest.raises(ValueError, match="outside the states"):
+                res.value_at(spot, level=level)
+
     def test_vanilla_warm_start_failure_reaches_caller(self, monkeypatch):
         def failing_vanilla(*args, **kwargs):
             raise RuntimeError("vanilla solve failed")
@@ -325,6 +337,19 @@ class TestFiniteDownOut:
                 perpetual(_reduced, gen, ladder, f0, rate,
                           warm[: ladder.n_states]))
 
+    def test_value_at_rejects_spots_off_the_states(self):
+        model, grid, _ = small_bs_setup(n=32)  # states 10..360
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        res = price_finite_downout(model, grid, tg,
+                                   contract(Flavor.DOWN_OUT, maturity=0.25),
+                                   dtick=1 / 24)
+        assert res.value_at(10.0, slice_idx=1) == res.level0[1, 0]
+        assert res.value_at(50.0, level=1) >= 0.0
+        for spot, level in ((400.0, 0), (5.0, 0), (math.inf, 0),
+                            (95.0, 1), (5.0, 1)):  # level 1: below 90 only
+            with pytest.raises(ValueError, match="outside the states"):
+                res.value_at(spot, level=level)
+
     def test_time_dependent_generator_sequence(self):
         model, grid, _ = small_bs_setup(n=32)
         tg = TimeGrid(dt=1 / 12, horizon=0.25)
@@ -378,6 +403,25 @@ class TestReducedRoute:
             red = _reduced(gens, ladder, f0, c.rate, tg.dt)
             stk = _stacked(gens, ladder, f0, c.rate, tg.dt)
             assert rel_gap(red, stk) <= 1e-12
+
+    def test_equals_stacked_on_time_varying_kou_to_1e12(self):
+        # dense jump blocks: the explicit Q^-1 against the factor of the
+        # stacked ladder, with sigma(t) and the shared jump part of every slice
+        model, grid, _ = small_kou_setup(n=40)
+        model = dataclasses.replace(
+            model, time_homogeneous=False,
+            diffusion_sq=lambda t, x: np.full_like(np.asarray(x, dtype=float),
+                                                   (0.3 * (1 + t / 2)) ** 2))
+        c = contract(Flavor.DOWN_OUT, rate=0.05)
+        ladder, f0 = route_inputs(model, grid, c, dtick=1 / 48)
+        tg = TimeGrid(dt=1 / 24, horizon=0.5)
+        gens = slice_generators(model, grid, tg.times)
+        assert gens[0].jump is gens[-1].jump
+        assert rel_gap(_reduced(gens, ladder, f0, c.rate, tg.dt),
+                       _stacked(gens, ladder, f0, c.rate, tg.dt)) <= 1e-12
+        for gen in (gens[0], gens[-1]):
+            assert rel_gap(perpetual(_reduced, gen, ladder, f0, c.rate),
+                           perpetual(_stacked, gen, ladder, f0, c.rate)) <= 1e-12
 
     def test_tridiagonal_a_eff_is_sparse_with_one_coupled_column(self):
         model, grid, gen = small_bs_setup(n=40)
