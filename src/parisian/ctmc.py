@@ -368,8 +368,14 @@ def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
             offsets=[-1, 0, 1],
             format="csc",
         )
-    R = dense_rates(gen)
-    return a0 * np.eye(R.shape[0]) - cG * R
+    # built in place on a fresh copy: no N x N temporaries beside it
+    if isinstance(gen, GeneratorMatrix):
+        A = gen.as_dense()
+    else:
+        A = np.array(gen, dtype=float)
+    A *= -cG
+    A[np.diag_indices(A.shape[0])] += a0
+    return A
 
 
 def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:

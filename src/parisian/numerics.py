@@ -285,10 +285,12 @@ def complementarity_residual(problem: LCPProblem, z: np.ndarray) -> float:
     return float(np.max(np.abs(np.minimum(z, w)))) if len(z) else 0.0
 
 
-def _finish(problem, z, iters, status, factorizations=0) -> LCPSolution:
+def _finish(problem, z, iters, status, factorizations=0, res=None) -> LCPSolution:
+    if res is None:
+        res = complementarity_residual(problem, z)
     return LCPSolution(
         z=np.asarray(z, dtype=float),
-        complementarity=complementarity_residual(problem, z),
+        complementarity=res,
         iterations=iters,
         status=status,
         factorizations=factorizations,
@@ -373,32 +375,40 @@ def lemke_solve(
     return _finish(problem, z, max_pivots, LCPStatus.MAX_ITERATIONS)
 
 
+# policy iteration: sign tolerance on z and w relative to their scales, and
+# the iteration cap, which grows with n on sparse operators
+_POLICY_TOL = 1e-10
+_POLICY_MAX_ITER = 200
+_POLICY_ITER_PER_STATE = 4
+
+
 def policy_solve(
     problem: LCPProblem,
-    tol: float = 1e-10,
-    max_iter: Optional[int] = None,
     active0: Optional[np.ndarray] = None,
 ) -> LCPSolution:
     """Primal-dual active-set (policy) iteration.
 
-    Maintains a guess of the active set {i : z_i = 0}; on the complement F it
+    Maintains a guess of the active set {i : z_i = 0}, starting from
+    ``active0`` (default: the states where psi >= 0); on the complement F it
     solves the reduced linear system A_FF z_F = -psi_F exactly, then updates
     the sets from the signs of z and w = A z + psi.  Converges in finitely
-    many iterations for the M-matrix-like systems produced by the pricers.
+    many iterations from any starting set for the M-matrix systems produced
+    by the pricers.
     ``problem.A`` may be an ``LCPOperator`` (a plain matrix is wrapped in a
     new one): an iteration whose F equals the one the operator solved last,
     in this call or an earlier one, reuses its factor, and
     ``LCPSolution.factorizations`` counts the ones made.  For banded
     operators the free boundary can travel only one node per iteration, so
-    the default iteration cap scales with the problem size when ``A`` is
-    sparse (where an iteration is cheap).
+    the iteration cap scales with the problem size when ``A`` is sparse
+    (where an iteration is cheap).
     """
 
     n = problem.n
     psi = np.asarray(problem.psi, dtype=float)
     op = problem.A if isinstance(problem.A, LCPOperator) else LCPOperator(problem.A)
-    if max_iter is None:
-        max_iter = max(200, 4 * n) if op.is_sparse else 200
+    max_iter = _POLICY_MAX_ITER
+    if op.is_sparse:
+        max_iter = max(max_iter, _POLICY_ITER_PER_STATE * n)
 
     active = (psi >= 0.0) if active0 is None else np.array(active0, dtype=bool)
     prev_active = None
@@ -418,13 +428,14 @@ def policy_solve(
         z_scale = max(1.0, float(np.max(np.abs(z), initial=0.0)))
         w_scale = max(1.0, float(np.max(np.abs(psi), initial=0.0)))
         if prev_active is not None and np.array_equal(new_active, active):
-            res = complementarity_residual(problem, np.maximum(z, 0.0))
-            ok = res <= max(100 * tol, 1e-8) * z_scale
+            z = np.maximum(z, 0.0)
+            res = complementarity_residual(problem, z)
+            ok = res <= max(100 * _POLICY_TOL, 1e-8) * z_scale
             status = LCPStatus.SOLVED if ok else LCPStatus.MAX_ITERATIONS
-            return _finish(problem, np.maximum(z, 0.0), it, status, factorizations)
+            return _finish(problem, z, it, status, factorizations, res)
         if (
-            np.min(z, initial=0.0) >= -tol * z_scale
-            and np.min(w, initial=0.0) >= -tol * w_scale
+            np.min(z, initial=0.0) >= -_POLICY_TOL * z_scale
+            and np.min(w, initial=0.0) >= -_POLICY_TOL * w_scale
         ):
             return _finish(
                 problem, np.maximum(z, 0.0), it, LCPStatus.SOLVED, factorizations

@@ -33,7 +33,6 @@ __all__ = [
     "value_iterate_american",
     "lcp_by_enumeration",
     "dp_parisian_lattice",
-    "mc_transform_row",
     "sample_path",
     "simulate_paths",
 ]
@@ -580,26 +579,4 @@ def simulate_paths(
         n_paths=n_paths,
         degenerate=degenerate,
         mean_trigger_time=tau_sum / tau_count if tau_count else math.inf,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo wrapper
-# ---------------------------------------------------------------------------
-
-
-def mc_transform_row(
-    gen: Union[GeneratorMatrix, np.ndarray],
-    x0: int,
-    window: float,
-    rate: float,
-    n_paths: int,
-    rng_seed: int,
-    below: Optional[np.ndarray] = None,
-    horizon: Optional[float] = None,
-) -> ParisianSimResult:
-    """One excursion-trigger kernel row estimated by path simulation."""
-
-    return simulate_paths(
-        gen, x0, window, rate, n_paths, rng_seed, below=below, horizon=horizon
     )

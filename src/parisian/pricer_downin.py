@@ -108,6 +108,17 @@ class ContractSpec:
 # ---------------------------------------------------------------------------
 
 
+def require_horizon(timegrid: TimeGrid, contract: ContractSpec) -> None:
+    """Raise ValueError unless ``timegrid`` ends at the contract's maturity:
+    a finite recursion reads its horizon from the time grid."""
+
+    if not math.isclose(timegrid.horizon, contract.maturity, rel_tol=1e-12):
+        raise ValueError(
+            f"time grid horizon {timegrid.horizon} differs from the contract "
+            f"maturity {contract.maturity}"
+        )
+
+
 def _dense_and_below(
     gen: Union[GeneratorMatrix, np.ndarray],
     barrier: Optional[float],
@@ -147,15 +158,16 @@ def bermudan_slice(
 
 
 def american_surface(
-    gens: Sequence, operator: Callable, obstacles: Sequence, warm=None
+    gens: Sequence, operator: Callable, obstacles: Sequence
 ) -> np.ndarray:
     """Exercise recursion from zero past the last slice: the surface over
     (slice, state).  Slice j is ``bermudan_slice`` on ``operator(gens[j])``
     (built only when the generator changes, see ``slice_operators``) against
     ``obstacles[j]``, warm-started from the exercise region of slice j + 1;
-    ``warm`` seeds the first solve."""
+    the first solve starts cold."""
 
     C = np.zeros((len(gens), len(obstacles[0])))
+    warm = None
     for j, A in slice_operators(gens, operator):
         C[j], warm = bermudan_slice(A, C[j + 1], obstacles[j], warm)
     return C
@@ -331,6 +343,7 @@ def price_finite_downin(
         raise ValueError("contract must have finite maturity")
     if contract.flavor is not Flavor.DOWN_IN:
         raise ValueError("contract flavor must be down-in")
+    require_horizon(timegrid, contract)
 
     dt = timegrid.dt
     times = timegrid.times

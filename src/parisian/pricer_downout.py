@@ -11,7 +11,8 @@ the window) is absorbing and worthless, which encodes the knock-out.
 Finite-maturity prices run a backward slice recursion
 min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff) = 0 from zero past
 the horizon.  A perpetual price is the same recursion's one-slice case: no
-continuation and the operator rate I - A, min((rate I - A) C, C - payoff) = 0.
+continuation and the operator rate I - A, min((rate I - A) C, C - payoff) = 0,
+one LCP solved from a cold start.
 Every LCP is solved by policy iteration, and the route follows from the
 payoff alone: whenever it vanishes below the barrier, no exercise happens on
 levels >= 1, so those levels are eliminated down to base-level problems of
@@ -51,7 +52,7 @@ from .pricer_downin import (
     Flavor,
     american_surface,
     bermudan_slice,
-    vanilla_american_perpetual,
+    require_horizon,
 )
 
 
@@ -209,8 +210,8 @@ def price_perpetual_downout(
     last row is zero, run with the perpetual operator rate I - A
     (``dt=None``).  Reduced (duration levels eliminated, spatial-size
     problem) whenever the payoff vanishes below the barrier; stacked
-    otherwise.  Policy iteration is warm-started from the vanilla exercise
-    region.
+    otherwise.  Either way it is one LCP, solved by policy iteration from a
+    cold start.
     """
 
     if not contract.is_perpetual:
@@ -226,33 +227,13 @@ def price_perpetual_downout(
     below = grid.below_barrier(contract.barrier_state(model))
     ladder = build_ladder(contract.window, dtick, below)
     f0 = contract.payoff_states(model, grid.states)
-    warm = _vanilla_active_guess(gen, f0, contract.rate, ladder)
-    if _reducible(f0, ladder):
-        route, warm = _reduced, warm[: ladder.n_states]
-    else:
-        route = _stacked
+    route = _reduced if _reducible(f0, ladder) else _stacked
     return PerpetualDownOutResult(
-        values=route([gen, gen], ladder, f0, contract.rate, None, warm)[0],
+        values=route([gen, gen], ladder, f0, contract.rate, None)[0],
         ladder=ladder,
         model=model,
         grid=grid,
     )
-
-
-def _vanilla_active_guess(gen, f0, rate, ladder):
-    """Initial active set for policy iteration from the vanilla problem.
-
-    The knock-out only lowers values, so the vanilla exercise region is a
-    good starting guess on every duration level; it keeps the free-boundary
-    travel short.
-    """
-
-    v = vanilla_american_perpetual(gen, f0, rate)
-    exercised = v <= f0 + 1e-12 * np.maximum(1.0, np.abs(f0))
-    parts = [exercised]
-    parts += [exercised[ladder.below]] * (ladder.n_ticks - 1)
-    parts += [np.ones(ladder.n_below, dtype=bool)]
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +402,7 @@ def price_finite_downout(
         raise ValueError("contract must have finite maturity")
     if contract.flavor is not Flavor.DOWN_OUT:
         raise ValueError("contract flavor must be down-out")
+    require_horizon(timegrid, contract)
 
     dt = timegrid.dt
     times = timegrid.times
@@ -455,21 +437,21 @@ def _ladder_slice_operator(gen, ladder, rate, dt) -> LCPOperator:
     return LCPOperator(a0 * eye - cG * duration_generator(gen, ladder))
 
 
-def _stacked(gens, ladder, f0, rate, dt, warm=None):
+def _stacked(gens, ladder, f0, rate, dt):
     """Recursion on the stacked ladder, from zero past the last slice:
     surface over (slice, ladder slot).  ``dt=None`` solves the perpetual
-    problem at every slice; ``warm`` is the first slice's active-set guess."""
+    problem at every slice."""
 
     f = ladder.stack_payoff(f0)
     return american_surface(
         gens, lambda g: _ladder_slice_operator(g, ladder, rate, dt),
-        [f] * len(gens), warm,
+        [f] * len(gens),
     )
 
 
-def _reduced(gens, ladder, f0, rate, dt, warm=None):
+def _reduced(gens, ladder, f0, rate, dt):
     """``_stacked`` with the duration levels eliminated; needs a payoff that
-    vanishes below the barrier, and ``warm`` covers level 0 only."""
+    vanishes below the barrier."""
 
     if not _reducible(f0, ladder):
         raise ValueError(
@@ -477,6 +459,7 @@ def _reduced(gens, ladder, f0, rate, dt, warm=None):
         )
     C = np.zeros((len(gens), ladder.total))
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
+    warm = None
     for j, red in ops:
         c0, warm = bermudan_slice(red.A_eff, red.sources(C[j + 1]), f0, warm)
         C[j] = red.expand(c0, C[j + 1])

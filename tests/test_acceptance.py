@@ -21,7 +21,7 @@ from parisian.oracle import (
     UniformizedChain,
     dp_parisian_lattice,
     lcp_by_enumeration,
-    mc_transform_row,
+    simulate_paths,
     value_iterate_american,
 )
 from parisian.pricer_downin import (
@@ -243,7 +243,7 @@ class TestOracleAgreement:
         window, rate = 0.2, 0.25
         H = parisian_transform(R, window, rate, below=below)
         for x0 in (8, 3):
-            sim = mc_transform_row(R, x0, window, rate, n_paths=1_000_000,
+            sim = simulate_paths(R, x0, window, rate, n_paths=1_000_000,
                                    rng_seed=2024 + x0, below=below,
                                    horizon=80.0)
             gap = np.abs(sim.estimate - H[x0])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from parisian import bench_cli
 from parisian.bench_cli import (
     AcceptanceCell,
     REFERENCE_TABLES,
@@ -563,6 +564,29 @@ class TestCli:
         assert "bs-perpetual-down-in.csv" in written
         assert "bs-perpetual-down-in-plot.csv" in written
         assert len(written) == 8
+
+    def test_reproduce_table_runs_every_table_named(self, monkeypatch, capsys):
+        # the verb grades each table it is given and fails if any one fails
+        class Report:
+            def __init__(self, name, passed):
+                self.name, self.all_pass = name, passed
+
+            def format(self):
+                return f"benchmark table: {self.name}"
+
+        seen = []
+
+        def fake(name, jobs, out_dir):
+            seen.append((name, jobs, out_dir))
+            return Report(name, name != "vg")
+
+        monkeypatch.setattr(bench_cli, "reproduce_table", fake)
+        assert main(["reproduce-table", "bs", "kou", "--jobs", "3"]) == 0
+        assert seen == [("bs", 3, None), ("kou", 3, None)]
+        out = capsys.readouterr().out
+        assert "table: bs" in out and "table: kou" in out
+        assert main(["reproduce-table", "vg", "bs"]) == 1
+        assert [name for name, _, _ in seen[2:]] == ["vg", "bs"]
 
 
 class TestBumpGreeks:

@@ -18,6 +18,7 @@ from parisian.ctmc import (
     rate_rows,
     resolve_rate_policy,
     slice_generators,
+    slice_matrix,
     validate_generator,
 )
 from parisian.models import (
@@ -444,6 +445,22 @@ class TestSharedJumpPart:
                            math.log(95), 16)
         with pytest.raises(ValueError, match="jump part"):
             build_generator(KOU, small, jumps=jumps)
+
+
+class TestSliceMatrix:
+    def test_dense_branch_is_the_formula_on_a_fresh_array(self):
+        g = build_grid(math.log(20), math.log(400), math.log(90),
+                       math.log(95), 24)
+        gen = build_generator(KOU, g)
+        R = gen.as_dense()
+        before = R.copy()
+        for a0, cG in ((0.05, 1.0), (1.0 + 0.05 / 12, 1 / 12)):
+            expected = a0 * np.eye(len(R)) - cG * R
+            for source in (R, gen):
+                A = slice_matrix(source, a0, cG)
+                np.testing.assert_array_equal(A, expected)
+                assert A is not R
+            np.testing.assert_array_equal(R, before)  # plain input untouched
 
 
 class TestChainPath:

@@ -573,6 +573,15 @@ class TestFiniteDownIn:
         assert np.all(res.disc_values >= -1e-12)
         assert np.all(res.disc_values <= res.disc_vanilla + 1e-9)
 
+    def test_rejects_a_time_grid_that_misses_the_maturity(self):
+        model = self.setup_model()
+        grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
+        with pytest.raises(ValueError, match="maturity"):
+            price_finite_downin(model, grid, TimeGrid(dt=1 / 60, horizon=1.0),
+                                self.make(T=0.25))
+        price_finite_downin(model, grid, TimeGrid(dt=1 / 60, horizon=0.25),
+                            self.make(T=0.25 * (1 + 1e-13)))
+
     def test_rejects_perpetual_contract(self):
         model = self.setup_model()
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)

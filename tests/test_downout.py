@@ -16,13 +16,13 @@ from parisian.pricer_downin import (
     american_call,
     vanilla_american_perpetual,
 )
-from parisian import pricer_downout
+from parisian import pricer_downin
+from parisian.numerics import policy_solve
 from parisian.pricer_downout import (
     DurationLadder,
     _ReducedLadderOps,
     _reduced,
     _stacked,
-    _vanilla_active_guess,
     build_ladder,
     duration_generator,
     price_finite_downout,
@@ -60,9 +60,9 @@ def route_inputs(model, grid, c, dtick):
             c.payoff_states(model, grid.states))
 
 
-def perpetual(route, gen, ladder, f0, rate, warm=None):
+def perpetual(route, gen, ladder, f0, rate):
     """A route run as the perpetual one-slice case: row 0, ``dt=None``."""
-    return route([gen, gen], ladder, f0, rate, None, warm)[0]
+    return route([gen, gen], ladder, f0, rate, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +230,24 @@ class TestPerpetualDownOut:
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot, level=level)
 
-    def test_vanilla_warm_start_failure_reaches_caller(self, monkeypatch):
-        def failing_vanilla(*args, **kwargs):
-            raise RuntimeError("vanilla solve failed")
+    def test_one_lcp_per_price(self, monkeypatch):
+        # the reduced route (call) and the stacked route (put) each solve the
+        # perpetual problem as a single cold LCP
+        calls = []
 
-        monkeypatch.setattr(pricer_downout, "vanilla_american_perpetual",
-                            failing_vanilla)
-        bs_model_, _, bs_gen = small_bs_setup(n=24)
-        kou_model_, _, kou_gen = small_kou_setup(n=24)
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("active0"))
+            return policy_solve(*args, **kwargs)
+
+        monkeypatch.setattr(pricer_downin, "policy_solve", counting)
+        model, _, gen = small_bs_setup(n=48)
         put = ContractSpec(payoff=lambda s: np.maximum(95.0 - s, 0.0),
                            barrier=90.0, window=1 / 12, maturity=math.inf,
                            rate=0.1, flavor=Flavor.DOWN_OUT)
-        for model, gen, c in (
-                (bs_model_, bs_gen, put),                              # stacked
-                (bs_model_, bs_gen, contract(Flavor.DOWN_OUT)),        # reduced
-                (kou_model_, kou_gen, contract(Flavor.DOWN_OUT, rate=0.05))):
-            with pytest.raises(RuntimeError, match="vanilla solve failed"):
-                price_perpetual_downout(gen, c, model, dtick=1 / 36)
+        for c in (contract(Flavor.DOWN_OUT), put):
+            calls.clear()
+            price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            assert calls == [None]
 
     def test_validation(self):
         model, grid, gen = small_bs_setup(n=24)
@@ -295,6 +296,17 @@ class TestFiniteDownOut:
                                        dtick=1 / 48)
         assert np.all(fin.values[0] <= perp.values + 1e-8)
 
+    def test_rejects_a_time_grid_that_misses_the_maturity(self):
+        model, grid, _ = small_bs_setup(n=32)
+        with pytest.raises(ValueError, match="maturity"):
+            price_finite_downout(model, grid, TimeGrid(dt=1 / 24, horizon=1.0),
+                                 contract(Flavor.DOWN_OUT, maturity=0.25),
+                                 dtick=1 / 48)
+        price_finite_downout(model, grid, TimeGrid(dt=1 / 24, horizon=0.25),
+                             contract(Flavor.DOWN_OUT,
+                                      maturity=0.25 * (1 + 1e-13)),
+                             dtick=1 / 48)
+
     def test_terminal_slice_is_zero_and_top_level_zero(self):
         model, grid, gen = small_bs_setup(n=32)
         res = price_finite_downout(model, grid, TimeGrid(dt=1 / 12, horizon=0.5),
@@ -331,11 +343,8 @@ class TestFiniteDownOut:
                 auto.values, _reduced(gens, ladder, f0, rate, tg.dt))
             c = contract(Flavor.DOWN_OUT, rate=rate)
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
-            warm = _vanilla_active_guess(gen, f0, rate, ladder)
             np.testing.assert_array_equal(
-                auto.values,
-                perpetual(_reduced, gen, ladder, f0, rate,
-                          warm[: ladder.n_states]))
+                auto.values, perpetual(_reduced, gen, ladder, f0, rate))
 
     def test_value_at_rejects_spots_off_the_states(self):
         model, grid, _ = small_bs_setup(n=32)  # states 10..360
@@ -500,6 +509,5 @@ class TestStackedRoute:
                 auto.values, _stacked(gens, ladder, f0, rate, tg.dt))
             c = put_contract(math.inf, rate)
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
-            warm = _vanilla_active_guess(gen, f0, rate, ladder)
             np.testing.assert_array_equal(
-                auto.values, perpetual(_stacked, gen, ladder, f0, rate, warm))
+                auto.values, perpetual(_stacked, gen, ladder, f0, rate))

@@ -19,7 +19,7 @@ from parisian.oracle import (
     UniformizedChain,
     dp_parisian_lattice,
     lcp_by_enumeration,
-    mc_transform_row,
+    simulate_paths,
     value_iterate_american,
 )
 from parisian.pricer_downin import (
@@ -341,7 +341,7 @@ class TestMonteCarlo:
         R = _drifting_chain()
         below = np.arange(15) < 7
         kw = dict(window=0.2, rate=0.25, below=below, horizon=80.0)
-        small = mc_transform_row(R, 8, n_paths=20_000, rng_seed=11, **kw)
-        big = mc_transform_row(R, 8, n_paths=80_000, rng_seed=11, **kw)
+        small = simulate_paths(R, 8, n_paths=20_000, rng_seed=11, **kw)
+        big = simulate_paths(R, 8, n_paths=80_000, rng_seed=11, **kw)
         ratio = small.std_error.sum() / big.std_error.sum()
         assert 1.6 < ratio < 2.5
