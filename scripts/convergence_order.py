@@ -8,6 +8,9 @@ benchmark must sit well beyond the measured grids (4x the finest here):
 differencing against an in-regime reference systematically overstates
 the slope.
 
+Run from anywhere, without installing: the pricer is imported from the
+``src/`` directory of this checkout.
+
 Example:
     python3 scripts/convergence_order.py --grids 65,97,129 --factor 4
 """
@@ -15,8 +18,11 @@ Example:
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
-from parisian.bench_cli import StudyConfig, observed_order, run_study
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from parisian.bench_cli import StudyConfig, observed_order, run_study  # noqa: E402
 
 _FLAVORS = {
     "perpetual-down-in": dict(flavor="down-in"),

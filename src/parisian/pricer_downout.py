@@ -15,20 +15,22 @@ continuation and the operator rate I - A, min((rate I - A) C, C - payoff) = 0,
 one LCP solved from a cold start.
 Every LCP is solved by policy iteration, and the route follows from the
 payoff alone: whenever it vanishes below the barrier, no exercise happens on
-levels >= 1, so those levels are eliminated down to base-level problems of
-the spatial size ("reduced"); the base-level operator stays banded sparse on
-tridiagonal chains and dense on jump chains.  Otherwise the LCP is solved on
-the stacked ladder operator ("stacked"), assembled sparse and stored dense
-by its ``LCPOperator`` only when at least half full.  A recursion keeps one
-slice operator alive, rebuilt only when the slice's generator changes, and
-passes it to every slice it serves; a slice whose exercise region did not
-move reuses the factor of the one after it.
+any below-barrier slot, level 0 included, so every such slot is eliminated
+and each LCP runs over the above-barrier states only ("reduced"); its
+operator is tridiagonal, held sparse, on a tridiagonal chain and dense on a
+jump chain.  Otherwise the LCP is solved on the stacked ladder operator
+("stacked"), assembled sparse and stored dense by its ``LCPOperator`` only
+when at least half full.  A recursion keeps one slice operator alive,
+rebuilt only when the slice's generator changes, and passes it to every
+slice it serves; a slice whose exercise region did not move reuses the
+factor of the one after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -78,17 +80,21 @@ class DurationLadder:
         if len(self.below) != self.n_states:
             raise ValueError("below mask length must match state count")
 
-    @property
+    @cached_property
     def n_below(self) -> int:
-        return int(np.sum(self.below))
+        return len(self.below_indices)
 
     @property
     def total(self) -> int:
         return self.n_states + self.n_ticks * self.n_below
 
-    @property
+    @cached_property
     def below_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.below)
+        return _read_only(np.flatnonzero(self.below))
+
+    @cached_property
+    def above_indices(self) -> np.ndarray:
+        return _read_only(np.flatnonzero(~self.below))
 
     def slot(self, level: int, state: int) -> int:
         """Flat index of (duration level, spatial state)."""
@@ -106,12 +112,21 @@ class DurationLadder:
         start = self.n_states + (level - 1) * self.n_below
         return slice(start, start + self.n_below)
 
+    def below_slots(self, level: int) -> Union[np.ndarray, slice]:
+        """Slots of one level's below-barrier states (indices on level 0)."""
+        return self.below_indices if level == 0 else self.level_slice(level)
+
     def stack_payoff(self, f: np.ndarray) -> np.ndarray:
         """Payoff on the ladder: zero on the knock-out level."""
         f = np.asarray(f, dtype=float)
         fb = f[self.below]
         parts = [f] + [fb] * (self.n_ticks - 1) + [np.zeros(self.n_below)]
         return np.concatenate(parts)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_ladder(
@@ -208,10 +223,10 @@ def price_perpetual_downout(
 
     With no continuation, the price is row 0 of a two-slice recursion whose
     last row is zero, run with the perpetual operator rate I - A
-    (``dt=None``).  Reduced (duration levels eliminated, spatial-size
-    problem) whenever the payoff vanishes below the barrier; stacked
-    otherwise.  Either way it is one LCP, solved by policy iteration from a
-    cold start.
+    (``dt=None``).  Reduced (below-barrier slots eliminated, an
+    above-barrier problem) whenever the payoff vanishes below the barrier;
+    stacked otherwise.  Either way it is one LCP, solved by policy iteration
+    from a cold start.
     """
 
     if not contract.is_perpetual:
@@ -237,43 +252,61 @@ def price_perpetual_downout(
 
 
 # ---------------------------------------------------------------------------
-# elimination of the strictly-below duration levels
+# elimination of the below-barrier slots
 # ---------------------------------------------------------------------------
 
 
 def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
-    """Level elimination applies: below-barrier states with zero payoff."""
+    """Elimination applies: below-barrier states with zero payoff."""
 
     return ladder.n_below > 0 and bool(np.all(f0[ladder.below] == 0.0))
 
 
 class _ReducedLadderOps:
-    """Closes the duration levels >= 1 in terms of the base level.
+    """Closes every below-barrier slot in terms of the above-barrier states.
 
     When the payoff is identically zero on the below-barrier states, no
-    exercise can happen while the duration clock is running, so every slot
-    on levels 1..n_ticks-1 satisfies a plain linear equation
+    exercise happens there (see below), so the below-barrier slots of every
+    level 0..n_ticks-1 satisfy a plain linear equation
 
         Q C_k = source_k + B C_0[coupled] + cup * C_{k+1},    C_top = 0,
 
-    with the same below-barrier block Q for every level.  B holds the rates
-    from the below-barrier rows to the above-barrier states they reach (the
-    "coupled" columns: one for a diffusion, all of them for a jump chain).
-    Backward substitution gives C_1 = M_1 + P_1 C_0[coupled]; plugging it
-    into the base-level rows leaves a complementarity problem over the
-    spatial states alone, with the level coupling folded into the below
-    diagonal and the coupled columns.  That operator A_eff is banded sparse
-    plus the coupled columns on a tridiagonal chain and dense otherwise.
-    ``dt`` picks the operator as in ``_slice_coefficients``.
+    with the same below-barrier block Q for every level: level 0's below
+    states tick into level 1 like any other level's, and an up-cross from
+    any level lands on level 0.  B holds the rates from the below-barrier
+    rows to the above-barrier states they reach (the "coupled" columns: one
+    for a diffusion, all of them for a jump chain).  Backward substitution
+    gives C_0[below] = M_0 + P_0 C_0[coupled]; plugging it into level 0's
+    above-barrier rows of A = a0 I - cG G leaves a complementarity problem
+    over the N - m above-barrier states alone, with the operator and source
 
-    Q is inverted explicitly, once, and the explicit Q^-1 serves P_1 (the
-    Horner loop becomes matrix products), the per-slice sources and the level
-    values (matrix-vector products).  That is safe here: Q = (a0 + cup) I -
-    cG R_bb, with R_bb the below block of a generator (off-diagonals >= 0,
-    rows summing to <= 0) and a0 > 0, is a strictly diagonally dominant
-    M-matrix, so Q^-1 >= 0 entrywise.  With B >= 0, every term of the
-    Horner sum for P_1 is nonnegative: nothing cancels, and the products
-    keep the relative accuracy of Q^-1 itself.
+        A_eff = A_aa + A_ab P_0,    q = c_next[above] - A_ab M_0,
+
+    the product landing on the coupled columns only.  A_eff is a Schur
+    complement of the stacked slice operator, a nonsingular M-matrix, so it
+    is one too (Berman & Plemmons 1994).  On a tridiagonal chain the barrier
+    node is the only above-barrier state that reaches or is reached from
+    below, so A_eff is A_aa with the barrier node's diagonal changed:
+    tridiagonal, held sparse.  It is dense otherwise.  ``dt`` picks the
+    operator as in ``_slice_coefficients``.
+
+    No exercise is lost below the barrier, even where the payoff is negative
+    above it: Q^-1 >= 0, P_0 >= 0 and A_ab <= 0, and the next slice's values
+    are >= 0 (zero past the horizon, and by this argument slice by slice), so
+    M_0 >= 0 and q >= 0.  The solution c of the reduced LCP has A_eff c >= q,
+    and A_eff^-1 >= 0 gives c >= A_eff^-1 q >= 0; the eliminated values
+    M_0 + P_0 c[coupled] are then >= 0, the payoff there, and with them the
+    stacked LCP holds with equality on every below-barrier row.
+
+    Q is inverted explicitly, once, and the explicit Q^-1 serves P_0 (the
+    Horner loop becomes matrix products), the per-slice sources and the
+    eliminated values (matrix-vector products).  That is safe here: Q = (a0 +
+    cup) I - cG R_bb, with R_bb the below block of a generator (off-diagonals
+    >= 0, rows summing to <= 0) and a0 > 0, is a strictly diagonally dominant
+    M-matrix, so Q^-1 >= 0 entrywise.  With B >= 0, every term of the Horner
+    sum for P_0 is nonnegative: nothing cancels, and the products keep the
+    relative accuracy of Q^-1 itself.  A jump chain forms only the rows of
+    its rate matrix the blocks need, never the dense N x N slice matrix.
     """
 
     def __init__(
@@ -285,8 +318,7 @@ class _ReducedLadderOps:
     ):
         if ladder.n_below == 0:
             raise ValueError("level elimination needs below-barrier states")
-        bi = ladder.below_indices
-        ai = np.flatnonzero(~ladder.below)
+        bi, ai = ladder.below_indices, ladder.above_indices
         a0, cG = _slice_coefficients(rate, dt)
         cup = cG * (1.0 / ladder.dtick)
         m = len(bi)
@@ -299,61 +331,75 @@ class _ReducedLadderOps:
         Q[np.diag_indices(m)] += a0 + cup
         Qinv = inv(Q, overwrite_a=True, check_finite=False)
         B = cG * Rb[:, coupled]
-        # P_1 by Horner from the knock-out level (P = 0 there); it stays the
-        # zero map when the first tick already knocks out.  The loop
-        # allocates nothing per level; its scratch is freed before the
-        # larger A_eff assembly below.
+        del Rb
+        # P_0 by Horner from the knock-out level (P = 0 there): n_ticks - 1
+        # steps reach level 1, one more reaches level 0.  The loop allocates
+        # nothing per level; its scratch is freed before A_eff is assembled.
         P = np.zeros_like(B)
         rhs = np.empty_like(B)
-        for _ in range(ladder.n_ticks - 1):
+        for _ in range(ladder.n_ticks):
             np.multiply(P, cup, out=rhs)
             rhs += B
             np.matmul(Qinv, rhs, out=P)
         del rhs
 
-        A = slice_matrix(gen, a0, cG)
-        if sparse.issparse(A):
-            rows = np.concatenate([bi, np.repeat(bi, len(coupled))])
-            cols = np.concatenate([bi, np.tile(coupled, m)])
-            vals = np.concatenate([np.full(m, cup), -cup * P.ravel()])
-            A = A + sparse.coo_matrix((vals, (rows, cols)), shape=A.shape)
+        # level 0's above-barrier rows of a0 I - cG G: sliced from the
+        # banded slice matrix (O(N)) on a tridiagonal chain, dense otherwise
+        if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
+            A = slice_matrix(gen, a0, cG).tocsr()[ai]
+            feeders = np.flatnonzero(A[:, bi].getnnz(axis=1))
         else:
-            A[bi, bi] += cup
-            A[np.ix_(bi, coupled)] -= cup * P
+            A = np.multiply(rate_rows(gen, ai), -cG)
+            A[np.arange(len(ai)), ai] += a0
+            feeders = np.flatnonzero(np.any(A[:, bi] != 0.0, axis=1))
+        # A_ab, kept on the rows that reach below ("feeders") only
+        A_ab = A[np.ix_(feeders, bi)]
+        fix = A_ab @ P
+        del P
+        A = A[:, ai]
+        cols = np.searchsorted(ai, coupled)
+        if sparse.issparse(A):
+            rows = np.repeat(feeders, len(cols))
+            cols = np.tile(cols, len(feeders))
+            A = A + sparse.coo_matrix((fix.ravel(), (rows, cols)),
+                                      shape=A.shape)
+        else:
+            A[np.ix_(feeders, cols)] += fix
 
         self.ladder = ladder
-        self.bi = bi
         self.coupled = coupled
+        self.feeders = feeders
+        self.A_ab = A_ab
         self.B = B
         self.cup = cup
         self.Qinv = Qinv
         self.A_eff = LCPOperator(A)
 
     def sources(self, c_next: np.ndarray) -> np.ndarray:
-        """Base-level source q from the next clock slice: its level-0 values
-        plus the level-1 feed-in cup M_1 on the below rows."""
+        """Source q of the above-barrier LCP from the next clock slice: its
+        level-0 above-barrier values less the feed-in A_ab M_0."""
 
         ladder = self.ladder
         M = np.zeros(ladder.n_below)
-        for k in range(ladder.n_ticks - 1, 0, -1):
-            M = self.Qinv @ (c_next[ladder.level_slice(k)] + self.cup * M)
-        q = np.array(c_next[: ladder.n_states], dtype=float, copy=True)
-        q[self.bi] += self.cup * M
+        for k in range(ladder.n_ticks - 1, -1, -1):
+            M = self.Qinv @ (c_next[ladder.below_slots(k)] + self.cup * M)
+        q = c_next[ladder.above_indices]
+        q[self.feeders] -= self.A_ab @ M
         return q
 
-    def expand(self, c0: np.ndarray, c_next: np.ndarray) -> np.ndarray:
-        """Stacked ladder values from the base-level solution ``c0``;
-        ``c_next`` is the next clock slice."""
+    def expand(self, c_above: np.ndarray, c_next: np.ndarray) -> np.ndarray:
+        """Stacked ladder values from the above-barrier solution
+        ``c_above``; ``c_next`` is the next clock slice."""
 
         ladder = self.ladder
         out = np.zeros(ladder.total)
-        out[: ladder.n_states] = c0
-        feed = self.B @ c0[self.coupled]
+        out[ladder.above_indices] = c_above
+        feed = self.B @ out[self.coupled]
         level = np.zeros(ladder.n_below)  # the knock-out level
-        for k in range(ladder.n_ticks - 1, 0, -1):
-            rhs = feed + self.cup * level + c_next[ladder.level_slice(k)]
-            level = self.Qinv @ rhs
-            out[ladder.level_slice(k)] = level
+        for k in range(ladder.n_ticks - 1, -1, -1):
+            slots = ladder.below_slots(k)
+            level = self.Qinv @ (feed + self.cup * level + c_next[slots])
+            out[slots] = level
         return out
 
 
@@ -393,9 +439,10 @@ def price_finite_downout(
     Slice values are prices at that slice (not pre-discounted): each step
     back multiplies the continuation by 1/(1 + rate dt).
 
-    Reduced (duration levels eliminated, base-level problems only) whenever
-    the payoff vanishes below the barrier; stacked otherwise.  Each slice LCP
-    is solved by policy iteration, warm-started from the slice after it.
+    Reduced (below-barrier slots eliminated, above-barrier problems only)
+    whenever the payoff vanishes below the barrier; stacked otherwise.  Each
+    slice LCP is solved by policy iteration, warm-started from the slice
+    after it.
     """
 
     if contract.is_perpetual:
@@ -450,17 +497,22 @@ def _stacked(gens, ladder, f0, rate, dt):
 
 
 def _reduced(gens, ladder, f0, rate, dt):
-    """``_stacked`` with the duration levels eliminated; needs a payoff that
-    vanishes below the barrier."""
+    """``_stacked`` with every below-barrier slot eliminated: each slice
+    solves one LCP over the above-barrier states against the payoff there,
+    and ``expand`` recovers the ladder; needs a payoff that vanishes below
+    the barrier (see ``_ReducedLadderOps`` for why nothing is exercised
+    there)."""
 
     if not _reducible(f0, ladder):
         raise ValueError(
             "level elimination needs a payoff that vanishes below the barrier"
         )
     C = np.zeros((len(gens), ladder.total))
+    f_above = f0[ladder.above_indices]
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     warm = None
     for j, red in ops:
-        c0, warm = bermudan_slice(red.A_eff, red.sources(C[j + 1]), f0, warm)
-        C[j] = red.expand(c0, C[j + 1])
+        q = red.sources(C[j + 1])
+        c, warm = bermudan_slice(red.A_eff, q, f_above, warm)
+        C[j] = red.expand(c, C[j + 1])
     return C

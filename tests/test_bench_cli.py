@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +315,23 @@ class TestRunStudy:
         rows = run_study(cfg)
         pts = [(r.n, r.abs_error) for r in rows if r.abs_error is not None]
         assert 0.8 <= observed_order(pts) <= 2.5
+
+    def test_convergence_order_script_runs_without_an_install(self, tmp_path):
+        # the script finds the pricer in the checkout's src/ on its own,
+        # from any working directory and with no PYTHONPATH
+        root = Path(__file__).resolve().parents[1]
+        script = root / "scripts" / "convergence_order.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, str(script), "--grids", "17,25", "--factor", "2"],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        for flavor in ("perpetual-down-in", "perpetual-down-out",
+                       "finite-down-in", "finite-down-out"):
+            assert sum(line.split()[0] == flavor and "observed order" in line
+                       for line in lines if line.strip()) == 1, flavor
 
 
 def _replace(cfg, **kw):

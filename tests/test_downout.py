@@ -435,10 +435,23 @@ class TestReducedRoute:
     def test_tridiagonal_a_eff_is_sparse_with_one_coupled_column(self):
         model, grid, gen = small_bs_setup(n=40)
         ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+        ai = ladder.above_indices
         for dt in (None, 1 / 24):
             ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
             assert ops.A_eff.is_sparse
+            assert ops.A_eff.n == ladder.n_states - ladder.n_below
             np.testing.assert_array_equal(ops.coupled, [ladder.n_below])
+            A_eff = ops.A_eff.matrix.toarray()
+            rows, cols = np.nonzero(A_eff)
+            assert np.all(np.abs(rows - cols) <= 1)  # tridiagonal
+            # the above block of a0 I - cG G, but for the barrier node's
+            # diagonal, which the eliminated slots lower
+            a0, cG = (0.1, 1.0) if dt is None else (1 + 0.1 * dt, dt)
+            full = a0 * np.eye(ladder.n_states) - cG * gen.as_dense()
+            block = full[np.ix_(ai, ai)]
+            assert A_eff[0, 0] < block[0, 0]
+            A_eff[0, 0] = block[0, 0]
+            np.testing.assert_array_equal(A_eff, block)
             # the same operator, assembled dense from the plain rate matrix
             dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.1, dt=dt)
             assert not dense.A_eff.is_sparse
@@ -463,6 +476,56 @@ class TestReducedRoute:
         gens = [R] * 6
         assert rel_gap(_reduced(gens, ladder, f0, 0.1, 0.1),
                        _stacked(gens, ladder, f0, 0.1, 0.1)) <= 1e-12
+
+    def test_lcps_run_over_the_above_barrier_states(self, monkeypatch):
+        # every exercise step of the reduced route solves an LCP of size
+        # N - m, sparse on the tridiagonal chain and dense on the jump chain
+        sizes = []
+
+        def recording(problem, **kwargs):
+            sizes.append((problem.n, problem.A.is_sparse))
+            return policy_solve(problem, **kwargs)
+
+        monkeypatch.setattr(pricer_downin, "policy_solve", recording)
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        for setup, rate in ((small_bs_setup, 0.1), (small_kou_setup, 0.05)):
+            model, grid, gen = setup(n=40)
+            n_above = int(np.sum(~grid.below_mask))
+            assert 0 < n_above < grid.n_states
+            expected = (n_above, gen.is_tridiagonal)
+            sizes.clear()
+            price_perpetual_downout(gen, contract(Flavor.DOWN_OUT, rate=rate),
+                                    model, dtick=1 / 36)
+            assert sizes == [expected]
+            sizes.clear()
+            price_finite_downout(model, grid, tg,
+                                 contract(Flavor.DOWN_OUT, maturity=0.25,
+                                          rate=rate), dtick=1 / 36)
+            assert sizes == [expected] * (len(tg.times) - 1)
+
+    def test_payoff_negative_above_the_barrier(self):
+        # (S - K) 1{S >= L} with K > L vanishes below the barrier L but is
+        # negative between L and K: the eliminated slots are still never
+        # exercised, since every value the recursion produces is >= 0
+        c = ContractSpec(payoff=lambda s: np.where(s >= 90.0, s - 100.0, 0.0),
+                         barrier=90.0, window=1 / 12, maturity=math.inf,
+                         rate=0.1, flavor=Flavor.DOWN_OUT)
+        tg = TimeGrid(dt=1 / 12, horizon=0.5)
+        for setup, rate in ((small_bs_setup, 0.1), (small_kou_setup, 0.05)):
+            model, grid, gen = setup(n=40)
+            c = dataclasses.replace(c, rate=rate)
+            ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
+            assert np.all(f0[ladder.below] == 0.0)
+            assert np.any(f0 < 0.0)
+            red = perpetual(_reduced, gen, ladder, f0, rate)
+            assert np.all(red >= 0.0)
+            stk = perpetual(_stacked, gen, ladder, f0, rate)
+            assert rel_gap(red, stk) <= 1e-12
+            gens = [gen] * (tg.idx_t_plus + 1)
+            red = _reduced(gens, ladder, f0, rate, tg.dt)
+            assert np.all(red >= 0.0)
+            stk = _stacked(gens, ladder, f0, rate, tg.dt)
+            assert rel_gap(red, stk) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
