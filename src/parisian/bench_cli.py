@@ -1068,38 +1068,47 @@ def _random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
 
 
 def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
+    from scipy import sparse
+
     from .numerics import LCPOperator, LCPProblem, lemke_solve, policy_solve
     from .oracle import lcp_by_enumeration
 
     rng = np.random.default_rng(seed)
     solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
     checks = failures = 0
-    worst = dict.fromkeys(solvers, 0.0)
-    for trial in range(200):
-        n = int(rng.integers(2, 9))
-        if trial % 2 == 0:
-            B = rng.normal(size=(n, n))
-            A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
-        else:
-            A = rng.normal(size=(n, n))
-            A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
-        psi = rng.normal(scale=2.0, size=n)
-        z_ref, _ = lcp_by_enumeration(A, psi)
-        problem = LCPProblem(LCPOperator(A), psi)
-        ok = True
-        for name, solve in solvers.items():
-            sol = solve(problem)
-            gap = float(np.max(np.abs(sol.z - z_ref)))
-            worst[name] = max(worst[name], gap)
-            ok &= (
-                sol.solved
-                and gap < 1e-9
-                and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
-            )
-        checks += 1
-        failures += not ok
-    for name, gap in worst.items():
-        emit(f"  {name} vs enumeration on 200 random instances: worst gap {gap:.2e}")
+    for kind, trials in (("dense", 200), ("tridiagonal", 100)):
+        worst = dict.fromkeys(solvers, 0.0)
+        for trial in range(trials):
+            n = int(rng.integers(2, 9))
+            if kind == "tridiagonal":  # an M-matrix held as its three bands
+                A = np.diag(-rng.uniform(0.1, 3.0, size=n - 1), -1)
+                A += np.diag(-rng.uniform(0.1, 3.0, size=n - 1), 1)
+                A[np.diag_indices(n)] = -A.sum(axis=1) + rng.uniform(0.1, 1.0, size=n)
+            elif trial % 2 == 0:
+                B = rng.normal(size=(n, n))
+                A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
+            else:
+                A = rng.normal(size=(n, n))
+                A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
+            psi = rng.normal(scale=2.0, size=n)
+            z_ref, _ = lcp_by_enumeration(A, psi)
+            held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
+            problem = LCPProblem(LCPOperator(held), psi)
+            ok = True
+            for name, solve in solvers.items():
+                sol = solve(problem)
+                gap = float(np.max(np.abs(sol.z - z_ref)))
+                worst[name] = max(worst[name], gap)
+                ok &= (
+                    sol.solved
+                    and gap < 1e-9
+                    and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
+                )
+            checks += 1
+            failures += not ok
+        for name, gap in worst.items():
+            emit(f"  {name} vs enumeration on {trials} random {kind} instances: "
+                 f"worst gap {gap:.2e}")
     return checks, failures
 
 
@@ -1134,6 +1143,15 @@ def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
         checks += 1
         failures += gap >= 1e-10
     emit(f"  uniformized kernels vs dense exponential: worst gap {worst:.2e}")
+
+    # uniformization mean a = rate h = 800, past where e^{-a} underflows
+    R = np.diag(np.full(7, 1.4), 1) + np.diag(np.full(7, 1.8), -1)
+    np.fill_diagonal(R, -R.sum(axis=1) - 0.01)
+    h = 800.0 / float(-R.diagonal().min())
+    gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
+    checks += 1
+    failures += gap >= 1e-10
+    emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
 
     worst = 0.0
     for _ in range(20):

@@ -28,7 +28,6 @@ import numpy as np
 from scipy import sparse
 
 from .models import JumpMeasure, ModelSpec
-from .numerics import TriDiag
 
 _CHUNK_ROWS = 512
 
@@ -309,11 +308,6 @@ class GeneratorMatrix:
     def is_tridiagonal(self) -> bool:
         return self.jump is None
 
-    def as_tridiag(self) -> TriDiag:
-        if not self.is_tridiagonal:
-            raise ValueError("generator has far jump rates")
-        return TriDiag(self.down[1:], self.diag, self.up[:-1])
-
     def as_dense(self) -> np.ndarray:
         return self.dense_rows(np.arange(self.dimension))
 
@@ -355,18 +349,17 @@ def rate_rows(gen: Union[GeneratorMatrix, np.ndarray], rows: np.ndarray) -> np.n
 
 
 def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
-    """a0 I - cG G: banded CSC for a tridiagonal chain, dense otherwise.
+    """a0 I - cG G: sparse tridiagonal for a tridiagonal chain, dense otherwise.
 
-    Keeping the banded form makes each policy iteration on it one sparse
-    factorization instead of a dense solve.
+    An ``LCPOperator`` holds the tridiagonal form as its three bands, so each
+    policy iteration on it is one O(N) banded factorization instead of a
+    dense solve.
     """
 
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-        T = gen.as_tridiag()
         return sparse.diags(
-            [-cG * T.sub, a0 - cG * T.main, -cG * T.sup],
+            [-cG * gen.down[1:], a0 - cG * gen.diag, -cG * gen.up[:-1]],
             offsets=[-1, 0, 1],
-            format="csc",
         )
     # built in place on a fresh copy: no N x N temporaries beside it
     if isinstance(gen, GeneratorMatrix):

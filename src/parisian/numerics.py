@@ -1,16 +1,17 @@
 """Core numerical kernels.
 
-Tridiagonal solves, uniformized matrix exponentials and linear-complementarity
-(LCP) solvers.  The LCP convention throughout is
+Uniformized matrix exponentials, banded tridiagonal factorizations and
+linear-complementarity (LCP) solvers.  The LCP convention throughout is
 
     find z >= 0 with w = A z + psi >= 0 and z . w = 0.
 
 ``policy_solve`` (primal-dual active-set iteration) is the one production
 solver: every pricing LCP has an M-matrix (rate I - G, I - dt G or a duration
 ladder operator), on which it converges in finitely many steps.  It works on
-an ``LCPOperator``, which holds A once in solving form (CSC when A is sparse
-and less than half full, dense otherwise) together with the LU factors of the
-last principal block A_FF it solved; a recursion that passes one operator to
+an ``LCPOperator``, which holds A once in solving form (three bands when A is
+sparse and tridiagonal, CSC when it is otherwise sparse and less than half
+full, dense otherwise) together with the LU factors of the last principal
+block A_FF it solved; a recursion that passes one operator to
 every clock slice factors A_FF once per distinct free set instead of once per
 iteration.  ``lemke_solve`` (pivoting) is kept as an independent reference
 for tests and ``parisian verify``.  Functions are pure apart from the factor
@@ -27,92 +28,73 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 
-# ---------------------------------------------------------------------------
-# tridiagonal matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriDiag:
-    """Tridiagonal matrix stored as (sub, main, super) diagonal arrays."""
-
-    sub: np.ndarray
-    main: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.main)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise ValueError(
-                f"diagonal lengths must be ({n-1}, {n}, {n-1}); got "
-                f"({len(self.sub)}, {n}, {len(self.sup)})"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.main)
-
-    def to_banded(self) -> np.ndarray:
-        """LAPACK banded layout (3, n) with rows (super, main, sub)."""
-        n = self.n
-        ab = np.zeros((3, n))
-        ab[0, 1:] = self.sup
-        ab[1, :] = self.main
-        ab[2, :-1] = self.sub
-        return ab
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        out = np.diag(self.main)
-        out[np.arange(n - 1) + 1, np.arange(n - 1)] = self.sub
-        out[np.arange(n - 1), np.arange(n - 1) + 1] = self.sup
-        return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = self.main * x
-        out[:-1] += self.sup * x[1:]
-        out[1:] += self.sub * x[:-1]
-        return out
-
-    def norm_inf(self) -> float:
-        rowsum = np.abs(self.main).astype(float)
-        rowsum[:-1] += np.abs(self.sup)
-        rowsum[1:] += np.abs(self.sub)
-        return float(rowsum.max()) if self.n else 0.0
-
-
-MatrixLike = Union[np.ndarray, TriDiag, sparse.spmatrix]
+MatrixLike = Union[np.ndarray, sparse.spmatrix]
 
 
 def _as_dense(A: MatrixLike) -> np.ndarray:
     if isinstance(A, LCPOperator):
-        A = A.matrix
-    if isinstance(A, TriDiag):
         return A.to_dense()
     if sparse.issparse(A):
         return A.toarray()
     return np.asarray(A, dtype=float)
 
 
-def _matvec(A: MatrixLike, x: np.ndarray) -> np.ndarray:
-    if isinstance(A, TriDiag):
-        return A.matvec(x)
-    return A @ x
+# ---------------------------------------------------------------------------
+# tridiagonal free blocks
+# ---------------------------------------------------------------------------
 
 
-def solve_tridiag(A: TriDiag, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for tridiagonal A (b may be a vector or a matrix)."""
+def _tridiagonal_bands(A: sparse.spmatrix) -> Optional[np.ndarray]:
+    """The (3, n) LAPACK bands of a square sparse A of bandwidth <= 1:
+    ``ab[1 + i - j, j] = A[i, j]``; None for any other A."""
 
-    try:
-        return solve_banded((1, 1), A.to_banded(), b)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular tridiagonal system ({exc})"
-        ) from exc
+    n = A.shape[0]
+    if A.shape[1] != n or A.nnz > 3 * n:
+        return None
+    coo = A.tocoo()
+    if np.any(np.abs(coo.col - coo.row) > 1):
+        return None
+    ab = np.zeros((3, n))
+    np.add.at(ab, (1 + coo.row - coo.col, coo.col), coo.data)
+    return ab
+
+
+def factor_tridiag(ab: np.ndarray, idx: np.ndarray) -> tuple:
+    """LU factors (LAPACK ``dgttrf``) of the principal block on the sorted
+    indices ``idx`` of the tridiagonal matrix with bands ``ab``.
+
+    The block is tridiagonal too: rows idx[k] and idx[k+1] couple only when
+    they are neighbours, so every coupling across a gap in ``idx`` is 0.  The
+    LAPACK wrapper rejects fewer than 3 rows, so a smaller block is padded
+    with an identity block, which ``solve_tridiag`` drops again.
+    """
+
+    n = len(idx)
+    m = max(n, 3)
+    d = np.ones(m)
+    d[:n] = ab[1, idx]
+    dl, du = np.zeros(m - 1), np.zeros(m - 1)
+    near = np.flatnonzero(np.diff(idx) == 1)
+    dl[near] = ab[2, idx[near]]
+    du[near] = ab[0, idx[near] + 1]
+    *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info:
+        raise np.linalg.LinAlgError("singular free block A_FF")
+    return lu, n
+
+
+def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A_FF x = b (a vector) with the factor of ``factor_tridiag``."""
+
+    lu, n = factor
+    rhs = np.zeros(len(lu[1]))
+    rhs[:n] = b
+    return dgttrs(*lu, rhs, overwrite_b=1)[0][:n]
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +109,10 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
     P = I + G/rate is substochastic; the Poisson-weighted power series then
     has nonnegative terms and is truncated once the remaining Poisson tail
     drops below ``tol``.  Exact to truncation level (no time-step bias).
+    The series starts from the weight e^{-a}, a = rate t, which underflows
+    once a passes about 745; past a = 500 the series runs on exp((t / 2^k) G)
+    with a / 2^k <= 500 instead and the result is squared k times, which
+    keeps it nonnegative.
     """
 
     if t < 0:
@@ -144,6 +130,8 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
         raise ValueError("generator_expm needs nonnegative off-diagonals")
     P = Gd / rate + np.eye(n)
     a = rate * t
+    squarings = max(0, math.ceil(math.log2(a / 500.0)))
+    a /= 2**squarings
     weight = math.exp(-a)
     term = np.eye(n)
     out = weight * term
@@ -156,6 +144,8 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
         consumed += weight
         if 1.0 - consumed < tol and j > a:
             break
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
@@ -167,21 +157,31 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
 class LCPOperator:
     """The matrix A of a family of LCPs, held once in solving form.
 
-    A sparse A with fewer than n^2/2 stored entries is converted to CSC once;
-    anything else, a sparse A at least half full included, is held dense,
-    where a dense LU is cheaper than a sparse one.  The operator also keeps
-    the LU factors (``lu_factor`` dense, ``splu`` sparse) of the last principal
-    block A_FF that ``solve_free`` solved, keyed by the free index set F.  A
-    solve on the same F reuses them; a different F drops them before the new
-    block is extracted, so at most one factor is alive.
+    A sparse A of bandwidth <= 1 (a tridiagonal chain's slice operator) is
+    held as its three bands ``bands`` in LAPACK (3, n) layout, which is also
+    the data of a DIA matrix with offsets (1, 0, -1); any other sparse A with
+    fewer than n^2/2 stored entries is converted to CSC once; anything else,
+    a sparse A at least half full included, is held dense, where a dense LU
+    is cheaper than a sparse one.  ``is_sparse`` is true for bands and CSC.
+    The operator also keeps the LU factors (``factor_tridiag`` on bands,
+    ``splu`` on CSC, ``lu_factor`` dense) of the last principal block A_FF
+    that ``solve_free`` solved, keyed by the free index set F.  A solve on
+    the same F reuses them; a different F drops them before the new block is
+    cut, so at most one factor is alive.
     Policy iteration solves every A_FF exactly, so reusing the factor leaves
     every solution as it was.  The factor lives as long as the operator, and
     an operator is not meant to be shared across threads.
     """
 
     def __init__(self, A: MatrixLike):
-        self.is_sparse = sparse.issparse(A) and 2 * A.nnz < math.prod(A.shape)
-        self.matrix = A.tocsc() if self.is_sparse else _as_dense(A)
+        self.bands = _tridiagonal_bands(A) if sparse.issparse(A) else None
+        if self.bands is not None:
+            self.matrix = sparse.dia_matrix((self.bands, (1, 0, -1)), shape=A.shape)
+        elif sparse.issparse(A) and 2 * A.nnz < math.prod(A.shape):
+            self.matrix = A.tocsc()
+        else:
+            self.matrix = _as_dense(A)
+        self.is_sparse = sparse.issparse(self.matrix)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("A must be square")
         self._free: Optional[np.ndarray] = None
@@ -198,6 +198,11 @@ class LCPOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
+    def to_dense(self) -> np.ndarray:
+        """A as a dense array (the operator's own array when held dense)."""
+
+        return self.matrix.toarray() if self.is_sparse else self.matrix
+
     def solve_free(self, free: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
         """Solve A_FF x = rhs for the free mask ``free``.
 
@@ -208,7 +213,9 @@ class LCPOperator:
         if self._lu is None or not np.array_equal(free, self._free):
             self._lu = self._free = None
             idx = np.flatnonzero(free)
-            if self.is_sparse:
+            if self.bands is not None:
+                self._lu = factor_tridiag(self.bands, idx)
+            elif self.is_sparse:
                 self._lu = splu(self.matrix[idx][:, idx])
             else:
                 block = self.matrix[np.ix_(idx, idx)]
@@ -218,6 +225,8 @@ class LCPOperator:
                 self._lu = lu
             self._free = free.copy()
             factorizations = 1
+        if self.bands is not None:
+            return solve_tridiag(self._lu, rhs), factorizations
         if self.is_sparse:
             return self._lu.solve(rhs), factorizations
         return lu_solve(self._lu, rhs, check_finite=False), factorizations
@@ -240,21 +249,19 @@ class LCPProblem:
     psi: np.ndarray
 
     def __post_init__(self):
-        n = self.A.n if isinstance(self.A, TriDiag) else self.A.shape[0]
-        shape = self.A.shape if not isinstance(self.A, TriDiag) else (n, n)
-        if shape[0] != shape[1]:
+        if self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
-        if len(self.psi) != n:
+        if len(self.psi) != self.n:
             raise ValueError("psi length must match A dimension")
         if not np.all(np.isfinite(self.psi)):
             raise ValueError("psi must be finite")
 
     @property
     def n(self) -> int:
-        return self.A.n if isinstance(self.A, TriDiag) else self.A.shape[0]
+        return self.A.shape[0]
 
     def residual_w(self, z: np.ndarray) -> np.ndarray:
-        return _matvec(self.A, z) + self.psi
+        return self.A @ z + self.psi
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ Every LCP is solved by policy iteration, and the route follows from the
 payoff alone: whenever it vanishes below the barrier, no exercise happens on
 any below-barrier slot, level 0 included, so every such slot is eliminated
 and each LCP runs over the above-barrier states only ("reduced"); its
-operator is tridiagonal, held sparse, on a tridiagonal chain and dense on a
-jump chain.  Otherwise the LCP is solved on the stacked ladder operator
-("stacked"), assembled sparse and stored dense by its ``LCPOperator`` only
-when at least half full.  A recursion keeps one slice operator alive,
-rebuilt only when the slice's generator changes, and passes it to every
-slice it serves; a slice whose exercise region did not move reuses the
-factor of the one after it.
+operator is tridiagonal, held as its three bands, on a tridiagonal chain and
+dense on a jump chain.  Otherwise the LCP is solved on the stacked ladder
+operator ("stacked"), assembled sparse and stored dense by its
+``LCPOperator`` only when at least half full.  A recursion keeps one slice
+operator alive, rebuilt only when the slice's generator changes, and passes
+it to every slice it serves; a slice whose exercise region did not move
+reuses the factor of the one after it.
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ class _ReducedLadderOps:
     is one too (Berman & Plemmons 1994).  On a tridiagonal chain the barrier
     node is the only above-barrier state that reaches or is reached from
     below, so A_eff is A_aa with the barrier node's diagonal changed:
-    tridiagonal, held sparse.  It is dense otherwise.  ``dt`` picks the
-    operator as in ``_slice_coefficients``.
+    tridiagonal, held by its ``LCPOperator`` as three bands.  It is dense
+    otherwise.  ``dt`` picks the operator as in ``_slice_coefficients``.
 
     No exercise is lost below the barrier, even where the payoff is negative
     above it: Q^-1 >= 0, P_0 >= 0 and A_ab <= 0, and the next slice's values
@@ -344,7 +344,8 @@ class _ReducedLadderOps:
         del rhs
 
         # level 0's above-barrier rows of a0 I - cG G: sliced from the
-        # banded slice matrix (O(N)) on a tridiagonal chain, dense otherwise
+        # sparse tridiagonal slice matrix (O(N)) on a tridiagonal chain, whose
+        # A_eff stays tridiagonal and is held as its bands; dense otherwise
         if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
             A = slice_matrix(gen, a0, cG).tocsr()[ai]
             feeders = np.flatnonzero(A[:, bi].getnnz(axis=1))

@@ -571,7 +571,7 @@ class TestCli:
 
     def test_verify_verb(self, capsys):
         assert main(["verify", "--suite", "lcp"]) == 0
-        assert "200/200" in capsys.readouterr().out
+        assert "300/300" in capsys.readouterr().out
 
     def test_reproduce_table_passes_for_bs(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

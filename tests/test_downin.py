@@ -1,5 +1,6 @@
 """Excursion-trigger pricing tests: transform, slices and surfaces."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parisian.bench_cli import price_point, reference_option
 from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_matrix
 from parisian.models import KouParams, bs_model, kou_model
 from parisian.numerics import LCPOperator, LCPProblem, lemke_solve
@@ -455,6 +457,15 @@ class TestFiniteDownIn:
         np.testing.assert_array_equal(switched.disc_vanilla, fresh)
         assert not np.array_equal(
             fresh, fresh_slices([gen] * n_slices, obstacles, tg.dt))
+
+    def test_long_window_keeps_its_price_past_poisson_underflow(self):
+        # the window kernel exp(window G_bb) has a uniformization mean of 706
+        # at n = 481 and 966 at n = 561, past where e^{-a} underflows
+        cfg = dataclasses.replace(
+            reference_option("bs", "finite-down-in").config, window=0.5)
+        coarse, fine = (price_point(cfg, n).value for n in (481, 561))
+        assert coarse > 0.2 and fine > 0.0
+        assert abs(fine - coarse) <= 0.01 * coarse
 
     def test_bounded_by_vanilla_and_monotone_in_window(self):
         model = self.setup_model()

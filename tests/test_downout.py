@@ -438,10 +438,10 @@ class TestReducedRoute:
         ai = ladder.above_indices
         for dt in (None, 1 / 24):
             ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
-            assert ops.A_eff.is_sparse
+            assert ops.A_eff.is_sparse and ops.A_eff.bands is not None
             assert ops.A_eff.n == ladder.n_states - ladder.n_below
             np.testing.assert_array_equal(ops.coupled, [ladder.n_below])
-            A_eff = ops.A_eff.matrix.toarray()
+            A_eff = ops.A_eff.to_dense()
             rows, cols = np.nonzero(A_eff)
             assert np.all(np.abs(rows - cols) <= 1)  # tridiagonal
             # the above block of a0 I - cG G, but for the barrier node's
@@ -455,8 +455,8 @@ class TestReducedRoute:
             # the same operator, assembled dense from the plain rate matrix
             dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.1, dt=dt)
             assert not dense.A_eff.is_sparse
-            np.testing.assert_array_equal(ops.A_eff.matrix.toarray(),
-                                          dense.A_eff.matrix)
+            np.testing.assert_array_equal(ops.A_eff.to_dense(),
+                                          dense.A_eff.to_dense())
 
     def test_partly_coupled_hand_built_chain(self):
         # below rows 0..3 reach only above states 5 and 7

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 from parisian.numerics import (
     LCPOperator,
     LCPProblem,
     LCPStatus,
-    TriDiag,
     complementarity_residual,
     generator_expm,
     lemke_solve,
     policy_solve,
     require_solved,
-    solve_tridiag,
 )
 
 
@@ -53,44 +52,91 @@ def random_generator(rng, n):
     return G
 
 
-class TestTriDiag:
+def random_tridiagonal_m_matrix(rng, n):
+    """Strictly diagonally dominant tridiagonal M-matrix, dense."""
+    sub, sup = -rng.uniform(0.1, 3.0, size=n - 1), -rng.uniform(0.1, 3.0, size=n - 1)
+    A = np.diag(sub, -1) + np.diag(sup, 1)
+    A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + rng.uniform(0.05, 1.0, size=n)
+    return A
+
+
+class TestBandedOperator:
+    """A sparse tridiagonal operator is held as its bands and solves its free
+    blocks from them; the dense matrix is the reference."""
+
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            TriDiag(np.zeros(3), np.zeros(3), np.zeros(2))
+        with pytest.raises(ValueError, match="square"):
+            LCPOperator(sparse.diags([np.ones(3), np.ones(3)], [0, 1], shape=(3, 4)))
 
     def test_identity_solve_returns_rhs(self):
         n = 7
-        T = TriDiag(np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
+        op = LCPOperator(sparse.identity(n, format="csr"))
+        assert op.bands is not None and op.is_sparse
         b = np.arange(n, dtype=float)
-        assert np.allclose(solve_tridiag(T, b), b)
+        x, made = op.solve_free(np.ones(n, dtype=bool), b)
+        assert made == 1
+        np.testing.assert_array_equal(x, b)
 
     def test_two_by_two_forced_solution(self):
-        T = TriDiag(np.array([1.0]), np.array([2.0, 2.0]), np.array([1.0]))
-        x = solve_tridiag(T, np.array([3.0, 3.0]))
+        # blocks of 1 and 2 rows, which the LAPACK wrapper rejects unpadded
+        op = LCPOperator(sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+        assert op.bands is not None
+        x, _ = op.solve_free(np.ones(2, dtype=bool), np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+        x, _ = op.solve_free(np.array([False, True]), np.array([3.0]))
+        assert np.allclose(x, [1.5], atol=1e-14)
 
-    def test_matches_dense_lu_on_diagonally_dominant(self):
+    def test_free_blocks_match_dense_solves_on_masks_with_gaps(self):
         rng = np.random.default_rng(7)
-        n = 50
-        sub, sup = rng.normal(size=n - 1), rng.normal(size=n - 1)
-        main = 4.0 + np.abs(rng.normal(size=n))
-        T = TriDiag(sub, main, sup)
-        b = rng.normal(size=n)
-        x = solve_tridiag(T, b)
-        x_dense = np.linalg.solve(T.to_dense(), b)
-        assert np.max(np.abs(x - x_dense)) <= 1e-10
-        assert np.max(np.abs(T.to_dense() @ x - b)) <= 1e-10 * (1 + np.abs(b).max())
+        for n in (1, 2, 3, 4, 9, 50):
+            A = random_tridiagonal_m_matrix(rng, n)
+            op = LCPOperator(sparse.csc_matrix(A))
+            assert op.bands is not None
+            masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+            for size in (1, 2):  # with a gap wherever n allows one
+                if size <= n:
+                    mask = np.zeros(n, dtype=bool)
+                    mask[[0, n - 1][:size]] = True
+                    masks.append(mask)
+            masks += [rng.uniform(size=n) < p for p in (0.3, 0.5, 0.8) for _ in range(4)]
+            for free in masks:
+                idx = np.flatnonzero(free)
+                b = rng.normal(size=idx.size)
+                x, _ = op.solve_free(free, b)
+                ref = np.linalg.solve(A[np.ix_(idx, idx)], b)
+                scale = np.max(np.abs(ref), initial=1.0)
+                assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * scale
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_raises(self):
-        T = TriDiag(np.array([0.0]), np.array([1.0, 0.0]), np.array([0.0]))
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_tridiag(T, np.array([1.0, 1.0]))
+        # a zero row makes every cut block through it singular, as it does
+        # for the dense operator
+        A = random_tridiagonal_m_matrix(np.random.default_rng(8), 6)
+        A[3] = 0.0
+        for free in (np.ones(6, dtype=bool), np.arange(6) >= 2,
+                     np.arange(6) == 3):
+            for op in (LCPOperator(sparse.csr_matrix(A)), LCPOperator(A)):
+                with pytest.raises(np.linalg.LinAlgError):
+                    op.solve_free(free, np.ones(int(free.sum())))
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
-        T = TriDiag(rng.normal(size=4), rng.normal(size=5), rng.normal(size=4))
+        A = random_tridiagonal_m_matrix(rng, 5)
+        op = LCPOperator(sparse.csr_matrix(A))
+        np.testing.assert_array_equal(op.to_dense(), A)
         x = rng.normal(size=5)
-        assert np.allclose(T.matvec(x), T.to_dense() @ x)
+        assert np.allclose(op @ x, A @ x, rtol=1e-15, atol=0.0)
+
+    def test_policy_solve_keeps_the_per_state_iteration_cap(self):
+        # the contact point of the string travels one node per iteration:
+        # more iterations than the dense cap, within the 4n of a sparse one
+        A, psi, _ = obstacle_problem(500)
+        op = LCPOperator(sparse.csr_matrix(A))
+        assert op.bands is not None and op.is_sparse
+        sol = policy_solve(LCPProblem(op, psi))
+        assert sol.solved and 200 < sol.iterations <= 4 * 500
+        dense = policy_solve(LCPProblem(A, psi))
+        assert dense.status is LCPStatus.MAX_ITERATIONS
 
 
 class TestGeneratorExpm:
@@ -108,6 +154,14 @@ class TestGeneratorExpm:
         assert np.max(np.abs(U - expm(1.7 * G))) <= 1e-12
         assert U.min() >= -1e-15
         assert U.sum(axis=1).max() <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("r", [700.0, 800.0])
+    def test_large_uniformization_mean_matches_expm(self, r):
+        # a = (r + 1) t passes 745 at r = 800, where e^{-a} underflows
+        G = np.array([[-r, r], [r, -r - 1.0]])
+        U = generator_expm(G, 1.0)
+        assert U.min() > 0.3
+        assert np.max(np.abs(U - expm(G))) <= 1e-12
 
     def test_rejects_negative_off_diagonal(self):
         G = np.array([[-1.0, 1.0], [-0.5, 0.5]])
@@ -212,8 +266,6 @@ class TestPsorAndFriends:
             assert abs(contact_idx - predicted) <= 1.0, solver.__name__
 
     def test_policy_solve_sparse_matches_dense(self):
-        from scipy import sparse
-
         rng = np.random.default_rng(31)
         n = 60
         A, q = random_pd_lcp(rng, n)
@@ -229,8 +281,6 @@ class TestLCPOperator:
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse"])
     def test_factor_reused_only_on_the_same_free_set(self, fmt):
-        from scipy import sparse
-
         A, psi, _ = obstacle_problem(60)
         matrix = sparse.csr_matrix(A) if fmt == "sparse" else A
         op = LCPOperator(matrix)
@@ -254,8 +304,6 @@ class TestLCPOperator:
         np.testing.assert_array_equal(changed.z, low.z)
 
     def test_sparse_input_stored_dense_from_half_full(self):
-        from scipy import sparse
-
         rng = np.random.default_rng(14)
         # a 4x4 with 8 stored entries is half full: dense; with 7, CSC
         off = [(i, j) for i in range(4) for j in range(4) if i != j]
@@ -265,7 +313,7 @@ class TestLCPOperator:
                 A[off[k]] = -rng.uniform(0.5, 2.0)
             assert LCPOperator(sparse.csr_matrix(A)).is_sparse is stays_sparse
         # a full M-matrix stored dense solves like the dense operator, a
-        # banded one stays CSC and solves like the CSC operator
+        # banded one is held as its bands and solves like the banded operator
         full = 0.1 * np.eye(30) - random_generator(rng, 30)
         banded, psi, _ = obstacle_problem(60)
         cases = ((full, 2.0 * rng.normal(size=30), LCPOperator(full)),
@@ -273,10 +321,8 @@ class TestLCPOperator:
         for A, q, same in cases:
             op = LCPOperator(sparse.csr_matrix(A))
             assert op.is_sparse is same.is_sparse
-            if op.is_sparse:
-                assert op.matrix.format == "csc"
-            else:
-                np.testing.assert_array_equal(op.matrix, A)
+            assert (op.bands is None) is (same.bands is None) is (A is full)
+            np.testing.assert_array_equal(op.to_dense(), A)
             got = policy_solve(LCPProblem(op, q))
             assert got.solved
             np.testing.assert_array_equal(got.z, policy_solve(LCPProblem(same, q)).z)
