@@ -1265,6 +1265,40 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
     emit(f"  down-out recursion vs joint-lattice DP: worst gap {worst_out:.2e}")
     emit(f"  down-in recursion vs renewal DP: worst gap {worst_in:.2e}")
     emit(f"  reduced down-out, BS chain and call, vs joint-lattice DP: gap {worst_bs:.2e}")
+
+    # reduced down-out on dense jump chains, with a call struck at or above
+    # the barrier, on grids where the ladder elimination runs on a factor of
+    # the below->above rate block narrower than the block (k < nc)
+    from .pricer_downout import _ReducedLadderOps, build_ladder
+
+    for model in (kou_model(KouParams(**_KOU)), vg_model(VGParams(**_VG))):
+        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
+                          math.log(95.0), 32, "proportional")
+        gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
+        rate = float(rng.uniform(0.01, 0.1))
+        strike = float(rng.uniform(90.0, 110.0))
+        window, dtick = 1.0 / 12.0, 1.0 / 24.0
+        timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
+        c_out = ContractSpec(
+            payoff=american_call(strike), barrier=90.0, window=window,
+            maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
+        )
+        res = price_finite_downout(model, grid, timegrid, c_out, dtick=dtick, gen=gen)
+        ora = dp_parisian_lattice(
+            gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
+            timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
+        )
+        gap = float(np.max(np.abs(res.values[:, : ora.shape[1]] - ora)))
+        ops = _ReducedLadderOps(
+            gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
+        )
+        k, nc = ops.factor_width, len(ops.coupled)
+        checks += 1
+        failures += gap >= 1e-5 or k >= nc
+        emit(
+            f"  reduced down-out, {model.name} chain and call (factor width "
+            f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
+        )
     return checks, failures
 
 

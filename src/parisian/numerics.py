@@ -1,7 +1,8 @@
 """Core numerical kernels.
 
-Uniformized matrix exponentials, banded tridiagonal factorizations and
-linear-complementarity (LCP) solvers.  The LCP convention throughout is
+Uniformized matrix exponentials, banded tridiagonal factorizations,
+randomized low-rank factors and linear-complementarity (LCP) solvers.  The
+LCP convention throughout is
 
     find z >= 0 with w = A z + psi >= 0 and z . w = 0.
 
@@ -98,8 +99,49 @@ def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# low-rank factors
+# ---------------------------------------------------------------------------
+
+# the range finder's first sketch width and its seed (fixed, so that a
+# factor and everything built on it are reproducible bit for bit)
+_SKETCH_COLUMNS = 8
+_SKETCH_SEED = 20110531
+
+
+def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """(U, W) with ||B - U W||_F <= rtol ||B||_F, U with few columns.
+
+    A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
+    2011): U is an orthonormal basis of the sketch B Omega for a Gaussian
+    Omega of k = 8, 16, 32, ... columns and W = U^T B.  The first k whose
+    residual, computed exactly, meets ``rtol`` is kept.  Once k would reach
+    B's column count the factor is B itself with W = I, returned as
+    ``(B, None)``.  The sketch draws from its own seeded generator, so a
+    given B always gets the same factor.
+    """
+
+    n_cols = B.shape[1]
+    rng = np.random.default_rng(_SKETCH_SEED)
+    bound = rtol * np.linalg.norm(B)
+    Y = np.empty((B.shape[0], 0))
+    k = _SKETCH_COLUMNS
+    while k < n_cols:
+        Y = np.hstack([Y, B @ rng.standard_normal((n_cols, k - Y.shape[1]))])
+        U = np.linalg.qr(Y)[0]
+        W = U.T @ B
+        if np.linalg.norm(B - U @ W) <= bound:
+            return U, W
+        k *= 2
+    return B, None
+
+
+# ---------------------------------------------------------------------------
 # uniformized matrix exponentials
 # ---------------------------------------------------------------------------
+
+
+# the largest Poisson mean the uniformized series is summed at
+_EXPM_MAX_MEAN = 50.0
 
 
 def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
@@ -110,9 +152,9 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
     has nonnegative terms and is truncated once the remaining Poisson tail
     drops below ``tol``.  Exact to truncation level (no time-step bias).
     The series starts from the weight e^{-a}, a = rate t, which underflows
-    once a passes about 745; past a = 500 the series runs on exp((t / 2^k) G)
-    with a / 2^k <= 500 instead and the result is squared k times, which
-    keeps it nonnegative.
+    once a passes about 745, and takes about a terms; past a = 50 it runs on
+    exp((t / 2^k) G) with a / 2^k <= 50 instead and the result is squared k
+    times, which keeps it nonnegative.
     """
 
     if t < 0:
@@ -130,7 +172,7 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
         raise ValueError("generator_expm needs nonnegative off-diagonals")
     P = Gd / rate + np.eye(n)
     a = rate * t
-    squarings = max(0, math.ceil(math.log2(a / 500.0)))
+    squarings = max(0, math.ceil(math.log2(a / _EXPM_MAX_MEAN)))
     a /= 2**squarings
     weight = math.exp(-a)
     term = np.eye(n)

@@ -312,7 +312,21 @@ class FiniteDownInResult:
 
     def value_at(self, spot: float, slice_idx: int = 0) -> float:
         x0 = float(self.model.state_of_price(spot))
-        return self.grid.interp(self.disc_values[slice_idx], x0)
+        return self.grid.interp(surface_row(self.disc_values, slice_idx), x0)
+
+
+def surface_row(surface: np.ndarray, slice_idx: int) -> np.ndarray:
+    """Row ``slice_idx`` of a (clock slice, state) surface.
+
+    Raises IndexError outside 0..len(surface) - 1: a negative index would
+    silently count back from the zero row past the horizon.
+    """
+
+    if not 0 <= slice_idx < len(surface):
+        raise IndexError(
+            f"clock slice {slice_idx} outside the surface's 0..{len(surface) - 1}"
+        )
+    return surface[slice_idx]
 
 
 def price_finite_downin(

@@ -48,13 +48,14 @@ from .ctmc import (
     slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPOperator
+from .numerics import LCPOperator, low_rank_factor
 from .pricer_downin import (
     ContractSpec,
     Flavor,
     american_surface,
     bermudan_slice,
     require_horizon,
+    surface_row,
 )
 
 
@@ -96,8 +97,15 @@ class DurationLadder:
     def above_indices(self) -> np.ndarray:
         return _read_only(np.flatnonzero(~self.below))
 
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level <= self.n_ticks:
+            raise IndexError(
+                f"duration level {level} outside the ladder's 0..{self.n_ticks}"
+            )
+
     def slot(self, level: int, state: int) -> int:
         """Flat index of (duration level, spatial state)."""
+        self._check_level(level)
         if level == 0:
             return state
         if not self.below[state]:
@@ -107,6 +115,7 @@ class DurationLadder:
 
     def level_slice(self, level: int) -> slice:
         """Slots of one duration level (level 0 spans all states)."""
+        self._check_level(level)
         if level == 0:
             return slice(0, self.n_states)
         start = self.n_states + (level - 1) * self.n_below
@@ -262,6 +271,15 @@ def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
     return ladder.n_below > 0 and bool(np.all(f0[ladder.below] == 0.0))
 
 
+# Relative Frobenius error allowed in the factor B ~ U W of the Horner loop.
+# The loop's first product fl(Q^-1 B) already errs by up to
+# gamma_m ||Q^-1||_F ||B||_F, gamma_m ~ m eps / 2 (Higham 2002, sec. 3.5),
+# while a factor error E moves Q^-1 B by at most ||Q^-1||_2 ||E||_F; with
+# ||E||_F <= 4 eps ||B||_F that stays inside the product's own bound for
+# every m >= 8 below-barrier states.
+_FACTOR_RTOL = 4.0 * np.finfo(float).eps
+
+
 class _ReducedLadderOps:
     """Closes every below-barrier slot in terms of the above-barrier states.
 
@@ -303,10 +321,24 @@ class _ReducedLadderOps:
     eliminated values (matrix-vector products).  That is safe here: Q = (a0 +
     cup) I - cG R_bb, with R_bb the below block of a generator (off-diagonals
     >= 0, rows summing to <= 0) and a0 > 0, is a strictly diagonally dominant
-    M-matrix, so Q^-1 >= 0 entrywise.  With B >= 0, every term of the Horner
-    sum for P_0 is nonnegative: nothing cancels, and the products keep the
-    relative accuracy of Q^-1 itself.  A jump chain forms only the rows of
-    its rate matrix the blocks need, never the dense N x N slice matrix.
+    M-matrix, so Q^-1 >= 0 entrywise.  With the exact B >= 0, every term of
+    the Horner sum for P_0 is nonnegative: nothing cancels, and the products
+    keep the relative accuracy of Q^-1 itself.  ``sources`` and ``expand``
+    run on that exact B and Q^-1, so M_0 and the eliminated values are >= 0
+    as computed.  A jump chain forms only the rows of its rate matrix the
+    blocks need, never the dense N x N slice matrix.
+
+    P_0 alone is built on a factor: B has low numerical rank on a jump chain
+    (a Kou far-jump rate splits into a row factor times a column factor, and
+    the VG kernel is an integral of such terms), so ``low_rank_factor``
+    returns B ~ U W with U of k columns, k << nc, and the Horner loop runs on
+    U: P_0 = P_U W for P_U = sum_j cup^j Q^-(j+1) U.  The map is linear, so
+    the A_eff built is the exact one for B + E with ||E||_F <= 4 eps ||B||_F
+    (``_FACTOR_RTOL``; the loop's own rounding comes on top, as before).  The
+    signs above are not kept term by term, since U has entries of both
+    signs: P_U W may carry round-off of either sign on entries of P_0 near 0.
+    On a tridiagonal chain nc = 1, and the factor is B itself with W = I: the
+    arithmetic is the same as without a factor.
     """
 
     def __init__(
@@ -332,16 +364,18 @@ class _ReducedLadderOps:
         Qinv = inv(Q, overwrite_a=True, check_finite=False)
         B = cG * Rb[:, coupled]
         del Rb
-        # P_0 by Horner from the knock-out level (P = 0 there): n_ticks - 1
-        # steps reach level 1, one more reaches level 0.  The loop allocates
-        # nothing per level; its scratch is freed before A_eff is assembled.
-        P = np.zeros_like(B)
-        rhs = np.empty_like(B)
+        # P_0 = P_U W by Horner from the knock-out level (P = 0 there) on the
+        # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
+        # level 0.  The loop allocates nothing per level; its scratch is
+        # freed before A_eff is assembled.
+        U, W = low_rank_factor(B, _FACTOR_RTOL)
+        P = np.zeros_like(U)
+        rhs = np.empty_like(U)
         for _ in range(ladder.n_ticks):
             np.multiply(P, cup, out=rhs)
-            rhs += B
+            rhs += U
             np.matmul(Qinv, rhs, out=P)
-        del rhs
+        del rhs, U
 
         # level 0's above-barrier rows of a0 I - cG G: sliced from the
         # sparse tridiagonal slice matrix (O(N)) on a tridiagonal chain, whose
@@ -356,6 +390,9 @@ class _ReducedLadderOps:
         # A_ab, kept on the rows that reach below ("feeders") only
         A_ab = A[np.ix_(feeders, bi)]
         fix = A_ab @ P
+        if W is not None:
+            fix = fix @ W
+        factor_width = P.shape[1]
         del P
         A = A[:, ai]
         cols = np.searchsorted(ai, coupled)
@@ -368,7 +405,11 @@ class _ReducedLadderOps:
             A[np.ix_(feeders, cols)] += fix
 
         self.ladder = ladder
+        # below-barrier slots of levels n_ticks - 1 down to 0
+        self.levels_down = [ladder.below_slots(k)
+                            for k in range(ladder.n_ticks - 1, -1, -1)]
         self.coupled = coupled
+        self.factor_width = factor_width  # columns the Horner loop carried
         self.feeders = feeders
         self.A_ab = A_ab
         self.B = B
@@ -382,8 +423,8 @@ class _ReducedLadderOps:
 
         ladder = self.ladder
         M = np.zeros(ladder.n_below)
-        for k in range(ladder.n_ticks - 1, -1, -1):
-            M = self.Qinv @ (c_next[ladder.below_slots(k)] + self.cup * M)
+        for slots in self.levels_down:
+            M = self.Qinv @ (c_next[slots] + self.cup * M)
         q = c_next[ladder.above_indices]
         q[self.feeders] -= self.A_ab @ M
         return q
@@ -397,8 +438,7 @@ class _ReducedLadderOps:
         out[ladder.above_indices] = c_above
         feed = self.B @ out[self.coupled]
         level = np.zeros(ladder.n_below)  # the knock-out level
-        for k in range(ladder.n_ticks - 1, -1, -1):
-            slots = ladder.below_slots(k)
+        for slots in self.levels_down:
             level = self.Qinv @ (feed + self.cup * level + c_next[slots])
             out[slots] = level
         return out
@@ -420,9 +460,9 @@ class FiniteDownOutResult:
 
     def value_at(self, spot: float, slice_idx: int = 0, level: int = 0) -> float:
         x = float(np.asarray(self.model.state_of_price(spot)))
+        vals = surface_row(self.values, slice_idx)[self.ladder.level_slice(level)]
         if level == 0:
-            return self.grid.interp(self.level0[slice_idx], x)
-        vals = self.values[slice_idx, self.ladder.level_slice(level)]
+            return self.grid.interp(vals, x)
         return self.grid.interp(vals, x, self.ladder.below)
 
 

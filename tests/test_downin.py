@@ -544,6 +544,17 @@ class TestFiniteDownIn:
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot)
 
+    def test_value_at_rejects_slices_off_the_surface(self):
+        grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
+        res = price_finite_downin(self.setup_model(), grid,
+                                  TimeGrid(horizon=0.5, dt=1 / 10),
+                                  self.make(T=0.5))
+        last = len(res.disc_values) - 1
+        assert res.value_at(95.0, slice_idx=last) == 0.0  # past the horizon
+        for slice_idx in (-1, -last, last + 1):
+            with pytest.raises(IndexError, match="clock slice"):
+                res.value_at(95.0, slice_idx=slice_idx)
+
     def test_explicit_generator_list_matches_single(self):
         model = self.setup_model()
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 50)

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_generators
-from parisian.models import bs_model, kou_model, KouParams
+from parisian.models import bs_model, kou_model, vg_model, KouParams, VGParams
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
     american_call,
     vanilla_american_perpetual,
 )
-from parisian import pricer_downin
-from parisian.numerics import policy_solve
+from parisian import pricer_downin, pricer_downout
+from parisian.numerics import low_rank_factor, policy_solve
 from parisian.pricer_downout import (
     DurationLadder,
     _ReducedLadderOps,
@@ -45,6 +45,23 @@ def small_kou_setup(n=40):
                       math.log(95.0), n, "proportional")
     gen = build_generator(model, grid, 0.0, "error")
     return model, grid, gen
+
+
+def small_vg_setup(n=64):
+    model = vg_model(VGParams(sigma=0.1213, nu=0.1686, theta=-0.1436,
+                              r_f=0.05, dividend=0.0))
+    grid = build_grid(math.log(9.0), math.log(480.0), math.log(90.0),
+                      math.log(95.0), n, "proportional")
+    gen = build_generator(model, grid, 0.0, "upwind")
+    return model, grid, gen
+
+
+def kou_sigma_t(model):
+    """The Kou model with a diffusive volatility that grows in time."""
+    return dataclasses.replace(
+        model, time_homogeneous=False,
+        diffusion_sq=lambda t, x: np.full_like(np.asarray(x, dtype=float),
+                                               (0.3 * (1 + t / 2)) ** 2))
 
 
 def contract(flavor, window=1 / 12, maturity=math.inf, rate=0.1, strike=95.0):
@@ -91,6 +108,21 @@ class TestDurationLadder:
         assert lad.level_slice(3) == slice(8, 10)
         with pytest.raises(IndexError):
             lad.slot(1, 2)  # above-barrier state has no deep-level slot
+
+    def test_levels_outside_the_ladder_raise(self):
+        # 10 states, 4 below, 6 ticks: level -1 once read level 0's states
+        # 2..5 and slot(-2, 1) returned -1
+        below = np.arange(10) < 4
+        lad = DurationLadder(n_states=10, below=below, n_ticks=6, dtick=0.1)
+        assert lad.level_slice(6) == slice(30, 34)
+        assert lad.slot(6, 3) == 33
+        for level in (-1, -2, 7):
+            with pytest.raises(IndexError, match="duration level"):
+                lad.level_slice(level)
+            with pytest.raises(IndexError, match="duration level"):
+                lad.slot(level, 1)
+            with pytest.raises(IndexError, match="duration level"):
+                lad.below_slots(level)
 
     def test_stack_payoff_layout(self):
         below = np.array([True, False, True])
@@ -230,6 +262,18 @@ class TestPerpetualDownOut:
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot, level=level)
 
+    def test_value_at_rejects_levels_off_the_ladder(self):
+        model, grid, gen = small_bs_setup(n=40)
+        res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
+                                      dtick=1 / 36)
+        top = res.ladder.n_ticks
+        assert res.value_at(50.0, level=top) == 0.0  # the knock-out level
+        for level in (-1, top + 1):
+            with pytest.raises(IndexError, match="duration level"):
+                res.value_at(50.0, level=level)
+            with pytest.raises(IndexError, match="duration level"):
+                res.level_values(level)
+
     def test_one_lcp_per_price(self, monkeypatch):
         # the reduced route (call) and the stacked route (put) each solve the
         # perpetual problem as a single cold LCP
@@ -359,6 +403,23 @@ class TestFiniteDownOut:
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot, level=level)
 
+    def test_value_at_rejects_slices_and_levels_off_the_surface(self):
+        model, grid, _ = small_bs_setup(n=32)
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        res = price_finite_downout(model, grid, tg,
+                                   contract(Flavor.DOWN_OUT, maturity=0.25),
+                                   dtick=1 / 24)
+        last, top = len(res.values) - 1, res.ladder.n_ticks
+        assert res.value_at(95.0, slice_idx=last) == 0.0  # past the horizon
+        assert res.value_at(50.0, slice_idx=1, level=top) == 0.0
+        for slice_idx in (-1, -last, last + 1):
+            for level in (0, 1):
+                with pytest.raises(IndexError, match="clock slice"):
+                    res.value_at(50.0, slice_idx=slice_idx, level=level)
+        for level in (-1, top + 1):
+            with pytest.raises(IndexError, match="duration level"):
+                res.value_at(50.0, level=level)
+
     def test_time_dependent_generator_sequence(self):
         model, grid, _ = small_bs_setup(n=32)
         tg = TimeGrid(dt=1 / 12, horizon=0.25)
@@ -417,10 +478,7 @@ class TestReducedRoute:
         # dense jump blocks: the explicit Q^-1 against the factor of the
         # stacked ladder, with sigma(t) and the shared jump part of every slice
         model, grid, _ = small_kou_setup(n=40)
-        model = dataclasses.replace(
-            model, time_homogeneous=False,
-            diffusion_sq=lambda t, x: np.full_like(np.asarray(x, dtype=float),
-                                                   (0.3 * (1 + t / 2)) ** 2))
+        model = kou_sigma_t(model)
         c = contract(Flavor.DOWN_OUT, rate=0.05)
         ladder, f0 = route_inputs(model, grid, c, dtick=1 / 48)
         tg = TimeGrid(dt=1 / 24, horizon=0.5)
@@ -441,6 +499,7 @@ class TestReducedRoute:
             assert ops.A_eff.is_sparse and ops.A_eff.bands is not None
             assert ops.A_eff.n == ladder.n_states - ladder.n_below
             np.testing.assert_array_equal(ops.coupled, [ladder.n_below])
+            assert ops.factor_width == 1  # B itself: no factor on one column
             A_eff = ops.A_eff.to_dense()
             rows, cols = np.nonzero(A_eff)
             assert np.all(np.abs(rows - cols) <= 1)  # tridiagonal
@@ -511,7 +570,8 @@ class TestReducedRoute:
                          barrier=90.0, window=1 / 12, maturity=math.inf,
                          rate=0.1, flavor=Flavor.DOWN_OUT)
         tg = TimeGrid(dt=1 / 12, horizon=0.5)
-        for setup, rate in ((small_bs_setup, 0.1), (small_kou_setup, 0.05)):
+        for setup, rate in ((small_bs_setup, 0.1), (small_kou_setup, 0.05),
+                            (small_vg_setup, 0.05)):
             model, grid, gen = setup(n=40)
             c = dataclasses.replace(c, rate=rate)
             ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
@@ -526,6 +586,68 @@ class TestReducedRoute:
             assert np.all(red >= 0.0)
             stk = _stacked(gens, ladder, f0, rate, tg.dt)
             assert rel_gap(red, stk) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the ladder elimination on a low-rank factor of the below->above block
+# ---------------------------------------------------------------------------
+
+
+def row_margins(A):
+    """diag - sum of |off-diagonal| per row of a dense A."""
+    return np.diag(A) - (np.abs(A).sum(axis=1) - np.abs(np.diag(A)))
+
+
+class TestLowRankElimination:
+    LADDER = dict(window=1 / 12, dtick=1 / 120)
+
+    def build(self, monkeypatch, gen, grid, dt, full):
+        """The reduced operators; ``full`` builds them on B itself (W = I)."""
+        factor = (lambda B, rtol: (B, None)) if full else low_rank_factor
+        monkeypatch.setattr(pricer_downout, "low_rank_factor", factor)
+        ladder = build_ladder(below=grid.below_mask, **self.LADDER)
+        return _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
+
+    def chains(self):
+        """(name, generator, grid): the Kou and VG chains, and the first and
+        last slice of a Kou chain with sigma(t)."""
+        out = []
+        for name, setup in (("kou", small_kou_setup), ("vg", small_vg_setup)):
+            model, grid, gen = setup(n=64)
+            out.append((name, gen, grid))
+        model, grid, _ = small_kou_setup(n=64)
+        tg = TimeGrid(dt=1 / 12, horizon=0.5)
+        gens = slice_generators(kou_sigma_t(model), grid, tg.times)
+        out += [("kou sigma(t) first", gens[0], grid),
+                ("kou sigma(t) last", gens[-1], grid)]
+        return out
+
+    def test_compressed_a_eff_equals_the_full_horner(self, monkeypatch):
+        for name, gen, grid in self.chains():
+            for dt in (None, 1 / 60):  # perpetual and finite slices
+                ops = self.build(monkeypatch, gen, grid, dt, full=False)
+                full = self.build(monkeypatch, gen, grid, dt, full=True)
+                nc = len(ops.coupled)
+                assert ops.factor_width < nc == full.factor_width, name
+                A, A_full = ops.A_eff.to_dense(), full.A_eff.to_dense()
+                assert rel_gap(A, A_full) <= 1e-13, (name, dt)
+                # still a Z-matrix, diagonally dominant by the same margin
+                off = A - np.diag(np.diag(A))
+                assert off.max() <= 0.0, (name, dt)
+                margins, margins_full = row_margins(A), row_margins(A_full)
+                assert margins.min() >= margins_full.min(), (name, dt)
+                np.testing.assert_allclose(margins, margins_full, rtol=0,
+                                           atol=1e-13 * np.abs(A).max())
+
+    def test_builds_are_bit_identical_and_leave_the_global_rng(self):
+        model, grid, gen = small_vg_setup(n=64)
+        ladder = build_ladder(below=grid.below_mask, **self.LADDER)
+        before = np.random.get_state()
+        ops = [_ReducedLadderOps(gen, ladder, 0.05, dt=1 / 60) for _ in range(2)]
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+        np.testing.assert_array_equal(ops[0].A_eff.to_dense(),
+                                      ops[1].A_eff.to_dense())
 
 
 # ---------------------------------------------------------------------------

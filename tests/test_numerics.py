@@ -16,6 +16,7 @@ from parisian.numerics import (
     complementarity_residual,
     generator_expm,
     lemke_solve,
+    low_rank_factor,
     policy_solve,
     require_solved,
 )
@@ -155,9 +156,10 @@ class TestGeneratorExpm:
         assert U.min() >= -1e-15
         assert U.sum(axis=1).max() <= 1.0 + 1e-12
 
-    @pytest.mark.parametrize("r", [700.0, 800.0])
+    @pytest.mark.parametrize("r", [119.0, 700.0, 800.0])
     def test_large_uniformization_mean_matches_expm(self, r):
-        # a = (r + 1) t passes 745 at r = 800, where e^{-a} underflows
+        # a = (r + 1) t: 120 is summed at a / 4 and squared twice; 800 passes
+        # 745, where e^{-a} underflows
         G = np.array([[-r, r], [r, -r - 1.0]])
         U = generator_expm(G, 1.0)
         assert U.min() > 0.3
@@ -167,6 +169,29 @@ class TestGeneratorExpm:
         G = np.array([[-1.0, 1.0], [-0.5, 0.5]])
         with pytest.raises(ValueError):
             generator_expm(G, 1.0)
+
+
+class TestLowRankFactor:
+    EPS = np.finfo(float).eps
+
+    def test_low_rank_block_gets_the_first_width_that_meets_the_bound(self):
+        rng = np.random.default_rng(4)
+        for rank, width in ((3, 8), (12, 16)):
+            B = rng.uniform(size=(60, rank)) @ rng.uniform(size=(rank, 50))
+            U, W = low_rank_factor(B, 4 * self.EPS)
+            assert U.shape == (60, width) and W.shape == (width, 50)
+            np.testing.assert_allclose(U.T @ U, np.eye(width), atol=1e-14)
+            assert np.linalg.norm(B - U @ W) <= 4 * self.EPS * np.linalg.norm(B)
+            # the sketch has its own seed: the same B, the same factor
+            U2, W2 = low_rank_factor(B, 4 * self.EPS)
+            assert np.array_equal(U, U2) and np.array_equal(W, W2)
+
+    def test_full_rank_or_narrow_block_is_its_own_factor(self):
+        rng = np.random.default_rng(5)
+        for shape in ((60, 50), (60, 8), (60, 1)):
+            B = rng.uniform(size=shape)
+            U, W = low_rank_factor(B, 4 * self.EPS)
+            assert U is B and W is None
 
 
 class TestLemke:
