@@ -588,14 +588,13 @@ def write_plot_csv(rows: Sequence[StudyRow], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_rows(res, grid: SpatialGrid):
+def _ladder_rows(res):
+    """(excursion duration, spatial state) of every ladder slot, in order."""
     ladder = res.ladder
-    states = grid.states
-    below_states = states[ladder.below]
-    yield from ((0.0, x) for x in states)
-    for level in range(1, ladder.n_ticks + 1):
+    states = res.grid.states[ladder.slot_states]
+    for level in range(ladder.n_ticks):
         d = level * ladder.dtick
-        yield from ((d, x) for x in below_states)
+        yield from ((d, x) for x in states[ladder.level_slice(level)])
 
 
 def write_surface_csv(outcome: PriceOutcome, path) -> None:
@@ -624,12 +623,12 @@ def write_surface_csv(outcome: PriceOutcome, path) -> None:
                     )
         elif isinstance(res, PerpetualDownOutResult):
             writer.writerow(["t", "d", "state", "price"])
-            for (d, x), v in zip(_ladder_rows(res, res.grid), res.values):
+            for (d, x), v in zip(_ladder_rows(res), res.values):
                 writer.writerow(["0.0", repr(float(d)), repr(float(x)), repr(float(v))])
         elif isinstance(res, FiniteDownOutResult):
             writer.writerow(["t", "d", "state", "price"])
             for j, t in enumerate(res.times):
-                for (d, x), v in zip(_ladder_rows(res, res.grid), res.values[j]):
+                for (d, x), v in zip(_ladder_rows(res), res.values[j]):
                     writer.writerow(
                         [repr(float(t)), repr(float(d)), repr(float(x)), repr(float(v))]
                     )
@@ -1242,7 +1241,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
         ora = dp_parisian_lattice(
             R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
         )
-        gap = float(np.max(np.abs(res.values[:, : ora.shape[1]] - ora)))
+        gap = float(np.max(np.abs(res.values - ora)))
         checks += 1
         failures += gap >= 1e-5
         if bs_call:
@@ -1288,7 +1287,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
             gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
             timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
         )
-        gap = float(np.max(np.abs(res.values[:, : ora.shape[1]] - ora)))
+        gap = float(np.max(np.abs(res.values - ora)))
         ops = _ReducedLadderOps(
             gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
         )

@@ -3,10 +3,11 @@
 A down-out contract dies once the spot stays below the barrier for the
 window length, so the excursion duration is part of the state.  The chain
 is augmented with a duration ladder: level 0 carries every spatial state,
-levels 1..K carry only the below-barrier states, and a Poisson clock with
+levels 1..K-1 carry only the below-barrier states, and a Poisson clock with
 rate 1/dtick advances the level while the spot is below the barrier.  Any
-up-cross resets the level to 0; the top level (first duration value past
-the window) is absorbing and worthless, which encodes the knock-out.
+up-cross resets the level to 0.  The tick past level K-1 (the first
+duration past the window) is the knock-out: the option is then worth 0, so
+no level stores it and that tick is a kill at rate 1/dtick.
 
 Finite-maturity prices run a backward slice recursion
 min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff) = 0 from zero past
@@ -64,8 +65,9 @@ class DurationLadder:
     """Slot bookkeeping for the (duration level, spatial state) chain.
 
     Level 0 holds all ``n_states`` spatial states in grid order; levels
-    1..n_ticks hold the ``n_below`` below-barrier states.  Level n_ticks is
-    the first duration strictly past the window (the knock-out level).
+    1..n_ticks-1 hold the ``n_below`` below-barrier states.  Level n_ticks,
+    the first duration strictly past the window, is the knock-out: its value
+    is 0 by definition and it holds no slots.
     """
 
     n_states: int
@@ -87,7 +89,7 @@ class DurationLadder:
 
     @property
     def total(self) -> int:
-        return self.n_states + self.n_ticks * self.n_below
+        return self.n_states + (self.n_ticks - 1) * self.n_below
 
     @cached_property
     def below_indices(self) -> np.ndarray:
@@ -97,21 +99,17 @@ class DurationLadder:
     def above_indices(self) -> np.ndarray:
         return _read_only(np.flatnonzero(~self.below))
 
-    def _check_level(self, level: int) -> None:
-        if not 0 <= level <= self.n_ticks:
-            raise IndexError(
-                f"duration level {level} outside the ladder's 0..{self.n_ticks}"
-            )
+    @cached_property
+    def slot_states(self) -> np.ndarray:
+        """Spatial state of every slot, in ladder order."""
+        deeper = [self.below_indices] * (self.n_ticks - 1)
+        return _read_only(np.concatenate([np.arange(self.n_states)] + deeper))
 
-    def slot(self, level: int, state: int) -> int:
-        """Flat index of (duration level, spatial state)."""
-        self._check_level(level)
-        if level == 0:
-            return state
-        if not self.below[state]:
-            raise IndexError("only below-barrier states exist above level 0")
-        pos = int(np.searchsorted(self.below_indices, state))
-        return self.n_states + (level - 1) * self.n_below + pos
+    def _check_level(self, level: int) -> None:
+        if not 0 <= level < self.n_ticks:
+            raise IndexError(
+                f"duration level {level} outside the ladder's 0..{self.n_ticks - 1}"
+            )
 
     def level_slice(self, level: int) -> slice:
         """Slots of one duration level (level 0 spans all states)."""
@@ -126,11 +124,8 @@ class DurationLadder:
         return self.below_indices if level == 0 else self.level_slice(level)
 
     def stack_payoff(self, f: np.ndarray) -> np.ndarray:
-        """Payoff on the ladder: zero on the knock-out level."""
-        f = np.asarray(f, dtype=float)
-        fb = f[self.below]
-        parts = [f] + [fb] * (self.n_ticks - 1) + [np.zeros(self.n_below)]
-        return np.concatenate(parts)
+        """Payoff on the ladder: each slot's spatial state's."""
+        return np.asarray(f, dtype=float)[self.slot_states]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -143,7 +138,7 @@ def build_ladder(
     dtick: float,
     below: np.ndarray,
 ) -> DurationLadder:
-    """Duration ladder whose top level is the first tick past the window."""
+    """Duration ladder whose ``n_ticks``-th tick passes the window."""
 
     if window <= 0 or dtick <= 0:
         raise ValueError("window and duration tick must be positive")
@@ -162,7 +157,8 @@ def duration_generator(
 
     Rows follow the ladder layout.  While below the barrier the duration
     clock ticks up at rate 1/dtick and spatial moves keep the level, except
-    that up-crosses land on level 0; the top level is absorbing.
+    that up-crosses land on level 0; a tick from the last level knocks the
+    option out, so it leaves the diagonal entry and no column.
     """
 
     if isinstance(gen, GeneratorMatrix) and not np.array_equal(
@@ -175,24 +171,27 @@ def duration_generator(
     bi = ladder.below_indices
     tick = 1.0 / ladder.dtick
     total = ladder.total
-    # COO triplets, level by level; the -tick entries on the diagonal are
-    # summed into R's diagonal when the matrix is assembled
-    level = np.arange(N)  # slot of each state on the current level
+    # COO triplets; the -tick entries on the diagonal are summed into R's
+    # diagonal when the matrix is assembled.  The clock on the below-barrier
+    # slots of every level, in ladder order: -tick on the diagonal, +tick
+    # into the same state one level deeper (m slots on), but for the last
+    clock = np.flatnonzero(ladder.below[ladder.slot_states])
     r0, c0 = np.nonzero(R)  # level 0: full spatial coupling
-    rows = [r0, bi, bi]
-    cols = [c0, bi, N + np.arange(m)]
-    vals = [R[r0, c0], np.full(m, -tick), np.full(m, tick)]
+    rows = [r0, clock, clock[: len(clock) - m]]
+    cols = [c0, clock, clock[m:]]
+    vals = [R[r0, c0], np.full(len(clock), -tick),
+            np.full(len(clock) - m, tick)]
     # levels 1..n_ticks-1: below-only spatial block, up-crosses reset to
-    # level 0; the top level is absorbing (no entries)
+    # level 0
+    level = np.arange(N)  # slot of each state on the current level
     kb, yb = np.nonzero(R[bi])
     below_vals = R[bi[kb], yb]
     for lvl in range(1, ladder.n_ticks):
-        base = N + (lvl - 1) * m
-        own = base + np.arange(m)
-        level[bi] = own
-        rows += [base + kb, own, own]
-        cols += [level[yb], own, own + m]
-        vals += [below_vals, np.full(m, -tick), np.full(m, tick)]
+        base = ladder.level_slice(lvl).start
+        level[bi] = base + np.arange(m)
+        rows.append(base + kb)
+        cols.append(level[yb])
+        vals.append(below_vals)
     return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),
@@ -287,10 +286,11 @@ class _ReducedLadderOps:
     exercise happens there (see below), so the below-barrier slots of every
     level 0..n_ticks-1 satisfy a plain linear equation
 
-        Q C_k = source_k + B C_0[coupled] + cup * C_{k+1},    C_top = 0,
+        Q C_k = source_k + B C_0[coupled] + cup * C_{k+1},    C_{n_ticks} = 0,
 
-    with the same below-barrier block Q for every level: level 0's below
-    states tick into level 1 like any other level's, and an up-cross from
+    the knock-out C_{n_ticks} holding no slots, and with the same
+    below-barrier block Q for every level: level 0's below states tick
+    into level 1 like any other level's, and an up-cross from
     any level lands on level 0.  B holds the rates from the below-barrier
     rows to the above-barrier states they reach (the "coupled" columns: one
     for a diffusion, all of them for a jump chain).  Backward substitution
@@ -364,7 +364,7 @@ class _ReducedLadderOps:
         Qinv = inv(Q, overwrite_a=True, check_finite=False)
         B = cG * Rb[:, coupled]
         del Rb
-        # P_0 = P_U W by Horner from the knock-out level (P = 0 there) on the
+        # P_0 = P_U W by Horner from the knock-out (P = 0, no slots) on the
         # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
         # level 0.  The loop allocates nothing per level; its scratch is
         # freed before A_eff is assembled.
@@ -437,7 +437,7 @@ class _ReducedLadderOps:
         out = np.zeros(ladder.total)
         out[ladder.above_indices] = c_above
         feed = self.B @ out[self.coupled]
-        level = np.zeros(ladder.n_below)  # the knock-out level
+        level = np.zeros(ladder.n_below)  # the knock-out: 0, no slots
         for slots in self.levels_down:
             level = self.Qinv @ (feed + self.cup * level + c_next[slots])
             out[slots] = level

@@ -533,8 +533,10 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "d", "state", "price"]
         assert len(rows) > 100
+        # window 0.1 on ticks of 0.05: live levels 0..2, the knock-out at
+        # the third tick (d = 0.15) holds no rows
         durations = sorted({float(r[1]) for r in rows[1:]})
-        assert durations[0] == 0.0 and durations[-1] > 0.1
+        assert durations == pytest.approx([0.0, 0.05, 0.1])
         with open(gen_csv, newline="", encoding="utf-8") as fh:
             grows = list(csv.reader(fh))
         assert grows[0] == ["i", "j", "rate"]

@@ -100,27 +100,27 @@ class TestDurationLadder:
     def test_slot_layout(self):
         below = np.array([True, True, False, False])
         lad = DurationLadder(n_states=4, below=below, n_ticks=3, dtick=0.1)
-        assert lad.total == 4 + 3 * 2
-        assert lad.slot(0, 3) == 3
-        assert lad.slot(1, 0) == 4
-        assert lad.slot(2, 1) == 7
+        # live levels 0..2; the knock-out level 3 holds no slots
+        assert lad.total == 4 + 2 * 2
         assert lad.level_slice(0) == slice(0, 4)
-        assert lad.level_slice(3) == slice(8, 10)
-        with pytest.raises(IndexError):
-            lad.slot(1, 2)  # above-barrier state has no deep-level slot
+        assert lad.level_slice(1) == slice(4, 6)
+        assert lad.level_slice(2) == slice(6, 8)
+        np.testing.assert_array_equal(lad.below_slots(0), [0, 1])
+        assert lad.below_slots(2) == slice(6, 8)
+        # levels past 0 hold the below-barrier states only
+        np.testing.assert_array_equal(lad.slot_states,
+                                      [0, 1, 2, 3, 0, 1, 0, 1])
 
     def test_levels_outside_the_ladder_raise(self):
         # 10 states, 4 below, 6 ticks: level -1 once read level 0's states
-        # 2..5 and slot(-2, 1) returned -1
+        # 2..5; level 6, the knock-out, is off the ladder
         below = np.arange(10) < 4
         lad = DurationLadder(n_states=10, below=below, n_ticks=6, dtick=0.1)
-        assert lad.level_slice(6) == slice(30, 34)
-        assert lad.slot(6, 3) == 33
-        for level in (-1, -2, 7):
+        assert lad.level_slice(5) == slice(26, 30)
+        assert lad.total == 30
+        for level in (-1, -2, 6, 7):
             with pytest.raises(IndexError, match="duration level"):
                 lad.level_slice(level)
-            with pytest.raises(IndexError, match="duration level"):
-                lad.slot(level, 1)
             with pytest.raises(IndexError, match="duration level"):
                 lad.below_slots(level)
 
@@ -129,8 +129,7 @@ class TestDurationLadder:
         lad = DurationLadder(n_states=3, below=below, n_ticks=2, dtick=0.1)
         f = np.array([5.0, 7.0, 9.0])
         stacked = lad.stack_payoff(f)
-        np.testing.assert_array_equal(stacked,
-                                      [5.0, 7.0, 9.0, 5.0, 9.0, 0.0, 0.0])
+        np.testing.assert_array_equal(stacked, [5.0, 7.0, 9.0, 5.0, 9.0])
 
     def test_validation(self):
         below = np.array([True, False])
@@ -156,23 +155,27 @@ class TestDurationGenerator:
         np.fill_diagonal(R, -R.sum(axis=1))
         return R
 
-    def test_row_sums_and_absorbing_top(self):
+    def test_row_sums_and_knockout_rate(self):
         rng = np.random.default_rng(22)
         R = self.random_chain(rng)
         below = np.arange(9) < 4
-        lad = build_ladder(0.3, 0.1, below)
-        A = duration_generator(R, lad)
-        assert A.format == "csr"
-        A = A.toarray()
-        # live rows keep the spatial row sums (the clock redistributes mass,
-        # never creates or destroys it); the knocked-out level is frozen
-        np.testing.assert_allclose(A.sum(axis=1)[: lad.total - lad.n_below],
-                                   0.0, atol=1e-12)
-        top = lad.level_slice(lad.n_ticks)
-        np.testing.assert_array_equal(A[top], 0.0)
-        # off-diagonal rates nonnegative
-        off = A - np.diag(np.diag(A))
-        assert off.min() >= 0.0
+        # 4 live levels, and one (window < dtick) where level 0 is the last
+        for window in (0.3, 0.05):
+            lad = build_ladder(window, 0.1, below)
+            A = duration_generator(R, lad)
+            assert A.format == "csr" and A.shape == (lad.total, lad.total)
+            A = A.toarray()
+            # rows keep the spatial row sums (the clock moves mass one level
+            # deeper, never creates or destroys it), but for the last level's
+            # below-barrier rows, which lose the tick rate to the knock-out
+            killed = np.zeros(lad.total, dtype=bool)
+            killed[lad.below_slots(lad.n_ticks - 1)] = True
+            sums = A.sum(axis=1)
+            np.testing.assert_allclose(sums[~killed], 0.0, atol=1e-12)
+            np.testing.assert_allclose(sums[killed], -10.0, rtol=1e-12)
+            # off-diagonal rates nonnegative
+            off = A - np.diag(np.diag(A))
+            assert off.min() >= 0.0
 
     def test_upcross_resets_to_level_zero(self):
         R = np.zeros((3, 3))
@@ -181,10 +184,14 @@ class TestDurationGenerator:
         below = np.array([True, True, False])
         lad = build_ladder(0.2, 0.1, below)
         A = duration_generator(R, lad).toarray()
-        r1 = lad.slot(1, 0)
+        # state 0 is the first below-barrier slot of each deeper level
+        r1, r2 = lad.level_slice(1).start, lad.level_slice(2).start
         assert A[r1, 2] == pytest.approx(1.5)           # lands on level 0
-        assert A[r1, lad.slot(2, 0)] == pytest.approx(10.0)  # clock tick
+        assert A[r1, r2] == pytest.approx(10.0)         # clock tick
         assert A[r1, r1] == pytest.approx(-1.5 - 10.0)  # spatial + clock
+        # the last level's tick is the knock-out: no column, same diagonal
+        np.testing.assert_array_equal(np.flatnonzero(A[r2]), [2, r2])
+        assert A[r2, r2] == pytest.approx(-1.5 - 10.0)
 
     def test_mask_disagreement_raises(self):
         model, grid, gen = small_bs_setup(n=24)
@@ -266,9 +273,9 @@ class TestPerpetualDownOut:
         model, grid, gen = small_bs_setup(n=40)
         res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
                                       dtick=1 / 36)
-        top = res.ladder.n_ticks
-        assert res.value_at(50.0, level=top) == 0.0  # the knock-out level
-        for level in (-1, top + 1):
+        top = res.ladder.n_ticks  # the knock-out level: off the ladder
+        assert res.value_at(50.0, level=top - 1) >= 0.0
+        for level in (-1, top, top + 1):
             with pytest.raises(IndexError, match="duration level"):
                 res.value_at(50.0, level=level)
             with pytest.raises(IndexError, match="duration level"):
@@ -351,15 +358,12 @@ class TestFiniteDownOut:
                                       maturity=0.25 * (1 + 1e-13)),
                              dtick=1 / 48)
 
-    def test_terminal_slice_is_zero_and_top_level_zero(self):
+    def test_terminal_slice_is_zero(self):
         model, grid, gen = small_bs_setup(n=32)
         res = price_finite_downout(model, grid, TimeGrid(dt=1 / 12, horizon=0.5),
                                    contract(Flavor.DOWN_OUT, maturity=0.5),
                                    dtick=1 / 24)
         np.testing.assert_array_equal(res.values[-1], 0.0)
-        top = res.ladder.level_slice(res.ladder.n_ticks)
-        # knocked-out slots never exceed solver roundoff
-        np.testing.assert_allclose(res.values[:, top], 0.0, atol=1e-12)
 
     def test_solver_routes_agree(self):
         model, grid, gen = small_kou_setup(n=32)
@@ -411,12 +415,11 @@ class TestFiniteDownOut:
                                    dtick=1 / 24)
         last, top = len(res.values) - 1, res.ladder.n_ticks
         assert res.value_at(95.0, slice_idx=last) == 0.0  # past the horizon
-        assert res.value_at(50.0, slice_idx=1, level=top) == 0.0
         for slice_idx in (-1, -last, last + 1):
             for level in (0, 1):
                 with pytest.raises(IndexError, match="clock slice"):
                     res.value_at(50.0, slice_idx=slice_idx, level=level)
-        for level in (-1, top + 1):
+        for level in (-1, top, top + 1):  # top: the knock-out level
             with pytest.raises(IndexError, match="duration level"):
                 res.value_at(50.0, level=level)
 
@@ -678,9 +681,40 @@ class TestStackedRoute:
                                            model, dtick=1 / 36)
             fin = price_finite_downout(model, grid, tg,
                                        put_contract(0.25, rate), dtick=1 / 36)
-            for key, values in ((f"{name}/perpetual", perp.values),
-                                (f"{name}/finite", fin.values)):
-                assert rel_gap(values, np.array(pinned[key])) <= 1e-12, key
+            for key, res in ((f"{name}/perpetual", perp),
+                             (f"{name}/finite", fin)):
+                # the pinned surfaces also hold the knock-out level's slots,
+                # last on every slice; its value is 0 by definition
+                old = np.array(pinned[key])
+                live = res.ladder.total
+                assert old.shape[-1] == live + res.ladder.n_below, key
+                np.testing.assert_array_equal(old[..., live:], 0.0)
+                assert rel_gap(res.values, old[..., :live]) <= 1e-12, key
+
+    def test_lcps_run_over_the_live_slots(self, monkeypatch):
+        # every exercise step of the stacked route solves an LCP over the
+        # N + (n_ticks - 1) m live slots: the knock-out level is not in it
+        sizes = []
+
+        def recording(problem, **kwargs):
+            sizes.append(problem.n)
+            return policy_solve(problem, **kwargs)
+
+        monkeypatch.setattr(pricer_downin, "policy_solve", recording)
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+        for _, setup, rate in PUT_SETUPS:
+            model, grid, gen = setup(n=24)
+            ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+            assert ladder.n_ticks == 4 and ladder.n_below > 0
+            live = grid.n_states + 3 * ladder.n_below
+            sizes.clear()
+            price_perpetual_downout(gen, put_contract(math.inf, rate), model,
+                                    dtick=1 / 36)
+            assert sizes == [live]
+            sizes.clear()
+            price_finite_downout(model, grid, tg, put_contract(0.25, rate),
+                                 dtick=1 / 36)
+            assert sizes == [live] * (len(tg.times) - 1)
 
     def test_public_output_is_the_stacked_output(self):
         tg = TimeGrid(dt=1 / 12, horizon=0.25)

@@ -270,9 +270,8 @@ class TestDpParisianLattice:
                                        gen=R)
             ora = dp_parisian_lattice(R, below, f, rate, dt, horizon, window,
                                       "down-out", dtick=dtick)
-            n_live = ora.shape[1]
-            worst_out = max(worst_out, float(
-                np.max(np.abs(res.values[:, :n_live] - ora))))
+            assert res.values.shape == ora.shape
+            worst_out = max(worst_out, float(np.max(np.abs(res.values - ora))))
 
             conv = "activation" if rng.integers(0, 2) else "exercise"
             c_in = ContractSpec(payoff=payoff, barrier=1.5, window=window,
@@ -285,6 +284,33 @@ class TestDpParisianLattice:
             worst_in = max(worst_in, float(np.max(np.abs(ri.disc_values - oi))))
         assert worst_out < 1e-5
         assert worst_in < 1e-5
+
+    def test_whole_surfaces_match_lattice_dp_without_cutting(self):
+        """A call (reduced route) and a put (stacked route) on a small BS
+        chain, with one live duration level (window < dtick) and with three:
+        the down-out surface has the oracle's shape, one column per live
+        slot, and agrees with it to 1e-9 on every slot."""
+
+        model = bs_model(r_f=0.1, dividend=0.05, sigma=0.3)
+        grid = build_grid(10.0, 360.0, 90.0, 95.0, 16, "proportional")
+        gen = build_generator(model, grid, 0.0, "error")
+        dt, horizon = 1 / 12, 0.25
+        put = lambda s: np.maximum(95.0 - s, 0.0)
+        for payoff in (american_call(95.0), put):
+            for window, n_ticks in ((1 / 48, 1), (1 / 12, 3)):
+                c_out = ContractSpec(payoff=payoff, barrier=90.0,
+                                     window=window, maturity=horizon,
+                                     rate=0.1, flavor=Flavor.DOWN_OUT)
+                res = price_finite_downout(model, grid,
+                                           TimeGrid(dt=dt, horizon=horizon),
+                                           c_out, dtick=1 / 24, gen=gen)
+                assert res.ladder.n_ticks == n_ticks
+                f = c_out.payoff_states(model, grid.states)
+                ora = dp_parisian_lattice(gen, grid.below_mask, f, 0.1, dt,
+                                          horizon, window, "down-out",
+                                          dtick=1 / 24)
+                assert res.values.shape == ora.shape
+                np.testing.assert_allclose(res.values, ora, rtol=0, atol=1e-9)
 
     def test_reduced_route_matches_lattice_dp_on_bs_calls(self):
         """Acceptance: 5 tridiagonal Black-Scholes chains with a call struck
@@ -315,8 +341,8 @@ class TestDpParisianLattice:
                                        c_out, dtick=dtick, gen=gen)
             ora = dp_parisian_lattice(gen, below, f, rate, dt, horizon,
                                       window, "down-out", dtick=dtick)
-            worst = max(worst, float(
-                np.max(np.abs(res.values[:, :ora.shape[1]] - ora))))
+            assert res.values.shape == ora.shape
+            worst = max(worst, float(np.max(np.abs(res.values - ora))))
         assert worst < 1e-5
 
 
