@@ -348,8 +348,20 @@ def rate_rows(gen: Union[GeneratorMatrix, np.ndarray], rows: np.ndarray) -> np.n
     return np.asarray(gen, dtype=float)[rows]
 
 
+def slice_bands(gen: GeneratorMatrix, a0: float, cG: float) -> np.ndarray:
+    """The (3, N) LAPACK bands ``ab[1 + i - j, j]`` of a0 I - cG G for a
+    tridiagonal chain; the two corners outside the matrix are 0."""
+
+    ab = np.zeros((3, gen.dimension))
+    ab[0, 1:] = -cG * gen.up[:-1]
+    ab[1] = a0 - cG * gen.diag
+    ab[2, :-1] = -cG * gen.down[1:]
+    return ab
+
+
 def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
-    """a0 I - cG G: sparse tridiagonal for a tridiagonal chain, dense otherwise.
+    """a0 I - cG G: sparse tridiagonal (a DIA matrix on ``slice_bands``) for
+    a tridiagonal chain, dense otherwise.
 
     An ``LCPOperator`` holds the tridiagonal form as its three bands, so each
     policy iteration on it is one O(N) banded factorization instead of a
@@ -357,10 +369,9 @@ def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
     """
 
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-        return sparse.diags(
-            [-cG * gen.down[1:], a0 - cG * gen.diag, -cG * gen.up[:-1]],
-            offsets=[-1, 0, 1],
-        )
+        n = gen.dimension
+        return sparse.dia_matrix((slice_bands(gen, a0, cG), (1, 0, -1)),
+                                 shape=(n, n))
     # built in place on a fresh copy: no N x N temporaries beside it
     if isinstance(gen, GeneratorMatrix):
         A = gen.as_dense()

@@ -52,10 +52,23 @@ def _as_dense(A: MatrixLike) -> np.ndarray:
 
 def _tridiagonal_bands(A: sparse.spmatrix) -> Optional[np.ndarray]:
     """The (3, n) LAPACK bands of a square sparse A of bandwidth <= 1:
-    ``ab[1 + i - j, j] = A[i, j]``; None for any other A."""
+    ``ab[1 + i - j, j] = A[i, j]``; None for any other A.
+
+    A DIA matrix on the diagonals -1, 0, 1 already stores the bands: its
+    row for offset k is ``ab[1 - k]``, and only the two corners outside the
+    matrix are cleared (and a stored -0.0 becomes 0.0, as in the COO read).
+    """
 
     n = A.shape[0]
-    if A.shape[1] != n or A.nnz > 3 * n:
+    if A.shape[1] != n:
+        return None
+    if A.format == "dia" and np.all(np.abs(A.offsets) <= 1):
+        ab = np.zeros((3, n))
+        w = min(n, A.data.shape[1])
+        ab[1 - A.offsets, :w] = A.data[:, :w] + 0.0
+        ab[0, :1] = ab[2, n - 1:] = 0.0
+        return ab
+    if A.nnz > 3 * n:
         return None
     coo = A.tocoo()
     if np.any(np.abs(coo.col - coo.row) > 1):
@@ -65,7 +78,7 @@ def _tridiagonal_bands(A: sparse.spmatrix) -> Optional[np.ndarray]:
     return ab
 
 
-def factor_tridiag(ab: np.ndarray, idx: np.ndarray) -> tuple:
+def factor_tridiag(ab: np.ndarray, idx: np.ndarray, transposed: bool = False) -> tuple:
     """LU factors (LAPACK ``dgttrf``) of the principal block on the sorted
     indices ``idx`` of the tridiagonal matrix with bands ``ab``.
 
@@ -73,6 +86,12 @@ def factor_tridiag(ab: np.ndarray, idx: np.ndarray) -> tuple:
     they are neighbours, so every coupling across a gap in ``idx`` is 0.  The
     LAPACK wrapper rejects fewer than 3 rows, so a smaller block is padded
     with an identity block, which ``solve_tridiag`` drops again.
+
+    ``transposed`` factors the block's transpose instead, and
+    ``solve_tridiag`` still solves with the block itself (``dgttrs`` with
+    trans='T').  On a row diagonally dominant block the transpose is column
+    diagonally dominant, where partial pivoting makes no row interchange
+    (Higham 2002, sec. 9.5): the factors are the plain LU of the transpose.
     """
 
     n = len(idx)
@@ -83,19 +102,23 @@ def factor_tridiag(ab: np.ndarray, idx: np.ndarray) -> tuple:
     near = np.flatnonzero(np.diff(idx) == 1)
     dl[near] = ab[2, idx[near]]
     du[near] = ab[0, idx[near] + 1]
+    if transposed:
+        dl, du = du, dl
     *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise np.linalg.LinAlgError("singular free block A_FF")
-    return lu, n
+    return lu, n, "T" if transposed else "N"
 
 
 def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve A_FF x = b (a vector) with the factor of ``factor_tridiag``."""
+    """Solve A_FF x = b (a vector, or a matrix column by column) with the
+    factor of ``factor_tridiag``."""
 
-    lu, n = factor
-    rhs = np.zeros(len(lu[1]))
-    rhs[:n] = b
-    return dgttrs(*lu, rhs, overwrite_b=1)[0][:n]
+    lu, n, trans = factor
+    pad = len(lu[1]) - n  # the identity rows of a padded block solve to 0
+    if pad:
+        b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
+    return dgttrs(*lu, b, trans=trans)[0][:n]
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +483,9 @@ def policy_solve(
         max_iter = max(max_iter, _POLICY_ITER_PER_STATE * n)
 
     active = (psi >= 0.0) if active0 is None else np.array(active0, dtype=bool)
+    # tolerances follow the problem's scale: z lives on the solution scale,
+    # w on the scale of psi
+    w_scale = max(1.0, float(np.max(np.abs(psi), initial=0.0)))
     prev_active = None
     factorizations = 0
     for it in range(1, max_iter + 1):
@@ -472,10 +498,7 @@ def policy_solve(
         w = op @ z + psi
         w[idx] = 0.0  # exact by construction; remove round-off
         new_active = (z - w) < 0.0
-        # tolerances follow the problem's scale: z lives on the solution
-        # scale, w on the scale of psi
         z_scale = max(1.0, float(np.max(np.abs(z), initial=0.0)))
-        w_scale = max(1.0, float(np.max(np.abs(psi), initial=0.0)))
         if prev_active is not None and np.array_equal(new_active, active):
             z = np.maximum(z, 0.0)
             res = complementarity_residual(problem, z)

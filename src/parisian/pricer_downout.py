@@ -44,12 +44,12 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     rate_rows,
+    slice_bands,
     slice_generators,
-    slice_matrix,
     slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPOperator, low_rank_factor
+from .numerics import LCPOperator, factor_tridiag, low_rank_factor, solve_tridiag
 from .pricer_downin import (
     ContractSpec,
     Flavor,
@@ -304,9 +304,10 @@ class _ReducedLadderOps:
     complement of the stacked slice operator, a nonsingular M-matrix, so it
     is one too (Berman & Plemmons 1994).  On a tridiagonal chain the barrier
     node is the only above-barrier state that reaches or is reached from
-    below, so A_eff is A_aa with the barrier node's diagonal changed:
-    tridiagonal, held by its ``LCPOperator`` as three bands.  It is dense
-    otherwise.  ``dt`` picks the operator as in ``_slice_coefficients``.
+    below, so A_eff is A_aa with the barrier node's diagonal lowered by
+    A[b, b-1] P_0[b-1]: tridiagonal, built as its three bands and held so by
+    its ``LCPOperator``.  It is dense otherwise.  ``dt`` picks the operator
+    as in ``_slice_coefficients``.
 
     No exercise is lost below the barrier, even where the payoff is negative
     above it: Q^-1 >= 0, P_0 >= 0 and A_ab <= 0, and the next slice's values
@@ -316,17 +317,32 @@ class _ReducedLadderOps:
     M_0 + P_0 c[coupled] are then >= 0, the payoff there, and with them the
     stacked LCP holds with equality on every below-barrier row.
 
-    Q is inverted explicitly, once, and the explicit Q^-1 serves P_0 (the
-    Horner loop becomes matrix products), the per-slice sources and the
-    eliminated values (matrix-vector products).  That is safe here: Q = (a0 +
-    cup) I - cG R_bb, with R_bb the below block of a generator (off-diagonals
-    >= 0, rows summing to <= 0) and a0 > 0, is a strictly diagonally dominant
-    M-matrix, so Q^-1 >= 0 entrywise.  With the exact B >= 0, every term of
-    the Horner sum for P_0 is nonnegative: nothing cancels, and the products
-    keep the relative accuracy of Q^-1 itself.  ``sources`` and ``expand``
-    run on that exact B and Q^-1, so M_0 and the eliminated values are >= 0
-    as computed.  A jump chain forms only the rows of its rate matrix the
-    blocks need, never the dense N x N slice matrix.
+    Q = (a0 + cup) I - cG R_bb, with R_bb the below block of a generator
+    (off-diagonals >= 0, rows summing to <= 0) and a0 > 0, is a strictly
+    row diagonally dominant M-matrix, so Q^-1 >= 0 entrywise.  ``Qinv``
+    applies Q^-1 with ``@`` in the Horner loop for P_0, in the per-slice
+    sources and in the eliminated values, in one of two forms:
+
+    - a jump chain (or a plain rate matrix) inverts Q explicitly, once, and
+      the loops become matrix products.  With the exact B >= 0 every term of the Horner sum for P_0
+      is nonnegative: nothing cancels, and the products keep the relative
+      accuracy of Q^-1 itself.  It forms only the rows of its rate matrix
+      the blocks need, never the dense N x N slice matrix;
+    - a tridiagonal chain (whose below-barrier states are a prefix of the
+      grid, as on every grid ``build_grid`` makes) holds ``dgttrf``'s band
+      factor of Q^T, and ``Qinv @ b`` solves Q x = b with it (``dgttrs``,
+      trans='T'); nothing of size m x m or m x N is formed.  Q^T is column
+      diagonally dominant, so partial pivoting makes no row interchange
+      (Wilkinson; Higham 2002, sec. 9.5) and the factor is Q^T = L U with
+      L unit lower bidiagonal and U upper bidiagonal, both with off-diagonals
+      <= 0 and U's diagonal > 0 (the Schur complements of an M-matrix are
+      M-matrices).  Q x = U^T (L^T x) = b is then the forward substitution
+      y_i = (b_i - u_{i-1,i} y_{i-1}) / u_ii and the back substitution
+      x_i = y_i - l_{i+1,i} x_{i+1}: for b >= 0 every term is >= 0, so
+      nothing cancels and x >= 0 as computed.
+
+    ``sources`` and ``expand`` run on the exact B, so M_0 and the eliminated
+    values are >= 0 as computed on both forms.
 
     P_0 alone is built on a factor: B has low numerical rank on a jump chain
     (a Kou far-jump rate splits into a row factor times a column factor, and
@@ -350,66 +366,37 @@ class _ReducedLadderOps:
     ):
         if ladder.n_below == 0:
             raise ValueError("level elimination needs below-barrier states")
-        bi, ai = ladder.below_indices, ladder.above_indices
         a0, cG = _slice_coefficients(rate, dt)
         cup = cG * (1.0 / ladder.dtick)
-        m = len(bi)
+        banded = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
+        blocks = _tridiagonal_blocks if banded else _dense_blocks
+        Qinv, B, coupled, feeders, A_ab, A = blocks(gen, ladder, a0, cG, cup)
 
-        Rb = rate_rows(gen, bi)
-        coupled = ai[np.any(Rb[:, ai] != 0.0, axis=0)]
-        # Q = (a0 + cup) I - cG R_bb in Fortran order, which LAPACK inverts
-        # in place: no second m x m array is alive while A_eff is built
-        Q = np.multiply(Rb[:, bi], -cG, order="F")
-        Q[np.diag_indices(m)] += a0 + cup
-        Qinv = inv(Q, overwrite_a=True, check_finite=False)
-        B = cG * Rb[:, coupled]
-        del Rb
         # P_0 = P_U W by Horner from the knock-out (P = 0, no slots) on the
         # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
-        # level 0.  The loop allocates nothing per level; its scratch is
-        # freed before A_eff is assembled.
+        # level 0
         U, W = low_rank_factor(B, _FACTOR_RTOL)
         P = np.zeros_like(U)
-        rhs = np.empty_like(U)
         for _ in range(ladder.n_ticks):
-            np.multiply(P, cup, out=rhs)
-            rhs += U
-            np.matmul(Qinv, rhs, out=P)
-        del rhs, U
-
-        # level 0's above-barrier rows of a0 I - cG G: sliced from the
-        # sparse tridiagonal slice matrix (O(N)) on a tridiagonal chain, whose
-        # A_eff stays tridiagonal and is held as its bands; dense otherwise
-        if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-            A = slice_matrix(gen, a0, cG).tocsr()[ai]
-            feeders = np.flatnonzero(A[:, bi].getnnz(axis=1))
-        else:
-            A = np.multiply(rate_rows(gen, ai), -cG)
-            A[np.arange(len(ai)), ai] += a0
-            feeders = np.flatnonzero(np.any(A[:, bi] != 0.0, axis=1))
-        # A_ab, kept on the rows that reach below ("feeders") only
-        A_ab = A[np.ix_(feeders, bi)]
+            P = Qinv @ (U + cup * P)
+        # A_eff = A_aa + A_ab P_0 on the feeder rows and coupled columns
         fix = A_ab @ P
         if W is not None:
             fix = fix @ W
-        factor_width = P.shape[1]
-        del P
-        A = A[:, ai]
-        cols = np.searchsorted(ai, coupled)
-        if sparse.issparse(A):
-            rows = np.repeat(feeders, len(cols))
-            cols = np.tile(cols, len(feeders))
-            A = A + sparse.coo_matrix((fix.ravel(), (rows, cols)),
-                                      shape=A.shape)
+        rows = feeders[:, None]
+        cols = np.searchsorted(ladder.above_indices, coupled)
+        if banded:
+            A[1 + rows - cols, cols] += fix
+            A = sparse.dia_matrix((A, (1, 0, -1)), shape=(A.shape[1],) * 2)
         else:
-            A[np.ix_(feeders, cols)] += fix
+            A[rows, cols] += fix
 
         self.ladder = ladder
         # below-barrier slots of levels n_ticks - 1 down to 0
         self.levels_down = [ladder.below_slots(k)
                             for k in range(ladder.n_ticks - 1, -1, -1)]
         self.coupled = coupled
-        self.factor_width = factor_width  # columns the Horner loop carried
+        self.factor_width = P.shape[1]  # columns the Horner loop carried
         self.feeders = feeders
         self.A_ab = A_ab
         self.B = B
@@ -442,6 +429,70 @@ class _ReducedLadderOps:
             level = self.Qinv @ (feed + self.cup * level + c_next[slots])
             out[slots] = level
         return out
+
+
+class _BandInverse:
+    """Q^-1 of a tridiagonal Q, held as a band factor: ``self @ b`` solves
+    Q x = b (``solve_tridiag``), column by column for a matrix b."""
+
+    def __init__(self, factor: tuple):
+        self.factor = factor
+
+    def __matmul__(self, b: np.ndarray) -> np.ndarray:
+        return solve_tridiag(self.factor, b)
+
+
+def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
+    """(Q^-1, B, coupled, feeders, A_ab, bands of A_aa) of a tridiagonal
+    chain, for ``_ReducedLadderOps``: every block from ``slice_bands``.
+
+    The below-barrier states are 0..m-1, so state m (the barrier node) is
+    the only above-barrier state linked to them, through state m-1: B is
+    cG R[m-1, m] in row m-1, and A_ab is A[m, m-1] in column m-1.
+    """
+
+    m, ai = ladder.n_below, ladder.above_indices
+    if not np.all(ladder.below[:m]):
+        raise ValueError("a tridiagonal chain needs its below-barrier states "
+                         "to be a prefix of the grid")
+    # Q: the leading m x m block of (a0 + cup) I - cG G; its transpose is
+    # the one factored (see _ReducedLadderOps)
+    Qinv = _BandInverse(factor_tridiag(slice_bands(gen, a0 + cup, cG),
+                                       ladder.below_indices, transposed=True))
+    ab = slice_bands(gen, a0, cG)
+    link = ai[:1]  # the barrier node, if any state is above
+    to_above = -ab[0, link]  # cG R[m-1, m]
+    coupled = link[to_above != 0.0]
+    B = np.zeros((m, len(coupled)))
+    B[m - 1] = to_above[to_above != 0.0]
+    feeders = np.flatnonzero(ab[2, link - 1])  # A[m, m-1] != 0
+    A_ab = np.zeros((len(feeders), m))
+    A_ab[:, m - 1] = ab[2, m - 1]
+    A_aa = ab[:, ai]
+    A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
+    return Qinv, B, coupled, feeders, A_ab, A_aa
+
+
+def _dense_blocks(gen, ladder, a0, cG, cup):
+    """(Q^-1, B, coupled, feeders, A_ab, A_aa) of any chain, dense, for
+    ``_ReducedLadderOps``: Q^-1 explicit, A_ab on the feeder rows only."""
+
+    bi, ai = ladder.below_indices, ladder.above_indices
+    m = len(bi)
+    Rb = rate_rows(gen, bi)
+    coupled = ai[np.any(Rb[:, ai] != 0.0, axis=0)]
+    # Q = (a0 + cup) I - cG R_bb in Fortran order, which LAPACK inverts
+    # in place: no second m x m array is alive while A_eff is built
+    Q = np.multiply(Rb[:, bi], -cG, order="F")
+    Q[np.diag_indices(m)] += a0 + cup
+    Qinv = inv(Q, overwrite_a=True, check_finite=False)
+    B = cG * Rb[:, coupled]
+    del Rb
+    # level 0's above-barrier rows of a0 I - cG G
+    A = np.multiply(rate_rows(gen, ai), -cG)
+    A[np.arange(len(ai)), ai] += a0
+    feeders = np.flatnonzero(np.any(A[:, bi] != 0.0, axis=1))
+    return Qinv, B, coupled, feeders, A[np.ix_(feeders, bi)], A[:, ai]
 
 
 @dataclass(frozen=True)

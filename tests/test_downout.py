@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,59 @@ class TestReducedRoute:
             np.testing.assert_array_equal(ops.A_eff.to_dense(),
                                           dense.A_eff.to_dense())
 
+    def test_banded_elimination_agrees_with_the_dense_one(self):
+        # the band factor of Q^T against the explicit Q^-1 of the same chain
+        # given as a plain matrix, on every product the recursion uses
+        model, grid, gen = small_bs_setup(n=64)
+        ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+        m = ladder.n_below
+        rng = np.random.default_rng(14)
+        for dt in (None, 1 / 24):
+            ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
+            dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.1, dt=dt)
+            # Q^T is column diagonally dominant: no row interchange, no fill
+            lu = ops.Qinv.factor[0]
+            np.testing.assert_array_equal(lu[4], np.arange(1, m + 1))
+            assert not np.any(lu[3])
+            assert rel_gap(ops.A_eff.to_dense(), dense.A_eff.to_dense()) <= 1e-15
+            c_next = rng.uniform(0.0, 2.0, size=ladder.total)
+            q = ops.sources(c_next)
+            assert rel_gap(q, dense.sources(c_next)) <= 1e-13, dt
+            assert np.all(q >= 0.0)
+            c = rng.uniform(0.0, 2.0, size=len(q))
+            out = ops.expand(c, c_next)
+            assert rel_gap(out, dense.expand(c, c_next)) <= 1e-13, dt
+            assert np.all(out >= 0.0)
+
+    def test_banded_elimination_allocates_no_dense_block(self):
+        # 4001 states, 1750 below the barrier: one m x m array is 24.5 MB,
+        # the explicit Q^-1 alone; the banded build and one slice's sources
+        # and expand stay below a sixteenth of it
+        grid = build_grid(20.0, 180.0, 90.0, 95.0, 4000, "proportional")
+        gen = build_generator(bs_model(r_f=0.1, dividend=0.05, sigma=0.3),
+                              grid, 0.0, "error")
+        ladder = build_ladder(1 / 12, 1 / 120, grid.below_mask)
+        m = ladder.n_below
+        assert m == 1750
+        c_next = np.ones(ladder.total)
+        for dt in (None, 1 / 24):
+            tracemalloc.start()
+            try:
+                ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
+                ops.expand(np.ones(ops.A_eff.n), c_next)
+                ops.sources(c_next)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < m * m * 8 / 16, (dt, peak)
+
+    def test_banded_elimination_needs_a_prefix_below_set(self):
+        model, grid, gen = small_bs_setup(n=40)
+        below = grid.below_mask.copy()
+        below[0] = False  # a below set that no barrier places
+        with pytest.raises(ValueError, match="prefix"):
+            _ReducedLadderOps(gen, build_ladder(1 / 12, 1 / 36, below), 0.1)
+
     def test_partly_coupled_hand_built_chain(self):
         # below rows 0..3 reach only above states 5 and 7
         rng = np.random.default_rng(5)
@@ -683,13 +737,9 @@ class TestStackedRoute:
                                        put_contract(0.25, rate), dtick=1 / 36)
             for key, res in ((f"{name}/perpetual", perp),
                              (f"{name}/finite", fin)):
-                # the pinned surfaces also hold the knock-out level's slots,
-                # last on every slice; its value is 0 by definition
                 old = np.array(pinned[key])
-                live = res.ladder.total
-                assert old.shape[-1] == live + res.ladder.n_below, key
-                np.testing.assert_array_equal(old[..., live:], 0.0)
-                assert rel_gap(res.values, old[..., :live]) <= 1e-12, key
+                assert old.shape == res.values.shape, key
+                assert rel_gap(res.values, old) <= 1e-12, key
 
     def test_lcps_run_over_the_live_slots(self, monkeypatch):
         # every exercise step of the stacked route solves an LCP over the

@@ -14,11 +14,13 @@ from parisian.numerics import (
     LCPProblem,
     LCPStatus,
     complementarity_residual,
+    factor_tridiag,
     generator_expm,
     lemke_solve,
     low_rank_factor,
     policy_solve,
     require_solved,
+    solve_tridiag,
 )
 
 
@@ -119,6 +121,46 @@ class TestBandedOperator:
             for op in (LCPOperator(sparse.csr_matrix(A)), LCPOperator(A)):
                 with pytest.raises(np.linalg.LinAlgError):
                     op.solve_free(free, np.ones(int(free.sum())))
+
+    def test_dia_input_is_read_from_its_data_rows(self):
+        # diagonals -1, 0, 1 in any order and any stored width, with nonzero
+        # data in the corners outside the matrix: the bands are the ones read
+        # from the same matrix in CSR form
+        rng = np.random.default_rng(11)
+        n = 6
+        for offsets in ((-1, 0, 1), (1, 0, -1), (0, 1), (0,)):
+            for width in (n - 2, n, n + 2):
+                data = rng.uniform(0.1, 1.0, size=(len(offsets), width))
+                dia = sparse.dia_matrix((data, offsets), shape=(n, n))
+                op = LCPOperator(dia)
+                np.testing.assert_array_equal(
+                    op.bands, LCPOperator(dia.tocsr()).bands)
+                np.testing.assert_array_equal(op.to_dense(), dia.toarray())
+        wide = sparse.dia_matrix((np.ones((2, n)), (0, 2)), shape=(n, n))
+        assert LCPOperator(wide).bands is None
+
+    def test_transposed_factor_solves_with_the_block_itself(self):
+        # row but not column diagonally dominant: partial pivoting swaps
+        # rows on the block itself and none on its transpose
+        A = np.array([[2.0, -1.5, 0.0], [-3.0, 4.0, -0.5], [0.0, -1.0, 2.0]])
+        ab = LCPOperator(sparse.csr_matrix(A)).bands
+        idx = np.arange(3)
+        assert np.any(factor_tridiag(ab, idx)[0][4] != [1, 2, 3])
+        rng = np.random.default_rng(12)
+        for block in [A] + [random_tridiagonal_m_matrix(rng, n) for n in (1, 2, 40)]:
+            n = len(block)
+            factor = factor_tridiag(LCPOperator(sparse.csr_matrix(block)).bands,
+                                    np.arange(n), transposed=True)
+            lu = factor[0]
+            np.testing.assert_array_equal(lu[4][:n], np.arange(1, n + 1))
+            assert not np.any(lu[3])
+            b = rng.uniform(0.1, 1.0, size=(n, 3))
+            ref = np.linalg.solve(block, b)
+            x = solve_tridiag(factor, b)
+            assert x.shape == (n, 3) and np.all(x >= 0.0)
+            np.testing.assert_allclose(x, ref, rtol=1e-13)
+            np.testing.assert_allclose(solve_tridiag(factor, b[:, 0]), ref[:, 0],
+                                       rtol=1e-13)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
