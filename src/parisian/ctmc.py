@@ -29,7 +29,9 @@ from scipy import sparse
 
 from .models import JumpMeasure, ModelSpec
 
-_CHUNK_ROWS = 512
+# cells (rows x states) per jump assembly chunk, so that a chunk's
+# temporaries take the same memory on every grid
+_CHUNK_CELLS = 1 << 18
 
 
 class NegativeRateError(ValueError):
@@ -448,6 +450,12 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     difference of its two edge tails.  The small-jump masses behind mu_bar
     reuse the same tails, clamped at +-1.  Offsets are taken per row, so
     measures that depend on the state are handled.
+
+    Rows are assembled in chunks of about ``_CHUNK_CELLS`` cells (rows x
+    states), so a chunk's temporaries take the same memory on every grid;
+    each chunk makes one ``interval_mass`` call for its edge tails, which a
+    measure may spread across threads (the VG measure does).  Every row is
+    computed on its own, so the arrays do not depend on the chunk size.
     """
 
     x = grid.states
@@ -457,8 +465,9 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     mu_bar = np.zeros(N)
     s2_bar = np.zeros(N)
     inner = edges[1:-1]
-    for i0 in range(1, N - 1, _CHUNK_ROWS):
-        i1 = min(i0 + _CHUNK_ROWS, N - 1)
+    step = max(1, _CHUNK_CELLS // N)
+    for i0 in range(1, N - 1, step):
+        i1 = min(i0 + step, N - 1)
         rows = np.arange(i0, i1)
         local = rows - i0
         xs = x[rows, None]

@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import exp1
+
+# fewest cells a thread of ``_on_row_blocks`` gets; below twice this a call
+# runs serially, since starting a pool would cost more than it saves
+_MIN_BLOCK_CELLS = 1 << 16
 
 
 class Coordinate(enum.Enum):
@@ -285,13 +291,55 @@ def kou_model(params: KouParams) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's."""
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_row_blocks(f, a, b):
+    """``f(a, b)`` for an elementwise ``f``, on row blocks in threads.
+
+    The broadcast shape of ``a`` and ``b`` is cut along its first axis into
+    contiguous blocks, one per thread, and each block's result is written
+    into one output array.  There are at most as many blocks as the process
+    has CPUs, and each holds at least ``_MIN_BLOCK_CELLS`` cells.  Scalars,
+    small inputs and a single CPU make one serial call and start no thread.
+    ``f`` must be elementwise, so that every block gives the bits the serial
+    call gives, and should spend its time in ufuncs that release the GIL
+    (``exp1`` does).
+    """
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    rows = shape[0] if shape else 1
+    blocks = min(_cpu_count(), rows, math.prod(shape) // _MIN_BLOCK_CELLS)
+    if blocks < 2:
+        return f(a, b)
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(shape)
+    cuts = [rows * k // blocks for k in range(blocks + 1)]
+
+    def fill(lo, hi):
+        out[lo:hi] = f(a[lo:hi], b[lo:hi])
+
+    with ThreadPoolExecutor(max_workers=blocks) as pool:
+        list(pool.map(fill, cuts[:-1], cuts[1:]))  # re-raises a block's error
+    return out
+
+
 def vg_jump_measure(params: VGParams) -> JumpMeasure:
     """Cell integrals of the variance-gamma density via exponential integrals.
 
     The density is C e^{-lam_p z}/z for z > 0 and C e^{-lam_m |z|}/|z| for
     z < 0 with C = 1/nu; masses need E1, first and second moments are
     elementary.  A quadrature of the same density is kept in the test-suite as
-    an independent check.
+    an independent check.  ``interval_mass`` spreads a large input over the
+    process's CPUs (``_on_row_blocks``); its bits do not depend on how many.
     """
 
     s2 = params.sigma**2
@@ -304,13 +352,16 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         # integral of e^{-lam z}/z over [a,b), 0 <= a <= b; E1(0) = inf is the
         # correct (infinite-activity) answer for cells touching the origin.
         # exp1 runs only on nonempty intervals and finite b (E1(inf) = 0).
+        # A tail [a, inf) has no upper term, so a call made only of tails
+        # and empty intervals (every call ``ctmc.jump_part`` makes) skips it.
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape)
         live = a < b
         upper = live & np.isfinite(b)
         with np.errstate(divide="ignore"):
             out[live] = exp1(lam * a[live])
-            out[upper] -= exp1(lam * b[upper])
+            if upper.any():
+                out[upper] -= exp1(lam * b[upper])
         return out
 
     def _first_side(lam, a, b):
@@ -331,7 +382,7 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         return C * (side(lam_p, ap, bp) + side(lam_m, an, bn))
 
     def interval_mass(t, x, a, b):
-        return _split(a, b, _mass_side)
+        return _on_row_blocks(lambda a, b: _split(a, b, _mass_side), a, b)
 
     def second_moment(t, x, a, b):
         return _split(a, b, _second_side)
@@ -340,8 +391,6 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         a = np.maximum(np.asarray(a, dtype=float), -1.0)
         b = np.minimum(np.asarray(b, dtype=float), 1.0)
         a = np.minimum(a, b)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
         ap, bp = np.maximum(a, 0.0), np.maximum(b, 0.0)
         an, bn = -np.minimum(b, 0.0), -np.minimum(a, 0.0)
         pos = _first_side(lam_p, ap, bp)

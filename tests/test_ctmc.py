@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parisian import ctmc, models
 from parisian.ctmc import (
     NegativeRateError,
     SpatialGrid,
@@ -15,6 +17,7 @@ from parisian.ctmc import (
     build_generator,
     build_grid,
     dump_generator_csv,
+    jump_part,
     rate_rows,
     resolve_rate_policy,
     slice_generators,
@@ -237,12 +240,15 @@ class TestBuildGenerator:
         assert gen.row_sums()[0] == 0.0 and gen.row_sums()[-1] == 0.0
 
     @pytest.mark.parametrize(
-        "model,policy",
-        [(KOU, "error"), (VG, "upwind"), (state_dependent_kou(), "error")],
-        ids=["kou", "vg", "state-dependent"],
+        "model,policy,n",
+        [(KOU, "error", 160), (VG, "upwind", 160),
+         (state_dependent_kou(), "error", 160),
+         # chunks of about 2^18 cells, which the VG measure splits across CPUs
+         (VG, "upwind", 800)],
+        ids=["kou", "vg", "state-dependent", "vg-800"],
     )
-    def test_tail_assembly_matches_per_cell_reference(self, model, policy):
-        g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 160)
+    def test_tail_assembly_matches_per_cell_reference(self, model, policy, n):
+        g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), n)
         gen = build_generator(model, g, rate_policy=policy)
         validate_generator(gen)
         jump, mu_bar = per_cell_jump_rates(model, g)
@@ -276,6 +282,34 @@ class TestBuildGenerator:
         np.testing.assert_allclose(
             gen.down[idx], down + jump[idx, idx - 1], rtol=1e-13, atol=0.0
         )
+
+    def test_vg_jump_part_is_independent_of_workers_and_chunks(self, monkeypatch):
+        g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 800)
+        pools = []
+
+        class CountingPool(models.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", CountingPool)
+
+        def build(cpus, chunk_cells=ctmc._CHUNK_CELLS):
+            pools.clear()
+            with monkeypatch.context() as m:
+                m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                m.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
+                return jump_part(VG.jump_measure, g), list(pools)
+
+        serial, serial_pools = build(1)
+        threaded, threaded_pools = build(2)
+        one_row, one_row_pools = build(2, chunk_cells=1)  # one row per chunk
+        assert serial_pools == [] and one_row_pools == []
+        assert threaded_pools and set(threaded_pools) == {2}
+        for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
+            ref = getattr(serial, field)
+            assert np.array_equal(getattr(threaded, field), ref), field
+            assert np.array_equal(getattr(one_row, field), ref), field
 
     def test_kou_jump_mass_conservation(self):
         g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 224)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import parisian
+from parisian import models
 from parisian.models import (
     Coordinate,
     KouParams,
@@ -155,6 +156,38 @@ class TestVarianceGamma:
     def test_martingale_correction_guard(self):
         with pytest.raises(ValueError):
             VGParams(sigma=0.5, nu=8.0, theta=0.5, r_f=0.05)
+
+    def test_scalar_small_and_single_cpu_masses_start_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
+        jm = vg_model(VG).jump_measure
+        assert jm.interval_mass(0, 0, 0.015, 0.4) > 0.0
+        small = np.linspace(0.01, 1.0, 512)
+        assert jm.interval_mass(0, 0, small[None, :], np.inf).shape == (1, 512)
+        # enough cells for two blocks, but the process may use one CPU only
+        big = np.broadcast_to(np.linspace(-1.0, 1.0, 1024), (256, 1024))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert jm.interval_mass(0, 0, big, big + 0.01).shape == (256, 1024)
+
+    def test_row_blocks_give_the_serial_bits(self, monkeypatch):
+        jm = vg_model(VG).jump_measure
+        z = np.linspace(-2.0, 2.0, 2000)[None, :] - np.linspace(-1.0, 1.0, 300)[:, None]
+        lo, hi = np.where(z > 0, z, -np.inf), np.where(z > 0, np.inf, z)
+        # a cell-sized interval around every offset: finite upper ends too
+        args = [(lo, hi), (z, z + 0.003), (np.minimum(z, 0.0), np.inf)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the block threads often
+        try:
+            for a, b in args:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+                serial = jm.interval_mass(0, 0, a, b)
+                # three blocks, which may be more threads than the machine has cores
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+                assert np.array_equal(jm.interval_mass(0, 0, a, b), serial)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestGenericDensityMeasure:
