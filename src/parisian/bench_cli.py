@@ -2,9 +2,10 @@
 
 Single-price runs, convergence studies over the grid size with Richardson
 extrapolation, side-by-side reproduction of the published benchmark tables,
-CSV / plot-data emission, and the oracle verification suites.
+and CSV / plot-data emission.
 
-CLI verbs: ``price``, ``study``, ``reproduce-table``, ``verify``.
+CLI verbs: ``price``, ``study``, ``reproduce-table``, ``verify`` (which runs
+an ``oracle.run_verify`` suite).
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .pricer_downin import (
     Flavor,
     PerpetualDownInResult,
     american_call,
-    parisian_transform,
     price_finite_downin,
     price_perpetual_downin,
-    vanilla_american_perpetual,
 )
 from .pricer_downout import (
     FiniteDownOutResult,
@@ -71,7 +70,6 @@ __all__ = [
     "reproduce_table",
     "richardson",
     "run_study",
-    "run_verify",
     "write_plot_csv",
     "write_study_csv",
     "write_surface_csv",
@@ -1052,270 +1050,6 @@ def reproduce_table(
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-
-def _random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
-    R = rng.uniform(0.0, scale, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
-    np.fill_diagonal(R, 0.0)
-    diag = -R.sum(axis=1)
-    if not conservative:
-        diag -= rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.3)
-    np.fill_diagonal(R, diag)
-    return R
-
-
-def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
-    from scipy import sparse
-
-    from .numerics import LCPOperator, LCPProblem, lemke_solve, policy_solve
-    from .oracle import lcp_by_enumeration
-
-    rng = np.random.default_rng(seed)
-    solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
-    checks = failures = 0
-    for kind, trials in (("dense", 200), ("tridiagonal", 100)):
-        worst = dict.fromkeys(solvers, 0.0)
-        for trial in range(trials):
-            n = int(rng.integers(2, 9))
-            if kind == "tridiagonal":  # an M-matrix held as its three bands
-                A = np.diag(-rng.uniform(0.1, 3.0, size=n - 1), -1)
-                A += np.diag(-rng.uniform(0.1, 3.0, size=n - 1), 1)
-                A[np.diag_indices(n)] = -A.sum(axis=1) + rng.uniform(0.1, 1.0, size=n)
-            elif trial % 2 == 0:
-                B = rng.normal(size=(n, n))
-                A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
-            else:
-                A = rng.normal(size=(n, n))
-                A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
-            psi = rng.normal(scale=2.0, size=n)
-            z_ref, _ = lcp_by_enumeration(A, psi)
-            held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
-            problem = LCPProblem(LCPOperator(held), psi)
-            ok = True
-            for name, solve in solvers.items():
-                sol = solve(problem)
-                gap = float(np.max(np.abs(sol.z - z_ref)))
-                worst[name] = max(worst[name], gap)
-                ok &= (
-                    sol.solved
-                    and gap < 1e-9
-                    and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
-                )
-            checks += 1
-            failures += not ok
-        for name, gap in worst.items():
-            emit(f"  {name} vs enumeration on {trials} random {kind} instances: "
-                 f"worst gap {gap:.2e}")
-    return checks, failures
-
-
-def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
-    from scipy.linalg import expm
-    from scipy.stats import poisson
-
-    from .numerics import generator_expm
-    from .oracle import UniformizedChain, simulate_paths, value_iterate_american
-
-    rng = np.random.default_rng(seed)
-    checks = failures = 0
-
-    worst = 0.0
-    for n in (5, 9, 14, 20):
-        R = _random_generator(n, rng, conservative=bool(rng.integers(0, 2)))
-        h = float(rng.uniform(0.3, 1.2))
-        chain = UniformizedChain.from_generator(R)
-        mu = chain.lam * h
-        kmax = int(poisson.isf(1e-16, mu)) + 1 if mu > 0 else 1
-        acc = np.zeros((n, n))
-        Pk = np.eye(n)
-        for k in range(kmax + 1):
-            acc += poisson.pmf(k, mu) * Pk
-            Pk = Pk @ chain.probs
-        ref = expm(R * h)
-        gap = max(
-            float(np.max(np.abs(acc - ref))),
-            float(np.max(np.abs(generator_expm(R, h) - ref))),
-        )
-        worst = max(worst, gap)
-        checks += 1
-        failures += gap >= 1e-10
-    emit(f"  uniformized kernels vs dense exponential: worst gap {worst:.2e}")
-
-    # uniformization mean a = rate h = 800, past where e^{-a} underflows
-    R = np.diag(np.full(7, 1.4), 1) + np.diag(np.full(7, 1.8), -1)
-    np.fill_diagonal(R, -R.sum(axis=1) - 0.01)
-    h = 800.0 / float(-R.diagonal().min())
-    gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
-    checks += 1
-    failures += gap >= 1e-10
-    emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
-
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(3, 41))
-        R = _random_generator(n, rng, density=0.5, scale=2.0)
-        f = rng.uniform(0.0, 5.0, size=n)
-        r = float(rng.uniform(0.05, 0.3))
-        v_impl = vanilla_american_perpetual(R, f, r)
-        v_ora = value_iterate_american(
-            UniformizedChain.from_generator(R), f, r, tol=1e-10
-        )
-        gap = float(np.max(np.abs(v_impl - v_ora)))
-        worst = max(worst, gap)
-        checks += 1
-        failures += gap >= 1e-6
-    emit(f"  stopping-problem solver vs value iteration: worst gap {worst:.2e}")
-
-    n = 15
-    R = np.zeros((n, n))
-    for i in range(n):
-        if i + 1 < n:
-            R[i, i + 1] = 1.4
-        if i - 1 >= 0:
-            R[i, i - 1] = 1.8
-    np.fill_diagonal(R, -R.sum(axis=1))
-    below = np.arange(n) < 7
-    window, rate = 0.2, 0.25
-    H = parisian_transform(R, window, rate, below=below)
-    for x0 in (8, 3):
-        sim = simulate_paths(
-            R, x0, window, rate, n_paths=1_000_000, rng_seed=seed + 2024 + x0,
-            below=below, horizon=80.0,
-        )
-        gap = np.abs(sim.estimate - H[x0])
-        scale = np.maximum(sim.std_error, 1e-12)
-        ok = bool(np.all(gap <= 3.0 * scale))
-        checks += 1
-        failures += not ok
-        emit(
-            f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "
-            f"max |gap|/s.e. {float(np.max(gap / scale)):.2f}"
-        )
-    return checks, failures
-
-
-def _verify_dp(seed: int, emit) -> Tuple[int, int]:
-    from .oracle import dp_parisian_lattice
-
-    rng = np.random.default_rng(seed)
-    carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
-    checks = failures = 0
-    worst_out = worst_in = worst_bs = 0.0
-    for trial in range(11):
-        # instances 0-9: dense random chains and payoffs, both flavors;
-        # instance 10: the carrier's own tridiagonal chain with a call struck
-        # at or above the barrier, which takes the reduced down-out route
-        bs_call = trial == 10
-        n = int(rng.integers(8, 13))
-        grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
-        N = grid.n_states
-        if bs_call:
-            R = build_generator(carrier, grid)
-        else:
-            R = _random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
-        rate = float(rng.uniform(0.01, 0.2))
-        dt = float(rng.uniform(0.05, 0.3))
-        n_slices = int(rng.integers(2, 6))
-        horizon = (n_slices - 0.5) * dt
-        window = float(rng.uniform(0.5, 2.5)) * dt
-        dtick = window / float(rng.integers(1, 4))
-        if bs_call:
-            payoff = american_call(float(rng.uniform(1.5, 3.0)))
-        else:
-            knots = np.sort(rng.uniform(0.4, 4.2, size=4))
-            vals = rng.uniform(0.0, 3.0, size=4)
-            payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
-        below = grid.states < 1.5 - 1e-12
-        f = payoff(grid.states)
-        timegrid = TimeGrid(dt=dt, horizon=horizon)
-
-        c_out = ContractSpec(
-            payoff=payoff, barrier=1.5, window=window, maturity=horizon,
-            rate=rate, flavor=Flavor.DOWN_OUT,
-        )
-        res = price_finite_downout(
-            carrier, grid, timegrid, c_out, dtick=dtick, gen=R
-        )
-        ora = dp_parisian_lattice(
-            R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
-        )
-        gap = float(np.max(np.abs(res.values - ora)))
-        checks += 1
-        failures += gap >= 1e-5
-        if bs_call:
-            worst_bs = gap
-            continue
-        worst_out = max(worst_out, gap)
-
-        c_in = ContractSpec(
-            payoff=payoff, barrier=1.5, window=window, maturity=horizon,
-            rate=rate, flavor=Flavor.DOWN_IN,
-        )
-        res_in = price_finite_downin(carrier, grid, timegrid, c_in, gen=R)
-        ora_in = dp_parisian_lattice(
-            R, below, f, rate, dt, horizon, window, "down-in"
-        )
-        gap = float(np.max(np.abs(res_in.disc_values - ora_in)))
-        worst_in = max(worst_in, gap)
-        checks += 1
-        failures += gap >= 1e-5
-    emit(f"  down-out recursion vs joint-lattice DP: worst gap {worst_out:.2e}")
-    emit(f"  down-in recursion vs renewal DP: worst gap {worst_in:.2e}")
-    emit(f"  reduced down-out, BS chain and call, vs joint-lattice DP: gap {worst_bs:.2e}")
-
-    # reduced down-out on dense jump chains, with a call struck at or above
-    # the barrier, on grids where the ladder elimination runs on a factor of
-    # the below->above rate block narrower than the block (k < nc)
-    from .pricer_downout import _ReducedLadderOps, build_ladder
-
-    for model in (kou_model(KouParams(**_KOU)), vg_model(VGParams(**_VG))):
-        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
-                          math.log(95.0), 32, "proportional")
-        gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
-        rate = float(rng.uniform(0.01, 0.1))
-        strike = float(rng.uniform(90.0, 110.0))
-        window, dtick = 1.0 / 12.0, 1.0 / 24.0
-        timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
-        c_out = ContractSpec(
-            payoff=american_call(strike), barrier=90.0, window=window,
-            maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
-        )
-        res = price_finite_downout(model, grid, timegrid, c_out, dtick=dtick, gen=gen)
-        ora = dp_parisian_lattice(
-            gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
-            timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
-        )
-        gap = float(np.max(np.abs(res.values - ora)))
-        ops = _ReducedLadderOps(
-            gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
-        )
-        k, nc = ops.factor_width, len(ops.coupled)
-        checks += 1
-        failures += gap >= 1e-5 or k >= nc
-        emit(
-            f"  reduced down-out, {model.name} chain and call (factor width "
-            f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
-        )
-    return checks, failures
-
-
-_VERIFY_SUITES = {"lcp": _verify_lcp, "kernels": _verify_kernels, "dp": _verify_dp}
-
-
-def run_verify(suite: str, seed: int = 0, emit=print) -> int:
-    """Run one oracle agreement suite; returns the number of failed checks."""
-
-    if suite not in _VERIFY_SUITES:
-        raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(_VERIFY_SUITES)}")
-    emit(f"verify suite: {suite}")
-    checks, failures = _VERIFY_SUITES[suite](seed, emit)
-    emit(f"{suite}: {checks - failures}/{checks} checks passed")
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # configuration files and CLI
 # ---------------------------------------------------------------------------
 
@@ -1469,8 +1203,6 @@ def _cmd_study(args) -> int:
     )
     if args.self_benchmark:
         data["self_benchmark"] = True
-    if isinstance(data.get("grids"), str):
-        data["grids"] = _parse_scalar(data["grids"])  # "129,161" from the flag
     cfg = StudyConfig.from_mapping(data)
     rows = run_study(cfg, jobs=args.jobs)
     benchmark = cfg.benchmark
@@ -1501,6 +1233,8 @@ def _cmd_reproduce_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_verify  # loads scipy.stats: only this verb needs it
+
     failures = run_verify(args.suite, seed=args.seed)
     return 0 if failures == 0 else 1
 
@@ -1557,7 +1291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_table.set_defaults(handler=_cmd_reproduce_table)
 
     p_verify = sub.add_parser("verify", help="run an oracle agreement suite")
-    p_verify.add_argument("--suite", required=True, choices=sorted(_VERIFY_SUITES))
+    p_verify.add_argument("--suite", required=True, choices=("dp", "kernels", "lcp"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(handler=_cmd_verify)
 

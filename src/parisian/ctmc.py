@@ -49,9 +49,8 @@ class SpatialGrid:
 
     ``states`` has n+1 entries y_0 < ... < y_n.  ``cell_edges`` has n+2
     entries: -inf, the n midpoints, +inf; state j owns
-    [cell_edges[j], cell_edges[j+1]).  ``idx_l_plus`` indexes the barrier
-    node (smallest state >= barrier; the barrier is on-grid), and
-    ``idx_l_minus = idx_l_plus - 1`` the largest state below it.
+    [cell_edges[j], cell_edges[j+1]).  The barrier is a grid node: the
+    first state not in ``below_mask``.
     """
 
     states: np.ndarray
@@ -67,14 +66,6 @@ class SpatialGrid:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def idx_l_plus(self) -> int:
-        return int(self.below_mask.sum())
-
-    @property
-    def idx_l_minus(self) -> int:
-        return self.idx_l_plus - 1
 
     @property
     def below_mask(self) -> np.ndarray:
@@ -454,8 +445,10 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     Rows are assembled in chunks of about ``_CHUNK_CELLS`` cells (rows x
     states), so a chunk's temporaries take the same memory on every grid;
     each chunk makes one ``interval_mass`` call for its edge tails, which a
-    measure may spread across threads (the VG measure does).  Every row is
-    computed on its own, so the arrays do not depend on the chunk size.
+    measure may spread across threads (the VG measure does).  The tails at
+    +-1 come from one call before the chunks.  Every row is computed on its
+    own, so neither the arrays nor the cells evaluated depend on the chunk
+    size.
     """
 
     x = grid.states
@@ -465,6 +458,11 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     mu_bar = np.zeros(N)
     s2_bar = np.zeros(N)
     inner = edges[1:-1]
+    # tails at the +-1 clamps of the small-jump masses, one call for every
+    # interior row (a state-independent measure returns a single row)
+    units = np.broadcast_to(
+        _tail_masses(jm, t, x[1:-1, None], np.array([[-1.0, 1.0]])), (N - 2, 2)
+    )
     step = max(1, _CHUNK_CELLS // N)
     for i0 in range(1, N - 1, step):
         i1 = min(i0 + step, N - 1)
@@ -482,7 +480,7 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
         far[i0:i1] = mass
         # small-jump cell masses (jumps within [-1, 1]) from the same
         # tails: every edge beyond +-1 reads the tail at +-1
-        unit = _tail_masses(jm, t, xs, np.array([[-1.0, 1.0]]))
+        unit = units[i0 - 1:i1 - 1]
         clamped = np.where(np.abs(z) <= 1.0, tails[:, 1:-1],
                            np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
         tails[:, 1:-1] = clamped

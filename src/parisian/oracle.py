@@ -1,4 +1,5 @@
-"""Independent verification engines used by the test suite.
+"""Independent verification engines, and the agreement suites that drive
+the pricers against them.
 
 Everything here recomputes quantities the pricing modules produce, through
 deliberately different numerical routes: fixed-point value iteration on
@@ -6,25 +7,52 @@ uniformized chains instead of complementarity pivoting or factorized
 solves, exhaustive complementary-basis enumeration for small LCPs, dense
 matrix exponentials for excursion kernels instead of resolvent algebra,
 and Monte-Carlo estimation by exact event-by-event simulation of the chain
-with its barrier excursion clock.  Nothing in the pricing modules imports
-from here, so a disagreement implicates the pipeline under test rather than
-a shared subroutine.
+with its barrier excursion clock.  No pricing module imports from here, so
+a disagreement implicates the pipeline under test rather than a shared
+subroutine.
 
 All engines are desk-scale: dense, O(states^3) or slower, and meant for
 dozens of states -- they trade speed for transparency.
+
+``run_verify`` runs one agreement suite (``lcp``, ``kernels`` or ``dp``):
+it prices randomized desk-scale instances with the production code and
+with an engine above, and counts the checks whose gap exceeds the suite's
+tolerance.  The ``verify`` CLI verb and the test suite both call it, and
+``random_generator`` is the one source of random dense generators for both.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.stats import poisson
 
-from .ctmc import GeneratorMatrix
+from .bench_cli import build_named_model, reference_option
+from .ctmc import (
+    GeneratorMatrix,
+    TimeGrid,
+    build_generator,
+    build_grid,
+    resolve_rate_policy,
+)
+from .models import bs_model
+from .numerics import LCPOperator, LCPProblem, generator_expm, lemke_solve, policy_solve
+from .pricer_downin import (
+    ContractSpec,
+    Flavor,
+    american_call,
+    parisian_transform,
+    price_finite_downin,
+    vanilla_american_perpetual,
+)
+from .pricer_downout import _ReducedLadderOps, build_ladder, price_finite_downout
 
 __all__ = [
     "ChainPath",
@@ -33,6 +61,8 @@ __all__ = [
     "value_iterate_american",
     "lcp_by_enumeration",
     "dp_parisian_lattice",
+    "random_generator",
+    "run_verify",
     "sample_path",
     "simulate_paths",
 ]
@@ -580,3 +610,272 @@ def simulate_paths(
         degenerate=degenerate,
         mean_trigger_time=tau_sum / tau_count if tau_count else math.inf,
     )
+
+
+# ---------------------------------------------------------------------------
+# agreement suites: the pricing stack against the engines above
+# ---------------------------------------------------------------------------
+
+
+def random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
+    """Dense random generator: each off-diagonal rate is live with
+    probability ``density`` and uniform on [0, scale) when live.
+
+    A conservative generator has zero row sums; otherwise about 30% of the
+    rows also kill at a rate uniform on [0, 0.5).
+    """
+
+    R = rng.uniform(0.0, scale, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+    np.fill_diagonal(R, 0.0)
+    diag = -R.sum(axis=1)
+    if not conservative:
+        diag -= rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.3)
+    np.fill_diagonal(R, diag)
+    return R
+
+
+def _gap(values: np.ndarray, ref: np.ndarray) -> float:
+    """Largest absolute difference; inf when the shapes differ."""
+
+    if values.shape != ref.shape:
+        return math.inf
+    return float(np.max(np.abs(values - ref)))
+
+
+def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
+    rng = np.random.default_rng(seed)
+    solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
+    checks = failures = 0
+    for kind, trials in (("dense", 200), ("tridiagonal", 100)):
+        worst = dict.fromkeys(solvers, 0.0)
+        for trial in range(trials):
+            n = int(rng.integers(2, 9))
+            if kind == "tridiagonal":  # an M-matrix held as its three bands
+                A = np.diag(-rng.uniform(0.1, 3.0, size=n - 1), -1)
+                A += np.diag(-rng.uniform(0.1, 3.0, size=n - 1), 1)
+                A[np.diag_indices(n)] = -A.sum(axis=1) + rng.uniform(0.1, 1.0, size=n)
+            elif trial % 2 == 0:
+                B = rng.normal(size=(n, n))
+                A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
+            else:
+                A = rng.normal(size=(n, n))
+                A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
+            psi = rng.normal(scale=2.0, size=n)
+            z_ref, _ = lcp_by_enumeration(A, psi)
+            held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
+            problem = LCPProblem(LCPOperator(held), psi)
+            ok = True
+            for name, solve in solvers.items():
+                sol = solve(problem)
+                gap = float(np.max(np.abs(sol.z - z_ref)))
+                worst[name] = max(worst[name], gap)
+                ok &= (
+                    sol.solved
+                    and gap < 1e-9
+                    and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
+                )
+            checks += 1
+            failures += not ok
+        for name, gap in worst.items():
+            emit(f"  {name} vs enumeration on {trials} random {kind} instances: "
+                 f"worst gap {gap:.2e}")
+    return checks, failures
+
+
+def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
+    rng = np.random.default_rng(seed)
+    checks = failures = 0
+
+    worst = 0.0
+    for n in (5, 9, 14, 20):
+        R = random_generator(n, rng, conservative=bool(rng.integers(0, 2)))
+        h = float(rng.uniform(0.3, 1.2))
+        chain = UniformizedChain.from_generator(R)
+        mu = chain.lam * h
+        kmax = int(poisson.isf(1e-16, mu)) + 1 if mu > 0 else 1
+        acc = np.zeros((n, n))
+        Pk = np.eye(n)
+        for k in range(kmax + 1):
+            acc += poisson.pmf(k, mu) * Pk
+            Pk = Pk @ chain.probs
+        ref = expm(R * h)
+        gap = max(
+            float(np.max(np.abs(acc - ref))),
+            float(np.max(np.abs(generator_expm(R, h) - ref))),
+        )
+        worst = max(worst, gap)
+        checks += 1
+        failures += gap >= 1e-10
+    emit(f"  uniformized kernels vs dense exponential: worst gap {worst:.2e}")
+
+    # uniformization mean a = rate h = 800, past where e^{-a} underflows
+    R = np.diag(np.full(7, 1.4), 1) + np.diag(np.full(7, 1.8), -1)
+    np.fill_diagonal(R, -R.sum(axis=1) - 0.01)
+    h = 800.0 / float(-R.diagonal().min())
+    gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
+    checks += 1
+    failures += gap >= 1e-10
+    emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
+
+    worst = 0.0
+    for _ in range(50):
+        n = int(rng.integers(3, 41))
+        R = random_generator(n, rng, density=0.5, scale=2.0)
+        f = rng.uniform(0.0, 5.0, size=n)
+        r = float(rng.uniform(0.05, 0.3))
+        v_impl = vanilla_american_perpetual(R, f, r)
+        v_ora = value_iterate_american(
+            UniformizedChain.from_generator(R), f, r, tol=1e-10
+        )
+        gap = float(np.max(np.abs(v_impl - v_ora)))
+        worst = max(worst, gap)
+        checks += 1
+        failures += gap >= 1e-6
+    emit(f"  stopping-problem solver vs value iteration on 50 random chains: "
+         f"worst gap {worst:.2e}")
+
+    n = 15
+    R = np.diag(np.full(n - 1, 1.4), 1) + np.diag(np.full(n - 1, 1.8), -1)
+    np.fill_diagonal(R, -R.sum(axis=1))
+    below = np.arange(n) < 7
+    window, rate = 0.2, 0.25
+    H = parisian_transform(R, window, rate, below=below)
+    for x0 in (8, 3):
+        sim = simulate_paths(
+            R, x0, window, rate, n_paths=1_000_000, rng_seed=seed + 2024 + x0,
+            below=below, horizon=80.0,
+        )
+        gap = np.abs(sim.estimate - H[x0])
+        scale = np.maximum(sim.std_error, 1e-12)
+        ok = bool(np.all(gap <= 3.0 * scale))
+        checks += 1
+        failures += not ok
+        emit(
+            f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "
+            f"max |gap|/s.e. {float(np.max(gap / scale)):.2f}"
+        )
+    return checks, failures
+
+
+def _verify_dp(seed: int, emit) -> Tuple[int, int]:
+    rng = np.random.default_rng(seed)
+    carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
+    checks = failures = 0
+    worst = dict.fromkeys(("out", "in", "bs out", "bs in"), 0.0)
+    for trial in range(25):
+        # instances 0-19: dense random chains and payoffs; instances 20-24:
+        # the carrier's own tridiagonal chain with a call struck at or above
+        # the barrier, which takes the reduced down-out route.  Both flavors
+        # each time, the down-in's vanilla leg discounted from activation or
+        # from exercise at random.
+        bs_call = trial >= 20
+        n = int(rng.integers(8, 13))
+        grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
+        N = grid.n_states
+        if bs_call:
+            R = build_generator(carrier, grid)
+        else:
+            R = random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
+        rate = float(rng.uniform(0.01, 0.2))
+        dt = float(rng.uniform(0.05, 0.3))
+        n_slices = int(rng.integers(2, 6))
+        horizon = (n_slices - 0.5) * dt
+        window = float(rng.uniform(0.5, 2.5)) * dt
+        dtick = window / float(rng.integers(1, 4))
+        if bs_call:
+            payoff = american_call(float(rng.uniform(1.5, 3.0)))
+        else:
+            knots = np.sort(rng.uniform(0.4, 4.2, size=4))
+            vals = rng.uniform(0.0, 3.0, size=4)
+            payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
+        discounting = ("activation", "exercise")[int(rng.integers(0, 2))]
+        below = grid.states < 1.5 - 1e-12
+        f = payoff(grid.states)
+        timegrid = TimeGrid(dt=dt, horizon=horizon)
+        kind = "bs " if bs_call else ""
+
+        c_out = ContractSpec(
+            payoff=payoff, barrier=1.5, window=window, maturity=horizon,
+            rate=rate, flavor=Flavor.DOWN_OUT,
+        )
+        res = price_finite_downout(
+            carrier, grid, timegrid, c_out, dtick=dtick, gen=R
+        )
+        ora = dp_parisian_lattice(
+            R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
+        )
+        gap = _gap(res.values, ora)
+        worst[kind + "out"] = max(worst[kind + "out"], gap)
+        checks += 1
+        failures += not (gap < 1e-5)  # a NaN gap fails too
+
+        c_in = dataclasses.replace(c_out, flavor=Flavor.DOWN_IN)
+        res_in = price_finite_downin(
+            carrier, grid, timegrid, c_in, gen=R, vanilla_discounting=discounting
+        )
+        ora_in = dp_parisian_lattice(
+            R, below, f, rate, dt, horizon, window, "down-in",
+            vanilla_discounting=discounting,
+        )
+        gap = _gap(res_in.disc_values, ora_in)
+        worst[kind + "in"] = max(worst[kind + "in"], gap)
+        checks += 1
+        failures += not (gap < 1e-5)  # a NaN gap fails too
+    emit(f"  down-out recursion vs joint-lattice DP on 20 random chains: "
+         f"worst gap {worst['out']:.2e}")
+    emit(f"  down-in recursion vs renewal DP on 20 random chains: "
+         f"worst gap {worst['in']:.2e}")
+    emit(f"  reduced down-out, 5 BS chains and calls, vs joint-lattice DP: "
+         f"worst gap {worst['bs out']:.2e}")
+    emit(f"  down-in, 5 BS chains and calls, vs renewal DP: "
+         f"worst gap {worst['bs in']:.2e}")
+
+    # reduced down-out on dense jump chains with the reference blocks'
+    # parameters, with a call struck at or above the barrier, on grids where
+    # the ladder elimination runs on a factor of the below->above rate block
+    # narrower than the block (k < nc)
+    for family in ("kou", "vg"):
+        params = reference_option(family, "finite-down-out").config.model_params
+        model = build_named_model(family, params)
+        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
+                          math.log(95.0), 32, "proportional")
+        gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
+        rate = float(rng.uniform(0.01, 0.1))
+        strike = float(rng.uniform(90.0, 110.0))
+        window, dtick = 1.0 / 12.0, 1.0 / 24.0
+        timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
+        c_out = ContractSpec(
+            payoff=american_call(strike), barrier=90.0, window=window,
+            maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
+        )
+        res = price_finite_downout(model, grid, timegrid, c_out, dtick=dtick, gen=gen)
+        ora = dp_parisian_lattice(
+            gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
+            timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
+        )
+        gap = _gap(res.values, ora)
+        ops = _ReducedLadderOps(
+            gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
+        )
+        k, nc = ops.factor_width, len(ops.coupled)
+        checks += 1
+        failures += not (gap < 1e-5) or k >= nc
+        emit(
+            f"  reduced down-out, {model.name} chain and call (factor width "
+            f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
+        )
+    return checks, failures
+
+
+_VERIFY_SUITES = {"lcp": _verify_lcp, "kernels": _verify_kernels, "dp": _verify_dp}
+
+
+def run_verify(suite: str, seed: int = 0, emit=print) -> int:
+    """Run one oracle agreement suite; returns the number of failed checks."""
+
+    if suite not in _VERIFY_SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(_VERIFY_SUITES)}")
+    emit(f"verify suite: {suite}")
+    checks, failures = _VERIFY_SUITES[suite](seed, emit)
+    emit(f"{suite}: {checks - failures}/{checks} checks passed")
+    return failures

@@ -262,7 +262,6 @@ def parisian_transform(
 class PerpetualDownInResult:
     values: np.ndarray          # C_pi over states
     vanilla: np.ndarray         # c_p over states
-    transform: np.ndarray       # H_p(rate)
     model: ModelSpec
     grid: SpatialGrid
 
@@ -293,7 +292,7 @@ def price_perpetual_downin(
         barrier=contract.barrier_state(model),
     )
     return PerpetualDownInResult(
-        values=H @ c_p, vanilla=c_p, transform=H, model=model, grid=gen.grid
+        values=H @ c_p, vanilla=c_p, model=model, grid=gen.grid
     )
 
 

@@ -1,10 +1,11 @@
-"""End-to-end gates: pinned benchmark cells, oracle agreement, invariants.
+"""End-to-end gates: pinned benchmark cells and invariants.
 
 Each pricing gate reprices a published benchmark cell with the packaged
 study configuration and asserts the raw and extrapolated relative errors
 against fixed tolerances, plus a wall-clock budget.  The remaining gates
-assert cross-method agreement at full scale and the structural properties
-every assembled operator must satisfy.
+assert the structural properties every assembled operator must satisfy.
+Agreement with the independent oracles is checked by the ``verify``
+suites, which ``tests/test_oracle.py`` runs.
 """
 
 import math
@@ -16,14 +17,6 @@ import pytest
 from parisian.bench_cli import price_point, reference_option, richardson
 from parisian.ctmc import TimeGrid, build_grid, build_generator, validate_generator
 from parisian.models import bs_model
-from parisian.numerics import LCPProblem, lemke_solve, policy_solve
-from parisian.oracle import (
-    UniformizedChain,
-    dp_parisian_lattice,
-    lcp_by_enumeration,
-    simulate_paths,
-    value_iterate_american,
-)
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
@@ -34,7 +27,6 @@ from parisian.pricer_downin import (
     vanilla_american_perpetual,
 )
 from parisian.pricer_downout import (
-    build_ladder,
     duration_generator,
     price_finite_downout,
     price_perpetual_downout,
@@ -128,127 +120,6 @@ class TestBenchmarkGates:
         # error magnitude (~7%)
         assert raw2 <= 0.14
         assert elapsed < 900.0
-
-
-# ---------------------------------------------------------------------------
-# cross-method agreement at full scale
-# ---------------------------------------------------------------------------
-
-
-def _random_generator(n, rng, conservative=True, density=0.6, scale=3.0):
-    R = rng.uniform(0.0, scale, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
-    np.fill_diagonal(R, 0.0)
-    diag = -R.sum(axis=1)
-    if not conservative:
-        diag -= rng.uniform(0.0, 0.5, size=n) * (rng.uniform(size=n) < 0.3)
-    np.fill_diagonal(R, diag)
-    return R
-
-
-class TestOracleAgreement:
-    budget = 600.0
-
-    def test_lcp_solver_vs_enumeration(self):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(105)
-        for trial in range(200):
-            n = int(rng.integers(2, 9))
-            if trial % 2 == 0:
-                B = rng.normal(size=(n, n))
-                A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
-            else:
-                A = rng.normal(size=(n, n))
-                A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
-            psi = rng.normal(scale=2.0, size=n)
-            z_ref, _ = lcp_by_enumeration(A, psi)
-            for solver in (lemke_solve, policy_solve):
-                sol = solver(LCPProblem(A, psi))
-                assert sol.status.value == "solved", solver.__name__
-                assert np.max(np.abs(sol.z - z_ref)) < 1e-9, solver.__name__
-                assert np.array_equal(sol.z > 1e-9, z_ref > 1e-9), solver.__name__
-        assert time.perf_counter() - t0 < self.budget
-
-    def test_perpetual_solver_vs_value_iteration(self):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(106)
-        worst = 0.0
-        for _ in range(50):
-            n = int(rng.integers(3, 41))
-            R = _random_generator(n, rng, density=0.5, scale=2.0)
-            f = rng.uniform(0.0, 5.0, size=n)
-            r = float(rng.uniform(0.05, 0.3))
-            v_impl = vanilla_american_perpetual(R, f, r)
-            chain = UniformizedChain.from_generator(R)
-            v_ora = value_iterate_american(chain, f, r, tol=1e-10)
-            worst = max(worst, float(np.max(np.abs(v_impl - v_ora))))
-        assert worst < 1e-6
-        assert time.perf_counter() - t0 < self.budget
-
-    def test_finite_pricers_vs_lattice_dp(self):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(107)
-        carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
-        worst_out = worst_in = 0.0
-        for _ in range(20):
-            n = int(rng.integers(8, 13))
-            grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
-            R = _random_generator(grid.n_states, rng,
-                                  conservative=bool(rng.integers(0, 2)))
-            rate = float(rng.uniform(0.01, 0.2))
-            dt = float(rng.uniform(0.05, 0.3))
-            n_slices = int(rng.integers(2, 6))
-            horizon = (n_slices - 0.5) * dt
-            window = float(rng.uniform(0.5, 2.5)) * dt
-            dtick = window / float(rng.integers(1, 4))
-            knots = np.sort(rng.uniform(0.4, 4.2, size=4))
-            vals = rng.uniform(0.0, 3.0, size=4)
-            payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
-            below = grid.states < 1.5 - 1e-12
-            f = payoff(grid.states)
-            timegrid = TimeGrid(dt=dt, horizon=horizon)
-
-            c_out = ContractSpec(payoff=payoff, barrier=1.5, window=window,
-                                 maturity=horizon, rate=rate,
-                                 flavor=Flavor.DOWN_OUT)
-            res = price_finite_downout(carrier, grid, timegrid, c_out,
-                                       dtick=dtick, gen=R)
-            ora = dp_parisian_lattice(R, below, f, rate, dt, horizon, window,
-                                      "down-out", dtick=dtick)
-            assert res.values.shape == ora.shape
-            worst_out = max(worst_out, float(np.max(np.abs(res.values - ora))))
-
-            c_in = ContractSpec(payoff=payoff, barrier=1.5, window=window,
-                                maturity=horizon, rate=rate,
-                                flavor=Flavor.DOWN_IN)
-            res_in = price_finite_downin(carrier, grid, timegrid, c_in, gen=R)
-            ora_in = dp_parisian_lattice(R, below, f, rate, dt, horizon,
-                                         window, "down-in")
-            worst_in = max(worst_in, float(
-                np.max(np.abs(res_in.disc_values - ora_in))))
-        assert worst_out < 1e-5
-        assert worst_in < 1e-5
-        assert time.perf_counter() - t0 < self.budget
-
-    def test_transform_rows_vs_million_path_simulation(self):
-        t0 = time.perf_counter()
-        n = 15
-        R = np.zeros((n, n))
-        for i in range(n):
-            if i + 1 < n:
-                R[i, i + 1] = 1.4
-            if i - 1 >= 0:
-                R[i, i - 1] = 1.8
-        np.fill_diagonal(R, -R.sum(axis=1))
-        below = np.arange(n) < 7
-        window, rate = 0.2, 0.25
-        H = parisian_transform(R, window, rate, below=below)
-        for x0 in (8, 3):
-            sim = simulate_paths(R, x0, window, rate, n_paths=1_000_000,
-                                   rng_seed=2024 + x0, below=below,
-                                   horizon=80.0)
-            gap = np.abs(sim.estimate - H[x0])
-            assert np.all(gap <= 3.0 * np.maximum(sim.std_error, 1e-12))
-        assert time.perf_counter() - t0 < self.budget
 
 
 # ---------------------------------------------------------------------------

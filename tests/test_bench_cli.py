@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from parisian import bench_cli
@@ -571,11 +570,27 @@ class TestCli:
         assert "Grid" in capsys.readouterr().out
         assert out_csv.exists()
 
-    def test_verify_verb(self, capsys):
-        assert main(["verify", "--suite", "lcp"]) == 0
-        assert "300/300" in capsys.readouterr().out
-        assert main(["verify", "--suite", "dp"]) == 0
-        assert "23/23" in capsys.readouterr().out
+    def test_verify_verb(self, monkeypatch, capsys):
+        # the verb's wiring only: each suite's content runs once, in
+        # tests/test_oracle.py::test_verify_suite_passes
+        from parisian import oracle
+
+        seeds = []
+
+        def suite(seed, emit):
+            seeds.append(seed)
+            return 4, seed % 2  # an odd seed fails one of 4 checks
+
+        stubs = dict.fromkeys(oracle._VERIFY_SUITES, suite)
+        monkeypatch.setattr(oracle, "_VERIFY_SUITES", stubs)
+        for name in stubs:  # the parser offers every suite the oracle has
+            assert main(["verify", "--suite", name]) == 0
+            assert f"{name}: 4/4 checks passed" in capsys.readouterr().out
+        assert main(["verify", "--suite", "dp", "--seed", "3"]) == 1
+        assert "dp: 3/4 checks passed" in capsys.readouterr().out
+        assert seeds == [0, 0, 0, 3]
+        with pytest.raises(SystemExit):
+            main(["verify", "--suite", "mc"])
 
     def test_reproduce_table_passes_for_bs(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

@@ -57,9 +57,10 @@ class TestBuildGrid:
 
     def test_barrier_indexing(self):
         g = build_grid(30, 270, 90.0, 95.0, 64)
-        assert g.states[g.idx_l_plus] == pytest.approx(90.0)
-        assert g.states[g.idx_l_minus] < 90.0
-        assert g.below_mask.sum() == g.idx_l_plus
+        barrier = int(g.below_mask.sum())  # the barrier node
+        assert g.states[barrier] == pytest.approx(90.0)
+        assert g.states[barrier - 1] < 90.0
+        assert g.below_mask[:barrier].all() and not g.below_mask[barrier:].any()
         # a barrier level off by round-off still puts the barrier node above
         np.testing.assert_array_equal(g.below_barrier(90.0 * (1 + 1e-14)),
                                       g.below_mask)
@@ -293,19 +294,30 @@ class TestBuildGenerator:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(models, "ThreadPoolExecutor", CountingPool)
+        cells = []
+
+        def counted(*args):
+            out = VG.jump_measure.interval_mass(*args)
+            cells[-1] += np.size(out)
+            return out
+
+        jm = dataclasses.replace(VG.jump_measure, interval_mass=counted)
 
         def build(cpus, chunk_cells=ctmc._CHUNK_CELLS):
             pools.clear()
+            cells.append(0)
             with monkeypatch.context() as m:
                 m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 m.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
-                return jump_part(VG.jump_measure, g), list(pools)
+                return jump_part(jm, g), list(pools)
 
         serial, serial_pools = build(1)
         threaded, threaded_pools = build(2)
         one_row, one_row_pools = build(2, chunk_cells=1)  # one row per chunk
         assert serial_pools == [] and one_row_pools == []
         assert threaded_pools and set(threaded_pools) == {2}
+        # the cells evaluated are a function of the grid, not of the chunks
+        assert cells[0] == cells[1] == cells[2]
         for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
             ref = getattr(serial, field)
             assert np.array_equal(getattr(threaded, field), ref), field

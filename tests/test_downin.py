@@ -13,7 +13,7 @@ from parisian.bench_cli import price_point, reference_option
 from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_matrix
 from parisian.models import KouParams, bs_model, kou_model
 from parisian.numerics import LCPOperator, LCPProblem, lemke_solve
-from parisian.oracle import sample_path, simulate_paths
+from parisian.oracle import random_generator, sample_path, simulate_paths
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
@@ -29,18 +29,6 @@ from parisian.pricer_downin import (
 )
 
 BS = bs_model(r_f=0.10, dividend=0.05, sigma=0.3)
-
-
-def random_generator(rng, n, max_rate=4.0, absorb_ends=True):
-    """Dense conservative generator with off-diagonal mass near the diagonal."""
-    R = rng.uniform(0.0, max_rate, size=(n, n))
-    R *= rng.uniform(0.0, 1.0, size=(n, n)) < 0.6
-    np.fill_diagonal(R, 0.0)
-    if absorb_ends:
-        R[0] = 0.0
-        R[-1] = 0.0
-    np.fill_diagonal(R, -R.sum(axis=1))
-    return R
 
 
 def small_bs_setup(n=24, lo=30.0, hi=270.0):
@@ -298,7 +286,7 @@ class TestSliceKernels:
         from scipy.stats import poisson
 
         n = 7
-        R = random_generator(self.rng, n, absorb_ends=False)
+        R = random_generator(n, self.rng, scale=4.0)
         below = np.arange(n) < 4
         window, dt = 0.4, 0.1
         bi, ai = self.split(below)
@@ -326,7 +314,8 @@ class TestSliceKernels:
 
     def test_u_minus_matches_explicit_unrolled_sum(self):
         n = 7
-        R = random_generator(self.rng, n, absorb_ends=True)
+        R = random_generator(n, self.rng, scale=4.0)
+        R[[0, -1]] = 0.0  # absorbing ends
         below = np.arange(n) < 3
         dt = 0.2
         n_slices = 6
@@ -352,7 +341,7 @@ class TestSliceKernels:
            st.floats(0.05, 0.5), st.floats(0.02, 0.3))
     def test_kernel_bounds_hold_on_random_chains(self, n, m, window, dt):
         rng = np.random.default_rng(n * 100 + m)
-        R = random_generator(rng, n, absorb_ends=False)
+        R = random_generator(n, rng, scale=4.0)
         np.fill_diagonal(R, 0.0)
         R[0, :] = 0.0
         np.fill_diagonal(R, -R.sum(axis=1))
@@ -397,7 +386,8 @@ class TestBermudanSlice:
     @given(st.integers(3, 12), st.floats(0.05, 0.9))
     def test_solution_solves_the_complementarity_problem(self, n, dt):
         rng = np.random.default_rng(n)
-        R = random_generator(rng, n, absorb_ends=True)
+        R = random_generator(n, rng, scale=4.0)
+        R[[0, -1]] = 0.0  # absorbing ends
         g = rng.uniform(0.0, 2.0, n)
         c = rng.uniform(0.0, 2.0, n)
         vals, _ = bermudan_slice(slice_operator(R, dt), c, g)

@@ -257,13 +257,16 @@ def test_partition_sums_recover_total_mass():
 
 def test_pricing_imports_do_not_load_quadrature():
     # scipy.integrate (and the scipy.optimize it pulls in) is loaded only by
-    # jump_measure_from_density, not by every import of the package
+    # jump_measure_from_density, and the oracle with its scipy.stats only by
+    # the verify verb, not by every import of the package: scipy.stats alone
+    # takes longer to import than the rest of the package
     code = (
         "import sys, parisian.bench_cli, parisian.pricer_downout; "
-        "print('scipy.integrate' in sys.modules)"
+        "print([m for m in ('scipy.integrate', 'scipy.stats', 'parisian.oracle')"
+        " if m in sys.modules])"
     )
     src = str(Path(parisian.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -22,23 +22,7 @@ from parisian.numerics import (
     require_solved,
     solve_tridiag,
 )
-
-
-def brute_force_lcp(A, q, tol=1e-9):
-    """Enumerate all 2^n complementary bases (independent oracle)."""
-    n = len(q)
-    for mask in range(1 << n):
-        free = [i for i in range(n) if mask >> i & 1]
-        z = np.zeros(n)
-        if free:
-            try:
-                z[free] = np.linalg.solve(A[np.ix_(free, free)], -q[free])
-            except np.linalg.LinAlgError:
-                continue
-        w = A @ z + q
-        if np.all(z >= -tol) and np.all(w >= -tol):
-            return np.maximum(z, 0.0)
-    return None
+from parisian.oracle import lcp_by_enumeration, random_generator
 
 
 def random_pd_lcp(rng, n):
@@ -46,13 +30,6 @@ def random_pd_lcp(rng, n):
     A = B @ B.T + n * np.eye(n)
     q = 2.0 * rng.normal(size=n)
     return A, q
-
-
-def random_generator(rng, n):
-    G = rng.exponential(size=(n, n))
-    np.fill_diagonal(G, 0.0)
-    G[np.arange(n), np.arange(n)] = -G.sum(axis=1)
-    return G
 
 
 def random_tridiagonal_m_matrix(rng, n):
@@ -185,12 +162,12 @@ class TestBandedOperator:
 class TestGeneratorExpm:
     def test_matches_scaling_and_squaring(self):
         rng = np.random.default_rng(11)
-        G = random_generator(rng, 18)
+        G = random_generator(18, rng, density=1.0, scale=2.0)
         assert np.max(np.abs(generator_expm(G, 0.9) - expm(0.9 * G))) <= 1e-12
 
     def test_subgenerator_rows(self):
         rng = np.random.default_rng(12)
-        G = random_generator(rng, 10)
+        G = random_generator(10, rng, density=1.0, scale=2.0)
         G[0] = 0.0           # absorbing row
         G[4, 4] -= 3.0       # leaky row (killing)
         U = generator_expm(G, 1.7)
@@ -253,7 +230,7 @@ class TestLemke:
             n = int(rng.integers(1, 9))
             A, q = random_pd_lcp(rng, n)
             sol = lemke_solve(LCPProblem(A, q))
-            z_ref = brute_force_lcp(A, q)
+            z_ref, _ = lcp_by_enumeration(A, q)
             assert sol.solved, f"trial {trial}: status {sol.status}"
             assert np.max(np.abs(sol.z - z_ref)) <= 1e-9, f"trial {trial}"
             # identical active sets
@@ -381,7 +358,7 @@ class TestLCPOperator:
             assert LCPOperator(sparse.csr_matrix(A)).is_sparse is stays_sparse
         # a full M-matrix stored dense solves like the dense operator, a
         # banded one is held as its bands and solves like the banded operator
-        full = 0.1 * np.eye(30) - random_generator(rng, 30)
+        full = 0.1 * np.eye(30) - random_generator(30, rng, density=1.0, scale=2.0)
         banded, psi, _ = obstacle_problem(60)
         cases = ((full, 2.0 * rng.normal(size=30), LCPOperator(full)),
                  (banded, psi, LCPOperator(sparse.csc_matrix(banded))))
@@ -447,7 +424,7 @@ class TestSolutionInvariants:
 def test_lemke_solution_matches_enumeration_property(n, seed):
     rng = np.random.default_rng(seed)
     A, q = random_pd_lcp(rng, n)
-    z_ref = brute_force_lcp(A, q)
+    z_ref, _ = lcp_by_enumeration(A, q)
     for solver in (lemke_solve, policy_solve):
         sol = solver(LCPProblem(A, q))
         assert sol.solved, solver.__name__
