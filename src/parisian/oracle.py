@@ -14,11 +14,13 @@ subroutine.
 All engines are desk-scale: dense, O(states^3) or slower, and meant for
 dozens of states -- they trade speed for transparency.
 
-``run_verify`` runs one agreement suite (``lcp``, ``kernels`` or ``dp``):
-it prices randomized desk-scale instances with the production code and
-with an engine above, and counts the checks whose gap exceeds the suite's
-tolerance.  The ``verify`` CLI verb and the test suite both call it, and
-``random_generator`` is the one source of random dense generators for both.
+``verify_groups`` runs one agreement suite (``lcp``, ``kernels`` or
+``dp``): it prices randomized desk-scale instances with the production code
+and with an engine above, and counts, per group of checks, the checks whose
+gap exceeds the suite's tolerance; ``run_verify`` returns the suite's total
+failures.  The ``verify`` CLI verb and the test suite both run the suites,
+and ``random_generator`` is the one source of random dense generators for
+both.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -63,6 +65,7 @@ __all__ = [
     "dp_parisian_lattice",
     "random_generator",
     "run_verify",
+    "verify_groups",
     "sample_path",
     "simulate_paths",
 ]
@@ -642,10 +645,18 @@ def _gap(values: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(values - ref)))
 
 
-def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
+class _Tally(dict):
+    """(checks, failures) per group of a suite's checks."""
+
+    def add(self, group: str, ok: bool) -> None:
+        checks, failures = self.get(group, (0, 0))
+        self[group] = (checks + 1, failures + (not ok))
+
+
+def _verify_lcp(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
     solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
-    checks = failures = 0
+    tally = _Tally()
     for kind, trials in (("dense", 200), ("tridiagonal", 100)):
         worst = dict.fromkeys(solvers, 0.0)
         for trial in range(trials):
@@ -674,17 +685,16 @@ def _verify_lcp(seed: int, emit) -> Tuple[int, int]:
                     and gap < 1e-9
                     and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
                 )
-            checks += 1
-            failures += not ok
+            tally.add(kind, ok)
         for name, gap in worst.items():
             emit(f"  {name} vs enumeration on {trials} random {kind} instances: "
                  f"worst gap {gap:.2e}")
-    return checks, failures
+    return tally
 
 
-def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
+def _verify_kernels(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
-    checks = failures = 0
+    tally = _Tally()
 
     worst = 0.0
     for n in (5, 9, 14, 20):
@@ -704,8 +714,7 @@ def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
             float(np.max(np.abs(generator_expm(R, h) - ref))),
         )
         worst = max(worst, gap)
-        checks += 1
-        failures += gap >= 1e-10
+        tally.add("uniformized", gap < 1e-10)
     emit(f"  uniformized kernels vs dense exponential: worst gap {worst:.2e}")
 
     # uniformization mean a = rate h = 800, past where e^{-a} underflows
@@ -713,8 +722,7 @@ def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
     np.fill_diagonal(R, -R.sum(axis=1) - 0.01)
     h = 800.0 / float(-R.diagonal().min())
     gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
-    checks += 1
-    failures += gap >= 1e-10
+    tally.add("mean 800", gap < 1e-10)
     emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
 
     worst = 0.0
@@ -729,8 +737,7 @@ def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
         )
         gap = float(np.max(np.abs(v_impl - v_ora)))
         worst = max(worst, gap)
-        checks += 1
-        failures += gap >= 1e-6
+        tally.add("value iteration", gap < 1e-6)
     emit(f"  stopping-problem solver vs value iteration on 50 random chains: "
          f"worst gap {worst:.2e}")
 
@@ -747,21 +754,19 @@ def _verify_kernels(seed: int, emit) -> Tuple[int, int]:
         )
         gap = np.abs(sim.estimate - H[x0])
         scale = np.maximum(sim.std_error, 1e-12)
-        ok = bool(np.all(gap <= 3.0 * scale))
-        checks += 1
-        failures += not ok
+        tally.add("simulation", bool(np.all(gap <= 3.0 * scale)))
         emit(
             f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "
             f"max |gap|/s.e. {float(np.max(gap / scale)):.2f}"
         )
-    return checks, failures
+    return tally
 
 
-def _verify_dp(seed: int, emit) -> Tuple[int, int]:
+def _verify_dp(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
     carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
-    checks = failures = 0
-    worst = dict.fromkeys(("out", "in", "bs out", "bs in"), 0.0)
+    tally = _Tally()
+    worst = dict.fromkeys(("dense out", "dense in", "bs out", "bs in"), 0.0)
     for trial in range(25):
         # instances 0-19: dense random chains and payoffs; instances 20-24:
         # the carrier's own tridiagonal chain with a call struck at or above
@@ -792,7 +797,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
         below = grid.states < 1.5 - 1e-12
         f = payoff(grid.states)
         timegrid = TimeGrid(dt=dt, horizon=horizon)
-        kind = "bs " if bs_call else ""
+        kind = "bs " if bs_call else "dense "
 
         c_out = ContractSpec(
             payoff=payoff, barrier=1.5, window=window, maturity=horizon,
@@ -806,8 +811,7 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
         )
         gap = _gap(res.values, ora)
         worst[kind + "out"] = max(worst[kind + "out"], gap)
-        checks += 1
-        failures += not (gap < 1e-5)  # a NaN gap fails too
+        tally.add(kind + "out", gap < 1e-5)  # a NaN gap fails too
 
         c_in = dataclasses.replace(c_out, flavor=Flavor.DOWN_IN)
         res_in = price_finite_downin(
@@ -819,12 +823,11 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
         )
         gap = _gap(res_in.disc_values, ora_in)
         worst[kind + "in"] = max(worst[kind + "in"], gap)
-        checks += 1
-        failures += not (gap < 1e-5)  # a NaN gap fails too
+        tally.add(kind + "in", gap < 1e-5)  # a NaN gap fails too
     emit(f"  down-out recursion vs joint-lattice DP on 20 random chains: "
-         f"worst gap {worst['out']:.2e}")
+         f"worst gap {worst['dense out']:.2e}")
     emit(f"  down-in recursion vs renewal DP on 20 random chains: "
-         f"worst gap {worst['in']:.2e}")
+         f"worst gap {worst['dense in']:.2e}")
     emit(f"  reduced down-out, 5 BS chains and calls, vs joint-lattice DP: "
          f"worst gap {worst['bs out']:.2e}")
     emit(f"  down-in, 5 BS chains and calls, vs renewal DP: "
@@ -858,24 +861,37 @@ def _verify_dp(seed: int, emit) -> Tuple[int, int]:
             gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
         )
         k, nc = ops.factor_width, len(ops.coupled)
-        checks += 1
-        failures += not (gap < 1e-5) or k >= nc
+        tally.add("jump out", gap < 1e-5 and k < nc)
         emit(
             f"  reduced down-out, {model.name} chain and call (factor width "
             f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
         )
-    return checks, failures
+    return tally
 
 
 _VERIFY_SUITES = {"lcp": _verify_lcp, "kernels": _verify_kernels, "dp": _verify_dp}
 
 
-def run_verify(suite: str, seed: int = 0, emit=print) -> int:
-    """Run one oracle agreement suite; returns the number of failed checks."""
+def verify_groups(suite: str, seed: int = 0, emit=print) -> Dict[str, Tuple[int, int]]:
+    """Run one oracle agreement suite; returns (checks, failures) per group
+    of its checks.
+
+    Groups: ``lcp`` -- "dense", "tridiagonal"; ``kernels`` -- "uniformized",
+    "mean 800", "value iteration", "simulation"; ``dp`` -- "dense out",
+    "dense in", "bs out", "bs in", "jump out".
+    """
 
     if suite not in _VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(_VERIFY_SUITES)}")
     emit(f"verify suite: {suite}")
-    checks, failures = _VERIFY_SUITES[suite](seed, emit)
+    groups = dict(_VERIFY_SUITES[suite](seed, emit))
+    checks = sum(c for c, _ in groups.values())
+    failures = sum(f for _, f in groups.values())
     emit(f"{suite}: {checks - failures}/{checks} checks passed")
-    return failures
+    return groups
+
+
+def run_verify(suite: str, seed: int = 0, emit=print) -> int:
+    """Run one oracle agreement suite; returns the number of failed checks."""
+
+    return sum(f for _, f in verify_groups(suite, seed, emit).values())

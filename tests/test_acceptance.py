@@ -3,9 +3,9 @@
 Each pricing gate reprices a published benchmark cell with the packaged
 study configuration and asserts the raw and extrapolated relative errors
 against fixed tolerances, plus a wall-clock budget.  The remaining gates
-assert the structural properties every assembled operator must satisfy.
-Agreement with the independent oracles is checked by the ``verify``
-suites, which ``tests/test_oracle.py`` runs.
+assert agreement with the independent oracles, through the groups of the
+``verify`` suites' checks that cover it, and the structural properties
+every assembled operator must satisfy.
 """
 
 import math
@@ -120,6 +120,45 @@ class TestBenchmarkGates:
         # error magnitude (~7%)
         assert raw2 <= 0.14
         assert elapsed < 900.0
+
+
+# ---------------------------------------------------------------------------
+# cross-method agreement at full scale
+# ---------------------------------------------------------------------------
+
+
+class TestOracleAgreement:
+    # each suite runs once per session (the verify_suite fixture); these
+    # tests read the groups of its checks, sized as the gates they replaced
+
+    def test_lcp_solver_vs_enumeration(self, verify_suite):
+        """Pivoting and policy iteration against enumeration on 200 random
+        dense P-matrix instances: values to 1e-9, exact support."""
+
+        lines, groups = verify_suite("lcp")
+        assert groups["dense"] == (200, 0), "\n".join(lines)
+
+    def test_perpetual_solver_vs_value_iteration(self, verify_suite):
+        """The perpetual stopping-problem solver against value iteration on
+        50 random chains, n <= 40, to 1e-6."""
+
+        lines, groups = verify_suite("kernels")
+        assert groups["value iteration"] == (50, 0), "\n".join(lines)
+
+    def test_finite_pricers_vs_lattice_dp(self, verify_suite):
+        """Both finite-maturity pricers against the joint-lattice DP on 20
+        random dense chains, shapes equal, to 1e-5."""
+
+        lines, groups = verify_suite("dp")
+        assert groups["dense out"] == (20, 0), "\n".join(lines)
+        assert groups["dense in"] == (20, 0), "\n".join(lines)
+
+    def test_transform_rows_vs_million_path_simulation(self, verify_suite):
+        """Two excursion-trigger kernel rows against 1e6-path simulations,
+        within 3 standard errors."""
+
+        lines, groups = verify_suite("kernels")
+        assert groups["simulation"] == (2, 0), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,7 @@ class TestCli:
 
         def suite(seed, emit):
             seeds.append(seed)
-            return 4, seed % 2  # an odd seed fails one of 4 checks
+            return {"all": (4, seed % 2)}  # an odd seed fails one of 4 checks
 
         stubs = dict.fromkeys(oracle._VERIFY_SUITES, suite)
         monkeypatch.setattr(oracle, "_VERIFY_SUITES", stubs)

@@ -1,9 +1,10 @@
 """Oracle engines and the agreement suites they power.
 
 The oracles themselves are checked against hand calculations and closed
-forms first; ``test_verify_suite_passes`` then runs each ``run_verify``
-suite once, which pits the pricing stack against them on randomized
-desk-scale instances.
+forms first; ``test_verify_suite_passes`` then runs each ``verify`` suite
+once, which pits the pricing stack against them on randomized desk-scale
+instances, and the agreement tests of each class read the groups of that
+run's checks which cover their oracle.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from parisian.oracle import (
     dp_parisian_lattice,
     lcp_by_enumeration,
     random_generator,
-    run_verify,
     simulate_paths,
     value_iterate_american,
 )
@@ -53,6 +53,15 @@ class TestUniformizedChain:
         with pytest.raises(ValueError):
             UniformizedChain(lam=1.0, probs=np.array([[0.7, 0.7], [0.2, 0.8]]))
 
+    def test_uniformization_matches_expm(self, verify_suite):
+        """Poisson-weighted step powers and the pricing side's series-based
+        generator exponential reproduce scipy's expm on 4 random chains,
+        n <= 20, to 1e-10."""
+
+        lines, groups = verify_suite("kernels")
+        assert groups["uniformized"] == (4, 0), "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # perpetual value iteration
 # ---------------------------------------------------------------------------
@@ -83,6 +92,13 @@ class TestValueIterateAmerican:
         with pytest.raises(ValueError):
             value_iterate_american(chain, np.array([0.0, 1.0]), r=0.0)
 
+    def test_agrees_with_perpetual_pricer_on_random_chains(self, verify_suite):
+        """Acceptance: 50 random chains, n <= 40, agreement to 1e-6."""
+
+        lines, groups = verify_suite("kernels")
+        assert groups["value iteration"] == (50, 0), "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive LCP reference
 # ---------------------------------------------------------------------------
@@ -98,6 +114,14 @@ class TestLcpByEnumeration:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             lcp_by_enumeration(np.eye(25), np.zeros(25))
+
+    def test_lemke_agrees_on_random_p_matrices(self, verify_suite):
+        """Acceptance: 200 random P-matrix LCPs n <= 8, exact support,
+        values to 1e-9."""
+
+        lines, groups = verify_suite("lcp")
+        assert groups["dense"] == (200, 0), "\n".join(lines)
+
 
 # ---------------------------------------------------------------------------
 # joint-lattice DP
@@ -171,6 +195,26 @@ class TestDpParisianLattice:
                 assert res.values.shape == ora.shape
                 np.testing.assert_allclose(res.values, ora, rtol=0, atol=1e-9)
 
+    def test_pricers_match_lattice_dp_on_random_instances(self, verify_suite):
+        """Acceptance: 20 random dense instances plus 5 tridiagonal
+        Black-Scholes chains (n <= 12 spatial, <= 3 ticks per window, <= 5
+        slices), both flavors, the down-in's vanilla leg discounted from
+        activation or exercise, agreement to 1e-5."""
+
+        lines, groups = verify_suite("dp")
+        for group, checks in (("dense out", 20), ("dense in", 20),
+                              ("bs out", 5), ("bs in", 5)):
+            assert groups[group] == (checks, 0), "\n".join(lines)
+
+    def test_reduced_route_matches_lattice_dp_on_bs_calls(self, verify_suite):
+        """Acceptance: 5 tridiagonal Black-Scholes chains with a call struck
+        at or above the barrier (payoff zero below it, so the down-out
+        pricer eliminates the duration levels), agreement to 1e-5."""
+
+        lines, groups = verify_suite("dp")
+        assert groups["bs out"] == (5, 0), "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo convergence rate
 # ---------------------------------------------------------------------------
@@ -207,10 +251,10 @@ class TestMonteCarlo:
     "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 52)],
     ids=["lcp", "kernels", "dp"],
 )
-def test_verify_suite_passes(suite, checks):
+def test_verify_suite_passes(verify_suite, suite, checks):
     """The pricing stack agrees with the oracles on every check of the suite
     (the ``verify`` CLI verb runs the same suites)."""
 
-    lines = []
-    assert run_verify(suite, seed=0, emit=lines.append) == 0, "\n".join(lines)
+    lines, groups = verify_suite(suite)
+    assert sum(f for _, f in groups.values()) == 0, "\n".join(lines)
     assert lines[-1] == f"{suite}: {checks}/{checks} checks passed"
