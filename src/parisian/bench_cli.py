@@ -26,7 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .ctmc import (
-    SpatialGrid,
     TimeGrid,
     build_generator,
     build_grid,
@@ -36,19 +35,13 @@ from .ctmc import (
 from .models import KouParams, ModelSpec, VGParams, bs_model, kou_model, vg_model
 from .pricer_downin import (
     ContractSpec,
-    FiniteDownInResult,
     Flavor,
-    PerpetualDownInResult,
+    PriceSurface,
     american_call,
     price_finite_downin,
     price_perpetual_downin,
 )
-from .pricer_downout import (
-    FiniteDownOutResult,
-    PerpetualDownOutResult,
-    price_finite_downout,
-    price_perpetual_downout,
-)
+from .pricer_downout import price_finite_downout, price_perpetual_downout
 
 __all__ = [
     "AcceptanceCell",
@@ -378,13 +371,10 @@ def _domain_states(model: ModelSpec, cfg: StudyConfig) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class PriceOutcome:
-    """A priced contract: headline value plus the full result surface."""
+    """A priced contract: headline value plus the full price surface."""
 
     value: float
-    result: object
-    model: ModelSpec
-    grid: SpatialGrid
-    contract: ContractSpec
+    result: PriceSurface
 
 
 def price_point(cfg: StudyConfig, n: int) -> PriceOutcome:
@@ -424,13 +414,7 @@ def price_point(cfg: StudyConfig, n: int) -> PriceOutcome:
                 model, grid, timegrid, contract, dtick=cfg.dd,
                 rate_policy=policy,
             )
-    return PriceOutcome(
-        value=float(res.value_at(cfg.spot)),
-        result=res,
-        model=model,
-        grid=grid,
-        contract=contract,
-    )
+    return PriceOutcome(value=float(res.value_at(cfg.spot)), result=res)
 
 
 def bump_greeks(
@@ -446,18 +430,18 @@ def bump_greeks(
     if bump_rel <= 0:
         raise ValueError("bump must be positive")
     h = bump_rel * spot
-    states = outcome.grid.states
+    res = outcome.result
+    states = res.grid.states
     for bumped in (spot - h, spot + h):
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = float(np.asarray(outcome.model.state_of_price(bumped)))
+            x = float(np.asarray(res.model.state_of_price(bumped)))
         if not states[0] <= x <= states[-1]:  # False for NaN and +-inf too
             raise ValueError(
                 f"bumped spot {bumped:g} lies outside the grid; use a smaller bump"
             )
-    value_at = outcome.result.value_at  # type: ignore[attr-defined]
-    up = float(value_at(spot + h))
-    mid = float(value_at(spot))
-    down = float(value_at(spot - h))
+    up = res.value_at(spot + h)
+    mid = res.value_at(spot)
+    down = res.value_at(spot - h)
     delta = (up - down) / (2.0 * h)
     gamma = (up - 2.0 * mid + down) / (h * h)
     return delta, gamma
@@ -586,17 +570,23 @@ def write_plot_csv(rows: Sequence[StudyRow], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ladder_rows(res):
-    """(excursion duration, spatial state) of every ladder slot, in order."""
+def _slot_cells(res: PriceSurface) -> List[Tuple[str, ...]]:
+    """CSV cells naming every slot of a surface row: (state,) on a down-in,
+    (excursion duration, state) in ladder order on a down-out."""
+
     ladder = res.ladder
+    if ladder is None:
+        return [(repr(float(x)),) for x in res.grid.states]
     states = res.grid.states[ladder.slot_states]
-    for level in range(ladder.n_ticks):
-        d = level * ladder.dtick
-        yield from ((d, x) for x in states[ladder.level_slice(level)])
+    return [
+        (repr(float(level * ladder.dtick)), repr(float(x)))
+        for level in range(ladder.n_ticks)
+        for x in states[ladder.level_slice(level)]
+    ]
 
 
 def write_surface_csv(outcome: PriceOutcome, path) -> None:
-    """Dump the full price surface.
+    """Dump the full price surface: the price at every clock slice t.
 
     Down-in surfaces use columns ``t,state,price``; down-out surfaces add
     the excursion-duration column: ``t,d,state,price``.  Perpetual
@@ -604,34 +594,14 @@ def write_surface_csv(outcome: PriceOutcome, path) -> None:
     """
 
     res = outcome.result
-    rate = outcome.contract.rate
+    slots = _slot_cells(res)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if isinstance(res, PerpetualDownInResult):
-            writer.writerow(["t", "state", "price"])
-            for x, v in zip(res.grid.states, res.values):
-                writer.writerow(["0.0", repr(float(x)), repr(float(v))])
-        elif isinstance(res, FiniteDownInResult):
-            writer.writerow(["t", "state", "price"])
-            for j, t in enumerate(res.times):
-                growth = math.exp(rate * float(t))  # stored slices are discounted
-                for x, v in zip(res.grid.states, res.disc_values[j]):
-                    writer.writerow(
-                        [repr(float(t)), repr(float(x)), repr(float(v) * growth)]
-                    )
-        elif isinstance(res, PerpetualDownOutResult):
-            writer.writerow(["t", "d", "state", "price"])
-            for (d, x), v in zip(_ladder_rows(res), res.values):
-                writer.writerow(["0.0", repr(float(d)), repr(float(x)), repr(float(v))])
-        elif isinstance(res, FiniteDownOutResult):
-            writer.writerow(["t", "d", "state", "price"])
-            for j, t in enumerate(res.times):
-                for (d, x), v in zip(_ladder_rows(res), res.values[j]):
-                    writer.writerow(
-                        [repr(float(t)), repr(float(d)), repr(float(x)), repr(float(v))]
-                    )
-        else:  # pragma: no cover - new result types must be wired up here
-            raise TypeError(f"unknown result surface {type(res).__name__}")
+        writer.writerow(["t", "state", "price"] if res.ladder is None
+                        else ["t", "d", "state", "price"])
+        for t, row in zip(res.times, res.values):
+            for cells, v in zip(slots, row):
+                writer.writerow([repr(float(t)), *cells, repr(float(v))])
 
 
 # ---------------------------------------------------------------------------
@@ -1181,9 +1151,9 @@ def _cmd_price(args) -> int:
         write_surface_csv(outcome, args.full_surface)
         print(f"surface written to {args.full_surface}")
     if args.dump_generator:
-        model = outcome.model
-        policy = resolve_rate_policy(cfg.rate_policy, model)
-        gen = build_generator(model, outcome.grid, 0.0, policy)
+        res = outcome.result
+        policy = resolve_rate_policy(cfg.rate_policy, res.model)
+        gen = build_generator(res.model, res.grid, 0.0, policy)
         dump_generator_csv(gen, args.dump_generator)
         print(f"generator written to {args.dump_generator}")
     return 0

@@ -17,18 +17,21 @@ dozens of states -- they trade speed for transparency.
 ``verify_groups`` runs one agreement suite (``lcp``, ``kernels`` or
 ``dp``): it prices randomized desk-scale instances with the production code
 and with an engine above, and counts, per group of checks, the checks whose
-gap exceeds the suite's tolerance; ``run_verify`` returns the suite's total
-failures.  The ``verify`` CLI verb and the test suite both run the suites,
-and ``random_generator`` is the one source of random dense generators for
-both.
+gap exceeds the suite's tolerance or whose code raises; ``run_verify``
+returns the suite's total failures.  The ``verify`` CLI verb and the test
+suite both run the suites, and ``random_generator`` is the one source of
+random dense generators for both.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -255,8 +258,8 @@ def dp_parisian_lattice(
     kernels, the vanilla leg comes from per-slice stopping fixed points,
     and one dense linear solve couples the entry values to the
     above-barrier values.  Returned array has one row per slice and one
-    column per spatial state, discounted to time zero (matching the
-    down-in pricer's surface convention).
+    column per spatial state, discounted to time zero (the down-in
+    recursion's internal variable, where the pricer's surface holds prices).
 
     The grid is desk-scale only: lattice slots x slices must stay at or
     below 1e5.
@@ -422,10 +425,6 @@ class ChainPath:
             raise ValueError("event times must be strictly increasing")
         if np.any(np.diff(self.states) == 0):
             raise ValueError("state must change at every event")
-
-    def state_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.states[k])
 
     def first_passage(self, target_mask: np.ndarray) -> float:
         """First time the path enters any state flagged in target_mask."""
@@ -648,15 +647,34 @@ def _gap(values: np.ndarray, ref: np.ndarray) -> float:
 class _Tally(dict):
     """(checks, failures) per group of a suite's checks."""
 
+    def __init__(self, emit):
+        super().__init__()
+        self.emit = emit
+
     def add(self, group: str, ok: bool) -> None:
         checks, failures = self.get(group, (0, 0))
         self[group] = (checks + 1, failures + (not ok))
+
+    @contextmanager
+    def check(self, group: str):
+        """Run one check of ``group``, which ends in ``add``: a check that
+        raises counts as one failure, its exception emitted in one line, and
+        the suite goes on."""
+
+        try:
+            yield
+        except Exception as exc:  # noqa: BLE001 - any raise fails the check
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            self.emit(f"  {group} check raised {type(exc).__name__} at "
+                      f"{Path(where.filename).name}:{where.lineno}: "
+                      + " ".join(str(exc).split()))
+            self.add(group, False)
 
 
 def _verify_lcp(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
     solvers = {"pivoting": lemke_solve, "policy iteration": policy_solve}
-    tally = _Tally()
+    tally = _Tally(emit)
     for kind, trials in (("dense", 200), ("tridiagonal", 100)):
         worst = dict.fromkeys(solvers, 0.0)
         for trial in range(trials):
@@ -672,20 +690,21 @@ def _verify_lcp(seed: int, emit) -> _Tally:
                 A = rng.normal(size=(n, n))
                 A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
             psi = rng.normal(scale=2.0, size=n)
-            z_ref, _ = lcp_by_enumeration(A, psi)
-            held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
-            problem = LCPProblem(LCPOperator(held), psi)
-            ok = True
-            for name, solve in solvers.items():
-                sol = solve(problem)
-                gap = float(np.max(np.abs(sol.z - z_ref)))
-                worst[name] = max(worst[name], gap)
-                ok &= (
-                    sol.solved
-                    and gap < 1e-9
-                    and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
-                )
-            tally.add(kind, ok)
+            with tally.check(kind):
+                z_ref, _ = lcp_by_enumeration(A, psi)
+                held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
+                problem = LCPProblem(LCPOperator(held), psi)
+                ok = True
+                for name, solve in solvers.items():
+                    sol = solve(problem)
+                    gap = float(np.max(np.abs(sol.z - z_ref)))
+                    worst[name] = max(worst[name], gap)
+                    ok &= (
+                        sol.solved
+                        and gap < 1e-9
+                        and np.array_equal(sol.z > 1e-9, z_ref > 1e-9)
+                    )
+                tally.add(kind, ok)
         for name, gap in worst.items():
             emit(f"  {name} vs enumeration on {trials} random {kind} instances: "
                  f"worst gap {gap:.2e}")
@@ -694,36 +713,38 @@ def _verify_lcp(seed: int, emit) -> _Tally:
 
 def _verify_kernels(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
-    tally = _Tally()
+    tally = _Tally(emit)
 
     worst = 0.0
     for n in (5, 9, 14, 20):
         R = random_generator(n, rng, conservative=bool(rng.integers(0, 2)))
         h = float(rng.uniform(0.3, 1.2))
-        chain = UniformizedChain.from_generator(R)
-        mu = chain.lam * h
-        kmax = int(poisson.isf(1e-16, mu)) + 1 if mu > 0 else 1
-        acc = np.zeros((n, n))
-        Pk = np.eye(n)
-        for k in range(kmax + 1):
-            acc += poisson.pmf(k, mu) * Pk
-            Pk = Pk @ chain.probs
-        ref = expm(R * h)
-        gap = max(
-            float(np.max(np.abs(acc - ref))),
-            float(np.max(np.abs(generator_expm(R, h) - ref))),
-        )
-        worst = max(worst, gap)
-        tally.add("uniformized", gap < 1e-10)
+        with tally.check("uniformized"):
+            chain = UniformizedChain.from_generator(R)
+            mu = chain.lam * h
+            kmax = int(poisson.isf(1e-16, mu)) + 1 if mu > 0 else 1
+            acc = np.zeros((n, n))
+            Pk = np.eye(n)
+            for k in range(kmax + 1):
+                acc += poisson.pmf(k, mu) * Pk
+                Pk = Pk @ chain.probs
+            ref = expm(R * h)
+            gap = max(
+                float(np.max(np.abs(acc - ref))),
+                float(np.max(np.abs(generator_expm(R, h) - ref))),
+            )
+            worst = max(worst, gap)
+            tally.add("uniformized", gap < 1e-10)
     emit(f"  uniformized kernels vs dense exponential: worst gap {worst:.2e}")
 
     # uniformization mean a = rate h = 800, past where e^{-a} underflows
     R = np.diag(np.full(7, 1.4), 1) + np.diag(np.full(7, 1.8), -1)
     np.fill_diagonal(R, -R.sum(axis=1) - 0.01)
     h = 800.0 / float(-R.diagonal().min())
-    gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
-    tally.add("mean 800", gap < 1e-10)
-    emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
+    with tally.check("mean 800"):
+        gap = float(np.max(np.abs(generator_expm(R, h) - expm(R * h))))
+        tally.add("mean 800", gap < 1e-10)
+        emit(f"  uniformized kernel at mean 800 vs dense exponential: gap {gap:.2e}")
 
     worst = 0.0
     for _ in range(50):
@@ -731,13 +752,14 @@ def _verify_kernels(seed: int, emit) -> _Tally:
         R = random_generator(n, rng, density=0.5, scale=2.0)
         f = rng.uniform(0.0, 5.0, size=n)
         r = float(rng.uniform(0.05, 0.3))
-        v_impl = vanilla_american_perpetual(R, f, r)
-        v_ora = value_iterate_american(
-            UniformizedChain.from_generator(R), f, r, tol=1e-10
-        )
-        gap = float(np.max(np.abs(v_impl - v_ora)))
-        worst = max(worst, gap)
-        tally.add("value iteration", gap < 1e-6)
+        with tally.check("value iteration"):
+            v_impl = vanilla_american_perpetual(R, f, r)
+            v_ora = value_iterate_american(
+                UniformizedChain.from_generator(R), f, r, tol=1e-10
+            )
+            gap = float(np.max(np.abs(v_impl - v_ora)))
+            worst = max(worst, gap)
+            tally.add("value iteration", gap < 1e-6)
     emit(f"  stopping-problem solver vs value iteration on 50 random chains: "
          f"worst gap {worst:.2e}")
 
@@ -746,26 +768,27 @@ def _verify_kernels(seed: int, emit) -> _Tally:
     np.fill_diagonal(R, -R.sum(axis=1))
     below = np.arange(n) < 7
     window, rate = 0.2, 0.25
-    H = parisian_transform(R, window, rate, below=below)
     for x0 in (8, 3):
-        sim = simulate_paths(
-            R, x0, window, rate, n_paths=1_000_000, rng_seed=seed + 2024 + x0,
-            below=below, horizon=80.0,
-        )
-        gap = np.abs(sim.estimate - H[x0])
-        scale = np.maximum(sim.std_error, 1e-12)
-        tally.add("simulation", bool(np.all(gap <= 3.0 * scale)))
-        emit(
-            f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "
-            f"max |gap|/s.e. {float(np.max(gap / scale)):.2f}"
-        )
+        with tally.check("simulation"):
+            H = parisian_transform(R, window, rate, below=below)
+            sim = simulate_paths(
+                R, x0, window, rate, n_paths=1_000_000, rng_seed=seed + 2024 + x0,
+                below=below, horizon=80.0,
+            )
+            gap = np.abs(sim.estimate - H[x0])
+            scale = np.maximum(sim.std_error, 1e-12)
+            tally.add("simulation", bool(np.all(gap <= 3.0 * scale)))
+            emit(
+                f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "
+                f"max |gap|/s.e. {float(np.max(gap / scale)):.2f}"
+            )
     return tally
 
 
 def _verify_dp(seed: int, emit) -> _Tally:
     rng = np.random.default_rng(seed)
     carrier = bs_model(r_f=0.05, dividend=0.0, sigma=0.2)
-    tally = _Tally()
+    tally = _Tally(emit)
     worst = dict.fromkeys(("dense out", "dense in", "bs out", "bs in"), 0.0)
     for trial in range(25):
         # instances 0-19: dense random chains and payoffs; instances 20-24:
@@ -803,27 +826,31 @@ def _verify_dp(seed: int, emit) -> _Tally:
             payoff=payoff, barrier=1.5, window=window, maturity=horizon,
             rate=rate, flavor=Flavor.DOWN_OUT,
         )
-        res = price_finite_downout(
-            carrier, grid, timegrid, c_out, dtick=dtick, gen=R
-        )
-        ora = dp_parisian_lattice(
-            R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
-        )
-        gap = _gap(res.values, ora)
-        worst[kind + "out"] = max(worst[kind + "out"], gap)
-        tally.add(kind + "out", gap < 1e-5)  # a NaN gap fails too
+        with tally.check(kind + "out"):
+            res = price_finite_downout(
+                carrier, grid, timegrid, c_out, dtick=dtick, gen=R
+            )
+            ora = dp_parisian_lattice(
+                R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
+            )
+            gap = _gap(res.values, ora)
+            worst[kind + "out"] = max(worst[kind + "out"], gap)
+            tally.add(kind + "out", gap < 1e-5)  # a NaN gap fails too
 
         c_in = dataclasses.replace(c_out, flavor=Flavor.DOWN_IN)
-        res_in = price_finite_downin(
-            carrier, grid, timegrid, c_in, gen=R, vanilla_discounting=discounting
-        )
-        ora_in = dp_parisian_lattice(
-            R, below, f, rate, dt, horizon, window, "down-in",
-            vanilla_discounting=discounting,
-        )
-        gap = _gap(res_in.disc_values, ora_in)
-        worst[kind + "in"] = max(worst[kind + "in"], gap)
-        tally.add(kind + "in", gap < 1e-5)  # a NaN gap fails too
+        with tally.check(kind + "in"):
+            res_in = price_finite_downin(
+                carrier, grid, timegrid, c_in, gen=R, vanilla_discounting=discounting
+            )
+            ora_in = dp_parisian_lattice(
+                R, below, f, rate, dt, horizon, window, "down-in",
+                vanilla_discounting=discounting,
+            )
+            # the renewal DP is discounted to time zero
+            disc = res_in.values * np.exp(-rate * res_in.times)[:, None]
+            gap = _gap(disc, ora_in)
+            worst[kind + "in"] = max(worst[kind + "in"], gap)
+            tally.add(kind + "in", gap < 1e-5)  # a NaN gap fails too
     emit(f"  down-out recursion vs joint-lattice DP on 20 random chains: "
          f"worst gap {worst['dense out']:.2e}")
     emit(f"  down-in recursion vs renewal DP on 20 random chains: "
@@ -838,34 +865,36 @@ def _verify_dp(seed: int, emit) -> _Tally:
     # the ladder elimination runs on a factor of the below->above rate block
     # narrower than the block (k < nc)
     for family in ("kou", "vg"):
-        params = reference_option(family, "finite-down-out").config.model_params
-        model = build_named_model(family, params)
-        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
-                          math.log(95.0), 32, "proportional")
-        gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
         rate = float(rng.uniform(0.01, 0.1))
         strike = float(rng.uniform(90.0, 110.0))
-        window, dtick = 1.0 / 12.0, 1.0 / 24.0
-        timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
-        c_out = ContractSpec(
-            payoff=american_call(strike), barrier=90.0, window=window,
-            maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
-        )
-        res = price_finite_downout(model, grid, timegrid, c_out, dtick=dtick, gen=gen)
-        ora = dp_parisian_lattice(
-            gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
-            timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
-        )
-        gap = _gap(res.values, ora)
-        ops = _ReducedLadderOps(
-            gen, build_ladder(window, dtick, grid.below_mask), rate, dt=timegrid.dt
-        )
-        k, nc = ops.factor_width, len(ops.coupled)
-        tally.add("jump out", gap < 1e-5 and k < nc)
-        emit(
-            f"  reduced down-out, {model.name} chain and call (factor width "
-            f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
-        )
+        with tally.check("jump out"):
+            params = reference_option(family, "finite-down-out").config.model_params
+            model = build_named_model(family, params)
+            grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
+                              math.log(95.0), 32, "proportional")
+            gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
+            window, dtick = 1.0 / 12.0, 1.0 / 24.0
+            timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
+            c_out = ContractSpec(
+                payoff=american_call(strike), barrier=90.0, window=window,
+                maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
+            )
+            res = price_finite_downout(
+                model, grid, timegrid, c_out, dtick=dtick, gen=gen
+            )
+            ora = dp_parisian_lattice(
+                gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
+                timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
+            )
+            gap = _gap(res.values, ora)
+            ladder = build_ladder(window, dtick, grid.below_mask)
+            ops = _ReducedLadderOps(gen, ladder, rate, dt=timegrid.dt)
+            k, nc = ops.factor_width, len(ops.coupled)
+            tally.add("jump out", gap < 1e-5 and k < nc)
+            emit(
+                f"  reduced down-out, {model.name} chain and call (factor width "
+                f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
+            )
     return tally
 
 

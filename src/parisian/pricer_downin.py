@@ -7,17 +7,21 @@ below the barrier reaches the window length.
 
 Finite-maturity contracts run one backward slice recursion in the discounted
 variable C~(t) = e^{-rt} C(t), for tridiagonal, dense and time-dependent
-chains alike.  Each slice couples the barrier-crossing kernels H+/H-
-(crossing before the next clock tick), the within-window trigger term v, and
-the window-interrupted terms u+/u- through one two-block linear system on
-dense below/above blocks, built once per slice generator.  u+ is a sum over
-all later slices; it is accumulated in Horner form (one below-block solve
-per slice while the generator is unchanged).  Every pricing LCP, here and
+chains alike; the variable is internal to the recursion, whose surfaces are
+un-discounted once at the end.  Each slice couples the barrier-crossing
+kernels H+/H- (crossing before the next clock tick), the within-window
+trigger term v, and the window-interrupted terms u+/u- through one two-block
+linear system on dense below/above blocks, built once per slice generator.
+u+ is a sum over all later slices; it is accumulated in Horner form (one
+below-block solve per slice while the generator is unchanged).  Every pricing LCP, here and
 in ``pricer_downout``, is one exercise step, ``bermudan_slice``, on a slice
 operator A.  ``american_surface`` runs it backwards over the clock slices,
 rebuilding A only when the generator changes (slices with an unchanged
 exercise region reuse one factorization): the vanilla Bermudan surface
 (A = I - dt G) and, as its one-slice case, the perpetual value (rate I - G).
+
+Every pricer, here and in ``pricer_downout``, returns a ``PriceSurface``:
+prices over (clock slice, slot), one slice for a perpetual contract.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -47,6 +51,9 @@ from .numerics import (
     policy_solve,
     require_solved,
 )
+
+if TYPE_CHECKING:
+    from .pricer_downout import DurationLadder
 
 _POISSON_SKIP = 1e-16
 
@@ -101,6 +108,53 @@ class ContractSpec:
 
     def barrier_state(self, model: ModelSpec) -> float:
         return float(model.state_of_price(self.barrier))
+
+
+@dataclass(frozen=True)
+class PriceSurface:
+    """Prices over (clock slice, slot) of any of the four contract classes.
+
+    A perpetual contract has one slice, with ``times == [0.0]``.  A down-out's
+    slots are its duration ``ladder``'s; a down-in has no ladder, and its
+    slots are the grid states.  ``vanilla`` is a down-in's vanilla surface,
+    in prices too (None on a down-out).
+    """
+
+    values: np.ndarray
+    times: np.ndarray
+    model: ModelSpec
+    grid: SpatialGrid
+    ladder: Optional[DurationLadder] = None
+    vanilla: Optional[np.ndarray] = None
+
+    def level_values(self, level: int, slice_idx: int = 0) -> np.ndarray:
+        """Prices on one duration level (level 0 spans all states) at one
+        clock slice.
+
+        Raises IndexError outside the slices 0..len(values) - 1 (a negative
+        index would silently count back from the zero row past the horizon)
+        or the ladder's levels; a down-in has level 0 only.
+        """
+
+        if not 0 <= slice_idx < len(self.values):
+            raise IndexError(
+                f"clock slice {slice_idx} outside the surface's "
+                f"0..{len(self.values) - 1}"
+            )
+        row = self.values[slice_idx]
+        if self.ladder is not None:
+            return row[self.ladder.level_slice(level)]
+        if level != 0:
+            raise IndexError(f"duration level {level} outside a down-in's 0..0")
+        return row
+
+    def value_at(self, spot: float, slice_idx: int = 0, level: int = 0) -> float:
+        """Price at ``spot``, interpolated over one level's states at one
+        clock slice."""
+
+        x = float(np.asarray(self.model.state_of_price(spot)))
+        vals = self.level_values(level, slice_idx)
+        return self.grid.interp(vals, x, None if level == 0 else self.ladder.below)
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +312,11 @@ def parisian_transform(
     return H
 
 
-@dataclass(frozen=True)
-class PerpetualDownInResult:
-    values: np.ndarray          # C_pi over states
-    vanilla: np.ndarray         # c_p over states
-    model: ModelSpec
-    grid: SpatialGrid
-
-    def value_at(self, spot: float) -> float:
-        x0 = float(self.model.state_of_price(spot))
-        return self.grid.interp(self.values, x0)
-
-
 def price_perpetual_downin(
     gen: GeneratorMatrix,
     contract: ContractSpec,
     model: ModelSpec,
-) -> PerpetualDownInResult:
+) -> PriceSurface:
     """Perpetual down-in value C_pi = H_p(rate) c_p on the chain."""
 
     if not contract.is_perpetual:
@@ -291,41 +333,15 @@ def price_perpetual_downin(
         rate=contract.rate,
         barrier=contract.barrier_state(model),
     )
-    return PerpetualDownInResult(
-        values=H @ c_p, vanilla=c_p, model=model, grid=gen.grid
+    return PriceSurface(
+        values=(H @ c_p)[None], times=np.zeros(1), model=model, grid=gen.grid,
+        vanilla=c_p[None],
     )
 
 
 # ---------------------------------------------------------------------------
 # finite-maturity pricer
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteDownInResult:
-    disc_values: np.ndarray       # discounted contract surface, slices x states
-    disc_vanilla: np.ndarray      # discounted vanilla continuation surface
-    times: np.ndarray
-    model: ModelSpec
-    grid: SpatialGrid
-
-    def value_at(self, spot: float, slice_idx: int = 0) -> float:
-        x0 = float(self.model.state_of_price(spot))
-        return self.grid.interp(surface_row(self.disc_values, slice_idx), x0)
-
-
-def surface_row(surface: np.ndarray, slice_idx: int) -> np.ndarray:
-    """Row ``slice_idx`` of a (clock slice, state) surface.
-
-    Raises IndexError outside 0..len(surface) - 1: a negative index would
-    silently count back from the zero row past the horizon.
-    """
-
-    if not 0 <= slice_idx < len(surface):
-        raise IndexError(
-            f"clock slice {slice_idx} outside the surface's 0..{len(surface) - 1}"
-        )
-    return surface[slice_idx]
 
 
 def price_finite_downin(
@@ -336,11 +352,12 @@ def price_finite_downin(
     gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
     rate_policy: str = "error",
     vanilla_discounting: str = "activation",
-) -> FiniteDownInResult:
-    """Backward recursion for the finite-maturity down-in value surface.
+) -> PriceSurface:
+    """Backward recursion for the finite-maturity down-in price surface.
 
-    Works in the discounted variable: slice values are e^{-rt} times prices.
-    The returned spot value at slice 0 needs no un-discounting.
+    The recursion works in the discounted variable e^{-rt} C(t); both
+    returned surfaces are un-discounted once, at the end, so every slice
+    holds prices (slice 0 is multiplied by exactly 1).
 
     ``vanilla_discounting`` fixes how the post-activation vanilla leg is
     discounted.  "activation" (default, matching the published reference
@@ -383,13 +400,11 @@ def price_finite_downin(
     if vanilla_discounting == "activation":
         W *= np.exp(-rate * times)[:, None]
 
-    return FiniteDownInResult(
-        disc_values=_finite_downin(gens, W, below, contract.window, dt),
-        disc_vanilla=W,
-        times=times,
-        model=model,
-        grid=grid,
-    )
+    C = _finite_downin(gens, W, below, contract.window, dt)
+    growth = np.array([math.exp(rate * float(t)) for t in times])[:, None]
+    C *= growth
+    W *= growth
+    return PriceSurface(values=C, times=times, model=model, grid=grid, vanilla=W)
 
 
 def _poisson_weights(lam: float, kmax: int):

@@ -11,9 +11,10 @@ no level stores it and that tick is a kill at rate 1/dtick.
 
 Finite-maturity prices run a backward slice recursion
 min(((1 + rate dt) I - dt A) C(t) - C(t + dt), C - payoff) = 0 from zero past
-the horizon.  A perpetual price is the same recursion's one-slice case: no
-continuation and the operator rate I - A, min((rate I - A) C, C - payoff) = 0,
-one LCP solved from a cold start.
+the horizon, on prices at every slice (the discounted variable e^{-rt} C(t)
+is internal to the down-in recursion).  A perpetual price is the same
+recursion's one-slice case: no continuation and the operator rate I - A,
+min((rate I - A) C, C - payoff) = 0, one LCP solved from a cold start.
 Every LCP is solved by policy iteration, and the route follows from the
 payoff alone: whenever it vanishes below the barrier, no exercise happens on
 any below-barrier slot, level 0 included, so every such slot is eliminated
@@ -24,7 +25,8 @@ operator ("stacked"), assembled sparse and stored dense by its
 ``LCPOperator`` only when at least half full.  A recursion keeps one slice
 operator alive, rebuilt only when the slice's generator changes, and passes
 it to every slice it serves; a slice whose exercise region did not move
-reuses the factor of the one after it.
+reuses the factor of the one after it.  Either price is a ``PriceSurface``
+over (clock slice, ladder slot), one slice for a perpetual contract.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .numerics import LCPOperator, factor_tridiag, low_rank_factor, solve_tridia
 from .pricer_downin import (
     ContractSpec,
     Flavor,
+    PriceSurface,
     american_surface,
     bermudan_slice,
     require_horizon,
-    surface_row,
 )
 
 
@@ -198,35 +200,12 @@ def duration_generator(
     )
 
 
-@dataclass(frozen=True)
-class PerpetualDownOutResult:
-    """Value on the duration ladder; quoting happens at duration level 0."""
-
-    values: np.ndarray
-    ladder: DurationLadder
-    model: ModelSpec
-    grid: SpatialGrid
-
-    @property
-    def level0(self) -> np.ndarray:
-        return self.values[: self.ladder.n_states]
-
-    def level_values(self, level: int) -> np.ndarray:
-        return self.values[self.ladder.level_slice(level)]
-
-    def value_at(self, spot: float, level: int = 0) -> float:
-        x = float(np.asarray(self.model.state_of_price(spot)))
-        if level == 0:
-            return self.grid.interp(self.level0, x)
-        return self.grid.interp(self.level_values(level), x, self.ladder.below)
-
-
 def price_perpetual_downout(
     gen: GeneratorMatrix,
     contract: ContractSpec,
     model: ModelSpec,
     dtick: float,
-) -> PerpetualDownOutResult:
+) -> PriceSurface:
     """Perpetual down-out value: the down-out recursion's one-slice case.
 
     With no continuation, the price is row 0 of a two-slice recursion whose
@@ -251,11 +230,12 @@ def price_perpetual_downout(
     ladder = build_ladder(contract.window, dtick, below)
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
-    return PerpetualDownOutResult(
-        values=route([gen, gen], ladder, f0, contract.rate, None)[0],
-        ladder=ladder,
+    return PriceSurface(
+        values=route([gen, gen], ladder, f0, contract.rate, None)[:1],
+        times=np.zeros(1),
         model=model,
         grid=grid,
+        ladder=ladder,
     )
 
 
@@ -495,28 +475,6 @@ def _dense_blocks(gen, ladder, a0, cG, cup):
     return Qinv, B, coupled, feeders, A[np.ix_(feeders, bi)], A[:, ai]
 
 
-@dataclass(frozen=True)
-class FiniteDownOutResult:
-    """Price surface over (clock slice, ladder slot)."""
-
-    values: np.ndarray
-    times: np.ndarray
-    ladder: DurationLadder
-    model: ModelSpec
-    grid: SpatialGrid
-
-    @property
-    def level0(self) -> np.ndarray:
-        return self.values[:, : self.ladder.n_states]
-
-    def value_at(self, spot: float, slice_idx: int = 0, level: int = 0) -> float:
-        x = float(np.asarray(self.model.state_of_price(spot)))
-        vals = surface_row(self.values, slice_idx)[self.ladder.level_slice(level)]
-        if level == 0:
-            return self.grid.interp(vals, x)
-        return self.grid.interp(vals, x, self.ladder.below)
-
-
 def price_finite_downout(
     model: ModelSpec,
     grid: SpatialGrid,
@@ -525,7 +483,7 @@ def price_finite_downout(
     dtick: float,
     gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
     rate_policy: str = "error",
-) -> FiniteDownOutResult:
+) -> PriceSurface:
     """Backward recursion for the finite-maturity down-out surface.
 
     Slice values are prices at that slice (not pre-discounted): each step
@@ -551,12 +509,12 @@ def price_finite_downout(
 
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
-    return FiniteDownOutResult(
+    return PriceSurface(
         values=route(gens, ladder, f0, contract.rate, dt),
         times=times,
-        ladder=ladder,
         model=model,
         grid=grid,
+        ladder=ladder,
     )
 
 

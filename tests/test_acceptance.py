@@ -241,8 +241,8 @@ class TestStructuralInvariants:
             gen, ladder
         ).toarray()
         f_aug = ladder.stack_payoff(f)
-        self._residual_ok(A_aug @ res.values, res.values - f_aug,
-                          scale=float(np.max(np.abs(res.values))))
+        v = res.values[0]
+        self._residual_ok(A_aug @ v, v - f_aug, scale=float(np.max(np.abs(v))))
 
     def test_finite_complementarity_residuals(self):
         model, grid, gen = _bs_setup()
@@ -309,16 +309,16 @@ class TestStructuralInvariants:
         vanilla = vanilla_american_perpetual(gen, f, rate=0.1)
         res_out = price_perpetual_downout(gen, _contract(Flavor.DOWN_OUT),
                                           model, dtick=1.0 / 120.0)
-        assert np.all(res_out.level0 <= vanilla + 1e-9)
+        assert np.all(res_out.level_values(0) <= vanilla + 1e-9)
 
         timegrid = TimeGrid(dt=1.0 / 60.0, horizon=1.0)
         fin = price_finite_downin(model, grid, timegrid,
                                   _contract(Flavor.DOWN_IN, maturity=1.0))
-        assert np.all(fin.disc_values[0] <= fin.disc_vanilla[0] + 1e-9)
+        assert np.all(fin.values[0] <= fin.vanilla[0] + 1e-9)
 
         fout = price_finite_downout(model, grid, timegrid,
                                     _contract(Flavor.DOWN_OUT, maturity=1.0),
                                     dtick=1.0 / 120.0)
         # slice-0 down-out values are time-0 prices; compare against the
         # undiscounted finite vanilla at the same slice
-        assert np.all(fout.level0[0] <= fin.disc_vanilla[0] + 1e-9)
+        assert np.all(fout.level_values(0) <= fin.vanilla[0] + 1e-9)

@@ -27,6 +27,7 @@ from parisian.bench_cli import (
     run_study,
     write_plot_csv,
     write_study_csv,
+    write_surface_csv,
 )
 
 
@@ -626,6 +627,47 @@ class TestCli:
         assert "table: bs" in out and "table: kou" in out
         assert main(["reproduce-table", "vg", "bs"]) == 1
         assert [name for name, _, _ in seen[2:]] == ["vg", "bs"]
+
+
+class TestPriceSurfaceQuotes:
+    """Every slice of every result holds prices: ``value_at`` and the
+    ``--full-surface`` CSV quote the same number."""
+
+    @pytest.mark.parametrize("flavor", ["down-in", "down-out"])
+    def test_finite_value_at_matches_surface_csv_at_every_slice(
+        self, tmp_path, flavor
+    ):
+        cfg = _small_cfg(flavor=flavor, maturity=0.5, dt=0.05, dd=0.05,
+                         window=0.1, lo=10.0, hi=360.0, split="proportional")
+        outcome = price_point(cfg, 33)
+        path = tmp_path / "surface.csv"
+        write_surface_csv(outcome, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        quoted = {
+            float(r["t"]): float(r["price"]) for r in rows
+            if float(r["state"]) == cfg.spot and float(r.get("d", 0.0)) == 0.0
+        }
+        times = outcome.result.times
+        assert sorted(quoted) == list(times)
+        for j, t in enumerate(times):
+            assert outcome.result.value_at(cfg.spot, slice_idx=j) == quoted[t]
+        assert quoted[times[1]] > 0.0  # a slice that discounting would move
+
+    @pytest.mark.parametrize("flavor", ["down-in", "down-out"])
+    def test_perpetual_result_has_one_slice(self, flavor):
+        res = price_point(_small_cfg(flavor=flavor, dd=1.0 / 24.0), 65).result
+        assert res.values.shape[0] == 1
+        assert list(res.times) == [0.0]
+        with pytest.raises(IndexError, match="clock slice"):
+            res.value_at(90.0, slice_idx=1)
+
+    def test_down_in_surface_has_level_zero_only(self):
+        res = price_point(_small_cfg(), 65).result
+        assert res.ladder is None
+        for level in (1, -1):
+            with pytest.raises(IndexError, match="duration level"):
+                res.value_at(90.0, level=level)
 
 
 class TestBumpGreeks:

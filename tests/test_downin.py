@@ -177,7 +177,7 @@ class TestPerpetualDownIn:
     def test_value_at_rejects_spots_off_the_states(self):
         grid, gen = small_bs_setup(n=48)  # states 30..270
         res = price_perpetual_downin(gen, self.make_contract(), BS)
-        assert res.value_at(270.0) == res.values[-1]
+        assert res.value_at(270.0) == res.values[0, -1]
         for spot in (300.0, 20.0, math.nan):
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot)
@@ -193,7 +193,7 @@ class TestPerpetualDownIn:
         contract = self.make_contract()
         res = price_perpetual_downin(gen, contract, BS)
         H = parisian_transform(gen, contract.window, contract.rate)
-        assert np.allclose(res.values, H @ res.vanilla, atol=1e-10)
+        assert np.allclose(res.values[0], H @ res.vanilla[0], atol=1e-10)
 
     def test_rejects_wrong_contract_kind(self):
         grid, gen = small_bs_setup()
@@ -432,7 +432,8 @@ class TestFiniteDownIn:
         n_slices = len(tg.times)
         W = fresh_slices([gen] * n_slices, [f] * n_slices, tg.dt)
         W *= np.exp(-contract.rate * tg.times)[:, None]
-        np.testing.assert_array_equal(res.disc_vanilla, W)
+        growth = np.array([math.exp(contract.rate * t) for t in tg.times])[:, None]
+        np.testing.assert_array_equal(res.vanilla, W * growth)
 
         # a generator switch mid-way and per-slice ("exercise") obstacles
         half = n_slices // 2
@@ -444,7 +445,7 @@ class TestFiniteDownIn:
         np.testing.assert_array_equal(surface, fresh)
         switched = price_finite_downin(model, grid, tg, contract, gen=gens,
                                        vanilla_discounting="exercise")
-        np.testing.assert_array_equal(switched.disc_vanilla, fresh)
+        np.testing.assert_array_equal(switched.vanilla, fresh * growth)
         assert not np.array_equal(
             fresh, fresh_slices([gen] * n_slices, obstacles, tg.dt))
 
@@ -463,9 +464,9 @@ class TestFiniteDownIn:
         tg = TimeGrid(horizon=1.0, dt=1 / 30)
         short = price_finite_downin(model, grid, tg, self.make(1 / 24))
         long = price_finite_downin(model, grid, tg, self.make(1 / 6))
-        assert np.all(short.disc_values <= short.disc_vanilla + 1e-10)
-        assert np.all(long.disc_values <= short.disc_values + 1e-10)
-        assert np.all(short.disc_values >= -1e-12)
+        assert np.all(short.values <= short.vanilla + 1e-10)
+        assert np.all(long.values <= short.values + 1e-10)
+        assert np.all(short.values >= -1e-12)
 
     def test_value_increases_with_maturity(self):
         model = self.setup_model()
@@ -505,7 +506,8 @@ class TestFiniteDownIn:
                 draws.append(0.0)
                 continue
             # discounted vanilla surface at the clock slice reached
-            draws.append(res.disc_vanilla[ticks, state])
+            draws.append(res.vanilla[ticks, state]
+                         * math.exp(-contract.rate * times[ticks]))
         draws = np.array(draws)
         mc = draws.mean()
         se = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -519,7 +521,7 @@ class TestFiniteDownIn:
                                   vanilla_discounting="activation")
         exe = price_finite_downin(model, grid, tg, self.make(),
                                   vanilla_discounting="exercise")
-        assert np.all(exe.disc_values <= act.disc_values + 1e-10)
+        assert np.all(exe.values <= act.values + 1e-10)
         with pytest.raises(ValueError):
             price_finite_downin(model, grid, tg, self.make(),
                                 vanilla_discounting="bogus")
@@ -529,7 +531,7 @@ class TestFiniteDownIn:
         res = price_finite_downin(self.setup_model(), grid,
                                   TimeGrid(horizon=0.5, dt=1 / 10),
                                   self.make(T=0.5))
-        assert res.value_at(18.0, slice_idx=2) == res.disc_values[2, 0]
+        assert res.value_at(18.0, slice_idx=2) == res.values[2, 0]
         for spot in (400.0, 10.0, -math.inf):
             with pytest.raises(ValueError, match="outside the states"):
                 res.value_at(spot)
@@ -539,7 +541,7 @@ class TestFiniteDownIn:
         res = price_finite_downin(self.setup_model(), grid,
                                   TimeGrid(horizon=0.5, dt=1 / 10),
                                   self.make(T=0.5))
-        last = len(res.disc_values) - 1
+        last = len(res.values) - 1
         assert res.value_at(95.0, slice_idx=last) == 0.0  # past the horizon
         for slice_idx in (-1, -last, last + 1):
             with pytest.raises(IndexError, match="clock slice"):
@@ -556,7 +558,7 @@ class TestFiniteDownIn:
             model, grid, tg, contract,
             gen=[gen] * (tg.idx_t_plus + 1),
         )
-        assert np.allclose(single.disc_values, listed.disc_values, atol=1e-9)
+        assert np.allclose(single.values, listed.values, atol=1e-9)
 
     def test_time_dependent_model_runs_dense(self):
         from parisian.models import ModelSpec, Coordinate
@@ -573,17 +575,19 @@ class TestFiniteDownIn:
                           name="bs-ramp")
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
         tg = TimeGrid(horizon=0.5, dt=1 / 10)
-        res = price_finite_downin(model, grid, tg, self.make(T=0.5))
+        contract = self.make(T=0.5)
+        res = price_finite_downin(model, grid, tg, contract)
         # pins the frozen-generator u+ (slice j's generator prices its whole
         # sum over later slices); the lattice DP oracle takes one generator
         assert res.value_at(90.0) == pytest.approx(0.638740975011075, rel=1e-12)
         pinned = {(0, 5): 0.31389977549188924, (0, 7): 1.8153931418217943,
                   (0, 10): 0.09248335258077103, (3, 6): 0.281496324974504,
                   (3, 9): 0.04756807461730095}
-        for (j, i), ref in pinned.items():
-            assert res.disc_values[j, i] == pytest.approx(ref, rel=1e-12)
-        assert np.all(res.disc_values >= -1e-12)
-        assert np.all(res.disc_values <= res.disc_vanilla + 1e-9)
+        for (j, i), ref in pinned.items():  # pinned in the discounted variable
+            disc = res.values[j, i] * math.exp(-contract.rate * res.times[j])
+            assert disc == pytest.approx(ref, rel=1e-12)
+        assert np.all(res.values >= -1e-12)
+        assert np.all(res.values <= res.vanilla + 1e-9)
 
     def test_rejects_a_time_grid_that_misses_the_maturity(self):
         model = self.setup_model()

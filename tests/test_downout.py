@@ -218,10 +218,10 @@ class TestPerpetualDownOut:
             res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT,
                                                         window=window),
                                           model, dtick=window / 4)
-            assert np.all(res.level0 <= vanilla + 1e-8)
+            assert np.all(res.level_values(0) <= vanilla + 1e-8)
             if prev is not None:
-                assert np.all(res.level0 >= prev - 1e-10)
-            prev = res.level0
+                assert np.all(res.level_values(0) >= prev - 1e-10)
+            prev = res.level_values(0)
 
     def test_deeper_levels_worth_less(self):
         model, grid, gen = small_bs_setup(n=64)
@@ -263,7 +263,7 @@ class TestPerpetualDownOut:
         model, grid, gen = small_bs_setup(n=40)  # states 10..360
         res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
                                       dtick=1 / 36)
-        assert res.value_at(360.0) == res.level0[-1]
+        assert res.value_at(360.0) == res.level_values(0)[-1]
         assert res.value_at(50.0, level=1) >= 0.0
         for spot, level in ((400.0, 0), (5.0, 0), (math.nan, 0),
                             (95.0, 1), (5.0, 1)):  # level 1: below 90 only
@@ -393,7 +393,7 @@ class TestFiniteDownOut:
             c = contract(Flavor.DOWN_OUT, rate=rate)
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
             np.testing.assert_array_equal(
-                auto.values, perpetual(_reduced, gen, ladder, f0, rate))
+                auto.values[0], perpetual(_reduced, gen, ladder, f0, rate))
 
     def test_value_at_rejects_spots_off_the_states(self):
         model, grid, _ = small_bs_setup(n=32)  # states 10..360
@@ -401,7 +401,7 @@ class TestFiniteDownOut:
         res = price_finite_downout(model, grid, tg,
                                    contract(Flavor.DOWN_OUT, maturity=0.25),
                                    dtick=1 / 24)
-        assert res.value_at(10.0, slice_idx=1) == res.level0[1, 0]
+        assert res.value_at(10.0, slice_idx=1) == res.level_values(0, 1)[0]
         assert res.value_at(50.0, level=1) >= 0.0
         for spot, level in ((400.0, 0), (5.0, 0), (math.inf, 0),
                             (95.0, 1), (5.0, 1)):  # level 1: below 90 only
@@ -735,11 +735,11 @@ class TestStackedRoute:
                                            model, dtick=1 / 36)
             fin = price_finite_downout(model, grid, tg,
                                        put_contract(0.25, rate), dtick=1 / 36)
-            for key, res in ((f"{name}/perpetual", perp),
-                             (f"{name}/finite", fin)):
+            for key, values in ((f"{name}/perpetual", perp.values[0]),
+                                (f"{name}/finite", fin.values)):
                 old = np.array(pinned[key])
-                assert old.shape == res.values.shape, key
-                assert rel_gap(res.values, old) <= 1e-12, key
+                assert old.shape == values.shape, key
+                assert rel_gap(values, old) <= 1e-12, key
 
     def test_lcps_run_over_the_live_slots(self, monkeypatch):
         # every exercise step of the stacked route solves an LCP over the
@@ -779,4 +779,4 @@ class TestStackedRoute:
             c = put_contract(math.inf, rate)
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
             np.testing.assert_array_equal(
-                auto.values, perpetual(_stacked, gen, ladder, f0, rate))
+                auto.values[0], perpetual(_stacked, gen, ladder, f0, rate))

@@ -7,9 +7,12 @@ instances, and the agreement tests of each class read the groups of that
 run's checks which cover their oracle.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from parisian import oracle
 from parisian.ctmc import TimeGrid, build_generator, build_grid
 from parisian.models import bs_model
 from parisian.oracle import (
@@ -17,10 +20,16 @@ from parisian.oracle import (
     dp_parisian_lattice,
     lcp_by_enumeration,
     random_generator,
+    run_verify,
     simulate_paths,
     value_iterate_american,
 )
-from parisian.pricer_downin import ContractSpec, Flavor, american_call
+from parisian.pricer_downin import (
+    ContractSpec,
+    Flavor,
+    american_call,
+    price_finite_downin,
+)
 from parisian.pricer_downout import price_finite_downout
 
 
@@ -258,3 +267,26 @@ def test_verify_suite_passes(verify_suite, suite, checks):
     lines, groups = verify_suite(suite)
     assert sum(f for _, f in groups.values()) == 0, "\n".join(lines)
     assert lines[-1] == f"{suite}: {checks}/{checks} checks passed"
+
+
+def test_raising_pricer_fails_one_check_and_the_suite_goes_on(monkeypatch):
+    """A check whose pricer raises counts as one failed check, is reported in
+    one line, and the suite still ends with its summary."""
+
+    calls = []
+
+    def raise_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular\nslice system")
+        return price_finite_downin(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "price_finite_downin", raise_once)
+    lines = []
+    assert run_verify("dp", seed=0, emit=lines.append) >= 1
+    raised = [line for line in lines if "raised" in line]
+    assert len(raised) == 1
+    assert re.fullmatch(r"  dense in check raised LinAlgError at "
+                        r"test_oracle\.py:\d+: singular slice system", raised[0])
+    assert len(calls) == 25  # every down-in check still ran
+    assert re.fullmatch(r"dp: \d+/52 checks passed", lines[-1])
