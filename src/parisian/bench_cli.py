@@ -272,6 +272,8 @@ class StudyConfig:
             raise ValueError("down-out contracts require a positive dd")
         if isinstance(self.split, str) and self.split not in ("proportional", "sqrt"):
             raise ValueError("split must be 'proportional' or 'sqrt'")
+        if self.rate_policy not in (None, "error", "upwind"):
+            raise ValueError("rate_policy must be 'error' or 'upwind' (or unset)")
         if self.order <= 0:
             raise ValueError("extrapolation order must be positive")
         if self.self_benchmark and self.benchmark is not None:
@@ -1130,7 +1132,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ymax", dest="hi", type=float, help="domain upper endpoint (price units)")
     parser.add_argument("--split", choices=["proportional", "sqrt"])
     parser.add_argument("--payoff", choices=["call", "put"])
-    parser.add_argument("--rate-policy", dest="rate_policy", help="negative-rate handling")
+    parser.add_argument("--rate-policy", dest="rate_policy", choices=["error", "upwind"],
+                        help="negative-rate handling")
 
 
 def _cmd_price(args) -> int:

@@ -49,8 +49,8 @@ class SpatialGrid:
 
     ``states`` has n+1 entries y_0 < ... < y_n.  ``cell_edges`` has n+2
     entries: -inf, the n midpoints, +inf; state j owns
-    [cell_edges[j], cell_edges[j+1]).  The barrier is a grid node: the
-    first state not in ``below_mask``.
+    [cell_edges[j], cell_edges[j+1]).  The barrier is a grid node, state
+    ``n_below`` (checked at construction).
     """
 
     states: np.ndarray
@@ -62,26 +62,31 @@ class SpatialGrid:
         s = self.states
         if len(s) < 3 or np.any(np.diff(s) <= 0):
             raise ValueError("states must be strictly increasing, length >= 3")
+        if self.n_below == len(s) or not self.is_barrier(s[self.n_below]):
+            raise ValueError(f"barrier {self.barrier!r} is not a grid node")
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
     @property
+    def n_below(self) -> int:
+        """Index of the barrier node: the states below the barrier are
+        0..n_below-1, a prefix, since the states increase strictly."""
+        return int(np.searchsorted(self.states, self.barrier - self._barrier_tol))
+
+    @property
+    def _barrier_tol(self) -> float:
+        # a state within 1e-12 relative of the barrier counts as on it
+        return 1e-12 * max(1.0, abs(self.barrier))
+
+    @property
     def below_mask(self) -> np.ndarray:
-        return self.below_barrier()
+        return np.arange(self.n_states) < self.n_below
 
-    def below_barrier(self, level: Optional[float] = None) -> np.ndarray:
-        """Mask of the states strictly below ``level`` (default: ``barrier``).
-
-        A state within 1e-12 relative of the level counts as on it.  The
-        states increase strictly (checked at construction), so the mask is
-        always a prefix: the below-barrier block is states 0..m-1, which the
-        pricers' block eliminations rely on.
-        """
-
-        L = self.barrier if level is None else float(level)
-        return self.states < L - 1e-12 * max(1.0, abs(L))
+    def is_barrier(self, level: float) -> bool:
+        """Whether ``level`` is the barrier, within the grid's tolerance."""
+        return abs(float(level) - self.barrier) <= self._barrier_tol
 
     @property
     def cell_edges(self) -> np.ndarray:
@@ -102,18 +107,16 @@ class SpatialGrid:
     def delta(self) -> np.ndarray:
         return 0.5 * (self.delta_plus + self.delta_minus)
 
-    def interp(
-        self, values: np.ndarray, x: float, mask: Optional[np.ndarray] = None
-    ) -> float:
-        """Linear interpolation at position x of values on the states
-        (on ``states[mask]`` when a mask is given).
+    def interp(self, values: np.ndarray, x: float, n: Optional[int] = None) -> float:
+        """Linear interpolation at position x of values on the states (on
+        the first ``n`` states when ``n`` is given).
 
         Raises ValueError when x is not finite or lies outside those states:
         the end states are absorbing, so clamping would quietly quote a
         boundary value.
         """
 
-        states = self.states if mask is None else self.states[mask]
+        states = self.states[:n]
         x = float(x)
         if not (states.size and math.isfinite(x) and states[0] <= x <= states[-1]):
             span = f"[{states[0]!r}, {states[-1]!r}]" if states.size else "(none)"

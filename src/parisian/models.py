@@ -177,6 +177,39 @@ def bs_model(r_f: float, dividend: float, sigma: float) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
+# one-sided pieces shared by the measures
+# ---------------------------------------------------------------------------
+
+
+def _sides(a, b):
+    """(a+, b+, a-, b-): [a, b) cut at the origin into its part on z >= 0,
+    [a+, b+), and its part on z < 0 mirrored onto z > 0, [a-, b-)."""
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return np.maximum(a, 0.0), np.maximum(b, 0.0), -np.minimum(b, 0.0), -np.minimum(a, 0.0)
+
+
+def _unit_clamped(a, b):
+    """[a, b) cut to the truncation window [-1, 1] of the first moment; an
+    empty intersection becomes a zero-length interval."""
+
+    a = np.maximum(np.asarray(a, dtype=float), -1.0)
+    b = np.minimum(np.asarray(b, dtype=float), 1.0)
+    return np.minimum(a, b), b
+
+
+def _tail_difference(tail, a, b):
+    """tail(a) - tail(b) for a tail integral that vanishes at +inf, where
+    its closed form reads inf * 0."""
+
+    def at(x):
+        return np.where(np.isinf(x), 0.0, tail(x))
+
+    return at(a) - at(b)
+
+
+# ---------------------------------------------------------------------------
 # Kou double-exponential jump diffusion (log coordinates)
 # ---------------------------------------------------------------------------
 
@@ -185,66 +218,39 @@ def kou_jump_measure(params: KouParams) -> JumpMeasure:
     """Closed-form cell integrals of the double-exponential jump density.
 
     Density: lam * (p+ eta+ e^{-eta+ z} 1{z>=0} + p- eta- e^{eta- z} 1{z<0}).
+    Each side is the one-sided density eta e^{-eta z} on z > 0 (the negative
+    side mirrored onto it), integrated over [a, b) with 0 <= a <= b.
     """
 
     lam, ep, em = params.lam, params.eta_plus, params.eta_minus
     wp, wm = lam * params.p_plus, lam * params.p_minus
 
-    def _pos_mass(a, b):
-        # integral of eta+ e^{-eta+ z} over [a,b), 0 <= a <= b
-        return np.exp(-ep * a) - np.exp(-ep * b)
+    def _mass_side(eta, a, b):
+        return np.exp(-eta * a) - np.exp(-eta * b)
 
-    def _neg_mass(a, b):
-        # integral of eta- e^{eta- z} over [a,b), a <= b <= 0
-        return np.exp(em * b) - np.exp(em * a)
+    def _first_side(eta, a, b):
+        # the tail integral of z eta e^{-eta z} from x is (x + 1/eta) e^{-eta x}
+        return _tail_difference(lambda x: (x + 1.0 / eta) * np.exp(-eta * x), a, b)
 
-    def _pos_first(a, b):
-        # integral of z eta e^{-eta z}; antiderivative of the tail is (z+1/eta)e^{-eta z}
-        def tail(x):
-            out = (x + 1.0 / ep) * np.exp(-ep * x)
-            return np.where(np.isinf(x), 0.0, out)
+    def _second_side(eta, a, b):
+        return _tail_difference(
+            lambda x: (x * x + 2.0 * x / eta + 2.0 / eta**2) * np.exp(-eta * x), a, b
+        )
 
-        return tail(a) - tail(b)
-
-    def _neg_first(a, b):
-        def tail(x):  # integral over [x, inf) of u eta e^{-eta u}, x = |z|
-            out = (x + 1.0 / em) * np.exp(-em * x)
-            return np.where(np.isinf(x), 0.0, out)
-
-        return -(tail(-b) - tail(-a))
-
-    def _pos_second(a, b):
-        def tail(x):
-            out = (x * x + 2.0 * x / ep + 2.0 / ep**2) * np.exp(-ep * x)
-            return np.where(np.isinf(x), 0.0, out)
-
-        return tail(a) - tail(b)
-
-    def _neg_second(a, b):
-        def tail(x):
-            out = (x * x + 2.0 * x / em + 2.0 / em**2) * np.exp(-em * x)
-            return np.where(np.isinf(x), 0.0, out)
-
-        return tail(-b) - tail(-a)
-
-    def _split(a, b, fpos, fneg):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        ap, bp = np.maximum(a, 0.0), np.maximum(b, 0.0)
-        an, bn = np.minimum(a, 0.0), np.minimum(b, 0.0)
-        return wp * fpos(ap, bp) + wm * fneg(an, bn)
+    def _split(a, b, side):
+        ap, bp, an, bn = _sides(a, b)
+        return wp * side(ep, ap, bp) + wm * side(em, an, bn)
 
     def interval_mass(t, x, a, b):
-        return _split(a, b, _pos_mass, _neg_mass)
+        return _split(a, b, _mass_side)
 
     def second_moment(t, x, a, b):
-        return _split(a, b, _pos_second, _neg_second)
+        return _split(a, b, _second_side)
 
     def truncated_first(t, x, a, b):
-        a = np.maximum(np.asarray(a, dtype=float), -1.0)
-        b = np.minimum(np.asarray(b, dtype=float), 1.0)
-        a = np.minimum(a, b)  # empty intersection -> zero-length interval
-        return _split(a, b, _pos_first, _neg_first)
+        # z is odd: the mirrored negative side enters with a minus sign
+        ap, bp, an, bn = _sides(*_unit_clamped(a, b))
+        return wp * _first_side(ep, ap, bp) - wm * _first_side(em, an, bn)
 
     return JumpMeasure(
         interval_mass=interval_mass,
@@ -368,17 +374,12 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         return (np.exp(-lam * a) - np.exp(-lam * b)) / lam
 
     def _second_side(lam, a, b):
-        def tail(x):
-            out = (1.0 + lam * x) * np.exp(-lam * x) / lam**2
-            return np.where(np.isinf(x), 0.0, out)
-
-        return tail(a) - tail(b)
+        return _tail_difference(
+            lambda x: (1.0 + lam * x) * np.exp(-lam * x) / lam**2, a, b
+        )
 
     def _split(a, b, side):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        ap, bp = np.maximum(a, 0.0), np.maximum(b, 0.0)
-        an, bn = -np.minimum(b, 0.0), -np.minimum(a, 0.0)  # mirrored onto z>0
+        ap, bp, an, bn = _sides(a, b)
         return C * (side(lam_p, ap, bp) + side(lam_m, an, bn))
 
     def interval_mass(t, x, a, b):
@@ -388,11 +389,7 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
         return _split(a, b, _second_side)
 
     def truncated_first(t, x, a, b):
-        a = np.maximum(np.asarray(a, dtype=float), -1.0)
-        b = np.minimum(np.asarray(b, dtype=float), 1.0)
-        a = np.minimum(a, b)
-        ap, bp = np.maximum(a, 0.0), np.maximum(b, 0.0)
-        an, bn = -np.minimum(b, 0.0), -np.minimum(a, 0.0)
+        ap, bp, an, bn = _sides(*_unit_clamped(a, b))
         pos = _first_side(lam_p, ap, bp)
         neg = -_first_side(lam_m, an, bn)
         return C * (pos + neg)
@@ -488,10 +485,7 @@ def jump_measure_from_density(
     second = _vectorize(lambda z: z * z * density(z))
 
     def trunc_first(t, x, a, b):
-        a = np.maximum(np.asarray(a, dtype=float), -1.0)
-        b = np.minimum(np.asarray(b, dtype=float), 1.0)
-        a = np.minimum(a, b)
-        return _vectorize(lambda z: z * density(z))(t, x, a, b)
+        return _vectorize(lambda z: z * density(z))(t, x, *_unit_clamped(a, b))
 
     return JumpMeasure(
         interval_mass=mass,

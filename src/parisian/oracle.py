@@ -257,9 +257,9 @@ def dp_parisian_lattice(
     exponentiated over the window to get the exact activation and escape
     kernels, the vanilla leg comes from per-slice stopping fixed points,
     and one dense linear solve couples the entry values to the
-    above-barrier values.  Returned array has one row per slice and one
-    column per spatial state, discounted to time zero (the down-in
-    recursion's internal variable, where the pricer's surface holds prices).
+    above-barrier values, all in time-zero dollars.  Returned array has one
+    row per slice and one column per spatial state, in same-slice price
+    units.
 
     The grid is desk-scale only: lattice slots x slices must stay at or
     below 1e5.
@@ -404,7 +404,7 @@ def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discou
     out[:J, bi] = U.reshape(J, len(bi))
     if na:
         out[:J, ai] = V.reshape(J, len(ai))
-    return out
+    return out * np.exp(rate * times)[:, None]  # time-zero dollars to prices
 
 
 # ---------------------------------------------------------------------------
@@ -766,14 +766,14 @@ def _verify_kernels(seed: int, emit) -> _Tally:
     n = 15
     R = np.diag(np.full(n - 1, 1.4), 1) + np.diag(np.full(n - 1, 1.8), -1)
     np.fill_diagonal(R, -R.sum(axis=1))
-    below = np.arange(n) < 7
+    n_below = 7
     window, rate = 0.2, 0.25
     for x0 in (8, 3):
         with tally.check("simulation"):
-            H = parisian_transform(R, window, rate, below=below)
+            H = parisian_transform(R, window, rate, n_below)
             sim = simulate_paths(
                 R, x0, window, rate, n_paths=1_000_000, rng_seed=seed + 2024 + x0,
-                below=below, horizon=80.0,
+                below=np.arange(n) < n_below, horizon=80.0,
             )
             gap = np.abs(sim.estimate - H[x0])
             scale = np.maximum(sim.std_error, 1e-12)
@@ -846,9 +846,7 @@ def _verify_dp(seed: int, emit) -> _Tally:
                 R, below, f, rate, dt, horizon, window, "down-in",
                 vanilla_discounting=discounting,
             )
-            # the renewal DP is discounted to time zero
-            disc = res_in.values * np.exp(-rate * res_in.times)[:, None]
-            gap = _gap(disc, ora_in)
+            gap = _gap(res_in.values, ora_in)
             worst[kind + "in"] = max(worst[kind + "in"], gap)
             tally.add(kind + "in", gap < 1e-5)  # a NaN gap fails too
     emit(f"  down-out recursion vs joint-lattice DP on 20 random chains: "
@@ -887,7 +885,7 @@ def _verify_dp(seed: int, emit) -> _Tally:
                 timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
             )
             gap = _gap(res.values, ora)
-            ladder = build_ladder(window, dtick, grid.below_mask)
+            ladder = build_ladder(window, dtick, grid.n_states, grid.n_below)
             ops = _ReducedLadderOps(gen, ladder, rate, dt=timegrid.dt)
             k, nc = ops.factor_width, len(ops.coupled)
             tally.add("jump out", gap < 1e-5 and k < nc)

@@ -154,7 +154,7 @@ class PriceSurface:
 
         x = float(np.asarray(self.model.state_of_price(spot)))
         vals = self.level_values(level, slice_idx)
-        return self.grid.interp(vals, x, None if level == 0 else self.ladder.below)
+        return self.grid.interp(vals, x, self.ladder.n_below if level else None)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +173,16 @@ def require_horizon(timegrid: TimeGrid, contract: ContractSpec) -> None:
         )
 
 
-def _dense_and_below(
-    gen: Union[GeneratorMatrix, np.ndarray],
-    barrier: Optional[float],
-    below: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    if below is None:
-        if not isinstance(gen, GeneratorMatrix):
-            raise ValueError("plain rate matrices need an explicit below mask")
-        below = gen.grid.below_barrier(barrier)
-    # degenerate splits are allowed (empty region => trivial kernels)
-    return dense_rates(gen), np.asarray(below, dtype=bool)
+def require_barrier(grid: SpatialGrid, contract: ContractSpec, model: ModelSpec) -> None:
+    """Raise ValueError unless the contract's barrier is the grid's barrier
+    node: every pricer splits the states at ``grid.n_below``."""
+
+    level = contract.barrier_state(model)
+    if not grid.is_barrier(level):
+        raise ValueError(
+            f"contract barrier state {level!r} is not the grid's barrier node "
+            f"{grid.barrier!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,61 +253,55 @@ def parisian_transform(
     gen: Union[GeneratorMatrix, np.ndarray],
     window: float,
     rate: float,
-    barrier: Optional[float] = None,
-    below: Optional[np.ndarray] = None,
+    n_below: int,
 ) -> np.ndarray:
     """Excursion-trigger kernel H_p(rate): entry (x, y) is the expected
     discount collected at the first time the running stay below the barrier
     reaches ``window``, on the event of landing there in state y.
 
-    Columns at states >= barrier are identically zero (the trigger always
-    happens strictly below).  A zero rate with a recurrent or absorbing
+    The states below the barrier are the first ``n_below``.  Columns at
+    states >= barrier are identically zero (the trigger always happens
+    strictly below).  A zero rate with a recurrent or absorbing
     below-barrier sub-chain makes the resolvent singular; this is reported,
     not masked.
     """
 
     if window < 0 or rate < 0:
         raise ValueError("window and rate must be nonnegative")
-    R, below = _dense_and_below(gen, barrier, below)
-    N = R.shape[0]
-    bi = np.flatnonzero(below)
-    ai = np.flatnonzero(~below)
+    R = dense_rates(gen)
+    N, m = len(R), n_below
     H = np.zeros((N, N))
-    if bi.size == 0:
+    if m == 0:
         return H  # no below states: the trigger never fires
-    Gbb = R[np.ix_(bi, bi)]
-    Gba = R[np.ix_(bi, ai)]
+    Gbb = R[:m, :m]
     disc = math.exp(-rate * window)
 
     # survival operator of the window: exp(G_bb * window) on the below block
     VP = generator_expm(Gbb, window)
 
     try:
-        resolv_b = np.linalg.solve(rate * np.eye(len(bi)) - Gbb, Gba)
+        resolv_b = np.linalg.solve(rate * np.eye(m) - Gbb, R[:m, m:])
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "singular below-barrier resolvent (rate = 0 with a recurrent or "
             f"absorbing below-barrier sub-chain): {exc}"
         ) from exc
     # up-crossing before the window completes, net of the completed-window part
-    Rblock = (np.eye(len(bi)) - disc * VP) @ resolv_b
+    Rblock = (np.eye(m) - disc * VP) @ resolv_b
 
-    S = np.zeros((len(ai), len(bi)))
-    if ai.size:
-        Gaa = R[np.ix_(ai, ai)]
-        Gab = R[np.ix_(ai, bi)]
+    S = np.zeros((N - m, m))
+    if m < N:
         try:
-            S = np.linalg.solve(rate * np.eye(len(ai)) - Gaa, Gab)
+            S = np.linalg.solve(rate * np.eye(N - m) - R[m:, m:], R[m:, :m])
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "singular above-barrier resolvent (rate = 0 with a recurrent "
                 f"above-barrier sub-chain): {exc}"
             ) from exc
 
-    X = np.linalg.solve(np.eye(len(bi)) - Rblock @ S, VP)
-    H[np.ix_(bi, bi)] = disc * X
-    if ai.size:
-        H[np.ix_(ai, bi)] = disc * (S @ X)
+    X = np.linalg.solve(np.eye(m) - Rblock @ S, VP)
+    H[:m, :m] = disc * X
+    H[m:, :m] = disc * (S @ X)
     return H
 
 
@@ -325,14 +318,10 @@ def price_perpetual_downin(
         raise ValueError("contract flavor must be down-in")
     if not model.time_homogeneous:
         raise ValueError("perpetual pipeline requires a time-homogeneous model")
+    require_barrier(gen.grid, contract, model)
     f = contract.payoff_states(model, gen.grid.states)
     c_p = vanilla_american_perpetual(gen, f, contract.rate)
-    H = parisian_transform(
-        gen,
-        window=contract.window,
-        rate=contract.rate,
-        barrier=contract.barrier_state(model),
-    )
+    H = parisian_transform(gen, contract.window, contract.rate, gen.grid.n_below)
     return PriceSurface(
         values=(H @ c_p)[None], times=np.zeros(1), model=model, grid=gen.grid,
         vanilla=c_p[None],
@@ -374,12 +363,12 @@ def price_finite_downin(
     if contract.flavor is not Flavor.DOWN_IN:
         raise ValueError("contract flavor must be down-in")
     require_horizon(timegrid, contract)
+    require_barrier(grid, contract, model)
 
     dt = timegrid.dt
     times = timegrid.times
     gens = slice_generators(model, grid, times, rate_policy, gen)
     f = contract.payoff_states(model, grid.states)
-    below = grid.below_barrier(contract.barrier_state(model))
     rate = contract.rate
 
     # vanilla continuation surface, expressed in the discounted variable
@@ -400,7 +389,7 @@ def price_finite_downin(
     if vanilla_discounting == "activation":
         W *= np.exp(-rate * times)[:, None]
 
-    C = _finite_downin(gens, W, below, contract.window, dt)
+    C = _finite_downin(gens, W, grid.n_below, contract.window, dt)
     growth = np.array([math.exp(rate * float(t)) for t in times])[:, None]
     C *= growth
     W *= growth
@@ -426,8 +415,9 @@ def _poisson_weights(lam: float, kmax: int):
     return pmf, last
 
 
-def _slice_blocks(gen, bi, ai, window, dt):
-    """Dense blocks of one generator's slice system (b: below, a: above).
+def _slice_blocks(gen, n_below, window, dt):
+    """Dense blocks of one generator's slice system (b: the first
+    ``n_below`` states, below the barrier; a: the others, above).
 
     N = (I - dt G_bb)^{-1}; h1 = N dt G_ba (up-cross before the next tick);
     E = exp(window G_bb) (survival below for the window, to be weighted by
@@ -436,17 +426,18 @@ def _slice_blocks(gen, bi, ai, window, dt):
     """
 
     R = dense_rates(gen)
-    Gbb = R[np.ix_(bi, bi)]
-    n_lu = lu_factor(np.eye(len(bi)) - dt * Gbb)
-    h1 = lu_solve(n_lu, dt * R[np.ix_(bi, ai)])
+    m = n_below
+    Gbb = R[:m, :m]
+    n_lu = lu_factor(np.eye(m) - dt * Gbb)
+    h1 = lu_solve(n_lu, dt * R[:m, m:])
     E = generator_expm(Gbb, window)
-    a_lu = lu_factor(np.eye(len(ai)) - dt * R[np.ix_(ai, ai)])
-    hm = lu_solve(a_lu, dt * R[np.ix_(ai, bi)])
+    a_lu = lu_factor(np.eye(len(R) - m) - dt * R[m:, m:])
+    hm = lu_solve(a_lu, dt * R[m:, :m])
     hp = h1 - (math.exp(-window / dt) * E) @ h1
-    return n_lu, h1, E, a_lu, hm, hp, lu_factor(np.eye(len(bi)) - hp @ hm)
+    return n_lu, h1, E, a_lu, hm, hp, lu_factor(np.eye(m) - hp @ hm)
 
 
-def _finite_downin(gens, W, below, window, dt):
+def _finite_downin(gens, W, n_below, window, dt):
     """Backward slice recursion for the discounted down-in surface C.
 
     Slice j solves the two-block system C_b = u+ + v + hp C_a, C_a = u- +
@@ -454,37 +445,37 @@ def _finite_downin(gens, W, below, window, dt):
     P_t and P_J = 0, so u+_j = P_j - E (p_0 P_j + sum_i p_i Q_{j+i}) with p
     the Poisson(window/dt) pmf, and v shares its E product.  Slice j's
     generator prices its whole u+ sum, so a slice with new blocks restarts
-    the tail at t = J.
+    the tail at t = J.  The states below the barrier are the first
+    ``n_below``.
     """
 
     n_slices = W.shape[0]
     J = n_slices - 1
-    bi = np.flatnonzero(below)
-    ai = np.flatnonzero(~below)
+    m = n_below
     C = np.zeros_like(W)
-    if not bi.size:
+    if not m:
         return C  # never below the barrier: the in-event cannot trigger
     pmf, last = _poisson_weights(window / dt, J)
-    Wb = W[:, bi]
-    Q = np.zeros((n_slices, len(bi)))
-    u_minus = np.zeros(len(ai))
+    Wb = W[:, :m]
+    Q = np.zeros((n_slices, m))
+    u_minus = np.zeros(W.shape[1] - m)
     current = None
     for j, blocks in slice_operators(
-        gens, lambda g: _slice_blocks(g, bi, ai, window, dt)
+        gens, lambda g: _slice_blocks(g, m, window, dt)
     ):
         n_lu, h1, E, a_lu, hm, hp, slice_lu = blocks
         top = j + 1
         if blocks is not current:  # new generator: restart the tail at t = J
-            current, P, top = blocks, np.zeros(len(bi)), J
+            current, P, top = blocks, np.zeros(m), J
         for t in range(top, j, -1):
-            Q[t] = h1 @ C[t, ai] + P
+            Q[t] = h1 @ C[t, m:] + P
             P = lu_solve(n_lu, Q[t])
         k = min(J - j, last)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
         acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
-        u_minus = lu_solve(a_lu, u_minus + hm @ C[j + 1, bi])
-        C[j, bi] = lu_solve(slice_lu, P + E @ acc + hp @ u_minus)
-        C[j, ai] = u_minus + hm @ C[j, bi]
+        u_minus = lu_solve(a_lu, u_minus + hm @ C[j + 1, :m])
+        C[j, :m] = lu_solve(slice_lu, P + E @ acc + hp @ u_minus)
+        C[j, m:] = u_minus + hm @ C[j, :m]
     return C
 
 

@@ -58,6 +58,7 @@ from .pricer_downin import (
     PriceSurface,
     american_surface,
     bermudan_slice,
+    require_barrier,
     require_horizon,
 )
 
@@ -67,13 +68,14 @@ class DurationLadder:
     """Slot bookkeeping for the (duration level, spatial state) chain.
 
     Level 0 holds all ``n_states`` spatial states in grid order; levels
-    1..n_ticks-1 hold the ``n_below`` below-barrier states.  Level n_ticks,
-    the first duration strictly past the window, is the knock-out: its value
-    is 0 by definition and it holds no slots.
+    1..n_ticks-1 hold the below-barrier states, the first ``n_below`` (the
+    barrier node is state ``n_below``).  Level n_ticks, the first duration
+    strictly past the window, is the knock-out: its value is 0 by
+    definition and it holds no slots.
     """
 
     n_states: int
-    below: np.ndarray
+    n_below: int
     n_ticks: int
     dtick: float
 
@@ -82,30 +84,20 @@ class DurationLadder:
             raise ValueError("need at least one duration tick past zero")
         if self.dtick <= 0:
             raise ValueError("duration tick must be positive")
-        if len(self.below) != self.n_states:
-            raise ValueError("below mask length must match state count")
-
-    @cached_property
-    def n_below(self) -> int:
-        return len(self.below_indices)
+        if not 0 <= self.n_below <= self.n_states:
+            raise ValueError("below-barrier state count outside 0..n_states")
 
     @property
     def total(self) -> int:
         return self.n_states + (self.n_ticks - 1) * self.n_below
 
     @cached_property
-    def below_indices(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(self.below))
-
-    @cached_property
-    def above_indices(self) -> np.ndarray:
-        return _read_only(np.flatnonzero(~self.below))
-
-    @cached_property
     def slot_states(self) -> np.ndarray:
         """Spatial state of every slot, in ladder order."""
-        deeper = [self.below_indices] * (self.n_ticks - 1)
-        return _read_only(np.concatenate([np.arange(self.n_states)] + deeper))
+        deeper = [np.arange(self.n_below)] * (self.n_ticks - 1)
+        slots = np.concatenate([np.arange(self.n_states)] + deeper)
+        slots.flags.writeable = False
+        return slots
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level < self.n_ticks:
@@ -121,33 +113,31 @@ class DurationLadder:
         start = self.n_states + (level - 1) * self.n_below
         return slice(start, start + self.n_below)
 
-    def below_slots(self, level: int) -> Union[np.ndarray, slice]:
-        """Slots of one level's below-barrier states (indices on level 0)."""
-        return self.below_indices if level == 0 else self.level_slice(level)
+    def below_slots(self, level: int) -> slice:
+        """Slots of one level's below-barrier states."""
+        start = self.level_slice(level).start
+        return slice(start, start + self.n_below)
 
     def stack_payoff(self, f: np.ndarray) -> np.ndarray:
         """Payoff on the ladder: each slot's spatial state's."""
         return np.asarray(f, dtype=float)[self.slot_states]
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def build_ladder(
     window: float,
     dtick: float,
-    below: np.ndarray,
+    n_states: int,
+    n_below: int,
 ) -> DurationLadder:
-    """Duration ladder whose ``n_ticks``-th tick passes the window."""
+    """Duration ladder whose ``n_ticks``-th tick passes the window, over
+    ``n_states`` states of which the first ``n_below`` lie below the
+    barrier."""
 
     if window <= 0 or dtick <= 0:
         raise ValueError("window and duration tick must be positive")
-    below = np.asarray(below, dtype=bool)
     n_ticks = int(math.floor(window / dtick * (1 + 1e-12))) + 1
     return DurationLadder(
-        n_states=len(below), below=below, n_ticks=n_ticks, dtick=dtick
+        n_states=n_states, n_below=n_below, n_ticks=n_ticks, dtick=dtick
     )
 
 
@@ -163,21 +153,19 @@ def duration_generator(
     option out, so it leaves the diagonal entry and no column.
     """
 
-    if isinstance(gen, GeneratorMatrix) and not np.array_equal(
-        gen.grid.below_mask, ladder.below
-    ):
-        raise ValueError("generator below mask disagrees with the ladder")
+    if isinstance(gen, GeneratorMatrix) and gen.grid.n_below != ladder.n_below:
+        raise ValueError("generator barrier node disagrees with the ladder")
     R = dense_rates(gen)
     N = ladder.n_states
     m = ladder.n_below
-    bi = ladder.below_indices
     tick = 1.0 / ladder.dtick
     total = ladder.total
     # COO triplets; the -tick entries on the diagonal are summed into R's
     # diagonal when the matrix is assembled.  The clock on the below-barrier
-    # slots of every level, in ladder order: -tick on the diagonal, +tick
-    # into the same state one level deeper (m slots on), but for the last
-    clock = np.flatnonzero(ladder.below[ladder.slot_states])
+    # slots of every level (level 0's first m, every deeper level's all):
+    # -tick on the diagonal, +tick into the same state one level deeper (m
+    # slots on), but for the last
+    clock = np.concatenate([np.arange(m), np.arange(N, total)])
     r0, c0 = np.nonzero(R)  # level 0: full spatial coupling
     rows = [r0, clock, clock[: len(clock) - m]]
     cols = [c0, clock, clock[m:]]
@@ -186,11 +174,11 @@ def duration_generator(
     # levels 1..n_ticks-1: below-only spatial block, up-crosses reset to
     # level 0
     level = np.arange(N)  # slot of each state on the current level
-    kb, yb = np.nonzero(R[bi])
-    below_vals = R[bi[kb], yb]
+    kb, yb = np.nonzero(R[:m])
+    below_vals = R[kb, yb]
     for lvl in range(1, ladder.n_ticks):
         base = ladder.level_slice(lvl).start
-        level[bi] = base + np.arange(m)
+        level[:m] = base + np.arange(m)
         rows.append(base + kb)
         cols.append(level[yb])
         vals.append(below_vals)
@@ -225,9 +213,9 @@ def price_perpetual_downout(
     if not isinstance(gen, GeneratorMatrix):
         raise ValueError("need a GeneratorMatrix: its grid places the barrier")
     grid = gen.grid
+    require_barrier(grid, contract, model)
 
-    below = grid.below_barrier(contract.barrier_state(model))
-    ladder = build_ladder(contract.window, dtick, below)
+    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
     return PriceSurface(
@@ -247,7 +235,7 @@ def price_perpetual_downout(
 def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
     """Elimination applies: below-barrier states with zero payoff."""
 
-    return ladder.n_below > 0 and bool(np.all(f0[ladder.below] == 0.0))
+    return ladder.n_below > 0 and bool(np.all(f0[:ladder.n_below] == 0.0))
 
 
 # Relative Frobenius error allowed in the factor B ~ U W of the Horner loop.
@@ -273,7 +261,8 @@ class _ReducedLadderOps:
     into level 1 like any other level's, and an up-cross from
     any level lands on level 0.  B holds the rates from the below-barrier
     rows to the above-barrier states they reach (the "coupled" columns: one
-    for a diffusion, all of them for a jump chain).  Backward substitution
+    for a diffusion, all of them for a jump chain; ``coupled`` numbers them
+    among the above-barrier states).  Backward substitution
     gives C_0[below] = M_0 + P_0 C_0[coupled]; plugging it into level 0's
     above-barrier rows of A = a0 I - cG G leaves a complementarity problem
     over the N - m above-barrier states alone, with the operator and source
@@ -308,10 +297,9 @@ class _ReducedLadderOps:
       is nonnegative: nothing cancels, and the products keep the relative
       accuracy of Q^-1 itself.  It forms only the rows of its rate matrix
       the blocks need, never the dense N x N slice matrix;
-    - a tridiagonal chain (whose below-barrier states are a prefix of the
-      grid, as on every grid ``build_grid`` makes) holds ``dgttrf``'s band
-      factor of Q^T, and ``Qinv @ b`` solves Q x = b with it (``dgttrs``,
-      trans='T'); nothing of size m x m or m x N is formed.  Q^T is column
+    - a tridiagonal chain holds ``dgttrf``'s band factor of Q^T, and
+      ``Qinv @ b`` solves Q x = b with it (``dgttrs``, trans='T'); nothing
+      of size m x m or m x N is formed.  Q^T is column
       diagonally dominant, so partial pivoting makes no row interchange
       (Wilkinson; Higham 2002, sec. 9.5) and the factor is Q^T = L U with
       L unit lower bidiagonal and U upper bidiagonal, both with off-diagonals
@@ -364,12 +352,11 @@ class _ReducedLadderOps:
         if W is not None:
             fix = fix @ W
         rows = feeders[:, None]
-        cols = np.searchsorted(ladder.above_indices, coupled)
         if banded:
-            A[1 + rows - cols, cols] += fix
+            A[1 + rows - coupled, coupled] += fix
             A = sparse.dia_matrix((A, (1, 0, -1)), shape=(A.shape[1],) * 2)
         else:
-            A[rows, cols] += fix
+            A[rows, coupled] += fix
 
         self.ladder = ladder
         # below-barrier slots of levels n_ticks - 1 down to 0
@@ -388,11 +375,11 @@ class _ReducedLadderOps:
         """Source q of the above-barrier LCP from the next clock slice: its
         level-0 above-barrier values less the feed-in A_ab M_0."""
 
-        ladder = self.ladder
-        M = np.zeros(ladder.n_below)
+        m, N = self.ladder.n_below, self.ladder.n_states
+        M = np.zeros(m)
         for slots in self.levels_down:
             M = self.Qinv @ (c_next[slots] + self.cup * M)
-        q = c_next[ladder.above_indices]
+        q = c_next[m:N].copy()
         q[self.feeders] -= self.A_ab @ M
         return q
 
@@ -402,8 +389,8 @@ class _ReducedLadderOps:
 
         ladder = self.ladder
         out = np.zeros(ladder.total)
-        out[ladder.above_indices] = c_above
-        feed = self.B @ out[self.coupled]
+        out[ladder.n_below:ladder.n_states] = c_above
+        feed = self.B @ c_above[self.coupled]
         level = np.zeros(ladder.n_below)  # the knock-out: 0, no slots
         for slots in self.levels_down:
             level = self.Qinv @ (feed + self.cup * level + c_next[slots])
@@ -426,29 +413,26 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
     """(Q^-1, B, coupled, feeders, A_ab, bands of A_aa) of a tridiagonal
     chain, for ``_ReducedLadderOps``: every block from ``slice_bands``.
 
-    The below-barrier states are 0..m-1, so state m (the barrier node) is
-    the only above-barrier state linked to them, through state m-1: B is
-    cG R[m-1, m] in row m-1, and A_ab is A[m, m-1] in column m-1.
+    The below-barrier states are 0..m-1, so state m (the barrier node, the
+    first above-barrier state) is the only one linked to them, through
+    state m-1: B is cG R[m-1, m] in row m-1, and A_ab is A[m, m-1] in
+    column m-1.
     """
 
-    m, ai = ladder.n_below, ladder.above_indices
-    if not np.all(ladder.below[:m]):
-        raise ValueError("a tridiagonal chain needs its below-barrier states "
-                         "to be a prefix of the grid")
+    m = ladder.n_below
     # Q: the leading m x m block of (a0 + cup) I - cG G; its transpose is
     # the one factored (see _ReducedLadderOps)
     Qinv = _BandInverse(factor_tridiag(slice_bands(gen, a0 + cup, cG),
-                                       ladder.below_indices, transposed=True))
+                                       np.arange(m), transposed=True))
     ab = slice_bands(gen, a0, cG)
-    link = ai[:1]  # the barrier node, if any state is above
-    to_above = -ab[0, link]  # cG R[m-1, m]
-    coupled = link[to_above != 0.0]
+    to_above = -ab[0, m:m + 1]  # cG R[m-1, m]
+    coupled = np.flatnonzero(to_above)
     B = np.zeros((m, len(coupled)))
-    B[m - 1] = to_above[to_above != 0.0]
-    feeders = np.flatnonzero(ab[2, link - 1])  # A[m, m-1] != 0
+    B[m - 1] = to_above[coupled]
+    feeders = np.flatnonzero(ab[2, m - 1:m])  # A[m, m-1] != 0
     A_ab = np.zeros((len(feeders), m))
     A_ab[:, m - 1] = ab[2, m - 1]
-    A_aa = ab[:, ai]
+    A_aa = ab[:, m:].copy()
     A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
     return Qinv, B, coupled, feeders, A_ab, A_aa
 
@@ -457,22 +441,25 @@ def _dense_blocks(gen, ladder, a0, cG, cup):
     """(Q^-1, B, coupled, feeders, A_ab, A_aa) of any chain, dense, for
     ``_ReducedLadderOps``: Q^-1 explicit, A_ab on the feeder rows only."""
 
-    bi, ai = ladder.below_indices, ladder.above_indices
-    m = len(bi)
-    Rb = rate_rows(gen, bi)
-    coupled = ai[np.any(Rb[:, ai] != 0.0, axis=0)]
+    m, N = ladder.n_below, ladder.n_states
+    Rb = rate_rows(gen, np.arange(m))
+    coupled = np.flatnonzero(np.any(Rb[:, m:] != 0.0, axis=0))
     # Q = (a0 + cup) I - cG R_bb in Fortran order, which LAPACK inverts
     # in place: no second m x m array is alive while A_eff is built
-    Q = np.multiply(Rb[:, bi], -cG, order="F")
+    Q = np.multiply(Rb[:, :m], -cG, order="F")
     Q[np.diag_indices(m)] += a0 + cup
     Qinv = inv(Q, overwrite_a=True, check_finite=False)
-    B = cG * Rb[:, coupled]
+    B = cG * Rb[:, m + coupled]
     del Rb
-    # level 0's above-barrier rows of a0 I - cG G
-    A = np.multiply(rate_rows(gen, ai), -cG)
-    A[np.arange(len(ai)), ai] += a0
-    feeders = np.flatnonzero(np.any(A[:, bi] != 0.0, axis=1))
-    return Qinv, B, coupled, feeders, A[np.ix_(feeders, bi)], A[:, ai]
+    # level 0's above-barrier rows of a0 I - cG G.  A_aa is copied out, so
+    # that A_eff does not keep the below-barrier columns alive, in Fortran
+    # order: the LCP's BLAS calls round differently on a C-order copy (jump
+    # down-out prices moved by up to 3e-13 relative)
+    A = rate_rows(gen, np.arange(m, N))
+    A *= -cG
+    A[np.arange(N - m), np.arange(m, N)] += a0
+    feeders = np.flatnonzero(np.any(A[:, :m] != 0.0, axis=1))
+    return Qinv, B, coupled, feeders, A[feeders, :m], A[:, m:].copy(order="F")
 
 
 def price_finite_downout(
@@ -500,11 +487,11 @@ def price_finite_downout(
     if contract.flavor is not Flavor.DOWN_OUT:
         raise ValueError("contract flavor must be down-out")
     require_horizon(timegrid, contract)
+    require_barrier(grid, contract, model)
 
     dt = timegrid.dt
     times = timegrid.times
-    below = grid.below_barrier(contract.barrier_state(model))
-    ladder = build_ladder(contract.window, dtick, below)
+    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     gens = slice_generators(model, grid, times, rate_policy, gen)
 
     f0 = contract.payoff_states(model, grid.states)
@@ -558,7 +545,7 @@ def _reduced(gens, ladder, f0, rate, dt):
             "level elimination needs a payoff that vanishes below the barrier"
         )
     C = np.zeros((len(gens), ladder.total))
-    f_above = f0[ladder.above_indices]
+    f_above = f0[ladder.n_below:]
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     warm = None
     for j, red in ops:

@@ -208,13 +208,13 @@ class TestStructuralInvariants:
             np.testing.assert_array_equal(dense[-1], 0.0)
 
     def test_transform_kernel_is_subprobability(self):
-        _, _, gen = _bs_setup()
-        H = parisian_transform(gen, window=1.0 / 12.0, rate=0.1, barrier=90.0)
+        _, grid, gen = _bs_setup()
+        H = parisian_transform(gen, window=1.0 / 12.0, rate=0.1, n_below=grid.n_below)
         assert np.min(H) >= -1e-12
         assert np.max(H.sum(axis=1)) <= 1.0 + 1e-10
         # discounting less can only raise each entry (pathwise e^{-r tau})
         H_lo = parisian_transform(gen, window=1.0 / 12.0, rate=0.02,
-                                  barrier=90.0)
+                                  n_below=grid.n_below)
         assert np.min(H_lo) >= -1e-12
         assert np.max(H_lo.sum(axis=1)) <= 1.0 + 1e-10
         assert np.all(H_lo >= H - 1e-12)
@@ -298,6 +298,41 @@ class TestStructuralInvariants:
             for D in windows
         ]
         assert fdo[0] < fdo[1] < fdo[2]
+
+    @pytest.mark.parametrize("payoff", ["call", "put"])
+    def test_every_pricer_rejects_a_barrier_off_the_grid_node(self, payoff):
+        # the grid's barrier node is 90; a contract barrier of 92 would be
+        # priced on the wrong below-barrier states.  The call takes the
+        # reduced down-out route, the put the stacked one.
+        model = bs_model(r_f=0.1, dividend=0.05, sigma=0.3)
+        grid = build_grid(18.0, 360.0, 90.0, 95.0, 48)
+        gen = build_generator(model, grid, 0.0, "error")
+        timegrid = TimeGrid(dt=0.1, horizon=0.5)
+        if payoff == "call":
+            f = american_call(95.0)
+        else:
+            f = lambda s: np.maximum(95.0 - np.asarray(s), 0.0)
+
+        def price(flavor, maturity, barrier):
+            c = ContractSpec(payoff=f, barrier=barrier, window=1.0 / 12.0,
+                             maturity=maturity, rate=0.1, flavor=flavor)
+            if flavor is Flavor.DOWN_IN and math.isinf(maturity):
+                return price_perpetual_downin(gen, c, model)
+            if flavor is Flavor.DOWN_IN:
+                return price_finite_downin(model, grid, timegrid, c)
+            if math.isinf(maturity):
+                return price_perpetual_downout(gen, c, model, dtick=1.0 / 36.0)
+            return price_finite_downout(model, grid, timegrid, c,
+                                        dtick=1.0 / 36.0)
+
+        for flavor in Flavor:
+            for maturity in (math.inf, 0.5):
+                with pytest.raises(ValueError, match="barrier node"):
+                    price(flavor, maturity, 92.0)
+                # a barrier off the node by round-off only is on it
+                np.testing.assert_array_equal(
+                    price(flavor, maturity, 90.0 * (1 + 1e-14)).values,
+                    price(flavor, maturity, 90.0).values)
 
     def test_barrier_contracts_bounded_by_vanilla(self):
         model, grid, gen = _bs_setup()

@@ -118,6 +118,13 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="self_benchmark"):
             _small_cfg(benchmark=26.3, self_benchmark=True)
 
+    def test_rate_policy_must_be_known(self):
+        # an unknown policy once constructed and failed every study row
+        with pytest.raises(ValueError, match="rate_policy"):
+            _small_cfg(rate_policy="clamp")
+        for policy in (None, "error", "upwind"):
+            assert _small_cfg(rate_policy=policy).rate_policy == policy
+
     def test_benchmark_is_optional(self):
         assert _small_cfg().benchmark is None
 
@@ -490,6 +497,12 @@ class TestCli:
         assert main(_PRICE_ARGS + ["--greeks"]) == 0
         out = capsys.readouterr().out
         assert "delta " in out and "gamma " in out
+
+    def test_price_rejects_an_unknown_rate_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(_PRICE_ARGS + ["--rate-policy", "clamp"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'clamp'" in capsys.readouterr().err
 
     def test_price_requires_grid_size(self, capsys):
         assert main(_PRICE_ARGS[:-2]) == 2

@@ -57,17 +57,19 @@ class TestBuildGrid:
 
     def test_barrier_indexing(self):
         g = build_grid(30, 270, 90.0, 95.0, 64)
-        barrier = int(g.below_mask.sum())  # the barrier node
-        assert g.states[barrier] == pytest.approx(90.0)
+        barrier = g.n_below  # the barrier node
+        assert g.states[barrier] == 90.0
         assert g.states[barrier - 1] < 90.0
         assert g.below_mask[:barrier].all() and not g.below_mask[barrier:].any()
-        # a barrier level off by round-off still puts the barrier node above
-        np.testing.assert_array_equal(g.below_barrier(90.0 * (1 + 1e-14)),
-                                      g.below_mask)
-        for level in (25.0, 60.0, 95.0, 300.0):
-            mask = g.below_barrier(level)
-            m = int(mask.sum())
-            assert mask[:m].all() and not mask[m:].any()
+        # a barrier level off by round-off is still the barrier node
+        assert g.is_barrier(90.0 * (1 + 1e-14))
+        assert not g.is_barrier(90.0 * (1 + 1e-11))
+        off = dataclasses.replace(g, barrier=90.0 * (1 + 1e-14))
+        assert off.n_below == barrier
+        # a barrier between two nodes is no barrier node
+        for level in (91.0, 25.0, 300.0):
+            with pytest.raises(ValueError, match="not a grid node"):
+                dataclasses.replace(g, barrier=level)
 
     def test_strike_below_barrier_mirrored(self):
         g = build_grid(30, 270, barrier=95.0, strike=90.0, n=96)
@@ -110,11 +112,11 @@ class TestBuildGrid:
         for x in (29.9, 270.1, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="outside the states"):
                 g.interp(vals, x)
-        # a mask restricts the states, here to those below the barrier
-        below = g.below_mask
-        assert g.interp(vals[below], 31.0, below) == pytest.approx(31.0)
+        # n restricts the states, here to those below the barrier
+        m = g.n_below
+        assert g.interp(vals[:m], 31.0, m) == pytest.approx(31.0)
         with pytest.raises(ValueError, match="outside the states"):
-            g.interp(vals[below], 90.0, below)
+            g.interp(vals[:m], 90.0, m)
 
 
 class TestTimeGrid:

@@ -116,7 +116,7 @@ class TestVanillaPerpetual:
 class TestParisianTransform:
     def test_structure_and_subprobability(self):
         grid, gen = small_bs_setup()
-        H = parisian_transform(gen, window=1 / 12, rate=0.10)
+        H = parisian_transform(gen, window=1 / 12, rate=0.10, n_below=grid.n_below)
         above = ~grid.below_mask
         assert H.shape == (grid.n_states, grid.n_states)
         assert np.all(H >= -1e-12)
@@ -126,8 +126,8 @@ class TestParisianTransform:
 
     def test_row_sums_decrease_with_window(self):
         grid, gen = small_bs_setup()
-        s1 = parisian_transform(gen, 1 / 24, 0.10).sum(axis=1)
-        s2 = parisian_transform(gen, 1 / 6, 0.10).sum(axis=1)
+        s1 = parisian_transform(gen, 1 / 24, 0.10, grid.n_below).sum(axis=1)
+        s2 = parisian_transform(gen, 1 / 6, 0.10, grid.n_below).sum(axis=1)
         assert np.all(s2 <= s1 + 1e-12)
 
     def test_tiny_window_approaches_first_touch_kernel(self):
@@ -135,7 +135,7 @@ class TestParisianTransform:
         R = gen.as_dense()
         below = grid.below_mask
         bi, ai = np.flatnonzero(below), np.flatnonzero(~below)
-        H = parisian_transform(gen, window=1e-9, rate=0.10)
+        H = parisian_transform(gen, window=1e-9, rate=0.10, n_below=grid.n_below)
         # below start: triggers on the spot
         assert np.allclose(H[np.ix_(bi, bi)], np.eye(len(bi)), atol=1e-6)
         # above start: discounted first-passage distribution into the
@@ -147,14 +147,12 @@ class TestParisianTransform:
 
     def test_empty_below_region_gives_zero(self):
         grid, gen = small_bs_setup()
-        H = parisian_transform(
-            gen, 1 / 12, 0.10, below=np.zeros(grid.n_states, bool)
-        )
+        H = parisian_transform(gen, 1 / 12, 0.10, n_below=0)
         assert np.allclose(H, 0.0)
 
     def test_matches_path_simulation(self):
         grid, gen = small_bs_setup(n=14)
-        H = parisian_transform(gen, window=1 / 12, rate=0.10)
+        H = parisian_transform(gen, window=1 / 12, rate=0.10, n_below=grid.n_below)
         x0 = int(np.searchsorted(grid.states, 90.0))
         sim = simulate_paths(gen, x0=x0, window=1 / 12, rate=0.10,
                              n_paths=20_000, rng_seed=7)
@@ -192,7 +190,7 @@ class TestPerpetualDownIn:
         grid, gen = small_bs_setup(n=32)
         contract = self.make_contract()
         res = price_perpetual_downin(gen, contract, BS)
-        H = parisian_transform(gen, contract.window, contract.rate)
+        H = parisian_transform(gen, contract.window, contract.rate, grid.n_below)
         assert np.allclose(res.values[0], H @ res.vanilla[0], atol=1e-10)
 
     def test_rejects_wrong_contract_kind(self):
@@ -219,14 +217,9 @@ class TestSliceKernels:
     def setup_method(self):
         self.rng = np.random.default_rng(11)
 
-    @staticmethod
-    def split(below):
-        return np.flatnonzero(below), np.flatnonzero(~below)
-
     def test_h_kernel_rows_columns_and_bounds(self):
         grid, gen = small_bs_setup()
-        bi, ai = self.split(grid.below_mask)
-        _, h1, _, _, hm, hp, _ = _slice_blocks(gen, bi, ai, 1 / 12, 1 / 60)
+        _, h1, _, _, hm, hp, _ = _slice_blocks(gen, grid.n_below, 1 / 12, 1 / 60)
         # up-cross before the tick: subprobability rows into the above block
         assert np.all(h1 >= -1e-14)
         assert np.all(h1.sum(axis=1) <= 1 + 1e-12)
@@ -245,8 +238,7 @@ class TestSliceKernels:
         # reaching state 1 before an exp(1/dt) tick is a / (a + 1/dt)
         a, dt = 3.0, 0.25
         R = np.array([[-a, a], [0.0, 0.0]])
-        bi, ai = self.split(np.array([True, False]))
-        _, h1, *_ = _slice_blocks(R, bi, ai, 0.5, dt)
+        _, h1, *_ = _slice_blocks(R, 1, 0.5, dt)
         assert h1[0, 0] == pytest.approx(a / (a + 1 / dt))
 
     def test_v_kernel_scalar_poisson_oracle(self):
@@ -256,7 +248,7 @@ class TestSliceKernels:
         lam = window / dt
         disc = self.rng.uniform(0.5, 2.0, size=(n_slices, 1))
         R = np.zeros((1, 1))
-        C = _finite_downin([R] * n_slices, disc, np.array([True]), window, dt)
+        C = _finite_downin([R] * n_slices, disc, 1, window, dt)
         from scipy.stats import poisson
         for j in range(n_slices - 1):
             ks = np.arange(n_slices - j)
@@ -273,8 +265,7 @@ class TestSliceKernels:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 C = _finite_downin([np.zeros((1, 1))] * n_slices,
-                                   np.ones((n_slices, 1)), np.array([True]),
-                                   1.0, dt)
+                                   np.ones((n_slices, 1)), 1, 1.0, dt)
             assert C[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_u_plus_quadrature_oracle(self):
@@ -287,15 +278,15 @@ class TestSliceKernels:
 
         n = 7
         R = random_generator(n, self.rng, scale=4.0)
-        below = np.arange(n) < 4
+        m = 4
         window, dt = 0.4, 0.1
-        bi, ai = self.split(below)
+        bi, ai = np.arange(m), np.arange(m, n)
         Gbb = R[np.ix_(bi, bi)]
         Gba = R[np.ix_(bi, ai)]
         n_slices = 4
         W = self.rng.uniform(0.5, 2.0, size=(n_slices, n))
         W[-1] = 0.0
-        C = _finite_downin([R] * n_slices, W, below, window, dt)
+        C = _finite_downin([R] * n_slices, W, m, window, dt)
         assert np.all(C[:-1, ai] > 0.0)
 
         M = Gbb - np.eye(len(bi)) / dt
@@ -316,13 +307,12 @@ class TestSliceKernels:
         n = 7
         R = random_generator(n, self.rng, scale=4.0)
         R[[0, -1]] = 0.0  # absorbing ends
-        below = np.arange(n) < 3
         dt = 0.2
         n_slices = 6
         W = self.rng.uniform(0.0, 1.5, size=(n_slices, n))
-        C = _finite_downin([R] * n_slices, W, below, 0.3, dt)
+        C = _finite_downin([R] * n_slices, W, 3, 0.3, dt)
 
-        bi, ai = self.split(below)
+        bi, ai = np.arange(3), np.arange(3, n)
         Gaa = R[np.ix_(ai, ai)]
         Gab = R[np.ix_(ai, bi)]
         E = np.linalg.inv(np.eye(len(ai)) - dt * Gaa)
@@ -345,8 +335,7 @@ class TestSliceKernels:
         np.fill_diagonal(R, 0.0)
         R[0, :] = 0.0
         np.fill_diagonal(R, -R.sum(axis=1))
-        bi, ai = self.split(np.arange(n) < min(m, n - 1))
-        _, h1, _, _, hm, hp, _ = _slice_blocks(R, bi, ai, window, dt)
+        _, h1, _, _, hm, hp, _ = _slice_blocks(R, min(m, n - 1), window, dt)
         for mat in (h1, h1 - hp, hp, hm):
             assert np.all(mat >= -1e-12)
             assert np.all(mat.sum(axis=1) <= 1 + 1e-10)

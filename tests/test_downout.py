@@ -73,8 +73,7 @@ def contract(flavor, window=1 / 12, maturity=math.inf, rate=0.1, strike=95.0):
 
 def route_inputs(model, grid, c, dtick):
     """(ladder, payoff on the states): what the private routes take."""
-    below = grid.below_barrier(c.barrier_state(model))
-    return (build_ladder(c.window, dtick, below),
+    return (build_ladder(c.window, dtick, grid.n_states, grid.n_below),
             c.payoff_states(model, grid.states))
 
 
@@ -90,23 +89,21 @@ def perpetual(route, gen, ladder, f0, rate):
 
 class TestDurationLadder:
     def test_tick_count_covers_window(self):
-        below = np.array([True, True, False])
         # exact divisor: 10 live ticks inside the window plus the first one past
-        lad = build_ladder(1 / 12, 1 / 120, below)
+        lad = build_ladder(1 / 12, 1 / 120, 3, 2)
         assert lad.n_ticks == 11
         # non-divisor window
-        lad2 = build_ladder(0.25, 0.1, below)
+        lad2 = build_ladder(0.25, 0.1, 3, 2)
         assert lad2.n_ticks == 3
 
     def test_slot_layout(self):
-        below = np.array([True, True, False, False])
-        lad = DurationLadder(n_states=4, below=below, n_ticks=3, dtick=0.1)
+        lad = DurationLadder(n_states=4, n_below=2, n_ticks=3, dtick=0.1)
         # live levels 0..2; the knock-out level 3 holds no slots
         assert lad.total == 4 + 2 * 2
         assert lad.level_slice(0) == slice(0, 4)
         assert lad.level_slice(1) == slice(4, 6)
         assert lad.level_slice(2) == slice(6, 8)
-        np.testing.assert_array_equal(lad.below_slots(0), [0, 1])
+        assert lad.below_slots(0) == slice(0, 2)
         assert lad.below_slots(2) == slice(6, 8)
         # levels past 0 hold the below-barrier states only
         np.testing.assert_array_equal(lad.slot_states,
@@ -115,8 +112,7 @@ class TestDurationLadder:
     def test_levels_outside_the_ladder_raise(self):
         # 10 states, 4 below, 6 ticks: level -1 once read level 0's states
         # 2..5; level 6, the knock-out, is off the ladder
-        below = np.arange(10) < 4
-        lad = DurationLadder(n_states=10, below=below, n_ticks=6, dtick=0.1)
+        lad = DurationLadder(n_states=10, n_below=4, n_ticks=6, dtick=0.1)
         assert lad.level_slice(5) == slice(26, 30)
         assert lad.total == 30
         for level in (-1, -2, 6, 7):
@@ -126,22 +122,21 @@ class TestDurationLadder:
                 lad.below_slots(level)
 
     def test_stack_payoff_layout(self):
-        below = np.array([True, False, True])
-        lad = DurationLadder(n_states=3, below=below, n_ticks=2, dtick=0.1)
+        lad = DurationLadder(n_states=3, n_below=2, n_ticks=2, dtick=0.1)
         f = np.array([5.0, 7.0, 9.0])
         stacked = lad.stack_payoff(f)
-        np.testing.assert_array_equal(stacked, [5.0, 7.0, 9.0, 5.0, 9.0])
+        np.testing.assert_array_equal(stacked, [5.0, 7.0, 9.0, 5.0, 7.0])
 
     def test_validation(self):
-        below = np.array([True, False])
         with pytest.raises(ValueError):
-            build_ladder(0.0, 0.1, below)
+            build_ladder(0.0, 0.1, 2, 1)
         with pytest.raises(ValueError):
-            build_ladder(0.5, -0.1, below)
+            build_ladder(0.5, -0.1, 2, 1)
+        for n_below in (-1, 3):  # outside 0..n_states
+            with pytest.raises(ValueError):
+                DurationLadder(n_states=2, n_below=n_below, n_ticks=2, dtick=0.1)
         with pytest.raises(ValueError):
-            DurationLadder(n_states=3, below=below, n_ticks=2, dtick=0.1)
-        with pytest.raises(ValueError):
-            DurationLadder(n_states=2, below=below, n_ticks=0, dtick=0.1)
+            DurationLadder(n_states=2, n_below=1, n_ticks=0, dtick=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +154,9 @@ class TestDurationGenerator:
     def test_row_sums_and_knockout_rate(self):
         rng = np.random.default_rng(22)
         R = self.random_chain(rng)
-        below = np.arange(9) < 4
         # 4 live levels, and one (window < dtick) where level 0 is the last
         for window in (0.3, 0.05):
-            lad = build_ladder(window, 0.1, below)
+            lad = build_ladder(window, 0.1, 9, 4)
             A = duration_generator(R, lad)
             assert A.format == "csr" and A.shape == (lad.total, lad.total)
             A = A.toarray()
@@ -182,8 +176,7 @@ class TestDurationGenerator:
         R = np.zeros((3, 3))
         R[0, 2] = 1.5  # below state jumping straight above the barrier
         np.fill_diagonal(R, -R.sum(axis=1))
-        below = np.array([True, True, False])
-        lad = build_ladder(0.2, 0.1, below)
+        lad = build_ladder(0.2, 0.1, 3, 2)
         A = duration_generator(R, lad).toarray()
         # state 0 is the first below-barrier slot of each deeper level
         r1, r2 = lad.level_slice(1).start, lad.level_slice(2).start
@@ -196,10 +189,9 @@ class TestDurationGenerator:
 
     def test_mask_disagreement_raises(self):
         model, grid, gen = small_bs_setup(n=24)
-        wrong = np.zeros(grid.n_states, dtype=bool)
-        wrong[:3] = True
-        lad = build_ladder(0.25, 0.1, wrong)
-        with pytest.raises(ValueError):
+        assert grid.n_below != 3
+        lad = build_ladder(0.25, 0.1, grid.n_states, 3)
+        with pytest.raises(ValueError, match="barrier node"):
             duration_generator(gen, lad)
 
 
@@ -231,7 +223,7 @@ class TestPerpetualDownOut:
             shallow = res.level_values(level - 1)
             deep = res.level_values(level)
             if level == 1:
-                shallow = shallow[res.ladder.below]
+                shallow = shallow[:res.ladder.n_below]
             assert np.all(deep <= shallow + 1e-10)
 
     def test_reduced_equals_stacked_bs(self):
@@ -358,6 +350,26 @@ class TestFiniteDownOut:
                              contract(Flavor.DOWN_OUT,
                                       maturity=0.25 * (1 + 1e-13)),
                              dtick=1 / 48)
+
+    def test_value_at_a_deeper_level_reads_the_below_barrier_states(self):
+        # levels past 0 hold the first n_below states only: a spot between
+        # them interpolates there, and the barrier node lies outside them
+        model, grid, gen = small_bs_setup(n=48)
+        res = price_finite_downout(model, grid, TimeGrid(dt=1 / 12, horizon=0.25),
+                                   contract(Flavor.DOWN_OUT, maturity=0.25),
+                                   dtick=1 / 36)
+        m = grid.n_below
+        below = grid.states[:m]
+        spots = (below[0], 0.5 * (below[3] + below[4]), 50.0, below[-1])
+        for level in range(1, res.ladder.n_ticks):
+            for j in (0, 1):
+                vals = res.level_values(level, j)
+                assert len(vals) == m and np.any(vals > 0.0)
+                for spot in spots:
+                    assert res.value_at(spot, slice_idx=j, level=level) == \
+                        np.interp(spot, below, vals)
+                with pytest.raises(ValueError, match="outside the states"):
+                    res.value_at(grid.states[m], slice_idx=j, level=level)
 
     def test_terminal_slice_is_zero(self):
         model, grid, gen = small_bs_setup(n=32)
@@ -496,13 +508,14 @@ class TestReducedRoute:
 
     def test_tridiagonal_a_eff_is_sparse_with_one_coupled_column(self):
         model, grid, gen = small_bs_setup(n=40)
-        ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
-        ai = ladder.above_indices
+        ladder = build_ladder(1 / 12, 1 / 36, grid.n_states, grid.n_below)
+        ai = np.arange(ladder.n_below, ladder.n_states)
         for dt in (None, 1 / 24):
             ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
             assert ops.A_eff.is_sparse and ops.A_eff.bands is not None
             assert ops.A_eff.n == ladder.n_states - ladder.n_below
-            np.testing.assert_array_equal(ops.coupled, [ladder.n_below])
+            # the barrier node, the first above-barrier state
+            np.testing.assert_array_equal(ops.coupled, [0])
             assert ops.factor_width == 1  # B itself: no factor on one column
             A_eff = ops.A_eff.to_dense()
             rows, cols = np.nonzero(A_eff)
@@ -525,7 +538,7 @@ class TestReducedRoute:
         # the band factor of Q^T against the explicit Q^-1 of the same chain
         # given as a plain matrix, on every product the recursion uses
         model, grid, gen = small_bs_setup(n=64)
-        ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+        ladder = build_ladder(1 / 12, 1 / 36, grid.n_states, grid.n_below)
         m = ladder.n_below
         rng = np.random.default_rng(14)
         for dt in (None, 1 / 24):
@@ -552,7 +565,7 @@ class TestReducedRoute:
         grid = build_grid(20.0, 180.0, 90.0, 95.0, 4000, "proportional")
         gen = build_generator(bs_model(r_f=0.1, dividend=0.05, sigma=0.3),
                               grid, 0.0, "error")
-        ladder = build_ladder(1 / 12, 1 / 120, grid.below_mask)
+        ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
         m = ladder.n_below
         assert m == 1750
         c_next = np.ones(ladder.total)
@@ -567,13 +580,6 @@ class TestReducedRoute:
                 tracemalloc.stop()
             assert peak < m * m * 8 / 16, (dt, peak)
 
-    def test_banded_elimination_needs_a_prefix_below_set(self):
-        model, grid, gen = small_bs_setup(n=40)
-        below = grid.below_mask.copy()
-        below[0] = False  # a below set that no barrier places
-        with pytest.raises(ValueError, match="prefix"):
-            _ReducedLadderOps(gen, build_ladder(1 / 12, 1 / 36, below), 0.1)
-
     def test_partly_coupled_hand_built_chain(self):
         # below rows 0..3 reach only above states 5 and 7
         rng = np.random.default_rng(5)
@@ -584,9 +590,10 @@ class TestReducedRoute:
         np.fill_diagonal(R, -R.sum(axis=1))
         below = np.arange(n) < 4
         f0 = np.where(below, 0.0, rng.uniform(0.5, 3.0, size=n))
-        ladder = build_ladder(0.3, 0.1, below)
+        ladder = build_ladder(0.3, 0.1, n, 4)
         ops = _ReducedLadderOps(R, ladder, 0.1)
-        np.testing.assert_array_equal(ops.coupled, [5, 7])
+        # states 5 and 7, numbered among the above-barrier states 4..8
+        np.testing.assert_array_equal(ops.coupled, [1, 3])
         assert rel_gap(perpetual(_reduced, R, ladder, f0, 0.1),
                        perpetual(_stacked, R, ladder, f0, 0.1)) <= 1e-12
         gens = [R] * 6
@@ -632,7 +639,7 @@ class TestReducedRoute:
             model, grid, gen = setup(n=40)
             c = dataclasses.replace(c, rate=rate)
             ladder, f0 = route_inputs(model, grid, c, dtick=1 / 36)
-            assert np.all(f0[ladder.below] == 0.0)
+            assert np.all(f0[:ladder.n_below] == 0.0)
             assert np.any(f0 < 0.0)
             red = perpetual(_reduced, gen, ladder, f0, rate)
             assert np.all(red >= 0.0)
@@ -662,7 +669,7 @@ class TestLowRankElimination:
         """The reduced operators; ``full`` builds them on B itself (W = I)."""
         factor = (lambda B, rtol: (B, None)) if full else low_rank_factor
         monkeypatch.setattr(pricer_downout, "low_rank_factor", factor)
-        ladder = build_ladder(below=grid.below_mask, **self.LADDER)
+        ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
         return _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
 
     def chains(self):
@@ -698,7 +705,7 @@ class TestLowRankElimination:
 
     def test_builds_are_bit_identical_and_leave_the_global_rng(self):
         model, grid, gen = small_vg_setup(n=64)
-        ladder = build_ladder(below=grid.below_mask, **self.LADDER)
+        ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
         before = np.random.get_state()
         ops = [_ReducedLadderOps(gen, ladder, 0.05, dt=1 / 60) for _ in range(2)]
         after = np.random.get_state()
@@ -754,7 +761,7 @@ class TestStackedRoute:
         tg = TimeGrid(dt=1 / 12, horizon=0.25)
         for _, setup, rate in PUT_SETUPS:
             model, grid, gen = setup(n=24)
-            ladder = build_ladder(1 / 12, 1 / 36, grid.below_mask)
+            ladder = build_ladder(1 / 12, 1 / 36, grid.n_states, grid.n_below)
             assert ladder.n_ticks == 4 and ladder.n_below > 0
             live = grid.n_states + 3 * ladder.n_below
             sizes.clear()
