@@ -1071,32 +1071,17 @@ def _collect_params(pairs: Optional[Sequence[str]]) -> Dict[str, float]:
     return out
 
 
-_SHARED_KEYS = (
-    "model",
-    "flavor",
-    "maturity",
-    "spot",
-    "strike",
-    "barrier",
-    "window",
-    "rate",
-    "dt",
-    "dd",
-    "lo",
-    "hi",
-    "split",
-    "payoff",
-    "rate_policy",
-)
+def _merge_config(args) -> Dict[str, object]:
+    """The config file's mapping, with every flag given whose ``dest`` is a
+    ``StudyConfig`` field laid over it (an unset flag parses to None) and the
+    ``--param`` pairs merged into the model parameters."""
 
-
-def _merge_config(args, extra_keys=()) -> Dict[str, object]:
     data: Dict[str, object] = {}
     if getattr(args, "config", None):
         data.update(load_config_file(args.config))
-    for key in _SHARED_KEYS + tuple(extra_keys):
-        value = getattr(args, key, None)
-        if value is not None:
+    fields = {f.name for f in dataclasses.fields(StudyConfig)}
+    for key, value in vars(args).items():
+        if key in fields and value is not None:
             data[key] = value
     params = _collect_params(getattr(args, "param", None))
     if params:
@@ -1163,20 +1148,7 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    data = _merge_config(
-        args,
-        extra_keys=(
-            "grids",
-            "benchmark",
-            "benchmark_note",
-            "order",
-            "csv_out",
-            "plot_out",
-        ),
-    )
-    if args.self_benchmark:
-        data["self_benchmark"] = True
-    cfg = StudyConfig.from_mapping(data)
+    cfg = StudyConfig.from_mapping(_merge_config(args))
     rows = run_study(cfg, jobs=args.jobs)
     benchmark = cfg.benchmark
     if cfg.self_benchmark and rows and rows[-1].price is not None:
@@ -1212,7 +1184,7 @@ def _cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parisian",
         description=(
@@ -1245,6 +1217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--self-benchmark",
         dest="self_benchmark",
         action="store_true",
+        default=None,
         help="use the finest grid's price as a pseudo-benchmark",
     )
     p_study.add_argument("--order", type=float, help="extrapolation order (default 2)")
@@ -1267,8 +1240,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument("--suite", required=True, choices=("dp", "kernels", "lcp"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(handler=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

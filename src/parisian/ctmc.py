@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from .models import JumpMeasure, ModelSpec
+from .numerics import LCPOperator
 
 # cells (rows x states) per jump assembly chunk, so that a chunk's
 # temporaries take the same memory on every grid
@@ -355,19 +355,15 @@ def slice_bands(gen: GeneratorMatrix, a0: float, cG: float) -> np.ndarray:
     return ab
 
 
-def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
-    """a0 I - cG G: sparse tridiagonal (a DIA matrix on ``slice_bands``) for
-    a tridiagonal chain, dense otherwise.
-
-    An ``LCPOperator`` holds the tridiagonal form as its three bands, so each
-    policy iteration on it is one O(N) banded factorization instead of a
-    dense solve.
-    """
+def slice_operator(
+    gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float
+) -> LCPOperator:
+    """The slice operator a0 I - cG G: held as its ``slice_bands`` on a
+    tridiagonal chain, so that each policy iteration on it is one O(N)
+    banded factorization instead of a dense solve, and dense otherwise."""
 
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-        n = gen.dimension
-        return sparse.dia_matrix((slice_bands(gen, a0, cG), (1, 0, -1)),
-                                 shape=(n, n))
+        return LCPOperator.from_bands(slice_bands(gen, a0, cG))
     # built in place on a fresh copy: no N x N temporaries beside it
     if isinstance(gen, GeneratorMatrix):
         A = gen.as_dense()
@@ -375,7 +371,7 @@ def slice_matrix(gen: Union[GeneratorMatrix, np.ndarray], a0: float, cG: float):
         A = np.array(gen, dtype=float)
     A *= -cG
     A[np.diag_indices(A.shape[0])] += a0
-    return A
+    return LCPOperator(A)
 
 
 def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:

@@ -8,11 +8,12 @@ LCP convention throughout is
 
 ``policy_solve`` (primal-dual active-set iteration) is the one production
 solver: every pricing LCP has an M-matrix (rate I - G, I - dt G or a duration
-ladder operator), on which it converges in finitely many steps.  It works on
-an ``LCPOperator``, which holds A once in solving form (three bands when A is
-sparse and tridiagonal, CSC when it is otherwise sparse and less than half
-full, dense otherwise) together with the LU factors of the last principal
-block A_FF it solved; a recursion that passes one operator to
+ladder operator), on which it converges in finitely many steps.  Every
+``LCPProblem`` holds its A as an ``LCPOperator``, in the one solving form
+chosen when the operator is built: three bands when the builder hands them
+over (``LCPOperator.from_bands``), CSC for a sparse A less than half full,
+dense otherwise.  The operator also keeps the LU factors of the last
+principal block A_FF it solved; a recursion that passes one operator to
 every clock slice factors A_FF once per distinct free set instead of once per
 iteration.  ``lemke_solve`` (pivoting) is kept as an independent reference
 for tests and ``parisian verify``.  Functions are pure apart from the factor
@@ -34,48 +35,9 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 
-MatrixLike = Union[np.ndarray, sparse.spmatrix]
-
-
-def _as_dense(A: MatrixLike) -> np.ndarray:
-    if isinstance(A, LCPOperator):
-        return A.to_dense()
-    if sparse.issparse(A):
-        return A.toarray()
-    return np.asarray(A, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # tridiagonal free blocks
 # ---------------------------------------------------------------------------
-
-
-def _tridiagonal_bands(A: sparse.spmatrix) -> Optional[np.ndarray]:
-    """The (3, n) LAPACK bands of a square sparse A of bandwidth <= 1:
-    ``ab[1 + i - j, j] = A[i, j]``; None for any other A.
-
-    A DIA matrix on the diagonals -1, 0, 1 already stores the bands: its
-    row for offset k is ``ab[1 - k]``, and only the two corners outside the
-    matrix are cleared (and a stored -0.0 becomes 0.0, as in the COO read).
-    """
-
-    n = A.shape[0]
-    if A.shape[1] != n:
-        return None
-    if A.format == "dia" and np.all(np.abs(A.offsets) <= 1):
-        ab = np.zeros((3, n))
-        w = min(n, A.data.shape[1])
-        ab[1 - A.offsets, :w] = A.data[:, :w] + 0.0
-        ab[0, :1] = ab[2, n - 1:] = 0.0
-        return ab
-    if A.nnz > 3 * n:
-        return None
-    coo = A.tocoo()
-    if np.any(np.abs(coo.col - coo.row) > 1):
-        return None
-    ab = np.zeros((3, n))
-    np.add.at(ab, (1 + coo.row - coo.col, coo.col), coo.data)
-    return ab
 
 
 def factor_tridiag(ab: np.ndarray, idx: np.ndarray, transposed: bool = False) -> tuple:
@@ -167,8 +129,8 @@ def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np
 _EXPM_MAX_MEAN = 50.0
 
 
-def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
-    """Dense exp(t G) for a (sub-)generator G via uniformization.
+def generator_expm(G: np.ndarray, t: float, tol: float = 1e-14) -> np.ndarray:
+    """Dense exp(t G) for a dense (sub-)generator G via uniformization.
 
     Requires nonnegative off-diagonal entries and row sums <= 0 so that
     P = I + G/rate is substochastic; the Poisson-weighted power series then
@@ -182,7 +144,7 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
 
     if t < 0:
         raise ValueError("t must be nonnegative")
-    Gd = _as_dense(G)
+    Gd = np.asarray(G, dtype=float)
     n = Gd.shape[0]
     if t == 0.0 or n == 0:
         return np.eye(n)
@@ -222,12 +184,14 @@ def generator_expm(G: MatrixLike, t: float, tol: float = 1e-14) -> np.ndarray:
 class LCPOperator:
     """The matrix A of a family of LCPs, held once in solving form.
 
-    A sparse A of bandwidth <= 1 (a tridiagonal chain's slice operator) is
-    held as its three bands ``bands`` in LAPACK (3, n) layout, which is also
-    the data of a DIA matrix with offsets (1, 0, -1); any other sparse A with
-    fewer than n^2/2 stored entries is converted to CSC once; anything else,
-    a sparse A at least half full included, is held dense, where a dense LU
-    is cheaper than a sparse one.  ``is_sparse`` is true for bands and CSC.
+    The code that builds A picks the form.  ``LCPOperator.from_bands`` takes
+    a tridiagonal A (a tridiagonal chain's slice operator) as its three
+    bands ``bands`` in LAPACK (3, n) layout, ``ab[1 + i - j, j] = A[i, j]``;
+    the operator keeps a DIA view on them for its products.
+    ``LCPOperator(A)`` takes any other A: a sparse A with fewer than n^2/2
+    stored entries is converted to CSC once, and anything else, a sparse A
+    at least half full included, is held dense, where a dense LU is cheaper
+    than a sparse one.  ``is_sparse`` is true for bands and CSC.
     The operator also keeps the LU factors (``factor_tridiag`` on bands,
     ``splu`` on CSC, ``lu_factor`` dense) of the last principal block A_FF
     that ``solve_free`` solved, keyed by the free index set F.  A solve on
@@ -238,23 +202,36 @@ class LCPOperator:
     an operator is not meant to be shared across threads.
     """
 
-    def __init__(self, A: MatrixLike):
-        self.bands = _tridiagonal_bands(A) if sparse.issparse(A) else None
-        if self.bands is not None:
-            self.matrix = sparse.dia_matrix((self.bands, (1, 0, -1)), shape=A.shape)
-        elif sparse.issparse(A) and 2 * A.nnz < math.prod(A.shape):
-            self.matrix = A.tocsc()
+    def __init__(self, A: Union[np.ndarray, sparse.spmatrix]):
+        if not sparse.issparse(A):
+            self._hold(np.asarray(A, dtype=float))
+        elif 2 * A.nnz < math.prod(A.shape):
+            self._hold(A.tocsc())
         else:
-            self.matrix = _as_dense(A)
-        self.is_sparse = sparse.issparse(self.matrix)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            self._hold(A.toarray())
+
+    @classmethod
+    def from_bands(cls, ab: np.ndarray) -> "LCPOperator":
+        """The tridiagonal operator with the (3, n) LAPACK bands ``ab``, which
+        it holds without a copy, as it does a dense A (the two corners
+        outside the matrix are never read)."""
+
+        ab = np.asarray(ab, dtype=float)
+        if ab.ndim != 2 or ab.shape[0] != 3:
+            raise ValueError(f"bands must have shape (3, n), got {ab.shape}")
+        op = cls.__new__(cls)
+        n = ab.shape[1]
+        op._hold(sparse.dia_matrix((ab, (1, 0, -1)), shape=(n, n)), ab)
+        return op
+
+    def _hold(self, matrix, bands: Optional[np.ndarray] = None) -> None:
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("A must be square")
+        self.matrix = matrix
+        self.bands = bands
+        self.is_sparse = sparse.issparse(matrix)
         self._free: Optional[np.ndarray] = None
         self._lu = None
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
     @property
     def n(self) -> int:
@@ -307,15 +284,16 @@ class LCPStatus(enum.Enum):
 class LCPProblem:
     """LCP data (A, psi): find z >= 0, A z + psi >= 0, z.(A z + psi) = 0.
 
-    ``A`` is a matrix or an ``LCPOperator`` built on one.
+    ``A`` is given as an ``LCPOperator`` or as a matrix, which is wrapped in
+    a new one here; either way the problem holds an operator.
     """
 
-    A: Union[MatrixLike, LCPOperator]
+    A: LCPOperator
     psi: np.ndarray
 
     def __post_init__(self):
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValueError("A must be square")
+        if not isinstance(self.A, LCPOperator):
+            object.__setattr__(self, "A", LCPOperator(self.A))
         if len(self.psi) != self.n:
             raise ValueError("psi length must match A dimension")
         if not np.all(np.isfinite(self.psi)):
@@ -323,7 +301,7 @@ class LCPProblem:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.n
 
     def residual_w(self, z: np.ndarray) -> np.ndarray:
         return self.A @ z + self.psi
@@ -388,7 +366,7 @@ def lemke_solve(
     if np.min(psi, initial=0.0) >= 0.0:
         return _finish(problem, np.zeros(n), 0, LCPStatus.SOLVED)
 
-    A = _as_dense(problem.A)
+    A = problem.A.to_dense()
     # tableau rows: basic-variable equations over columns
     # [w_0..w_{n-1} | z_0..z_{n-1} | z_art | rhs]
     T = np.zeros((n, 2 * n + 2))
@@ -466,9 +444,8 @@ def policy_solve(
     the sets from the signs of z and w = A z + psi.  Converges in finitely
     many iterations from any starting set for the M-matrix systems produced
     by the pricers.
-    ``problem.A`` may be an ``LCPOperator`` (a plain matrix is wrapped in a
-    new one): an iteration whose F equals the one the operator solved last,
-    in this call or an earlier one, reuses its factor, and
+    An iteration whose F equals the one ``problem.A`` solved last, in this
+    call or an earlier one, reuses its factor, and
     ``LCPSolution.factorizations`` counts the ones made.  For banded
     operators the free boundary can travel only one node per iteration, so
     the iteration cap scales with the problem size when ``A`` is sparse
@@ -477,7 +454,7 @@ def policy_solve(
 
     n = problem.n
     psi = np.asarray(problem.psi, dtype=float)
-    op = problem.A if isinstance(problem.A, LCPOperator) else LCPOperator(problem.A)
+    op = problem.A
     max_iter = _POLICY_MAX_ITER
     if op.is_sparse:
         max_iter = max(max_iter, _POLICY_ITER_PER_STATE * n)

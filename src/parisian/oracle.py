@@ -32,16 +32,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
 from scipy.stats import poisson
 
 from .bench_cli import build_named_model, reference_option
 from .ctmc import (
-    GeneratorMatrix,
     TimeGrid,
     build_generator,
     build_grid,
@@ -103,10 +101,10 @@ class UniformizedChain:
             raise ValueError("one-step matrix must be (sub)stochastic")
 
     @classmethod
-    def from_generator(
-        cls, gen: Union[GeneratorMatrix, np.ndarray]
-    ) -> "UniformizedChain":
-        R = gen.as_dense() if isinstance(gen, GeneratorMatrix) else np.asarray(gen, float)
+    def from_generator(cls, rates: np.ndarray) -> "UniformizedChain":
+        """The chain of the dense rate matrix ``rates``."""
+
+        R = np.asarray(rates, dtype=float)
         lam = float(np.max(-np.diag(R), initial=0.0))
         if lam <= 0.0:
             return cls(lam=0.0, probs=np.eye(R.shape[0]))
@@ -231,7 +229,7 @@ def lcp_by_enumeration(
 
 
 def dp_parisian_lattice(
-    gen: Union[GeneratorMatrix, np.ndarray],
+    rates: np.ndarray,
     below: np.ndarray,
     payoff: np.ndarray,
     rate: float,
@@ -243,7 +241,9 @@ def dp_parisian_lattice(
     vanilla_discounting: str = "activation",
     tol: float = 1e-11,
 ) -> np.ndarray:
-    """Backward induction over the full joint lattice, one value per slot.
+    """Backward induction over the full joint lattice, one value per slot,
+    for the chain of the dense rate matrix ``rates``, whose below-barrier
+    states are flagged in ``below``.
 
     ``flavor="down-out"`` runs the (duration level, spatial state) lattice
     with ``dtick`` clock resolution: per clock slice, the stopping fixed
@@ -265,7 +265,7 @@ def dp_parisian_lattice(
     below 1e5.
     """
 
-    R = gen.as_dense() if isinstance(gen, GeneratorMatrix) else np.asarray(gen, float)
+    R = np.asarray(rates, dtype=float)
     below = np.asarray(below, dtype=bool)
     payoff = np.asarray(payoff, dtype=float)
     J = int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1
@@ -343,23 +343,22 @@ def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discou
     times = np.arange(n_slices) * dt
     chain = UniformizedChain.from_generator(R)
 
-    # vanilla leg in time-zero dollars, slice by slice
-    W = np.zeros((n_slices, N))
-    if vanilla_discounting == "activation":
-        for j in range(J - 1, -1, -1):
-            W[j] = _fixed_point_stopping(
-                chain, payoff, kill=0.0, source_rate=1.0 / dt,
-                source=W[j + 1], tol=tol, v0=W[j + 1],
-            )
-        W = np.exp(-rate * times)[:, None] * W
-    elif vanilla_discounting == "exercise":
-        for j in range(J - 1, -1, -1):
-            W[j] = _fixed_point_stopping(
-                chain, math.exp(-rate * times[j]) * payoff, kill=0.0,
-                source_rate=1.0 / dt, source=W[j + 1], tol=tol, v0=W[j + 1],
-            )
-    else:
+    if vanilla_discounting not in ("activation", "exercise"):
         raise ValueError(f"unknown vanilla discounting {vanilla_discounting!r}")
+    exercise = vanilla_discounting == "exercise"
+
+    # vanilla leg in time-zero dollars, slice by slice: discounted from
+    # exercise, it stops on the discounted payoff; discounted from
+    # activation, it stops on the payoff and is discounted to its slice after
+    W = np.zeros((n_slices, N))
+    for j in range(J - 1, -1, -1):
+        obstacle = math.exp(-rate * times[j]) * payoff if exercise else payoff
+        W[j] = _fixed_point_stopping(
+            chain, obstacle, kill=0.0, source_rate=1.0 / dt,
+            source=W[j + 1], tol=tol, v0=W[j + 1],
+        )
+    if not exercise:
+        W = np.exp(-rate * times)[:, None] * W
 
     bi = np.flatnonzero(below)
     ai = np.flatnonzero(~below)
@@ -426,11 +425,6 @@ class ChainPath:
         if np.any(np.diff(self.states) == 0):
             raise ValueError("state must change at every event")
 
-    def first_passage(self, target_mask: np.ndarray) -> float:
-        """First time the path enters any state flagged in target_mask."""
-        hits = np.flatnonzero(target_mask[self.states])
-        return float(self.times[hits[0]]) if hits.size else math.inf
-
     def excursion_trigger(self, below_mask: np.ndarray, window: float):
         """First time the running stay below the barrier reaches ``window``.
 
@@ -495,17 +489,19 @@ class ParisianSimResult:
 
 
 def simulate_paths(
-    gen: Union[GeneratorMatrix, np.ndarray],
+    rates: np.ndarray,
     x0: int,
     window: float,
     rate: float,
     n_paths: int,
     rng_seed: int,
-    below: Optional[np.ndarray] = None,
+    below: np.ndarray,
     horizon: Optional[float] = None,
     batch_size: int = 100_000,
 ) -> ParisianSimResult:
-    """Estimate the discounted excursion-trigger kernel by simulation.
+    """Estimate the discounted excursion-trigger kernel by simulation of the
+    chain of the dense rate matrix ``rates``, whose below-barrier states are
+    flagged in ``below``.
 
     Tracks each path's state and its running below-barrier clock between
     exact exponential events; a path triggers when the clock reaches
@@ -517,14 +513,7 @@ def simulate_paths(
     above the barrier is degenerate (flagged, never triggers).
     """
 
-    if isinstance(gen, GeneratorMatrix):
-        R = gen.as_dense()
-        if below is None:
-            below = gen.grid.below_mask
-    else:
-        R = np.asarray(gen, dtype=float)
-    if below is None:
-        raise ValueError("need a below-barrier mask for plain matrices")
+    R = np.asarray(rates, dtype=float)
     below = np.asarray(below, dtype=bool)
     N = R.shape[0]
     if window < 0 or rate < 0:
@@ -679,10 +668,13 @@ def _verify_lcp(seed: int, emit) -> _Tally:
         worst = dict.fromkeys(solvers, 0.0)
         for trial in range(trials):
             n = int(rng.integers(2, 9))
-            if kind == "tridiagonal":  # an M-matrix held as its three bands
-                A = np.diag(-rng.uniform(0.1, 3.0, size=n - 1), -1)
-                A += np.diag(-rng.uniform(0.1, 3.0, size=n - 1), 1)
-                A[np.diag_indices(n)] = -A.sum(axis=1) + rng.uniform(0.1, 1.0, size=n)
+            if kind == "tridiagonal":  # an M-matrix, held as its three bands
+                ab = np.zeros((3, n))
+                ab[2, :-1] = -rng.uniform(0.1, 3.0, size=n - 1)  # A[i + 1, i]
+                ab[0, 1:] = -rng.uniform(0.1, 3.0, size=n - 1)  # A[i, i + 1]
+                off = np.append(0.0, ab[2, :-1]) + np.append(ab[0, 1:], 0.0)
+                ab[1] = -off + rng.uniform(0.1, 1.0, size=n)
+                A = LCPOperator.from_bands(ab)
             elif trial % 2 == 0:
                 B = rng.normal(size=(n, n))
                 A = B @ B.T + (0.2 + rng.uniform()) * n * np.eye(n)
@@ -691,9 +683,8 @@ def _verify_lcp(seed: int, emit) -> _Tally:
                 A += np.diag(np.abs(A).sum(axis=1) + rng.uniform(0.1, 1.0, size=n))
             psi = rng.normal(scale=2.0, size=n)
             with tally.check(kind):
-                z_ref, _ = lcp_by_enumeration(A, psi)
-                held = sparse.csc_matrix(A) if kind == "tridiagonal" else A
-                problem = LCPProblem(LCPOperator(held), psi)
+                problem = LCPProblem(A, psi)
+                z_ref, _ = lcp_by_enumeration(problem.A.to_dense(), psi)
                 ok = True
                 for name, solve in solvers.items():
                     sol = solve(problem)
@@ -801,9 +792,10 @@ def _verify_dp(seed: int, emit) -> _Tally:
         grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
         N = grid.n_states
         if bs_call:
-            R = build_generator(carrier, grid)
+            gen = build_generator(carrier, grid)
+            rates = gen.as_dense()
         else:
-            R = random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
+            gen = rates = random_generator(N, rng, conservative=bool(rng.integers(0, 2)))
         rate = float(rng.uniform(0.01, 0.2))
         dt = float(rng.uniform(0.05, 0.3))
         n_slices = int(rng.integers(2, 6))
@@ -828,10 +820,10 @@ def _verify_dp(seed: int, emit) -> _Tally:
         )
         with tally.check(kind + "out"):
             res = price_finite_downout(
-                carrier, grid, timegrid, c_out, dtick=dtick, gen=R
+                carrier, grid, timegrid, c_out, dtick=dtick, gen=gen
             )
             ora = dp_parisian_lattice(
-                R, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
+                rates, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
             )
             gap = _gap(res.values, ora)
             worst[kind + "out"] = max(worst[kind + "out"], gap)
@@ -840,10 +832,10 @@ def _verify_dp(seed: int, emit) -> _Tally:
         c_in = dataclasses.replace(c_out, flavor=Flavor.DOWN_IN)
         with tally.check(kind + "in"):
             res_in = price_finite_downin(
-                carrier, grid, timegrid, c_in, gen=R, vanilla_discounting=discounting
+                carrier, grid, timegrid, c_in, gen=gen, vanilla_discounting=discounting
             )
             ora_in = dp_parisian_lattice(
-                R, below, f, rate, dt, horizon, window, "down-in",
+                rates, below, f, rate, dt, horizon, window, "down-in",
                 vanilla_discounting=discounting,
             )
             gap = _gap(res_in.values, ora_in)
@@ -880,8 +872,9 @@ def _verify_dp(seed: int, emit) -> _Tally:
             res = price_finite_downout(
                 model, grid, timegrid, c_out, dtick=dtick, gen=gen
             )
+            below = grid.states < math.log(90.0) - 1e-12
             ora = dp_parisian_lattice(
-                gen, grid.below_mask, c_out.payoff_states(model, grid.states), rate,
+                gen.as_dense(), below, c_out.payoff_states(model, grid.states), rate,
                 timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
             )
             gap = _gap(res.values, ora)

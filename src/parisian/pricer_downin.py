@@ -40,7 +40,7 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     slice_generators,
-    slice_matrix,
+    slice_operator,
     slice_operators,
 )
 from .models import ModelSpec
@@ -245,7 +245,7 @@ def vanilla_american_perpetual(
     if np.any(f < 0):
         raise ValueError("payoff must be nonnegative")
     return american_surface(
-        [gen, gen], lambda g: LCPOperator(slice_matrix(g, rate, 1.0)), [f, f]
+        [gen, gen], lambda g: slice_operator(g, rate, 1.0), [f, f]
     )[0]
 
 
@@ -383,9 +383,7 @@ def price_finite_downin(
             "vanilla_discounting must be 'activation' or 'exercise', got "
             f"{vanilla_discounting!r}"
         )
-    W = american_surface(
-        gens, lambda g: LCPOperator(slice_matrix(g, 1.0, dt)), obstacles
-    )
+    W = american_surface(gens, lambda g: slice_operator(g, 1.0, dt), obstacles)
     if vanilla_discounting == "activation":
         W *= np.exp(-rate * times)[:, None]
 

@@ -354,7 +354,6 @@ class _ReducedLadderOps:
         rows = feeders[:, None]
         if banded:
             A[1 + rows - coupled, coupled] += fix
-            A = sparse.dia_matrix((A, (1, 0, -1)), shape=(A.shape[1],) * 2)
         else:
             A[rows, coupled] += fix
 
@@ -369,7 +368,7 @@ class _ReducedLadderOps:
         self.B = B
         self.cup = cup
         self.Qinv = Qinv
-        self.A_eff = LCPOperator(A)
+        self.A_eff = LCPOperator.from_bands(A) if banded else LCPOperator(A)
 
     def sources(self, c_next: np.ndarray) -> np.ndarray:
         """Source q of the above-barrier LCP from the next clock slice: its

@@ -1,6 +1,8 @@
 """Benchmark harness: extrapolation, studies, table configs, CLI verbs."""
 
+import argparse
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -239,6 +241,50 @@ class TestConfigFile:
         path.write_text("model bs\n")
         with pytest.raises(ValueError, match="bad config line"):
             load_config_file(path)
+
+
+def _verb_parsers():
+    parser = bench_cli._build_parser()
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return {verb: verbs.choices[verb] for verb in ("price", "study")}
+
+
+class TestMergeConfig:
+    FIELDS = {f.name for f in dataclasses.fields(StudyConfig)}
+
+    @pytest.mark.parametrize("verb", ["price", "study"])
+    def test_every_flag_naming_a_config_field_reaches_the_config(self, verb):
+        parser = _verb_parsers()[verb]
+        named = [a for a in parser._actions if a.dest in self.FIELDS]
+        assert {"model", "spot", "rate_policy"} <= {a.dest for a in named}
+        for action in named:
+            if action.nargs == 0:  # a switch
+                argv = [action.option_strings[-1]]
+            else:
+                value = action.choices[0] if action.choices else "7"
+                argv = [action.option_strings[-1], str(value)]
+            args = parser.parse_args(argv)
+            data = bench_cli._merge_config(args)
+            assert getattr(args, action.dest) is not None, argv
+            assert data == {action.dest: getattr(args, action.dest)}, argv
+        # a flag left out sets nothing
+        assert bench_cli._merge_config(parser.parse_args([])) == {}
+
+    def test_a_files_self_benchmark_stands_without_the_flag(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "model = bs\n"
+            "param.r_f = 0.1\nparam.dividend = 0.05\nparam.sigma = 0.3\n"
+            "flavor = down-in\nmaturity = perpetual\n"
+            "spot = 90\nstrike = 95\nbarrier = 90\nwindow = 0.08\nrate = 0.1\n"
+            "grids = 65, 97\nself_benchmark = true\n",
+            encoding="utf-8",
+        )
+        study = _verb_parsers()["study"]
+        args = study.parse_args(["--config", str(path), "--rate", "0.2"])
+        cfg = StudyConfig.from_mapping(bench_cli._merge_config(args))
+        assert cfg.self_benchmark is True and cfg.rate == 0.2
 
 
 # ---------------------------------------------------------------------------

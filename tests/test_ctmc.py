@@ -20,8 +20,9 @@ from parisian.ctmc import (
     jump_part,
     rate_rows,
     resolve_rate_policy,
+    slice_bands,
     slice_generators,
-    slice_matrix,
+    slice_operator,
     validate_generator,
 )
 from parisian.models import (
@@ -495,8 +496,8 @@ class TestSharedJumpPart:
             build_generator(KOU, small, jumps=jumps)
 
 
-class TestSliceMatrix:
-    def test_dense_branch_is_the_formula_on_a_fresh_array(self):
+class TestSliceOperator:
+    def test_dense_form_is_the_formula_on_a_fresh_array(self):
         g = build_grid(math.log(20), math.log(400), math.log(90),
                        math.log(95), 24)
         gen = build_generator(KOU, g)
@@ -505,10 +506,21 @@ class TestSliceMatrix:
         for a0, cG in ((0.05, 1.0), (1.0 + 0.05 / 12, 1 / 12)):
             expected = a0 * np.eye(len(R)) - cG * R
             for source in (R, gen):
-                A = slice_matrix(source, a0, cG)
-                np.testing.assert_array_equal(A, expected)
-                assert A is not R
+                op = slice_operator(source, a0, cG)
+                assert op.bands is None and not op.is_sparse
+                np.testing.assert_array_equal(op.to_dense(), expected)
+                assert op.to_dense() is not R
             np.testing.assert_array_equal(R, before)  # plain input untouched
+
+    def test_tridiagonal_form_holds_the_slice_bands(self):
+        g = build_grid(math.log(20), math.log(400), math.log(90),
+                       math.log(95), 24)
+        gen = build_generator(BS, g)
+        for a0, cG in ((0.05, 1.0), (1.0 + 0.05 / 12, 1 / 12)):
+            op = slice_operator(gen, a0, cG)
+            np.testing.assert_array_equal(op.bands, slice_bands(gen, a0, cG))
+            np.testing.assert_array_equal(
+                op.to_dense(), a0 * np.eye(gen.dimension) - cG * gen.as_dense())
 
 
 class TestChainPath:
@@ -525,16 +537,6 @@ class TestChainPath:
         assert tau2 == pytest.approx(3.0) and s2 == 0
         tau3, s3 = p.excursion_trigger(below, window=10.0)
         assert tau3 == math.inf and s3 is None
-
-    def test_first_passage(self):
-        below = np.array([True, True, False])
-        p = ChainPath(
-            times=np.array([0.0, 0.4, 1.0]),
-            states=np.array([0, 2, 1]),
-            horizon=5.0,
-        )
-        assert p.first_passage(~below) == pytest.approx(0.4)
-        assert p.first_passage(np.array([False, True, False])) == pytest.approx(1.0)
 
     def test_sample_path_reproducible(self):
         R = np.array([[-3.0, 3.0], [2.0, -2.0]])

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parisian.bench_cli import price_point, reference_option
-from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_matrix
+from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_operator
 from parisian.models import KouParams, bs_model, kou_model
-from parisian.numerics import LCPOperator, LCPProblem, lemke_solve
+from parisian.numerics import LCPProblem, lemke_solve
 from parisian.oracle import random_generator, sample_path, simulate_paths
 from parisian.pricer_downin import (
     ContractSpec,
@@ -154,8 +154,9 @@ class TestParisianTransform:
         grid, gen = small_bs_setup(n=14)
         H = parisian_transform(gen, window=1 / 12, rate=0.10, n_below=grid.n_below)
         x0 = int(np.searchsorted(grid.states, 90.0))
-        sim = simulate_paths(gen, x0=x0, window=1 / 12, rate=0.10,
-                             n_paths=20_000, rng_seed=7)
+        below = grid.states < 90.0 - 1e-9  # the barrier, stated independently
+        sim = simulate_paths(gen.as_dense(), x0=x0, window=1 / 12, rate=0.10,
+                             n_paths=20_000, rng_seed=7, below=below)
         err = np.abs(H[x0] - sim.estimate)
         assert np.all(err <= 3.0 * sim.std_error + 1e-4)
 
@@ -341,11 +342,6 @@ class TestSliceKernels:
             assert np.all(mat.sum(axis=1) <= 1 + 1e-10)
 
 
-def slice_operator(gen, dt):
-    """A fresh Bermudan slice operator I - dt G."""
-    return LCPOperator(slice_matrix(gen, 1.0, dt))
-
-
 class TestBermudanSlice:
     def test_two_state_hand_computation(self):
         # state 0 -> 1 with rate a; obstacle g; next-slice values c
@@ -353,7 +349,7 @@ class TestBermudanSlice:
         R = np.array([[-a, a], [0.0, 0.0]])
         g = np.array([1.0, 0.0])
         c = np.array([0.0, 3.0])
-        vals, _ = bermudan_slice(slice_operator(R, dt), c, g)
+        vals, _ = bermudan_slice(slice_operator(R, 1.0, dt), c, g)
         # continuation at 0: solve (I - dt G) x = c -> x0 = (c0 + dt a c1)/(1+dt a)
         cont0 = (0.0 + dt * a * 3.0) / (1 + dt * a)
         assert vals[1] == pytest.approx(3.0)
@@ -363,11 +359,11 @@ class TestBermudanSlice:
         grid, gen = small_bs_setup(n=30)
         f = np.maximum(grid.states - 95.0, 0.0)
         c = 1.1 * f + 0.5
-        cold, active = bermudan_slice(slice_operator(gen, 1 / 60), c, f)
-        shared = slice_operator(gen, 1 / 60)
+        cold, active = bermudan_slice(slice_operator(gen, 1.0, 1 / 60), c, f)
+        shared = slice_operator(gen, 1.0, 1 / 60)
         bermudan_slice(shared, c, f)
         warm, _ = bermudan_slice(shared, c, f, active)  # reuses the factor
-        again, _ = bermudan_slice(slice_operator(gen, 1 / 60), c, f, active)
+        again, _ = bermudan_slice(slice_operator(gen, 1.0, 1 / 60), c, f, active)
         assert np.allclose(cold, warm)
         assert np.allclose(cold, again)
 
@@ -379,7 +375,7 @@ class TestBermudanSlice:
         R[[0, -1]] = 0.0  # absorbing ends
         g = rng.uniform(0.0, 2.0, n)
         c = rng.uniform(0.0, 2.0, n)
-        vals, _ = bermudan_slice(slice_operator(R, dt), c, g)
+        vals, _ = bermudan_slice(slice_operator(R, 1.0, dt), c, g)
         resid = (np.eye(n) - dt * R) @ vals - c
         assert np.all(vals >= g - 1e-8)
         assert np.all(resid >= -1e-8)
@@ -401,7 +397,7 @@ class TestFiniteDownIn:
             W = np.zeros((len(gens), len(obstacles[0])))
             warm = None
             for j in range(len(gens) - 2, -1, -1):
-                W[j], warm = bermudan_slice(slice_operator(gens[j], dt),
+                W[j], warm = bermudan_slice(slice_operator(gens[j], 1.0, dt),
                                             W[j + 1], obstacles[j], warm)
             return W
 
@@ -430,7 +426,7 @@ class TestFiniteDownIn:
         obstacles = np.exp(-contract.rate * tg.times)[:, None] * f[None, :]
         fresh = fresh_slices(gens, obstacles, tg.dt)
         surface = american_surface(
-            gens, lambda g: slice_operator(g, tg.dt), obstacles)
+            gens, lambda g: slice_operator(g, 1.0, tg.dt), obstacles)
         np.testing.assert_array_equal(surface, fresh)
         switched = price_finite_downin(model, grid, tg, contract, gen=gens,
                                        vanilla_discounting="exercise")

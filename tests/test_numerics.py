@@ -40,18 +40,31 @@ def random_tridiagonal_m_matrix(rng, n):
     return A
 
 
+def bands(A):
+    """The (3, n) LAPACK bands ab[1 + i - j, j] = A[i, j] of a dense
+    tridiagonal A."""
+    ab = np.zeros((3, len(A)))
+    ab[0, 1:] = np.diagonal(A, 1)
+    ab[1] = np.diagonal(A)
+    ab[2, :-1] = np.diagonal(A, -1)
+    return ab
+
+
 class TestBandedOperator:
-    """A sparse tridiagonal operator is held as its bands and solves its free
+    """An operator built from its bands is held as them and solves its free
     blocks from them; the dense matrix is the reference."""
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
             LCPOperator(sparse.diags([np.ones(3), np.ones(3)], [0, 1], shape=(3, 4)))
+        for ab in (np.ones((2, 4)), np.ones((4, 4)), np.ones(3), np.ones((3, 4, 1))):
+            with pytest.raises(ValueError, match=r"\(3, n\)"):
+                LCPOperator.from_bands(ab)
 
     def test_identity_solve_returns_rhs(self):
         n = 7
-        op = LCPOperator(sparse.identity(n, format="csr"))
-        assert op.bands is not None and op.is_sparse
+        op = LCPOperator.from_bands(bands(np.eye(n)))
+        assert op.is_sparse
         b = np.arange(n, dtype=float)
         x, made = op.solve_free(np.ones(n, dtype=bool), b)
         assert made == 1
@@ -59,8 +72,7 @@ class TestBandedOperator:
 
     def test_two_by_two_forced_solution(self):
         # blocks of 1 and 2 rows, which the LAPACK wrapper rejects unpadded
-        op = LCPOperator(sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-        assert op.bands is not None
+        op = LCPOperator.from_bands(bands(np.array([[2.0, 1.0], [1.0, 2.0]])))
         x, _ = op.solve_free(np.ones(2, dtype=bool), np.array([3.0, 3.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-14)
         x, _ = op.solve_free(np.array([False, True]), np.array([3.0]))
@@ -70,8 +82,7 @@ class TestBandedOperator:
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 4, 9, 50):
             A = random_tridiagonal_m_matrix(rng, n)
-            op = LCPOperator(sparse.csc_matrix(A))
-            assert op.bands is not None
+            op = LCPOperator.from_bands(bands(A))
             masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
             for size in (1, 2):  # with a gap wherever n allows one
                 if size <= n:
@@ -95,39 +106,20 @@ class TestBandedOperator:
         A[3] = 0.0
         for free in (np.ones(6, dtype=bool), np.arange(6) >= 2,
                      np.arange(6) == 3):
-            for op in (LCPOperator(sparse.csr_matrix(A)), LCPOperator(A)):
+            for op in (LCPOperator.from_bands(bands(A)), LCPOperator(A)):
                 with pytest.raises(np.linalg.LinAlgError):
                     op.solve_free(free, np.ones(int(free.sum())))
-
-    def test_dia_input_is_read_from_its_data_rows(self):
-        # diagonals -1, 0, 1 in any order and any stored width, with nonzero
-        # data in the corners outside the matrix: the bands are the ones read
-        # from the same matrix in CSR form
-        rng = np.random.default_rng(11)
-        n = 6
-        for offsets in ((-1, 0, 1), (1, 0, -1), (0, 1), (0,)):
-            for width in (n - 2, n, n + 2):
-                data = rng.uniform(0.1, 1.0, size=(len(offsets), width))
-                dia = sparse.dia_matrix((data, offsets), shape=(n, n))
-                op = LCPOperator(dia)
-                np.testing.assert_array_equal(
-                    op.bands, LCPOperator(dia.tocsr()).bands)
-                np.testing.assert_array_equal(op.to_dense(), dia.toarray())
-        wide = sparse.dia_matrix((np.ones((2, n)), (0, 2)), shape=(n, n))
-        assert LCPOperator(wide).bands is None
 
     def test_transposed_factor_solves_with_the_block_itself(self):
         # row but not column diagonally dominant: partial pivoting swaps
         # rows on the block itself and none on its transpose
         A = np.array([[2.0, -1.5, 0.0], [-3.0, 4.0, -0.5], [0.0, -1.0, 2.0]])
-        ab = LCPOperator(sparse.csr_matrix(A)).bands
         idx = np.arange(3)
-        assert np.any(factor_tridiag(ab, idx)[0][4] != [1, 2, 3])
+        assert np.any(factor_tridiag(bands(A), idx)[0][4] != [1, 2, 3])
         rng = np.random.default_rng(12)
         for block in [A] + [random_tridiagonal_m_matrix(rng, n) for n in (1, 2, 40)]:
             n = len(block)
-            factor = factor_tridiag(LCPOperator(sparse.csr_matrix(block)).bands,
-                                    np.arange(n), transposed=True)
+            factor = factor_tridiag(bands(block), np.arange(n), transposed=True)
             lu = factor[0]
             np.testing.assert_array_equal(lu[4][:n], np.arange(1, n + 1))
             assert not np.any(lu[3])
@@ -142,7 +134,7 @@ class TestBandedOperator:
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
         A = random_tridiagonal_m_matrix(rng, 5)
-        op = LCPOperator(sparse.csr_matrix(A))
+        op = LCPOperator.from_bands(bands(A))
         np.testing.assert_array_equal(op.to_dense(), A)
         x = rng.normal(size=5)
         assert np.allclose(op @ x, A @ x, rtol=1e-15, atol=0.0)
@@ -151,8 +143,8 @@ class TestBandedOperator:
         # the contact point of the string travels one node per iteration:
         # more iterations than the dense cap, within the 4n of a sparse one
         A, psi, _ = obstacle_problem(500)
-        op = LCPOperator(sparse.csr_matrix(A))
-        assert op.bands is not None and op.is_sparse
+        op = LCPOperator.from_bands(bands(A))
+        assert op.is_sparse
         sol = policy_solve(LCPProblem(op, psi))
         assert sol.solved and 200 < sol.iterations <= 4 * 500
         dense = policy_solve(LCPProblem(A, psi))
@@ -323,24 +315,28 @@ class TestPsorAndFriends:
 class TestLCPOperator:
     """One operator across solves: the free block is factored once per set."""
 
-    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    @pytest.mark.parametrize("fmt", ["dense", "sparse", "bands"])
     def test_factor_reused_only_on_the_same_free_set(self, fmt):
         A, psi, _ = obstacle_problem(60)
-        matrix = sparse.csr_matrix(A) if fmt == "sparse" else A
-        op = LCPOperator(matrix)
+        build = {
+            "dense": lambda: LCPOperator(A),
+            "sparse": lambda: LCPOperator(sparse.csr_matrix(A)),
+            "bands": lambda: LCPOperator.from_bands(bands(A)),
+        }[fmt]
+        op = build()
         first = policy_solve(LCPProblem(op, psi))
         assert first.solved and first.factorizations == first.iterations
         # a scaled load keeps the contact set: the next "slice" factors nothing
         warm = first.z <= 0.0
         again = policy_solve(LCPProblem(op, 1.001 * psi), active0=warm)
         assert again.solved and again.factorizations == 0
-        fresh = policy_solve(LCPProblem(LCPOperator(matrix), 1.001 * psi),
+        fresh = policy_solve(LCPProblem(build(), 1.001 * psi),
                              active0=warm)
         assert fresh.factorizations == 1
         np.testing.assert_array_equal(again.z, fresh.z)
         # a lower left end moves the contact point: one new factorization
         _, psi_low, _ = obstacle_problem(60, left_height=0.5)
-        low = policy_solve(LCPProblem(LCPOperator(matrix), psi_low))
+        low = policy_solve(LCPProblem(build(), psi_low))
         moved = low.z <= 0.0
         assert not np.array_equal(moved, warm)
         changed = policy_solve(LCPProblem(op, psi_low), active0=moved)
@@ -356,20 +352,32 @@ class TestLCPOperator:
             for k in rng.permutation(len(off))[: nnz - 4]:
                 A[off[k]] = -rng.uniform(0.5, 2.0)
             assert LCPOperator(sparse.csr_matrix(A)).is_sparse is stays_sparse
-        # a full M-matrix stored dense solves like the dense operator, a
-        # banded one is held as its bands and solves like the banded operator
+        # a full M-matrix stored dense solves like the dense operator, bit
+        # for bit; a banded one is held as CSC (only bands handed over make a
+        # band operator) and solves like the operator on its bands
         full = 0.1 * np.eye(30) - random_generator(30, rng, density=1.0, scale=2.0)
+        q = 2.0 * rng.normal(size=30)
+        op = LCPOperator(sparse.csr_matrix(full))
+        assert not op.is_sparse
+        np.testing.assert_array_equal(op.to_dense(), full)
+        got = policy_solve(LCPProblem(op, q))
+        assert got.solved
+        np.testing.assert_array_equal(got.z, policy_solve(LCPProblem(full, q)).z)
         banded, psi, _ = obstacle_problem(60)
-        cases = ((full, 2.0 * rng.normal(size=30), LCPOperator(full)),
-                 (banded, psi, LCPOperator(sparse.csc_matrix(banded))))
-        for A, q, same in cases:
-            op = LCPOperator(sparse.csr_matrix(A))
-            assert op.is_sparse is same.is_sparse
-            assert (op.bands is None) is (same.bands is None) is (A is full)
-            np.testing.assert_array_equal(op.to_dense(), A)
-            got = policy_solve(LCPProblem(op, q))
-            assert got.solved
-            np.testing.assert_array_equal(got.z, policy_solve(LCPProblem(same, q)).z)
+        op = LCPOperator(sparse.csr_matrix(banded))
+        assert op.is_sparse and op.bands is None
+        np.testing.assert_array_equal(op.to_dense(), banded)
+        got = policy_solve(LCPProblem(op, psi))
+        ref = policy_solve(LCPProblem(LCPOperator.from_bands(bands(banded)), psi))
+        assert got.solved and got.iterations == ref.iterations
+        np.testing.assert_allclose(got.z, ref.z, rtol=0.0, atol=1e-12)
+
+    def test_problem_holds_one_operator(self):
+        A, q = random_pd_lcp(np.random.default_rng(6), 5)
+        op = LCPOperator(A)
+        assert LCPProblem(op, q).A is op
+        wrapped = LCPProblem(A, q).A
+        assert isinstance(wrapped, LCPOperator) and wrapped.to_dense() is A
 
     def test_lemke_accepts_an_operator(self):
         rng = np.random.default_rng(5)

@@ -186,6 +186,7 @@ class TestDpParisianLattice:
         model = bs_model(r_f=0.1, dividend=0.05, sigma=0.3)
         grid = build_grid(10.0, 360.0, 90.0, 95.0, 16, "proportional")
         gen = build_generator(model, grid, 0.0, "error")
+        below = grid.states < 90.0 - 1e-9  # the barrier, stated independently
         dt, horizon = 1 / 12, 0.25
         put = lambda s: np.maximum(95.0 - s, 0.0)
         for payoff in (american_call(95.0), put):
@@ -198,7 +199,7 @@ class TestDpParisianLattice:
                                            c_out, dtick=1 / 24, gen=gen)
                 assert res.ladder.n_ticks == n_ticks
                 f = c_out.payoff_states(model, grid.states)
-                ora = dp_parisian_lattice(gen, grid.below_mask, f, 0.1, dt,
+                ora = dp_parisian_lattice(gen.as_dense(), below, f, 0.1, dt,
                                           horizon, window, "down-out",
                                           dtick=1 / 24)
                 assert res.values.shape == ora.shape
