@@ -480,12 +480,8 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> List[StudyRow]:
     """
 
     timed = _price_rows(cfg, jobs)
-    benchmark = cfg.benchmark
-    skip_error_ns = set()
-    if cfg.self_benchmark:
-        finest_n, finest_price = timed[-1][0], timed[-1][1]
-        benchmark = finest_price
-        skip_error_ns = {finest_n}
+    benchmark = _study_benchmark(cfg, timed[-1][1])
+    skip_error_ns = {timed[-1][0]} if cfg.self_benchmark else set()
 
     rows: List[StudyRow] = []
     prev: Optional[Tuple[int, float]] = None
@@ -524,12 +520,38 @@ def run_study(cfg: StudyConfig, jobs: int = 1) -> List[StudyRow]:
     return rows
 
 
+def _study_benchmark(
+    cfg: StudyConfig, finest_price: Optional[float]
+) -> Optional[float]:
+    """The study's benchmark: the configured one, or with ``self_benchmark``
+    the finest grid's price (None if that grid failed)."""
+
+    return finest_price if cfg.self_benchmark else cfg.benchmark
+
+
 def _fmt(x: Optional[float], spec: str) -> str:
     return "" if x is None else format(x, spec)
 
 
 def _fmt_pct(x: Optional[float]) -> str:
     return "" if x is None else format(100.0 * x, ".4f")
+
+
+def _study_cells(r: StudyRow, benchmark: Optional[float]) -> List[str]:
+    """One study row's ``STUDY_COLUMNS`` cells; relative errors are
+    percentages."""
+
+    return [
+        str(r.n),
+        _fmt(benchmark, ".4f"),
+        _fmt(r.price, ".4f"),
+        _fmt(r.abs_error, ".4f"),
+        _fmt_pct(r.rel_error),
+        _fmt(r.seconds, ".3f"),
+        _fmt(r.extrapolated, ".4f"),
+        _fmt(r.extra_abs_error, ".4f"),
+        _fmt_pct(r.extra_rel_error),
+    ]
 
 
 def write_study_csv(
@@ -541,19 +563,7 @@ def write_study_csv(
         writer = csv.writer(fh)
         writer.writerow(STUDY_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.n,
-                    _fmt(benchmark, ".4f"),
-                    _fmt(r.price, ".4f"),
-                    _fmt(r.abs_error, ".4f"),
-                    _fmt_pct(r.rel_error),
-                    _fmt(r.seconds, ".3f"),
-                    _fmt(r.extrapolated, ".4f"),
-                    _fmt(r.extra_abs_error, ".4f"),
-                    _fmt_pct(r.extra_rel_error),
-                ]
-            )
+            writer.writerow(_study_cells(r, benchmark))
 
 
 def write_plot_csv(rows: Sequence[StudyRow], path) -> None:
@@ -1150,18 +1160,10 @@ def _cmd_price(args) -> int:
 def _cmd_study(args) -> int:
     cfg = StudyConfig.from_mapping(_merge_config(args))
     rows = run_study(cfg, jobs=args.jobs)
-    benchmark = cfg.benchmark
-    if cfg.self_benchmark and rows and rows[-1].price is not None:
-        benchmark = rows[-1].price
-    header = " ".join(f"{c:>10}" for c in STUDY_COLUMNS)
-    print(header)
+    benchmark = _study_benchmark(cfg, rows[-1].price)
+    print(" ".join(f"{c:>10}" for c in STUDY_COLUMNS))
     for r in rows:
-        print(
-            f"{r.n:>10} {_fmt(benchmark, '.4f'):>10} {_fmt(r.price, '.4f'):>10}"
-            f" {_fmt(r.abs_error, '.4f'):>10} {_fmt_pct(r.rel_error):>10}"
-            f" {_fmt(r.seconds, '.3f'):>10} {_fmt(r.extrapolated, '.4f'):>10}"
-            f" {_fmt(r.extra_abs_error, '.4f'):>10} {_fmt_pct(r.extra_rel_error):>10}"
-        )
+        print(" ".join(f"{c:>10}" for c in _study_cells(r, benchmark)))
         if r.error:
             print(f"           !! {r.error}")
     return 1 if any(r.error for r in rows) else 0

@@ -127,15 +127,17 @@ def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np
 
 # the largest Poisson mean the uniformized series is summed at
 _EXPM_MAX_MEAN = 50.0
+# the Poisson tail mass at which the uniformized series is truncated
+_EXPM_TAIL = 1e-14
 
 
-def generator_expm(G: np.ndarray, t: float, tol: float = 1e-14) -> np.ndarray:
+def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     """Dense exp(t G) for a dense (sub-)generator G via uniformization.
 
     Requires nonnegative off-diagonal entries and row sums <= 0 so that
     P = I + G/rate is substochastic; the Poisson-weighted power series then
     has nonnegative terms and is truncated once the remaining Poisson tail
-    drops below ``tol``.  Exact to truncation level (no time-step bias).
+    drops below ``_EXPM_TAIL``.  Exact to truncation level (no time-step bias).
     The series starts from the weight e^{-a}, a = rate t, which underflows
     once a passes about 745, and takes about a terms; past a = 50 it runs on
     exp((t / 2^k) G) with a / 2^k <= 50 instead and the result is squared k
@@ -169,7 +171,7 @@ def generator_expm(G: np.ndarray, t: float, tol: float = 1e-14) -> np.ndarray:
         weight *= a / j
         out += weight * term
         consumed += weight
-        if 1.0 - consumed < tol and j > a:
+        if 1.0 - consumed < _EXPM_TAIL and j > a:
             break
     for _ in range(squarings):
         out = out @ out

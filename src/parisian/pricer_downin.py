@@ -3,7 +3,9 @@
 Perpetual contracts use the excursion-transform closed forms: the value is
 H_p(r) c_p, where c_p is the perpetual American value on the chain and
 H_p(r, x, y) = E_x[e^{-r tau} 1{Y_tau = y}] for tau the first time the stay
-below the barrier reaches the window length.
+below the barrier reaches the window length.  Discounting at r is killing
+at an exponential time of rate r, so H_p(r) is one slice of the finite
+recursion below at dt = 1/r, solved on that slice's blocks.
 
 Finite-maturity contracts run one backward slice recursion in the discounted
 variable C~(t) = e^{-rt} C(t), for tridiagonal, dense and time-dependent
@@ -261,47 +263,25 @@ def parisian_transform(
 
     The states below the barrier are the first ``n_below``.  Columns at
     states >= barrier are identically zero (the trigger always happens
-    strictly below).  A zero rate with a recurrent or absorbing
-    below-barrier sub-chain makes the resolvent singular; this is reported,
-    not masked.
+    strictly below).  H is the slice system of ``_slice_blocks`` at
+    dt = 1/rate, since discounting at ``rate`` is killing at an exponential
+    time of that rate: H[below] = X solves (I - hp hm) X = e^{-rate window} E
+    and H[above] = hm X.  A positive rate makes rate I - G_bb and
+    rate I - G_aa strictly diagonally dominant M-matrices; at rate 0, G_bb
+    is singular on a chain with an absorbing state below the barrier, as
+    every ``build_grid`` chain has.
     """
 
-    if window < 0 or rate < 0:
-        raise ValueError("window and rate must be nonnegative")
-    R = dense_rates(gen)
-    N, m = len(R), n_below
-    H = np.zeros((N, N))
-    if m == 0:
-        return H  # no below states: the trigger never fires
-    Gbb = R[:m, :m]
-    disc = math.exp(-rate * window)
-
-    # survival operator of the window: exp(G_bb * window) on the below block
-    VP = generator_expm(Gbb, window)
-
-    try:
-        resolv_b = np.linalg.solve(rate * np.eye(m) - Gbb, R[:m, m:])
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "singular below-barrier resolvent (rate = 0 with a recurrent or "
-            f"absorbing below-barrier sub-chain): {exc}"
-        ) from exc
-    # up-crossing before the window completes, net of the completed-window part
-    Rblock = (np.eye(m) - disc * VP) @ resolv_b
-
-    S = np.zeros((N - m, m))
-    if m < N:
-        try:
-            S = np.linalg.solve(rate * np.eye(N - m) - R[m:, m:], R[m:, :m])
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "singular above-barrier resolvent (rate = 0 with a recurrent "
-                f"above-barrier sub-chain): {exc}"
-            ) from exc
-
-    X = np.linalg.solve(np.eye(m) - Rblock @ S, VP)
-    H[:m, :m] = disc * X
-    H[m:, :m] = disc * (S @ X)
+    if window < 0 or rate <= 0:
+        raise ValueError("the trigger kernel needs window >= 0 and rate > 0")
+    m = n_below
+    if m == 0:  # no below states: the trigger never fires
+        return np.zeros((len(dense_rates(gen)),) * 2)
+    _, _, E, _, hm, _, slice_lu = _slice_blocks(gen, m, window, 1.0 / rate)
+    X = math.exp(-rate * window) * lu_solve(slice_lu, E)
+    H = np.zeros((m + len(hm),) * 2)
+    H[:m, :m] = X
+    H[m:, :m] = hm @ X
     return H
 
 

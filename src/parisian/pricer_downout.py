@@ -513,9 +513,16 @@ def _slice_coefficients(rate: float, dt: Optional[float]):
 
 def _ladder_slice_operator(gen, ladder, rate, dt) -> LCPOperator:
     """The stacked slice operator a0 I - cG A of the ladder (see
-    ``_slice_coefficients``)."""
+    ``_slice_coefficients``).  A one-level ladder on a tridiagonal chain is
+    the chain's own operator with the knock-out tick on the below-barrier
+    diagonal, held as its bands; any other is assembled sparse."""
 
     a0, cG = _slice_coefficients(rate, dt)
+    tridiagonal = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
+    if ladder.n_ticks == 1 and tridiagonal:
+        ab = slice_bands(gen, a0, cG)
+        ab[1, :ladder.n_below] += cG / ladder.dtick
+        return LCPOperator.from_bands(ab)
     eye = sparse.identity(ladder.total, format="csr")
     return LCPOperator(a0 * eye - cG * duration_generator(gen, ladder))
 

@@ -630,6 +630,28 @@ class TestCli:
         assert "Grid" in capsys.readouterr().out
         assert out_csv.exists()
 
+    def test_study_verb_prints_its_csv_cells(self, tmp_path, capsys):
+        # self-benchmarked, so the finest row has empty error cells
+        out_csv = tmp_path / "study.csv"
+        args = [
+            "study", "--model", "bs", "--flavor", "down-in",
+            "--maturity", "perpetual",
+            "--spot", "90", "--strike", "95", "--barrier", "90",
+            "--window", "0.08333333333333333", "--rate", "0.1",
+            "--param", "r_f=0.1", "--param", "dividend=0.05",
+            "--param", "sigma=0.3",
+            "--ymin", "0", "--ymax", "720", "--grids", "33,49,65",
+            "--self-benchmark", "--out", str(out_csv),
+        ]
+        assert main(args) == 0
+        printed = capsys.readouterr().out.splitlines()
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            cells = list(csv.reader(fh))
+        assert len(cells) == len(printed) == 4
+        assert cells[-1][3] == "" and cells[1][1] == cells[-1][2]
+        for line, row in zip(printed, cells):
+            assert line == " ".join(f"{c:>10}" for c in row)
+
     def test_verify_verb(self, monkeypatch, capsys):
         # the verb's wiring only: each suite's content runs once, in
         # tests/test_oracle.py::test_verify_suite_passes

@@ -161,6 +161,14 @@ class TestParisianTransform:
         assert np.all(err <= 3.0 * sim.std_error + 1e-4)
 
 
+@pytest.mark.parametrize("rate", [0.0, -0.1])
+def test_transform_rejects_a_rate_that_is_not_positive(rate):
+    # at rate 0 the grid chain's absorbing bottom state makes G_bb singular
+    grid, gen = small_bs_setup()
+    with pytest.raises(ValueError, match="rate > 0"):
+        parisian_transform(gen, 1 / 12, rate, grid.n_below)
+
+
 class TestPerpetualDownIn:
     def make_contract(self, window=1 / 12):
         return ContractSpec(american_call(95.0), barrier=90.0, window=window,

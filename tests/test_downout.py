@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_generators
 from parisian.models import bs_model, kou_model, vg_model, KouParams, VGParams
@@ -18,7 +19,7 @@ from parisian.pricer_downin import (
     vanilla_american_perpetual,
 )
 from parisian import pricer_downin, pricer_downout
-from parisian.numerics import low_rank_factor, policy_solve
+from parisian.numerics import LCPOperator, low_rank_factor, policy_solve
 from parisian.pricer_downout import (
     DurationLadder,
     _ReducedLadderOps,
@@ -787,3 +788,30 @@ class TestStackedRoute:
             auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
             np.testing.assert_array_equal(
                 auto.values[0], perpetual(_stacked, gen, ladder, f0, rate))
+
+    def test_one_level_ladder_on_a_tridiagonal_chain_is_banded(self, monkeypatch):
+        # dd > window: one live level, whose operator is the chain's own
+        # tridiagonal one with the knock-out tick on the below diagonal
+        model, grid, gen = small_bs_setup(n=48)
+        ladder = build_ladder(1 / 12, 1 / 10, grid.n_states, grid.n_below)
+        assert ladder.n_ticks == 1 and ladder.n_below > 0
+        op = pricer_downout._ladder_slice_operator(gen, ladder, 0.1, 1 / 12)
+        assert op.bands is not None
+        tg = TimeGrid(dt=1 / 12, horizon=0.25)
+
+        def put_surfaces():
+            return (price_perpetual_downout(gen, put_contract(math.inf, 0.1),
+                                            model, dtick=1 / 10).values,
+                    price_finite_downout(model, grid, tg, put_contract(0.25, 0.1),
+                                         dtick=1 / 10).values)
+
+        def as_csc(gen, ladder, rate, dt):
+            a0, cG = pricer_downout._slice_coefficients(rate, dt)
+            eye = sparse.identity(ladder.total, format="csr")
+            return LCPOperator(a0 * eye - cG * duration_generator(gen, ladder))
+
+        banded = put_surfaces()
+        monkeypatch.setattr(pricer_downout, "_ladder_slice_operator", as_csc)
+        assert as_csc(gen, ladder, 0.1, 1 / 12).bands is None
+        for got, ref in zip(banded, put_surfaces()):
+            assert rel_gap(got, ref) <= 1e-12
