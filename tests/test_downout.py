@@ -66,6 +66,21 @@ def kou_sigma_t(model):
                                                (0.3 * (1 + t / 2)) ** 2))
 
 
+def jump_chains(n=64):
+    """(name, generator, grid): the Kou and VG chains, and the first and
+    last slice of a Kou chain with sigma(t)."""
+    out = []
+    for name, setup in (("kou", small_kou_setup), ("vg", small_vg_setup)):
+        model, grid, gen = setup(n=n)
+        out.append((name, gen, grid))
+    model, grid, _ = small_kou_setup(n=n)
+    tg = TimeGrid(dt=1 / 12, horizon=0.5)
+    gens = slice_generators(kou_sigma_t(model), grid, tg.times)
+    out += [("kou sigma(t) first", gens[0], grid),
+            ("kou sigma(t) last", gens[-1], grid)]
+    return out
+
+
 def contract(flavor, window=1 / 12, maturity=math.inf, rate=0.1, strike=95.0):
     return ContractSpec(payoff=american_call(strike), barrier=90.0,
                         window=window, maturity=maturity, rate=rate,
@@ -551,12 +566,14 @@ class TestReducedRoute:
             assert not np.any(lu[3])
             assert rel_gap(ops.A_eff.to_dense(), dense.A_eff.to_dense()) <= 1e-15
             c_next = rng.uniform(0.0, 2.0, size=ladder.total)
-            q = ops.sources(c_next)
-            assert rel_gap(q, dense.sources(c_next)) <= 1e-13, dt
+            q, levels = ops.sources(c_next)
+            q_dense, levels_dense = dense.sources(c_next)
+            assert rel_gap(q, q_dense) <= 1e-13, dt
+            assert rel_gap(levels, levels_dense) <= 1e-13, dt
             assert np.all(q >= 0.0)
             c = rng.uniform(0.0, 2.0, size=len(q))
-            out = ops.expand(c, c_next)
-            assert rel_gap(out, dense.expand(c, c_next)) <= 1e-13, dt
+            out = ops.expand(c, levels)
+            assert rel_gap(out, dense.expand(c, levels_dense)) <= 1e-13, dt
             assert np.all(out >= 0.0)
 
     def test_banded_elimination_allocates_no_dense_block(self):
@@ -574,12 +591,56 @@ class TestReducedRoute:
             tracemalloc.start()
             try:
                 ops = _ReducedLadderOps(gen, ladder, 0.1, dt=dt)
-                ops.expand(np.ones(ops.A_eff.n), c_next)
-                ops.sources(c_next)
+                _, levels = ops.sources(c_next)
+                ops.expand(np.ones(ops.A_eff.n), levels)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < m * m * 8 / 16, (dt, peak)
+
+    def test_expand_reads_the_levels_sources_found(self):
+        # one level sweep per slice: ``sources`` applies Q^-1 once per level,
+        # ``expand`` never; its values are the two-sweep recursion's,
+        # C_k = Q^-1 (B c[coupled] + cup C_{k+1} + c_next[k]) on the exact B
+        class CountingInverse:
+            def __init__(self, Qinv):
+                self.Qinv, self.calls = Qinv, 0
+
+            def __matmul__(self, b):
+                self.calls += 1
+                return self.Qinv @ b
+
+        model, grid, gen = small_bs_setup(n=64)
+        chains = [("bs", gen, grid), ("bs dense", gen.as_dense(), grid)]
+        rate = 0.05
+        rng = np.random.default_rng(21)
+        for name, gen, grid in chains + jump_chains():
+            ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+            m, N, K = ladder.n_below, ladder.n_states, ladder.n_ticks
+            R = gen if isinstance(gen, np.ndarray) else gen.as_dense()
+            for dt in (None, 1 / 24):
+                ops = _ReducedLadderOps(gen, ladder, rate, dt=dt)
+                counting = ops.Qinv = CountingInverse(ops.Qinv)
+                c_next = rng.uniform(0.0, 2.0, size=ladder.total)
+                c = rng.uniform(0.0, 2.0, size=N - m)
+                _, levels = ops.sources(c_next)
+                assert counting.calls == K, (name, dt)
+                out = ops.expand(c, levels)
+                assert counting.calls == K, (name, dt)
+
+                a0, cG = (rate, 1.0) if dt is None else (1 + rate * dt, dt)
+                cup = cG / ladder.dtick
+                Q = (a0 + cup) * np.eye(m) - cG * R[:m, :m]
+                feed = cG * R[:m, m + ops.coupled] @ c[ops.coupled]
+                ref = np.zeros(ladder.total)
+                ref[m:N] = c
+                level = np.zeros(m)
+                for k in range(K - 1, -1, -1):
+                    slots = ladder.below_slots(k)
+                    level = np.linalg.solve(Q, feed + cup * level + c_next[slots])
+                    ref[slots] = level
+                assert rel_gap(out, ref) <= 1e-13, (name, dt)
+                assert np.all(out >= 0.0), (name, dt)
 
     def test_partly_coupled_hand_built_chain(self):
         # below rows 0..3 reach only above states 5 and 7
@@ -673,22 +734,8 @@ class TestLowRankElimination:
         ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
         return _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
 
-    def chains(self):
-        """(name, generator, grid): the Kou and VG chains, and the first and
-        last slice of a Kou chain with sigma(t)."""
-        out = []
-        for name, setup in (("kou", small_kou_setup), ("vg", small_vg_setup)):
-            model, grid, gen = setup(n=64)
-            out.append((name, gen, grid))
-        model, grid, _ = small_kou_setup(n=64)
-        tg = TimeGrid(dt=1 / 12, horizon=0.5)
-        gens = slice_generators(kou_sigma_t(model), grid, tg.times)
-        out += [("kou sigma(t) first", gens[0], grid),
-                ("kou sigma(t) last", gens[-1], grid)]
-        return out
-
     def test_compressed_a_eff_equals_the_full_horner(self, monkeypatch):
-        for name, gen, grid in self.chains():
+        for name, gen, grid in jump_chains():
             for dt in (None, 1 / 60):  # perpetual and finite slices
                 ops = self.build(monkeypatch, gen, grid, dt, full=False)
                 full = self.build(monkeypatch, gen, grid, dt, full=True)
