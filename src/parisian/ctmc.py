@@ -7,8 +7,10 @@ state owns the half-open cell between the midpoints towards its neighbours
 finite differences of the drift/diffusion with cell-integrated jump masses;
 mass landing in a state's own cell is folded into the local second moment
 and the jump-drift correction instead of a self-rate.  Cell masses are
-differences of jump tails evaluated once per cell edge and row.  Spatial
-boundary states are absorbing (identically zero rows).
+differences of jump tails evaluated once per cell edge and row, except
+that a state-independent measure evaluates the tails inside each exact
+lattice run of the grid once per distinct offset.  Spatial boundary
+states are absorbing (identically zero rows).
 
 The jump part of a generator (far rates, neighbour masses, row sums and the
 small-jump moments) depends only on the measure and the grid, so it is
@@ -22,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +52,9 @@ class SpatialGrid:
     ``states`` has n+1 entries y_0 < ... < y_n.  ``cell_edges`` has n+2
     entries: -inf, the n midpoints, +inf; state j owns
     [cell_edges[j], cell_edges[j+1]).  The barrier is a grid node, state
-    ``n_below`` (checked at construction).
+    ``n_below`` (checked at construction).  ``lattice_runs`` finds the runs
+    of states that lie on an exact lattice, as ``build_grid``'s outer runs
+    do.
     """
 
     states: np.ndarray
@@ -89,6 +93,23 @@ class SpatialGrid:
         return abs(float(level) - self.barrier) <= self._barrier_tol
 
     @property
+    def lattice_runs(self) -> List[Tuple[int, int]]:
+        """The maximal runs ``states[s:e]`` of at least three states that
+        lie exactly on a lattice: every step in a run is the same float,
+        and both it and each sum of two neighbours (twice a cell edge) are
+        exact.  The offset from state i of a run to a cell edge k between
+        two of its states is then the float of (k - i - 1/2) times the
+        step, the same for every pair with the same k - i."""
+
+        lo, hi = self.states[:-1], self.states[1:]
+        step = hi - lo
+        exact = _exact_sum(hi, -lo) & _exact_sum(hi, lo)
+        joined = exact[:-1] & exact[1:] & (step[:-1] == step[1:])
+        flips = np.diff(np.concatenate([[0], joined.astype(np.int8), [0]]))
+        starts, stops = np.flatnonzero(flips == 1), np.flatnonzero(flips == -1)
+        return [(int(s), int(e) + 2) for s, e in zip(starts, stops)]
+
+    @property
     def cell_edges(self) -> np.ndarray:
         mids = 0.5 * (self.states[:-1] + self.states[1:])
         return np.concatenate([[-np.inf], mids, [np.inf]])
@@ -124,6 +145,14 @@ class SpatialGrid:
         return float(np.interp(x, states, np.asarray(values, dtype=float)))
 
 
+def _exact_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each float sum a + b is exact: the sum less one operand
+    gives back the other (exact for the larger one, Dekker's Fast2Sum)."""
+
+    s = a + b
+    return (s - a == b) & (s - b == a)
+
+
 def _split_counts(n: int, lengths: Sequence[float]) -> Tuple[int, int, int]:
     """Proportional interval counts, remainder pushed to the middle segment."""
 
@@ -157,6 +186,19 @@ def build_grid(
     to square roots of the lengths, concentrating nodes near the
     barrier/strike band on wide domains), or an explicit (n1, n2, n3)
     triple with n1+n2+n3 = n.
+
+    The end nodes are y_min and y_max and the barrier node is the barrier,
+    bit for bit.  Between them, each outer run is anchor + k*h in floating
+    point, exactly: h is a multiple of u, the smallest power of two with
+    2 max|y| < 2^53 u/2, and the anchors are the barrier and the outer
+    node next to the strike (strike +- h2, rounded to a multiple of u).
+    Every state, cell edge and offset (k - i - 1/2) h from a run state to a
+    run edge is then an exact float, which lets ``jump_part`` share tails
+    along a run; the barrier's run is exact while its states stay below
+    the power of two above |barrier| in magnitude (when the barrier has
+    bits below u).  Rounding h moves a node by at most u/2 per step from
+    its anchor; the end cells take up the difference.  The middle run,
+    the barrier or strike +- h2 plus multiples of h2, is left as it is.
     """
 
     lo, hi = min(barrier, strike), max(barrier, strike)
@@ -180,25 +222,36 @@ def build_grid(
             f"infeasible segment counts ({n1}, {n2}, {n3}) for n={n}"
         )
 
+    # the lattice quantum of the outer runs (see above)
+    u = math.ldexp(1.0, math.frexp(2.0 * max(-y_min, y_max))[1] - 52)
+
+    def on_lattice(v: float) -> float:
+        return u * round(v / u)
+
+    # middle run from the barrier towards the strike, h2 apart, with a
+    # double-width cell so the strike sits midway between its two nodes
     if strike > barrier:
-        # middle run: barrier node up to strike - h2, then a double-width
-        # cell so the strike sits exactly midway between strike -/+ h2
         h2 = (strike - barrier) / n2
         if strike + h2 >= y_max:
             raise ValueError("strike too close to y_max for requested split")
-        left = np.linspace(y_min, barrier, n1 + 1)
-        mid = barrier + h2 * np.arange(n2)           # barrier .. strike-h2
-        right = np.linspace(strike + h2, y_max, n3 + 1)
-        states = np.concatenate([left[:-1], mid, right])
+        low, high = barrier, on_lattice(strike + h2)
+        mid = barrier + h2 * np.arange(1, n2)        # barrier+h2 .. strike-h2
     else:
         # mirrored: strike below the barrier
         h2 = (barrier - strike) / n2
         if strike - h2 <= y_min:
             raise ValueError("strike too close to y_min for requested split")
-        left = np.linspace(y_min, strike - h2, n1 + 1)
-        mid = strike + h2 + h2 * np.arange(n2)       # strike+h2 .. barrier
-        right = np.linspace(barrier, y_max, n3 + 1)
-        states = np.concatenate([left, mid, right[1:]])
+        low, high = on_lattice(strike - h2), barrier
+        mid = strike + h2 + h2 * np.arange(n2 - 1)   # strike+h2 .. barrier-h2
+    h1 = on_lattice((low - y_min) / n1)
+    h3 = on_lattice((y_max - high) / n3)
+    states = np.concatenate([
+        [y_min],
+        low - h1 * np.arange(n1 - 1, -1, -1),        # .. low, down from low
+        mid,
+        high + h3 * np.arange(n3),                   # high .., up from high
+        [y_max],
+    ])
     return SpatialGrid(
         states=states,
         barrier=float(barrier),
@@ -432,6 +485,31 @@ def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.asarray(jm.interval_mass(t, xs, lo, hi), dtype=float)
 
 
+def _run_tables(jm, t: float, x: np.ndarray, inner: np.ndarray, runs) -> list:
+    """Per lattice run ``states[s:e]`` the tails at every offset from a run
+    state to a cell edge between two run states, as (s, e, rows): row w
+    holds the tails of state e-1-w at the edges s+1..e-1.
+
+    The 2(e-s-1) distinct offsets, k - i from s+2-e to e-1-s, are read
+    off the last state (k - i <= 0) and the first; the tails of all runs
+    come from one ``interval_mass`` call.
+    """
+
+    if not runs:
+        return []
+    zs, xs = [], []
+    for s, e in runs:
+        edge = inner[s:e - 1]
+        zs += [edge - x[e - 1], edge - x[s]]
+        xs.append(np.repeat([x[e - 1], x[s]], e - s - 1))
+    table = _tail_masses(jm, t, np.concatenate(xs), np.concatenate(zs))
+    cuts = np.cumsum([0] + [2 * (e - s - 1) for s, e in runs])
+    return [
+        (s, e, np.lib.stride_tricks.sliding_window_view(table[lo:hi], e - s - 1))
+        for (s, e), lo, hi in zip(runs, cuts[:-1], cuts[1:])
+    ]
+
+
 def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     """Assemble the jump rates of measure ``jm`` on ``grid`` at time ``t``.
 
@@ -441,13 +519,24 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     reuse the same tails, clamped at +-1.  Offsets are taken per row, so
     measures that depend on the state are handled.
 
+    A measure whose tails do not depend on the state (its tails at +-1,
+    asked for every interior row, come back as one row) takes the tails
+    between the states and cell edges of each of the grid's
+    ``lattice_runs`` from a table: a run's offsets repeat along its
+    diagonals, so its 2 n_r - 2 distinct tails are evaluated once and
+    gathered.  The states and edges of a run are exact lattice values, so
+    each offset in the table has the bits of every per-row offset it
+    stands for, and the part equals the per-row assembly's bit for bit.  Every other pair (across runs, at the
+    end cells, on a state-dependent measure all of them) is evaluated per
+    row.
+
     Rows are assembled in chunks of about ``_CHUNK_CELLS`` cells (rows x
     states), so a chunk's temporaries take the same memory on every grid;
-    each chunk makes one ``interval_mass`` call for its edge tails, which a
-    measure may spread across threads (the VG measure does).  The tails at
-    +-1 come from one call before the chunks.  Every row is computed on its
-    own, so neither the arrays nor the cells evaluated depend on the chunk
-    size.
+    each chunk makes one ``interval_mass`` call for its per-row edge
+    tails, which a measure may spread across threads (the VG measure
+    does).  The tails at +-1 come from one call before the chunks.  Every
+    row is computed on its own, so neither the arrays nor the cells
+    evaluated depend on the chunk size.
     """
 
     x = grid.states
@@ -458,10 +547,11 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     s2_bar = np.zeros(N)
     inner = edges[1:-1]
     # tails at the +-1 clamps of the small-jump masses, one call for every
-    # interior row (a state-independent measure returns a single row)
-    units = np.broadcast_to(
-        _tail_masses(jm, t, x[1:-1, None], np.array([[-1.0, 1.0]])), (N - 2, 2)
-    )
+    # interior row (a state-independent measure returns fewer rows)
+    units = _tail_masses(jm, t, x[1:-1, None], np.array([[-1.0, 1.0]]))
+    runs = grid.lattice_runs if len(units) < N - 2 else []
+    tables = _run_tables(jm, t, x, inner, runs)
+    units = np.broadcast_to(units, (N - 2, 2))
     step = max(1, _CHUNK_CELLS // N)
     for i0 in range(1, N - 1, step):
         i1 = min(i0 + step, N - 1)
@@ -473,14 +563,23 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
         # mass of a cell off the own one is the difference of its two
         # edge tails (both edges lie on the same side of the state)
         tails = np.zeros((len(rows), N + 1))
-        tails[:, 1:-1] = _tail_masses(jm, t, xs, z)
+        edge_tails = tails[:, 1:-1]
+        per_row = np.ones(z.shape, dtype=bool)
+        for s, e, table in tables:
+            a, b = max(i0, s), min(i1, e)
+            if a < b:
+                edge_tails[a - i0:b - i0, s:e - 1] = table[e - b:e - a][::-1]
+                per_row[a - i0:b - i0, s:e - 1] = False
+        edge_tails[per_row] = _tail_masses(
+            jm, t, np.broadcast_to(xs, z.shape)[per_row], z[per_row]
+        )
         mass = np.abs(tails[:, :-1] - tails[:, 1:])
         mass[local, rows] = 0.0
         far[i0:i1] = mass
         # small-jump cell masses (jumps within [-1, 1]) from the same
         # tails: every edge beyond +-1 reads the tail at +-1
         unit = units[i0 - 1:i1 - 1]
-        clamped = np.where(np.abs(z) <= 1.0, tails[:, 1:-1],
+        clamped = np.where(np.abs(z) <= 1.0, edge_tails,
                            np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
         tails[:, 1:-1] = clamped
         tails[:, 0], tails[:, -1] = unit[:, 0], unit[:, 1]

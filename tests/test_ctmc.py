@@ -78,6 +78,54 @@ class TestBuildGrid:
         i = np.searchsorted(g.states, 90.0)
         assert 0.5 * (g.states[i - 1] + g.states[i]) == pytest.approx(90.0, abs=1e-12)
 
+    # (y_min, y_max, barrier, strike) with the strike above and below the
+    # barrier, in price and log coordinates
+    DOMAINS = [
+        (30.0, 270.0, 90.0, 95.0),
+        (30.0, 270.0, 95.0, 90.0),
+        (math.log(18), math.log(360), math.log(90), math.log(95)),
+        (math.log(18), math.log(360), math.log(95), math.log(90)),
+    ]
+    DOMAIN_IDS = ["price", "price-mirrored", "log", "log-mirrored"]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+    def test_barrier_node_is_the_barrier_at_every_n(self, domain):
+        for n in range(40, 398, 7):
+            g = build_grid(*domain, n)
+            assert g.states[g.n_below] == domain[2], n
+
+    @pytest.mark.parametrize("n", [64, 397, 2112])
+    @pytest.mark.parametrize("domain", DOMAINS, ids=DOMAIN_IDS)
+    def test_outer_runs_are_exact_lattices(self, domain, n):
+        y_min, y_max, barrier, _ = domain
+        g = build_grid(*domain, n)
+        x, edges = g.states, g.cell_edges
+        n1, n2, _ = g.segment_counts
+        assert x[0] == y_min and x[-1] == y_max
+        assert x[g.n_below] == barrier
+        # the outer runs without the end nodes: states 1..n1 and n1+n2..n-1
+        for s, e in ((1, n1 + 1), (n1 + n2, n)):
+            steps = np.diff(x[s:e])
+            assert np.all(steps == steps[0])
+            # every offset from a run state i to a cell edge k between two
+            # run states is exactly (k - i - 1/2) steps
+            k, i = np.arange(s + 1, e)[None, :], np.arange(s, e)[:, None]
+            assert np.array_equal(edges[k] - x[i], (k - i - 0.5) * steps[0])
+            assert any(a <= s and e <= b for a, b in g.lattice_runs)
+
+    def test_lattice_runs_have_repeating_offsets(self):
+        dyadic = np.linspace(50.0, 130.0, 81)
+        ragged = np.linspace(0.1, 0.9, 41)
+        for states in (dyadic, ragged, build_grid(*self.DOMAINS[3], 397).states):
+            g = SpatialGrid(states=states, barrier=float(states[10]),
+                            strike=float(states[12]), segment_counts=(10, 2, 0))
+            for s, e in g.lattice_runs:
+                assert e - s >= 3
+                offsets = g.cell_edges[s + 1:e][None, :] - states[s:e, None]
+                assert np.array_equal(offsets[1:, 1:], offsets[:-1, :-1])
+        dyadic_grid = dataclasses.replace(g, states=dyadic, barrier=60.0)
+        assert dyadic_grid.lattice_runs == [(0, 81)]
+
     def test_cells_partition_real_line(self):
         g = build_grid(30, 270, 90.0, 95.0, 32)
         e = g.cell_edges
@@ -319,12 +367,46 @@ class TestBuildGenerator:
         one_row, one_row_pools = build(2, chunk_cells=1)  # one row per chunk
         assert serial_pools == [] and one_row_pools == []
         assert threaded_pools and set(threaded_pools) == {2}
-        # the cells evaluated are a function of the grid, not of the chunks
+        # the cells evaluated are a function of the grid, not of the chunks,
+        # and the run tables leave about half of them to evaluate per row
         assert cells[0] == cells[1] == cells[2]
+        assert cells[0] <= 0.55 * g.n_states * (g.n_states - 1)
         for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
             ref = getattr(serial, field)
             assert np.array_equal(getattr(threaded, field), ref), field
             assert np.array_equal(getattr(one_row, field), ref), field
+
+    @pytest.mark.parametrize(
+        "model,domain",
+        [(KOU, TestBuildGrid.DOMAINS[2]), (VG, TestBuildGrid.DOMAINS[2]),
+         (KOU, TestBuildGrid.DOMAINS[3]), (VG, TestBuildGrid.DOMAINS[3])],
+        ids=["kou", "vg", "kou-mirrored", "vg-mirrored"],
+    )
+    def test_run_tables_give_the_per_row_bits(self, model, domain):
+        g = build_grid(*domain, 400)
+        N = g.n_states
+        base = model.jump_measure
+        cells = []
+
+        def counted(*args):
+            out = base.interval_mass(*args)
+            cells[-1] += np.size(out)
+            return out
+
+        def per_state(t, x, a, b):
+            # one row per state: the measure reads as state-dependent, so
+            # every tail is evaluated per row
+            out = counted(t, x, a, b)
+            return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), np.shape(out)))
+
+        parts = []
+        for mass in (counted, per_state):
+            cells.append(0)
+            parts.append(jump_part(dataclasses.replace(base, interval_mass=mass), g))
+        table, per_row = parts
+        assert cells[0] <= 0.55 * N * (N - 1) < cells[1]
+        for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
+            assert np.array_equal(getattr(table, field), getattr(per_row, field)), field
 
     def test_kou_jump_mass_conservation(self):
         g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 224)
