@@ -533,8 +533,7 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     Rows are assembled in chunks of about ``_CHUNK_CELLS`` cells (rows x
     states), so a chunk's temporaries take the same memory on every grid;
     each chunk makes one ``interval_mass`` call for its per-row edge
-    tails, which a measure may spread across threads (the VG measure
-    does).  The tails at +-1 come from one call before the chunks.  Every
+    tails.  The tails at +-1 come from one call before the chunks.  Every
     row is computed on its own, so neither the arrays nor the cells
     evaluated depend on the chunk size.
     """

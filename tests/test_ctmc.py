@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parisian import ctmc, models
+from parisian import ctmc
 from parisian.ctmc import (
     NegativeRateError,
     SpatialGrid,
@@ -295,7 +294,7 @@ class TestBuildGenerator:
         "model,policy,n",
         [(KOU, "error", 160), (VG, "upwind", 160),
          (state_dependent_kou(), "error", 160),
-         # chunks of about 2^18 cells, which the VG measure splits across CPUs
+         # several chunks of about 2^18 cells each
          (VG, "upwind", 800)],
         ids=["kou", "vg", "state-dependent", "vg-800"],
     )
@@ -335,16 +334,8 @@ class TestBuildGenerator:
             gen.down[idx], down + jump[idx, idx - 1], rtol=1e-13, atol=0.0
         )
 
-    def test_vg_jump_part_is_independent_of_workers_and_chunks(self, monkeypatch):
+    def test_vg_jump_part_is_independent_of_chunks(self, monkeypatch):
         g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 800)
-        pools = []
-
-        class CountingPool(models.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(models, "ThreadPoolExecutor", CountingPool)
         cells = []
 
         def counted(*args):
@@ -354,27 +345,20 @@ class TestBuildGenerator:
 
         jm = dataclasses.replace(VG.jump_measure, interval_mass=counted)
 
-        def build(cpus, chunk_cells=ctmc._CHUNK_CELLS):
-            pools.clear()
+        def build(chunk_cells):
             cells.append(0)
             with monkeypatch.context() as m:
-                m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 m.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
-                return jump_part(jm, g), list(pools)
+                return jump_part(jm, g)
 
-        serial, serial_pools = build(1)
-        threaded, threaded_pools = build(2)
-        one_row, one_row_pools = build(2, chunk_cells=1)  # one row per chunk
-        assert serial_pools == [] and one_row_pools == []
-        assert threaded_pools and set(threaded_pools) == {2}
+        default = build(ctmc._CHUNK_CELLS)
+        one_row = build(1)  # one row per chunk
         # the cells evaluated are a function of the grid, not of the chunks,
         # and the run tables leave about half of them to evaluate per row
-        assert cells[0] == cells[1] == cells[2]
+        assert cells[0] == cells[1]
         assert cells[0] <= 0.55 * g.n_states * (g.n_states - 1)
         for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
-            ref = getattr(serial, field)
-            assert np.array_equal(getattr(threaded, field), ref), field
-            assert np.array_equal(getattr(one_row, field), ref), field
+            assert np.array_equal(getattr(one_row, field), getattr(default, field)), field
 
     @pytest.mark.parametrize(
         "model,domain",

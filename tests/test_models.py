@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,37 +158,49 @@ class TestVarianceGamma:
         with pytest.raises(ValueError):
             VGParams(sigma=0.5, nu=8.0, theta=0.5, r_f=0.05)
 
-    def test_scalar_small_and_single_cpu_masses_start_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
-        jm = vg_model(VG).jump_measure
-        assert jm.interval_mass(0, 0, 0.015, 0.4) > 0.0
-        small = np.linspace(0.01, 1.0, 512)
-        assert jm.interval_mass(0, 0, small[None, :], np.inf).shape == (1, 512)
-        # enough cells for two blocks, but the process may use one CPU only
-        big = np.broadcast_to(np.linspace(-1.0, 1.0, 1024), (256, 1024))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert jm.interval_mass(0, 0, big, big + 0.01).shape == (256, 1024)
+class TestE1:
+    """``models._e1`` against scipy's ``exp1`` and 40-digit arithmetic."""
 
-    def test_row_blocks_give_the_serial_bits(self, monkeypatch):
-        jm = vg_model(VG).jump_measure
-        z = np.linspace(-2.0, 2.0, 2000)[None, :] - np.linspace(-1.0, 1.0, 300)[:, None]
-        lo, hi = np.where(z > 0, z, -np.inf), np.where(z > 0, np.inf, z)
-        # a cell-sized interval around every offset: finite upper ends too
-        args = [(lo, hi), (z, z + 0.003), (np.minimum(z, 0.0), np.inf)]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the block threads often
-        try:
-            for a, b in args:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-                serial = jm.interval_mass(0, 0, a, b)
-                # three blocks, which may be more threads than the machine has cores
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-                assert np.array_equal(jm.interval_mass(0, 0, a, b), serial)
-        finally:
-            sys.setswitchinterval(switch)
+    EDGES = (1.0, 4.0, 16.0)
+
+    @classmethod
+    def points(cls):
+        rng = np.random.default_rng(20240601)
+        x = [np.geomspace(1e-300, 690.0, 500),
+             np.exp(rng.uniform(np.log(1e-3), np.log(690.0), 2000))]
+        for e in cls.EDGES:  # each band edge and its floating-point neighbours
+            x.append([np.nextafter(e, 0.0), e, np.nextafter(e, np.inf)])
+        return np.concatenate(x)
+
+    def test_matches_scipy(self):
+        from scipy.special import exp1
+
+        x = self.points()
+        assert np.allclose(models._e1(x), exp1(x), rtol=4e-15, atol=0.0)
+
+    def test_matches_forty_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        x = self.points()
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.e1(mpmath.mpf(float(v)))) for v in x])
+        assert np.allclose(models._e1(x), ref, rtol=1e-15, atol=0.0)
+
+    def test_ends_and_underflow_give_no_warning_or_nan(self):
+        x = np.array([0.0, 1e-300, 700.0, 745.0, 746.0, 1e4, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = models._e1(x)
+        assert e[0] == np.inf and e[-1] == 0.0
+        assert not np.isnan(e).any()
+        assert e[1] > 0.0 and e[2] > 0.0
+        assert np.all(e[4:] == 0.0)  # beyond about 745 e^{-x} underflows
+        assert np.all(np.diff(e) <= 0.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (7, 5), (1, 1)])
+    def test_keeps_the_shape(self, shape):
+        x = np.linspace(0.0, 40.0, math.prod(shape)).reshape(shape)
+        assert models._e1(x).shape == shape
 
 
 class TestGenericDensityMeasure:
@@ -259,11 +272,12 @@ def test_pricing_imports_do_not_load_quadrature():
     # scipy.integrate (and the scipy.optimize it pulls in) is loaded only by
     # jump_measure_from_density, and the oracle with its scipy.stats only by
     # the verify verb, not by every import of the package: scipy.stats alone
-    # takes longer to import than the rest of the package
+    # takes longer to import than the rest of the package.  The VG measure
+    # evaluates E1 with its own kernel, so scipy.special is not loaded either
     code = (
         "import sys, parisian.bench_cli, parisian.pricer_downout; "
-        "print([m for m in ('scipy.integrate', 'scipy.stats', 'parisian.oracle')"
-        " if m in sys.modules])"
+        "print([m for m in ('scipy.integrate', 'scipy.stats', 'scipy.special',"
+        " 'parisian.oracle') if m in sys.modules])"
     )
     src = str(Path(parisian.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
