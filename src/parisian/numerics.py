@@ -1,8 +1,8 @@
 """Core numerical kernels.
 
-Uniformized matrix exponentials, banded tridiagonal factorizations,
-randomized low-rank factors and linear-complementarity (LCP) solvers.  The
-LCP convention throughout is
+Uniformized matrix exponentials, dense and banded tridiagonal LU
+factorizations, randomized low-rank factors and linear-complementarity (LCP)
+solvers.  The LCP convention throughout is
 
     find z >= 0 with w = A z + psi >= 0 and z . w = 0.
 
@@ -30,14 +30,42 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 
 # ---------------------------------------------------------------------------
-# tridiagonal free blocks
+# dense and tridiagonal LU factors
 # ---------------------------------------------------------------------------
+
+
+def factor_dense(A: np.ndarray, transposed: bool = False) -> tuple:
+    """LU factors (LAPACK ``dgetrf``, partial pivoting) of the square A.
+
+    A is handed over: a Fortran-ordered A is factored in place, any other
+    is copied once by the wrapper.  ``transposed`` factors A^T instead, the
+    transpose of a C-ordered A being Fortran-ordered, and ``solve_dense``
+    still solves with A itself (``dgetrs`` with trans='T'), as with
+    ``factor_tridiag``.  Raises ``LinAlgError`` on an exactly zero pivot.
+    """
+
+    a = A.T if transposed else A
+    if not a.size:  # LAPACK rejects an empty matrix
+        return a, np.zeros(0, dtype=np.int32), int(transposed)
+    lu, piv, info = dgetrf(a, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError("singular dense block")
+    return lu, piv, int(transposed)
+
+
+def solve_dense(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b (a vector, or a matrix column by column) with the
+    factor of ``factor_dense``."""
+
+    lu, piv, trans = factor
+    if not np.size(b):  # the wrapper rejects an empty right-hand side
+        return np.zeros(np.shape(b))
+    return dgetrs(lu, piv, b, trans=trans)[0]
 
 
 def factor_tridiag(ab: np.ndarray, idx: np.ndarray, transposed: bool = False) -> tuple:
@@ -195,7 +223,7 @@ class LCPOperator:
     at least half full included, is held dense, where a dense LU is cheaper
     than a sparse one.  ``is_sparse`` is true for bands and CSC.
     The operator also keeps the LU factors (``factor_tridiag`` on bands,
-    ``splu`` on CSC, ``lu_factor`` dense) of the last principal block A_FF
+    ``splu`` on CSC, ``factor_dense`` dense) of the last principal block A_FF
     that ``solve_free`` solved, keyed by the free index set F.  A solve on
     the same F reuses them; a different F drops them before the new block is
     cut, so at most one factor is alive.
@@ -262,18 +290,14 @@ class LCPOperator:
             elif self.is_sparse:
                 self._lu = splu(self.matrix[idx][:, idx])
             else:
-                block = self.matrix[np.ix_(idx, idx)]
-                lu = lu_factor(block, overwrite_a=True, check_finite=False)
-                if not np.all(np.diagonal(lu[0])):
-                    raise np.linalg.LinAlgError("singular free block A_FF")
-                self._lu = lu
+                self._lu = factor_dense(self.matrix[np.ix_(idx, idx)])
             self._free = free.copy()
             factorizations = 1
         if self.bands is not None:
             return solve_tridiag(self._lu, rhs), factorizations
         if self.is_sparse:
             return self._lu.solve(rhs), factorizations
-        return lu_solve(self._lu, rhs, check_finite=False), factorizations
+        return solve_dense(self._lu, rhs), factorizations
 
 
 class LCPStatus(enum.Enum):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .ctmc import (
     GeneratorMatrix,
@@ -49,9 +48,11 @@ from .models import ModelSpec
 from .numerics import (
     LCPOperator,
     LCPProblem,
+    factor_dense,
     generator_expm,
     policy_solve,
     require_solved,
+    solve_dense,
 )
 
 if TYPE_CHECKING:
@@ -278,7 +279,7 @@ def parisian_transform(
     if m == 0:  # no below states: the trigger never fires
         return np.zeros((len(dense_rates(gen)),) * 2)
     _, _, E, _, hm, _, slice_lu = _slice_blocks(gen, m, window, 1.0 / rate)
-    X = math.exp(-rate * window) * lu_solve(slice_lu, E)
+    X = math.exp(-rate * window) * solve_dense(slice_lu, E)
     H = np.zeros((m + len(hm),) * 2)
     H[:m, :m] = X
     H[m:, :m] = hm @ X
@@ -406,13 +407,13 @@ def _slice_blocks(gen, n_below, window, dt):
     R = dense_rates(gen)
     m = n_below
     Gbb = R[:m, :m]
-    n_lu = lu_factor(np.eye(m) - dt * Gbb)
-    h1 = lu_solve(n_lu, dt * R[:m, m:])
+    n_lu = factor_dense(np.eye(m) - dt * Gbb)
+    h1 = solve_dense(n_lu, dt * R[:m, m:])
     E = generator_expm(Gbb, window)
-    a_lu = lu_factor(np.eye(len(R) - m) - dt * R[m:, m:])
-    hm = lu_solve(a_lu, dt * R[m:, :m])
+    a_lu = factor_dense(np.eye(len(R) - m) - dt * R[m:, m:])
+    hm = solve_dense(a_lu, dt * R[m:, :m])
     hp = h1 - (math.exp(-window / dt) * E) @ h1
-    return n_lu, h1, E, a_lu, hm, hp, lu_factor(np.eye(m) - hp @ hm)
+    return n_lu, h1, E, a_lu, hm, hp, factor_dense(np.eye(m) - hp @ hm)
 
 
 def _finite_downin(gens, W, n_below, window, dt):
@@ -447,12 +448,12 @@ def _finite_downin(gens, W, n_below, window, dt):
             current, P, top = blocks, np.zeros(m), J
         for t in range(top, j, -1):
             Q[t] = h1 @ C[t, m:] + P
-            P = lu_solve(n_lu, Q[t])
+            P = solve_dense(n_lu, Q[t])
         k = min(J - j, last)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
         acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
-        u_minus = lu_solve(a_lu, u_minus + hm @ C[j + 1, :m])
-        C[j, :m] = lu_solve(slice_lu, P + E @ acc + hp @ u_minus)
+        u_minus = solve_dense(a_lu, u_minus + hm @ C[j + 1, :m])
+        C[j, :m] = solve_dense(slice_lu, P + E @ acc + hp @ u_minus)
         C[j, m:] = u_minus + hm @ C[j, :m]
     return C
 

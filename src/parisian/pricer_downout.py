@@ -38,7 +38,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import inv
 
 from .ctmc import (
     GeneratorMatrix,
@@ -51,7 +50,14 @@ from .ctmc import (
     slice_operators,
 )
 from .models import ModelSpec
-from .numerics import LCPOperator, factor_tridiag, low_rank_factor, solve_tridiag
+from .numerics import (
+    LCPOperator,
+    factor_dense,
+    factor_tridiag,
+    low_rank_factor,
+    solve_dense,
+    solve_tridiag,
+)
 from .pricer_downin import (
     ContractSpec,
     Flavor,
@@ -239,11 +245,13 @@ def _reducible(f0: np.ndarray, ladder: DurationLadder) -> bool:
 
 
 # Relative Frobenius error allowed in the factor B ~ U W of the Horner loop.
-# The loop's first product fl(Q^-1 B) already errs by up to
-# gamma_m ||Q^-1||_F ||B||_F, gamma_m ~ m eps / 2 (Higham 2002, sec. 3.5),
-# while a factor error E moves Q^-1 B by at most ||Q^-1||_2 ||E||_F; with
-# ||E||_F <= 4 eps ||B||_F that stays inside the product's own bound for
-# every m >= 8 below-barrier states.
+# The loop's first solve Q X = B is backward stable: the computed X solves
+# (Q + dQ) X = B with ||dQ|| of order gamma_3m ||Q||, gamma_3m ~ 3m eps / 2
+# (Higham 2002, secs. 9.3 and 9.5), so X errs by up to about
+# gamma_3m ||Q^-1|| ||Q|| ||X|| >= gamma_3m ||Q^-1|| ||B||, while a factor
+# error E moves X by at most ||Q^-1||_2 ||E||_F; with ||E||_F <= 4 eps ||B||_F
+# that stays inside the solve's own bound for every m >= 8 below-barrier
+# states.
 _FACTOR_RTOL = 4.0 * np.finfo(float).eps
 
 
@@ -293,24 +301,20 @@ class _ReducedLadderOps:
     (off-diagonals >= 0, rows summing to <= 0) and a0 > 0, is a strictly
     row diagonally dominant M-matrix, so Q^-1 >= 0 entrywise.  ``Qinv``
     applies Q^-1 with ``@`` in the Horner loop for the level maps and in
-    the per-slice sources, in one of two forms:
-
-    - a jump chain (or a plain rate matrix) inverts Q explicitly, once, and
-      the loops become matrix products.  With the exact B >= 0 every term of the Horner sum for P_0
-      is nonnegative: nothing cancels, and the products keep the relative
-      accuracy of Q^-1 itself.  It forms only the rows of its rate matrix
-      the blocks need, never the dense N x N slice matrix;
-    - a tridiagonal chain holds ``dgttrf``'s band factor of Q^T, and
-      ``Qinv @ b`` solves Q x = b with it (``dgttrs``, trans='T'); nothing
-      of size m x m or m x N is formed.  Q^T is column
-      diagonally dominant, so partial pivoting makes no row interchange
-      (Wilkinson; Higham 2002, sec. 9.5) and the factor is Q^T = L U with
-      L unit lower bidiagonal and U upper bidiagonal, both with off-diagonals
-      <= 0 and U's diagonal > 0 (the Schur complements of an M-matrix are
-      M-matrices).  Q x = U^T (L^T x) = b is then the forward substitution
-      y_i = (b_i - u_{i-1,i} y_{i-1}) / u_ii and the back substitution
-      x_i = y_i - l_{i+1,i} x_{i+1}: for b >= 0 every term is >= 0, so
-      nothing cancels and x >= 0 as computed.
+    the per-slice sources, by solves with an LU factor of Q^T made once per
+    slice generator: ``dgttrf``'s band factor on a tridiagonal chain, where
+    nothing of size m x m or m x N is formed, and ``dgetrf``'s dense factor
+    otherwise, which forms only the rows of its rate matrix the blocks need,
+    never the dense N x N slice matrix.  ``Qinv @ b`` solves Q x = b with it
+    (``dgttrs`` or ``dgetrs``, trans='T').  Q^T is column diagonally
+    dominant, so partial pivoting makes no row interchange (Wilkinson;
+    Higham 2002, sec. 9.5) and the factor is Q^T = L U with L unit lower
+    and U upper triangular, both with off-diagonals <= 0 and U's diagonal
+    > 0 (the Schur complements of an M-matrix are M-matrices).  Q x =
+    U^T (L^T x) = b is then a forward substitution with U^T and a back
+    substitution with L^T, and for b >= 0 every term of either is >= 0:
+    nothing cancels, x >= 0 as computed, and with the exact B >= 0 every
+    term of the Horner sum for P_0 is nonnegative too.
 
     ``sources`` reads neither B nor its factor, so every M_k is free of the
     factor's error and >= 0 as computed on both forms.  ``expand`` forms the
@@ -420,15 +424,17 @@ class _ReducedLadderOps:
         return out
 
 
-class _BandInverse:
-    """Q^-1 of a tridiagonal Q, held as a band factor: ``self @ b`` solves
-    Q x = b (``solve_tridiag``), column by column for a matrix b."""
+class _Inverse:
+    """Q^-1 held as an LU factor of Q^T: ``self @ b`` solves Q x = b with
+    ``solve`` (``solve_tridiag`` or ``solve_dense``), column by column for a
+    matrix b."""
 
-    def __init__(self, factor: tuple):
+    def __init__(self, solve, factor: tuple):
+        self.solve = solve
         self.factor = factor
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
-        return solve_tridiag(self.factor, b)
+        return self.solve(self.factor, b)
 
 
 def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
@@ -444,8 +450,8 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
     m = ladder.n_below
     # Q: the leading m x m block of (a0 + cup) I - cG G; its transpose is
     # the one factored (see _ReducedLadderOps)
-    Qinv = _BandInverse(factor_tridiag(slice_bands(gen, a0 + cup, cG),
-                                       np.arange(m), transposed=True))
+    Qinv = _Inverse(solve_tridiag, factor_tridiag(
+        slice_bands(gen, a0 + cup, cG), np.arange(m), transposed=True))
     ab = slice_bands(gen, a0, cG)
     to_above = -ab[0, m:m + 1]  # cG R[m-1, m]
     coupled = np.flatnonzero(to_above)
@@ -461,16 +467,18 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
 
 def _dense_blocks(gen, ladder, a0, cG, cup):
     """(Q^-1, B, coupled, feeders, A_ab, A_aa) of any chain, dense, for
-    ``_ReducedLadderOps``: Q^-1 explicit, A_ab on the feeder rows only."""
+    ``_ReducedLadderOps``: the dense factor of Q^T, A_ab on the feeder rows
+    only."""
 
     m, N = ladder.n_below, ladder.n_states
     Rb = rate_rows(gen, np.arange(m))
     coupled = np.flatnonzero(np.any(Rb[:, m:] != 0.0, axis=0))
-    # Q = (a0 + cup) I - cG R_bb in Fortran order, which LAPACK inverts
-    # in place: no second m x m array is alive while A_eff is built
-    Q = np.multiply(Rb[:, :m], -cG, order="F")
+    # Q = (a0 + cup) I - cG R_bb in C order, so that Q^T is in Fortran
+    # order and LAPACK factors it in place: no second m x m array is alive
+    # while A_eff is built
+    Q = Rb[:, :m] * -cG
     Q[np.diag_indices(m)] += a0 + cup
-    Qinv = inv(Q, overwrite_a=True, check_finite=False)
+    Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
     B = cG * Rb[:, m + coupled]
     del Rb
     # level 0's above-barrier rows of a0 I - cG G.  A_aa is copied out, so

@@ -507,8 +507,9 @@ class TestReducedRoute:
             assert rel_gap(red, stk) <= 1e-12
 
     def test_equals_stacked_on_time_varying_kou_to_1e12(self):
-        # dense jump blocks: the explicit Q^-1 against the factor of the
-        # stacked ladder, with sigma(t) and the shared jump part of every slice
+        # dense jump blocks: the dense factor of Q^T against the factor of
+        # the stacked ladder, with sigma(t) and the shared jump part of every
+        # slice
         model, grid, _ = small_kou_setup(n=40)
         model = kou_sigma_t(model)
         c = contract(Flavor.DOWN_OUT, rate=0.05)
@@ -551,8 +552,8 @@ class TestReducedRoute:
                                           dense.A_eff.to_dense())
 
     def test_banded_elimination_agrees_with_the_dense_one(self):
-        # the band factor of Q^T against the explicit Q^-1 of the same chain
-        # given as a plain matrix, on every product the recursion uses
+        # the band factor of Q^T against the dense factor of the same chain
+        # given as a plain matrix, on every solve the recursion makes
         model, grid, gen = small_bs_setup(n=64)
         ladder = build_ladder(1 / 12, 1 / 36, grid.n_states, grid.n_below)
         m = ladder.n_below
@@ -576,10 +577,33 @@ class TestReducedRoute:
             assert rel_gap(out, dense.expand(c, levels_dense)) <= 1e-13, dt
             assert np.all(out >= 0.0)
 
+    def test_dense_factor_makes_no_interchange_and_sums_nonnegative_terms(self):
+        # Q^T is column diagonally dominant on every jump chain: the dense
+        # factor has the identity pivots, the unclamped level values of
+        # ``sources`` are >= 0, and a solve with Q agrees with numpy's
+        rng = np.random.default_rng(23)
+        rate = 0.05
+        for name, gen, grid in jump_chains():
+            ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+            m = ladder.n_below
+            R = gen.as_dense()
+            for dt in (None, 1 / 24):
+                ops = _ReducedLadderOps(gen, ladder, rate, dt=dt)
+                _, piv, _ = ops.Qinv.factor
+                np.testing.assert_array_equal(piv, np.arange(m), err_msg=name)
+                _, levels = ops.sources(rng.uniform(0.0, 2.0, size=ladder.total))
+                assert np.all(levels >= 0.0), (name, dt)
+                a0, cG = (rate, 1.0) if dt is None else (1 + rate * dt, dt)
+                Q = (a0 + cG / ladder.dtick) * np.eye(m) - cG * R[:m, :m]
+                for b in (rng.uniform(0.0, 2.0, size=m),
+                          rng.normal(size=(m, 5))):
+                    assert rel_gap(ops.Qinv @ b, np.linalg.solve(Q, b)) <= 1e-13, (
+                        name, dt)
+
     def test_banded_elimination_allocates_no_dense_block(self):
         # 4001 states, 1750 below the barrier: one m x m array is 24.5 MB,
-        # the explicit Q^-1 alone; the banded build and one slice's sources
-        # and expand stay below a sixteenth of it
+        # the dense factor of Q^T alone; the banded build and one slice's
+        # sources and expand stay below a sixteenth of it
         grid = build_grid(20.0, 180.0, 90.0, 95.0, 4000, "proportional")
         gen = build_generator(bs_model(r_f=0.1, dividend=0.05, sigma=0.3),
                               grid, 0.0, "error")

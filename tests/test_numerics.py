@@ -1,25 +1,28 @@
 """Numerics kernel tests: linear solves, uniformized exponentials, LCP solvers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from parisian.numerics import (
     LCPOperator,
     LCPProblem,
     LCPStatus,
     complementarity_residual,
+    factor_dense,
     factor_tridiag,
     generator_expm,
     lemke_solve,
     low_rank_factor,
     policy_solve,
     require_solved,
+    solve_dense,
     solve_tridiag,
 )
 from parisian.oracle import lcp_by_enumeration, random_generator
@@ -98,7 +101,6 @@ class TestBandedOperator:
                 scale = np.max(np.abs(ref), initial=1.0)
                 assert np.max(np.abs(x - ref), initial=0.0) <= 1e-12 * scale
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_raises(self):
         # a zero row makes every cut block through it singular, as it does
         # for the dense operator
@@ -149,6 +151,61 @@ class TestBandedOperator:
         assert sol.solved and 200 < sol.iterations <= 4 * 500
         dense = policy_solve(LCPProblem(A, psi))
         assert dense.status is LCPStatus.MAX_ITERATIONS
+
+
+class TestDenseFactor:
+    """``factor_dense``/``solve_dense`` call LAPACK as scipy's
+    ``lu_factor``/``lu_solve`` do, without their per-call checks."""
+
+    def test_bits_match_scipy(self):
+        rng = np.random.default_rng(31)
+        A = rng.normal(size=(40, 40))  # no dominance: partial pivoting swaps
+        for transposed in (False, True):
+            lu, piv, trans = factor_dense(A.copy(), transposed=transposed)
+            ref = lu_factor(A.T if transposed else A)
+            assert np.any(ref[1] != np.arange(40))
+            assert lu.tobytes() == ref[0].tobytes()
+            np.testing.assert_array_equal(piv, ref[1])
+            for b in (rng.normal(size=40), rng.normal(size=(40, 7))):
+                x = solve_dense((lu, piv, trans), b)
+                assert x.shape == b.shape
+                assert x.tobytes() == lu_solve(ref, b, trans=trans).tobytes()
+                np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
+
+    def test_transposed_factor_of_a_c_ordered_array_is_made_in_place(self):
+        rng = np.random.default_rng(32)
+        A = random_generator(30, rng, density=1.0)
+        Q = 0.5 * np.eye(30) - A  # C order: Q^T is Fortran-ordered
+        lu, piv, _ = factor_dense(Q, transposed=True)
+        assert np.shares_memory(lu, Q)
+        # Q^T is column diagonally dominant: no row interchange
+        np.testing.assert_array_equal(piv, np.arange(30))
+
+    def test_empty_right_hand_side_and_block(self):
+        rng = np.random.default_rng(33)
+        factor = factor_dense(np.eye(4) + 0.1 * rng.normal(size=(4, 4)))
+        assert solve_dense(factor, np.zeros((4, 0))).shape == (4, 0)
+        empty = factor_dense(np.zeros((0, 0)))
+        for shape in ((0,), (0, 3), (0, 0)):
+            assert solve_dense(empty, np.zeros(shape)).shape == shape
+
+    def test_singular_block_raises(self):
+        rng = np.random.default_rng(34)
+        A = 0.2 * np.eye(8) - random_generator(8, rng, density=1.0)
+        A[:, 5] = 0.0  # a zero column: singular, on any free set through it
+        for transposed in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                factor_dense(A.copy(), transposed=transposed)
+        op = LCPOperator(A)
+        assert not op.is_sparse
+        for free in (np.ones(8, dtype=bool), np.arange(8) >= 4):
+            with pytest.raises(np.linalg.LinAlgError):
+                op.solve_free(free, np.ones(int(free.sum())))
+        # a free set that misses the column solves
+        free = np.arange(8) < 5
+        x, made = op.solve_free(free, np.ones(5))
+        assert made == 1
+        np.testing.assert_allclose(A[:5, :5] @ x, np.ones(5), rtol=1e-13)
 
 
 class TestGeneratorExpm:
@@ -437,3 +494,35 @@ def test_lemke_solution_matches_enumeration_property(n, seed):
         sol = solver(LCPProblem(A, q))
         assert sol.solved, solver.__name__
         assert np.max(np.abs(sol.z - z_ref)) <= 1e-8, solver.__name__
+
+
+def test_one_dense_lu_path():
+    # every production dense LU goes through factor_dense/solve_dense; only
+    # the oracles, which check that code, may call scipy's own wrappers
+    import ast
+
+    import parisian
+
+    banned = {"inv", "lu_factor", "lu_solve"}
+    offenders = []
+    for path in sorted(Path(parisian.__file__).parent.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        aliases = set()  # names bound to scipy.linalg itself
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                for alias in node.names:
+                    if alias.name in banned and node.module.startswith("scipy.linalg"):
+                        offenders.append(f"{path.name}: from {node.module} import {alias.name}")
+                    if alias.name == "linalg":
+                        aliases.add(alias.asname or "linalg")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "scipy.linalg":
+                        aliases.add(alias.asname or "scipy.linalg")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                if ast.unparse(node.value) in aliases:
+                    offenders.append(f"{path.name}: {ast.unparse(node)}")
+    assert offenders == []
