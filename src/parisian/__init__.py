@@ -11,6 +11,7 @@ from .models import (
     kou_model,
     vg_model,
 )
+from .pricing import price
 
 __all__ = [
     "Coordinate",
@@ -21,6 +22,7 @@ __all__ = [
     "bs_model",
     "jump_measure_from_density",
     "kou_model",
+    "price",
     "vg_model",
 ]
 

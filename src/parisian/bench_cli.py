@@ -25,23 +25,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ctmc import (
-    TimeGrid,
-    build_generator,
-    build_grid,
-    dump_generator_csv,
-    resolve_rate_policy,
-)
+from .ctmc import build_generator, build_grid, dump_generator_csv, resolve_rate_policy
 from .models import KouParams, ModelSpec, VGParams, bs_model, kou_model, vg_model
-from .pricer_downin import (
-    ContractSpec,
-    Flavor,
-    PriceSurface,
-    american_call,
-    price_finite_downin,
-    price_perpetual_downin,
-)
-from .pricer_downout import price_finite_downout, price_perpetual_downout
+from .pricer_downin import ContractSpec, Flavor, PriceSurface, american_call
+from .pricing import price
 
 __all__ = [
     "AcceptanceCell",
@@ -397,25 +384,8 @@ def price_point(cfg: StudyConfig, n: int) -> PriceOutcome:
         rate=cfg.rate,
         flavor=flavor,
     )
-    policy = resolve_rate_policy(cfg.rate_policy, model)
-
-    if math.isinf(cfg.maturity):
-        gen = build_generator(model, grid, 0.0, policy)
-        if flavor is Flavor.DOWN_IN:
-            res = price_perpetual_downin(gen, contract, model)
-        else:
-            res = price_perpetual_downout(gen, contract, model, dtick=cfg.dd)
-    else:
-        timegrid = TimeGrid(dt=cfg.dt, horizon=cfg.maturity)
-        if flavor is Flavor.DOWN_IN:
-            res = price_finite_downin(
-                model, grid, timegrid, contract, rate_policy=policy
-            )
-        else:
-            res = price_finite_downout(
-                model, grid, timegrid, contract, dtick=cfg.dd,
-                rate_policy=policy,
-            )
+    res = price(model, grid, contract, dt=cfg.dt, dtick=cfg.dd,
+                rate_policy=cfg.rate_policy)
     return PriceOutcome(value=float(res.value_at(cfg.spot)), result=res)
 
 

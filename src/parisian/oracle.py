@@ -39,12 +39,7 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from .bench_cli import build_named_model, reference_option
-from .ctmc import (
-    TimeGrid,
-    build_generator,
-    build_grid,
-    resolve_rate_policy,
-)
+from .ctmc import build_generator, build_grid, resolve_rate_policy
 from .models import bs_model
 from .numerics import LCPOperator, LCPProblem, generator_expm, lemke_solve, policy_solve
 from .pricer_downin import (
@@ -52,10 +47,10 @@ from .pricer_downin import (
     Flavor,
     american_call,
     parisian_transform,
-    price_finite_downin,
     vanilla_american_perpetual,
 )
-from .pricer_downout import _ReducedLadderOps, build_ladder, price_finite_downout
+from .pricer_downout import _ReducedLadderOps, build_ladder
+from .pricing import price
 
 __all__ = [
     "ChainPath",
@@ -811,7 +806,6 @@ def _verify_dp(seed: int, emit) -> _Tally:
         discounting = ("activation", "exercise")[int(rng.integers(0, 2))]
         below = grid.states < 1.5 - 1e-12
         f = payoff(grid.states)
-        timegrid = TimeGrid(dt=dt, horizon=horizon)
         kind = "bs " if bs_call else "dense "
 
         c_out = ContractSpec(
@@ -819,9 +813,7 @@ def _verify_dp(seed: int, emit) -> _Tally:
             rate=rate, flavor=Flavor.DOWN_OUT,
         )
         with tally.check(kind + "out"):
-            res = price_finite_downout(
-                carrier, grid, timegrid, c_out, dtick=dtick, gen=gen
-            )
+            res = price(carrier, grid, c_out, dt=dt, dtick=dtick, gen=gen)
             ora = dp_parisian_lattice(
                 rates, below, f, rate, dt, horizon, window, "down-out", dtick=dtick
             )
@@ -831,8 +823,8 @@ def _verify_dp(seed: int, emit) -> _Tally:
 
         c_in = dataclasses.replace(c_out, flavor=Flavor.DOWN_IN)
         with tally.check(kind + "in"):
-            res_in = price_finite_downin(
-                carrier, grid, timegrid, c_in, gen=gen, vanilla_discounting=discounting
+            res_in = price(
+                carrier, grid, c_in, dt=dt, gen=gen, vanilla_discounting=discounting
             )
             ora_in = dp_parisian_lattice(
                 rates, below, f, rate, dt, horizon, window, "down-in",
@@ -863,23 +855,20 @@ def _verify_dp(seed: int, emit) -> _Tally:
             grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
                               math.log(95.0), 32, "proportional")
             gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
-            window, dtick = 1.0 / 12.0, 1.0 / 24.0
-            timegrid = TimeGrid(dt=1.0 / 24.0, horizon=0.25)
+            window, dtick, dt, horizon = 1.0 / 12.0, 1.0 / 24.0, 1.0 / 24.0, 0.25
             c_out = ContractSpec(
                 payoff=american_call(strike), barrier=90.0, window=window,
-                maturity=timegrid.horizon, rate=rate, flavor=Flavor.DOWN_OUT,
+                maturity=horizon, rate=rate, flavor=Flavor.DOWN_OUT,
             )
-            res = price_finite_downout(
-                model, grid, timegrid, c_out, dtick=dtick, gen=gen
-            )
+            res = price(model, grid, c_out, dt=dt, dtick=dtick, gen=gen)
             below = grid.states < math.log(90.0) - 1e-12
             ora = dp_parisian_lattice(
                 gen.as_dense(), below, c_out.payoff_states(model, grid.states), rate,
-                timegrid.dt, timegrid.horizon, window, "down-out", dtick=dtick,
+                dt, horizon, window, "down-out", dtick=dtick,
             )
             gap = _gap(res.values, ora)
             ladder = build_ladder(window, dtick, grid.n_states, grid.n_below)
-            ops = _ReducedLadderOps(gen, ladder, rate, dt=timegrid.dt)
+            ops = _ReducedLadderOps(gen, ladder, rate, dt=dt)
             k, nc = ops.factor_width, len(ops.coupled)
             tally.add("jump out", gap < 1e-5 and k < nc)
             emit(

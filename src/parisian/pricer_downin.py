@@ -165,21 +165,30 @@ class PriceSurface:
 # ---------------------------------------------------------------------------
 
 
-def require_horizon(timegrid: TimeGrid, contract: ContractSpec) -> None:
-    """Raise ValueError unless ``timegrid`` ends at the contract's maturity:
-    a finite recursion reads its horizon from the time grid."""
+def require_contract(contract: ContractSpec, flavor: Flavor, model: ModelSpec,
+                     grid: Optional[SpatialGrid],
+                     timegrid: Optional[TimeGrid] = None) -> None:
+    """Raise ValueError unless a ``flavor`` pricer can price ``contract``:
+    perpetual on a time-homogeneous model without a ``timegrid``, else finite
+    and ending at the timegrid's horizon; the barrier at the node of ``grid``
+    (a perpetual pricer's ``gen.grid``: None for a plain rate matrix)."""
 
-    if not math.isclose(timegrid.horizon, contract.maturity, rel_tol=1e-12):
+    if contract.flavor is not flavor:
+        raise ValueError(f"contract flavor must be {flavor.value}")
+    if timegrid is None:
+        if not contract.is_perpetual:
+            raise ValueError("contract must be perpetual (maturity = inf)")
+        if not model.time_homogeneous:
+            raise ValueError("perpetual pricing needs a time-homogeneous model")
+    elif contract.is_perpetual:
+        raise ValueError("contract must have finite maturity")
+    elif not math.isclose(timegrid.horizon, contract.maturity, rel_tol=1e-12):
         raise ValueError(
             f"time grid horizon {timegrid.horizon} differs from the contract "
             f"maturity {contract.maturity}"
         )
-
-
-def require_barrier(grid: SpatialGrid, contract: ContractSpec, model: ModelSpec) -> None:
-    """Raise ValueError unless the contract's barrier is the grid's barrier
-    node: every pricer splits the states at ``grid.n_below``."""
-
+    if not isinstance(grid, SpatialGrid):
+        raise ValueError("need a GeneratorMatrix: its grid places the barrier")
     level = contract.barrier_state(model)
     if not grid.is_barrier(level):
         raise ValueError(
@@ -293,13 +302,7 @@ def price_perpetual_downin(
 ) -> PriceSurface:
     """Perpetual down-in value C_pi = H_p(rate) c_p on the chain."""
 
-    if not contract.is_perpetual:
-        raise ValueError("contract must be perpetual (maturity = inf)")
-    if contract.flavor is not Flavor.DOWN_IN:
-        raise ValueError("contract flavor must be down-in")
-    if not model.time_homogeneous:
-        raise ValueError("perpetual pipeline requires a time-homogeneous model")
-    require_barrier(gen.grid, contract, model)
+    require_contract(contract, Flavor.DOWN_IN, model, getattr(gen, "grid", None))
     f = contract.payoff_states(model, gen.grid.states)
     c_p = vanilla_american_perpetual(gen, f, contract.rate)
     H = parisian_transform(gen, contract.window, contract.rate, gen.grid.n_below)
@@ -339,12 +342,7 @@ def price_finite_downin(
     one validated against path simulation.
     """
 
-    if contract.is_perpetual:
-        raise ValueError("contract must have finite maturity")
-    if contract.flavor is not Flavor.DOWN_IN:
-        raise ValueError("contract flavor must be down-in")
-    require_horizon(timegrid, contract)
-    require_barrier(grid, contract, model)
+    require_contract(contract, Flavor.DOWN_IN, model, grid, timegrid)
 
     dt = timegrid.dt
     times = timegrid.times

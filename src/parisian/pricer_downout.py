@@ -64,8 +64,7 @@ from .pricer_downin import (
     PriceSurface,
     american_surface,
     bermudan_slice,
-    require_barrier,
-    require_horizon,
+    require_contract,
 )
 
 
@@ -210,16 +209,8 @@ def price_perpetual_downout(
     from a cold start.
     """
 
-    if not contract.is_perpetual:
-        raise ValueError("contract must be perpetual")
-    if contract.flavor is not Flavor.DOWN_OUT:
-        raise ValueError("contract flavor must be down-out")
-    if not model.time_homogeneous:
-        raise ValueError("perpetual pricing needs a time-homogeneous model")
-    if not isinstance(gen, GeneratorMatrix):
-        raise ValueError("need a GeneratorMatrix: its grid places the barrier")
-    grid = gen.grid
-    require_barrier(grid, contract, model)
+    grid = getattr(gen, "grid", None)
+    require_contract(contract, Flavor.DOWN_OUT, model, grid)
 
     ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     f0 = contract.payoff_states(model, grid.states)
@@ -512,12 +503,7 @@ def price_finite_downout(
     after it.
     """
 
-    if contract.is_perpetual:
-        raise ValueError("contract must have finite maturity")
-    if contract.flavor is not Flavor.DOWN_OUT:
-        raise ValueError("contract flavor must be down-out")
-    require_horizon(timegrid, contract)
-    require_barrier(grid, contract, model)
+    require_contract(contract, Flavor.DOWN_OUT, model, grid, timegrid)
 
     dt = timegrid.dt
     times = timegrid.times

@@ -22,8 +22,6 @@ from parisian.pricer_downin import (
     Flavor,
     american_call,
     parisian_transform,
-    price_finite_downin,
-    price_perpetual_downin,
     vanilla_american_perpetual,
 )
 from parisian.pricer_downout import (
@@ -31,6 +29,7 @@ from parisian.pricer_downout import (
     price_finite_downout,
     price_perpetual_downout,
 )
+from parisian.pricing import price
 
 
 def _timed_price(cfg, n):
@@ -263,41 +262,20 @@ class TestStructuralInvariants:
             self._residual_ok(w, v - f_aug, scale=scale)
 
     def test_window_monotonicity(self):
-        model, grid, gen = _bs_setup()
-        spot = 90.0
+        model, grid, _ = _bs_setup()
         windows = (1.0 / 24.0, 1.0 / 12.0, 1.0 / 6.0)
-
-        pdi = [
-            price_perpetual_downin(gen, _contract(Flavor.DOWN_IN, window=D),
-                                   model).value_at(spot)
-            for D in windows
-        ]
-        assert pdi[0] > pdi[1] > pdi[2]
-
-        pdo = [
-            price_perpetual_downout(gen, _contract(Flavor.DOWN_OUT, window=D),
-                                    model, dtick=D / 10.0).value_at(spot)
-            for D in windows
-        ]
-        assert pdo[0] < pdo[1] < pdo[2]
-
-        timegrid = TimeGrid(dt=1.0 / 60.0, horizon=1.0)
-        fdi = [
-            price_finite_downin(model, grid, timegrid,
-                                _contract(Flavor.DOWN_IN, window=D,
-                                          maturity=1.0)).value_at(spot)
-            for D in windows
-        ]
-        assert fdi[0] > fdi[1] > fdi[2]
-
-        fdo = [
-            price_finite_downout(model, grid, timegrid,
-                                 _contract(Flavor.DOWN_OUT, window=D,
-                                           maturity=1.0),
-                                 dtick=D / 10.0).value_at(spot)
-            for D in windows
-        ]
-        assert fdo[0] < fdo[1] < fdo[2]
+        for flavor in Flavor:
+            for maturity in (math.inf, 1.0):
+                p = [
+                    price(model, grid, _contract(flavor, window=D, maturity=maturity),
+                          dt=1.0 / 60.0, dtick=D / 10.0).value_at(90.0)
+                    for D in windows
+                ]
+                # a longer window is harder to knock in, easier to survive
+                if flavor is Flavor.DOWN_IN:
+                    assert p[0] > p[1] > p[2]
+                else:
+                    assert p[0] < p[1] < p[2]
 
     @pytest.mark.parametrize("payoff", ["call", "put"])
     def test_every_pricer_rejects_a_barrier_off_the_grid_node(self, payoff):
@@ -306,54 +284,44 @@ class TestStructuralInvariants:
         # reduced down-out route, the put the stacked one.
         model = bs_model(r_f=0.1, dividend=0.05, sigma=0.3)
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 48)
-        gen = build_generator(model, grid, 0.0, "error")
-        timegrid = TimeGrid(dt=0.1, horizon=0.5)
         if payoff == "call":
             f = american_call(95.0)
         else:
             f = lambda s: np.maximum(95.0 - np.asarray(s), 0.0)
 
-        def price(flavor, maturity, barrier):
+        def priced(flavor, maturity, barrier):
             c = ContractSpec(payoff=f, barrier=barrier, window=1.0 / 12.0,
                              maturity=maturity, rate=0.1, flavor=flavor)
-            if flavor is Flavor.DOWN_IN and math.isinf(maturity):
-                return price_perpetual_downin(gen, c, model)
-            if flavor is Flavor.DOWN_IN:
-                return price_finite_downin(model, grid, timegrid, c)
-            if math.isinf(maturity):
-                return price_perpetual_downout(gen, c, model, dtick=1.0 / 36.0)
-            return price_finite_downout(model, grid, timegrid, c,
-                                        dtick=1.0 / 36.0)
+            return price(model, grid, c, dt=0.1, dtick=1.0 / 36.0)
 
         for flavor in Flavor:
             for maturity in (math.inf, 0.5):
                 with pytest.raises(ValueError, match="barrier node"):
-                    price(flavor, maturity, 92.0)
+                    priced(flavor, maturity, 92.0)
                 # a barrier off the node by round-off only is on it
                 np.testing.assert_array_equal(
-                    price(flavor, maturity, 90.0 * (1 + 1e-14)).values,
-                    price(flavor, maturity, 90.0).values)
+                    priced(flavor, maturity, 90.0 * (1 + 1e-14)).values,
+                    priced(flavor, maturity, 90.0).values)
 
     def test_barrier_contracts_bounded_by_vanilla(self):
         model, grid, gen = _bs_setup()
         f = american_call(95.0)(grid.states)
 
-        res_in = price_perpetual_downin(gen, _contract(Flavor.DOWN_IN), model)
+        def priced(flavor, maturity=math.inf):
+            return price(model, grid, _contract(flavor, maturity=maturity),
+                         dt=1.0 / 60.0, dtick=1.0 / 120.0)
+
+        res_in = priced(Flavor.DOWN_IN)
         assert np.all(res_in.values <= res_in.vanilla + 1e-9)
 
         vanilla = vanilla_american_perpetual(gen, f, rate=0.1)
-        res_out = price_perpetual_downout(gen, _contract(Flavor.DOWN_OUT),
-                                          model, dtick=1.0 / 120.0)
+        res_out = priced(Flavor.DOWN_OUT)
         assert np.all(res_out.level_values(0) <= vanilla + 1e-9)
 
-        timegrid = TimeGrid(dt=1.0 / 60.0, horizon=1.0)
-        fin = price_finite_downin(model, grid, timegrid,
-                                  _contract(Flavor.DOWN_IN, maturity=1.0))
+        fin = priced(Flavor.DOWN_IN, maturity=1.0)
         assert np.all(fin.values[0] <= fin.vanilla[0] + 1e-9)
 
-        fout = price_finite_downout(model, grid, timegrid,
-                                    _contract(Flavor.DOWN_OUT, maturity=1.0),
-                                    dtick=1.0 / 120.0)
+        fout = priced(Flavor.DOWN_OUT, maturity=1.0)
         # slice-0 down-out values are time-0 prices; compare against the
         # undiscounted finite vanilla at the same slice
         assert np.all(fout.level_values(0) <= fin.vanilla[0] + 1e-9)

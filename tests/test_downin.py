@@ -212,6 +212,10 @@ class TestPerpetualDownIn:
                                     math.inf, 0.10, Flavor.DOWN_OUT)
         with pytest.raises(ValueError):
             price_perpetual_downin(gen, wrong_flavor, BS)
+        # a plain rate matrix has no grid to place the barrier on
+        perpetual = dataclasses.replace(wrong_flavor, flavor=Flavor.DOWN_IN)
+        with pytest.raises(ValueError, match="GeneratorMatrix"):
+            price_perpetual_downin(gen.as_dense(), perpetual, BS)
 
 
 class TestSliceKernels:

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from parisian import oracle
+from parisian import pricing
 from parisian.ctmc import TimeGrid, build_generator, build_grid
 from parisian.models import bs_model
 from parisian.oracle import (
@@ -282,7 +282,7 @@ def test_raising_pricer_fails_one_check_and_the_suite_goes_on(monkeypatch):
             raise np.linalg.LinAlgError("singular\nslice system")
         return price_finite_downin(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "price_finite_downin", raise_once)
+    monkeypatch.setattr(pricing, "price_finite_downin", raise_once)
     lines = []
     assert run_verify("dp", seed=0, emit=lines.append) >= 1
     raised = [line for line in lines if "raised" in line]

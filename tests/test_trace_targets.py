@@ -2,26 +2,54 @@
 
 ``perfbench/spans.py`` looks each traced function up by name with
 ``getattr``; a renamed or deleted layer would only fail inside a traced
-benchmark run.  This test fails first.
+benchmark run.  This test fails first.  Each pricer must also be reached
+through the binding the tracer patches: a dispatch table built at import
+would keep the original functions and hide their spans.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
+from parisian import price
+from parisian.ctmc import build_grid
+from parisian.models import bs_model
+from parisian.pricer_downin import ContractSpec, Flavor, american_call
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _targets():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, name) for module, name, _ in spans.TARGETS]
+    return spans
 
 
-@pytest.mark.parametrize("module, name", _targets())
+@pytest.mark.parametrize("module, name",
+                         [(module, name) for module, name, _ in _spans().TARGETS])
 def test_traced_layer_resolves(module, name):
     mod = importlib.import_module(f"parisian.{module}")
     assert callable(getattr(mod, name, None)), f"parisian.{module}.{name}"
+
+
+@pytest.mark.parametrize("flavor, maturity, span", [
+    (Flavor.DOWN_IN, math.inf, "pricer_downin.price_perpetual_downin"),
+    (Flavor.DOWN_IN, 0.25, "pricer_downin.price_finite_downin"),
+    (Flavor.DOWN_OUT, math.inf, "pricer_downout.price_perpetual_downout"),
+    (Flavor.DOWN_OUT, 0.25, "pricer_downout.price_finite_downout"),
+])
+def test_price_reaches_each_traced_pricer(flavor, maturity, span):
+    model = bs_model(r_f=0.1, dividend=0.05, sigma=0.3)
+    grid = build_grid(18.0, 360.0, 90.0, 95.0, 24)
+    contract = ContractSpec(payoff=american_call(95.0), barrier=90.0, window=1.0 / 12.0,
+                            maturity=maturity, rate=0.1, flavor=flavor)
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        price(model, grid, contract, dt=1.0 / 24.0, dtick=1.0 / 48.0)
+    pricers = {name: bucket["calls"] for name, bucket in tracer.counts.items()
+               if ".price_" in name}
+    assert pricers == {span: 1}
