@@ -472,16 +472,12 @@ def slice_operators(gens: Sequence, build: Callable) -> Iterator[tuple]:
         yield j, op
 
 
-def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Jump mass beyond each offset z != 0, away from the origin.
+def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray, up: bool) -> np.ndarray:
+    """Jump mass beyond the offsets z, away from the origin: [z, +inf) if
+    ``up`` (every z > 0), else (-inf, z) (every z < 0), from one
+    ``interval_mass`` call; ``xs`` (the states) broadcasts against ``z``."""
 
-    [z, +inf) for z > 0 and (-inf, z) for z < 0, from one ``interval_mass``
-    call; ``xs`` (a column of states) broadcasts against ``z``.
-    """
-
-    pos = z > 0.0
-    lo = np.where(pos, z, -np.inf)
-    hi = np.where(pos, np.inf, z)
+    lo, hi = (z, np.inf) if up else (-np.inf, z)
     return np.asarray(jm.interval_mass(t, xs, lo, hi), dtype=float)
 
 
@@ -491,21 +487,25 @@ def _run_tables(jm, t: float, x: np.ndarray, inner: np.ndarray, runs) -> list:
     holds the tails of state e-1-w at the edges s+1..e-1.
 
     The 2(e-s-1) distinct offsets, k - i from s+2-e to e-1-s, are read
-    off the last state (k - i <= 0) and the first; the tails of all runs
-    come from one ``interval_mass`` call.
+    off the last state (k - i <= 0, every edge below it) and the first
+    (every edge above it); the tails of all runs come from one
+    ``interval_mass`` call per side.
     """
 
     if not runs:
         return []
-    zs, xs = [], []
-    for s, e in runs:
-        edge = inner[s:e - 1]
-        zs += [edge - x[e - 1], edge - x[s]]
-        xs.append(np.repeat([x[e - 1], x[s]], e - s - 1))
-    table = _tail_masses(jm, t, np.concatenate(xs), np.concatenate(zs))
-    cuts = np.cumsum([0] + [2 * (e - s - 1) for s, e in runs])
+    sizes = [e - s - 1 for s, e in runs]
+
+    def side(ends, up):
+        z = [inner[s:e - 1] - x[i] for (s, e), i in zip(runs, ends)]
+        return _tail_masses(jm, t, np.repeat(x[ends], sizes), np.concatenate(z), up)
+
+    down = side([e - 1 for _, e in runs], up=False)
+    up = side([s for s, _ in runs], up=True)
+    cuts = np.cumsum([0] + sizes)
     return [
-        (s, e, np.lib.stride_tricks.sliding_window_view(table[lo:hi], e - s - 1))
+        (s, e, np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([down[lo:hi], up[lo:hi]]), e - s - 1))
         for (s, e), lo, hi in zip(runs, cuts[:-1], cuts[1:])
     ]
 
@@ -526,16 +526,18 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     diagonals, so its 2 n_r - 2 distinct tails are evaluated once and
     gathered.  The states and edges of a run are exact lattice values, so
     each offset in the table has the bits of every per-row offset it
-    stands for, and the part equals the per-row assembly's bit for bit.  Every other pair (across runs, at the
-    end cells, on a state-dependent measure all of them) is evaluated per
-    row.
+    stands for, and the part equals the per-row assembly's bit for bit.
+    Every other pair (across runs, at the end cells, on a state-dependent
+    measure all of them) is evaluated per row.
 
     Rows are assembled in chunks of about ``_CHUNK_CELLS`` cells (rows x
-    states), so a chunk's temporaries take the same memory on every grid;
-    each chunk makes one ``interval_mass`` call for its per-row edge
-    tails.  The tails at +-1 come from one call before the chunks.  Every
-    row is computed on its own, so neither the arrays nor the cells
-    evaluated depend on the chunk size.
+    states), so a chunk's temporaries take the same memory on every grid.
+    The rows of a chunk inside one run, or between two, take the tails
+    left and right of them from one ``_tail_masses`` call per side, and
+    rows between runs those among them from one call below and one above.
+    Only the edges within +-1 of the chunk's rows are clamped.  Every row
+    is computed on its own, so neither the arrays nor the cells evaluated
+    depend on the chunk size.
     """
 
     x = grid.states
@@ -545,17 +547,24 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
     mu_bar = np.zeros(N)
     s2_bar = np.zeros(N)
     inner = edges[1:-1]
-    # tails at the +-1 clamps of the small-jump masses, one call for every
-    # interior row (a state-independent measure returns fewer rows)
-    units = _tail_masses(jm, t, x[1:-1, None], np.array([[-1.0, 1.0]]))
+    # tails at the +-1 clamps of the small-jump masses, one call per side
+    # for every interior row (a state-independent measure returns one row)
+    units = np.concatenate([_tail_masses(jm, t, x[1:-1, None], np.array([[v]]), v > 0)
+                            for v in (-1.0, 1.0)], axis=1)
     runs = grid.lattice_runs if len(units) < N - 2 else []
     tables = _run_tables(jm, t, x, inner, runs)
     units = np.broadcast_to(units, (N - 2, 2))
+    # the rows as pieces (s, e, table): the states s..e-1 of one run and
+    # its table, or those between two runs (None; maybe empty)
+    pieces, a = [], 1
+    for s, e, table in tables:
+        pieces += [(a, s, None), (s, e, table)]
+        a = e
+    pieces.append((a, N - 1, None))
     step = max(1, _CHUNK_CELLS // N)
     for i0 in range(1, N - 1, step):
         i1 = min(i0 + step, N - 1)
         rows = np.arange(i0, i1)
-        local = rows - i0
         xs = x[rows, None]
         z = inner[None, :] - xs
         # tails at every cell edge, zero at the +-inf outer edges; the
@@ -563,45 +572,49 @@ def jump_part(jm: JumpMeasure, grid: SpatialGrid, t: float = 0.0) -> JumpPart:
         # edge tails (both edges lie on the same side of the state)
         tails = np.zeros((len(rows), N + 1))
         edge_tails = tails[:, 1:-1]
-        per_row = np.ones(z.shape, dtype=bool)
-        for s, e, table in tables:
-            a, b = max(i0, s), min(i1, e)
-            if a < b:
-                edge_tails[a - i0:b - i0, s:e - 1] = table[e - b:e - a][::-1]
-                per_row[a - i0:b - i0, s:e - 1] = False
-        edge_tails[per_row] = _tail_masses(
-            jm, t, np.broadcast_to(xs, z.shape)[per_row], z[per_row]
-        )
-        mass = np.abs(tails[:, :-1] - tails[:, 1:])
-        mass[local, rows] = 0.0
-        far[i0:i1] = mass
+        for s, e, table in pieces:
+            a, b = max(s, i0), min(e, i1)  # the piece's rows in the chunk
+            if a >= b:
+                continue
+            r = slice(a - i0, b - i0)
+            block, zb = edge_tails[r], z[r]
+            if table is None:
+                # the edges among the rows: below or above each
+                lo, hi, m = a, b - 1, b - a
+                for (p, q), up in ((np.tril_indices(m, -1, m - 1), False),
+                                   (np.triu_indices(m, 0, m - 1), True)):
+                    block[p, a + q] = _tail_masses(jm, t, x[a + p], zb[p, a + q], up)
+            else:
+                lo, hi = s, e - 1
+                block[:, lo:hi] = table[e - b:e - a][::-1]
+            block[:, :lo] = _tail_masses(jm, t, xs[r], zb[:, :lo], up=False)
+            block[:, hi:] = _tail_masses(jm, t, xs[r], zb[:, hi:], up=True)
+        mass = np.subtract(tails[:, :-1], tails[:, 1:], out=far[i0:i1])
+        np.abs(mass, out=mass)
+        mass[rows - i0, rows] = 0.0
         # small-jump cell masses (jumps within [-1, 1]) from the same
-        # tails: every edge beyond +-1 reads the tail at +-1
-        unit = units[i0 - 1:i1 - 1]
-        clamped = np.where(np.abs(z) <= 1.0, edge_tails,
-                           np.where(z > 0.0, unit[:, 1:], unit[:, :1]))
-        tails[:, 1:-1] = clamped
-        tails[:, 0], tails[:, -1] = unit[:, 0], unit[:, 1]
-        small = np.abs(tails[:, :-1] - tails[:, 1:])
-        small[local, rows] = 0.0
-        mu_bar[i0:i1] = ((x[None, :] - xs) * small).sum(axis=1)
-        s2_bar[i0:i1] = np.asarray(
-            jm.small_jump_second_moment(
-                t, x[rows], edges[rows] - x[rows], edges[rows + 1] - x[rows]
-            ),
-            dtype=float,
-        )
+        # tails, clamped in place: an edge beyond +-1 reads the tail at
+        # +-1, so only the cells klo..khi, around the edges within +-1 of
+        # some row, can hold any
+        klo = np.searchsorted(z[0], -1.0)
+        khi = np.searchsorted(z[-1], 1.0, side="right")
+        unit, zw, clamped = units[i0 - 1:i1 - 1], z[:, klo:khi], tails[:, klo:khi + 2]
+        clamped[:, 0], clamped[:, -1] = unit[:, 0], unit[:, 1]
+        np.copyto(clamped[:, 1:-1], unit[:, :1], where=zw < -1.0)
+        np.copyto(clamped[:, 1:-1], unit[:, 1:], where=zw > 1.0)
+        moment = np.zeros((len(rows), N))
+        small = np.abs(clamped[:, :-1] - clamped[:, 1:])
+        moment[:, klo:khi + 1] = (x[klo:khi + 1] - xs) * small
+        moment[rows - i0, rows] = 0.0
+        mu_bar[i0:i1] = moment.sum(axis=1)
+    s2_bar[1:-1] = jm.small_jump_second_moment(
+        t, x[1:-1], edges[1:-2] - x[1:-1], edges[2:-1] - x[1:-1])
 
-    # neighbour jump mass rides on the tridiagonal rates
-    idx = np.arange(1, N - 1)
-    up = np.zeros(N)
-    down = np.zeros(N)
-    up[idx] = far[idx, idx + 1]
-    down[idx] = far[idx, idx - 1]
-    far[idx, idx + 1] = 0.0
-    far[idx, idx - 1] = 0.0
-    far[0, :] = 0.0
-    far[N - 1, :] = 0.0
+    # neighbour jump mass rides on the tridiagonal rates (end rows are 0)
+    up, down = np.zeros(N), np.zeros(N)
+    up[:-1], down[1:] = np.diagonal(far, 1), np.diagonal(far, -1)
+    np.fill_diagonal(far[:, 1:], 0.0)
+    np.fill_diagonal(far[1:], 0.0)
     return JumpPart(far=far, up=up, down=down, far_sums=far.sum(axis=1),
                     mu_bar=mu_bar, s2_bar=s2_bar)
 

@@ -174,13 +174,19 @@ def bs_model(r_f: float, dividend: float, sigma: float) -> ModelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _sides(a, b):
-    """(a+, b+, a-, b-): [a, b) cut at the origin into its part on z >= 0,
-    [a+, b+), and its part on z < 0 mirrored onto z > 0, [a-, b-)."""
+def _split(a, b, plus, minus):
+    """plus(a+, b+) + minus(a-, b-): [a, b) cut at the origin into its part
+    on z >= 0, [a+, b+), and its part on z < 0 mirrored onto z > 0,
+    [a-, b-).  When every interval lies on one half-line, as a tail [z, inf)
+    or (-inf, z) does, only that side is evaluated."""
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.maximum(a, 0.0), np.maximum(b, 0.0), -np.minimum(b, 0.0), -np.minimum(a, 0.0)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.all(a >= 0.0) and np.all(b >= 0.0):
+        return plus(a, b)
+    if np.all(a <= 0.0) and np.all(b <= 0.0):
+        return minus(-b, -a)
+    return (plus(np.maximum(a, 0.0), np.maximum(b, 0.0))
+            + minus(-np.minimum(b, 0.0), -np.minimum(a, 0.0)))
 
 
 def _unit_clamped(a, b):
@@ -230,20 +236,19 @@ def kou_jump_measure(params: KouParams) -> JumpMeasure:
             lambda x: (x * x + 2.0 * x / eta + 2.0 / eta**2) * np.exp(-eta * x), a, b
         )
 
-    def _split(a, b, side):
-        ap, bp, an, bn = _sides(a, b)
-        return wp * side(ep, ap, bp) + wm * side(em, an, bn)
+    def _weighted(a, b, side, wm=wm):
+        return _split(a, b, lambda a, b: wp * side(ep, a, b),
+                      lambda a, b: wm * side(em, a, b))
 
     def interval_mass(t, x, a, b):
-        return _split(a, b, _mass_side)
+        return _weighted(a, b, _mass_side)
 
     def second_moment(t, x, a, b):
-        return _split(a, b, _second_side)
+        return _weighted(a, b, _second_side)
 
     def truncated_first(t, x, a, b):
         # z is odd: the mirrored negative side enters with a minus sign
-        ap, bp, an, bn = _sides(*_unit_clamped(a, b))
-        return wp * _first_side(ep, ap, bp) - wm * _first_side(em, an, bn)
+        return _weighted(*_unit_clamped(a, b), _first_side, -wm)
 
     return JumpMeasure(
         interval_mass=interval_mass,
@@ -382,11 +387,13 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
 
         E1(0) = inf is the correct (infinite-activity) answer for cells
         touching the origin.  E1 runs only on nonempty intervals and finite
-        b (E1(inf) = 0).  A tail [a, inf) has no upper term, so a call made
-        only of tails and empty intervals (every call ``ctmc.jump_part``
-        makes) skips it.
+        b (E1(inf) = 0).  A tail [a, inf) has no upper term, and a call
+        made only of live tails (every call ``ctmc.jump_part`` makes) is
+        E1(lam a) as it stands, with no gather or scatter.
         """
 
+        if np.ndim(b) == 0 and b == np.inf and np.all(a < b):
+            return _e1(lam * a)
         a, b = np.broadcast_arrays(a, b)
         out = np.zeros(a.shape)
         live = a < b
@@ -404,21 +411,19 @@ def vg_jump_measure(params: VGParams) -> JumpMeasure:
             lambda x: (1.0 + lam * x) * np.exp(-lam * x) / lam**2, a, b
         )
 
-    def _split(a, b, side):
-        ap, bp, an, bn = _sides(a, b)
-        return C * (side(lam_p, ap, bp) + side(lam_m, an, bn))
+    def _weighted(a, b, side):
+        return C * _split(a, b, lambda a, b: side(lam_p, a, b),
+                          lambda a, b: side(lam_m, a, b))
 
     def interval_mass(t, x, a, b):
-        return _split(a, b, _mass_side)
+        return _weighted(a, b, _mass_side)
 
     def second_moment(t, x, a, b):
-        return _split(a, b, _second_side)
+        return _weighted(a, b, _second_side)
 
     def truncated_first(t, x, a, b):
-        ap, bp, an, bn = _sides(*_unit_clamped(a, b))
-        pos = _first_side(lam_p, ap, bp)
-        neg = -_first_side(lam_m, an, bn)
-        return C * (pos + neg)
+        return C * _split(*_unit_clamped(a, b), lambda a, b: _first_side(lam_p, a, b),
+                          lambda a, b: -_first_side(lam_m, a, b))
 
     return JumpMeasure(
         interval_mass=interval_mass,

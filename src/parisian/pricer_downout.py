@@ -572,7 +572,11 @@ def _reduced(gens, ladder, f0, rate, dt):
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
     warm = None
     for j, red in ops:
-        q, levels = red.sources(C[j + 1])
+        if j == len(gens) - 2:  # the zero row past the last slice: no solves
+            q = np.zeros_like(f_above)
+            levels = np.zeros((ladder.n_ticks, ladder.n_below))
+        else:
+            q, levels = red.sources(C[j + 1])
         c, warm = bermudan_slice(red.A_eff, q, f_above, warm)
         C[j] = red.expand(c, levels)
     return C

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .ctmc import SpatialGrid, TimeGrid, build_generator, resolve_rate_policy
 from .models import ModelSpec
 from .pricer_downin import ContractSpec, Flavor, PriceSurface
@@ -27,8 +29,9 @@ def price(model: ModelSpec, grid: SpatialGrid, contract: ContractSpec, *,
     generators use ``rate_policy`` (see ``resolve_rate_policy``) unless
     ``gen`` gives them: one generator, or one per clock slice of a finite
     contract.  ``vanilla_discounting`` is a finite down-in's term (see
-    ``price_finite_downin``).  ValueError for a missing ``dt`` or ``dtick``
-    or a ``vanilla_discounting`` given to another class.
+    ``price_finite_downin``).  ValueError for a missing ``dt`` or ``dtick``,
+    a ``gen`` built on another grid (a plain rate matrix has none and
+    passes) or a ``vanilla_discounting`` given to another class.
     """
 
     down_in = contract.flavor is Flavor.DOWN_IN
@@ -36,6 +39,11 @@ def price(model: ModelSpec, grid: SpatialGrid, contract: ContractSpec, *,
         raise ValueError("vanilla_discounting is a term of a finite down-in only")
     if not down_in and dtick is None:
         raise ValueError("a down-out contract needs the duration tick dtick")
+    for g in gen if isinstance(gen, (list, tuple)) else [gen]:
+        built_on = getattr(g, "grid", grid)  # a plain rate matrix has no grid
+        if not np.array_equal(built_on.states, grid.states):
+            raise ValueError(f"gen was built on a grid of {built_on.n_states} states, "
+                             f"not on the given grid of {grid.n_states}")
     policy = resolve_rate_policy(rate_policy, model)
     if contract.is_perpetual:
         if gen is None:

@@ -335,30 +335,70 @@ class TestBuildGenerator:
         )
 
     def test_vg_jump_part_is_independent_of_chunks(self, monkeypatch):
-        g = build_grid(np.log(18), np.log(360), np.log(90), np.log(95), 800)
-        cells = []
+        # rows are grouped by lattice run, so the cut into chunks moves the
+        # pieces: the log domain and its mirror (strike below the barrier),
+        # and a state-dependent measure with no run tables at all
+        log, mirrored = TestBuildGrid.DOMAINS[2:]
+        cases = [(VG, log, True), (KOU, log, True), (VG, mirrored, True),
+                 (KOU, mirrored, True), (state_dependent_kou(), log, False)]
+        for model, domain, tabled in cases:
+            g = build_grid(*domain, 800)
+            cells = []
 
-        def counted(*args):
-            out = VG.jump_measure.interval_mass(*args)
-            cells[-1] += np.size(out)
-            return out
+            def counted(*args, base=model.jump_measure):
+                out = base.interval_mass(*args)
+                cells[-1] += np.size(out)
+                return out
 
-        jm = dataclasses.replace(VG.jump_measure, interval_mass=counted)
+            jm = dataclasses.replace(model.jump_measure, interval_mass=counted)
 
-        def build(chunk_cells):
-            cells.append(0)
-            with monkeypatch.context() as m:
-                m.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
-                return jump_part(jm, g)
+            def build(chunk_cells):
+                cells.append(0)
+                with monkeypatch.context() as m:
+                    m.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
+                    return jump_part(jm, g)
 
-        default = build(ctmc._CHUNK_CELLS)
-        one_row = build(1)  # one row per chunk
-        # the cells evaluated are a function of the grid, not of the chunks,
-        # and the run tables leave about half of them to evaluate per row
-        assert cells[0] == cells[1]
-        assert cells[0] <= 0.55 * g.n_states * (g.n_states - 1)
-        for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
-            assert np.array_equal(getattr(one_row, field), getattr(default, field)), field
+            default = build(ctmc._CHUNK_CELLS)
+            one_row = build(1)  # one row per chunk
+            some_rows = build(37 * g.n_states)  # chunks of 37 rows
+            # the cells evaluated are a function of the grid, not of the
+            # chunks, and the run tables leave about half of them to
+            # evaluate per row
+            assert cells[0] == cells[1] == cells[2], model.name
+            if tabled:
+                assert cells[0] <= 0.55 * g.n_states * (g.n_states - 1)
+            for field in ("far", "up", "down", "far_sums", "mu_bar", "s2_bar"):
+                want = getattr(default, field)
+                for part in (one_row, some_rows):
+                    assert np.array_equal(getattr(part, field), want), (model.name, field)
+
+    @pytest.mark.parametrize("chunk_cells", [ctmc._CHUNK_CELLS, 9 * 401],
+                             ids=["one-chunk", "nine-rows"])
+    @pytest.mark.parametrize(
+        "model", [KOU, VG, state_dependent_kou()], ids=["kou", "vg", "state-dependent"]
+    )
+    @pytest.mark.parametrize("domain", TestBuildGrid.DOMAINS[2:],
+                             ids=TestBuildGrid.DOMAIN_IDS[2:])
+    def test_every_tail_is_taken_on_one_half_line(self, monkeypatch, model, domain,
+                                                  chunk_cells):
+        base = model.jump_measure
+        calls = []
+
+        def one_sided(t, x, a, b):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            # one endpoint the scalar -inf or +inf, the other of one sign
+            if a.ndim == 0 and a == -np.inf:
+                assert np.all(b < 0.0)
+            else:
+                assert b.ndim == 0 and b == np.inf
+                assert np.all(a > 0.0)
+            calls.append(max(a.size, b.size))
+            return base.interval_mass(t, x, a, b)
+
+        monkeypatch.setattr(ctmc, "_CHUNK_CELLS", chunk_cells)
+        g = build_grid(*domain, 400)
+        jump_part(dataclasses.replace(base, interval_mass=one_sided), g)
+        assert sum(calls) > g.n_states * (g.n_states - 1) / 4
 
     @pytest.mark.parametrize(
         "model,domain",

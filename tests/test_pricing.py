@@ -2,7 +2,8 @@
 
 ``price`` only routes: on every class it must return the surface of a direct
 call to that class's pricer bit for bit, and it must name a missing clock
-step or duration tick, and a discounting term given to the wrong class.
+step or duration tick, a generator built on another grid, and a discounting
+term given to the wrong class.
 """
 
 import dataclasses
@@ -124,3 +125,25 @@ def test_vanilla_discounting_is_a_finite_down_in_term_only():
         with pytest.raises(ValueError, match="vanilla_discounting"):
             price(BS, grid, contract(flavor, maturity), dt=DT, dtick=DTICK,
                   vanilla_discounting="exercise")
+
+
+@pytest.mark.parametrize("maturity", [math.inf, T])
+def test_generator_built_on_another_grid(maturity):
+    # a 25-state generator under a 41-state grid: the perpetual down-out
+    # would quote a 25-state surface, the finite one fail inside numpy
+    grid, other = small_grid(40), small_grid(24)
+    c = contract(Flavor.DOWN_OUT, maturity)
+    gen = build_generator(BS, other)
+    gens = [build_generator(BS, grid)] * int(T / DT) + [gen, build_generator(BS, grid)]
+    for given in (gen, gens):
+        with pytest.raises(ValueError, match="grid of 25 states.*grid of 41"):
+            price(BS, grid, c, dt=DT, dtick=DTICK, gen=given)
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_plain_rate_matrix_has_no_grid_to_check(flavor):
+    grid = small_grid(40)
+    c = contract(flavor, maturity=T)
+    rates = build_generator(BS, grid).as_dense()
+    assert_same_surface(price(BS, grid, c, dt=DT, dtick=DTICK, gen=rates),
+                        direct(BS, grid, c, gen=rates))

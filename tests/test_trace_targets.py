@@ -4,19 +4,22 @@
 ``getattr``; a renamed or deleted layer would only fail inside a traced
 benchmark run.  This test fails first.  Each pricer must also be reached
 through the binding the tracer patches: a dispatch table built at import
-would keep the original functions and hide their spans.
+would keep the original functions and hide their spans.  The traced jump
+measure must count every cell a generator assembly evaluates.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parisian import price
+from parisian import ctmc, price
 from parisian.ctmc import build_grid
-from parisian.models import bs_model
+from parisian.models import VGParams, bs_model, vg_model
 from parisian.pricer_downin import ContractSpec, Flavor, american_call
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -53,3 +56,28 @@ def test_price_reaches_each_traced_pricer(flavor, maturity, span):
     pricers = {name: bucket["calls"] for name, bucket in tracer.counts.items()
                if ".price_" in name}
     assert pricers == {span: 1}
+
+
+def test_traced_interval_mass_counts_every_cell():
+    # the tracer wraps a measure's interval_mass and counts the cells of
+    # each call: over a whole VG assembly, made of many one-sided calls,
+    # that count must be the cells an untraced build evaluates
+    model = vg_model(VGParams(sigma=0.1213, nu=0.1686, theta=-0.1436, r_f=0.05))
+    grid = build_grid(math.log(18), math.log(360), math.log(90), math.log(95), 400)
+    cells = []
+
+    def counted(t, x, a, b):
+        out = model.jump_measure.interval_mass(t, x, a, b)
+        cells.append(np.size(out))
+        return out
+
+    jm = dataclasses.replace(model.jump_measure, interval_mass=counted)
+    untraced = ctmc.build_generator(dataclasses.replace(model, jump_measure=jm), grid,
+                                    rate_policy="upwind")
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        traced = ctmc.build_generator(model, grid, rate_policy="upwind")
+    counts = tracer.counts["models.interval_mass"]
+    assert counts["calls"] == len(cells) > 1
+    assert counts["cells"] == sum(cells)
+    assert np.array_equal(traced.jump, untraced.jump)
