@@ -12,13 +12,13 @@ ladder operator), on which it converges in finitely many steps.  Every
 ``LCPProblem`` holds its A as an ``LCPOperator``, in the one solving form
 chosen when the operator is built: three bands when the builder hands them
 over (``LCPOperator.from_bands``), CSC for a sparse A less than half full,
-dense otherwise.  The operator also keeps the LU factors of the last
-principal block A_FF it solved; a recursion that passes one operator to
-every clock slice factors A_FF once per distinct free set instead of once per
-iteration.  ``lemke_solve`` (pivoting) is kept as an independent reference
-for tests and ``parisian verify``.  Functions are pure apart from the factor
-an operator caches, so an operator must not be shared across threads; calls
-on distinct operators are safe in parallel.
+dense otherwise.  The operator solves every block A_FF on a prefix free set
+{0..k-1} from one LU factor of A^T and keeps the factor of the last other
+block; a recursion that passes one operator to every clock slice factors
+once, plus once per new non-prefix set, not once per iteration.
+``lemke_solve`` (pivoting) is an independent reference for tests and
+``parisian verify``.  Functions are pure apart from the factors an operator
+caches, so an operator must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -222,14 +222,16 @@ class LCPOperator:
     stored entries is converted to CSC once, and anything else, a sparse A
     at least half full included, is held dense, where a dense LU is cheaper
     than a sparse one.  ``is_sparse`` is true for bands and CSC.
-    The operator also keeps the LU factors (``factor_tridiag`` on bands,
-    ``splu`` on CSC, ``factor_dense`` dense) of the last principal block A_FF
-    that ``solve_free`` solved, keyed by the free index set F.  A solve on
-    the same F reuses them; a different F drops them before the new block is
-    cut, so at most one factor is alive.
-    Policy iteration solves every A_FF exactly, so reusing the factor leaves
-    every solution as it was.  The factor lives as long as the operator, and
-    an operator is not meant to be shared across threads.
+    On bands and dense, the first prefix free set F = {0..k-1} factors the
+    whole A^T (``factor_tridiag``/``factor_dense``, transposed).  Partial
+    pivoting makes no interchange there when A is row diagonally dominant,
+    as every pricing operator is (Higham 2002, sec. 9.5), and every prefix
+    block is then solved from the factor's leading block, trans='T' (a
+    dense one copied when k changes).  With an interchange or a singular A,
+    as for any other F and every F on CSC, A_FF is cut and factored
+    (``factor_tridiag``, ``splu`` or ``factor_dense``) and kept while F
+    stays.  A reused factor solves as a fresh one would; the factors live
+    as long as the operator.
     """
 
     def __init__(self, A: Union[np.ndarray, sparse.spmatrix]):
@@ -262,6 +264,9 @@ class LCPOperator:
         self.is_sparse = sparse.issparse(matrix)
         self._free: Optional[np.ndarray] = None
         self._lu = None
+        # the factor of A^T for prefix sets: None until made, False if unusable
+        self._whole = False if self.is_sparse and bands is None else None
+        self._lead = None  # (k, copy of a dense _whole's leading k x k block)
 
     @property
     def n(self) -> int:
@@ -278,10 +283,16 @@ class LCPOperator:
     def solve_free(self, free: np.ndarray, rhs: np.ndarray) -> Tuple[np.ndarray, int]:
         """Solve A_FF x = rhs for the free mask ``free``.
 
-        Returns x and the number of factorizations made (0 or 1).
+        Returns x and the number of factorizations made (0, 1 or 2).
         """
 
         factorizations = 0
+        k = int(np.count_nonzero(free))
+        if k and self._whole is not False and free[:k].all():
+            if self._whole is None:
+                self._whole, factorizations = self._factor_whole(), 1
+            if self._whole is not False:
+                return self._solve_prefix(k, rhs), factorizations
         if self._lu is None or not np.array_equal(free, self._free):
             self._lu = self._free = None
             idx = np.flatnonzero(free)
@@ -292,12 +303,40 @@ class LCPOperator:
             else:
                 self._lu = factor_dense(self.matrix[np.ix_(idx, idx)])
             self._free = free.copy()
-            factorizations = 1
+            factorizations += 1
         if self.bands is not None:
             return solve_tridiag(self._lu, rhs), factorizations
         if self.is_sparse:
             return self._lu.solve(rhs), factorizations
         return solve_dense(self._lu, rhs), factorizations
+
+    def _factor_whole(self):
+        """The factor of A^T, or False if A^T is singular or swapped rows."""
+
+        try:  # dense: the transpose of a C-ordered copy, factored in place
+            whole = (factor_tridiag(self.bands, np.arange(self.n), transposed=True)
+                     if self.bands is not None
+                     else factor_dense(self.matrix.copy(), transposed=True))
+        except np.linalg.LinAlgError:
+            return False
+        piv = whole[0][4] - 1 if self.bands is not None else whole[1]  # 0-based
+        return whole if np.array_equal(piv, np.arange(len(piv))) else False
+
+    def _solve_prefix(self, k: int, rhs: np.ndarray) -> np.ndarray:
+        """Solve A_FF x = rhs on F = {0..k-1} from the leading block of ``_whole``."""
+
+        if self.bands is None:  # dense: a copy of the block, made when k changes
+            lu, piv, trans = self._whole
+            if k < self.n and (self._lead is None or self._lead[0] != k):
+                self._lead = k, lu[:k, :k].copy(order="F")
+            return solve_dense((lu if k == self.n else self._lead[1], piv[:k], trans), rhs)
+        (dl, d, du, du2, ipiv), _, trans = self._whole
+        m = max(k, 3)  # the wrapper's least, padded as in factor_tridiag
+        lu = [dl[:m - 1], d[:m], du[:m - 1], du2[:m - 2], ipiv[:m]]
+        if k < 3:  # rows past k: an uncoupled identity block
+            pad = np.zeros(3 - k)
+            lu[:3] = np.r_[dl[:k - 1], pad], np.r_[d[:k], pad + 1], np.r_[du[:k - 1], pad]
+        return solve_tridiag((lu, k, trans), rhs)
 
 
 class LCPStatus(enum.Enum):
@@ -470,8 +509,7 @@ def policy_solve(
     the sets from the signs of z and w = A z + psi.  Converges in finitely
     many iterations from any starting set for the M-matrix systems produced
     by the pricers.
-    An iteration whose F equals the one ``problem.A`` solved last, in this
-    call or an earlier one, reuses its factor, and
+    ``problem.A`` keeps its factors across calls (see ``LCPOperator``), and
     ``LCPSolution.factorizations`` counts the ones made.  For banded
     operators the free boundary can travel only one node per iteration, so
     the iteration cap scales with the problem size when ``A`` is sparse

@@ -15,12 +15,12 @@ kernels H+/H- (crossing before the next clock tick), the within-window
 trigger term v, and the window-interrupted terms u+/u- through one two-block
 linear system on dense below/above blocks, built once per slice generator.
 u+ is a sum over all later slices; it is accumulated in Horner form (one
-below-block solve per slice while the generator is unchanged).  Every pricing LCP, here and
-in ``pricer_downout``, is one exercise step, ``bermudan_slice``, on a slice
-operator A.  ``american_surface`` runs it backwards over the clock slices,
-rebuilding A only when the generator changes (slices with an unchanged
-exercise region reuse one factorization): the vanilla Bermudan surface
-(A = I - dt G) and, as its one-slice case, the perpetual value (rate I - G).
+below-block solve per slice while the generator is unchanged).  Every
+pricing LCP, here and in ``pricer_downout``, is one exercise step,
+``bermudan_slice``, on a slice operator A.  ``american_surface`` runs it
+backwards over the clock slices, rebuilding A (and its LU factors) only when
+the generator changes: the vanilla Bermudan surface (A = I - dt G) and, as
+its one-slice case, the perpetual value (rate I - G).
 
 Every pricer, here and in ``pricer_downout``, returns a ``PriceSurface``:
 prices over (clock slice, slot), one slice for a perpetual contract.
@@ -203,7 +203,8 @@ def require_contract(contract: ContractSpec, flavor: Flavor, model: ModelSpec,
 
 
 def bermudan_slice(
-    A: LCPOperator, c_next: np.ndarray, obstacle: np.ndarray, warm=None
+    A: LCPOperator, c_next: np.ndarray, obstacle: np.ndarray, warm=None,
+    A_obstacle: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One exercise step: min(A c - c_next, c - obstacle) = 0 by policy
     iteration from the active-set guess ``warm``; returns the values and
@@ -211,12 +212,14 @@ def bermudan_slice(
 
     ``A`` is the slice operator: I - dt G, rate I - G or a duration-ladder
     operator.  A caller passes one to every slice it serves, so a slice can
-    reuse the factor of the last free set.  Discounting is the caller's job.
+    reuse its factors, and A @ obstacle as ``A_obstacle`` if it has it.
+    Discounting is the caller's job.
     """
 
     obstacle = np.asarray(obstacle, dtype=float)
+    A_obstacle = A @ obstacle if A_obstacle is None else A_obstacle
     sol = require_solved(
-        policy_solve(LCPProblem(A, A @ obstacle - c_next), active0=warm),
+        policy_solve(LCPProblem(A, A_obstacle - c_next), active0=warm),
         "exercise step",
     )
     return obstacle + sol.z, sol.z <= 0.0
@@ -229,12 +232,15 @@ def american_surface(
     (slice, state).  Slice j is ``bermudan_slice`` on ``operator(gens[j])``
     (built only when the generator changes, see ``slice_operators``) against
     ``obstacles[j]``, warm-started from the exercise region of slice j + 1;
-    the first solve starts cold."""
+    the first solve starts cold; A @ obstacle is formed when either changes."""
 
     C = np.zeros((len(gens), len(obstacles[0])))
-    warm = None
+    warm = held = f = None
     for j, A in slice_operators(gens, operator):
-        C[j], warm = bermudan_slice(A, C[j + 1], obstacles[j], warm)
+        if A is not held or obstacles[j] is not f:
+            held, f = A, obstacles[j]
+            Af = A @ np.asarray(f, dtype=float)
+        C[j], warm = bermudan_slice(A, C[j + 1], f, warm, Af)
     return C
 
 

@@ -24,9 +24,9 @@ dense on a jump chain.  Otherwise the LCP is solved on the stacked ladder
 operator ("stacked"), assembled sparse and stored dense by its
 ``LCPOperator`` only when at least half full.  A recursion keeps one slice
 operator alive, rebuilt only when the slice's generator changes, and passes
-it to every slice it serves; a slice whose exercise region did not move
-reuses the factor of the one after it.  Either price is a ``PriceSurface``
-over (clock slice, ladder slot), one slice for a perpetual contract.
+it to every slice it serves, which reuse its LU factors.  Either price is a
+``PriceSurface`` over (clock slice, ladder slot), one slice for a perpetual
+contract.
 """
 
 from __future__ import annotations
@@ -365,6 +365,8 @@ class _ReducedLadderOps:
         rows = feeders[:, None]
         if banded:
             A[1 + rows - coupled, coupled] += fix
+        elif all(len(i) and i[-1] - i[0] == len(i) - 1 for i in (feeders, coupled)):
+            A[feeders[0]:feeders[-1] + 1, coupled[0]:coupled[-1] + 1] += fix  # one block
         else:
             A[rows, coupled] += fix
 
@@ -570,13 +572,15 @@ def _reduced(gens, ladder, f0, rate, dt):
     C = np.zeros((len(gens), ladder.total))
     f_above = f0[ladder.n_below:]
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
-    warm = None
+    warm = held = None
     for j, red in ops:
         if j == len(gens) - 2:  # the zero row past the last slice: no solves
             q = np.zeros_like(f_above)
             levels = np.zeros((ladder.n_ticks, ladder.n_below))
         else:
             q, levels = red.sources(C[j + 1])
-        c, warm = bermudan_slice(red.A_eff, q, f_above, warm)
+        if red is not held:  # A_eff @ f_above, once per operator
+            held, Af = red, red.A_eff @ f_above
+        c, warm = bermudan_slice(red.A_eff, q, f_above, warm, Af)
         C[j] = red.expand(c, levels)
     return C

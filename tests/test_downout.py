@@ -1,8 +1,10 @@
 """Down-out pricing: ladder bookkeeping, operators, and both solve routes."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,15 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_generators
+from parisian import bench_cli
+from parisian.ctmc import (
+    TimeGrid,
+    build_generator,
+    build_grid,
+    resolve_rate_policy,
+    slice_generators,
+    slice_operator,
+)
 from parisian.models import bs_model, kou_model, vg_model, KouParams, VGParams
 from parisian.pricer_downin import (
     ContractSpec,
@@ -19,7 +29,13 @@ from parisian.pricer_downin import (
     vanilla_american_perpetual,
 )
 from parisian import pricer_downin, pricer_downout
-from parisian.numerics import LCPOperator, low_rank_factor, policy_solve
+from parisian.numerics import (
+    LCPOperator,
+    factor_dense,
+    factor_tridiag,
+    low_rank_factor,
+    policy_solve,
+)
 from parisian.pricer_downout import (
     DurationLadder,
     _ReducedLadderOps,
@@ -79,6 +95,18 @@ def jump_chains(n=64):
     out += [("kou sigma(t) first", gens[0], grid),
             ("kou sigma(t) last", gens[-1], grid)]
     return out
+
+
+def _perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path (it is not a package)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses resolve their module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def contract(flavor, window=1 / 12, maturity=math.inf, rate=0.1, strike=95.0):
@@ -599,6 +627,53 @@ class TestReducedRoute:
                           rng.normal(size=(m, 5))):
                     assert rel_gap(ops.Qinv @ b, np.linalg.solve(Q, b)) <= 1e-13, (
                         name, dt)
+
+    def test_reference_operators_factor_without_interchange(self):
+        # Q^T and A_eff^T make no row interchange under partial pivoting:
+        # the nonnegative sums of the level sweep and the one-factor prefix
+        # solves of LCPOperator rest on it.  Checked on the reduced-route
+        # reference blocks at their coarsest grid and on the first slice of
+        # the three sigma(t) benchmark contracts, with the vanilla slice
+        # operator (rate I - G or I - dt G) of each; a broken dominance fails
+        # here instead of quietly taking the per-set factors
+        cases = []
+        for family in ("bs", "kou", "vg"):
+            for opt in bench_cli.REFERENCE_TABLES[family]:
+                if opt.config.flavor == "down-out":
+                    cfg = opt.config
+                    model = bench_cli.build_named_model(cfg.model, cfg.model_params)
+                    cases.append((opt.key, cfg, model, cfg.grids[0]))
+        workloads = _perfbench_workloads()
+        for family, key, n in workloads.TERM_STRUCTURE:
+            cfg = bench_cli.reference_option(family, key).config
+            cases.append((f"{family} sigma(t) {key}", cfg,
+                          workloads._term_model(family, cfg.model_params), n))
+        for name, cfg, model, n in cases:
+            state = lambda p: float(np.asarray(model.state_of_price(p)))
+            lo, hi = bench_cli._domain_states(model, cfg)
+            grid = build_grid(lo, hi, state(cfg.barrier), state(cfg.strike),
+                              n - 1, cfg.split)
+            gen = build_generator(model, grid, 0.0,
+                                  resolve_rate_policy(cfg.rate_policy, model))
+            # a down-in has no ladder: ten ticks per window stand in
+            ladder = build_ladder(cfg.window, cfg.dd or cfg.window / 10,
+                                  grid.n_states, grid.n_below)
+            dt = None if math.isinf(cfg.maturity) else cfg.dt
+            ops = _ReducedLadderOps(gen, ladder, cfg.rate, dt=dt)
+            a0, cG = (cfg.rate, 1.0) if dt is None else (1.0, dt)
+            operators = [ops.A_eff, slice_operator(gen, a0, cG)]
+            piv = ops.Qinv.factor[0][4] - 1 if gen.is_tridiagonal else ops.Qinv.factor[1]
+            np.testing.assert_array_equal(piv, np.arange(len(piv)), err_msg=name)
+            for op in operators:
+                if op.bands is not None:
+                    piv = factor_tridiag(op.bands, np.arange(op.n), transposed=True)[0][4] - 1
+                else:
+                    piv = factor_dense(op.to_dense().copy(), transposed=True)[1]
+                np.testing.assert_array_equal(piv, np.arange(len(piv)), err_msg=name)
+                # and the operator serves two prefix sets from one factor
+                made = sum(op.solve_free(np.arange(op.n) < k, np.ones(k))[1]
+                           for k in (op.n, op.n // 2))
+                assert made == 1, name
 
     def test_banded_elimination_allocates_no_dense_block(self):
         # 4001 states, 1750 below the barrier: one m x m array is 24.5 MB,

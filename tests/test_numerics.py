@@ -190,22 +190,30 @@ class TestDenseFactor:
             assert solve_dense(empty, np.zeros(shape)).shape == shape
 
     def test_singular_block_raises(self):
+        # a zero column or row at 5: singular on any free set through it,
+        # the prefixes {0..k-1} with k > 5 included.  The whole factor of
+        # A^T fails, so the operator cuts and factors each block: the
+        # prefixes that stop short of 5 solve, one factorization each
         rng = np.random.default_rng(34)
-        A = 0.2 * np.eye(8) - random_generator(8, rng, density=1.0)
-        A[:, 5] = 0.0  # a zero column: singular, on any free set through it
-        for transposed in (False, True):
-            with pytest.raises(np.linalg.LinAlgError):
-                factor_dense(A.copy(), transposed=transposed)
-        op = LCPOperator(A)
-        assert not op.is_sparse
-        for free in (np.ones(8, dtype=bool), np.arange(8) >= 4):
-            with pytest.raises(np.linalg.LinAlgError):
-                op.solve_free(free, np.ones(int(free.sum())))
-        # a free set that misses the column solves
-        free = np.arange(8) < 5
-        x, made = op.solve_free(free, np.ones(5))
-        assert made == 1
-        np.testing.assert_allclose(A[:5, :5] @ x, np.ones(5), rtol=1e-13)
+        base = 0.2 * np.eye(8) - random_generator(8, rng, density=1.0)
+        for zero in ((slice(None), 5), 5):
+            A = base.copy()
+            A[zero] = 0.0
+            for transposed in (False, True):
+                with pytest.raises(np.linalg.LinAlgError):
+                    factor_dense(A.copy(), transposed=transposed)
+            # dense, and the tridiagonal part of A held as its bands
+            for op in (LCPOperator(A), LCPOperator.from_bands(bands(A))):
+                for free in (np.ones(8, dtype=bool), np.arange(8) >= 4,
+                             np.arange(8) < 6):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        op.solve_free(free, np.ones(int(free.sum())))
+                # a prefix that stops short of the zero solves
+                for k in (5, 3):
+                    x, made = op.solve_free(np.arange(8) < k, np.ones(k))
+                    assert made == 1
+                    np.testing.assert_allclose(op.to_dense()[:k, :k] @ x, np.ones(k),
+                                               rtol=1e-13)
 
 
 class TestGeneratorExpm:
@@ -358,19 +366,24 @@ class TestPsorAndFriends:
 
 
 class TestLCPOperator:
-    """One operator across solves: the free block is factored once per set."""
+    """One operator across solves: a prefix free set is solved from the one
+    factor of A^T, any other free block is factored once per set."""
 
     @pytest.mark.parametrize("fmt", ["dense", "sparse", "bands"])
     def test_factor_reused_only_on_the_same_free_set(self, fmt):
+        # every free set of the string is a prefix {0..k-1}: on bands and
+        # dense, the first solve factors A^T and no later one factors again
         A, psi, _ = obstacle_problem(60)
         build = {
             "dense": lambda: LCPOperator(A),
             "sparse": lambda: LCPOperator(sparse.csr_matrix(A)),
             "bands": lambda: LCPOperator.from_bands(bands(A)),
         }[fmt]
+        one_factor = fmt != "sparse"
         op = build()
         first = policy_solve(LCPProblem(op, psi))
-        assert first.solved and first.factorizations == first.iterations
+        assert first.solved and first.factorizations == (
+            1 if one_factor else first.iterations)
         # a scaled load keeps the contact set: the next "slice" factors nothing
         warm = first.z <= 0.0
         again = policy_solve(LCPProblem(op, 1.001 * psi), active0=warm)
@@ -385,8 +398,67 @@ class TestLCPOperator:
         moved = low.z <= 0.0
         assert not np.array_equal(moved, warm)
         changed = policy_solve(LCPProblem(op, psi_low), active0=moved)
-        assert changed.solved and changed.factorizations == 1
+        assert changed.solved and changed.factorizations == (0 if one_factor else 1)
         np.testing.assert_array_equal(changed.z, low.z)
+
+    @pytest.mark.parametrize("fmt", ["dense", "bands"])
+    def test_prefix_sets_solve_from_one_factor_of_the_transpose(self, fmt):
+        rng = np.random.default_rng(15)
+        n = 40
+        if fmt == "bands":
+            A = random_tridiagonal_m_matrix(rng, n)
+            op = LCPOperator.from_bands(bands(A))
+        else:  # a strictly row diagonally dominant M-matrix
+            A = 0.2 * np.eye(n) - random_generator(n, rng, density=1.0)
+            op = LCPOperator(A.copy())
+        made = 0
+        for k in (1, 2, 3, n, 2, n, 1, 3, 17):
+            b = rng.normal(size=k)
+            x, m = op.solve_free(np.arange(n) < k, b)
+            made += m
+            ref = np.linalg.solve(A[:k, :k], b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+        assert made == 1
+        np.testing.assert_array_equal(op.to_dense(), A)  # not factored in place
+        # a set with a gap still cuts and factors its own block, once
+        gap = np.arange(n) % 3 > 0
+        b = rng.normal(size=int(gap.sum()))
+        for expected in (1, 0):
+            x, m = op.solve_free(gap, b)
+            assert m == expected
+            np.testing.assert_allclose(x, np.linalg.solve(A[np.ix_(gap, gap)], b),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["dense", "bands"])
+    def test_interchange_keeps_one_factor_per_free_set(self, fmt):
+        # not row diagonally dominant: the factor of A^T swaps rows, so its
+        # leading blocks do not factor those of A^T and every set, prefix or not,
+        # is cut and factored on its own (after the one whole factor that
+        # found the interchange)
+        rng = np.random.default_rng(16)
+        n = 12
+        if fmt == "bands":  # superdiagonal above the diagonal
+            A = (np.diag(rng.uniform(0.5, 1.0, size=n))
+                 + np.diag(rng.uniform(1.5, 2.5, size=n - 1), 1)
+                 - np.diag(rng.uniform(1.0, 2.0, size=n - 1), -1))
+            op = LCPOperator.from_bands(bands(A))
+            piv = factor_tridiag(bands(A), np.arange(n), transposed=True)[0][4] - 1
+        else:
+            A = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
+            op = LCPOperator(A)
+            piv = factor_dense(A.copy(), transposed=True)[1]
+        assert np.any(piv != np.arange(n))
+        sets = [np.arange(n) < k for k in (n, 5, 1)] + [np.arange(n) >= 4,
+                                                      np.arange(n) % 2 == 0]
+        made = 0
+        for free in sets + sets[:2]:
+            idx = np.flatnonzero(free)
+            b = rng.normal(size=idx.size)
+            x, m = op.solve_free(free, b)
+            made += m
+            ref = np.linalg.solve(A[np.ix_(idx, idx)], b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert made == 1 + len(sets) + 2
 
     def test_sparse_input_stored_dense_from_half_full(self):
         rng = np.random.default_rng(14)
