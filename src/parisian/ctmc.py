@@ -358,18 +358,7 @@ class GeneratorMatrix:
         return self.jump is None
 
     def as_dense(self) -> np.ndarray:
-        return self.dense_rows(np.arange(self.dimension))
-
-    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of the dense rate matrix, without forming the others."""
-        n = self.dimension
-        out = np.zeros((len(rows), n)) if self.jump is None else self.jump[rows]
-        k = np.arange(len(rows))
-        out[k, rows] = self.diag[rows]
-        up, down = rows < n - 1, rows > 0
-        out[k[up], rows[up] + 1] = self.up[rows[up]]
-        out[k[down], rows[down] - 1] = self.down[rows[down]]
-        return out
+        return rate_block(self, slice(None), slice(None))
 
     def row_sums(self) -> np.ndarray:
         n = self.dimension
@@ -389,12 +378,47 @@ def dense_rates(gen: Union[GeneratorMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(gen, dtype=float)
 
 
-def rate_rows(gen: Union[GeneratorMatrix, np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """``dense_rates(gen)[rows]`` without forming the other rows."""
+def rate_block(
+    gen: Union[GeneratorMatrix, np.ndarray], rows: slice, cols: slice,
+    shift: float = 0.0, scale: float = 1.0, order: str = "C",
+) -> np.ndarray:
+    """The block (``rows``, ``cols``) of shift I + scale R, for R the rate
+    matrix of a generator or a plain (hand-built) one, as a fresh array in
+    ``order``; ``rows`` and ``cols`` are contiguous ranges.
 
-    if isinstance(gen, GeneratorMatrix):
-        return gen.dense_rows(rows)
-    return np.asarray(gen, dtype=float)[rows]
+    One pass over the block: a generator's read-only jump rates (or zeros)
+    are scaled straight into it and its three local bands written over the
+    entries they own, so no other part of R is formed.  Every entry is
+    rounded as in a0 I - cG R formed from the whole dense R.
+    """
+
+    n = gen.dimension if isinstance(gen, GeneratorMatrix) else len(gen)
+    r0, r1, _ = rows.indices(n)
+    c0, c1, _ = cols.indices(n)
+    shape = (max(r1 - r0, 0), max(c1 - c0, 0))
+    out = np.empty(shape, order=order)
+    flat = out.reshape(-1, order=order)  # out[p, q] is flat[p * sp + q * sq]
+    sp, sq = (shape[1], 1) if order == "C" else (1, shape[0])
+
+    def diagonal(offset):
+        """(i0, view): the block's entries (i, i + offset) of R, from i0 on."""
+        lo, hi = max(r0, c0 - offset), min(r1, c1 - offset)
+        start, step = (lo - r0) * sp + (lo + offset - c0) * sq, sp + sq
+        return lo, flat[start:start + max(hi - lo, 0) * step:step]
+
+    if not isinstance(gen, GeneratorMatrix):
+        np.multiply(np.asarray(gen, dtype=float)[r0:r1, c0:c1], scale, out=out)
+    else:
+        if gen.jump is None:
+            out.fill(0.0)
+        else:  # the jump block is 0 on the three bands
+            np.multiply(gen.jump[r0:r1, c0:c1], scale, out=out)
+        for offset, band in ((0, gen.diag), (1, gen.up), (-1, gen.down)):
+            lo, entries = diagonal(offset)
+            np.multiply(band[lo:lo + len(entries)], scale, out=entries)
+    _, entries = diagonal(0)
+    entries += shift
+    return out
 
 
 def slice_bands(gen: GeneratorMatrix, a0: float, cG: float) -> np.ndarray:
@@ -417,14 +441,7 @@ def slice_operator(
 
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
         return LCPOperator.from_bands(slice_bands(gen, a0, cG))
-    # built in place on a fresh copy: no N x N temporaries beside it
-    if isinstance(gen, GeneratorMatrix):
-        A = gen.as_dense()
-    else:
-        A = np.array(gen, dtype=float)
-    A *= -cG
-    A[np.diag_indices(A.shape[0])] += a0
-    return LCPOperator(A)
+    return LCPOperator(rate_block(gen, slice(None), slice(None), a0, -cG))
 
 
 def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
@@ -456,20 +473,25 @@ def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
 
 
 def slice_operators(gens: Sequence, build: Callable) -> Iterator[tuple]:
-    """Pairs (j, build(gens[j])) for the backward slices j = len(gens)-2..0.
+    """Triples (j, build(gens[j]), new) for the backward slices
+    j = len(gens)-2..0.
 
     An operator is built only when a slice's generator is not the one of the
-    slice after it, and only the current one is kept: a time-homogeneous
-    recursion builds one operator, whose cached factor every slice can reuse;
-    a time-dependent one builds one per slice and never holds them all.
+    slice after it, and ``new`` is true on the slice that built it: a
+    time-homogeneous recursion builds one operator, whose cached factor
+    every slice can reuse; a time-dependent one builds one per slice.  Only
+    the current operator is kept here; a caller that deletes its own
+    reference at the end of each slice, and keeps no copy (``new`` says when
+    per-operator work is due), never holds two while the next is built.
     """
 
     gen = op = None
     for j in range(len(gens) - 2, -1, -1):
-        if gens[j] is not gen:
+        new = gens[j] is not gen
+        if new:
             op = None  # drop this reference to the old operator first
             gen, op = gens[j], build(gens[j])
-        yield j, op
+        yield j, op, new
 
 
 def _tail_masses(jm, t: float, xs: np.ndarray, z: np.ndarray, up: bool) -> np.ndarray:

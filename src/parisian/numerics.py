@@ -122,15 +122,21 @@ _SKETCH_SEED = 20110531
 
 
 def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(U, W) with ||B - U W||_F <= rtol ||B||_F, U with few columns.
+    """(U, W) with ||B - U W||_F <= rtol ||B||_F, U with orthonormal columns,
+    as few as B's numerical rank allows.
 
     A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
     2011): U is an orthonormal basis of the sketch B Omega for a Gaussian
-    Omega of k = 8, 16, 32, ... columns and W = U^T B.  The first k whose
-    residual, computed exactly, meets ``rtol`` is kept.  Once k would reach
-    B's column count the factor is B itself with W = I, returned as
-    ``(B, None)``.  The sketch draws from its own seeded generator, so a
-    given B always gets the same factor.
+    Omega of k = 8, 16, 32, ... columns and W = U^T B, and the first k whose
+    residual, computed exactly, meets ``rtol`` is cut to the numerical rank
+    (sec. 5 there): with the SVD W = Uw S Vw^T, r is the fewest columns
+    whose tail ||S[r:]||_F meets the bound, U_r an orthonormal basis of
+    U Uw[:, :r] (one QR: the product alone is orthonormal only to rounding,
+    which its residual shows) and W_r = U_r^T B.  The width-r factor is
+    returned if its own exact residual meets ``rtol`` too, else the width-k
+    one.  Once k would reach B's column count the factor is B itself with
+    W = I, returned as ``(B, None)``.  The sketch draws from its own seeded
+    generator, so a given B always gets the same factor.
     """
 
     n_cols = B.shape[1]
@@ -143,6 +149,14 @@ def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np
         U = np.linalg.qr(Y)[0]
         W = U.T @ B
         if np.linalg.norm(B - U @ W) <= bound:
+            Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
+            tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]  # ||S[r:]||_F
+            r = int(np.count_nonzero(tails > bound))
+            if r < k:
+                Ur = np.linalg.qr(U @ Uw[:, :r])[0]
+                Wr = Ur.T @ B
+                if np.linalg.norm(B - Ur @ Wr) <= bound:
+                    return Ur, Wr
             return U, W
         k *= 2
     return B, None

@@ -869,7 +869,7 @@ def _verify_dp(seed: int, emit) -> _Tally:
             gap = _gap(res.values, ora)
             ladder = build_ladder(window, dtick, grid.n_states, grid.n_below)
             ops = _ReducedLadderOps(gen, ladder, rate, dt=dt)
-            k, nc = ops.factor_width, len(ops.coupled)
+            k, nc = ops.factor_width, ops.coupled.stop - ops.coupled.start
             tally.add("jump out", gap < 1e-5 and k < nc)
             emit(
                 f"  reduced down-out, {model.name} chain and call (factor width "

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .ctmc import (
     SpatialGrid,
     TimeGrid,
     dense_rates,
+    rate_block,
     slice_generators,
     slice_operator,
     slice_operators,
@@ -235,12 +236,13 @@ def american_surface(
     the first solve starts cold; A @ obstacle is formed when either changes."""
 
     C = np.zeros((len(gens), len(obstacles[0])))
-    warm = held = f = None
-    for j, A in slice_operators(gens, operator):
-        if A is not held or obstacles[j] is not f:
-            held, f = A, obstacles[j]
+    warm = f = None
+    for j, A, new in slice_operators(gens, operator):
+        if new or obstacles[j] is not f:
+            f = obstacles[j]
             Af = A @ np.asarray(f, dtype=float)
         C[j], warm = bermudan_slice(A, C[j + 1], f, warm, Af)
+        del A  # gone before the next generator's operator is built
     return C
 
 
@@ -398,6 +400,18 @@ def _poisson_weights(lam: float, kmax: int):
     return pmf, last
 
 
+class _SliceBlocks(NamedTuple):
+    """One generator's slice system, as ``_slice_blocks`` builds it."""
+
+    n_lu: tuple
+    h1: np.ndarray
+    E: np.ndarray
+    a_lu: tuple
+    hm: np.ndarray
+    hp: np.ndarray
+    slice_lu: tuple
+
+
 def _slice_blocks(gen, n_below, window, dt):
     """Dense blocks of one generator's slice system (b: the first
     ``n_below`` states, below the barrier; a: the others, above).
@@ -408,16 +422,15 @@ def _slice_blocks(gen, n_below, window, dt):
     (down-cross before the next tick); hp = h1 - e^{-window/dt} E h1.
     """
 
-    R = dense_rates(gen)
-    m = n_below
-    Gbb = R[:m, :m]
-    n_lu = factor_dense(np.eye(m) - dt * Gbb)
-    h1 = solve_dense(n_lu, dt * R[:m, m:])
-    E = generator_expm(Gbb, window)
-    a_lu = factor_dense(np.eye(len(R) - m) - dt * R[m:, m:])
-    hm = solve_dense(a_lu, dt * R[m:, :m])
+    b, a = slice(0, n_below), slice(n_below, None)
+    n_lu = factor_dense(rate_block(gen, b, b, 1.0, -dt))
+    h1 = solve_dense(n_lu, rate_block(gen, b, a, scale=dt))
+    E = generator_expm(rate_block(gen, b, b), window)
+    a_lu = factor_dense(rate_block(gen, a, a, 1.0, -dt))
+    hm = solve_dense(a_lu, rate_block(gen, a, b, scale=dt))
     hp = h1 - (math.exp(-window / dt) * E) @ h1
-    return n_lu, h1, E, a_lu, hm, hp, factor_dense(np.eye(m) - hp @ hm)
+    slice_lu = factor_dense(np.eye(n_below) - hp @ hm)
+    return _SliceBlocks(n_lu, h1, E, a_lu, hm, hp, slice_lu)
 
 
 def _finite_downin(gens, W, n_below, window, dt):
@@ -442,23 +455,22 @@ def _finite_downin(gens, W, n_below, window, dt):
     Wb = W[:, :m]
     Q = np.zeros((n_slices, m))
     u_minus = np.zeros(W.shape[1] - m)
-    current = None
-    for j, blocks in slice_operators(
+    for j, b, new in slice_operators(
         gens, lambda g: _slice_blocks(g, m, window, dt)
     ):
-        n_lu, h1, E, a_lu, hm, hp, slice_lu = blocks
         top = j + 1
-        if blocks is not current:  # new generator: restart the tail at t = J
-            current, P, top = blocks, np.zeros(m), J
+        if new:  # new generator: restart the tail at t = J
+            P, top = np.zeros(m), J
         for t in range(top, j, -1):
-            Q[t] = h1 @ C[t, m:] + P
-            P = solve_dense(n_lu, Q[t])
+            Q[t] = b.h1 @ C[t, m:] + P
+            P = solve_dense(b.n_lu, Q[t])
         k = min(J - j, last)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
         acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
-        u_minus = solve_dense(a_lu, u_minus + hm @ C[j + 1, :m])
-        C[j, :m] = solve_dense(slice_lu, P + E @ acc + hp @ u_minus)
-        C[j, m:] = u_minus + hm @ C[j, :m]
+        u_minus = solve_dense(b.a_lu, u_minus + b.hm @ C[j + 1, :m])
+        C[j, :m] = solve_dense(b.slice_lu, P + b.E @ acc + b.hp @ u_minus)
+        C[j, m:] = u_minus + b.hm @ C[j, :m]
+        del b  # gone before the next generator's blocks are built
     return C
 
 

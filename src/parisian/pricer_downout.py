@@ -44,7 +44,7 @@ from .ctmc import (
     SpatialGrid,
     TimeGrid,
     dense_rates,
-    rate_rows,
+    rate_block,
     slice_bands,
     slice_generators,
     slice_operators,
@@ -260,10 +260,11 @@ class _ReducedLadderOps:
     into level 1 like any other level's, and an up-cross from
     any level lands on level 0.  B holds the rates from the below-barrier
     rows to the above-barrier states they reach (the "coupled" columns: one
-    for a diffusion, all of them for a jump chain; ``coupled`` numbers them
-    among the above-barrier states).  Backward substitution gives every
-    level as C_k = M_k + P_k C_0[coupled], with M_k from the next slice
-    alone (the levels of ``sources``) and the level maps
+    for a diffusion, all of them for a jump chain; ``coupled`` is the range
+    that spans them, numbered among the above-barrier states, and
+    ``feeders`` the range of above-barrier rows that reach below).  Backward
+    substitution gives every level as C_k = M_k + P_k C_0[coupled], with M_k
+    from the next slice alone (the levels of ``sources``) and the level maps
     P_k = sum_{j=0..n_ticks-1-k} cup^j Q^-(j+1) B; plugging C_0[below] into
     level 0's above-barrier rows of A = a0 I - cG G leaves a
     complementarity problem over the N - m above-barrier states alone, with
@@ -295,9 +296,10 @@ class _ReducedLadderOps:
     the per-slice sources, by solves with an LU factor of Q^T made once per
     slice generator: ``dgttrf``'s band factor on a tridiagonal chain, where
     nothing of size m x m or m x N is formed, and ``dgetrf``'s dense factor
-    otherwise, which forms only the rows of its rate matrix the blocks need,
-    never the dense N x N slice matrix.  ``Qinv @ b`` solves Q x = b with it
-    (``dgttrs`` or ``dgetrs``, trans='T').  Q^T is column diagonally
+    otherwise, where Q, B, A_ab and A_aa are each written in one pass by
+    ``rate_block`` from the generator's jump block and bands, and neither
+    the dense rate matrix nor any of its rows is formed.  ``Qinv @ b``
+    solves Q x = b with it (``dgttrs`` or ``dgetrs``, trans='T').  Q^T is column diagonally
     dominant, so partial pivoting makes no row interchange (Wilkinson;
     Higham 2002, sec. 9.5) and the factor is Q^T = L U with L unit lower
     and U upper triangular, both with off-diagonals <= 0 and U's diagonal
@@ -316,8 +318,9 @@ class _ReducedLadderOps:
     The level maps are built on a factor: B has low numerical rank on a jump
     chain (a Kou far-jump rate splits into a row factor times a column
     factor, and the VG kernel is an integral of such terms), so
-    ``low_rank_factor`` returns B ~ U W with U of k columns, k << nc, and the
-    Horner loop runs on U: P_k = P_{U,k} W for
+    ``low_rank_factor`` returns B ~ U W with U of k columns at B's numerical
+    rank, k << nc (2 on every Kou reference grid and 15-16 on VG, against
+    174-890 columns), and the Horner loop runs on U: P_k = P_{U,k} W for
     P_{U,k} = sum_j cup^j Q^-(j+1) U, and ``expand`` forms
     P_{U,k} (W c[coupled]).  The maps are linear, so A_eff and the eliminated
     values are the exact ones for B + E with ||E||_F <= 4 eps ||B||_F
@@ -325,10 +328,11 @@ class _ReducedLadderOps:
     above are not kept term by term, since U has entries of both signs:
     eliminated values near 0 may come out negative, and ``expand`` clamps
     them at 0.  The exact value is >= 0, so the clamp never moves a value
-    away from it.  At the finest reference grids, before the clamp, 149,524
-    of 499,895 eliminated values of VG finite down-out were negative, the
-    worst at -1.8e-13 of its level's maximum; Kou finite down-out had 671
-    (-6.1e-15 at worst) and VG perpetual down-out 2 (-2e-17).  On a
+    away from it.  At the finest reference grids, before the clamp, 1,980
+    of 13,453 eliminated values of VG perpetual down-out were negative, the
+    worst at -1.4e-17 of its level's maximum; VG finite down-out (499,895
+    values) and both Kou down-outs had none, and the sigma(t) Kou
+    term-structure down-out had 178 of 190,564 (-8.8e-15 at worst).  On a
     tridiagonal chain nc = 1 and the factor is B itself with W = I: every
     P_k is one exact, nonnegative m-vector, the eliminated values sum
     nonnegative terms, and nothing is clamped.
@@ -362,13 +366,10 @@ class _ReducedLadderOps:
         fix = A_ab @ P
         if W is not None:
             fix = fix @ W
-        rows = feeders[:, None]
-        if banded:
-            A[1 + rows - coupled, coupled] += fix
-        elif all(len(i) and i[-1] - i[0] == len(i) - 1 for i in (feeders, coupled)):
-            A[feeders[0]:feeders[-1] + 1, coupled[0]:coupled[-1] + 1] += fix  # one block
-        else:
-            A[rows, coupled] += fix
+        if not banded:
+            A[feeders, coupled] += fix
+        elif fix.size:  # the barrier node's diagonal (see _tridiagonal_blocks)
+            A[1, 0] += fix[0, 0]
 
         self.ladder = ladder
         # below-barrier slots of levels n_ticks - 1 down to 0
@@ -447,11 +448,11 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
         slice_bands(gen, a0 + cup, cG), np.arange(m), transposed=True))
     ab = slice_bands(gen, a0, cG)
     to_above = -ab[0, m:m + 1]  # cG R[m-1, m]
-    coupled = np.flatnonzero(to_above)
-    B = np.zeros((m, len(coupled)))
+    coupled = _span(to_above)
+    B = np.zeros((m, coupled.stop))
     B[m - 1] = to_above[coupled]
-    feeders = np.flatnonzero(ab[2, m - 1:m])  # A[m, m-1] != 0
-    A_ab = np.zeros((len(feeders), m))
+    feeders = _span(ab[2, m - 1:m])  # A[m, m-1] != 0
+    A_ab = np.zeros((feeders.stop, m))
     A_ab[:, m - 1] = ab[2, m - 1]
     A_aa = ab[:, m:].copy()
     A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
@@ -460,29 +461,33 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
 
 def _dense_blocks(gen, ladder, a0, cG, cup):
     """(Q^-1, B, coupled, feeders, A_ab, A_aa) of any chain, dense, for
-    ``_ReducedLadderOps``: the dense factor of Q^T, A_ab on the feeder rows
-    only."""
+    ``_ReducedLadderOps``: each block straight from ``rate_block``, B on the
+    span of the above-barrier columns the below-barrier rows reach
+    (``coupled``) and A_ab on the span of the above-barrier rows that reach
+    below (``feeders``)."""
 
-    m, N = ladder.n_below, ladder.n_states
-    Rb = rate_rows(gen, np.arange(m))
-    coupled = np.flatnonzero(np.any(Rb[:, m:] != 0.0, axis=0))
-    # Q = (a0 + cup) I - cG R_bb in C order, so that Q^T is in Fortran
-    # order and LAPACK factors it in place: no second m x m array is alive
-    # while A_eff is built
-    Q = Rb[:, :m] * -cG
-    Q[np.diag_indices(m)] += a0 + cup
+    m = ladder.n_below
+    below, above = slice(0, m), slice(m, ladder.n_states)
+    B = rate_block(gen, below, above, scale=cG)
+    coupled = _span(np.any(B != 0.0, axis=0))
+    # Q in C order, so that Q^T is in Fortran order and LAPACK factors it in
+    # place: no second m x m array is alive while A_eff is built
+    Q = rate_block(gen, below, below, a0 + cup, -cG)
     Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
-    B = cG * Rb[:, m + coupled]
-    del Rb
-    # level 0's above-barrier rows of a0 I - cG G.  A_aa is copied out, so
-    # that A_eff does not keep the below-barrier columns alive, in Fortran
-    # order: the LCP's BLAS calls round differently on a C-order copy (jump
-    # down-out prices moved by up to 3e-13 relative)
-    A = rate_rows(gen, np.arange(m, N))
-    A *= -cG
-    A[np.arange(N - m), np.arange(m, N)] += a0
-    feeders = np.flatnonzero(np.any(A[:, :m] != 0.0, axis=1))
-    return Qinv, B, coupled, feeders, A[feeders, :m], A[:, m:].copy(order="F")
+    A_ab = rate_block(gen, above, below, scale=-cG)
+    feeders = _span(np.any(A_ab != 0.0, axis=1))
+    # level 0's above-barrier block of a0 I - cG G in Fortran order: the
+    # LCP's BLAS calls round differently on a C-order one (jump down-out
+    # prices moved by up to 3e-13 relative)
+    A_aa = rate_block(gen, above, above, a0, -cG, order="F")
+    return Qinv, B[:, coupled], coupled, feeders, A_ab[feeders], A_aa
+
+
+def _span(nonzero: np.ndarray) -> slice:
+    """The shortest range holding every nonzero entry of ``nonzero``."""
+
+    idx = np.flatnonzero(nonzero)
+    return slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0)
 
 
 def price_finite_downout(
@@ -572,15 +577,16 @@ def _reduced(gens, ladder, f0, rate, dt):
     C = np.zeros((len(gens), ladder.total))
     f_above = f0[ladder.n_below:]
     ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
-    warm = held = None
-    for j, red in ops:
+    warm = None
+    for j, red, new in ops:
         if j == len(gens) - 2:  # the zero row past the last slice: no solves
             q = np.zeros_like(f_above)
             levels = np.zeros((ladder.n_ticks, ladder.n_below))
         else:
             q, levels = red.sources(C[j + 1])
-        if red is not held:  # A_eff @ f_above, once per operator
-            held, Af = red, red.A_eff @ f_above
+        if new:  # A_eff @ f_above, once per operator
+            Af = red.A_eff @ f_above
         c, warm = bermudan_slice(red.A_eff, q, f_above, warm, Af)
         C[j] = red.expand(c, levels)
+        del red  # gone before the next generator's operator is built
     return C

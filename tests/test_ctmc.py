@@ -17,7 +17,7 @@ from parisian.ctmc import (
     build_grid,
     dump_generator_csv,
     jump_part,
-    rate_rows,
+    rate_block,
     resolve_rate_policy,
     slice_bands,
     slice_generators,
@@ -507,18 +507,6 @@ class TestBuildGenerator:
         slope = np.polyfit(np.log2([1, 2, 4, 8]), -np.log2(errs), 1)[0]
         assert slope >= 0.85
 
-    @pytest.mark.parametrize("model,log_space", [(BS, False), (KOU, True)],
-                             ids=["tridiagonal", "jump"])
-    def test_rate_rows_are_the_dense_rows(self, model, log_space):
-        lo, hi = (np.log(18), np.log(360)) if log_space else (18.0, 360.0)
-        L, K = (np.log(90), np.log(95)) if log_space else (90.0, 95.0)
-        gen = build_generator(model, build_grid(lo, hi, L, K, 40))
-        dense = gen.as_dense()
-        for rows in (np.flatnonzero(gen.grid.below_mask), np.arange(41),
-                     np.array([40, 0, 7])):
-            np.testing.assert_array_equal(rate_rows(gen, rows), dense[rows])
-            np.testing.assert_array_equal(rate_rows(dense, rows), dense[rows])
-
     def test_csv_dump_roundtrip(self, tmp_path):
         import csv as csvmod
 
@@ -600,6 +588,54 @@ class TestSharedJumpPart:
                            math.log(95), 16)
         with pytest.raises(ValueError, match="jump part"):
             build_generator(KOU, small, jumps=jumps)
+
+
+def rates_from_parts(gen):
+    """The dense rate matrix of ``gen``, set entry by entry from its jump
+    block and its three bands."""
+    n = gen.dimension
+    R = np.zeros((n, n)) if gen.jump is None else np.array(gen.jump)
+    for i in range(n):
+        R[i, i] = gen.diag[i]
+        if i + 1 < n:
+            R[i, i + 1] = gen.up[i]
+        if i > 0:
+            R[i, i - 1] = gen.down[i]
+    return R
+
+
+class TestRateBlock:
+    def chains(self):
+        """(name, generator or plain matrix) on 25-state grids: tridiagonal,
+        Kou, VG, a sigma(t) Kou slice sharing its jump part, a plain matrix."""
+        lin = build_grid(30, 270, 90.0, 95.0, 24)
+        log = build_grid(math.log(20), math.log(400), math.log(90),
+                         math.log(95), 24)
+        sigma_t = slice_generators(kou_sigma_t(), log, TimeGrid(0.25, 1.0).times)
+        kou = build_generator(KOU, log)
+        return [("tridiagonal", build_generator(BS, lin)), ("kou", kou),
+                ("vg", build_generator(VG, log, 0.0, resolve_rate_policy(None, VG))),
+                ("sigma(t) kou", sigma_t[2]), ("plain", kou.as_dense())]
+
+    def test_blocks_are_the_dense_formula_sliced(self):
+        # (shift, scale) = (a0, -cG): a0 I - cG R, bit for bit, on every block
+        n = 25
+        ranges = [slice(0, n), slice(0, 9), slice(9, n), slice(3, 17),
+                  slice(8, 10), slice(24, n), slice(5, 5)]
+        for name, gen in self.chains():
+            R = np.asarray(gen) if name == "plain" else rates_from_parts(gen)
+            if name != "plain":
+                np.testing.assert_array_equal(gen.as_dense(), R)
+            for shift, scale in ((0.0, 1.0), (0.05, -1.0), (1.0, -1 / 60),
+                                 (1.0 + 0.05 / 60 + 120 / 60, -1 / 60), (0.0, 1 / 60)):
+                full = shift * np.eye(n) - (-scale) * R
+                for rows in ranges:
+                    for cols in ranges:
+                        for order in ("C", "F"):
+                            block = rate_block(gen, rows, cols, shift, scale, order)
+                            assert block.flags[f"{order}_CONTIGUOUS"]
+                            np.testing.assert_array_equal(
+                                block, full[rows, cols], err_msg=f"{name} {rows} {cols}")
 
 
 class TestSliceOperator:

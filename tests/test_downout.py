@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -560,7 +561,7 @@ class TestReducedRoute:
             assert ops.A_eff.is_sparse and ops.A_eff.bands is not None
             assert ops.A_eff.n == ladder.n_states - ladder.n_below
             # the barrier node, the first above-barrier state
-            np.testing.assert_array_equal(ops.coupled, [0])
+            assert ops.coupled == slice(0, 1)
             assert ops.factor_width == 1  # B itself: no factor on one column
             A_eff = ops.A_eff.to_dense()
             rows, cols = np.nonzero(A_eff)
@@ -730,7 +731,7 @@ class TestReducedRoute:
                 a0, cG = (rate, 1.0) if dt is None else (1 + rate * dt, dt)
                 cup = cG / ladder.dtick
                 Q = (a0 + cup) * np.eye(m) - cG * R[:m, :m]
-                feed = cG * R[:m, m + ops.coupled] @ c[ops.coupled]
+                feed = cG * R[:m, m:][:, ops.coupled] @ c[ops.coupled]
                 ref = np.zeros(ladder.total)
                 ref[m:N] = c
                 level = np.zeros(m)
@@ -753,8 +754,9 @@ class TestReducedRoute:
         f0 = np.where(below, 0.0, rng.uniform(0.5, 3.0, size=n))
         ladder = build_ladder(0.3, 0.1, n, 4)
         ops = _ReducedLadderOps(R, ladder, 0.1)
-        # states 5 and 7, numbered among the above-barrier states 4..8
-        np.testing.assert_array_equal(ops.coupled, [1, 3])
+        # the span of states 5 and 7, numbered among the above-barrier
+        # states 4..8
+        assert ops.coupled == slice(1, 4)
         assert rel_gap(perpetual(_reduced, R, ladder, f0, 0.1),
                        perpetual(_stacked, R, ladder, f0, 0.1)) <= 1e-12
         gens = [R] * 6
@@ -838,7 +840,7 @@ class TestLowRankElimination:
             for dt in (None, 1 / 60):  # perpetual and finite slices
                 ops = self.build(monkeypatch, gen, grid, dt, full=False)
                 full = self.build(monkeypatch, gen, grid, dt, full=True)
-                nc = len(ops.coupled)
+                nc = ops.coupled.stop - ops.coupled.start
                 assert ops.factor_width < nc == full.factor_width, name
                 A, A_full = ops.A_eff.to_dense(), full.A_eff.to_dense()
                 assert rel_gap(A, A_full) <= 1e-13, (name, dt)
@@ -850,6 +852,24 @@ class TestLowRankElimination:
                 np.testing.assert_allclose(margins, margins_full, rtol=0,
                                            atol=1e-13 * np.abs(A).max())
 
+    def test_generator_and_its_dense_matrix_give_the_same_operators(self):
+        # the blocks read from a generator's parts and from the plain matrix
+        # round alike, so the factor and everything built on it agree bit
+        # for bit
+        for name, gen, grid in jump_chains():
+            ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below,
+                                  **self.LADDER)
+            for dt in (None, 1 / 60):
+                ops = _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
+                dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.05, dt=dt)
+                assert ops.coupled == dense.coupled, name
+                assert ops.factor_width < ops.coupled.stop - ops.coupled.start
+                np.testing.assert_array_equal(ops.A_eff.to_dense(),
+                                              dense.A_eff.to_dense(), err_msg=name)
+                np.testing.assert_array_equal(ops.level_maps, dense.level_maps,
+                                              err_msg=name)
+                np.testing.assert_array_equal(ops.W, dense.W, err_msg=name)
+
     def test_builds_are_bit_identical_and_leave_the_global_rng(self):
         model, grid, gen = small_vg_setup(n=64)
         ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
@@ -859,6 +879,53 @@ class TestLowRankElimination:
         assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
         np.testing.assert_array_equal(ops[0].A_eff.to_dense(),
                                       ops[1].A_eff.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# one slice operator alive at a time
+# ---------------------------------------------------------------------------
+
+
+def watched(build, key=None):
+    """``build``, checking at every call that nothing it built before is
+    alive; ``key`` picks what of a build to watch (else the build itself)."""
+    refs = []
+
+    def wrapped(*args, **kwargs):
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"builds {alive} alive at build {len(refs)}"
+        built = build(*args, **kwargs)
+        refs.append(weakref.ref(built if key is None else key(built)))
+        return built
+
+    wrapped.refs = refs
+    return wrapped
+
+
+class TestOneOperatorAlive:
+    def test_time_dependent_recursions_drop_each_operator_first(self, monkeypatch):
+        # a sigma(t) Kou chain of 7 clock slices (and the zero row past
+        # them): a new operator for each slice, and the one before it gone
+        # when it is built
+        model, grid, _ = small_kou_setup(n=64)
+        model = kou_sigma_t(model)
+        tg = TimeGrid(dt=1 / 24, horizon=0.25)
+        gens = slice_generators(model, grid, tg.times)
+        assert len(gens) == 8
+        watchers = {}
+        for module, attr, key in ((pricer_downin, "slice_operator", None),
+                                  (pricer_downin, "_slice_blocks", lambda b: b.E),
+                                  (pricer_downout, "_ReducedLadderOps", None)):
+            watchers[attr] = watched(getattr(module, attr), key)
+            monkeypatch.setattr(module, attr, watchers[attr])
+        price_finite_downout(model, grid, tg, contract(Flavor.DOWN_OUT, maturity=0.25,
+                                                      rate=0.05),
+                             dtick=1 / 48, gen=gens)
+        pricer_downin.price_finite_downin(
+            model, grid, tg, contract(Flavor.DOWN_IN, maturity=0.25, rate=0.05),
+            gen=gens)
+        for name, watcher in watchers.items():
+            assert len(watcher.refs) == 7, name
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,9 @@ class TestLowRankFactor:
     EPS = np.finfo(float).eps
 
     def test_low_rank_block_gets_the_first_width_that_meets_the_bound(self):
+        # the sketches of width 8 and 16 are cut to the blocks' ranks
         rng = np.random.default_rng(4)
-        for rank, width in ((3, 8), (12, 16)):
+        for rank, width in ((3, 3), (12, 12)):
             B = rng.uniform(size=(60, rank)) @ rng.uniform(size=(rank, 50))
             U, W = low_rank_factor(B, 4 * self.EPS)
             assert U.shape == (60, width) and W.shape == (width, 50)
@@ -261,6 +262,25 @@ class TestLowRankFactor:
             # the sketch has its own seed: the same B, the same factor
             U2, W2 = low_rank_factor(B, 4 * self.EPS)
             assert np.array_equal(U, U2) and np.array_equal(W, W2)
+
+    def test_sketch_width_is_kept_when_the_cut_factor_misses_the_bound(self):
+        # singular values 1, 1, 1 and seventeen of 1e-3: the width-16 sketch
+        # meets the bound, its singular-value tail past 3 does too, but the
+        # width-3 factor's exact residual does not
+        rng = np.random.default_rng(7)
+        X = np.linalg.qr(rng.normal(size=(30, 20)))[0]
+        Y = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+        B = (X * np.r_[np.ones(3), np.full(17, 1e-3)]) @ Y.T
+        rtol = 2.2e-3
+        bound = rtol * np.linalg.norm(B)
+        U, W = low_rank_factor(B, rtol)
+        assert U.shape == (30, 16) and W.shape == (16, 20)
+        np.testing.assert_allclose(U.T @ U, np.eye(16), atol=1e-14)
+        assert np.linalg.norm(B - U @ W) <= bound
+        Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
+        assert np.linalg.norm(sv[3:]) <= bound < np.linalg.norm(sv[2:])
+        U3 = np.linalg.qr(U @ Uw[:, :3])[0]
+        assert np.linalg.norm(B - U3 @ (U3.T @ B)) > bound
 
     def test_full_rank_or_narrow_block_is_its_own_factor(self):
         rng = np.random.default_rng(5)
