@@ -278,8 +278,11 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < 0:
-            raise ValueError("need dt > 0 and horizon >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"clock step dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(
+                f"horizon must be nonnegative and finite, got {self.horizon}")
 
     @property
     def n_exercise(self) -> int:

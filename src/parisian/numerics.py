@@ -121,9 +121,11 @@ _SKETCH_COLUMNS = 8
 _SKETCH_SEED = 20110531
 
 
-def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """(U, W) with ||B - U W||_F <= rtol ||B||_F, U with orthonormal columns,
-    as few as B's numerical rank allows.
+def low_rank_factor(
+    B: np.ndarray, rtol: float
+) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+    """(U, W, residual) with residual = ||B - U W||_F <= rtol ||B||_F, U with
+    orthonormal columns, as few as B's numerical rank allows.
 
     A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
     2011): U is an orthonormal basis of the sketch B Omega for a Gaussian
@@ -134,8 +136,9 @@ def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np
     U Uw[:, :r] (one QR: the product alone is orthonormal only to rounding,
     which its residual shows) and W_r = U_r^T B.  The width-r factor is
     returned if its own exact residual meets ``rtol`` too, else the width-k
-    one.  Once k would reach B's column count the factor is B itself with
-    W = I, returned as ``(B, None)``.  The sketch draws from its own seeded
+    one; ``residual`` is the exact residual checked for the factor returned.
+    Once k would reach B's column count the factor is B itself with W = I,
+    returned as ``(B, None, 0.0)``.  The sketch draws from its own seeded
     generator, so a given B always gets the same factor.
     """
 
@@ -148,18 +151,20 @@ def low_rank_factor(B: np.ndarray, rtol: float) -> Tuple[np.ndarray, Optional[np
         Y = np.hstack([Y, B @ rng.standard_normal((n_cols, k - Y.shape[1]))])
         U = np.linalg.qr(Y)[0]
         W = U.T @ B
-        if np.linalg.norm(B - U @ W) <= bound:
+        residual = np.linalg.norm(B - U @ W)
+        if residual <= bound:
             Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
             tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]  # ||S[r:]||_F
             r = int(np.count_nonzero(tails > bound))
             if r < k:
                 Ur = np.linalg.qr(U @ Uw[:, :r])[0]
                 Wr = Ur.T @ B
-                if np.linalg.norm(B - Ur @ Wr) <= bound:
-                    return Ur, Wr
-            return U, W
+                residual_r = np.linalg.norm(B - Ur @ Wr)
+                if residual_r <= bound:
+                    return Ur, Wr, float(residual_r)
+            return U, W, float(residual)
         k *= 2
-    return B, None
+    return B, None, 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,13 @@ class ContractSpec:
     flavor: Flavor
 
     def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.maturity <= 0:
-            raise ValueError("maturity must be positive (math.inf = perpetual)")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be positive and finite, got {self.window}")
+        if not self.maturity > 0:  # False for NaN too
+            raise ValueError(
+                f"maturity must be positive (math.inf = perpetual), got {self.maturity}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"rate must be nonnegative and finite, got {self.rate}")
         if self.is_perpetual and self.rate <= 0:
             raise ValueError("perpetual contracts require a positive rate")
 

@@ -138,8 +138,9 @@ def build_ladder(
     ``n_states`` states of which the first ``n_below`` lie below the
     barrier."""
 
-    if window <= 0 or dtick <= 0:
-        raise ValueError("window and duration tick must be positive")
+    for name, value in (("window", window), ("duration tick dtick", dtick)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n_ticks = int(math.floor(window / dtick * (1 + 1e-12))) + 1
     return DurationLadder(
         n_states=n_states, n_below=n_below, n_ticks=n_ticks, dtick=dtick
@@ -296,12 +297,13 @@ class _ReducedLadderOps:
     the per-slice sources, by solves with an LU factor of Q^T made once per
     slice generator: ``dgttrf``'s band factor on a tridiagonal chain, where
     nothing of size m x m or m x N is formed, and ``dgetrf``'s dense factor
-    otherwise, where Q, B, A_ab and A_aa are each written in one pass by
-    ``rate_block`` from the generator's jump block and bands, and neither
-    the dense rate matrix nor any of its rows is formed.  ``Qinv @ b``
-    solves Q x = b with it (``dgttrs`` or ``dgetrs``, trans='T').  Q^T is column diagonally
-    dominant, so partial pivoting makes no row interchange (Wilkinson;
-    Higham 2002, sec. 9.5) and the factor is Q^T = L U with L unit lower
+    otherwise, where Q and A_aa (and, once per group below, B and A_ab) are
+    each written in one pass by ``rate_block`` from the generator's jump
+    block and bands, and neither the dense rate matrix nor any of its rows
+    is formed.  ``Qinv @ b`` solves Q x = b with it (``dgttrs`` or
+    ``dgetrs``, trans='T').  Q^T is column diagonally dominant, so partial
+    pivoting makes no row interchange (Wilkinson; Higham 2002, sec. 9.5)
+    and the factor is Q^T = L U with L unit lower
     and U upper triangular, both with off-diagonals <= 0 and U's diagonal
     > 0 (the Schur complements of an M-matrix are M-matrices).  Q x =
     U^T (L^T x) = b is then a forward substitution with U^T and a back
@@ -332,10 +334,30 @@ class _ReducedLadderOps:
     of 13,453 eliminated values of VG perpetual down-out were negative, the
     worst at -1.4e-17 of its level's maximum; VG finite down-out (499,895
     values) and both Kou down-outs had none, and the sigma(t) Kou
-    term-structure down-out had 178 of 190,564 (-8.8e-15 at worst).  On a
-    tridiagonal chain nc = 1 and the factor is B itself with W = I: every
-    P_k is one exact, nonnegative m-vector, the eliminated values sum
-    nonnegative terms, and nothing is clamped.
+    term-structure down-out none of 190,564.  On a tridiagonal chain nc = 1
+    and the factor is B itself with W = I: every P_k is one exact,
+    nonnegative m-vector, the eliminated values sum nonnegative terms, and
+    nothing is clamped.
+
+    On a dense chain the cross-barrier blocks B and A_ab come from the
+    slice's group record ``cross`` (a ``_CrossBlocks``; without one, the
+    slice is a group of its own).  A group is every slice whose generator
+    holds the same jump rates: its slices differ in their local bands
+    alone, and the only band entries in B and A_ab are cG R[m-1, m] and
+    -cG R[m, m-1].  B_ref ~ U W is factored once per group, on the
+    reference slice, the one with the smallest |R[m-1, m]|, and each slice
+    adds its own band entries as exact rank-one terms: B_t = B_ref + d e_{m-1}
+    e_0^T is carried as U_t = [U | e_{m-1}], W_t = [W ; d e_0^T], so
+    B_t - U_t W_t is the reference's residual, and A_ab's entry enters the
+    feeder row of state m in A_eff and in ``sources``.  ||B_t||_F is no
+    less than ||B_ref||_F, so the residual meets every slice's bound
+    4 eps ||B_t||_F once it meets the reference's; each slice checks it
+    anyway, and raises if it does not.  On the sigma(t) Kou term-structure
+    down-out (61 slices, one jump block) that is one ``low_rank_factor``
+    where there were 61, and the Horner loop carries 3 columns on every
+    slice but the reference instead of 2.  A time-homogeneous chain, or a
+    measure assembled per slice, has one slice per group and the arithmetic
+    of a factor per slice.
     """
 
     def __init__(
@@ -344,26 +366,38 @@ class _ReducedLadderOps:
         ladder: DurationLadder,
         rate: float,
         dt: Optional[float] = None,
+        cross: Optional[_CrossBlocks] = None,
     ):
         if ladder.n_below == 0:
             raise ValueError("level elimination needs below-barrier states")
         a0, cG = _slice_coefficients(rate, dt)
         cup = cG * (1.0 / ladder.dtick)
         banded = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-        blocks = _tridiagonal_blocks if banded else _dense_blocks
-        Qinv, B, coupled, feeders, A_ab, A = blocks(gen, ladder, a0, cG, cup)
+        if banded:  # B itself is the factor, with W = I
+            Qinv, U, coupled, feeders, A_ab, A = _tridiagonal_blocks(
+                gen, ladder, a0, cG, cup)
+            W, d_ab = None, 0.0
+        else:
+            if cross is None:  # a group of its own
+                cross = _CrossBlocks.build([gen], ladder, cG)
+            Qinv, A = _dense_blocks(gen, ladder, a0, cG, cup)
+            U, W, d_ab = cross.slice_factor(gen)
+            coupled, feeders, A_ab = cross.coupled, cross.feeders, cross.A_ab
 
         # P_0 = P_U W by Horner from the knock-out (P = 0, no slots) on the
         # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
         # level 0.  Every iterate P_{U,k} is kept, in ``levels_down`` order,
         # for ``expand``
-        U, W = low_rank_factor(B, _FACTOR_RTOL)
         level_maps = np.empty((ladder.n_ticks,) + U.shape)
         P = np.zeros_like(U)
         for k in range(ladder.n_ticks):
             P = level_maps[k] = Qinv @ (U + cup * P)
-        # A_eff = A_aa + A_ab P_0 on the feeder rows and coupled columns
+        # A_eff = A_aa + A_ab P_0 on the feeder rows and coupled columns,
+        # with this slice's own entry A[m, m-1] (feeder row 0) as a rank-one
+        # term
         fix = A_ab @ P
+        if d_ab:
+            fix[0] += d_ab * P[-1]
         if W is not None:
             fix = fix @ W
         if not banded:
@@ -379,6 +413,7 @@ class _ReducedLadderOps:
         self.factor_width = P.shape[1]  # columns the Horner loop carried
         self.feeders = feeders
         self.A_ab = A_ab
+        self.d_ab = d_ab
         self.level_maps = level_maps
         self.W = W
         self.cup = cup
@@ -398,6 +433,8 @@ class _ReducedLadderOps:
             M = levels[k] = self.Qinv @ (c_next[slots] + self.cup * M)
         q = c_next[m:N].copy()
         q[self.feeders] -= self.A_ab @ M
+        if self.d_ab:  # the slice's own A[m, m-1]
+            q[0] -= self.d_ab * M[-1]
         return q, levels
 
     def expand(self, c_above: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -460,27 +497,153 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
 
 
 def _dense_blocks(gen, ladder, a0, cG, cup):
-    """(Q^-1, B, coupled, feeders, A_ab, A_aa) of any chain, dense, for
-    ``_ReducedLadderOps``: each block straight from ``rate_block``, B on the
-    span of the above-barrier columns the below-barrier rows reach
-    (``coupled``) and A_ab on the span of the above-barrier rows that reach
-    below (``feeders``)."""
+    """(Q^-1, A_aa) of any chain, dense, for ``_ReducedLadderOps``: each
+    block straight from ``rate_block``; the cross-barrier blocks come from
+    the slice's ``_CrossBlocks``."""
 
     m = ladder.n_below
     below, above = slice(0, m), slice(m, ladder.n_states)
-    B = rate_block(gen, below, above, scale=cG)
-    coupled = _span(np.any(B != 0.0, axis=0))
     # Q in C order, so that Q^T is in Fortran order and LAPACK factors it in
     # place: no second m x m array is alive while A_eff is built
     Q = rate_block(gen, below, below, a0 + cup, -cG)
     Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
-    A_ab = rate_block(gen, above, below, scale=-cG)
-    feeders = _span(np.any(A_ab != 0.0, axis=1))
     # level 0's above-barrier block of a0 I - cG G in Fortran order: the
     # LCP's BLAS calls round differently on a C-order one (jump down-out
     # prices moved by up to 3e-13 relative)
     A_aa = rate_block(gen, above, above, a0, -cG, order="F")
-    return Qinv, B[:, coupled], coupled, feeders, A_ab[feeders], A_aa
+    return Qinv, A_aa
+
+
+def _band_entries(gen, m: int, cG: float) -> Tuple[float, float]:
+    """(cG R[m-1, m], -cG R[m, m-1]): the entries of the cross-barrier
+    blocks B and A_ab that a slice's local bands own (every other entry is
+    a jump rate), rounded as ``rate_block`` writes them."""
+
+    if isinstance(gen, GeneratorMatrix):
+        return float(gen.up[m - 1] * cG), float(gen.down[m] * -cG)
+    return float(gen[m - 1, m] * cG), float(gen[m, m - 1] * -cG)
+
+
+@dataclass(frozen=True)
+class _CrossBlocks:
+    """The cross-barrier blocks of a group of slices whose generators share
+    one jump block, built once on the group's reference slice (see
+    ``_ReducedLadderOps``).
+
+    ``U``, ``W`` and ``residual`` are ``low_rank_factor`` of the reference's
+    below->above block B_ref on the ``coupled`` columns, ``norm`` is
+    ||B_ref||_F and ``to_above`` its band entry cG R[m-1, m]; ``A_ab`` is the
+    reference's above->below block on the ``feeders`` rows and
+    ``from_above`` its band entry -cG R[m, m-1].  Both spans cover every
+    slice of the group, so each slice differs from the reference only in
+    the two band entries, which ``slice_factor`` adds.
+    """
+
+    U: np.ndarray
+    W: Optional[np.ndarray]
+    residual: float
+    norm: float
+    to_above: float
+    from_above: float
+    coupled: slice
+    feeders: slice
+    A_ab: np.ndarray
+    cG: float
+
+    @classmethod
+    def build(cls, group: Sequence, ladder: DurationLadder, cG: float) -> _CrossBlocks:
+        """The record of ``group`` (generators or plain rate matrices with
+        one jump block), on the slice with the smallest |cG R[m-1, m]|: its
+        ||B||_F is the group's smallest, so its factor's bound the
+        tightest."""
+
+        m = ladder.n_below
+        below, above = slice(0, m), slice(m, ladder.n_states)
+        entries = np.array([_band_entries(g, m, cG) for g in group])
+        i = int(np.argmin(np.abs(entries[:, 0])))
+        ref, (to_above, from_above) = group[i], entries[i]
+        B = rate_block(ref, below, above, scale=cG)
+        reach = np.any(B != 0.0, axis=0)
+        reach[:1] |= np.any(entries[:, 0] != 0.0)  # state m, from any slice
+        coupled = _span(reach)
+        A_ab = rate_block(ref, above, below, scale=-cG)
+        feed = np.any(A_ab != 0.0, axis=1)
+        feed[:1] |= np.any(entries[:, 1] != 0.0)
+        feeders = _span(feed)
+        B = B[:, coupled]
+        U, W, residual = low_rank_factor(B, _FACTOR_RTOL)
+        return cls(U, W, residual, float(np.linalg.norm(B)), float(to_above),
+                   float(from_above), coupled, feeders, A_ab[feeders], cG)
+
+    def slice_factor(self, gen) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+        """(U_t, W_t, d_ab) of one slice of the group: B_t = U_t W_t up to
+        the reference's residual, checked against the slice's own bound, and
+        d_ab, its A_ab entry (state m, m-1) less the reference's.
+
+        B_t = B_ref + d e_{m-1} e_0^T, for d the change in the band entry
+        (state m is coupled column 0 whenever d != 0), so U_t = [U | e_{m-1}]
+        and W_t = [W ; d e_0^T] leave B_t - U_t W_t = B_ref - U W; when
+        W = I, U_t is B_ref with that entry replaced.
+        """
+
+        m = len(self.U)
+        to_above, from_above = _band_entries(gen, m, self.cG)
+        d_b, d_ab = to_above - self.to_above, from_above - self.from_above
+        if self.W is None:
+            if not d_b:
+                return self.U, None, d_ab
+            U = self.U.copy()
+            U[m - 1, 0] = to_above
+            return U, None, d_ab
+        if not d_b:  # B_ref itself, whose bound low_rank_factor checked
+            return self.U, self.W, d_ab
+        # ||B_t||_F^2 = ||B_ref||_F^2 + to_above^2 - ref^2, no less than
+        # ||B_ref||_F^2 by the choice of reference
+        lo, hi = abs(self.to_above), abs(to_above)
+        norm = math.sqrt(max(self.norm ** 2 + (hi - lo) * (hi + lo), 0.0))
+        if self.residual > _FACTOR_RTOL * norm:
+            raise RuntimeError(
+                f"factor of the below->above block misses its bound on a slice: "
+                f"residual {self.residual:.3e} > {_FACTOR_RTOL:.1e} * {norm:.3e}")
+        r = self.U.shape[1]
+        U = np.zeros((m, r + 1))
+        U[:, :r] = self.U
+        U[m - 1, r] = 1.0
+        W = np.zeros((r + 1, self.W.shape[1]))
+        W[:r] = self.W
+        W[r, 0] = d_b
+        return U, W, d_ab
+
+
+def _cross_records(gens: Sequence, ladder: DurationLadder, cG: float):
+    """g -> the ``_CrossBlocks`` of g's group (None on a tridiagonal chain).
+
+    A group is every generator in ``gens`` whose jump rates are one object:
+    ``g.jumps`` of a ``GeneratorMatrix``, the array itself of a plain rate
+    matrix.  A record is built at its group's first request and kept until a
+    slice of another group asks, so a recursion holds one record at a time,
+    and builds one per group when each group's slices are adjacent, as
+    ``slice_generators`` lays them out.
+    """
+
+    def key(g):
+        return id(g.jumps if isinstance(g, GeneratorMatrix) else g)
+
+    groups = {}
+    for g in gens:
+        groups.setdefault(key(g), []).append(g)
+    held = {}
+
+    def record(g):
+        if isinstance(g, GeneratorMatrix) and g.is_tridiagonal:
+            return None
+        k = key(g)
+        if k not in held:
+            held.clear()  # the last group's record goes first
+            held[k] = _CrossBlocks.build(groups[k], ladder, cG)
+        return held[k]
+
+    return record
 
 
 def _span(nonzero: np.ndarray) -> slice:
@@ -568,7 +731,8 @@ def _reduced(gens, ladder, f0, rate, dt):
     solves one LCP over the above-barrier states against the payoff there,
     and ``expand`` recovers the ladder; needs a payoff that vanishes below
     the barrier (see ``_ReducedLadderOps`` for why nothing is exercised
-    there)."""
+    there).  The slice operators of a group of slices sharing one jump
+    block share one factor of its below->above block (``_cross_records``)."""
 
     if not _reducible(f0, ladder):
         raise ValueError(
@@ -576,7 +740,9 @@ def _reduced(gens, ladder, f0, rate, dt):
         )
     C = np.zeros((len(gens), ladder.total))
     f_above = f0[ladder.n_below:]
-    ops = slice_operators(gens, lambda g: _ReducedLadderOps(g, ladder, rate, dt=dt))
+    cross = _cross_records(gens[:-1], ladder, _slice_coefficients(rate, dt)[1])
+    ops = slice_operators(gens, lambda g: _ReducedLadderOps(
+        g, ladder, rate, dt=dt, cross=cross(g)))
     warm = None
     for j, red, new in ops:
         if j == len(gens) - 2:  # the zero row past the last slice: no solves

@@ -18,6 +18,7 @@ from parisian.ctmc import (
     TimeGrid,
     build_generator,
     build_grid,
+    rate_block,
     resolve_rate_policy,
     slice_generators,
     slice_operator,
@@ -830,7 +831,7 @@ class TestLowRankElimination:
 
     def build(self, monkeypatch, gen, grid, dt, full):
         """The reduced operators; ``full`` builds them on B itself (W = I)."""
-        factor = (lambda B, rtol: (B, None)) if full else low_rank_factor
+        factor = (lambda B, rtol: (B, None, 0.0)) if full else low_rank_factor
         monkeypatch.setattr(pricer_downout, "low_rank_factor", factor)
         ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
         return _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
@@ -879,6 +880,121 @@ class TestLowRankElimination:
         assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
         np.testing.assert_array_equal(ops[0].A_eff.to_dense(),
                                       ops[1].A_eff.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# one factor of the below->above block per shared jump block
+# ---------------------------------------------------------------------------
+
+
+def sigma_t_slices(top=400.0, per_slice_jumps=False):
+    """(grid, slice generators, ladder) of a sigma(t) Kou chain on 8 clock
+    slices; ``per_slice_jumps`` assembles a JumpPart per slice (a measure
+    that does not declare itself time-homogeneous)."""
+    model, _, _ = small_kou_setup()
+    model = kou_sigma_t(model)
+    if per_slice_jumps:
+        jm = dataclasses.replace(model.jump_measure, time_homogeneous=False)
+        model = dataclasses.replace(model, jump_measure=jm)
+    grid = build_grid(math.log(20.0), math.log(top), math.log(90.0),
+                      math.log(95.0), 64, "proportional")
+    gens = slice_generators(model, grid, TimeGrid(dt=1 / 24, horizon=0.25).times)
+    ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+    return grid, gens, ladder
+
+
+class TestSharedCrossBlocks:
+    DT = 1 / 24
+
+    def counted_factor(self, monkeypatch):
+        calls = []
+
+        def counting(B, rtol):
+            calls.append(B.shape)
+            return low_rank_factor(B, rtol)
+
+        monkeypatch.setattr(pricer_downout, "low_rank_factor", counting)
+        return calls
+
+    def per_slice(self, monkeypatch):
+        """Every operator on a factor of its own slice's B (no group)."""
+        monkeypatch.setattr(pricer_downout, "_cross_records",
+                            lambda gens, ladder, cG: lambda g: None)
+
+    def test_one_factor_per_shared_jump_block(self, monkeypatch):
+        _, gens, ladder = sigma_t_slices()
+        assert len({id(g.jumps) for g in gens}) == 1
+        f0 = np.zeros(ladder.n_states)
+        f0[ladder.n_below:] = 1.0
+        calls = self.counted_factor(monkeypatch)
+        _reduced(gens, ladder, f0, 0.05, self.DT)
+        assert len(calls) == 1
+        # a JumpPart per slice: a group, and a factor, per slice
+        _, gens, ladder = sigma_t_slices(per_slice_jumps=True)
+        assert len({id(g.jumps) for g in gens}) == len(gens)
+        calls.clear()
+        _reduced(gens, ladder, f0, 0.05, self.DT)
+        assert len(calls) == len(gens) - 1  # none for the zero row past the end
+
+    def test_every_slice_meets_the_factor_bound(self):
+        _, gens, ladder = sigma_t_slices()
+        m, N = ladder.n_below, ladder.n_states
+        record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
+        assert record.W is not None
+        widths = []
+        for g in gens[:-1]:
+            U, W, _ = record.slice_factor(g)
+            widths.append(U.shape[1])
+            B = rate_block(g, slice(0, m), slice(m, N), scale=self.DT)
+            B_c = B[:, record.coupled]
+            assert not np.any(np.delete(B, np.s_[record.coupled], axis=1))
+            gap = np.linalg.norm(B_c - U @ W)
+            assert gap <= 4 * np.finfo(float).eps * np.linalg.norm(B_c)
+        # the reference slice carries the factor as it is, every other slice
+        # (its volatility differs) one more column
+        r = record.U.shape[1]
+        assert sorted(set(widths)) == [r, r + 1] and widths.count(r) == 1
+
+    def test_shared_factor_agrees_with_a_factor_per_slice(self, monkeypatch):
+        for top in (400.0, 100.0):  # 100: B narrower than the first sketch
+            grid, gens, ladder = sigma_t_slices(top)
+            m, N = ladder.n_below, ladder.n_states
+            record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
+            assert (record.W is None) == (top == 100.0), top
+            for g in gens[:-1]:
+                ops = _ReducedLadderOps(g, ladder, 0.05, dt=self.DT, cross=record)
+                own = _ReducedLadderOps(g, ladder, 0.05, dt=self.DT)
+                assert rel_gap(ops.A_eff.to_dense(), own.A_eff.to_dense()) <= 1e-13
+                # the level maps times W: P_k on the coupled columns
+                maps = [o.level_maps if o.W is None else o.level_maps @ o.W
+                        for o in (ops, own)]
+                assert rel_gap(*maps) <= 1e-13, top
+                if record.W is None:  # B_t itself, its entry replaced
+                    U, _, _ = record.slice_factor(g)
+                    B = rate_block(g, slice(0, m), slice(m, N), scale=self.DT)
+                    np.testing.assert_array_equal(U, B[:, record.coupled])
+            f0 = np.where(np.arange(N) < m, 0.0, 1.0 + grid.states - grid.states[m])
+            shared = _reduced(gens, ladder, f0, 0.05, self.DT)
+            with monkeypatch.context() as patch:
+                self.per_slice(patch)
+                own = _reduced(gens, ladder, f0, 0.05, self.DT)
+            assert rel_gap(shared, own) <= 1e-13, top
+
+    def test_a_slice_past_its_bound_raises(self):
+        # a record whose residual sits at its reference's bound: a slice with
+        # a smaller band entry, so a smaller ||B||_F, would miss its own
+        _, gens, ladder = sigma_t_slices()
+        m = ladder.n_below
+        ref = min(gens, key=lambda g: g.up[m - 1])
+        other = max(gens, key=lambda g: g.up[m - 1])
+        record = pricer_downout._CrossBlocks.build([other], ladder, self.DT)
+        record.slice_factor(other)
+        record.slice_factor(ref)  # far inside its bound
+        at_bound = dataclasses.replace(
+            record, residual=pricer_downout._FACTOR_RTOL * record.norm)
+        at_bound.slice_factor(other)
+        with pytest.raises(RuntimeError, match="misses its bound"):
+            at_bound.slice_factor(ref)
 
 
 # ---------------------------------------------------------------------------

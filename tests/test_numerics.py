@@ -255,12 +255,14 @@ class TestLowRankFactor:
         rng = np.random.default_rng(4)
         for rank, width in ((3, 3), (12, 12)):
             B = rng.uniform(size=(60, rank)) @ rng.uniform(size=(rank, 50))
-            U, W = low_rank_factor(B, 4 * self.EPS)
+            U, W, residual = low_rank_factor(B, 4 * self.EPS)
             assert U.shape == (60, width) and W.shape == (width, 50)
             np.testing.assert_allclose(U.T @ U, np.eye(width), atol=1e-14)
-            assert np.linalg.norm(B - U @ W) <= 4 * self.EPS * np.linalg.norm(B)
+            # the residual returned is the factor's own, computed exactly
+            assert residual == np.linalg.norm(B - U @ W)
+            assert residual <= 4 * self.EPS * np.linalg.norm(B)
             # the sketch has its own seed: the same B, the same factor
-            U2, W2 = low_rank_factor(B, 4 * self.EPS)
+            U2, W2, _ = low_rank_factor(B, 4 * self.EPS)
             assert np.array_equal(U, U2) and np.array_equal(W, W2)
 
     def test_sketch_width_is_kept_when_the_cut_factor_misses_the_bound(self):
@@ -273,10 +275,10 @@ class TestLowRankFactor:
         B = (X * np.r_[np.ones(3), np.full(17, 1e-3)]) @ Y.T
         rtol = 2.2e-3
         bound = rtol * np.linalg.norm(B)
-        U, W = low_rank_factor(B, rtol)
+        U, W, residual = low_rank_factor(B, rtol)
         assert U.shape == (30, 16) and W.shape == (16, 20)
         np.testing.assert_allclose(U.T @ U, np.eye(16), atol=1e-14)
-        assert np.linalg.norm(B - U @ W) <= bound
+        assert residual == np.linalg.norm(B - U @ W) <= bound
         Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
         assert np.linalg.norm(sv[3:]) <= bound < np.linalg.norm(sv[2:])
         U3 = np.linalg.qr(U @ Uw[:, :3])[0]
@@ -286,8 +288,8 @@ class TestLowRankFactor:
         rng = np.random.default_rng(5)
         for shape in ((60, 50), (60, 8), (60, 1)):
             B = rng.uniform(size=shape)
-            U, W = low_rank_factor(B, 4 * self.EPS)
-            assert U is B and W is None
+            U, W, residual = low_rank_factor(B, 4 * self.EPS)
+            assert U is B and W is None and residual == 0.0
 
 
 class TestLemke:

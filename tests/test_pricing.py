@@ -147,3 +147,38 @@ def test_plain_rate_matrix_has_no_grid_to_check(flavor):
     rates = build_generator(BS, grid).as_dense()
     assert_same_surface(price(BS, grid, c, dt=DT, dtick=DTICK, gen=rates),
                         direct(BS, grid, c, gen=rates))
+
+
+# each non-finite term the entry point was once handed, with what it did
+# then: LAPACK's "singular free block" (rate), "cannot convert float NaN to
+# integer" (window, dt, dtick), a horizon mismatch (maturity), RuntimeWarnings
+# and "psi must be finite" (dt = inf), a price on a ladder that never ticks
+# (dtick = inf)
+NON_FINITE_TERMS = {
+    "rate-nan": (dict(rate=math.nan), {}, "rate must be"),
+    "window-nan": (dict(window=math.nan), {}, "window must be"),
+    "maturity-nan": (dict(maturity=math.nan), {}, "maturity must be"),
+    "dt-nan": ({}, dict(dt=math.nan), "clock step dt must be"),
+    "dt-inf": ({}, dict(dt=math.inf), "clock step dt must be"),
+    "dtick-nan": ({}, dict(dtick=math.nan), "duration tick dtick must be"),
+    "dtick-inf": ({}, dict(dtick=math.inf), "duration tick dtick must be"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NON_FINITE_TERMS))
+def test_non_finite_term_is_named(probe):
+    terms, clock, named = NON_FINITE_TERMS[probe]
+    grid = small_grid(40)
+    assert grid.n_states == 41
+    # the rate on a perpetual down-out, every other term on a finite one
+    maturity = math.inf if probe == "rate-nan" else T
+    steps = dict(dt=DT, dtick=DTICK) | clock
+    with pytest.raises(ValueError, match=named):
+        c = dataclasses.replace(contract(Flavor.DOWN_OUT, maturity), **terms)
+        price(BS, grid, c, **steps)
+
+
+def test_perpetual_maturity_stays_valid():
+    c = contract(Flavor.DOWN_OUT, math.inf)
+    assert c.is_perpetual
+    assert np.all(np.isfinite(price(BS, small_grid(40), c, dtick=DTICK).values))
