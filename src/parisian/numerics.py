@@ -2,7 +2,11 @@
 
 Uniformized matrix exponentials, dense and banded tridiagonal LU
 factorizations, randomized low-rank factors and linear-complementarity (LCP)
-solvers.  The LCP convention throughout is
+solvers.  ``generator_expm`` sums the uniformized series of a sub-generator,
+a degree-d polynomial in P = I + G/rate with Poisson weights, in the
+Paterson-Stockmeyer order: about 2 sqrt(d) matrix products instead of d, and
+every term nonnegative, so exp(t G) >= 0 entrywise.  The LCP convention
+throughout is
 
     find z >= 0 with w = A z + psi >= 0 and z . w = 0.
 
@@ -181,14 +185,26 @@ _EXPM_TAIL = 1e-14
 def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     """Dense exp(t G) for a dense (sub-)generator G via uniformization.
 
-    Requires nonnegative off-diagonal entries and row sums <= 0 so that
-    P = I + G/rate is substochastic; the Poisson-weighted power series then
-    has nonnegative terms and is truncated once the remaining Poisson tail
-    drops below ``_EXPM_TAIL``.  Exact to truncation level (no time-step bias).
-    The series starts from the weight e^{-a}, a = rate t, which underflows
-    once a passes about 745, and takes about a terms; past a = 50 it runs on
-    exp((t / 2^k) G) with a / 2^k <= 50 instead and the result is squared k
-    times, which keeps it nonnegative.
+    Requires nonnegative off-diagonal entries and row sums <= 0, so that
+    P = I + G/rate is substochastic; otherwise it raises ``ValueError``.
+    exp(t G) = sum_k pi_k P^k with Poisson(a) weights pi_k, a = rate t, and
+    the series is cut at the first d > a whose Poisson tail lies below
+    ``_EXPM_TAIL``, which bounds the error since every P^k is substochastic.
+    Exact to truncation level (no time-step bias).
+
+    The degree-d polynomial is evaluated in the Paterson-Stockmeyer order
+    (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973; Higham, Functions of
+    Matrices, 2008, sec. 4.2): with s = round(sqrt(d + 1)) and the powers
+    P^2..P^s, the blocks B_j = sum_{i<s} pi_{js+i} P^i are combined by
+    Horner's rule in P^s.  That takes about 2 sqrt(d) matrix products where
+    term-by-term summation takes d.  Every weight and every power is >= 0,
+    so every block and every Horner step is too, and the result is
+    nonnegative without cancellation.
+
+    The weight e^{-a} underflows once a passes about 745, and d grows like
+    a, so past a = ``_EXPM_MAX_MEAN`` the series runs on exp((t / 2^k) G)
+    with a / 2^k <= 50 instead and the result is squared k times, which
+    keeps it nonnegative.
     """
 
     if t < 0:
@@ -198,31 +214,56 @@ def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     if t == 0.0 or n == 0:
         return np.eye(n)
     rate = float(-Gd.diagonal().min())
+    scale = 1e-10 * max(rate, 1.0)
+    off = Gd - np.diag(Gd.diagonal())
+    if off.min() < -scale:
+        raise ValueError("generator_expm needs nonnegative off-diagonals")
+    worst = float(Gd.sum(axis=1).max())
+    if worst > scale:
+        raise ValueError(f"generator_expm needs row sums <= 0; the largest is {worst:.6g}")
     if rate <= 0.0:
         # zero generator (all rates vanish)
         return np.eye(n)
-    off = Gd - np.diag(Gd.diagonal())
-    if off.min() < -1e-10 * max(rate, 1.0):
-        raise ValueError("generator_expm needs nonnegative off-diagonals")
     P = Gd / rate + np.eye(n)
     a = rate * t
     squarings = max(0, math.ceil(math.log2(a / _EXPM_MAX_MEAN)))
     a /= 2**squarings
-    weight = math.exp(-a)
-    term = np.eye(n)
-    out = weight * term
-    consumed = weight
-    kmax = int(a + 40.0 * math.sqrt(a + 1.0) + 40)
-    for j in range(1, kmax + 1):
-        term = term @ P
-        weight *= a / j
-        out += weight * term
-        consumed += weight
-        if 1.0 - consumed < _EXPM_TAIL and j > a:
-            break
+    weights = _poisson_weights(a)
+    d = len(weights) - 1
+    s = round(math.sqrt(d + 1))
+    # P^0..P^s, s - 1 products
+    powers = np.empty((s + 1, n, n))
+    powers[0] = np.eye(n)
+    powers[1] = P
+    for i in range(2, s + 1):
+        np.matmul(powers[i - 1], P, out=powers[i])
+    stacked = powers[:s].reshape(s, n * n)
+    out = None
+    for j in reversed(range(0, d + 1, s)):
+        w = weights[j : j + s]
+        block = (w @ stacked[: len(w)]).reshape(n, n)
+        out = block if out is None else out @ powers[s] + block
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def _poisson_weights(a: float) -> np.ndarray:
+    """The Poisson(a) weights pi_0..pi_d of ``generator_expm``'s series, d
+    the first index past a at which the tail left drops below
+    ``_EXPM_TAIL``."""
+
+    weight = math.exp(-a)
+    weights = [weight]
+    consumed = weight
+    kmax = int(a + 40.0 * math.sqrt(a + 1.0) + 40)
+    for j in range(1, kmax + 1):
+        weight *= a / j
+        weights.append(weight)
+        consumed += weight
+        if 1.0 - consumed < _EXPM_TAIL and j > a:
+            break
+    return np.array(weights)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,66 @@ class TestGeneratorExpm:
         with pytest.raises(ValueError):
             generator_expm(G, 1.0)
 
+    @pytest.mark.parametrize(
+        "G",
+        [
+            [[0.0, 1.0], [0.0, 0.0]],  # no diagonal rate: exp(G) is not I
+            [[-1.0, 3.0], [0.5, -1.0]],  # P = I + G/rate is not substochastic
+        ],
+    )
+    def test_rejects_positive_row_sum(self, G):
+        with pytest.raises(ValueError, match=r"row sums <= 0; the largest is [12]\b"):
+            generator_expm(np.array(G), 1.0)
+
+    @pytest.mark.parametrize(
+        "mean", [0.01, 3.0, 3.7, 14.9, 41.9, 49.9, 50.1, 120.0, 800.0]
+    )
+    def test_blocked_series_matches_expm(self, mean):
+        # the Poisson mean a = rate t sets the degree d and the block length
+        # s = round(sqrt(d + 1)): d = 5 at 0.01; d + 1 = 25 = 5^2 at 3.0, so
+        # every block is full; a partial last block at 3.7, 14.9, 41.9 and
+        # 49.9; and the squaring branch past 50
+        rng = np.random.default_rng(13)
+        G = random_generator(12, rng, conservative=False, density=0.8, scale=2.0)
+        t = mean / -G.diagonal().min()
+        U = generator_expm(G, t)
+        assert np.max(np.abs(U - expm(t * G))) <= 1e-12
+        assert U.min() >= 0.0
+
+    def test_stiff_subgenerator_is_nonnegative(self):
+        # row rates spread over six decades, with killing; a = 400 is summed
+        # at a / 8 and squared three times
+        rng = np.random.default_rng(14)
+        G = random_generator(20, rng, conservative=False, density=0.7)
+        G *= np.logspace(-3.0, 3.0, 20)[:, None]
+        U = generator_expm(G, 400.0 / -G.diagonal().min())
+        assert U.min() >= 0.0
+        assert U.sum(axis=1).max() <= 1.0 + 1e-12
+
+    def test_agrees_with_term_by_term_series(self):
+        rng = np.random.default_rng(15)
+        n, t = 16, 1.3
+        G = random_generator(n, rng, conservative=False, density=0.8, scale=2.0)
+        rate = -G.diagonal().min()
+        a = rate * t
+        assert a < 50.0  # no squaring: the series is the whole result
+        P = np.eye(n) + G / rate
+        term = np.eye(n)
+        weight = consumed = math.exp(-a)
+        ref, j = weight * term, 0
+        while not (1.0 - consumed < 1e-14 and j > a):
+            j += 1
+            term = term @ P
+            weight *= a / j
+            ref += weight * term
+            consumed += weight
+        U = generator_expm(G, t)
+        assert np.max(np.abs(U - ref)) <= 1e-14 * np.abs(ref).max()
+
+    def test_zero_time_is_identity(self):
+        G = random_generator(7, np.random.default_rng(16), conservative=False)
+        assert np.array_equal(generator_expm(G, 0.0), np.eye(7))
+
 
 class TestLowRankFactor:
     EPS = np.finfo(float).eps
