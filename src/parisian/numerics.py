@@ -17,9 +17,11 @@ ladder operator), on which it converges in finitely many steps.  Every
 chosen when the operator is built: three bands when the builder hands them
 over (``LCPOperator.from_bands``), CSC for a sparse A less than half full,
 dense otherwise.  The operator solves every block A_FF on a prefix free set
-{0..k-1} from one LU factor of A^T and keeps the factor of the last other
-block; a recursion that passes one operator to every clock slice factors
-once, plus once per new non-prefix set, not once per iteration.
+{0..k-1} from one LU factor of A^T, which also gives a call-like LCP its
+exercise boundary in one sweep (``policy_solve`` jumps there once), and
+keeps the factor of the last other block; a recursion that passes one
+operator to every clock slice factors once, plus once per new non-prefix
+set, not once per iteration.
 ``lemke_solve`` (pivoting) is an independent reference for tests and
 ``parisian verify``.  Functions are pure apart from the factors an operator
 caches, so an operator must not be shared across threads.
@@ -34,7 +36,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs, dtrtrs
 from scipy.sparse.linalg import splu
 
 
@@ -370,6 +372,23 @@ class LCPOperator:
             return self._lu.solve(rhs), factorizations
         return solve_dense(self._lu, rhs), factorizations
 
+    def prefix_boundary(self, rhs: np.ndarray) -> Tuple[Optional[int], int]:
+        """(k, factorizations made): the sweep k = 1 + max{j : y_j > 0}, 0 if
+        none, for y = (U^T)^{-1} rhs and A^T = L U the factor of prefix sets,
+        or None without one (CSC, interchanges, singular A); see policy_solve."""
+
+        made = 0
+        if self._whole is None:
+            self._whole, made = self._factor_whole(), 1
+        if self._whole is False:
+            return None, made
+        if self.bands is None:
+            y = dtrtrs(self._whole[0], rhs, lower=0, trans=1)[0]
+        else:  # dgttrs(trans='T') with L's multipliers zeroed stops at U^T
+            (dl, *lu), n, trans = self._whole
+            y = solve_tridiag(([np.zeros_like(dl)] + lu, n, trans), rhs)
+        return int(np.max(np.flatnonzero(y > 0.0) + 1, initial=0)), made
+
     def _factor_whole(self):
         """The factor of A^T, or False if A^T is singular or swapped rows."""
 
@@ -570,10 +589,18 @@ def policy_solve(
     many iterations from any starting set for the M-matrix systems produced
     by the pricers.
     ``problem.A`` keeps its factors across calls (see ``LCPOperator``), and
-    ``LCPSolution.factorizations`` counts the ones made.  For banded
-    operators the free boundary can travel only one node per iteration, so
-    the iteration cap scales with the problem size when ``A`` is sparse
-    (where an iteration is cheap).
+    ``LCPSolution.factorizations`` counts the ones made.  Once per solve, a
+    proper prefix free set proposed by iteration 1 jumps to {0..k-1} with
+    k = ``A.prefix_boundary(-psi)`` from A^T = L U (Brennan & Schwartz,
+    J. Finance 32(2), 1977), where A has that factor.  For an M-matrix whose
+    solution is free on {0..k*-1}, k = k*: rows 0..j of A z = -psi + w give
+    z_j = y_j + [(U^T)^{-1} w]_j, y = (U^T)^{-1}(-psi), where z vanishes past
+    j; (U^T)^{-1} >= 0 and w >= 0 give y_j <= 0 for j >= k*, and w = 0 on the
+    free set gives y_{k*-1} = z_{k*-1} > 0.  Else the jump only sets a start,
+    which the iteration checks.  Where nothing jumps (a put's suffix free
+    set, CSC, pivoting) the free boundary of a banded operator travels one
+    node per iteration, so the iteration cap scales with n when ``A`` is
+    sparse (where an iteration is cheap).
     """
 
     n = problem.n
@@ -613,6 +640,13 @@ def policy_solve(
             return _finish(
                 problem, np.maximum(z, 0.0), it, LCPStatus.SOLVED, factorizations
             )
+        if it == 1 and new_active[-1] and not new_active[0]:  # the one jump
+            k = n - int(np.count_nonzero(new_active))
+            if not new_active[:k].any():  # a proper prefix free set
+                k, made = op.prefix_boundary(-psi)
+                factorizations += made
+                if k is not None:
+                    new_active = np.arange(n) >= k
         prev_active = active
         active = new_active
     return _finish(

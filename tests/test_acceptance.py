@@ -14,9 +14,11 @@ import time
 import numpy as np
 import pytest
 
+from parisian import pricer_downin
 from parisian.bench_cli import price_point, reference_option, richardson
 from parisian.ctmc import TimeGrid, build_grid, build_generator, validate_generator
 from parisian.models import bs_model
+from parisian.numerics import policy_solve
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,
@@ -119,6 +121,23 @@ class TestBenchmarkGates:
         # error magnitude (~7%)
         assert raw2 <= 0.14
         assert elapsed < 900.0
+
+    @pytest.mark.parametrize("option", ["perpetual-down-in", "perpetual-down-out",
+                                        "finite-down-in", "finite-down-out"])
+    def test_bs_solves_end_within_two_iterations(self, option, monkeypatch):
+        # a cold call LCP jumps to its exercise boundary after iteration 1,
+        # and a warm one from the previous slice needs at most that jump
+        iterations = []
+
+        def counting(*args, **kwargs):
+            sol = policy_solve(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(pricer_downin, "policy_solve", counting)
+        cfg = reference_option("bs", option).config
+        price_point(cfg, cfg.grids[0])
+        assert iterations and max(iterations) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,12 @@ class TestBandedOperator:
         assert np.allclose(op @ x, A @ x, rtol=1e-15, atol=0.0)
 
     def test_policy_solve_keeps_the_per_state_iteration_cap(self):
-        # the contact point of the string travels one node per iteration:
-        # more iterations than the dense cap, within the 4n of a sparse one
+        # on the mirrored string (states in reverse order) the free set is a
+        # suffix, so nothing jumps and the contact point travels one node per
+        # iteration: more iterations than the dense cap, within the 4n of a
+        # sparse one
         A, psi, _ = obstacle_problem(500)
+        A, psi = A[::-1, ::-1].copy(), psi[::-1].copy()
         op = LCPOperator.from_bands(bands(A))
         assert op.is_sparse
         sol = policy_solve(LCPProblem(op, psi))
@@ -410,6 +413,39 @@ def obstacle_problem(n=200, load=8.0, left_height=1.0):
     return A, psi, math.sqrt(2.0 * left_height / load)
 
 
+def price_chain(rng, n, jumps):
+    """(log-price nodes x, A = r I - G) for a random Black-Scholes chain on
+    [log 20, log 400] with dividends, plus double-exponential jumps (dense)
+    when ``jumps``: strictly row diagonally dominant, tridiagonal without
+    jumps.  A call's exercise region lies above a boundary, a put's below."""
+    x = np.linspace(math.log(20.0), math.log(400.0), n)
+    h = x[1] - x[0]
+    sigma, r, delta = rng.uniform(0.15, 0.4), rng.uniform(0.02, 0.1), rng.uniform(0.02, 0.1)
+    mu = r - delta - sigma**2 / 2
+    G = (np.diag(np.full(n - 1, sigma**2 / (2 * h * h) + mu / (2 * h)), 1)
+         + np.diag(np.full(n - 1, sigma**2 / (2 * h * h) - mu / (2 * h)), -1))
+    if jumps:
+        eta, lam = rng.uniform(5.0, 15.0), rng.uniform(0.5, 3.0)
+        G += lam * h * eta / 2 * np.exp(-eta * np.abs(x[:, None] - x[None, :]))
+    np.fill_diagonal(G, 0.0)
+    np.fill_diagonal(G, -G.sum(axis=1))
+    return x, r * np.eye(n) - G
+
+
+def chain_lcps(seed, put=False):
+    """American call (put) LCPs on random chains, z = V - payoff, banded and
+    dense: (A, the operator to solve with, psi, the Lemke solution)."""
+    rng = np.random.default_rng(seed)
+    for jumps in (False, True, False, True):
+        n = int(rng.integers(30, 90))
+        x, A = price_chain(rng, n, jumps)
+        strike = rng.uniform(60.0, 200.0)
+        payoff = np.maximum((strike - np.exp(x)) if put else (np.exp(x) - strike), 0.0)
+        psi = A @ payoff
+        op = LCPOperator(A) if jumps else LCPOperator.from_bands(bands(A))
+        yield A, op, psi, lemke_solve(LCPProblem(A, psi)).z
+
+
 class TestPsorAndFriends:
     """Policy iteration (the production solver) against the Lemke reference."""
 
@@ -568,7 +604,8 @@ class TestLCPOperator:
         np.testing.assert_array_equal(op.to_dense(), banded)
         got = policy_solve(LCPProblem(op, psi))
         ref = policy_solve(LCPProblem(LCPOperator.from_bands(bands(banded)), psi))
-        assert got.solved and got.iterations == ref.iterations
+        # only the band operator has a prefix factor to jump with
+        assert got.solved and ref.iterations <= 2 < got.iterations
         np.testing.assert_allclose(got.z, ref.z, rtol=0.0, atol=1e-12)
 
     def test_problem_holds_one_operator(self):
@@ -589,6 +626,83 @@ class TestLCPOperator:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             LCPOperator(np.zeros((2, 3)))
+
+
+class TestPrefixBoundary:
+    """The Brennan-Schwartz sweep reads a prefix free set off the factor of
+    A^T, and policy iteration jumps to it once."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "bands"])
+    def test_sweep_is_the_size_of_the_free_set(self, fmt):
+        # random M-matrices with a made solution: z* > 0 exactly on {0..k-1}
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 7, 40):
+            for k in {0, 1, n // 2, n - 1, n}:
+                if fmt == "bands":
+                    A = random_tridiagonal_m_matrix(rng, n)
+                    op = LCPOperator.from_bands(bands(A))
+                else:
+                    A = 0.2 * np.eye(n) - random_generator(n, rng, density=1.0)
+                    op = LCPOperator(A)
+                z = np.where(np.arange(n) < k, rng.uniform(0.1, 1.0, size=n), 0.0)
+                w = np.where(np.arange(n) < k, 0.0, rng.uniform(0.1, 1.0, size=n))
+                assert op.prefix_boundary(A @ z - w)[0] == k
+            assert op.prefix_boundary(np.zeros(n))[0] == 0  # no y_j > 0
+        # a rising obstacle on a price chain: the call's free set
+        for A, op, psi, z in chain_lcps(42):
+            free = z > 0.0
+            k = int(free.sum())
+            assert 0 < k < len(z) and free[:k].all()
+            assert op.prefix_boundary(-psi)[0] == k
+
+    def test_cold_and_wrong_warm_prefixes_jump(self):
+        for A, op, psi, ref in chain_lcps(43):
+            n, k = len(ref), int(np.count_nonzero(ref > 0.0))
+            starts = [None] + [np.arange(n) >= j
+                               for j in {1, k - 5, k - 1, k + 1, k + 5, n - 1} if 0 < j < n]
+            for active0 in starts:
+                sol = policy_solve(LCPProblem(op, psi), active0=active0)
+                assert sol.solved and sol.iterations <= 2
+                np.testing.assert_allclose(sol.z, ref, rtol=0.0,
+                                           atol=1e-9 * np.max(np.abs(ref)))
+
+    def test_put_never_jumps(self, monkeypatch):
+        # a put's free set is a suffix: iteration 1 never proposes a prefix
+        sweeps = []
+        sweep = LCPOperator.prefix_boundary
+
+        def spy(self, rhs):
+            sweeps.append(len(rhs))
+            return sweep(self, rhs)
+
+        monkeypatch.setattr(LCPOperator, "prefix_boundary", spy)
+        walked = 0
+        for A, op, psi, ref in chain_lcps(44, put=True):
+            n, k = len(ref), int(np.count_nonzero(ref > 0.0))
+            for active0 in (None, np.arange(n) < n - k + 3, np.arange(n) < n - k - 3):
+                sol = policy_solve(LCPProblem(op, psi), active0=active0)
+                assert sol.solved
+                np.testing.assert_allclose(sol.z, ref, rtol=0.0,
+                                           atol=1e-9 * np.max(np.abs(ref)))
+                walked = max(walked, sol.iterations)
+        assert sweeps == [] and walked > 2
+
+    def test_factorizations_count_the_sweeps_factor(self):
+        A, op, psi, ref = next(chain_lcps(45))
+        n, k = len(ref), int(np.count_nonzero(ref > 0.0))
+        # a free set with a gap factors its own block; the sweep that jumps
+        # from it to the prefix makes the factor of A^T, which iteration 2 uses
+        gap = (np.arange(n) == 0) | (np.arange(n) >= k)
+        sol = policy_solve(LCPProblem(op, psi), active0=gap)
+        assert sol.solved and sol.iterations == 2 and sol.factorizations == 2
+        np.testing.assert_allclose(sol.z, ref, rtol=0.0, atol=1e-9 * np.max(np.abs(ref)))
+        assert op.prefix_boundary(-psi) == (k, 0)  # the factor is kept
+        assert LCPOperator.from_bands(bands(A)).prefix_boundary(-psi) == (k, 1)
+        # no prefix factor: CSC, or a row interchange (tried once, counted)
+        assert LCPOperator(sparse.csr_matrix(A)).prefix_boundary(-psi) == (None, 0)
+        swaps = LCPOperator(np.array([[1.0, 4.0], [2.0, 1.0]]))
+        assert swaps.prefix_boundary(np.ones(2)) == (None, 1)
+        assert swaps.prefix_boundary(np.ones(2)) == (None, 0)
 
 
 class TestSolutionInvariants:
