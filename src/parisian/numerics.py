@@ -149,6 +149,8 @@ def low_rank_factor(
     """
 
     n_cols = B.shape[1]
+    if n_cols <= _SKETCH_COLUMNS:  # no sketch narrower than B: B itself
+        return B, None, 0.0
     rng = np.random.default_rng(_SKETCH_SEED)
     bound = rtol * np.linalg.norm(B)
     Y = np.empty((B.shape[0], 0))
@@ -190,8 +192,9 @@ def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     Requires nonnegative off-diagonal entries and row sums <= 0, so that
     P = I + G/rate is substochastic; otherwise it raises ``ValueError``.
     exp(t G) = sum_k pi_k P^k with Poisson(a) weights pi_k, a = rate t, and
-    the series is cut at the first d > a whose Poisson tail lies below
-    ``_EXPM_TAIL``, which bounds the error since every P^k is substochastic.
+    the series is cut at the first d whose Poisson tail lies below
+    ``_EXPM_TAIL`` (``poisson_weights``), which bounds the error since every
+    P^k is substochastic.
     Exact to truncation level (no time-step bias).
 
     The degree-d polynomial is evaluated in the Paterson-Stockmeyer order
@@ -203,10 +206,9 @@ def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     so every block and every Horner step is too, and the result is
     nonnegative without cancellation.
 
-    The weight e^{-a} underflows once a passes about 745, and d grows like
-    a, so past a = ``_EXPM_MAX_MEAN`` the series runs on exp((t / 2^k) G)
-    with a / 2^k <= 50 instead and the result is squared k times, which
-    keeps it nonnegative.
+    d grows like a, so past a = ``_EXPM_MAX_MEAN`` the series runs on
+    exp((t / 2^k) G) with a / 2^k <= 50 instead and the result is squared k
+    times, which keeps it nonnegative.
     """
 
     if t < 0:
@@ -230,7 +232,7 @@ def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     a = rate * t
     squarings = max(0, math.ceil(math.log2(a / _EXPM_MAX_MEAN)))
     a /= 2**squarings
-    weights = _poisson_weights(a)
+    weights = poisson_weights(a, _EXPM_TAIL)
     d = len(weights) - 1
     s = round(math.sqrt(d + 1))
     # P^0..P^s, s - 1 products
@@ -250,22 +252,25 @@ def generator_expm(G: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _poisson_weights(a: float) -> np.ndarray:
-    """The Poisson(a) weights pi_0..pi_d of ``generator_expm``'s series, d
-    the first index past a at which the tail left drops below
-    ``_EXPM_TAIL``."""
+def poisson_weights(a: float, tail: float) -> np.ndarray:
+    """The Poisson(a) weights pi_0..pi_d, d the first index whose tail mass
+    sum_{k>d} pi_k lies below ``tail``.
 
-    weight = math.exp(-a)
-    weights = [weight]
-    consumed = weight
-    kmax = int(a + 40.0 * math.sqrt(a + 1.0) + 40)
-    for j in range(1, kmax + 1):
-        weight *= a / j
-        weights.append(weight)
-        consumed += weight
-        if 1.0 - consumed < _EXPM_TAIL and j > a:
-            break
-    return np.array(weights)
+    The weights are built by their ratios outwards from the mode and
+    normalised over all of their mass (to a + 40 sqrt(a) + 40, far past any
+    cut), so neither e^{-a}, which underflows once a passes about 745, nor
+    a^k / k!, which then overflows, is ever formed.  The tails are summed
+    from the far end, so a cut near the rounding of 1 is still met.
+    """
+
+    mode = int(a)
+    top = int(a + 40.0 * math.sqrt(a) + 40.0)
+    w = np.ones(top + 1)
+    w[mode + 1:] = np.cumprod(a / np.arange(mode + 1, top + 1))
+    w[:mode] = np.cumprod(np.arange(mode, 0, -1) / a)[::-1]
+    w /= w.sum()
+    rest = np.cumsum(w[::-1])[::-1]  # sum_{k>=j} pi_k, below any cut at top
+    return w[:int(np.argmax(rest[1:] < tail)) + 1]
 
 
 # ---------------------------------------------------------------------------

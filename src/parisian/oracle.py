@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.stats import poisson
 
 from .bench_cli import build_named_model, reference_option
@@ -238,7 +238,9 @@ def dp_parisian_lattice(
 ) -> np.ndarray:
     """Backward induction over the full joint lattice, one value per slot,
     for the chain of the dense rate matrix ``rates``, whose below-barrier
-    states are flagged in ``below``.
+    states are flagged in ``below``.  ``rates`` may also hold one matrix per
+    clock slice (a time-dependent chain): slice j then steps back from slice
+    j + 1 on its own matrix, and the last, past the horizon, is never read.
 
     ``flavor="down-out"`` runs the (duration level, spatial state) lattice
     with ``dtick`` clock resolution: per clock slice, the stopping fixed
@@ -265,7 +267,10 @@ def dp_parisian_lattice(
     payoff = np.asarray(payoff, dtype=float)
     J = int(math.floor(horizon / dt * (1.0 + 1e-12))) + 1
     n_slices = J + 1
-    N = R.shape[0]
+    if R.ndim == 2:
+        R = np.broadcast_to(R, (n_slices,) + R.shape)
+    elif len(R) != n_slices:
+        raise ValueError(f"need one rate matrix or {n_slices}, got {len(R)}")
     if flavor == "down-out":
         if dtick is None:
             raise ValueError("down-out lattice needs a duration tick")
@@ -279,8 +284,17 @@ def dp_parisian_lattice(
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+def _slice_chains(R, build):
+    """build(R[j]) for every slice j, once per run of equal matrices."""
+
+    out = []
+    for j, Rj in enumerate(R):
+        out.append(out[-1] if j and np.array_equal(Rj, R[j - 1]) else build(Rj))
+    return out
+
+
 def _downout_lattice(R, below, payoff, rate, dt, n_slices, window, dtick, tol):
-    N = R.shape[0]
+    N = R.shape[-1]
     bi = np.flatnonzero(below)
     m = len(bi)
     n_ticks = int(math.floor(window / dtick * (1.0 + 1e-12))) + 1
@@ -294,32 +308,34 @@ def _downout_lattice(R, below, payoff, rate, dt, n_slices, window, dtick, tol):
             return x
         return N + (level - 1) * m + int(np.searchsorted(bi, x))
 
-    L = np.zeros((n_live, n_live))
-    tick = 1.0 / dtick
-    for level in range(n_ticks):
-        for x in range(N):
-            if level > 0 and not below[x]:
-                continue
-            row = slot(level, x)
-            # keep R's own diagonal so killing rows stay killed
-            L[row, row] = R[x, x]
-            for y in range(N):
-                if y == x or R[x, y] == 0.0:
+    def lattice_chain(R):
+        L = np.zeros((n_live, n_live))
+        tick = 1.0 / dtick
+        for level in range(n_ticks):
+            for x in range(N):
+                if level > 0 and not below[x]:
                     continue
-                tgt_level = level if below[y] else 0
-                L[row, slot(tgt_level, y)] += R[x, y]
-            if below[x]:
-                # the clock: one level up, value lost past the window
-                if level + 1 < n_ticks:
-                    L[row, slot(level + 1, x)] += tick
-                L[row, row] -= tick
+                row = slot(level, x)
+                # keep R's own diagonal so killing rows stay killed
+                L[row, row] = R[x, x]
+                for y in range(N):
+                    if y == x or R[x, y] == 0.0:
+                        continue
+                    tgt_level = level if below[y] else 0
+                    L[row, slot(tgt_level, y)] += R[x, y]
+                if below[x]:
+                    # the clock: one level up, value lost past the window
+                    if level + 1 < n_ticks:
+                        L[row, slot(level + 1, x)] += tick
+                    L[row, row] -= tick
+        return UniformizedChain.from_generator(L)
 
     f_lat = np.concatenate([payoff] + [payoff[bi]] * (n_ticks - 1))
-    chain = UniformizedChain.from_generator(L)
+    chains = _slice_chains(R[:-1], lattice_chain)
     out = np.zeros((n_slices, n_live))
     for j in range(n_slices - 2, -1, -1):
         out[j] = _fixed_point_stopping(
-            chain,
+            chains[j],
             f_lat,
             kill=rate,
             source_rate=1.0 / dt,
@@ -331,12 +347,12 @@ def _downout_lattice(R, below, payoff, rate, dt, n_slices, window, dtick, tol):
 
 
 def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discounting, tol):
-    N = R.shape[0]
+    N = R.shape[-1]
     J = n_slices - 1
     if N * n_slices > 100_000:
         raise ValueError("lattice too large for the DP oracle")
     times = np.arange(n_slices) * dt
-    chain = UniformizedChain.from_generator(R)
+    chains = _slice_chains(R[:-1], UniformizedChain.from_generator)
 
     if vanilla_discounting not in ("activation", "exercise"):
         raise ValueError(f"unknown vanilla discounting {vanilla_discounting!r}")
@@ -349,7 +365,7 @@ def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discou
     for j in range(J - 1, -1, -1):
         obstacle = math.exp(-rate * times[j]) * payoff if exercise else payoff
         W[j] = _fixed_point_stopping(
-            chain, obstacle, kill=0.0, source_rate=1.0 / dt,
+            chains[j], obstacle, kill=0.0, source_rate=1.0 / dt,
             source=W[j + 1], tol=tol, v0=W[j + 1],
         )
     if not exercise:
@@ -367,7 +383,7 @@ def _downin_renewal(R, below, payoff, rate, dt, n_slices, window, vanilla_discou
         Z[j, j] = -1.0 / dt
         if j + 1 < J:
             Z[j, j + 1] = 1.0 / dt
-    G_joint = np.kron(np.eye(J), R) + np.kron(Z, np.eye(N))
+    G_joint = block_diag(*R[:J]) + np.kron(Z, np.eye(N))
     jb = (np.arange(J)[:, None] * N + bi[None, :]).ravel()
     ja = (np.arange(J)[:, None] * N + ai[None, :]).ravel()
 
@@ -875,6 +891,77 @@ def _verify_dp(seed: int, emit) -> _Tally:
                 f"  reduced down-out, {model.name} chain and call (factor width "
                 f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
             )
+
+    # time-dependent down-outs, a generator per clock slice, against the
+    # lattice on each slice's own rates: sigma(t) ramps and steps on the
+    # carrier's tridiagonal chains (calls on the reduced route, whose slices
+    # share one cross-barrier record, then payoffs that take the stacked
+    # route) and a sigma(t) Kou chain whose slices share one jump block
+    def sigma_t(model, shape):
+        sq = model.diffusion_sq
+        return dataclasses.replace(
+            model, time_homogeneous=False,
+            diffusion_sq=lambda t, x: sq(t, x) * shape(t) ** 2)
+
+    def time_dependent(model, grid, c_out, dt, dtick):
+        res = price(model, grid, c_out, dt=dt, dtick=dtick)
+        policy = resolve_rate_policy(None, model)
+        rates = [build_generator(model, grid, float(t), policy).as_dense()
+                 for t in res.times]
+        below = grid.states < c_out.barrier_state(model) - 1e-12
+        ora = dp_parisian_lattice(
+            rates, below, c_out.payoff_states(model, grid.states), c_out.rate,
+            dt, c_out.maturity, c_out.window, "down-out", dtick=dtick,
+        )
+        return _gap(res.values, ora)
+
+    worst = 0.0
+    for trial in range(6):
+        n = int(rng.integers(8, 13))
+        grid = build_grid(0.5, 4.0, 1.5, 2.0, n, "proportional")
+        rate = float(rng.uniform(0.01, 0.2))
+        dt = float(rng.uniform(0.05, 0.3))
+        horizon = (int(rng.integers(2, 6)) - 0.5) * dt
+        window = float(rng.uniform(0.5, 2.5)) * dt
+        dtick = window / float(rng.integers(1, 4))
+        if trial < 4:
+            payoff = american_call(float(rng.uniform(1.5, 3.0)))
+        else:
+            knots = np.sort(rng.uniform(0.4, 4.2, size=4))
+            vals = rng.uniform(0.5, 3.0, size=4)
+            payoff = lambda s, k=knots, v=vals: np.interp(s, k, v)
+        if trial % 2:  # a step up or down halfway through the contract
+            lo, hi = sorted(rng.uniform(1.0, 2.5, size=2))[::int(rng.choice([-1, 1]))]
+            shape = lambda t, T=horizon / 2, a=lo, b=hi: a if t < T else b
+        else:  # a ramp
+            slope = float(rng.uniform(0.5, 3.0))
+            shape = lambda t, k=slope: 1.0 + k * t
+        c_out = ContractSpec(
+            payoff=payoff, barrier=1.5, window=window, maturity=horizon,
+            rate=rate, flavor=Flavor.DOWN_OUT,
+        )
+        with tally.check("bs sigma(t) out"):
+            gap = time_dependent(sigma_t(carrier, shape), grid, c_out, dt, dtick)
+            worst = max(worst, gap)
+            tally.add("bs sigma(t) out", gap < 1e-5)
+    emit(f"  sigma(t) down-out, 6 BS chains (4 calls), vs per-slice "
+         f"joint-lattice DP: worst gap {worst:.2e}")
+
+    slope = float(rng.uniform(0.5, 3.0))
+    with tally.check("kou sigma(t) out"):
+        params = reference_option("kou", "finite-down-out").config.model_params
+        model = sigma_t(build_named_model("kou", params), lambda t: 1.0 + slope * t)
+        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
+                          math.log(95.0), 32, "proportional")
+        c_out = ContractSpec(
+            payoff=american_call(float(rng.uniform(90.0, 110.0))), barrier=90.0,
+            window=1.0 / 12.0, maturity=0.25, rate=float(rng.uniform(0.01, 0.1)),
+            flavor=Flavor.DOWN_OUT,
+        )
+        gap = time_dependent(model, grid, c_out, 1.0 / 24.0, 1.0 / 24.0)
+        tally.add("kou sigma(t) out", gap < 1e-5)
+        emit(f"  sigma(t) reduced down-out, kou chain and call, vs per-slice "
+             f"joint-lattice DP: gap {gap:.2e}")
     return tally
 
 
@@ -887,7 +974,8 @@ def verify_groups(suite: str, seed: int = 0, emit=print) -> Dict[str, Tuple[int,
 
     Groups: ``lcp`` -- "dense", "tridiagonal"; ``kernels`` -- "uniformized",
     "mean 800", "value iteration", "simulation"; ``dp`` -- "dense out",
-    "dense in", "bs out", "bs in", "jump out".
+    "dense in", "bs out", "bs in", "jump out", "bs sigma(t) out", "kou
+    sigma(t) out".
     """
 
     if suite not in _VERIFY_SUITES:

@@ -51,6 +51,7 @@ from .numerics import (
     LCPProblem,
     factor_dense,
     generator_expm,
+    poisson_weights,
     policy_solve,
     require_solved,
     solve_dense,
@@ -59,6 +60,8 @@ from .numerics import (
 if TYPE_CHECKING:
     from .pricer_downout import DurationLadder
 
+# the tail mass of the Poisson count of ticks in a window past which
+# ``_finite_downin`` skips later slices
 _POISSON_SKIP = 1e-16
 
 
@@ -382,25 +385,6 @@ def price_finite_downin(
     return PriceSurface(values=C, times=times, model=model, grid=grid, vanilla=W)
 
 
-def _poisson_weights(lam: float, kmax: int):
-    """(pmf_k for k = 0..kmax, last useful k) of a Poisson(lam) count.
-
-    The pmf is built by its ratios outwards from the mode and normalised over
-    all of its mass, so neither e^{-lam} (which underflows once lam passes
-    about 745) nor lam^k / k! (which then overflows) is ever formed.
-    """
-
-    mode = int(lam)
-    top = max(kmax, int(lam + 40.0 * math.sqrt(lam) + 40.0))
-    w = np.ones(top + 1)
-    w[mode + 1:] = np.cumprod(lam / np.arange(mode + 1, top + 1))
-    w[:mode] = np.cumprod(np.arange(mode, 0, -1) / lam)[::-1]
-    pmf = w[: kmax + 1] / w.sum()
-    useful = np.flatnonzero(pmf >= _POISSON_SKIP)
-    last = int(useful[-1]) if useful.size else 0
-    return pmf, last
-
-
 class _SliceBlocks(NamedTuple):
     """One generator's slice system, as ``_slice_blocks`` builds it."""
 
@@ -452,7 +436,7 @@ def _finite_downin(gens, W, n_below, window, dt):
     C = np.zeros_like(W)
     if not m:
         return C  # never below the barrier: the in-event cannot trigger
-    pmf, last = _poisson_weights(window / dt, J)
+    pmf = poisson_weights(window / dt, _POISSON_SKIP)
     Wb = W[:, :m]
     Q = np.zeros((n_slices, m))
     u_minus = np.zeros(W.shape[1] - m)
@@ -465,7 +449,7 @@ def _finite_downin(gens, W, n_below, window, dt):
         for t in range(top, j, -1):
             Q[t] = b.h1 @ C[t, m:] + P
             P = solve_dense(b.n_lu, Q[t])
-        k = min(J - j, last)
+        k = min(J - j, len(pmf) - 1)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
         acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
         u_minus = solve_dense(b.a_lu, u_minus + b.hm @ C[j + 1, :m])

@@ -204,21 +204,52 @@ def price_perpetual_downout(
 
     With no continuation, the price is row 0 of a two-slice recursion whose
     last row is zero, run with the perpetual operator rate I - A
-    (``dt=None``).  Reduced (below-barrier slots eliminated, an
-    above-barrier problem) whenever the payoff vanishes below the barrier;
-    stacked otherwise.  Either way it is one LCP, solved by policy iteration
-    from a cold start.
+    (``dt=None``): one LCP, solved by policy iteration from a cold start, on
+    the route ``_price_downout`` picks.
     """
 
     grid = getattr(gen, "grid", None)
     require_contract(contract, Flavor.DOWN_OUT, model, grid)
+    return _price_downout([gen, gen], grid, contract, model, dtick, None,
+                          np.zeros(1))
+
+
+def price_finite_downout(
+    model: ModelSpec,
+    grid: SpatialGrid,
+    timegrid: TimeGrid,
+    contract: ContractSpec,
+    dtick: float,
+    gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
+    rate_policy: str = "error",
+) -> PriceSurface:
+    """Backward recursion for the finite-maturity down-out surface.
+
+    Slice values are prices at that slice (not pre-discounted): each step
+    back multiplies the continuation by 1/(1 + rate dt).  Each slice LCP is
+    solved by policy iteration, warm-started from the slice after it, on the
+    route ``_price_downout`` picks.
+    """
+
+    require_contract(contract, Flavor.DOWN_OUT, model, grid, timegrid)
+    gens = slice_generators(model, grid, timegrid.times, rate_policy, gen)
+    return _price_downout(gens, grid, contract, model, dtick, timegrid.dt,
+                          timegrid.times)
+
+
+def _price_downout(gens, grid, contract, model, dtick, dt, times) -> PriceSurface:
+    """The surface over (clock slice ``times``, ladder slot) of the
+    recursion on the slice generators ``gens``, of which ``times`` keeps the
+    first rows: reduced (below-barrier slots eliminated, above-barrier
+    problems only) whenever the payoff vanishes below the barrier, stacked
+    otherwise."""
 
     ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
     return PriceSurface(
-        values=route([gen, gen], ladder, f0, contract.rate, None)[:1],
-        times=np.zeros(1),
+        values=route(gens, ladder, f0, contract.rate, dt)[:len(times)],
+        times=times,
         model=model,
         grid=grid,
         ladder=ladder,
@@ -296,11 +327,13 @@ class _ReducedLadderOps:
     applies Q^-1 with ``@`` in the Horner loop for the level maps and in
     the per-slice sources, by solves with an LU factor of Q^T made once per
     slice generator: ``dgttrf``'s band factor on a tridiagonal chain, where
-    nothing of size m x m or m x N is formed, and ``dgetrf``'s dense factor
-    otherwise, where Q and A_aa (and, once per group below, B and A_ab) are
-    each written in one pass by ``rate_block`` from the generator's jump
-    block and bands, and neither the dense rate matrix nor any of its rows
-    is formed.  ``Qinv @ b`` solves Q x = b with it (``dgttrs`` or
+    A_aa is held as its three bands and nothing of size m x m is formed, and
+    ``dgetrf``'s dense factor otherwise, where Q and A_aa are each written
+    in one pass by ``rate_block`` from the generator's jump block and bands,
+    and neither the dense rate matrix nor any of its rows is formed.  That
+    choice, and where the A_ab P_0 term lands in A_eff, are all that differ
+    between the two: the cross-barrier blocks come from one record on every
+    chain (below).  ``Qinv @ b`` solves Q x = b with it (``dgttrs`` or
     ``dgetrs``, trans='T').  Q^T is column diagonally dominant, so partial
     pivoting makes no row interchange (Wilkinson; Higham 2002, sec. 9.5)
     and the factor is Q^T = L U with L unit lower
@@ -339,12 +372,12 @@ class _ReducedLadderOps:
     nonnegative m-vector, the eliminated values sum nonnegative terms, and
     nothing is clamped.
 
-    On a dense chain the cross-barrier blocks B and A_ab come from the
+    On every chain the cross-barrier blocks B and A_ab come from the
     slice's group record ``cross`` (a ``_CrossBlocks``; without one, the
     slice is a group of its own).  A group is every slice whose generator
-    holds the same jump rates: its slices differ in their local bands
-    alone, and the only band entries in B and A_ab are cG R[m-1, m] and
-    -cG R[m, m-1].  B_ref ~ U W is factored once per group, on the
+    holds the same jump rates, or none: its slices differ in their local
+    bands alone, and the only band entries in B and A_ab are cG R[m-1, m]
+    and -cG R[m, m-1].  B_ref ~ U W is factored once per group, on the
     reference slice, the one with the smallest |R[m-1, m]|, and each slice
     adds its own band entries as exact rank-one terms: B_t = B_ref + d e_{m-1}
     e_0^T is carried as U_t = [U | e_{m-1}], W_t = [W ; d e_0^T], so
@@ -355,9 +388,13 @@ class _ReducedLadderOps:
     anyway, and raises if it does not.  On the sigma(t) Kou term-structure
     down-out (61 slices, one jump block) that is one ``low_rank_factor``
     where there were 61, and the Horner loop carries 3 columns on every
-    slice but the reference instead of 2.  A time-homogeneous chain, or a
-    measure assembled per slice, has one slice per group and the arithmetic
-    of a factor per slice.
+    slice but the reference instead of 2.  A measure assembled per slice
+    has one slice per group and the arithmetic of a factor per slice.  A
+    chain without jumps has nothing to share: B and A_ab are its two band
+    entries, so its record is read on the one column and row that cross
+    the barrier (states m-1 and m), is zero there, and each slice adds both
+    entries whole, which is the arithmetic of a record per slice, with
+    nothing of size m x (N - m) formed.
     """
 
     def __init__(
@@ -372,17 +409,13 @@ class _ReducedLadderOps:
             raise ValueError("level elimination needs below-barrier states")
         a0, cG = _slice_coefficients(rate, dt)
         cup = cG * (1.0 / ladder.dtick)
+        if cross is None:  # a group of its own
+            cross = _CrossBlocks.build([gen], ladder, cG)
+        U, W, d_ab = cross.slice_factor(gen)
+        coupled, feeders, A_ab = cross.coupled, cross.feeders, cross.A_ab
         banded = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-        if banded:  # B itself is the factor, with W = I
-            Qinv, U, coupled, feeders, A_ab, A = _tridiagonal_blocks(
-                gen, ladder, a0, cG, cup)
-            W, d_ab = None, 0.0
-        else:
-            if cross is None:  # a group of its own
-                cross = _CrossBlocks.build([gen], ladder, cG)
-            Qinv, A = _dense_blocks(gen, ladder, a0, cG, cup)
-            U, W, d_ab = cross.slice_factor(gen)
-            coupled, feeders, A_ab = cross.coupled, cross.feeders, cross.A_ab
+        blocks = _tridiagonal_blocks if banded else _dense_blocks
+        Qinv, A = blocks(gen, ladder, a0, cG, cup)
 
         # P_0 = P_U W by Horner from the knock-out (P = 0, no slots) on the
         # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
@@ -469,31 +502,18 @@ class _Inverse:
 
 
 def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
-    """(Q^-1, B, coupled, feeders, A_ab, bands of A_aa) of a tridiagonal
-    chain, for ``_ReducedLadderOps``: every block from ``slice_bands``.
-
-    The below-barrier states are 0..m-1, so state m (the barrier node, the
-    first above-barrier state) is the only one linked to them, through
-    state m-1: B is cG R[m-1, m] in row m-1, and A_ab is A[m, m-1] in
-    column m-1.
-    """
+    """(Q^-1, bands of A_aa) of a tridiagonal chain, for ``_ReducedLadderOps``:
+    both from ``slice_bands``, so nothing of size m x m is formed; the
+    cross-barrier blocks come from the slice's ``_CrossBlocks``."""
 
     m = ladder.n_below
     # Q: the leading m x m block of (a0 + cup) I - cG G; its transpose is
     # the one factored (see _ReducedLadderOps)
     Qinv = _Inverse(solve_tridiag, factor_tridiag(
         slice_bands(gen, a0 + cup, cG), np.arange(m), transposed=True))
-    ab = slice_bands(gen, a0, cG)
-    to_above = -ab[0, m:m + 1]  # cG R[m-1, m]
-    coupled = _span(to_above)
-    B = np.zeros((m, coupled.stop))
-    B[m - 1] = to_above[coupled]
-    feeders = _span(ab[2, m - 1:m])  # A[m, m-1] != 0
-    A_ab = np.zeros((feeders.stop, m))
-    A_ab[:, m - 1] = ab[2, m - 1]
-    A_aa = ab[:, m:].copy()
+    A_aa = slice_bands(gen, a0, cG)[:, m:].copy()
     A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
-    return Qinv, B, coupled, feeders, A_ab, A_aa
+    return Qinv, A_aa
 
 
 def _dense_blocks(gen, ladder, a0, cG, cup):
@@ -527,8 +547,8 @@ def _band_entries(gen, m: int, cG: float) -> Tuple[float, float]:
 @dataclass(frozen=True)
 class _CrossBlocks:
     """The cross-barrier blocks of a group of slices whose generators share
-    one jump block, built once on the group's reference slice (see
-    ``_ReducedLadderOps``).
+    one jump block, or have none, built once on the group's reference slice
+    (see ``_ReducedLadderOps``).
 
     ``U``, ``W`` and ``residual`` are ``low_rank_factor`` of the reference's
     below->above block B_ref on the ``coupled`` columns, ``norm`` is
@@ -536,7 +556,9 @@ class _CrossBlocks:
     reference's above->below block on the ``feeders`` rows and
     ``from_above`` its band entry -cG R[m, m-1].  Both spans cover every
     slice of the group, so each slice differs from the reference only in
-    the two band entries, which ``slice_factor`` adds.
+    the two band entries, which ``slice_factor`` adds.  A group without jumps
+    has a reference of zero blocks on one column and one row, whose band
+    entries every slice adds whole.
     """
 
     U: np.ndarray
@@ -553,20 +575,27 @@ class _CrossBlocks:
     @classmethod
     def build(cls, group: Sequence, ladder: DurationLadder, cG: float) -> _CrossBlocks:
         """The record of ``group`` (generators or plain rate matrices with
-        one jump block), on the slice with the smallest |cG R[m-1, m]|: its
-        ||B||_F is the group's smallest, so its factor's bound the
-        tightest."""
+        one jump block, or tridiagonal generators), on the slice with the
+        smallest |cG R[m-1, m]|: its ||B||_F is the group's smallest, so its
+        factor's bound the tightest.  Without jumps, on zero blocks."""
 
         m = ladder.n_below
-        below, above = slice(0, m), slice(m, ladder.n_states)
         entries = np.array([_band_entries(g, m, cG) for g in group])
+        if isinstance(group[0], GeneratorMatrix) and group[0].is_tridiagonal:
+            # no jump rates to share: B and A_ab are the band entries alone,
+            # which each slice adds whole to zero blocks on the one column
+            # and row that cross the barrier (states m-1 and m)
+            nc, nf = np.any(entries != 0.0, axis=0).astype(int)
+            return cls(np.zeros((m, nc)), None, 0.0, 0.0, 0.0, 0.0,
+                       slice(0, nc), slice(0, nf), np.zeros((nf, m)), cG)
         i = int(np.argmin(np.abs(entries[:, 0])))
         ref, (to_above, from_above) = group[i], entries[i]
+        below, above = slice(0, m), slice(m, ladder.n_states)
         B = rate_block(ref, below, above, scale=cG)
+        A_ab = rate_block(ref, above, below, scale=-cG)
         reach = np.any(B != 0.0, axis=0)
         reach[:1] |= np.any(entries[:, 0] != 0.0)  # state m, from any slice
         coupled = _span(reach)
-        A_ab = rate_block(ref, above, below, scale=-cG)
         feed = np.any(A_ab != 0.0, axis=1)
         feed[:1] |= np.any(entries[:, 1] != 0.0)
         feeders = _span(feed)
@@ -616,31 +645,30 @@ class _CrossBlocks:
 
 
 def _cross_records(gens: Sequence, ladder: DurationLadder, cG: float):
-    """g -> the ``_CrossBlocks`` of g's group (None on a tridiagonal chain).
+    """g -> the ``_CrossBlocks`` of g's group.
 
     A group is every generator in ``gens`` whose jump rates are one object:
-    ``g.jumps`` of a ``GeneratorMatrix``, the array itself of a plain rate
-    matrix.  A record is built at its group's first request and kept until a
-    slice of another group asks, so a recursion holds one record at a time,
-    and builds one per group when each group's slices are adjacent, as
+    ``g.jumps`` of a ``GeneratorMatrix`` (None on every tridiagonal one),
+    the array itself of a plain rate matrix.  A record is built from its
+    group's distinct generators at the group's first request and kept until
+    a slice of another group asks, so a recursion holds one record at a
+    time, and builds one per group when each group's slices are adjacent, as
     ``slice_generators`` lays them out.
     """
 
     def key(g):
         return id(g.jumps if isinstance(g, GeneratorMatrix) else g)
 
-    groups = {}
+    groups = {}  # key -> {id: generator}, each distinct generator once
     for g in gens:
-        groups.setdefault(key(g), []).append(g)
+        groups.setdefault(key(g), {})[id(g)] = g
     held = {}
 
     def record(g):
-        if isinstance(g, GeneratorMatrix) and g.is_tridiagonal:
-            return None
         k = key(g)
         if k not in held:
             held.clear()  # the last group's record goes first
-            held[k] = _CrossBlocks.build(groups[k], ladder, cG)
+            held[k] = _CrossBlocks.build(list(groups[k].values()), ladder, cG)
         return held[k]
 
     return record
@@ -651,44 +679,6 @@ def _span(nonzero: np.ndarray) -> slice:
 
     idx = np.flatnonzero(nonzero)
     return slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0)
-
-
-def price_finite_downout(
-    model: ModelSpec,
-    grid: SpatialGrid,
-    timegrid: TimeGrid,
-    contract: ContractSpec,
-    dtick: float,
-    gen: Optional[Union[GeneratorMatrix, Sequence[GeneratorMatrix]]] = None,
-    rate_policy: str = "error",
-) -> PriceSurface:
-    """Backward recursion for the finite-maturity down-out surface.
-
-    Slice values are prices at that slice (not pre-discounted): each step
-    back multiplies the continuation by 1/(1 + rate dt).
-
-    Reduced (below-barrier slots eliminated, above-barrier problems only)
-    whenever the payoff vanishes below the barrier; stacked otherwise.  Each
-    slice LCP is solved by policy iteration, warm-started from the slice
-    after it.
-    """
-
-    require_contract(contract, Flavor.DOWN_OUT, model, grid, timegrid)
-
-    dt = timegrid.dt
-    times = timegrid.times
-    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
-    gens = slice_generators(model, grid, times, rate_policy, gen)
-
-    f0 = contract.payoff_states(model, grid.states)
-    route = _reduced if _reducible(f0, ladder) else _stacked
-    return PriceSurface(
-        values=route(gens, ladder, f0, contract.rate, dt),
-        times=times,
-        model=model,
-        grid=grid,
-        ladder=ladder,
-    )
 
 
 def _slice_coefficients(rate: float, dt: Optional[float]):
@@ -732,7 +722,8 @@ def _reduced(gens, ladder, f0, rate, dt):
     and ``expand`` recovers the ladder; needs a payoff that vanishes below
     the barrier (see ``_ReducedLadderOps`` for why nothing is exercised
     there).  The slice operators of a group of slices sharing one jump
-    block share one factor of its below->above block (``_cross_records``)."""
+    block, or having none, share one record of their cross-barrier blocks
+    (``_cross_records``)."""
 
     if not _reducible(f0, ladder):
         raise ValueError(

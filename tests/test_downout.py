@@ -980,6 +980,56 @@ class TestSharedCrossBlocks:
                 own = _reduced(gens, ladder, f0, 0.05, self.DT)
             assert rel_gap(shared, own) <= 1e-13, top
 
+    def counted_builds(self, monkeypatch):
+        """The group sizes of every ``_CrossBlocks`` record built."""
+        sizes = []
+        build = pricer_downout._CrossBlocks.build
+
+        def counting(group, ladder, cG):
+            sizes.append(len(group))
+            return build(group, ladder, cG)
+
+        monkeypatch.setattr(pricer_downout._CrossBlocks, "build", counting)
+        return sizes
+
+    def test_one_record_for_a_tridiagonal_sigma_t_chain(self, monkeypatch):
+        # a sigma(t) BS chain: a generator per slice and no jump block, so
+        # every slice is in one group.  Its record is read on the one column
+        # and row that cross the barrier and holds no band entry, so each
+        # slice adds its own whole: the surface is the one on per-slice
+        # records bit for bit
+        model, grid, _ = small_bs_setup(n=48)
+        model = dataclasses.replace(
+            model, time_homogeneous=False,
+            diffusion_sq=lambda t, x: (0.3 * (1 + t / 2) * np.asarray(x, float)) ** 2)
+        gens = slice_generators(model, grid, TimeGrid(dt=self.DT, horizon=0.25).times)
+        assert all(g.is_tridiagonal for g in gens)
+        assert len({id(g) for g in gens}) == len(gens) == 8
+        ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+        m = ladder.n_below
+        f0 = np.where(np.arange(grid.n_states) < m, 0.0, grid.states - 90.0 + 1.0)
+        sizes = self.counted_builds(monkeypatch)
+        shared = _reduced(gens, ladder, f0, 0.05, self.DT)
+        assert sizes == [len(gens) - 1]  # none for the zero row past the end
+        record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
+        assert record.U.shape == (m, 1) and record.A_ab.shape == (1, m)
+        assert record.W is None and record.coupled == record.feeders == slice(0, 1)
+        with monkeypatch.context() as patch:
+            self.per_slice(patch)
+            own = _reduced(gens, ladder, f0, 0.05, self.DT)
+        np.testing.assert_array_equal(shared, own)
+        assert rel_gap(shared, _stacked(gens, ladder, f0, 0.05, self.DT)) <= 1e-12
+
+    def test_a_homogeneous_recursion_builds_its_record_from_one_generator(
+            self, monkeypatch):
+        for setup in (small_bs_setup, small_kou_setup):
+            model, grid, gen = setup(n=40)
+            ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+            f0 = np.where(np.arange(grid.n_states) < ladder.n_below, 0.0, 1.0)
+            sizes = self.counted_builds(monkeypatch)
+            _reduced([gen] * 8, ladder, f0, 0.05, self.DT)
+            assert sizes == [1], setup.__name__
+
     def test_a_slice_past_its_bound_raises(self):
         # a record whose residual sits at its reference's bound: a slice with
         # a smaller band entry, so a smaller ||B||_F, would miss its own

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm, lu_factor, lu_solve
+from scipy.stats import poisson
 
 from parisian.numerics import (
     LCPOperator,
@@ -20,6 +21,7 @@ from parisian.numerics import (
     generator_expm,
     lemke_solve,
     low_rank_factor,
+    poisson_weights,
     policy_solve,
     require_solved,
     solve_dense,
@@ -310,8 +312,34 @@ class TestGeneratorExpm:
         assert np.array_equal(generator_expm(G, 0.0), np.eye(7))
 
 
+class TestPoissonWeights:
+    @pytest.mark.parametrize("tail", [1e-14, 1e-16])
+    @pytest.mark.parametrize("a", [0.01, 3.0, 49.9, 120.0, 800.0, 2000.0])
+    def test_matches_the_pmf_and_cuts_where_the_tail_drops_below(self, a, tail):
+        # past a = 745, e^{-a} underflows: the weights are built from the mode
+        w = poisson_weights(a, tail)
+        d = len(w) - 1
+        ref = poisson.pmf(np.arange(d + 1), a)
+        kept = ref > 1e-280
+        np.testing.assert_allclose(w[kept], ref[kept], rtol=1e-11, atol=0)
+        assert w.sum() <= 1.0 + 1e-15
+        assert poisson.sf(d, a) < tail * (1 + 1e-6) <= poisson.sf(d - 1, a) * (1 + 2e-6)
+
+
 class TestLowRankFactor:
     EPS = np.finfo(float).eps
+
+    def test_narrow_block_draws_no_sketch(self, monkeypatch):
+        # no sketch is narrower than the block: B itself, with no generator
+        # seeded
+        def no_generator(seed):
+            raise AssertionError("a sketch generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for width in (8, 1, 0):
+            B = np.ones((60, width))
+            U, W, residual = low_rank_factor(B, 4 * self.EPS)
+            assert U is B and W is None and residual == 0.0
 
     def test_low_rank_block_gets_the_first_width_that_meets_the_bound(self):
         # the sketches of width 8 and 16 are cut to the blocks' ranks

@@ -216,6 +216,35 @@ class TestDpParisianLattice:
                               ("bs out", 5), ("bs in", 5)):
             assert groups[group] == (checks, 0), "\n".join(lines)
 
+    def test_one_matrix_per_slice(self):
+        """A rate matrix per clock slice: the same matrix on every slice is
+        the one-matrix lattice, and a count other than the slices' raises."""
+
+        rng = np.random.default_rng(8)
+        R = random_generator(6, rng)
+        below = np.arange(6) < 3
+        f = rng.uniform(0.0, 2.0, size=6)
+        kw = dict(rate=0.1, dt=0.25, horizon=0.6, window=0.3)
+        n_slices = 4
+        for flavor, extra in (("down-out", dict(dtick=0.15)), ("down-in", {})):
+            one = dp_parisian_lattice(R, below, f, flavor=flavor, **kw, **extra)
+            assert one.shape[0] == n_slices
+            per_slice = dp_parisian_lattice([R] * n_slices, below, f,
+                                            flavor=flavor, **kw, **extra)
+            np.testing.assert_array_equal(per_slice, one)
+            with pytest.raises(ValueError, match="one rate matrix or 4"):
+                dp_parisian_lattice([R] * 3, below, f, flavor=flavor, **kw, **extra)
+
+    def test_time_dependent_down_outs_match_the_per_slice_lattice(self, verify_suite):
+        """Acceptance: 6 BS chains with a sigma(t) ramp or step (4 calls on
+        the reduced route, 2 payoffs on the stacked one) and a sigma(t) Kou
+        chain, each priced on a generator per clock slice, against the
+        lattice on each slice's own rates, agreement to 1e-5."""
+
+        lines, groups = verify_suite("dp")
+        assert groups["bs sigma(t) out"] == (6, 0), "\n".join(lines)
+        assert groups["kou sigma(t) out"] == (1, 0), "\n".join(lines)
+
     def test_reduced_route_matches_lattice_dp_on_bs_calls(self, verify_suite):
         """Acceptance: 5 tridiagonal Black-Scholes chains with a call struck
         at or above the barrier (payoff zero below it, so the down-out
@@ -258,7 +287,7 @@ class TestMonteCarlo:
 
 
 @pytest.mark.parametrize(
-    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 52)],
+    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 59)],
     ids=["lcp", "kernels", "dp"],
 )
 def test_verify_suite_passes(verify_suite, suite, checks):
@@ -290,4 +319,4 @@ def test_raising_pricer_fails_one_check_and_the_suite_goes_on(monkeypatch):
     assert re.fullmatch(r"  dense in check raised LinAlgError at "
                         r"test_oracle\.py:\d+: singular slice system", raised[0])
     assert len(calls) == 25  # every down-in check still ran
-    assert re.fullmatch(r"dp: \d+/52 checks passed", lines[-1])
+    assert re.fullmatch(r"dp: \d+/59 checks passed", lines[-1])
