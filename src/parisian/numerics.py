@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -117,6 +117,18 @@ def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, b, trans=trans)[0][:n]
 
 
+@dataclass(frozen=True)
+class _Inverse:
+    """A^-1 held as an LU factor: ``self @ b`` solves A x = b (column by
+    column for a matrix b) with ``solve_tridiag`` or ``solve_dense``."""
+
+    solve: Callable
+    factor: tuple
+
+    def __matmul__(self, b: np.ndarray) -> np.ndarray:
+        return self.solve(self.factor, b)
+
+
 # ---------------------------------------------------------------------------
 # low-rank factors
 # ---------------------------------------------------------------------------
@@ -135,14 +147,14 @@ def low_rank_factor(
 
     A randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53(2),
     2011): U is an orthonormal basis of the sketch B Omega for a Gaussian
-    Omega of k = 8, 16, 32, ... columns and W = U^T B, and the first k whose
-    residual, computed exactly, meets ``rtol`` is cut to the numerical rank
-    (sec. 5 there): with the SVD W = Uw S Vw^T, r is the fewest columns
+    Omega of k = 8, 16, 32, ... columns and W = U^T B, cut to the numerical
+    rank (sec. 5 there): with the SVD W = Uw S Vw^T, r is the fewest columns
     whose tail ||S[r:]||_F meets the bound, U_r an orthonormal basis of
     U Uw[:, :r] (one QR: the product alone is orthonormal only to rounding,
     which its residual shows) and W_r = U_r^T B.  The width-r factor is
-    returned if its own exact residual meets ``rtol`` too, else the width-k
-    one; ``residual`` is the exact residual checked for the factor returned.
+    returned if its exact residual meets ``rtol``, else (or if r = k) the
+    width-k one if its own does, else k doubles: U_r W_r projects B on part
+    of U's range, so the common case forms one exact residual, ``residual``.
     Once k would reach B's column count the factor is B itself with W = I,
     returned as ``(B, None, 0.0)``.  The sketch draws from its own seeded
     generator, so a given B always gets the same factor.
@@ -159,17 +171,17 @@ def low_rank_factor(
         Y = np.hstack([Y, B @ rng.standard_normal((n_cols, k - Y.shape[1]))])
         U = np.linalg.qr(Y)[0]
         W = U.T @ B
+        Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
+        tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]  # ||S[r:]||_F
+        r = int(np.count_nonzero(tails > bound))
+        if r < k:
+            Ur = np.linalg.qr(U @ Uw[:, :r])[0]
+            Wr = Ur.T @ B
+            residual = np.linalg.norm(B - Ur @ Wr)
+            if residual <= bound:
+                return Ur, Wr, float(residual)
         residual = np.linalg.norm(B - U @ W)
         if residual <= bound:
-            Uw, sv, _ = np.linalg.svd(W, full_matrices=False)
-            tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]  # ||S[r:]||_F
-            r = int(np.count_nonzero(tails > bound))
-            if r < k:
-                Ur = np.linalg.qr(U @ Uw[:, :r])[0]
-                Wr = Ur.T @ B
-                residual_r = np.linalg.norm(B - Ur @ Wr)
-                if residual_r <= bound:
-                    return Ur, Wr, float(residual_r)
             return U, W, float(residual)
         k *= 2
     return B, None, 0.0
@@ -260,17 +272,19 @@ def poisson_weights(a: float, tail: float) -> np.ndarray:
     normalised over all of their mass (to a + 40 sqrt(a) + 40, far past any
     cut), so neither e^{-a}, which underflows once a passes about 745, nor
     a^k / k!, which then overflows, is ever formed.  The tails are summed
-    from the far end, so a cut near the rounding of 1 is still met.
+    from the far end, so a cut near the rounding of 1 is still met.  A call
+    is a dozen ufunc calls (not ``np.cumprod``'s wrapper) on views, in place.
     """
 
     mode = int(a)
     top = int(a + 40.0 * math.sqrt(a) + 40.0)
+    k = np.arange(1.0, top + 1)
     w = np.ones(top + 1)
-    w[mode + 1:] = np.cumprod(a / np.arange(mode + 1, top + 1))
-    w[:mode] = np.cumprod(np.arange(mode, 0, -1) / a)[::-1]
+    np.multiply.accumulate(a / k[mode:], out=w[mode + 1:])
+    np.multiply.accumulate(k[:mode][::-1] / a, out=w[:mode][::-1])
     w /= w.sum()
-    rest = np.cumsum(w[::-1])[::-1]  # sum_{k>=j} pi_k, below any cut at top
-    return w[:int(np.argmax(rest[1:] < tail)) + 1]
+    # the tails sum_{k>=j} pi_k below the cut are a run from j = top down
+    return w[:top + 1 - np.count_nonzero(np.add.accumulate(w[::-1]) < tail)]
 
 
 # ---------------------------------------------------------------------------

@@ -778,7 +778,8 @@ def _verify_kernels(seed: int, emit) -> _Tally:
                 below=np.arange(n) < n_below, horizon=80.0,
             )
             gap = np.abs(sim.estimate - H[x0])
-            scale = np.maximum(sim.std_error, 1e-12)
+            # a discounted indicator's variance is at most its mean (no hit: s.e. 0)
+            scale = np.maximum(sim.std_error, np.sqrt(H[x0] / sim.n_paths) + 1e-12)
             tally.add("simulation", bool(np.all(gap <= 3.0 * scale)))
             emit(
                 f"  excursion-trigger kernel row vs 1e6-path simulation (start {x0}): "

@@ -13,7 +13,8 @@ chains alike; the variable is internal to the recursion, whose surfaces are
 un-discounted once at the end.  Each slice couples the barrier-crossing
 kernels H+/H- (crossing before the next clock tick), the within-window
 trigger term v, and the window-interrupted terms u+/u- through one two-block
-linear system on dense below/above blocks, built once per slice generator.
+linear system on below/above blocks, built once per slice generator: in
+bands on a tridiagonal chain, where a step crosses at the barrier alone.
 u+ is a sum over all later slices; it is accumulated in Horner form (one
 below-block solve per slice while the generator is unchanged).  Every
 pricing LCP, here and in ``pricer_downout``, is one exercise step,
@@ -41,6 +42,7 @@ from .ctmc import (
     TimeGrid,
     dense_rates,
     rate_block,
+    slice_bands,
     slice_generators,
     slice_operator,
     slice_operators,
@@ -49,12 +51,15 @@ from .models import ModelSpec
 from .numerics import (
     LCPOperator,
     LCPProblem,
+    _Inverse,
     factor_dense,
+    factor_tridiag,
     generator_expm,
     poisson_weights,
     policy_solve,
     require_solved,
     solve_dense,
+    solve_tridiag,
 )
 
 if TYPE_CHECKING:
@@ -288,10 +293,10 @@ def parisian_transform(
     strictly below).  H is the slice system of ``_slice_blocks`` at
     dt = 1/rate, since discounting at ``rate`` is killing at an exponential
     time of that rate: H[below] = X solves (I - hp hm) X = e^{-rate window} E
-    and H[above] = hm X.  A positive rate makes rate I - G_bb and
-    rate I - G_aa strictly diagonally dominant M-matrices; at rate 0, G_bb
-    is singular on a chain with an absorbing state below the barrier, as
-    every ``build_grid`` chain has.
+    and H[above] = hm X[down] (hm on its span).  A positive rate makes
+    rate I - G_bb and rate I - G_aa strictly diagonally dominant M-matrices;
+    at rate 0, G_bb is singular on a chain with an absorbing state below the
+    barrier, as every ``build_grid`` chain has.
     """
 
     if window < 0 or rate <= 0:
@@ -299,11 +304,11 @@ def parisian_transform(
     m = n_below
     if m == 0:  # no below states: the trigger never fires
         return np.zeros((len(dense_rates(gen)),) * 2)
-    _, _, E, _, hm, _, slice_lu = _slice_blocks(gen, m, window, 1.0 / rate)
-    X = math.exp(-rate * window) * solve_dense(slice_lu, E)
-    H = np.zeros((m + len(hm),) * 2)
+    b = _slice_blocks(gen, m, window, 1.0 / rate)
+    X = math.exp(-rate * window) * (b.slice_inv @ b.E)
+    H = np.zeros((m + len(b.hm),) * 2)
     H[:m, :m] = X
-    H[m:, :m] = hm @ X
+    H[m:, :m] = b.hm @ X[b.down]
     return H
 
 
@@ -388,34 +393,51 @@ def price_finite_downin(
 class _SliceBlocks(NamedTuple):
     """One generator's slice system, as ``_slice_blocks`` builds it."""
 
-    n_lu: tuple
+    n_inv: _Inverse
     h1: np.ndarray
     E: np.ndarray
-    a_lu: tuple
+    a_inv: _Inverse
     hm: np.ndarray
     hp: np.ndarray
-    slice_lu: tuple
+    slice_inv: _Inverse
+    up: slice
+    down: slice
 
 
 def _slice_blocks(gen, n_below, window, dt):
-    """Dense blocks of one generator's slice system (b: the first
-    ``n_below`` states, below the barrier; a: the others, above).
+    """Blocks of one generator's slice system (b: the first ``n_below``
+    states, below the barrier; a: the others, above).
 
     N = (I - dt G_bb)^{-1}; h1 = N dt G_ba (up-cross before the next tick);
     E = exp(window G_bb) (survival below for the window, to be weighted by
     the Poisson count of ticks in it); hm = (I - dt G_aa)^{-1} dt G_ab
-    (down-cross before the next tick); hp = h1 - e^{-window/dt} E h1.
+    (down-cross before the next tick); hp = h1 - e^{-window/dt} E h1.  h1
+    and hp span the above states ``up`` reached from below, hm the below
+    states ``down`` reached from above, and I - hp hm[up] is I off ``down``.
+    A tridiagonal chain's spans are states m and m - 1 and its resolvents
+    ``slice_bands`` factors; any other's spans are whole, its factors dense.
     """
 
-    b, a = slice(0, n_below), slice(n_below, None)
-    n_lu = factor_dense(rate_block(gen, b, b, 1.0, -dt))
-    h1 = solve_dense(n_lu, rate_block(gen, b, a, scale=dt))
+    m = n_below
+    b, a = slice(0, m), slice(m, None)
+    if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
+        ab = slice_bands(gen, 1.0, dt)
+        n_inv, a_inv = (_Inverse(solve_tridiag, factor_tridiag(ab, idx))
+                        for idx in np.split(np.arange(gen.dimension), [m]))
+        cols, up, down = slice(m, m + 1), slice(0, 1), slice(m - 1, m)
+    else:
+        n_inv, a_inv = (
+            _Inverse(solve_dense, factor_dense(rate_block(gen, s, s, 1.0, -dt)))
+            for s in (b, a))
+        cols, up, down = a, slice(None), b
+    h1 = n_inv @ rate_block(gen, b, cols, scale=dt)
     E = generator_expm(rate_block(gen, b, b), window)
-    a_lu = factor_dense(rate_block(gen, a, a, 1.0, -dt))
-    hm = solve_dense(a_lu, rate_block(gen, a, b, scale=dt))
+    hm = a_inv @ rate_block(gen, a, down, scale=dt)
     hp = h1 - (math.exp(-window / dt) * E) @ h1
-    slice_lu = factor_dense(np.eye(n_below) - hp @ hm)
-    return _SliceBlocks(n_lu, h1, E, a_lu, hm, hp, slice_lu)
+    S = np.eye(m)
+    S[:, down] -= hp @ hm[up]
+    return _SliceBlocks(n_inv, h1, E, a_inv, hm, hp,
+                        _Inverse(solve_dense, factor_dense(S)), up, down)
 
 
 def _finite_downin(gens, W, n_below, window, dt):
@@ -447,14 +469,14 @@ def _finite_downin(gens, W, n_below, window, dt):
         if new:  # new generator: restart the tail at t = J
             P, top = np.zeros(m), J
         for t in range(top, j, -1):
-            Q[t] = b.h1 @ C[t, m:] + P
-            P = solve_dense(b.n_lu, Q[t])
+            Q[t] = b.h1 @ C[t, m:][b.up] + P
+            P = b.n_inv @ Q[t]
         k = min(J - j, len(pmf) - 1)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
         acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
-        u_minus = solve_dense(b.a_lu, u_minus + b.hm @ C[j + 1, :m])
-        C[j, :m] = solve_dense(b.slice_lu, P + b.E @ acc + b.hp @ u_minus)
-        C[j, m:] = u_minus + b.hm @ C[j, :m]
+        u_minus = b.a_inv @ (u_minus + b.hm @ C[j + 1, :m][b.down])
+        C[j, :m] = b.slice_inv @ (P + b.E @ acc + b.hp @ u_minus[b.up])
+        C[j, m:] = u_minus + b.hm @ C[j, :m][b.down]
         del b  # gone before the next generator's blocks are built
     return C
 

@@ -52,6 +52,7 @@ from .ctmc import (
 from .models import ModelSpec
 from .numerics import (
     LCPOperator,
+    _Inverse,
     factor_dense,
     factor_tridiag,
     low_rank_factor,
@@ -486,19 +487,6 @@ class _ReducedLadderOps:
         for slots, value in zip(self.levels_down, values):
             out[slots] = value
         return out
-
-
-class _Inverse:
-    """Q^-1 held as an LU factor of Q^T: ``self @ b`` solves Q x = b with
-    ``solve`` (``solve_tridiag`` or ``solve_dense``), column by column for a
-    matrix b."""
-
-    def __init__(self, solve, factor: tuple):
-        self.solve = solve
-        self.factor = factor
-
-    def __matmul__(self, b: np.ndarray) -> np.ndarray:
-        return self.solve(self.factor, b)
 
 
 def _tridiagonal_blocks(gen, ladder, a0, cG, cup):

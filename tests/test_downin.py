@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parisian.bench_cli import price_point, reference_option
-from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_operator
+from parisian.ctmc import (
+    TimeGrid,
+    build_generator,
+    build_grid,
+    slice_generators,
+    slice_operator,
+)
 from parisian.models import KouParams, bs_model, kou_model
 from parisian.numerics import LCPProblem, lemke_solve
 from parisian.oracle import random_generator, sample_path, simulate_paths
@@ -232,7 +238,8 @@ class TestSliceKernels:
 
     def test_h_kernel_rows_columns_and_bounds(self):
         grid, gen = small_bs_setup()
-        _, h1, _, _, hm, hp, _ = _slice_blocks(gen, grid.n_below, 1 / 12, 1 / 60)
+        blocks = _slice_blocks(gen, grid.n_below, 1 / 12, 1 / 60)
+        h1, hm, hp = blocks.h1, blocks.hm, blocks.hp
         # up-cross before the tick: subprobability rows into the above block
         assert np.all(h1 >= -1e-14)
         assert np.all(h1.sum(axis=1) <= 1 + 1e-12)
@@ -251,7 +258,7 @@ class TestSliceKernels:
         # reaching state 1 before an exp(1/dt) tick is a / (a + 1/dt)
         a, dt = 3.0, 0.25
         R = np.array([[-a, a], [0.0, 0.0]])
-        _, h1, *_ = _slice_blocks(R, 1, 0.5, dt)
+        h1 = _slice_blocks(R, 1, 0.5, dt).h1
         assert h1[0, 0] == pytest.approx(a / (a + 1 / dt))
 
     def test_v_kernel_scalar_poisson_oracle(self):
@@ -348,10 +355,86 @@ class TestSliceKernels:
         np.fill_diagonal(R, 0.0)
         R[0, :] = 0.0
         np.fill_diagonal(R, -R.sum(axis=1))
-        _, h1, _, _, hm, hp, _ = _slice_blocks(R, min(m, n - 1), window, dt)
+        blocks = _slice_blocks(R, min(m, n - 1), window, dt)
+        h1, hm, hp = blocks.h1, blocks.hm, blocks.hp
         for mat in (h1, h1 - hp, hp, hm):
             assert np.all(mat >= -1e-12)
             assert np.all(mat.sum(axis=1) <= 1 + 1e-10)
+
+
+def bs_sigma_t_model():
+    """Black-Scholes in price coordinates with a drift and a volatility
+    that grow with t."""
+
+    from parisian.models import Coordinate, ModelSpec
+
+    def drift(t, x):
+        return np.full_like(np.asarray(x, float), (0.05 + 0.01 * t) * x)
+
+    def diff_sq(t, x):
+        return ((0.25 + 0.1 * t) * np.asarray(x, float)) ** 2
+
+    return ModelSpec(drift=drift, diffusion_sq=diff_sq, jump_measure=None,
+                     coordinate=Coordinate.PRICE, time_homogeneous=False,
+                     name="bs-ramp")
+
+
+class TestBandedSliceBlocks:
+    """On a tridiagonal chain the slice blocks are band factors and
+    one-column kernels; the same chain passed as a dense matrix takes the
+    dense blocks, whose other columns are 0, and prices alike."""
+
+    def test_one_column_kernels_are_the_dense_nonzero_columns(self):
+        grid, gen = small_bs_setup()
+        m = grid.n_below
+        banded = _slice_blocks(gen, m, 1 / 12, 1 / 60)
+        dense = _slice_blocks(gen.as_dense(), m, 1 / 12, 1 / 60)
+        assert (banded.up, banded.down) == (slice(0, 1), slice(m - 1, m))
+        assert banded.h1.shape == banded.hp.shape == (m, 1)
+        assert banded.hm.shape == (len(grid.states) - m, 1)
+        assert np.all(dense.h1[:, 1:] == 0.0) and np.all(dense.hp[:, 1:] == 0.0)
+        assert np.all(dense.hm[:, :-1] == 0.0)
+        for one, full in ((banded.h1, dense.h1[:, :1]), (banded.hp, dense.hp[:, :1]),
+                          (banded.hm, dense.hm[:, -1:])):
+            np.testing.assert_allclose(one, full, rtol=1e-14, atol=0)
+        assert np.array_equal(banded.E, dense.E)
+        below = np.linspace(0.5, 2.0, m)
+        for inv in ("n_inv", "slice_inv"):
+            np.testing.assert_allclose(getattr(banded, inv) @ below,
+                                       getattr(dense, inv) @ below, rtol=1e-13)
+        above = np.linspace(1.0, 3.0, len(grid.states) - m)
+        np.testing.assert_allclose(banded.a_inv @ above, dense.a_inv @ above, rtol=1e-13)
+
+    @staticmethod
+    def assert_same_surface(banded, dense):
+        gap = np.max(np.abs(banded - dense))
+        assert gap <= 1e-13 * np.max(np.abs(dense))
+
+    def test_perpetual_down_in_prices_alike_in_bands_and_dense(self):
+        grid, gen = small_bs_setup(n=60)
+        contract = ContractSpec(american_call(95.0), barrier=90.0, window=1 / 12,
+                                maturity=math.inf, rate=0.05, flavor=Flavor.DOWN_IN)
+        banded = price_perpetual_downin(gen, contract, BS).values[0]
+        R = gen.as_dense()
+        f = contract.payoff_states(BS, grid.states)
+        H = parisian_transform(R, contract.window, contract.rate, grid.n_below)
+        self.assert_same_surface(banded, H @ vanilla_american_perpetual(R, f, 0.05))
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_finite_down_in_prices_alike_in_bands_and_dense(self, time_dependent):
+        model = bs_sigma_t_model() if time_dependent else BS
+        grid = build_grid(18.0, 360.0, 90.0, 95.0, 60)
+        tg = TimeGrid(horizon=0.5, dt=1 / 20)
+        contract = ContractSpec(american_call(95.0), barrier=90.0, window=1 / 12,
+                                maturity=0.5, rate=0.05, flavor=Flavor.DOWN_IN)
+        gens = slice_generators(model, grid, tg.times)
+        assert all(g.is_tridiagonal for g in gens)
+        assert len({id(g) for g in gens}) == (len(gens) if time_dependent else 1)
+        banded = price_finite_downin(model, grid, tg, contract, gen=gens)
+        dense = price_finite_downin(model, grid, tg, contract,
+                                    gen=[g.as_dense() for g in gens])
+        self.assert_same_surface(banded.values, dense.values)
+        self.assert_same_surface(banded.vanilla, dense.vanilla)
 
 
 class TestBermudanSlice:
@@ -558,18 +641,7 @@ class TestFiniteDownIn:
         assert np.allclose(single.values, listed.values, atol=1e-9)
 
     def test_time_dependent_model_runs_dense(self):
-        from parisian.models import ModelSpec, Coordinate
-
-        def drift(t, x):
-            return np.full_like(np.asarray(x, float), (0.05 + 0.01 * t) * x)
-
-        def diff_sq(t, x):
-            s = 0.25 + 0.1 * t
-            return (s * np.asarray(x, float)) ** 2
-
-        model = ModelSpec(drift=drift, diffusion_sq=diff_sq, jump_measure=None,
-                          coordinate=Coordinate.PRICE, time_homogeneous=False,
-                          name="bs-ramp")
+        model = bs_sigma_t_model()
         grid = build_grid(18.0, 360.0, 90.0, 95.0, 40)
         tg = TimeGrid(horizon=0.5, dt=1 / 10)
         contract = self.make(T=0.5)

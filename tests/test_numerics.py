@@ -356,6 +356,18 @@ class TestLowRankFactor:
             U2, W2, _ = low_rank_factor(B, 4 * self.EPS)
             assert np.array_equal(U, U2) and np.array_equal(W, W2)
 
+    def test_a_cut_that_meets_the_bound_forms_one_residual(self, monkeypatch):
+        # ||B||_F for the bound and the cut factor's residual: the width-8
+        # sketch's own residual is not formed
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, *a, **k: norms.append(x.shape) or norm(x, *a, **k))
+        rng = np.random.default_rng(4)
+        B = rng.uniform(size=(60, 3)) @ rng.uniform(size=(3, 50))
+        U, W, _ = low_rank_factor(B, 4 * self.EPS)
+        assert U.shape == (60, 3) and norms == [B.shape, B.shape]
+
     def test_sketch_width_is_kept_when_the_cut_factor_misses_the_bound(self):
         # singular values 1, 1, 1 and seventeen of 1e-3: the width-16 sketch
         # meets the bound, its singular-value tail past 3 does too, but the
