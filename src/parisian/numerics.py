@@ -1,6 +1,6 @@
 """Core numerical kernels.
 
-Uniformized matrix exponentials, dense and banded tridiagonal LU
+Uniformized matrix exponentials, dense, tridiagonal and general band LU
 factorizations, randomized low-rank factors and linear-complementarity (LCP)
 solvers.  ``generator_expm`` sums the uniformized series of a sub-generator,
 a degree-d polynomial in P = I + G/rate with Poisson weights, in the
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs, dtrtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dgttrf, dgttrs, dtrtrs
 from scipy.sparse.linalg import splu
 
 
@@ -93,11 +93,17 @@ def factor_tridiag(ab: np.ndarray, idx: np.ndarray, transposed: bool = False) ->
     n = len(idx)
     m = max(n, 3)
     d = np.ones(m)
-    d[:n] = ab[1, idx]
     dl, du = np.zeros(m - 1), np.zeros(m - 1)
-    near = np.flatnonzero(np.diff(idx) == 1)
-    dl[near] = ab[2, idx[near]]
-    du[near] = ab[0, idx[near] + 1]
+    if n and idx[-1] - idx[0] == n - 1:  # a contiguous range: the bands' slices
+        a = idx[0]
+        d[:n] = ab[1, a:a + n]
+        dl[:n - 1] = ab[2, a:a + n - 1]
+        du[:n - 1] = ab[0, a + 1:a + n]
+    else:
+        d[:n] = ab[1, idx]
+        near = np.flatnonzero(np.diff(idx) == 1)
+        dl[near] = ab[2, idx[near]]
+        du[near] = ab[0, idx[near] + 1]
     if transposed:
         dl, du = du, dl
     *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
@@ -117,10 +123,29 @@ def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
     return dgttrs(*lu, b, trans=trans)[0][:n]
 
 
+def factor_banded(ab: np.ndarray, kl: int, ku: int) -> tuple:
+    """LU factors (LAPACK ``dgbtrf``) of the matrix with ``kl`` sub- and
+    ``ku`` super-diagonals in LAPACK's band storage, ab[kl + ku + i - j, j] =
+    A[i, j], under ``kl`` rows for the fill; ab is handed over."""
+
+    lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError("singular band matrix")
+    return lu, piv, kl, ku
+
+
+def solve_banded(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b with the factor of ``factor_banded``; b is handed over."""
+
+    lu, piv, kl, ku = factor
+    return dgbtrs(lu, kl, ku, b, piv, overwrite_b=1)[0]
+
+
 @dataclass(frozen=True)
 class _Inverse:
     """A^-1 held as an LU factor: ``self @ b`` solves A x = b (column by
-    column for a matrix b) with ``solve_tridiag`` or ``solve_dense``."""
+    column for a matrix b) with ``solve_tridiag``, ``solve_dense`` or a
+    caller's solve on a ``factor_banded`` factor."""
 
     solve: Callable
     factor: tuple

@@ -39,13 +39,20 @@ from scipy.linalg import block_diag, expm
 from scipy.stats import poisson
 
 from .bench_cli import build_named_model, reference_option
-from .ctmc import build_generator, build_grid, resolve_rate_policy
+from .ctmc import (
+    TimeGrid,
+    build_generator,
+    build_grid,
+    resolve_rate_policy,
+    slice_operator,
+)
 from .models import bs_model
 from .numerics import LCPOperator, LCPProblem, generator_expm, lemke_solve, policy_solve
 from .pricer_downin import (
     ContractSpec,
     Flavor,
     american_call,
+    american_surface,
     parisian_transform,
     vanilla_american_perpetual,
 )
@@ -889,8 +896,8 @@ def _verify_dp(seed: int, emit) -> _Tally:
             k, nc = ops.factor_width, ops.coupled.stop - ops.coupled.start
             tally.add("jump out", gap < 1e-5 and k < nc)
             emit(
-                f"  reduced down-out, {model.name} chain and call (factor width "
-                f"{k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
+                f"  reduced down-out, {model.name} chain and call ({ops.form} form, "
+                f"factor width {k} of {nc}), vs joint-lattice DP: gap {gap:.2e}"
             )
 
     # time-dependent down-outs, a generator per clock slice, against the
@@ -961,9 +968,85 @@ def _verify_dp(seed: int, emit) -> _Tally:
         )
         gap = time_dependent(model, grid, c_out, 1.0 / 24.0, 1.0 / 24.0)
         tally.add("kou sigma(t) out", gap < 1e-5)
-        emit(f"  sigma(t) reduced down-out, kou chain and call, vs per-slice "
-             f"joint-lattice DP: gap {gap:.2e}")
+        ladder = build_ladder(c_out.window, 1.0 / 24.0, grid.n_states, grid.n_below)
+        gen = build_generator(model, grid, 0.0, resolve_rate_policy(None, model))
+        form = _ReducedLadderOps(gen, ladder, c_out.rate, dt=1.0 / 24.0).form
+        emit(f"  sigma(t) reduced down-out, kou chain and call ({form} form), vs "
+             f"per-slice joint-lattice DP: gap {gap:.2e}")
+
+    _verify_bounds(tally, emit)
     return tally
+
+
+def _verify_bounds(tally: _Tally, emit) -> None:
+    """The "bounds" group of the ``dp`` suite: on the 65-state chains of the
+    BS and Kou perpetual down-in blocks, with their call, each finite price
+    (the down-in's vanilla leg discounted from exercise, the down-out on the
+    perpetual down-out block's duration tick, so the Kou one on the
+    separable form) is at most the perpetual one, does not fall as the
+    maturity grows over 0.5, 1, 2 and 5 years, and it and the perpetual are
+    at most the vanilla American on the same chain and clock, discounted at
+    r.  Each bound is one check, on every state at time 0.  The down-in
+    under "activation" at 10 years is reported beside the perpetual vanilla
+    American, ungated: that convention does not discount the vanilla leg
+    after activation, and exceeds it."""
+
+    dt, maturities = 1.0 / 40.0, (0.5, 1.0, 2.0, 5.0)
+    for family in ("bs", "kou"):
+        cfg = reference_option(family, "perpetual-down-in").config
+        dtick = reference_option(family, "perpetual-down-out").config.dd
+        model = build_named_model(family, cfg.model_params)
+        state = lambda p: float(np.asarray(model.state_of_price(p)))
+        grid = build_grid(state(cfg.lo), state(cfg.hi), state(cfg.barrier),
+                          state(cfg.strike), 64, cfg.split)
+        gen = build_generator(model, grid, 0.0, resolve_rate_policy(cfg.rate_policy, model))
+        N = grid.n_states
+        perpetual = ContractSpec(
+            payoff=american_call(cfg.strike), barrier=cfg.barrier, window=cfg.window,
+            maturity=math.inf, rate=cfg.rate, flavor=Flavor.DOWN_IN,
+        )
+        f = perpetual.payoff_states(model, grid.states)
+        vanilla = vanilla_american_perpetual(gen, f, cfg.rate)
+        tol = 1e-12 * float(np.max(vanilla))
+        spot = int(np.argmin(np.abs(grid.states - state(cfg.spot))))
+        for flavor in (Flavor.DOWN_IN, Flavor.DOWN_OUT):
+            c = dataclasses.replace(perpetual, flavor=flavor)
+            down_in = flavor is Flavor.DOWN_IN
+            kw = {} if down_in else dict(dtick=dtick)
+            kind = "down-in (exercise)" if down_in else "down-out"
+            with tally.check("bounds"):
+                perp = price(model, grid, c, gen=gen, **kw).values[0, :N]
+                finite, ok_van = [], np.all(perp <= vanilla + tol)
+                for T in maturities:
+                    cT = dataclasses.replace(c, maturity=T)
+                    if down_in:
+                        res = price(model, grid, cT, dt=dt, gen=gen,
+                                    vanilla_discounting="exercise")
+                        van = res.vanilla[0]
+                    else:
+                        res = price(model, grid, cT, dt=dt, gen=gen, **kw)
+                        n = len(TimeGrid(dt=dt, horizon=T).times)
+                        van = american_surface(
+                            [gen] * n, lambda g: slice_operator(g, 1.0 + cfg.rate * dt, dt),
+                            [f] * n)[0]
+                    finite.append(res.values[0, :N])
+                    ok_van &= np.all(finite[-1] <= van + tol)
+                ok_perp = all(np.all(v <= perp + tol) for v in finite)
+                ok_rise = all(np.all(b >= a - tol) for a, b in zip(finite, finite[1:]))
+                for ok in (ok_perp, ok_rise, ok_van):
+                    tally.add("bounds", bool(ok))
+                if not down_in:
+                    ladder = build_ladder(c.window, dtick, N, grid.n_below)
+                    kind += f" ({_ReducedLadderOps(gen, ladder, c.rate, dt=dt).form} form)"
+                verdict = ", ".join(f"{name} {'yes' if ok else 'NO'}" for name, ok in (
+                    ("<= perpetual", ok_perp), ("rising", ok_rise), ("<= vanilla", ok_van)))
+                emit(f"  bounds, {family} {kind} at spot: "
+                     + ", ".join(f"{v[spot]:.3f}" for v in finite)
+                     + f" at T = 0.5, 1, 2, 5; perpetual {perp[spot]:.3f}; {verdict}")
+        act = price(model, grid, dataclasses.replace(perpetual, maturity=10.0), dt=dt,
+                    gen=gen, vanilla_discounting="activation").values[0, spot]
+        emit(f"  {family} down-in under activation at T = 10: {act:.3f}, against the "
+             f"perpetual vanilla American {vanilla[spot]:.3f} (not gated)")
 
 
 _VERIFY_SUITES = {"lcp": _verify_lcp, "kernels": _verify_kernels, "dp": _verify_dp}
@@ -976,7 +1059,7 @@ def verify_groups(suite: str, seed: int = 0, emit=print) -> Dict[str, Tuple[int,
     Groups: ``lcp`` -- "dense", "tridiagonal"; ``kernels`` -- "uniformized",
     "mean 800", "value iteration", "simulation"; ``dp`` -- "dense out",
     "dense in", "bs out", "bs in", "jump out", "bs sigma(t) out", "kou
-    sigma(t) out".
+    sigma(t) out", "bounds".
     """
 
     if suite not in _VERIFY_SUITES:

@@ -53,9 +53,11 @@ from .models import ModelSpec
 from .numerics import (
     LCPOperator,
     _Inverse,
+    factor_banded,
     factor_dense,
     factor_tridiag,
     low_rank_factor,
+    solve_banded,
     solve_dense,
     solve_tridiag,
 )
@@ -326,30 +328,37 @@ class _ReducedLadderOps:
     (off-diagonals >= 0, rows summing to <= 0) and a0 > 0, is a strictly
     row diagonally dominant M-matrix, so Q^-1 >= 0 entrywise.  ``Qinv``
     applies Q^-1 with ``@`` in the Horner loop for the level maps and in
-    the per-slice sources, by solves with an LU factor of Q^T made once per
-    slice generator: ``dgttrf``'s band factor on a tridiagonal chain, where
-    A_aa is held as its three bands and nothing of size m x m is formed, and
-    ``dgetrf``'s dense factor otherwise, where Q and A_aa are each written
-    in one pass by ``rate_block`` from the generator's jump block and bands,
-    and neither the dense rate matrix nor any of its rows is formed.  That
-    choice, and where the A_ab P_0 term lands in A_eff, are all that differ
-    between the two: the cross-barrier blocks come from one record on every
-    chain (below).  ``Qinv @ b`` solves Q x = b with it (``dgttrs`` or
-    ``dgetrs``, trans='T').  Q^T is column diagonally dominant, so partial
-    pivoting makes no row interchange (Wilkinson; Higham 2002, sec. 9.5)
-    and the factor is Q^T = L U with L unit lower
-    and U upper triangular, both with off-diagonals <= 0 and U's diagonal
-    > 0 (the Schur complements of an M-matrix are M-matrices).  Q x =
-    U^T (L^T x) = b is then a forward substitution with U^T and a back
-    substitution with L^T, and for b >= 0 every term of either is >= 0:
-    nothing cancels, x >= 0 as computed, and with the exact B >= 0 every
-    term of the Horner sum for P_0 is nonnegative too.
+    the per-slice sources, by solves with a factor made once per slice
+    generator, in a form chosen from the chain: ``dgttrf``'s band factor of
+    Q^T on a tridiagonal chain, where A_aa is held as its three bands and
+    nothing of size m x m is formed; ``dgbtrf``'s factor of the separable
+    form (``_separable_rows``) on a generator whose below block of far jump
+    rates its group record found separable, as Kou's is, where each slice
+    writes Q's three local bands into the record's band system of 3m
+    unknowns and factors it in O(m); and ``dgetrf``'s dense factor of Q^T
+    on any other chain and every plain rate matrix.  On the last two, A_aa
+    (and Q on the dense form) is written in one pass by ``rate_block`` from
+    the generator's jump block and bands, and neither the dense rate matrix
+    nor any of its rows is formed.  That choice, and where the A_ab P_0 term
+    lands in A_eff, are all that differ between chains: the cross-barrier
+    blocks come from one record on every chain (below).  ``Qinv @ b``
+    solves Q x = b with it.  On the tridiagonal and dense forms Q^T is
+    column diagonally dominant, so partial pivoting makes no row
+    interchange (Wilkinson; Higham 2002, sec. 9.5) and the factor is Q^T =
+    L U with L unit lower and U upper triangular, both with off-diagonals
+    <= 0 and U's diagonal > 0 (the Schur complements of an M-matrix are
+    M-matrices).  Q x = U^T (L^T x) = b is then a forward substitution with
+    U^T and a back substitution with L^T, and for b >= 0 every term of
+    either is >= 0: nothing cancels, x >= 0 as computed, and with the exact
+    B >= 0 every term of the Horner sum for P_0 is nonnegative too.  The
+    separable form's band system is no M-matrix and its factor pivots, so
+    there x >= 0 holds up to rounding only.
 
     ``sources`` reads neither B nor its factor, so every M_k is free of the
-    factor's error and >= 0 as computed on both forms.  ``expand`` forms the
-    eliminated values M_k + P_k c[coupled] from the M_k that ``sources``
-    found and the level maps that the Horner loop for P_0 passed through,
-    with no solve.
+    factor's error, and >= 0 as computed on the tridiagonal and dense forms.
+    ``expand`` forms the eliminated values M_k + P_k c[coupled] from the M_k
+    that ``sources`` found and the level maps that the Horner loop for P_0
+    passed through, with no solve, and clamps them at 0.
 
     The level maps are built on a factor: B has low numerical rank on a jump
     chain (a Kou far-jump rate splits into a row factor times a column
@@ -368,10 +377,10 @@ class _ReducedLadderOps:
     of 13,453 eliminated values of VG perpetual down-out were negative, the
     worst at -1.4e-17 of its level's maximum; VG finite down-out (499,895
     values) and both Kou down-outs had none, and the sigma(t) Kou
-    term-structure down-out none of 190,564.  On a tridiagonal chain nc = 1
-    and the factor is B itself with W = I: every P_k is one exact,
-    nonnegative m-vector, the eliminated values sum nonnegative terms, and
-    nothing is clamped.
+    term-structure down-out none of 190,564, on the dense form and on the
+    separable one.  On a tridiagonal chain nc = 1 and the factor is B itself
+    with W = I: every P_k is one exact, nonnegative m-vector, the eliminated
+    values sum nonnegative terms, and the clamp moves nothing.
 
     On every chain the cross-barrier blocks B and A_ab come from the
     slice's group record ``cross`` (a ``_CrossBlocks``; without one, the
@@ -415,8 +424,12 @@ class _ReducedLadderOps:
         U, W, d_ab = cross.slice_factor(gen)
         coupled, feeders, A_ab = cross.coupled, cross.feeders, cross.A_ab
         banded = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-        blocks = _tridiagonal_blocks if banded else _dense_blocks
-        Qinv, A = blocks(gen, ladder, a0, cG, cup)
+        if banded:
+            Qinv, A = _tridiagonal_blocks(gen, ladder, a0, cG, cup)
+        else:
+            Qinv, A = _jump_blocks(gen, ladder, a0, cG, cup, cross.jump_rows)
+        self.form = ("tridiagonal" if banded else
+                     "dense" if cross.jump_rows is None else "separable")
 
         # P_0 = P_U W by Horner from the knock-out (P = 0, no slots) on the
         # factor B ~ U W: n_ticks - 1 steps reach level 1, one more reaches
@@ -478,10 +491,11 @@ class _ReducedLadderOps:
 
         ladder = self.ladder
         g = c_above[self.coupled]
-        if self.W is None:
-            values = levels + self.level_maps @ g
-        else:  # clamp the factor's round-off (see the class)
-            values = np.maximum(levels + self.level_maps @ (self.W @ g), 0.0)
+        if self.W is not None:
+            g = self.W @ g
+        # clamp the round-off of a factor of B or of the separable form (see
+        # the class); no value moves on an exact B with the other two forms
+        values = np.maximum(levels + self.level_maps @ g, 0.0)
         out = np.zeros(ladder.total)
         out[ladder.n_below:ladder.n_states] = c_above
         for slots, value in zip(self.levels_down, values):
@@ -504,22 +518,99 @@ def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
     return Qinv, A_aa
 
 
-def _dense_blocks(gen, ladder, a0, cG, cup):
-    """(Q^-1, A_aa) of any chain, dense, for ``_ReducedLadderOps``: each
-    block straight from ``rate_block``; the cross-barrier blocks come from
-    the slice's ``_CrossBlocks``."""
+def _jump_blocks(gen, ladder, a0, cG, cup, jump_rows):
+    """(Q^-1, A_aa) of any chain, for ``_ReducedLadderOps``: Q^-1 on the
+    separable form when the group record holds ``jump_rows`` (see
+    ``_separable_rows``), with this slice's three local bands of Q written
+    into the x_i rows, and on the dense form otherwise; the cross-barrier
+    blocks come from the slice's ``_CrossBlocks``."""
 
     m = ladder.n_below
     below, above = slice(0, m), slice(m, ladder.n_states)
-    # Q in C order, so that Q^T is in Fortran order and LAPACK factors it in
-    # place: no second m x m array is alive while A_eff is built
-    Q = rate_block(gen, below, below, a0 + cup, -cG)
-    Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
+    if jump_rows is None:
+        # Q in C order, so that Q^T is in Fortran order and LAPACK factors it
+        # in place: no second m x m array is alive while A_eff is built
+        Q = rate_block(gen, below, below, a0 + cup, -cG)
+        Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
+    else:  # Q's bands rounded as rate_block writes them
+        ab = jump_rows.copy(order="F")
+        ab[10, 1::3] = gen.diag[:m] * -cG + (a0 + cup)  # Q[i, i]
+        ab[7, 4::3] = gen.up[:m - 1] * -cG  # Q[i, i + 1]
+        ab[13, 1:3 * m - 3:3] = gen.down[1:m] * -cG  # Q[i, i - 1]
+        Qinv = _Inverse(_solve_separable, factor_banded(ab, 5, 5))
     # level 0's above-barrier block of a0 I - cG G in Fortran order: the
     # LCP's BLAS calls round differently on a C-order one (jump down-out
     # prices moved by up to 3e-13 relative)
     A_aa = rate_block(gen, above, above, a0, -cG, order="F")
     return Qinv, A_aa
+
+
+def _solve_separable(factor, b: np.ndarray) -> np.ndarray:
+    """Q x = b on the separable form's factor: b on the x_i rows, 0 else."""
+
+    rhs = np.zeros((3 * len(b),) + np.shape(b)[1:], order="F")
+    rhs[1::3] = b
+    return solve_banded(factor, rhs)[1::3]
+
+
+# Relative deviation allowed between a far rate F[i, j], |i - j| >= 3, of
+# the below block and rho_i F[i -/+ 1, j] (``_separable_rows``): Kou's
+# deviate by at most 4.7e-14 on every reference grid (3.0e-15 with a
+# state-dependent intensity), VG's by 0.34.  The recursion reaches F[i, j]
+# in |i - j| - 2 steps, so it solves with F to within about that many times
+# this, entry by entry.
+_SEPARABLE_RTOL = 1e-12
+
+
+def _chain_ratios(F: np.ndarray) -> Optional[np.ndarray]:
+    """rho_i = F[i, i+3] / F[i+1, i+3] (0 where F[i+1, i+3] is 0, and for
+    i > m - 4) of the m x m block F, when every F[i, j], j >= i + 3, is
+    rho_i F[i+1, j] within ``_SEPARABLE_RTOL``, else None: checked 64 rows
+    at a time, stopping at the first chunk that fails."""
+
+    m, k = len(F), max(len(F) - 3, 0)
+    i = np.arange(k)
+    den = F[i + 1, i + 3]
+    rho = np.zeros(m)
+    np.divide(F[i, i + 3], den, out=rho[:k], where=den != 0.0)
+    for r0 in range(0, k, 64):
+        r1 = min(r0 + 64, k)
+        block = F[r0:r1, r0 + 3:]  # column r0 + 3 + q, entries with q >= p
+        dev = np.abs(block - rho[r0:r1, None] * F[r0 + 1:r1 + 1, r0 + 3:])
+        if np.any(np.triu(dev > _SEPARABLE_RTOL * np.abs(block))):
+            return None
+    return rho
+
+
+def _separable_rows(gen, m: int, cG: float) -> Optional[np.ndarray]:
+    """The slice-independent rows of Q's separable form, in LAPACK band
+    storage ab[10 + r - c, c] = A[r, c] with Q's local bands 0, or None
+    unless the generator's below block F of far jump rates (``JumpPart.far``)
+    is separable: F[i, j] = rho+_i F[i+1, j] for j >= i + 3 and rho-_i
+    F[i-1, j] for j <= i - 3, as for Kou's exponential tails.  The far sums
+    s_i = sum_{j >= i+2} F[i, j] x_j = rho+_i s_{i+1} + F[i, i+2] x_{i+2} and
+    t_i = sum_{j <= i-2} F[i, j] x_j = rho-_i t_{i-1} + F[i, i-2] x_{i-2}
+    make Q x = b, on (t_i, x_i, s_i) interleaved, a system with 5 sub- and 5
+    super-diagonals whose x_i row holds Q's three local bands and
+    -cG (t_i + s_i) (Toivanen, SIAM J. Sci. Comput. 30(4), 2008)."""
+
+    jumps = getattr(gen, "jumps", None)
+    if jumps is None:  # a plain rate matrix, or no jumps
+        return None
+    F = jumps.far[:m, :m]
+    up = _chain_ratios(F)
+    down = None if up is None else _chain_ratios(F[::-1, ::-1])
+    if down is None:
+        return None
+    down = down[::-1]  # rho-_i, 0 for i < 3
+    ab = np.zeros((16, 3 * m))
+    ab[10, 0::3] = ab[10, 2::3] = 1.0  # t_i and s_i
+    ab[13, 0:3 * m - 3:3] = -down[1:]  # t_i - rho-_i t_{i-1}
+    ab[15, 1:3 * m - 6:3] = -np.diagonal(F, -2)  # - F[i, i-2] x_{i-2}
+    ab[11, 0::3] = ab[9, 2::3] = -cG  # x_i's row: -cG (t_i + s_i)
+    ab[7, 5::3] = -up[:m - 1]  # s_i - rho+_i s_{i+1}
+    ab[5, 7::3] = -np.diagonal(F, 2)  # - F[i, i+2] x_{i+2}
+    return ab
 
 
 def _band_entries(gen, m: int, cG: float) -> Tuple[float, float]:
@@ -546,7 +637,9 @@ class _CrossBlocks:
     slice of the group, so each slice differs from the reference only in
     the two band entries, which ``slice_factor`` adds.  A group without jumps
     has a reference of zero blocks on one column and one row, whose band
-    entries every slice adds whole.
+    entries every slice adds whole.  ``jump_rows`` are the rows of the
+    below block's separable form (``_separable_rows``), None where it is not
+    separable.
     """
 
     U: np.ndarray
@@ -559,6 +652,7 @@ class _CrossBlocks:
     feeders: slice
     A_ab: np.ndarray
     cG: float
+    jump_rows: Optional[np.ndarray]
 
     @classmethod
     def build(cls, group: Sequence, ladder: DurationLadder, cG: float) -> _CrossBlocks:
@@ -575,7 +669,7 @@ class _CrossBlocks:
             # and row that cross the barrier (states m-1 and m)
             nc, nf = np.any(entries != 0.0, axis=0).astype(int)
             return cls(np.zeros((m, nc)), None, 0.0, 0.0, 0.0, 0.0,
-                       slice(0, nc), slice(0, nf), np.zeros((nf, m)), cG)
+                       slice(0, nc), slice(0, nf), np.zeros((nf, m)), cG, None)
         i = int(np.argmin(np.abs(entries[:, 0])))
         ref, (to_above, from_above) = group[i], entries[i]
         below, above = slice(0, m), slice(m, ladder.n_states)
@@ -590,7 +684,8 @@ class _CrossBlocks:
         B = B[:, coupled]
         U, W, residual = low_rank_factor(B, _FACTOR_RTOL)
         return cls(U, W, residual, float(np.linalg.norm(B)), float(to_above),
-                   float(from_above), coupled, feeders, A_ab[feeders], cG)
+                   float(from_above), coupled, feeders, A_ab[feeders], cG,
+                   _separable_rows(ref, m, cG))
 
     def slice_factor(self, gen) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
         """(U_t, W_t, d_ab) of one slice of the group: B_t = U_t W_t up to

@@ -33,10 +33,12 @@ from parisian.pricer_downin import (
 from parisian import pricer_downin, pricer_downout
 from parisian.numerics import (
     LCPOperator,
+    _Inverse,
     factor_dense,
     factor_tridiag,
     low_rank_factor,
     policy_solve,
+    solve_dense,
 )
 from parisian.pricer_downout import (
     DurationLadder,
@@ -609,8 +611,10 @@ class TestReducedRoute:
 
     def test_dense_factor_makes_no_interchange_and_sums_nonnegative_terms(self):
         # Q^T is column diagonally dominant on every jump chain: the dense
-        # factor has the identity pivots, the unclamped level values of
-        # ``sources`` are >= 0, and a solve with Q agrees with numpy's
+        # factor (of each chain passed as a plain rate matrix, which takes
+        # the dense form) has the identity pivots, the unclamped level
+        # values of ``sources`` are >= 0, and a solve with Q agrees with
+        # numpy's on that form and on the generator's own
         rng = np.random.default_rng(23)
         rate = 0.05
         for name, gen, grid in jump_chains():
@@ -618,17 +622,20 @@ class TestReducedRoute:
             m = ladder.n_below
             R = gen.as_dense()
             for dt in (None, 1 / 24):
-                ops = _ReducedLadderOps(gen, ladder, rate, dt=dt)
+                ops = _ReducedLadderOps(R, ladder, rate, dt=dt)
+                assert ops.form == "dense"
                 _, piv, _ = ops.Qinv.factor
                 np.testing.assert_array_equal(piv, np.arange(m), err_msg=name)
                 _, levels = ops.sources(rng.uniform(0.0, 2.0, size=ladder.total))
                 assert np.all(levels >= 0.0), (name, dt)
                 a0, cG = (rate, 1.0) if dt is None else (1 + rate * dt, dt)
                 Q = (a0 + cG / ladder.dtick) * np.eye(m) - cG * R[:m, :m]
+                own = _ReducedLadderOps(gen, ladder, rate, dt=dt)
                 for b in (rng.uniform(0.0, 2.0, size=m),
                           rng.normal(size=(m, 5))):
-                    assert rel_gap(ops.Qinv @ b, np.linalg.solve(Q, b)) <= 1e-13, (
-                        name, dt)
+                    for inv in (ops.Qinv, own.Qinv):
+                        assert rel_gap(inv @ b, np.linalg.solve(Q, b)) <= 1e-13, (
+                            name, dt)
 
     def test_reference_operators_factor_without_interchange(self):
         # Q^T and A_eff^T make no row interchange under partial pivoting:
@@ -664,6 +671,8 @@ class TestReducedRoute:
             ops = _ReducedLadderOps(gen, ladder, cfg.rate, dt=dt)
             a0, cG = (cfg.rate, 1.0) if dt is None else (1.0, dt)
             operators = [ops.A_eff, slice_operator(gen, a0, cG)]
+            if ops.form == "separable":  # Q's own factor, on the dense form
+                ops = _ReducedLadderOps(gen.as_dense(), ladder, cfg.rate, dt=dt)
             piv = ops.Qinv.factor[0][4] - 1 if gen.is_tridiagonal else ops.Qinv.factor[1]
             np.testing.assert_array_equal(piv, np.arange(len(piv)), err_msg=name)
             for op in operators:
@@ -856,7 +865,8 @@ class TestLowRankElimination:
     def test_generator_and_its_dense_matrix_give_the_same_operators(self):
         # the blocks read from a generator's parts and from the plain matrix
         # round alike, so the factor and everything built on it agree bit
-        # for bit
+        # for bit where both take the dense form (VG); a Kou generator takes
+        # the separable form, whose solves round otherwise
         for name, gen, grid in jump_chains():
             ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below,
                                   **self.LADDER)
@@ -865,11 +875,16 @@ class TestLowRankElimination:
                 dense = _ReducedLadderOps(gen.as_dense(), ladder, 0.05, dt=dt)
                 assert ops.coupled == dense.coupled, name
                 assert ops.factor_width < ops.coupled.stop - ops.coupled.start
+                assert ops.form == ("dense" if name == "vg" else "separable"), name
+                np.testing.assert_array_equal(ops.W, dense.W, err_msg=name)
+                if ops.form == "separable":
+                    assert rel_gap(ops.A_eff.to_dense(), dense.A_eff.to_dense()) <= 1e-13
+                    assert rel_gap(ops.level_maps, dense.level_maps) <= 1e-13, name
+                    continue
                 np.testing.assert_array_equal(ops.A_eff.to_dense(),
                                               dense.A_eff.to_dense(), err_msg=name)
                 np.testing.assert_array_equal(ops.level_maps, dense.level_maps,
                                               err_msg=name)
-                np.testing.assert_array_equal(ops.W, dense.W, err_msg=name)
 
     def test_builds_are_bit_identical_and_leave_the_global_rng(self):
         model, grid, gen = small_vg_setup(n=64)
@@ -1045,6 +1060,113 @@ class TestSharedCrossBlocks:
         at_bound.slice_factor(other)
         with pytest.raises(RuntimeError, match="misses its bound"):
             at_bound.slice_factor(ref)
+
+
+# ---------------------------------------------------------------------------
+# the separable form of Q on Kou-type jump blocks
+# ---------------------------------------------------------------------------
+
+
+def kou_reference_chain(n, split=None):
+    """(generator, grid, config) of the Kou finite down-out block at n
+    states, on the block's own split or ``split``."""
+    cfg = bench_cli.reference_option("kou", "finite-down-out").config
+    model = bench_cli.build_named_model("kou", cfg.model_params)
+    state = lambda p: float(np.asarray(model.state_of_price(p)))
+    lo, hi = bench_cli._domain_states(model, cfg)
+    grid = build_grid(lo, hi, state(cfg.barrier), state(cfg.strike), n - 1,
+                      split or cfg.split)
+    policy = resolve_rate_policy(cfg.rate_policy, model)
+    return build_generator(model, grid, 0.0, policy), grid, cfg
+
+
+def with_far_entry_scaled(gen, i, j, factor):
+    """``gen`` with its far jump rate (i, j) multiplied by ``factor``."""
+    far = gen.jumps.far.copy()
+    far[i, j] *= factor
+    return dataclasses.replace(gen, jumps=dataclasses.replace(gen.jumps, far=far))
+
+
+class TestSeparableForm:
+    RATE = 0.05
+
+    def dense_inverse(self, gen, ladder, dt):
+        """Q^-1 of the dense form: the factor of Q^T from ``rate_block``."""
+        a0, cG = (self.RATE, 1.0) if dt is None else (1 + self.RATE * dt, dt)
+        below = slice(0, ladder.n_below)
+        Q = rate_block(gen, below, below, a0 + cG / ladder.dtick, -cG)
+        return _Inverse(solve_dense, factor_dense(Q, transposed=True))
+
+    def test_solves_agree_with_the_dense_factor(self):
+        from test_ctmc import state_dependent_kou
+
+        grid = build_grid(math.log(20), math.log(400), math.log(90), math.log(95), 64)
+        chains = [("state-dependent kou", build_generator(state_dependent_kou(), grid, 0.0),
+                   grid)]
+        for n, split in ((529, None), (793, None), (529, "sqrt")):
+            gen, grid, _ = kou_reference_chain(n, split)
+            chains.append((f"kou {n} {split}", gen, grid))
+        model, _, _ = small_kou_setup()
+        for lo in (86.0, 83.0, 80.0, 77.0):  # 1, 2, 3 and 4 below-barrier states
+            grid = build_grid(math.log(lo), math.log(400.0), math.log(90.0),
+                              math.log(95.0), 40, "proportional")
+            chains.append((f"kou m = {grid.n_below}", build_generator(model, grid, 0.0),
+                           grid))
+        rng = np.random.default_rng(31)
+        for name, gen, grid in chains:
+            ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+            m = ladder.n_below
+            for dt in (None, 1 / 60):
+                ops = _ReducedLadderOps(gen, ladder, self.RATE, dt=dt)
+                assert ops.form == "separable", name
+                dense = self.dense_inverse(gen, ladder, dt)
+                for b in (rng.uniform(0.0, 2.0, size=m), rng.normal(size=(m, 3))):
+                    x = ops.Qinv @ b
+                    assert x.shape == b.shape
+                    assert rel_gap(x, dense @ b) <= 1e-13, (name, dt)
+
+    def test_non_separable_blocks_take_the_dense_form(self):
+        gen, grid, _ = kou_reference_chain(133)
+        ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+        m = ladder.n_below
+        assert pricer_downout._separable_rows(gen, m, 1.0) is not None
+        _, vg_grid, vg = small_vg_setup(n=64)
+        vg_ladder = build_ladder(1 / 12, 1 / 120, vg_grid.n_states, vg_grid.n_below)
+        cases = [("vg", vg, vg_ladder)]
+        # one far rate 1e-8 off the recursion, above and below the diagonal
+        for j in (m // 2 + 7, m // 2 - 7):
+            cases.append((f"kou ({m // 2}, {j})",
+                          with_far_entry_scaled(gen, m // 2, j, 1 + 1e-8), ladder))
+        for name, g, lad in cases:
+            assert pricer_downout._separable_rows(g, lad.n_below, 1.0) is None, name
+            for dt in (None, 1 / 60):
+                ops = _ReducedLadderOps(g, lad, self.RATE, dt=dt)
+                assert ops.form == "dense", name
+                assert rel_gap(ops.level_maps, _ReducedLadderOps(
+                    g.as_dense(), lad, self.RATE, dt=dt).level_maps) == 0.0, name
+
+    def test_sigma_t_surface_agrees_with_plain_rate_matrices(self):
+        # the sigma(t) Kou term-structure contract (at n = 265): every slice
+        # shares one separable jump block, while the same rates as plain
+        # matrices take the dense form
+        workloads = _perfbench_workloads()
+        cfg = bench_cli.reference_option("kou", "finite-down-out").config
+        model = workloads._term_model("kou", cfg.model_params)
+        state = lambda p: float(np.asarray(model.state_of_price(p)))
+        grid = build_grid(state(cfg.lo), state(cfg.hi), state(cfg.barrier),
+                          state(cfg.strike), 264, cfg.split)
+        c = contract(Flavor.DOWN_OUT, maturity=cfg.maturity, rate=cfg.rate)
+        c = dataclasses.replace(c, payoff=american_call(cfg.strike), barrier=cfg.barrier,
+                                window=cfg.window)
+        tg = TimeGrid(dt=cfg.dt, horizon=cfg.maturity)
+        gens = slice_generators(model, grid, tg.times,
+                                resolve_rate_policy(cfg.rate_policy, model))
+        ladder = build_ladder(c.window, cfg.dd, grid.n_states, grid.n_below)
+        assert _ReducedLadderOps(gens[0], ladder, c.rate, dt=tg.dt).form == "separable"
+        ours = price_finite_downout(model, grid, tg, c, cfg.dd, gen=gens).values
+        plain = price_finite_downout(model, grid, tg, c, cfg.dd,
+                                     gen=[g.as_dense() for g in gens]).values
+        assert rel_gap(ours, plain) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

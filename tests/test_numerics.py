@@ -135,6 +135,35 @@ class TestBandedOperator:
             np.testing.assert_allclose(solve_tridiag(factor, b[:, 0]), ref[:, 0],
                                        rtol=1e-13)
 
+    def test_contiguous_range_factors_as_the_general_path(self):
+        # a contiguous range takes the bands' slices; its factors equal bit
+        # for bit those of the neighbour search over any sorted index set,
+        # here rebuilt with the general path's fancy indexing
+        from scipy.linalg.lapack import dgttrf
+
+        def general(ab, idx, transposed):
+            n = len(idx)
+            m = max(n, 3)
+            d = np.ones(m)
+            d[:n] = ab[1, idx]
+            dl, du = np.zeros(m - 1), np.zeros(m - 1)
+            near = np.flatnonzero(np.diff(idx) == 1)
+            dl[near] = ab[2, idx[near]]
+            du[near] = ab[0, idx[near] + 1]
+            if transposed:
+                dl, du = du, dl
+            return dgttrf(dl, d, du)[:5]
+
+        ab = bands(random_tridiagonal_m_matrix(np.random.default_rng(21), 9))
+        for length in (1, 2, 3):
+            for start in (0, 4, 9 - length):  # start, middle and end of the bands
+                idx = np.arange(start, start + length)
+                for transposed in (False, True):
+                    lu, n, _ = factor_tridiag(ab, idx, transposed)
+                    assert n == length
+                    for got, want in zip(lu, general(ab, idx, transposed)):
+                        np.testing.assert_array_equal(got, want)
+
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
         A = random_tridiagonal_m_matrix(rng, 5)

@@ -245,6 +245,27 @@ class TestDpParisianLattice:
         assert groups["bs sigma(t) out"] == (6, 0), "\n".join(lines)
         assert groups["kou sigma(t) out"] == (1, 0), "\n".join(lines)
 
+    def test_jump_down_out_lines_name_the_form_that_ran(self, verify_suite):
+        """A Kou chain's below block is separable and takes the banded
+        recursion form, a VG chain's is not and takes the dense one."""
+
+        lines, _ = verify_suite("dp")
+        for text in ("reduced down-out, kou chain and call (separable form,",
+                     "reduced down-out, vg chain and call (dense form,",
+                     "sigma(t) reduced down-out, kou chain and call (separable form)",
+                     "bounds, kou down-out (separable form)"):
+            assert sum(line.startswith("  " + text) for line in lines) == 1, text
+
+    def test_finite_prices_keep_their_bounds(self, verify_suite):
+        """Acceptance: on small BS and Kou chains, each finite down-in (the
+        vanilla leg discounted from exercise) and down-out is at most the
+        perpetual, rises with the maturity, and stays at most the vanilla
+        American: 3 checks for each of the 4 contracts."""
+
+        lines, groups = verify_suite("dp")
+        assert groups["bounds"] == (12, 0), "\n".join(lines)
+        assert sum("(not gated)" in line for line in lines) == 2
+
     def test_reduced_route_matches_lattice_dp_on_bs_calls(self, verify_suite):
         """Acceptance: 5 tridiagonal Black-Scholes chains with a call struck
         at or above the barrier (payoff zero below it, so the down-out
@@ -287,7 +308,7 @@ class TestMonteCarlo:
 
 
 @pytest.mark.parametrize(
-    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 59)],
+    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 71)],
     ids=["lcp", "kernels", "dp"],
 )
 def test_verify_suite_passes(verify_suite, suite, checks):
@@ -318,5 +339,7 @@ def test_raising_pricer_fails_one_check_and_the_suite_goes_on(monkeypatch):
     assert len(raised) == 1
     assert re.fullmatch(r"  dense in check raised LinAlgError at "
                         r"test_oracle\.py:\d+: singular slice system", raised[0])
-    assert len(calls) == 25  # every down-in check still ran
-    assert re.fullmatch(r"dp: \d+/59 checks passed", lines[-1])
+    # every down-in check still ran: 25 against the DP, 8 finite prices and
+    # 2 reported ones of the bounds
+    assert len(calls) == 35
+    assert re.fullmatch(r"dp: \d+/71 checks passed", lines[-1])
