@@ -755,27 +755,6 @@ def resolve_rate_policy(flag: Optional[str], model: ModelSpec) -> str:
     return "error"
 
 
-def validate_generator(gen: GeneratorMatrix, rel_tol: float = 1e-12) -> None:
-    """Raise if sign pattern, row sums or absorbing boundaries are violated."""
-
-    N = gen.dimension
-    if np.min(gen.up) < 0 or np.min(gen.down) < 0:
-        raise ValueError("negative nearest-neighbour rate")
-    if gen.jump is not None and gen.jump.min() < 0:
-        raise ValueError("negative far jump rate")
-    scale = max(1.0, float(np.abs(gen.diag).max()))
-    sums = gen.row_sums()
-    if np.max(np.abs(sums[1 : N - 1])) > rel_tol * scale:
-        raise ValueError(
-            f"interior row sums not zero (max {np.abs(sums[1:N-1]).max():.3e})"
-        )
-    boundary_mass = abs(gen.diag[0]) + abs(gen.diag[-1]) + gen.up[0] + gen.down[-1]
-    if gen.jump is not None:
-        boundary_mass += np.abs(gen.jump[0]).sum() + np.abs(gen.jump[-1]).sum()
-    if boundary_mass != 0.0:
-        raise ValueError("boundary rows must be identically zero (absorbing)")
-
-
 def dump_generator_csv(gen: GeneratorMatrix, path) -> None:
     """Write nonzero entries as rows ``i,j,rate``."""
 

@@ -20,7 +20,8 @@ and with an engine above, and counts, per group of checks, the checks whose
 gap exceeds the suite's tolerance or whose code raises; ``run_verify``
 returns the suite's total failures.  The ``verify`` CLI verb and the test
 suite both run the suites, and ``random_generator`` is the one source of
-random dense generators for both.
+random dense generators for both; ``validate_generator`` checks a built
+generator's signs, row sums and absorbing boundary rows.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from scipy.stats import poisson
 
 from .bench_cli import build_named_model, reference_option
 from .ctmc import (
+    GeneratorMatrix,
     TimeGrid,
     build_generator,
     build_grid,
@@ -68,6 +70,7 @@ __all__ = [
     "dp_parisian_lattice",
     "random_generator",
     "run_verify",
+    "validate_generator",
     "verify_groups",
     "sample_path",
     "simulate_paths",
@@ -624,6 +627,27 @@ def simulate_paths(
 # ---------------------------------------------------------------------------
 # agreement suites: the pricing stack against the engines above
 # ---------------------------------------------------------------------------
+
+
+def validate_generator(gen: GeneratorMatrix, rel_tol: float = 1e-12) -> None:
+    """Raise if sign pattern, row sums or absorbing boundaries are violated."""
+
+    N = gen.dimension
+    if np.min(gen.up) < 0 or np.min(gen.down) < 0:
+        raise ValueError("negative nearest-neighbour rate")
+    if gen.jump is not None and gen.jump.min() < 0:
+        raise ValueError("negative far jump rate")
+    scale = max(1.0, float(np.abs(gen.diag).max()))
+    sums = gen.row_sums()
+    if np.max(np.abs(sums[1 : N - 1])) > rel_tol * scale:
+        raise ValueError(
+            f"interior row sums not zero (max {np.abs(sums[1:N-1]).max():.3e})"
+        )
+    boundary_mass = abs(gen.diag[0]) + abs(gen.diag[-1]) + gen.up[0] + gen.down[-1]
+    if gen.jump is not None:
+        boundary_mass += np.abs(gen.jump[0]).sum() + np.abs(gen.jump[-1]).sum()
+    if boundary_mass != 0.0:
+        raise ValueError("boundary rows must be identically zero (absorbing)")
 
 
 def random_generator(n, rng, conservative=True, density=0.6, scale=3.0):

@@ -1,13 +1,6 @@
 """Down-in Parisian option pricing.
 
-Perpetual contracts use the excursion-transform closed forms: the value is
-H_p(r) c_p, where c_p is the perpetual American value on the chain and
-H_p(r, x, y) = E_x[e^{-r tau} 1{Y_tau = y}] for tau the first time the stay
-below the barrier reaches the window length.  Discounting at r is killing
-at an exponential time of rate r, so H_p(r) is one slice of the finite
-recursion below at dt = 1/r, solved on that slice's blocks.
-
-Finite-maturity contracts run one backward slice recursion in the discounted
+One backward slice recursion prices every down-in, in the discounted
 variable C~(t) = e^{-rt} C(t), for tridiagonal, dense and time-dependent
 chains alike; the variable is internal to the recursion, whose surfaces are
 un-discounted once at the end.  Each slice couples the barrier-crossing
@@ -16,8 +9,17 @@ trigger term v, and the window-interrupted terms u+/u- through one two-block
 linear system on below/above blocks, built once per slice generator: in
 bands on a tridiagonal chain, where a step crosses at the barrier alone.
 u+ is a sum over all later slices; it is accumulated in Horner form (one
-below-block solve per slice while the generator is unchanged).  Every
-pricing LCP, here and in ``pricer_downout``, is one exercise step,
+below-block solve per slice while the generator is unchanged).
+
+A perpetual contract is the recursion's one-slice case.  Its value is
+H_p(r) c_p, for c_p the perpetual American value on the chain and
+H_p(r, x, y) = E_x[e^{-r tau} 1{Y_tau = y}], tau the first time the stay
+below the barrier reaches the window length.  Discounting at r is killing
+at an exponential time of rate r, as each finite slice does at rate 1/dt,
+so H_p(r) c_p is one slice at dt = 1/r on the payoff rows [c_p, 0], and
+H_p(r) itself the same slice on unit payoffs.
+
+Every pricing LCP, here and in ``pricer_downout``, is one exercise step,
 ``bermudan_slice``, on a slice operator A.  ``american_surface`` runs it
 backwards over the clock slices, rebuilding A (and its LU factors) only when
 the generator changes: the vanilla Bermudan surface (A = I - dt G) and, as
@@ -40,7 +42,6 @@ from .ctmc import (
     GeneratorMatrix,
     SpatialGrid,
     TimeGrid,
-    dense_rates,
     rate_block,
     slice_bands,
     slice_generators,
@@ -198,7 +199,8 @@ def require_contract(contract: ContractSpec, flavor: Flavor, model: ModelSpec,
             f"maturity {contract.maturity}"
         )
     if not isinstance(grid, SpatialGrid):
-        raise ValueError("need a GeneratorMatrix: its grid places the barrier")
+        raise ValueError("need a SpatialGrid to place the barrier on (a perpetual "
+                         "pricer reads it off its GeneratorMatrix)")
     level = contract.barrier_state(model)
     if not grid.is_barrier(level):
         raise ValueError(
@@ -290,26 +292,20 @@ def parisian_transform(
 
     The states below the barrier are the first ``n_below``.  Columns at
     states >= barrier are identically zero (the trigger always happens
-    strictly below).  H is the slice system of ``_slice_blocks`` at
-    dt = 1/rate, since discounting at ``rate`` is killing at an exponential
-    time of that rate: H[below] = X solves (I - hp hm) X = e^{-rate window} E
-    and H[above] = hm X[down] (hm on its span).  A positive rate makes
-    rate I - G_bb and rate I - G_aa strictly diagonally dominant M-matrices;
-    at rate 0, G_bb is singular on a chain with an absorbing state below the
-    barrier, as every ``build_grid`` chain has.
+    strictly below).  H is ``_finite_downin``'s one-slice case at
+    dt = 1/rate on the unit payoffs (see the module docstring); no pricer
+    forms it.  A positive rate makes rate I - G_bb and rate I - G_aa
+    strictly diagonally dominant M-matrices; at rate 0, G_bb is singular on
+    a chain with an absorbing state below the barrier, as every
+    ``build_grid`` chain has.
     """
 
     if window < 0 or rate <= 0:
         raise ValueError("the trigger kernel needs window >= 0 and rate > 0")
-    m = n_below
-    if m == 0:  # no below states: the trigger never fires
-        return np.zeros((len(dense_rates(gen)),) * 2)
-    b = _slice_blocks(gen, m, window, 1.0 / rate)
-    X = math.exp(-rate * window) * (b.slice_inv @ b.E)
-    H = np.zeros((m + len(b.hm),) * 2)
-    H[:m, :m] = X
-    H[m:, :m] = b.hm @ X[b.down]
-    return H
+    n = gen.dimension if isinstance(gen, GeneratorMatrix) else len(gen)
+    W = np.zeros((2, n, n))
+    W[0, :n_below, :n_below] = np.eye(n_below)
+    return _finite_downin([gen, gen], W, n_below, window, 1.0 / rate)[0]
 
 
 def price_perpetual_downin(
@@ -317,16 +313,16 @@ def price_perpetual_downin(
     contract: ContractSpec,
     model: ModelSpec,
 ) -> PriceSurface:
-    """Perpetual down-in value C_pi = H_p(rate) c_p on the chain."""
+    """Perpetual down-in value C_pi = H_p(rate) c_p on the chain: row 0 of
+    ``_finite_downin``'s one-slice case at dt = 1/rate on [c_p, 0]."""
 
     require_contract(contract, Flavor.DOWN_IN, model, getattr(gen, "grid", None))
     f = contract.payoff_states(model, gen.grid.states)
     c_p = vanilla_american_perpetual(gen, f, contract.rate)
-    H = parisian_transform(gen, contract.window, contract.rate, gen.grid.n_below)
-    return PriceSurface(
-        values=(H @ c_p)[None], times=np.zeros(1), model=model, grid=gen.grid,
-        vanilla=c_p[None],
-    )
+    C = _finite_downin([gen, gen], np.stack([c_p, np.zeros_like(c_p)]),
+                       gen.grid.n_below, contract.window, 1.0 / contract.rate)
+    return PriceSurface(values=C[:1], times=np.zeros(1), model=model,
+                        grid=gen.grid, vanilla=c_p[None])
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +437,44 @@ def _slice_blocks(gen, n_below, window, dt):
 
 
 def _finite_downin(gens, W, n_below, window, dt):
-    """Backward slice recursion for the discounted down-in surface C.
+    """Backward slice recursion for the discounted down-in surface C on the
+    payoffs W, of shape (slices, N) or (slices, N, K) for K at once.
 
     Slice j solves the two-block system C_b = u+ + v + hp C_a, C_a = u- +
     hm C_b.  u+ runs in Horner form: P_j = N Q_{j+1} with Q_t = h1 C_t[a] +
     P_t and P_J = 0, so u+_j = P_j - E (p_0 P_j + sum_i p_i Q_{j+i}) with p
     the Poisson(window/dt) pmf, and v shares its E product.  Slice j's
     generator prices its whole u+ sum, so a slice with new blocks restarts
-    the tail at t = J.  The states below the barrier are the first
-    ``n_below``.
+    the tail; C_J = 0, so it restarts at t = J - 1 with P = 0, u- is 0 on
+    slice J - 1, and the one-slice case solves with slice_inv alone.  The
+    states below the barrier are the first ``n_below``.
     """
 
-    n_slices = W.shape[0]
-    J = n_slices - 1
+    J = W.shape[0] - 1
     m = n_below
     C = np.zeros_like(W)
     if not m:
         return C  # never below the barrier: the in-event cannot trigger
     pmf = poisson_weights(window / dt, _POISSON_SKIP)
     Wb = W[:, :m]
-    Q = np.zeros((n_slices, m))
-    u_minus = np.zeros(W.shape[1] - m)
+    Q = np.zeros_like(Wb)
+    u_minus = np.zeros_like(W[0, m:])
     for j, b, new in slice_operators(
         gens, lambda g: _slice_blocks(g, m, window, dt)
     ):
         top = j + 1
-        if new:  # new generator: restart the tail at t = J
-            P, top = np.zeros(m), J
+        if new:  # new generator: restart the tail at t = J - 1
+            P, top = np.zeros_like(Wb[0]), J - 1
         for t in range(top, j, -1):
             Q[t] = b.h1 @ C[t, m:][b.up] + P
             P = b.n_inv @ Q[t]
         k = min(J - j, len(pmf) - 1)
         later = Wb[j + 1:j + k + 1] - Q[j + 1:j + k + 1]
-        acc = pmf[0] * (Wb[j] - P) + pmf[1:k + 1] @ later
-        u_minus = b.a_inv @ (u_minus + b.hm @ C[j + 1, :m][b.down])
+        acc = pmf[0] * (Wb[j] - P) + (
+            pmf[1:k + 1] @ later.reshape(k, P.size)).reshape(P.shape)
+        if j < J - 1:
+            u_minus = b.a_inv @ (u_minus + b.hm @ C[j + 1, :m][b.down])
         C[j, :m] = b.slice_inv @ (P + b.E @ acc + b.hp @ u_minus[b.up])
         C[j, m:] = u_minus + b.hm @ C[j, :m][b.down]
         del b  # gone before the next generator's blocks are built
     return C
-
-

@@ -29,11 +29,14 @@ def price(model: ModelSpec, grid: SpatialGrid, contract: ContractSpec, *,
     generators use ``rate_policy`` (see ``resolve_rate_policy``) unless
     ``gen`` gives them: one generator, or one per clock slice of a finite
     contract.  ``vanilla_discounting`` is a finite down-in's term (see
-    ``price_finite_downin``).  ValueError for a missing ``dt`` or ``dtick``,
-    a ``gen`` built on another grid (a plain rate matrix has none and
-    passes) or a ``vanilla_discounting`` given to another class.
+    ``price_finite_downin``).  ValueError for a ``grid`` that is not a
+    ``SpatialGrid``, a missing ``dt`` or ``dtick``, a ``gen`` built on
+    another grid (a plain rate matrix has none and passes) or a
+    ``vanilla_discounting`` given to another class.
     """
 
+    if not isinstance(grid, SpatialGrid):
+        raise ValueError(f"grid must be a SpatialGrid, got {type(grid).__name__}")
     down_in = contract.flavor is Flavor.DOWN_IN
     if vanilla_discounting is not None and (contract.is_perpetual or not down_in):
         raise ValueError("vanilla_discounting is a term of a finite down-in only")

@@ -16,9 +16,10 @@ import pytest
 
 from parisian import pricer_downin
 from parisian.bench_cli import price_point, reference_option, richardson
-from parisian.ctmc import TimeGrid, build_grid, build_generator, validate_generator
+from parisian.ctmc import TimeGrid, build_grid, build_generator
 from parisian.models import bs_model
 from parisian.numerics import policy_solve
+from parisian.oracle import validate_generator
 from parisian.pricer_downin import (
     ContractSpec,
     Flavor,

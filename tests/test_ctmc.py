@@ -22,7 +22,6 @@ from parisian.ctmc import (
     slice_bands,
     slice_generators,
     slice_operator,
-    validate_generator,
 )
 from parisian.models import (
     Coordinate,
@@ -34,7 +33,7 @@ from parisian.models import (
     kou_model,
     vg_model,
 )
-from parisian.oracle import ChainPath, sample_path, simulate_paths
+from parisian.oracle import ChainPath, sample_path, simulate_paths, validate_generator
 
 BS = bs_model(r_f=0.10, dividend=0.05, sigma=0.3)
 KOU = kou_model(

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parisian import pricer_downin
 from parisian.bench_cli import price_point, reference_option
 from parisian.ctmc import (
     TimeGrid,
     build_generator,
     build_grid,
+    resolve_rate_policy,
     slice_generators,
     slice_operator,
 )
 from parisian.models import KouParams, bs_model, kou_model
-from parisian.numerics import LCPProblem, lemke_solve
+from parisian.numerics import LCPProblem, _Inverse, lemke_solve
 from parisian.oracle import random_generator, sample_path, simulate_paths
 from parisian.pricer_downin import (
     ContractSpec,
@@ -435,6 +437,108 @@ class TestBandedSliceBlocks:
                                     gen=[g.as_dense() for g in gens])
         self.assert_same_surface(banded.values, dense.values)
         self.assert_same_surface(banded.vanilla, dense.vanilla)
+
+
+def slice_closed_form(gen, window, rate, n_below):
+    """H_p(rate) written out from the slice blocks at dt = 1/rate: below,
+    X = e^{-rate window} (I - hp hm)^{-1} E; above, hm X[down]."""
+
+    m = n_below
+    b = _slice_blocks(gen, m, window, 1.0 / rate)
+    X = math.exp(-rate * window) * (b.slice_inv @ b.E)
+    H = np.zeros((m + len(b.hm),) * 2)
+    H[:m, :m] = X
+    H[m:, :m] = b.hm @ X[b.down]
+    return H
+
+
+class TestOneSliceCase:
+    """The perpetual down-in and its trigger kernel are the finite down-in
+    recursion's one-slice case at dt = 1/rate, which runs several payoffs at
+    once."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @staticmethod
+    def chain(kind):
+        tg = TimeGrid(horizon=0.5, dt=1 / 20)
+        if kind == "kou":
+            model = kou_model(KouParams(sigma=0.3, lam=3.0, eta_plus=10.0,
+                                        eta_minus=10.0, p_plus=0.5, p_minus=0.5,
+                                        r_f=0.05))
+            grid = build_grid(math.log(18.0), math.log(360.0), math.log(90.0),
+                              math.log(95.0), 40)
+        else:
+            model = bs_sigma_t_model() if kind == "bs-sigma-t" else BS
+            grid = build_grid(18.0, 360.0, 90.0, 95.0, 60)
+        gens = slice_generators(model, grid, tg.times)
+        assert gens[0].is_tridiagonal == (kind != "kou")
+        assert len({id(g) for g in gens}) == (len(gens) if kind == "bs-sigma-t" else 1)
+        return grid, gens, tg.dt
+
+    @pytest.mark.parametrize("kind", ["bs", "kou", "bs-sigma-t"])
+    def test_payoff_columns_run_as_one_recursion(self, kind):
+        # a matrix product or solve rounds apart from its one-column form
+        # in the last bits, so the columns agree to 1e-14, not bit for bit
+        grid, gens, dt = self.chain(kind)
+        W = np.random.default_rng(5).uniform(0.0, 2.0, (len(gens), grid.n_states, 3))
+        W[-1] = 0.0
+        C = _finite_downin(gens, W, grid.n_below, 1 / 12, dt)
+        assert C.shape == W.shape
+        for k in range(W.shape[2]):
+            one = _finite_downin(gens, np.ascontiguousarray(W[..., k]),
+                                 grid.n_below, 1 / 12, dt)
+            self.assert_close(C[..., k], one)
+
+    def test_one_slice_run_makes_no_resolvent_solve(self, monkeypatch):
+        solves = []
+        blocks = pricer_downin._slice_blocks
+
+        def spy(name, inv):
+            def solve(factor, rhs):
+                solves.append(name)
+                return inv.solve(factor, rhs)
+            return _Inverse(solve, inv.factor)
+
+        def spied_blocks(gen, n_below, window, dt):
+            b = blocks(gen, n_below, window, dt)
+            return b._replace(n_inv=spy("n_inv", b.n_inv), a_inv=spy("a_inv", b.a_inv))
+
+        monkeypatch.setattr(pricer_downin, "_slice_blocks", spied_blocks)
+        grid, gen = small_bs_setup()
+        contract = ContractSpec(american_call(95.0), barrier=90.0, window=1 / 12,
+                                maturity=math.inf, rate=0.10, flavor=Flavor.DOWN_IN)
+        W = np.zeros((3, grid.n_states))
+        W[:2] = contract.payoff_states(BS, grid.states)
+        for g in (gen, gen.as_dense()):
+            _finite_downin([g, g], W[1:], grid.n_below, 1 / 12, 10.0)
+        parisian_transform(gen, 1 / 12, 0.10, grid.n_below)
+        price_perpetual_downin(gen, contract, BS)
+        assert solves == []
+        _finite_downin([gen] * 3, W, grid.n_below, 1 / 12, 10.0)
+        assert solves == ["n_inv", "a_inv"]
+
+    @pytest.mark.parametrize("family", ["bs", "kou", "vg"])
+    def test_reference_blocks_match_the_slice_closed_form(self, family):
+        cfg = reference_option(family, "perpetual-down-in").config
+        res = price_point(cfg, cfg.grids[0]).result
+        gen = build_generator(res.model, res.grid, 0.0,
+                              resolve_rate_policy(cfg.rate_policy, res.model))
+        m = res.grid.n_below
+        H = slice_closed_form(gen, cfg.window, cfg.rate, m)
+        self.assert_close(parisian_transform(gen, cfg.window, cfg.rate, m), H)
+        self.assert_close(res.values[0], H @ res.vanilla[0])
+
+    def test_random_chain_matches_the_slice_closed_form(self):
+        R = random_generator(14, np.random.default_rng(8), conservative=False)
+        m, window, rate = 6, 0.2, 0.07
+        H = slice_closed_form(R, window, rate, m)
+        self.assert_close(parisian_transform(R, window, rate, m), H)
+        c_p = vanilla_american_perpetual(R, np.linspace(0.0, 3.0, 14), rate)
+        W = np.stack([c_p, np.zeros_like(c_p)])
+        self.assert_close(_finite_downin([R, R], W, m, window, 1 / rate)[0], H @ c_p)
 
 
 class TestBermudanSlice:

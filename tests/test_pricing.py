@@ -1,9 +1,9 @@
 """The one pricing entry point against the four pricers it dispatches to.
 
 ``price`` only routes: on every class it must return the surface of a direct
-call to that class's pricer bit for bit, and it must name a missing clock
-step or duration tick, a generator built on another grid, and a discounting
-term given to the wrong class.
+call to that class's pricer bit for bit, and it must name a grid that is not
+a ``SpatialGrid``, a missing clock step or duration tick, a generator built
+on another grid, and a discounting term given to the wrong class.
 """
 
 import dataclasses
@@ -138,6 +138,23 @@ def test_generator_built_on_another_grid(maturity):
     for given in (gen, gens):
         with pytest.raises(ValueError, match="grid of 25 states.*grid of 41"):
             price(BS, grid, c, dt=DT, dtick=DTICK, gen=given)
+
+
+@pytest.mark.parametrize("maturity", [math.inf, T])
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_grid_that_is_not_a_spatial_grid_is_named(flavor, maturity):
+    # the generator check once read None.states
+    c = contract(flavor, maturity)
+    for grid in (None, small_grid().states):
+        with pytest.raises(ValueError, match="grid must be a SpatialGrid"):
+            price(BS, grid, c, dt=DT, dtick=DTICK)
+    if maturity == T:  # the finite pricers take the grid straight
+        timegrid = TimeGrid(dt=DT, horizon=T)
+        with pytest.raises(ValueError, match="need a SpatialGrid"):
+            if flavor is Flavor.DOWN_IN:
+                price_finite_downin(BS, None, timegrid, c)
+            else:
+                price_finite_downout(BS, None, timegrid, c, DTICK)
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
