@@ -278,7 +278,7 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if self.dt is None or not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"clock step dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise ValueError(

@@ -177,12 +177,10 @@ class PriceSurface:
 
 
 def require_contract(contract: ContractSpec, flavor: Flavor, model: ModelSpec,
-                     grid: Optional[SpatialGrid],
-                     timegrid: Optional[TimeGrid] = None) -> None:
+                     grid: SpatialGrid, timegrid: Optional[TimeGrid] = None) -> None:
     """Raise ValueError unless a ``flavor`` pricer can price ``contract``:
     perpetual on a time-homogeneous model without a ``timegrid``, else finite
-    and ending at the timegrid's horizon; the barrier at the node of ``grid``
-    (a perpetual pricer's ``gen.grid``: None for a plain rate matrix)."""
+    and ending at the timegrid's horizon; the barrier at the node of ``grid``."""
 
     if contract.flavor is not flavor:
         raise ValueError(f"contract flavor must be {flavor.value}")
@@ -199,8 +197,7 @@ def require_contract(contract: ContractSpec, flavor: Flavor, model: ModelSpec,
             f"maturity {contract.maturity}"
         )
     if not isinstance(grid, SpatialGrid):
-        raise ValueError("need a SpatialGrid to place the barrier on (a perpetual "
-                         "pricer reads it off its GeneratorMatrix)")
+        raise ValueError("need a SpatialGrid to place the barrier on")
     level = contract.barrier_state(model)
     if not grid.is_barrier(level):
         raise ValueError(
@@ -258,7 +255,7 @@ def american_surface(
 
 
 # ---------------------------------------------------------------------------
-# perpetual pipeline
+# perpetual kernels and the pricers
 # ---------------------------------------------------------------------------
 
 
@@ -309,25 +306,18 @@ def parisian_transform(
 
 
 def price_perpetual_downin(
-    gen: GeneratorMatrix,
-    contract: ContractSpec,
     model: ModelSpec,
+    grid: SpatialGrid,
+    contract: ContractSpec,
+    gen: Optional[Union[GeneratorMatrix, np.ndarray]] = None,
+    rate_policy: str = "error",
 ) -> PriceSurface:
-    """Perpetual down-in value C_pi = H_p(rate) c_p on the chain: row 0 of
-    ``_finite_downin``'s one-slice case at dt = 1/rate on [c_p, 0]."""
+    """Perpetual down-in value C_pi = H_p(rate) c_p on ``grid``: the down-in
+    recursion's one-slice case, ``_price_downin`` at ``dt=None``."""
 
-    require_contract(contract, Flavor.DOWN_IN, model, getattr(gen, "grid", None))
-    f = contract.payoff_states(model, gen.grid.states)
-    c_p = vanilla_american_perpetual(gen, f, contract.rate)
-    C = _finite_downin([gen, gen], np.stack([c_p, np.zeros_like(c_p)]),
-                       gen.grid.n_below, contract.window, 1.0 / contract.rate)
-    return PriceSurface(values=C[:1], times=np.zeros(1), model=model,
-                        grid=gen.grid, vanilla=c_p[None])
-
-
-# ---------------------------------------------------------------------------
-# finite-maturity pricer
-# ---------------------------------------------------------------------------
+    require_contract(contract, Flavor.DOWN_IN, model, grid)
+    gens = slice_generators(model, grid, np.zeros(2), rate_policy, gen)
+    return _price_downin(gens, grid, contract, model, None, np.zeros(1), "exercise")
 
 
 def price_finite_downin(
@@ -339,11 +329,8 @@ def price_finite_downin(
     rate_policy: str = "error",
     vanilla_discounting: str = "activation",
 ) -> PriceSurface:
-    """Backward recursion for the finite-maturity down-in price surface.
-
-    The recursion works in the discounted variable e^{-rt} C(t); both
-    returned surfaces are un-discounted once, at the end, so every slice
-    holds prices (slice 0 is multiplied by exactly 1).
+    """Backward recursion for the finite-maturity down-in price surface
+    (``_price_downin``) on the clock slices of ``timegrid``.
 
     ``vanilla_discounting`` fixes how the post-activation vanilla leg is
     discounted.  "activation" (default, matching the published reference
@@ -356,12 +343,21 @@ def price_finite_downin(
     """
 
     require_contract(contract, Flavor.DOWN_IN, model, grid, timegrid)
+    gens = slice_generators(model, grid, timegrid.times, rate_policy, gen)
+    return _price_downin(gens, grid, contract, model, timegrid.dt, timegrid.times,
+                         vanilla_discounting)
 
-    dt = timegrid.dt
-    times = timegrid.times
-    gens = slice_generators(model, grid, times, rate_policy, gen)
-    f = contract.payoff_states(model, grid.states)
+
+def _price_downin(gens, grid, contract, model, dt, times,
+                  vanilla_discounting) -> PriceSurface:
+    """The surface over (clock slice ``times``, state) of the recursion on
+    ``gens``, of which ``times`` keeps the first rows, un-discounted once at
+    the end (slice 0 by exactly 1).  ``dt=None`` prices a perpetual
+    contract: c_p on rate I - G, then one slice at dt = 1/rate on [c_p, 0]."""
+
     rate = contract.rate
+    a0, cG, step = (rate, 1.0, 1.0 / rate) if dt is None else (1.0, dt, dt)
+    f = contract.payoff_states(model, grid.states)
 
     # vanilla continuation surface, expressed in the discounted variable
     # (zero past the last exercise date either way)
@@ -375,11 +371,12 @@ def price_finite_downin(
             "vanilla_discounting must be 'activation' or 'exercise', got "
             f"{vanilla_discounting!r}"
         )
-    W = american_surface(gens, lambda g: slice_operator(g, 1.0, dt), obstacles)
+    W = american_surface(gens, lambda g: slice_operator(g, a0, cG), obstacles)
     if vanilla_discounting == "activation":
-        W *= np.exp(-rate * times)[:, None]
+        W[:len(times)] *= np.exp(-rate * times)[:, None]
 
-    C = _finite_downin(gens, W, grid.n_below, contract.window, dt)
+    C = _finite_downin(gens, W, grid.n_below, contract.window, step)[:len(times)]
+    W = W[:len(times)]
     growth = np.array([math.exp(rate * float(t)) for t in times])[:, None]
     C *= growth
     W *= growth

@@ -142,7 +142,7 @@ def build_ladder(
     barrier."""
 
     for name, value in (("window", window), ("duration tick dtick", dtick)):
-        if not (math.isfinite(value) and value > 0):
+        if value is None or not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     n_ticks = int(math.floor(window / dtick * (1 + 1e-12))) + 1
     return DurationLadder(
@@ -198,10 +198,12 @@ def duration_generator(
 
 
 def price_perpetual_downout(
-    gen: GeneratorMatrix,
-    contract: ContractSpec,
     model: ModelSpec,
+    grid: SpatialGrid,
+    contract: ContractSpec,
     dtick: float,
+    gen: Optional[Union[GeneratorMatrix, np.ndarray]] = None,
+    rate_policy: str = "error",
 ) -> PriceSurface:
     """Perpetual down-out value: the down-out recursion's one-slice case.
 
@@ -211,10 +213,10 @@ def price_perpetual_downout(
     the route ``_price_downout`` picks.
     """
 
-    grid = getattr(gen, "grid", None)
     require_contract(contract, Flavor.DOWN_OUT, model, grid)
-    return _price_downout([gen, gen], grid, contract, model, dtick, None,
-                          np.zeros(1))
+    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
+    gens = slice_generators(model, grid, np.zeros(2), rate_policy, gen)
+    return _price_downout(gens, grid, ladder, contract, model, None, np.zeros(1))
 
 
 def price_finite_downout(
@@ -235,19 +237,19 @@ def price_finite_downout(
     """
 
     require_contract(contract, Flavor.DOWN_OUT, model, grid, timegrid)
+    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     gens = slice_generators(model, grid, timegrid.times, rate_policy, gen)
-    return _price_downout(gens, grid, contract, model, dtick, timegrid.dt,
+    return _price_downout(gens, grid, ladder, contract, model, timegrid.dt,
                           timegrid.times)
 
 
-def _price_downout(gens, grid, contract, model, dtick, dt, times) -> PriceSurface:
-    """The surface over (clock slice ``times``, ladder slot) of the
+def _price_downout(gens, grid, ladder, contract, model, dt, times) -> PriceSurface:
+    """The surface over (clock slice ``times``, ``ladder`` slot) of the
     recursion on the slice generators ``gens``, of which ``times`` keeps the
     first rows: reduced (below-barrier slots eliminated, above-barrier
     problems only) whenever the payoff vanishes below the barrier, stacked
     otherwise."""
 
-    ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
     f0 = contract.payoff_states(model, grid.states)
     route = _reduced if _reducible(f0, ladder) else _stacked
     return PriceSurface(

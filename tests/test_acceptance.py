@@ -254,7 +254,7 @@ class TestStructuralInvariants:
         self._residual_ok(A @ v, v - f, scale=float(np.max(np.abs(v))))
 
         contract = _contract(Flavor.DOWN_OUT)
-        res = price_perpetual_downout(gen, contract, model, dtick=1.0 / 120.0)
+        res = price_perpetual_downout(model, grid, contract, dtick=1.0 / 120.0, gen=gen)
         ladder = res.ladder
         A_aug = rate * np.eye(ladder.total) - duration_generator(
             gen, ladder

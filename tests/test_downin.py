@@ -184,14 +184,26 @@ class TestPerpetualDownIn:
 
     def test_bounded_by_vanilla_and_positive(self):
         grid, gen = small_bs_setup(n=48)
-        res = price_perpetual_downin(gen, self.make_contract(), BS)
+        res = price_perpetual_downin(BS, grid, self.make_contract(), gen)
+        assert np.all(res.values >= -1e-12)
+        assert np.all(res.values <= res.vanilla + 1e-9)
+        assert res.value_at(90.0) > 0
+
+    def test_payoff_negative_on_some_states_prices_below_its_vanilla(self):
+        # S - 95 is negative below the strike; the finite down-in and both
+        # down-outs price such a payoff, and so does the perpetual down-in
+        grid, gen = small_bs_setup(n=64)
+        contract = dataclasses.replace(
+            self.make_contract(), payoff=lambda s: np.asarray(s, dtype=float) - 95.0)
+        res = price_perpetual_downin(BS, grid, contract, gen)
+        assert np.all(res.vanilla >= 0.0)
         assert np.all(res.values >= -1e-12)
         assert np.all(res.values <= res.vanilla + 1e-9)
         assert res.value_at(90.0) > 0
 
     def test_value_at_rejects_spots_off_the_states(self):
         grid, gen = small_bs_setup(n=48)  # states 30..270
-        res = price_perpetual_downin(gen, self.make_contract(), BS)
+        res = price_perpetual_downin(BS, grid, self.make_contract(), gen)
         assert res.value_at(270.0) == res.values[0, -1]
         for spot in (300.0, 20.0, math.nan):
             with pytest.raises(ValueError, match="outside the states"):
@@ -199,14 +211,14 @@ class TestPerpetualDownIn:
 
     def test_monotone_in_window(self):
         grid, gen = small_bs_setup(n=48)
-        v_short = price_perpetual_downin(gen, self.make_contract(1 / 24), BS)
-        v_long = price_perpetual_downin(gen, self.make_contract(1 / 6), BS)
+        v_short = price_perpetual_downin(BS, grid, self.make_contract(1 / 24), gen)
+        v_long = price_perpetual_downin(BS, grid, self.make_contract(1 / 6), gen)
         assert np.all(v_long.values <= v_short.values + 1e-10)
 
     def test_below_start_equals_transform_row_combination(self):
         grid, gen = small_bs_setup(n=32)
         contract = self.make_contract()
-        res = price_perpetual_downin(gen, contract, BS)
+        res = price_perpetual_downin(BS, grid, contract, gen)
         H = parisian_transform(gen, contract.window, contract.rate, grid.n_below)
         assert np.allclose(res.values[0], H @ res.vanilla[0], atol=1e-10)
 
@@ -215,15 +227,15 @@ class TestPerpetualDownIn:
         finite = ContractSpec(american_call(95.0), 90.0, 1 / 12, 1.0, 0.10,
                               Flavor.DOWN_IN)
         with pytest.raises(ValueError):
-            price_perpetual_downin(gen, finite, BS)
+            price_perpetual_downin(BS, grid, finite, gen)
         wrong_flavor = ContractSpec(american_call(95.0), 90.0, 1 / 12,
                                     math.inf, 0.10, Flavor.DOWN_OUT)
         with pytest.raises(ValueError):
-            price_perpetual_downin(gen, wrong_flavor, BS)
-        # a plain rate matrix has no grid to place the barrier on
+            price_perpetual_downin(BS, grid, wrong_flavor, gen)
+        # no grid to place the barrier on
         perpetual = dataclasses.replace(wrong_flavor, flavor=Flavor.DOWN_IN)
-        with pytest.raises(ValueError, match="GeneratorMatrix"):
-            price_perpetual_downin(gen.as_dense(), perpetual, BS)
+        with pytest.raises(ValueError, match="need a SpatialGrid"):
+            price_perpetual_downin(BS, None, perpetual, gen.as_dense())
 
 
 class TestSliceKernels:
@@ -416,7 +428,7 @@ class TestBandedSliceBlocks:
         grid, gen = small_bs_setup(n=60)
         contract = ContractSpec(american_call(95.0), barrier=90.0, window=1 / 12,
                                 maturity=math.inf, rate=0.05, flavor=Flavor.DOWN_IN)
-        banded = price_perpetual_downin(gen, contract, BS).values[0]
+        banded = price_perpetual_downin(BS, grid, contract, gen).values[0]
         R = gen.as_dense()
         f = contract.payoff_states(BS, grid.states)
         H = parisian_transform(R, contract.window, contract.rate, grid.n_below)
@@ -515,7 +527,7 @@ class TestOneSliceCase:
         for g in (gen, gen.as_dense()):
             _finite_downin([g, g], W[1:], grid.n_below, 1 / 12, 10.0)
         parisian_transform(gen, 1 / 12, 0.10, grid.n_below)
-        price_perpetual_downin(gen, contract, BS)
+        price_perpetual_downin(BS, grid, contract, gen)
         assert solves == []
         _finite_downin([gen] * 3, W, grid.n_below, 1 / 12, 10.0)
         assert solves == ["n_inv", "a_inv"]

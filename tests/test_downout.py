@@ -255,9 +255,9 @@ class TestPerpetualDownOut:
         vanilla = vanilla_american_perpetual(gen, f, 0.1)
         prev = None
         for window in (1 / 24, 1 / 12, 1 / 6):
-            res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT,
-                                                        window=window),
-                                          model, dtick=window / 4)
+            res = price_perpetual_downout(model, grid,
+                                          contract(Flavor.DOWN_OUT, window=window),
+                                          dtick=window / 4, gen=gen)
             assert np.all(res.level_values(0) <= vanilla + 1e-8)
             if prev is not None:
                 assert np.all(res.level_values(0) >= prev - 1e-10)
@@ -265,8 +265,8 @@ class TestPerpetualDownOut:
 
     def test_deeper_levels_worth_less(self):
         model, grid, gen = small_bs_setup(n=64)
-        res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
-                                      dtick=1 / 48)
+        res = price_perpetual_downout(model, grid, contract(Flavor.DOWN_OUT),
+                                      dtick=1 / 48, gen=gen)
         for level in range(1, res.ladder.n_ticks):
             shallow = res.level_values(level - 1)
             deep = res.level_values(level)
@@ -301,8 +301,8 @@ class TestPerpetualDownOut:
 
     def test_value_at_rejects_spots_off_the_states(self):
         model, grid, gen = small_bs_setup(n=40)  # states 10..360
-        res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
-                                      dtick=1 / 36)
+        res = price_perpetual_downout(model, grid, contract(Flavor.DOWN_OUT),
+                                      dtick=1 / 36, gen=gen)
         assert res.value_at(360.0) == res.level_values(0)[-1]
         assert res.value_at(50.0, level=1) >= 0.0
         for spot, level in ((400.0, 0), (5.0, 0), (math.nan, 0),
@@ -312,8 +312,8 @@ class TestPerpetualDownOut:
 
     def test_value_at_rejects_levels_off_the_ladder(self):
         model, grid, gen = small_bs_setup(n=40)
-        res = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
-                                      dtick=1 / 36)
+        res = price_perpetual_downout(model, grid, contract(Flavor.DOWN_OUT),
+                                      dtick=1 / 36, gen=gen)
         top = res.ladder.n_ticks  # the knock-out level: off the ladder
         assert res.value_at(50.0, level=top - 1) >= 0.0
         for level in (-1, top, top + 1):
@@ -332,28 +332,27 @@ class TestPerpetualDownOut:
             return policy_solve(*args, **kwargs)
 
         monkeypatch.setattr(pricer_downin, "policy_solve", counting)
-        model, _, gen = small_bs_setup(n=48)
+        model, grid, gen = small_bs_setup(n=48)
         put = ContractSpec(payoff=lambda s: np.maximum(95.0 - s, 0.0),
                            barrier=90.0, window=1 / 12, maturity=math.inf,
                            rate=0.1, flavor=Flavor.DOWN_OUT)
         for c in (contract(Flavor.DOWN_OUT), put):
             calls.clear()
-            price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            price_perpetual_downout(model, grid, c, dtick=1 / 36, gen=gen)
             assert calls == [None]
 
     def test_validation(self):
         model, grid, gen = small_bs_setup(n=24)
         with pytest.raises(ValueError):
-            price_perpetual_downout(gen, contract(Flavor.DOWN_IN), model,
-                                    dtick=1 / 36)
+            price_perpetual_downout(model, grid, contract(Flavor.DOWN_IN),
+                                    dtick=1 / 36, gen=gen)
         with pytest.raises(ValueError):
-            price_perpetual_downout(gen, contract(Flavor.DOWN_OUT,
-                                                  maturity=1.0), model,
-                                    dtick=1 / 36)
-        with pytest.raises(ValueError):
-            price_perpetual_downout(gen.as_dense(),
-                                    contract(Flavor.DOWN_OUT), model,
-                                    dtick=1 / 36)  # plain matrix, no grid
+            price_perpetual_downout(model, grid,
+                                    contract(Flavor.DOWN_OUT, maturity=1.0),
+                                    dtick=1 / 36, gen=gen)
+        with pytest.raises(ValueError, match="need a SpatialGrid"):
+            price_perpetual_downout(model, None, contract(Flavor.DOWN_OUT),
+                                    dtick=1 / 36, gen=gen.as_dense())
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +383,8 @@ class TestFiniteDownOut:
         c_fin = contract(Flavor.DOWN_OUT, maturity=1.0)
         fin = price_finite_downout(model, grid, TimeGrid(dt=1 / 24, horizon=1.0),
                                    c_fin, dtick=1 / 48)
-        perp = price_perpetual_downout(gen, contract(Flavor.DOWN_OUT), model,
-                                       dtick=1 / 48)
+        perp = price_perpetual_downout(model, grid, contract(Flavor.DOWN_OUT),
+                                       dtick=1 / 48, gen=gen)
         assert np.all(fin.values[0] <= perp.values + 1e-8)
 
     def test_rejects_a_time_grid_that_misses_the_maturity(self):
@@ -451,7 +450,7 @@ class TestFiniteDownOut:
             np.testing.assert_array_equal(
                 auto.values, _reduced(gens, ladder, f0, rate, tg.dt))
             c = contract(Flavor.DOWN_OUT, rate=rate)
-            auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            auto = price_perpetual_downout(model, grid, c, dtick=1 / 36, gen=gen)
             np.testing.assert_array_equal(
                 auto.values[0], perpetual(_reduced, gen, ladder, f0, rate))
 
@@ -790,8 +789,8 @@ class TestReducedRoute:
             assert 0 < n_above < grid.n_states
             expected = (n_above, gen.is_tridiagonal)
             sizes.clear()
-            price_perpetual_downout(gen, contract(Flavor.DOWN_OUT, rate=rate),
-                                    model, dtick=1 / 36)
+            price_perpetual_downout(model, grid, contract(Flavor.DOWN_OUT, rate=rate),
+                                    dtick=1 / 36, gen=gen)
             assert sizes == [expected]
             sizes.clear()
             price_finite_downout(model, grid, tg,
@@ -1240,8 +1239,8 @@ class TestStackedRoute:
         tg = TimeGrid(dt=1 / 12, horizon=0.25)
         for name, setup, rate in PUT_SETUPS:
             model, grid, gen = setup(n=24)
-            perp = price_perpetual_downout(gen, put_contract(math.inf, rate),
-                                           model, dtick=1 / 36)
+            perp = price_perpetual_downout(model, grid, put_contract(math.inf, rate),
+                                           dtick=1 / 36, gen=gen)
             fin = price_finite_downout(model, grid, tg,
                                        put_contract(0.25, rate), dtick=1 / 36)
             for key, values in ((f"{name}/perpetual", perp.values[0]),
@@ -1267,8 +1266,8 @@ class TestStackedRoute:
             assert ladder.n_ticks == 4 and ladder.n_below > 0
             live = grid.n_states + 3 * ladder.n_below
             sizes.clear()
-            price_perpetual_downout(gen, put_contract(math.inf, rate), model,
-                                    dtick=1 / 36)
+            price_perpetual_downout(model, grid, put_contract(math.inf, rate),
+                                    dtick=1 / 36, gen=gen)
             assert sizes == [live]
             sizes.clear()
             price_finite_downout(model, grid, tg, put_contract(0.25, rate),
@@ -1286,7 +1285,7 @@ class TestStackedRoute:
             np.testing.assert_array_equal(
                 auto.values, _stacked(gens, ladder, f0, rate, tg.dt))
             c = put_contract(math.inf, rate)
-            auto = price_perpetual_downout(gen, c, model, dtick=1 / 36)
+            auto = price_perpetual_downout(model, grid, c, dtick=1 / 36, gen=gen)
             np.testing.assert_array_equal(
                 auto.values[0], perpetual(_stacked, gen, ladder, f0, rate))
 
@@ -1301,8 +1300,8 @@ class TestStackedRoute:
         tg = TimeGrid(dt=1 / 12, horizon=0.25)
 
         def put_surfaces():
-            return (price_perpetual_downout(gen, put_contract(math.inf, 0.1),
-                                            model, dtick=1 / 10).values,
+            return (price_perpetual_downout(model, grid, put_contract(math.inf, 0.1),
+                                            dtick=1 / 10, gen=gen).values,
                     price_finite_downout(model, grid, tg, put_contract(0.25, 0.1),
                                          dtick=1 / 10).values)
 

@@ -3,7 +3,8 @@
 ``price`` only routes: on every class it must return the surface of a direct
 call to that class's pricer bit for bit, and it must name a grid that is not
 a ``SpatialGrid``, a missing clock step or duration tick, a generator built
-on another grid, and a discounting term given to the wrong class.
+on another grid, a generator list for a perpetual contract, and a
+discounting term given to the wrong class.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from parisian import price
+from parisian import ctmc, price
 from parisian.ctmc import TimeGrid, build_generator, build_grid, slice_generators
 from parisian.models import bs_model
 from parisian.pricer_downin import (
@@ -53,10 +54,9 @@ def direct(model, grid, c, gen=None):
     """The branch for ``c``'s class, called by hand."""
 
     if c.is_perpetual:
-        gen = build_generator(model, grid, 0.0, "error") if gen is None else gen
         if c.flavor is Flavor.DOWN_IN:
-            return price_perpetual_downin(gen, c, model)
-        return price_perpetual_downout(gen, c, model, dtick=DTICK)
+            return price_perpetual_downin(model, grid, c, gen=gen)
+        return price_perpetual_downout(model, grid, c, dtick=DTICK, gen=gen)
     timegrid = TimeGrid(dt=DT, horizon=c.maturity)
     if c.flavor is Flavor.DOWN_IN:
         return price_finite_downin(model, grid, timegrid, c, gen=gen)
@@ -159,11 +159,38 @@ def test_grid_that_is_not_a_spatial_grid_is_named(flavor, maturity):
 
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_plain_rate_matrix_has_no_grid_to_check(flavor):
+    # a perpetual contract once raised "need a SpatialGrid" here: its pricer
+    # read the grid off the generator, and a plain rate matrix has none
     grid = small_grid(40)
-    c = contract(flavor, maturity=T)
     rates = build_generator(BS, grid).as_dense()
-    assert_same_surface(price(BS, grid, c, dt=DT, dtick=DTICK, gen=rates),
-                        direct(BS, grid, c, gen=rates))
+    for maturity in (T, math.inf):
+        c = contract(flavor, maturity)
+        assert_same_surface(price(BS, grid, c, dt=DT, dtick=DTICK, gen=rates),
+                            direct(BS, grid, c, gen=rates))
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_perpetual_contract_takes_one_generator(flavor):
+    grid = small_grid(40)
+    gen = build_generator(BS, grid)
+    for given in ([gen, gen], (gen,)):
+        with pytest.raises(ValueError, match="perpetual contract takes one generator"):
+            price(BS, grid, contract(flavor), dtick=DTICK, gen=given)
+
+
+def test_missing_step_named_on_a_direct_call_before_any_assembly(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a generator was assembled before the check")
+
+    monkeypatch.setattr(ctmc, "build_generator", no_assembly)
+    grid = small_grid(40)
+    with pytest.raises(ValueError, match="clock step dt must be"):
+        TimeGrid(dt=None, horizon=T)
+    with pytest.raises(ValueError, match="duration tick dtick must be"):
+        price_finite_downout(BS, grid, TimeGrid(dt=DT, horizon=T),
+                             contract(Flavor.DOWN_OUT, T), None)
+    with pytest.raises(ValueError, match="duration tick dtick must be"):
+        price_perpetual_downout(BS, grid, contract(Flavor.DOWN_OUT), None)
 
 
 # each non-finite term the entry point was once handed, with what it did
