@@ -29,7 +29,14 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .models import JumpMeasure, ModelSpec
-from .numerics import LCPOperator
+from .numerics import (
+    LCPOperator,
+    _Inverse,
+    factor_dense,
+    factor_tridiag,
+    solve_dense,
+    solve_tridiag,
+)
 
 # cells (rows x states) per jump assembly chunk, so that a chunk's
 # temporaries take the same memory on every grid
@@ -447,10 +454,54 @@ def slice_operator(
     return LCPOperator(rate_block(gen, slice(None), slice(None), a0, -cG))
 
 
+def block_inverse(
+    gen: Union[GeneratorMatrix, np.ndarray], rows: slice, a0: float, cG: float
+) -> _Inverse:
+    """The inverse of the principal block on the range ``rows`` of
+    a0 I - cG G, a0 > 0, as the LU factor of the block's transpose: of
+    ``slice_bands`` on a tridiagonal chain, nothing of the block's square
+    size formed, and of ``rate_block`` otherwise.
+
+    G's off-diagonals are >= 0 and its rows sum to <= 0, so the block is a
+    strictly row diagonally dominant M-matrix, its transpose is column
+    diagonally dominant, and partial pivoting makes no row interchange there
+    (Wilkinson; Higham 2002, sec. 9.5): the factor is L U with L unit lower
+    and U upper triangular, both with off-diagonals <= 0 and U's diagonal
+    > 0 (the Schur complements of an M-matrix are M-matrices).  A solve
+    U^T (L^T x) = b is a forward substitution with U^T and a back
+    substitution with L^T, and for b >= 0 every term of either is >= 0:
+    nothing cancels, and x >= 0 as computed.
+    """
+
+    if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
+        idx = np.arange(*rows.indices(gen.dimension))
+        return _Inverse(solve_tridiag, factor_tridiag(slice_bands(gen, a0, cG), idx))
+    return _Inverse(solve_dense, factor_dense(rate_block(gen, rows, rows, a0, -cG)))
+
+
+def _require_on_grid(gen, grid: SpatialGrid) -> None:
+    """Raise ValueError unless ``gen`` is a generator built on the states of
+    ``grid`` or a plain rate matrix of its size, saying what differs."""
+
+    n, states = grid.n_states, getattr(gen, "grid", grid).states
+    if not isinstance(gen, GeneratorMatrix) and np.shape(gen) != (n, n):
+        raise ValueError(f"gen is a rate matrix of shape {np.shape(gen)}, not one "
+                         f"of the given grid of {n} states")
+    if len(states) != n:
+        raise ValueError(f"gen was built on a grid of {len(states)} states, "
+                         f"not on the given grid of {n}")
+    if not np.array_equal(states, grid.states):
+        i = int(np.argmax(states != grid.states))
+        raise ValueError(f"gen was built on a grid whose state {i} is {states[i]}, "
+                         f"not the given grid's {grid.states[i]}")
+
+
 def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
-    """One generator per clock slice ``times``: ``gen`` (a sequence of that
-    length, checked, or one generator shared by every slice), else built
-    from ``model``, once if it is time-homogeneous and per slice if not.
+    """One generator per clock slice ``times`` (None: the two slices of a
+    perpetual contract's recursion, which takes one ``gen``): ``gen``, a
+    sequence of that length or one generator for every slice, checked
+    against ``grid`` first, else built from ``model``, once if it is
+    time-homogeneous and per slice if not.
 
     A time-dependent model whose jump measure is time-homogeneous pays for
     its jump part once: the first slice's generator assembles it and every
@@ -458,6 +509,13 @@ def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
     drift and diffusion rates.
     """
 
+    listed = isinstance(gen, (list, tuple))
+    for g in gen if listed else [] if gen is None else [gen]:
+        _require_on_grid(g, grid)
+    if times is None:
+        if listed:
+            raise ValueError("a perpetual contract takes one generator, not a list")
+        times = np.zeros(2)
     if gen is None:
         if not model.time_homogeneous:
             first = build_generator(model, grid, float(times[0]), rate_policy)
@@ -468,7 +526,7 @@ def slice_generators(model, grid, times, rate_policy="error", gen=None) -> list:
                 for t in times[1:]
             ]
         gen = build_generator(model, grid, 0.0, rate_policy)
-    if isinstance(gen, (list, tuple)):
+    if listed:
         if len(gen) != len(times):
             raise ValueError(f"need {len(times)} generators, got {len(gen)}")
         return list(gen)

@@ -2,7 +2,9 @@
 
 Uniformized matrix exponentials, dense, tridiagonal and general band LU
 factorizations, randomized low-rank factors and linear-complementarity (LCP)
-solvers.  ``generator_expm`` sums the uniformized series of a sub-generator,
+solvers.  Every dense and tridiagonal LU factor is of the transpose, which
+swaps no rows on the blocks the pricers factor (``ctmc.block_inverse``).
+``generator_expm`` sums the uniformized series of a sub-generator,
 a degree-d polynomial in P = I + G/rate with Poisson weights, in the
 Paterson-Stockmeyer order: about 2 sqrt(d) matrix products instead of d, and
 every term nonnegative, so exp(t G) >= 0 entrywise.  The LCP convention
@@ -45,82 +47,74 @@ from scipy.sparse.linalg import splu
 # ---------------------------------------------------------------------------
 
 
-def factor_dense(A: np.ndarray, transposed: bool = False) -> tuple:
-    """LU factors (LAPACK ``dgetrf``, partial pivoting) of the square A.
+def factor_dense(A: np.ndarray) -> tuple:
+    """LU factors (LAPACK ``dgetrf``, partial pivoting) of the transpose of
+    the square A, with which ``solve_dense`` solves with A (trans='T').
 
-    A is handed over: a Fortran-ordered A is factored in place, any other
-    is copied once by the wrapper.  ``transposed`` factors A^T instead, the
-    transpose of a C-ordered A being Fortran-ordered, and ``solve_dense``
-    still solves with A itself (``dgetrs`` with trans='T'), as with
-    ``factor_tridiag``.  Raises ``LinAlgError`` on an exactly zero pivot.
+    A is handed over: the transpose of a C-ordered A is Fortran-ordered and
+    factored in place, any other is copied once by the wrapper.  Raises
+    ``LinAlgError`` on an exactly zero pivot.
     """
 
-    a = A.T if transposed else A
+    a = A.T
     if not a.size:  # LAPACK rejects an empty matrix
-        return a, np.zeros(0, dtype=np.int32), int(transposed)
+        return a, np.zeros(0, dtype=np.int32)
     lu, piv, info = dgetrf(a, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError("singular dense block")
-    return lu, piv, int(transposed)
+    return lu, piv
 
 
 def solve_dense(factor: tuple, b: np.ndarray) -> np.ndarray:
     """Solve A x = b (a vector, or a matrix column by column) with the
     factor of ``factor_dense``."""
 
-    lu, piv, trans = factor
+    lu, piv = factor
     if not np.size(b):  # the wrapper rejects an empty right-hand side
         return np.zeros(np.shape(b))
-    return dgetrs(lu, piv, b, trans=trans)[0]
+    return dgetrs(lu, piv, b, trans=1)[0]
 
 
-def factor_tridiag(ab: np.ndarray, idx: np.ndarray, transposed: bool = False) -> tuple:
-    """LU factors (LAPACK ``dgttrf``) of the principal block on the sorted
-    indices ``idx`` of the tridiagonal matrix with bands ``ab``.
+def factor_tridiag(ab: np.ndarray, idx: np.ndarray) -> tuple:
+    """LU factors (LAPACK ``dgttrf``) of the transpose of the principal
+    block on the sorted indices ``idx`` of the tridiagonal matrix with bands
+    ``ab``, with which ``solve_tridiag`` solves with the block (trans='T').
 
     The block is tridiagonal too: rows idx[k] and idx[k+1] couple only when
     they are neighbours, so every coupling across a gap in ``idx`` is 0.  The
     LAPACK wrapper rejects fewer than 3 rows, so a smaller block is padded
     with an identity block, which ``solve_tridiag`` drops again.
-
-    ``transposed`` factors the block's transpose instead, and
-    ``solve_tridiag`` still solves with the block itself (``dgttrs`` with
-    trans='T').  On a row diagonally dominant block the transpose is column
-    diagonally dominant, where partial pivoting makes no row interchange
-    (Higham 2002, sec. 9.5): the factors are the plain LU of the transpose.
     """
 
     n = len(idx)
     m = max(n, 3)
     d = np.ones(m)
-    dl, du = np.zeros(m - 1), np.zeros(m - 1)
+    dl, du = np.zeros(m - 1), np.zeros(m - 1)  # of the transpose
     if n and idx[-1] - idx[0] == n - 1:  # a contiguous range: the bands' slices
         a = idx[0]
         d[:n] = ab[1, a:a + n]
-        dl[:n - 1] = ab[2, a:a + n - 1]
-        du[:n - 1] = ab[0, a + 1:a + n]
+        du[:n - 1] = ab[2, a:a + n - 1]
+        dl[:n - 1] = ab[0, a + 1:a + n]
     else:
         d[:n] = ab[1, idx]
         near = np.flatnonzero(np.diff(idx) == 1)
-        dl[near] = ab[2, idx[near]]
-        du[near] = ab[0, idx[near] + 1]
-    if transposed:
-        dl, du = du, dl
+        du[near] = ab[2, idx[near]]
+        dl[near] = ab[0, idx[near] + 1]
     *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info:
         raise np.linalg.LinAlgError("singular free block A_FF")
-    return lu, n, "T" if transposed else "N"
+    return lu, n
 
 
 def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
     """Solve A_FF x = b (a vector, or a matrix column by column) with the
     factor of ``factor_tridiag``."""
 
-    lu, n, trans = factor
+    lu, n = factor
     pad = len(lu[1]) - n  # the identity rows of a padded block solve to 0
     if pad:
         b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
-    return dgttrs(*lu, b, trans=trans)[0][:n]
+    return dgttrs(*lu, b, trans="T")[0][:n]
 
 
 def factor_banded(ab: np.ndarray, kl: int, ku: int) -> tuple:
@@ -329,15 +323,14 @@ class LCPOperator:
     at least half full included, is held dense, where a dense LU is cheaper
     than a sparse one.  ``is_sparse`` is true for bands and CSC.
     On bands and dense, the first prefix free set F = {0..k-1} factors the
-    whole A^T (``factor_tridiag``/``factor_dense``, transposed).  Partial
-    pivoting makes no interchange there when A is row diagonally dominant,
-    as every pricing operator is (Higham 2002, sec. 9.5), and every prefix
-    block is then solved from the factor's leading block, trans='T' (a
-    dense one copied when k changes).  With an interchange or a singular A,
-    as for any other F and every F on CSC, A_FF is cut and factored
-    (``factor_tridiag``, ``splu`` or ``factor_dense``) and kept while F
-    stays.  A reused factor solves as a fresh one would; the factors live
-    as long as the operator.
+    whole A (``factor_tridiag``/``factor_dense``, both of the transpose).
+    That factor makes no interchange when A is row diagonally dominant, as
+    every pricing operator is (see ``ctmc.block_inverse``), and every prefix
+    block is then solved from its leading block (a dense one copied when k
+    changes).  With an interchange or a singular A, as for any other F and
+    every F on CSC, A_FF is cut and factored (``factor_tridiag``, ``splu``
+    or ``factor_dense``) and kept while F stays.  A reused factor solves as
+    a fresh one would; the factors live as long as the operator.
     """
 
     def __init__(self, A: Union[np.ndarray, sparse.spmatrix]):
@@ -429,17 +422,16 @@ class LCPOperator:
         if self.bands is None:
             y = dtrtrs(self._whole[0], rhs, lower=0, trans=1)[0]
         else:  # dgttrs(trans='T') with L's multipliers zeroed stops at U^T
-            (dl, *lu), n, trans = self._whole
-            y = solve_tridiag(([np.zeros_like(dl)] + lu, n, trans), rhs)
+            (dl, *lu), n = self._whole
+            y = solve_tridiag(([np.zeros_like(dl)] + lu, n), rhs)
         return int(np.max(np.flatnonzero(y > 0.0) + 1, initial=0)), made
 
     def _factor_whole(self):
         """The factor of A^T, or False if A^T is singular or swapped rows."""
 
         try:  # dense: the transpose of a C-ordered copy, factored in place
-            whole = (factor_tridiag(self.bands, np.arange(self.n), transposed=True)
-                     if self.bands is not None
-                     else factor_dense(self.matrix.copy(), transposed=True))
+            whole = (factor_tridiag(self.bands, np.arange(self.n))
+                     if self.bands is not None else factor_dense(self.matrix.copy()))
         except np.linalg.LinAlgError:
             return False
         piv = whole[0][4] - 1 if self.bands is not None else whole[1]  # 0-based
@@ -449,17 +441,17 @@ class LCPOperator:
         """Solve A_FF x = rhs on F = {0..k-1} from the leading block of ``_whole``."""
 
         if self.bands is None:  # dense: a copy of the block, made when k changes
-            lu, piv, trans = self._whole
+            lu, piv = self._whole
             if k < self.n and (self._lead is None or self._lead[0] != k):
                 self._lead = k, lu[:k, :k].copy(order="F")
-            return solve_dense((lu if k == self.n else self._lead[1], piv[:k], trans), rhs)
-        (dl, d, du, du2, ipiv), _, trans = self._whole
+            return solve_dense((lu if k == self.n else self._lead[1], piv[:k]), rhs)
+        (dl, d, du, du2, ipiv), _ = self._whole
         m = max(k, 3)  # the wrapper's least, padded as in factor_tridiag
         lu = [dl[:m - 1], d[:m], du[:m - 1], du2[:m - 2], ipiv[:m]]
         if k < 3:  # rows past k: an uncoupled identity block
             pad = np.zeros(3 - k)
             lu[:3] = np.r_[dl[:k - 1], pad], np.r_[d[:k], pad + 1], np.r_[du[:k - 1], pad]
-        return solve_tridiag((lu, k, trans), rhs)
+        return solve_tridiag((lu, k), rhs)
 
 
 class LCPStatus(enum.Enum):

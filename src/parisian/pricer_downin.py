@@ -42,8 +42,8 @@ from .ctmc import (
     GeneratorMatrix,
     SpatialGrid,
     TimeGrid,
+    block_inverse,
     rate_block,
-    slice_bands,
     slice_generators,
     slice_operator,
     slice_operators,
@@ -54,13 +54,11 @@ from .numerics import (
     LCPProblem,
     _Inverse,
     factor_dense,
-    factor_tridiag,
     generator_expm,
     poisson_weights,
     policy_solve,
     require_solved,
     solve_dense,
-    solve_tridiag,
 )
 
 if TYPE_CHECKING:
@@ -316,7 +314,7 @@ def price_perpetual_downin(
     recursion's one-slice case, ``_price_downin`` at ``dt=None``."""
 
     require_contract(contract, Flavor.DOWN_IN, model, grid)
-    gens = slice_generators(model, grid, np.zeros(2), rate_policy, gen)
+    gens = slice_generators(model, grid, None, rate_policy, gen)
     return _price_downin(gens, grid, contract, model, None, np.zeros(1), "exercise")
 
 
@@ -407,21 +405,16 @@ def _slice_blocks(gen, n_below, window, dt):
     (down-cross before the next tick); hp = h1 - e^{-window/dt} E h1.  h1
     and hp span the above states ``up`` reached from below, hm the below
     states ``down`` reached from above, and I - hp hm[up] is I off ``down``.
-    A tridiagonal chain's spans are states m and m - 1 and its resolvents
-    ``slice_bands`` factors; any other's spans are whole, its factors dense.
+    A tridiagonal chain crosses the barrier between states m - 1 and m
+    alone, which are its spans; any other chain's spans are whole.
     """
 
     m = n_below
     b, a = slice(0, m), slice(m, None)
+    n_inv, a_inv = (block_inverse(gen, s, 1.0, dt) for s in (b, a))
     if isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal:
-        ab = slice_bands(gen, 1.0, dt)
-        n_inv, a_inv = (_Inverse(solve_tridiag, factor_tridiag(ab, idx))
-                        for idx in np.split(np.arange(gen.dimension), [m]))
         cols, up, down = slice(m, m + 1), slice(0, 1), slice(m - 1, m)
     else:
-        n_inv, a_inv = (
-            _Inverse(solve_dense, factor_dense(rate_block(gen, s, s, 1.0, -dt)))
-            for s in (b, a))
         cols, up, down = a, slice(None), b
     h1 = n_inv @ rate_block(gen, b, cols, scale=dt)
     E = generator_expm(rate_block(gen, b, b), window)

@@ -43,6 +43,7 @@ from .ctmc import (
     GeneratorMatrix,
     SpatialGrid,
     TimeGrid,
+    block_inverse,
     dense_rates,
     rate_block,
     slice_bands,
@@ -54,12 +55,8 @@ from .numerics import (
     LCPOperator,
     _Inverse,
     factor_banded,
-    factor_dense,
-    factor_tridiag,
     low_rank_factor,
     solve_banded,
-    solve_dense,
-    solve_tridiag,
 )
 from .pricer_downin import (
     ContractSpec,
@@ -215,7 +212,7 @@ def price_perpetual_downout(
 
     require_contract(contract, Flavor.DOWN_OUT, model, grid)
     ladder = build_ladder(contract.window, dtick, grid.n_states, grid.n_below)
-    gens = slice_generators(model, grid, np.zeros(2), rate_policy, gen)
+    gens = slice_generators(model, grid, None, rate_policy, gen)
     return _price_downout(gens, grid, ladder, contract, model, None, np.zeros(1))
 
 
@@ -326,35 +323,23 @@ class _ReducedLadderOps:
     M_0 + P_0 c[coupled] are then >= 0, the payoff there, and with them the
     stacked LCP holds with equality on every below-barrier row.
 
-    Q = (a0 + cup) I - cG R_bb, with R_bb the below block of a generator
-    (off-diagonals >= 0, rows summing to <= 0) and a0 > 0, is a strictly
-    row diagonally dominant M-matrix, so Q^-1 >= 0 entrywise.  ``Qinv``
-    applies Q^-1 with ``@`` in the Horner loop for the level maps and in
-    the per-slice sources, by solves with a factor made once per slice
-    generator, in a form chosen from the chain: ``dgttrf``'s band factor of
-    Q^T on a tridiagonal chain, where A_aa is held as its three bands and
-    nothing of size m x m is formed; ``dgbtrf``'s factor of the separable
-    form (``_separable_rows``) on a generator whose below block of far jump
-    rates its group record found separable, as Kou's is, where each slice
-    writes Q's three local bands into the record's band system of 3m
-    unknowns and factors it in O(m); and ``dgetrf``'s dense factor of Q^T
-    on any other chain and every plain rate matrix.  On the last two, A_aa
-    (and Q on the dense form) is written in one pass by ``rate_block`` from
-    the generator's jump block and bands, and neither the dense rate matrix
-    nor any of its rows is formed.  That choice, and where the A_ab P_0 term
-    lands in A_eff, are all that differ between chains: the cross-barrier
-    blocks come from one record on every chain (below).  ``Qinv @ b``
-    solves Q x = b with it.  On the tridiagonal and dense forms Q^T is
-    column diagonally dominant, so partial pivoting makes no row
-    interchange (Wilkinson; Higham 2002, sec. 9.5) and the factor is Q^T =
-    L U with L unit lower and U upper triangular, both with off-diagonals
-    <= 0 and U's diagonal > 0 (the Schur complements of an M-matrix are
-    M-matrices).  Q x = U^T (L^T x) = b is then a forward substitution with
-    U^T and a back substitution with L^T, and for b >= 0 every term of
-    either is >= 0: nothing cancels, x >= 0 as computed, and with the exact
-    B >= 0 every term of the Horner sum for P_0 is nonnegative too.  The
-    separable form's band system is no M-matrix and its factor pivots, so
-    there x >= 0 holds up to rounding only.
+    Q, the below block of (a0 + cup) I - cG G, is an M-matrix (see
+    ``ctmc.block_inverse``), so Q^-1 >= 0 entrywise.  ``Qinv`` applies Q^-1
+    with ``@`` in the Horner loop for the level maps and in the per-slice
+    sources, with a factor made once per slice generator:
+    ``block_inverse``'s (bands on a tridiagonal chain, where A_aa is bands
+    too and nothing of size m x m is formed; dense otherwise), whose solves
+    with b >= 0 are >= 0 as computed, so with the exact B >= 0 every term of
+    the Horner sum for P_0 is too; or, where the group record found the
+    below block of far jump rates separable, as Kou's is, ``dgbtrf``'s of
+    the separable form (``_separable_rows``): each slice writes Q's three
+    local bands into the record's band system of 3m unknowns and factors it
+    in O(m).  That system is no M-matrix and its factor pivots, so there x
+    >= 0 holds up to rounding only.  On a jump chain A_aa (and Q on the
+    dense form) is written in one pass by ``rate_block``, and neither the
+    dense rate matrix nor any of its rows is formed.  That choice, and where
+    the A_ab P_0 term lands in A_eff, are all that differ between chains:
+    the cross-barrier blocks come from one record on every chain (below).
 
     ``sources`` reads neither B nor its factor, so every M_k is free of the
     factor's error, and >= 0 as computed on the tridiagonal and dense forms.
@@ -426,10 +411,7 @@ class _ReducedLadderOps:
         U, W, d_ab = cross.slice_factor(gen)
         coupled, feeders, A_ab = cross.coupled, cross.feeders, cross.A_ab
         banded = isinstance(gen, GeneratorMatrix) and gen.is_tridiagonal
-        if banded:
-            Qinv, A = _tridiagonal_blocks(gen, ladder, a0, cG, cup)
-        else:
-            Qinv, A = _jump_blocks(gen, ladder, a0, cG, cup, cross.jump_rows)
+        Qinv, A = _ladder_blocks(gen, ladder, a0, cG, cup, cross.jump_rows, banded)
         self.form = ("tridiagonal" if banded else
                      "dense" if cross.jump_rows is None else "separable")
 
@@ -451,7 +433,7 @@ class _ReducedLadderOps:
             fix = fix @ W
         if not banded:
             A[feeders, coupled] += fix
-        elif fix.size:  # the barrier node's diagonal (see _tridiagonal_blocks)
+        elif fix.size:  # the barrier node's diagonal, in A_aa's bands
             A[1, 0] += fix[0, 0]
 
         self.ladder = ladder
@@ -505,46 +487,30 @@ class _ReducedLadderOps:
         return out
 
 
-def _tridiagonal_blocks(gen, ladder, a0, cG, cup):
-    """(Q^-1, bands of A_aa) of a tridiagonal chain, for ``_ReducedLadderOps``:
-    both from ``slice_bands``, so nothing of size m x m is formed; the
-    cross-barrier blocks come from the slice's ``_CrossBlocks``."""
+def _ladder_blocks(gen, ladder, a0, cG, cup, jump_rows, banded):
+    """(Q^-1, A_aa) for ``_ReducedLadderOps``: Q, the leading m x m block
+    of (a0 + cup) I - cG G, from ``block_inverse``, or on the separable form
+    when the group record holds ``jump_rows`` (see ``_separable_rows``),
+    with this slice's three local bands of Q written into the x_i rows; and
+    level 0's above-barrier block of a0 I - cG G, as bands when ``banded``."""
 
     m = ladder.n_below
-    # Q: the leading m x m block of (a0 + cup) I - cG G; its transpose is
-    # the one factored (see _ReducedLadderOps)
-    Qinv = _Inverse(solve_tridiag, factor_tridiag(
-        slice_bands(gen, a0 + cup, cG), np.arange(m), transposed=True))
-    A_aa = slice_bands(gen, a0, cG)[:, m:].copy()
-    A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
-    return Qinv, A_aa
-
-
-def _jump_blocks(gen, ladder, a0, cG, cup, jump_rows):
-    """(Q^-1, A_aa) of any chain, for ``_ReducedLadderOps``: Q^-1 on the
-    separable form when the group record holds ``jump_rows`` (see
-    ``_separable_rows``), with this slice's three local bands of Q written
-    into the x_i rows, and on the dense form otherwise; the cross-barrier
-    blocks come from the slice's ``_CrossBlocks``."""
-
-    m = ladder.n_below
-    below, above = slice(0, m), slice(m, ladder.n_states)
     if jump_rows is None:
-        # Q in C order, so that Q^T is in Fortran order and LAPACK factors it
-        # in place: no second m x m array is alive while A_eff is built
-        Q = rate_block(gen, below, below, a0 + cup, -cG)
-        Qinv = _Inverse(solve_dense, factor_dense(Q, transposed=True))
+        Qinv = block_inverse(gen, slice(0, m), a0 + cup, cG)
     else:  # Q's bands rounded as rate_block writes them
         ab = jump_rows.copy(order="F")
         ab[10, 1::3] = gen.diag[:m] * -cG + (a0 + cup)  # Q[i, i]
         ab[7, 4::3] = gen.up[:m - 1] * -cG  # Q[i, i + 1]
         ab[13, 1:3 * m - 3:3] = gen.down[1:m] * -cG  # Q[i, i - 1]
         Qinv = _Inverse(_solve_separable, factor_banded(ab, 5, 5))
-    # level 0's above-barrier block of a0 I - cG G in Fortran order: the
-    # LCP's BLAS calls round differently on a C-order one (jump down-out
-    # prices moved by up to 3e-13 relative)
-    A_aa = rate_block(gen, above, above, a0, -cG, order="F")
-    return Qinv, A_aa
+    if banded:
+        A_aa = slice_bands(gen, a0, cG)[:, m:].copy()
+        A_aa[0, :1] = 0.0  # A[m-1, m] sits in the below rows
+        return Qinv, A_aa
+    # in Fortran order: the LCP's BLAS calls round differently on a C-order
+    # one (jump down-out prices moved by up to 3e-13 relative)
+    above = slice(m, ladder.n_states)
+    return Qinv, rate_block(gen, above, above, a0, -cG, order="F")
 
 
 def _solve_separable(factor, b: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .ctmc import SpatialGrid, TimeGrid, resolve_rate_policy
 from .models import ModelSpec
 from .pricer_downin import ContractSpec, Flavor, PriceSurface
@@ -31,9 +29,9 @@ def price(model: ModelSpec, grid: SpatialGrid, contract: ContractSpec, *,
     slice of a finite contract.  ``vanilla_discounting`` is a finite
     down-in's term (see ``price_finite_downin``).  ValueError for a ``grid``
     that is not a ``SpatialGrid``, a missing ``dt`` or ``dtick``, a ``gen``
-    built on another grid (a plain rate matrix has none and passes) or listed
-    for a perpetual contract, or a ``vanilla_discounting`` given to another
-    class.
+    that does not fit ``grid`` or is listed for a perpetual contract (both
+    ``ctmc.slice_generators``'s checks), or a ``vanilla_discounting`` given
+    to another class.
     """
 
     if not isinstance(grid, SpatialGrid):
@@ -41,16 +39,8 @@ def price(model: ModelSpec, grid: SpatialGrid, contract: ContractSpec, *,
     down_in = contract.flavor is Flavor.DOWN_IN
     if vanilla_discounting is not None and (contract.is_perpetual or not down_in):
         raise ValueError("vanilla_discounting is a term of a finite down-in only")
-    listed = isinstance(gen, (list, tuple))
-    for g in gen if listed else [gen]:
-        built_on = getattr(g, "grid", grid)  # a plain rate matrix has no grid
-        if not np.array_equal(built_on.states, grid.states):
-            raise ValueError(f"gen was built on a grid of {built_on.n_states} states, "
-                             f"not on the given grid of {grid.n_states}")
     policy = resolve_rate_policy(rate_policy, model)
     if contract.is_perpetual:
-        if listed:
-            raise ValueError("a perpetual contract takes one generator, not a list")
         if down_in:
             return price_perpetual_downin(model, grid, contract, gen, policy)
         return price_perpetual_downout(model, grid, contract, dtick, gen, policy)

@@ -664,6 +664,66 @@ class TestSliceOperator:
                 op.to_dense(), a0 * np.eye(gen.dimension) - cG * gen.as_dense())
 
 
+class TestBlockInverse:
+    def test_forms_solve_the_block_without_interchange(self):
+        # bands on a tridiagonal chain, dense on a jump chain and a plain
+        # matrix: each factor has the identity pivots and solves the block
+        # of a0 I - cG G, nonnegative on a nonnegative right-hand side
+        rng = np.random.default_rng(5)
+        g = build_grid(math.log(20), math.log(400), math.log(90), math.log(95), 40)
+        bs = build_generator(BS, build_grid(18.0, 360.0, 90.0, 95.0, 40))
+        kou = build_generator(KOU, g)
+        for gen in (bs, bs.as_dense(), kou, kou.as_dense()):
+            banded = gen is bs
+            R = gen if isinstance(gen, np.ndarray) else gen.as_dense()
+            for a0, cG in ((0.05, 1.0), (1.0, 1 / 60)):
+                for rows in (slice(0, 12), slice(12, None), slice(3, 11)):
+                    inv = ctmc.block_inverse(gen, rows, a0, cG)
+                    piv = inv.factor[0][4] - 1 if banded else inv.factor[1]
+                    np.testing.assert_array_equal(piv, np.arange(len(piv)))
+                    block = (a0 * np.eye(len(R)) - cG * R)[rows, rows]
+                    for b in (rng.uniform(0.1, 1.0, size=len(block)),
+                              rng.uniform(0.1, 1.0, size=(len(block), 3))):
+                        x = inv @ b
+                        assert x.shape == b.shape and np.all(x >= 0.0)
+                        np.testing.assert_allclose(x, np.linalg.solve(block, b),
+                                                   rtol=1e-13)
+
+    def test_every_pricing_factor_is_pivot_free(self, monkeypatch):
+        # every dense and tridiagonal LU factor made while pricing the 12
+        # reference blocks at their coarsest grids and the two BS down-out
+        # puts keeps the identity pivots; the separable form's dgbtrf factor
+        # pivots by design and is left out
+        from parisian import bench_cli, numerics
+
+        swapped, made = [], []
+
+        def recording(lapack, pivots):
+            def factor(*args, **kwargs):
+                out = lapack(*args, **kwargs)
+                piv = pivots(out)
+                made.append(key)
+                if np.any(piv != np.arange(len(piv))):
+                    swapped.append(key)
+                return out
+            return factor
+
+        monkeypatch.setattr(numerics, "dgetrf",
+                            recording(numerics.dgetrf, lambda out: out[1]))
+        monkeypatch.setattr(numerics, "dgttrf",
+                            recording(numerics.dgttrf, lambda out: out[4] - 1))
+        cases = [(f"{family} {opt.key}", opt.config)
+                 for family in ("bs", "kou", "vg")
+                 for opt in bench_cli.REFERENCE_TABLES[family]]
+        for block in ("perpetual-down-out", "finite-down-out"):
+            cfg = bench_cli.reference_option("bs", block).config
+            cases.append((f"bs {block} put", dataclasses.replace(cfg, payoff="put")))
+        assert len(cases) == 14
+        for key, cfg in cases:
+            bench_cli.price_point(cfg, cfg.grids[0])
+        assert len(made) > len(cases) and swapped == []
+
+
 class TestChainPath:
     def test_excursion_clock_resets(self):
         below = np.array([True, True, False])

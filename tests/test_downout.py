@@ -623,7 +623,7 @@ class TestReducedRoute:
             for dt in (None, 1 / 24):
                 ops = _ReducedLadderOps(R, ladder, rate, dt=dt)
                 assert ops.form == "dense"
-                _, piv, _ = ops.Qinv.factor
+                _, piv = ops.Qinv.factor
                 np.testing.assert_array_equal(piv, np.arange(m), err_msg=name)
                 _, levels = ops.sources(rng.uniform(0.0, 2.0, size=ladder.total))
                 assert np.all(levels >= 0.0), (name, dt)
@@ -676,9 +676,9 @@ class TestReducedRoute:
             np.testing.assert_array_equal(piv, np.arange(len(piv)), err_msg=name)
             for op in operators:
                 if op.bands is not None:
-                    piv = factor_tridiag(op.bands, np.arange(op.n), transposed=True)[0][4] - 1
+                    piv = factor_tridiag(op.bands, np.arange(op.n))[0][4] - 1
                 else:
-                    piv = factor_dense(op.to_dense().copy(), transposed=True)[1]
+                    piv = factor_dense(op.to_dense().copy())[1]
                 np.testing.assert_array_equal(piv, np.arange(len(piv)), err_msg=name)
                 # and the operator serves two prefix sets from one factor
                 made = sum(op.solve_free(np.arange(op.n) < k, np.ones(k))[1]
@@ -1094,7 +1094,7 @@ class TestSeparableForm:
         a0, cG = (self.RATE, 1.0) if dt is None else (1 + self.RATE * dt, dt)
         below = slice(0, ladder.n_below)
         Q = rate_block(gen, below, below, a0 + cG / ladder.dtick, -cG)
-        return _Inverse(solve_dense, factor_dense(Q, transposed=True))
+        return _Inverse(solve_dense, factor_dense(Q))
 
     def test_solves_agree_with_the_dense_factor(self):
         from test_ctmc import state_dependent_kou

@@ -116,14 +116,16 @@ class TestBandedOperator:
 
     def test_transposed_factor_solves_with_the_block_itself(self):
         # row but not column diagonally dominant: partial pivoting swaps
-        # rows on the block itself and none on its transpose
+        # rows on the block itself and none on its transpose, the one
+        # factor_tridiag makes
+        from scipy.linalg.lapack import dgttrf
+
         A = np.array([[2.0, -1.5, 0.0], [-3.0, 4.0, -0.5], [0.0, -1.0, 2.0]])
-        idx = np.arange(3)
-        assert np.any(factor_tridiag(bands(A), idx)[0][4] != [1, 2, 3])
+        assert np.any(dgttrf(np.diag(A, -1), np.diag(A), np.diag(A, 1))[4] != [1, 2, 3])
         rng = np.random.default_rng(12)
         for block in [A] + [random_tridiagonal_m_matrix(rng, n) for n in (1, 2, 40)]:
             n = len(block)
-            factor = factor_tridiag(bands(block), np.arange(n), transposed=True)
+            factor = factor_tridiag(bands(block), np.arange(n))
             lu = factor[0]
             np.testing.assert_array_equal(lu[4][:n], np.arange(1, n + 1))
             assert not np.any(lu[3])
@@ -141,28 +143,25 @@ class TestBandedOperator:
         # here rebuilt with the general path's fancy indexing
         from scipy.linalg.lapack import dgttrf
 
-        def general(ab, idx, transposed):
+        def general(ab, idx):
             n = len(idx)
             m = max(n, 3)
             d = np.ones(m)
             d[:n] = ab[1, idx]
-            dl, du = np.zeros(m - 1), np.zeros(m - 1)
+            dl, du = np.zeros(m - 1), np.zeros(m - 1)  # of the transpose
             near = np.flatnonzero(np.diff(idx) == 1)
-            dl[near] = ab[2, idx[near]]
-            du[near] = ab[0, idx[near] + 1]
-            if transposed:
-                dl, du = du, dl
+            du[near] = ab[2, idx[near]]
+            dl[near] = ab[0, idx[near] + 1]
             return dgttrf(dl, d, du)[:5]
 
         ab = bands(random_tridiagonal_m_matrix(np.random.default_rng(21), 9))
         for length in (1, 2, 3):
             for start in (0, 4, 9 - length):  # start, middle and end of the bands
                 idx = np.arange(start, start + length)
-                for transposed in (False, True):
-                    lu, n, _ = factor_tridiag(ab, idx, transposed)
-                    assert n == length
-                    for got, want in zip(lu, general(ab, idx, transposed)):
-                        np.testing.assert_array_equal(got, want)
+                lu, n = factor_tridiag(ab, idx)
+                assert n == length
+                for got, want in zip(lu, general(ab, idx)):
+                    np.testing.assert_array_equal(got, want)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -192,25 +191,25 @@ class TestDenseFactor:
     ``lu_factor``/``lu_solve`` do, without their per-call checks."""
 
     def test_bits_match_scipy(self):
+        # the factor of A^T, solved with trans='T'
         rng = np.random.default_rng(31)
         A = rng.normal(size=(40, 40))  # no dominance: partial pivoting swaps
-        for transposed in (False, True):
-            lu, piv, trans = factor_dense(A.copy(), transposed=transposed)
-            ref = lu_factor(A.T if transposed else A)
-            assert np.any(ref[1] != np.arange(40))
-            assert lu.tobytes() == ref[0].tobytes()
-            np.testing.assert_array_equal(piv, ref[1])
-            for b in (rng.normal(size=40), rng.normal(size=(40, 7))):
-                x = solve_dense((lu, piv, trans), b)
-                assert x.shape == b.shape
-                assert x.tobytes() == lu_solve(ref, b, trans=trans).tobytes()
-                np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
+        lu, piv = factor_dense(A.copy())
+        ref = lu_factor(A.T)
+        assert np.any(ref[1] != np.arange(40))
+        assert lu.tobytes() == ref[0].tobytes()
+        np.testing.assert_array_equal(piv, ref[1])
+        for b in (rng.normal(size=40), rng.normal(size=(40, 7))):
+            x = solve_dense((lu, piv), b)
+            assert x.shape == b.shape
+            assert x.tobytes() == lu_solve(ref, b, trans=1).tobytes()
+            np.testing.assert_allclose(A @ x, b, rtol=0.0, atol=1e-10)
 
     def test_transposed_factor_of_a_c_ordered_array_is_made_in_place(self):
         rng = np.random.default_rng(32)
         A = random_generator(30, rng, density=1.0)
         Q = 0.5 * np.eye(30) - A  # C order: Q^T is Fortran-ordered
-        lu, piv, _ = factor_dense(Q, transposed=True)
+        lu, piv = factor_dense(Q)
         assert np.shares_memory(lu, Q)
         # Q^T is column diagonally dominant: no row interchange
         np.testing.assert_array_equal(piv, np.arange(30))
@@ -233,9 +232,8 @@ class TestDenseFactor:
         for zero in ((slice(None), 5), 5):
             A = base.copy()
             A[zero] = 0.0
-            for transposed in (False, True):
-                with pytest.raises(np.linalg.LinAlgError):
-                    factor_dense(A.copy(), transposed=transposed)
+            with pytest.raises(np.linalg.LinAlgError):
+                factor_dense(A.copy())
             # dense, and the tridiagonal part of A held as its bands
             for op in (LCPOperator(A), LCPOperator.from_bands(bands(A))):
                 for free in (np.ones(8, dtype=bool), np.arange(8) >= 4,
@@ -629,11 +627,11 @@ class TestLCPOperator:
                  + np.diag(rng.uniform(1.5, 2.5, size=n - 1), 1)
                  - np.diag(rng.uniform(1.0, 2.0, size=n - 1), -1))
             op = LCPOperator.from_bands(bands(A))
-            piv = factor_tridiag(bands(A), np.arange(n), transposed=True)[0][4] - 1
+            piv = factor_tridiag(bands(A), np.arange(n))[0][4] - 1
         else:
             A = rng.normal(size=(n, n)) + 4.0 * np.eye(n)
             op = LCPOperator(A)
-            piv = factor_dense(A.copy(), transposed=True)[1]
+            piv = factor_dense(A.copy())[1]
         assert np.any(piv != np.arange(n))
         sets = [np.arange(n) < k for k in (n, 5, 1)] + [np.arange(n) >= 4,
                                                       np.arange(n) % 2 == 0]

@@ -142,6 +142,33 @@ def test_generator_built_on_another_grid(maturity):
 
 @pytest.mark.parametrize("maturity", [math.inf, T])
 @pytest.mark.parametrize("flavor", list(Flavor))
+def test_direct_call_checks_the_generator_against_the_grid(flavor, maturity):
+    # two grids of 41 states: a direct pricer call once priced silently on
+    # the other grid's generator, and only ``price`` checked it
+    grid, other = small_grid(40), build_grid(30.0, 270.0, 90.0, 95.0, 40)
+    assert other.n_states == grid.n_states
+    c = contract(flavor, maturity)
+    gen = build_generator(BS, other)
+    for call in (direct, lambda *args, gen: price(*args, dt=DT, dtick=DTICK, gen=gen)):
+        with pytest.raises(ValueError, match=r"state 0 is 30\.0, not the given grid's 18\.0"):
+            call(BS, grid, c, gen=gen)
+
+
+@pytest.mark.parametrize("maturity", [math.inf, T])
+@pytest.mark.parametrize("flavor", list(Flavor))
+def test_plain_rate_matrix_of_another_size_is_named(flavor, maturity):
+    # a 25 x 25 rate matrix under a 41-state grid once failed inside numpy
+    grid = small_grid(40)
+    rates = build_generator(BS, small_grid(24)).as_dense()
+    c = contract(flavor, maturity)
+    for call in (direct, lambda *args, gen: price(*args, dt=DT, dtick=DTICK, gen=gen)):
+        with pytest.raises(ValueError, match=r"shape \(25, 25\), not one of the given "
+                                             r"grid of 41 states"):
+            call(BS, grid, c, gen=rates)
+
+
+@pytest.mark.parametrize("maturity", [math.inf, T])
+@pytest.mark.parametrize("flavor", list(Flavor))
 def test_grid_that_is_not_a_spatial_grid_is_named(flavor, maturity):
     # the generator check once read None.states
     c = contract(flavor, maturity)
