@@ -6,7 +6,10 @@ much finer pseudo-benchmark grid, fits the log-log slope of the error
 against the state count, and prints the observed order.  The pseudo-
 benchmark must sit well beyond the measured grids (4x the finest here):
 differencing against an in-regime reference systematically overstates
-the slope.
+the slope.  The script exits 1 when any flavor's observed order falls below
+1.5: the pricers converge at second order on these contracts (2.0-3.0 at the
+default grids and at 33,49,65 with factor 2), so a flavor that dropped to
+first order fails.
 
 Run from anywhere, without installing: the pricer is imported from the
 ``src/`` directory of this checkout.
@@ -23,6 +26,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from parisian.bench_cli import StudyConfig, observed_order, run_study  # noqa: E402
+
+# the observed order below which a flavor fails the run
+_ORDER_FLOOR = 1.5
 
 _FLAVORS = {
     "perpetual-down-in": dict(flavor="down-in"),
@@ -64,6 +70,7 @@ def main(argv=None):
     grids = measured + (bench_n,)
 
     print(f"grids {measured}, pseudo-benchmark n={bench_n}")
+    low = []
     for label, overrides in _FLAVORS.items():
         cfg = dataclasses.replace(base_config(grids), **overrides)
         rows = run_study(cfg)
@@ -72,6 +79,11 @@ def main(argv=None):
         order = observed_order(points)
         errs = ", ".join(f"{r.n}: {r.abs_error:.2e}" for r in rows[:-1])
         print(f"{label:22s} observed order {order:5.2f}   ({errs})")
+        if not order >= _ORDER_FLOOR:  # NaN fails too
+            low.append(label)
+    if low:
+        print(f"observed order below {_ORDER_FLOOR}: {', '.join(low)}", file=sys.stderr)
+        return 1
     return 0
 
 

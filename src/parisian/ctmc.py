@@ -380,14 +380,6 @@ class GeneratorMatrix:
         return s
 
 
-def dense_rates(gen: Union[GeneratorMatrix, np.ndarray]) -> np.ndarray:
-    """Dense rate matrix of a generator or of a plain (hand-built) matrix."""
-
-    if isinstance(gen, GeneratorMatrix):
-        return gen.as_dense()
-    return np.asarray(gen, dtype=float)
-
-
 def rate_block(
     gen: Union[GeneratorMatrix, np.ndarray], rows: slice, cols: slice,
     shift: float = 0.0, scale: float = 1.0, order: str = "C",

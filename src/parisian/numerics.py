@@ -111,6 +111,8 @@ def solve_tridiag(factor: tuple, b: np.ndarray) -> np.ndarray:
     factor of ``factor_tridiag``."""
 
     lu, n = factor
+    if np.ndim(b) == 2 and not np.shape(b)[1]:  # dgttrs corrupts the heap
+        return np.zeros((n, 0))
     pad = len(lu[1]) - n  # the identity rows of a padded block solve to 0
     if pad:
         b = np.concatenate([b, np.zeros((pad,) + np.shape(b)[1:])])
@@ -160,7 +162,7 @@ _SKETCH_SEED = 20110531
 
 def low_rank_factor(
     B: np.ndarray, rtol: float
-) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+) -> Tuple[np.ndarray, np.ndarray, float]:
     """(U, W, residual) with residual = ||B - U W||_F <= rtol ||B||_F, U with
     orthonormal columns, as few as B's numerical rank allows.
 
@@ -174,14 +176,13 @@ def low_rank_factor(
     returned if its exact residual meets ``rtol``, else (or if r = k) the
     width-k one if its own does, else k doubles: U_r W_r projects B on part
     of U's range, so the common case forms one exact residual, ``residual``.
-    Once k would reach B's column count the factor is B itself with W = I,
-    returned as ``(B, None, 0.0)``.  The sketch draws from its own seeded
-    generator, so a given B always gets the same factor.
+    Once k would reach B's column count, at once if B has no more than k
+    columns, the factor is B itself, ``(B, I, 0.0)``: W is always a matrix.
+    The sketch draws from its own seeded generator, so a given B always gets
+    the same factor.
     """
 
     n_cols = B.shape[1]
-    if n_cols <= _SKETCH_COLUMNS:  # no sketch narrower than B: B itself
-        return B, None, 0.0
     rng = np.random.default_rng(_SKETCH_SEED)
     bound = rtol * np.linalg.norm(B)
     Y = np.empty((B.shape[0], 0))
@@ -203,7 +204,7 @@ def low_rank_factor(
         if residual <= bound:
             return U, W, float(residual)
         k *= 2
-    return B, None, 0.0
+    return B, np.eye(n_cols), 0.0
 
 
 # ---------------------------------------------------------------------------

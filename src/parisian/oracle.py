@@ -48,7 +48,7 @@ from .ctmc import (
     resolve_rate_policy,
     slice_operator,
 )
-from .models import bs_model
+from .models import KouParams, bs_model
 from .numerics import LCPOperator, LCPProblem, generator_expm, lemke_solve, policy_solve
 from .pricer_downin import (
     ContractSpec,
@@ -928,12 +928,34 @@ def _verify_dp(seed: int, emit) -> _Tally:
     # lattice on each slice's own rates: sigma(t) ramps and steps on the
     # carrier's tridiagonal chains (calls on the reduced route, whose slices
     # share one cross-barrier record, then payoffs that take the stacked
-    # route) and a sigma(t) Kou chain whose slices share one jump block
+    # route), a sigma(t) Kou chain whose slices share one jump block, and a
+    # Kou chain whose jump intensity varies in time, so that every slice has
+    # its own jump block and cross-barrier record
     def sigma_t(model, shape):
         sq = model.diffusion_sq
         return dataclasses.replace(
             model, time_homogeneous=False,
             diffusion_sq=lambda t, x: sq(t, x) * shape(t) ** 2)
+
+    def lambda_t(model, params):
+        """The Kou ``model`` of ``params`` with intensity lam (1 + t/2): each
+        cell integral of its measure scaled by 1 + t/2, and the drift by the
+        compensator of the added intensity, (t/2) (m1 - lam zeta)."""
+        jm, mu, p = model.jump_measure, model.drift, KouParams(**params)
+        zeta = (p.p_plus * p.eta_plus / (p.eta_plus - 1.0)
+                + p.p_minus * p.eta_minus / (p.eta_minus + 1.0) - 1.0)
+        m1 = float(jm.truncated_first_moment(0.0, 0.0, -np.inf, np.inf))
+
+        def scaled(f):
+            return lambda t, x, a, b: (1.0 + t / 2.0) * f(t, x, a, b)
+
+        measure = dataclasses.replace(
+            jm, time_homogeneous=False, interval_mass=scaled(jm.interval_mass),
+            small_jump_second_moment=scaled(jm.small_jump_second_moment),
+            truncated_first_moment=scaled(jm.truncated_first_moment))
+        return dataclasses.replace(
+            model, time_homogeneous=False, jump_measure=measure,
+            drift=lambda t, x: mu(t, x) + t / 2.0 * (m1 - p.lam * zeta))
 
     def time_dependent(model, grid, c_out, dt, dtick):
         res = price(model, grid, c_out, dt=dt, dtick=dtick)
@@ -979,12 +1001,12 @@ def _verify_dp(seed: int, emit) -> _Tally:
     emit(f"  sigma(t) down-out, 6 BS chains (4 calls), vs per-slice "
          f"joint-lattice DP: worst gap {worst:.2e}")
 
+    params = reference_option("kou", "finite-down-out").config.model_params
+    grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
+                      math.log(95.0), 32, "proportional")
     slope = float(rng.uniform(0.5, 3.0))
     with tally.check("kou sigma(t) out"):
-        params = reference_option("kou", "finite-down-out").config.model_params
         model = sigma_t(build_named_model("kou", params), lambda t: 1.0 + slope * t)
-        grid = build_grid(math.log(20.0), math.log(400.0), math.log(90.0),
-                          math.log(95.0), 32, "proportional")
         c_out = ContractSpec(
             payoff=american_call(float(rng.uniform(90.0, 110.0))), barrier=90.0,
             window=1.0 / 12.0, maturity=0.25, rate=float(rng.uniform(0.01, 0.1)),
@@ -997,6 +1019,22 @@ def _verify_dp(seed: int, emit) -> _Tally:
         form = _ReducedLadderOps(gen, ladder, c_out.rate, dt=1.0 / 24.0).form
         emit(f"  sigma(t) reduced down-out, kou chain and call ({form} form), vs "
              f"per-slice joint-lattice DP: gap {gap:.2e}")
+
+    # on the same chain, a call (reduced route) and a put, nonzero below the
+    # barrier (stacked route)
+    strike, rate = float(rng.uniform(90.0, 110.0)), float(rng.uniform(0.01, 0.1))
+    put = lambda s, k=strike: np.maximum(k - np.asarray(s, dtype=float), 0.0)
+    for payoff, route in ((american_call(strike), "reduced"), (put, "stacked")):
+        with tally.check("kou lambda(t) out"):
+            model = lambda_t(build_named_model("kou", params), params)
+            c_out = ContractSpec(
+                payoff=payoff, barrier=90.0, window=1.0 / 12.0, maturity=0.25,
+                rate=rate, flavor=Flavor.DOWN_OUT,
+            )
+            gap = time_dependent(model, grid, c_out, 1.0 / 24.0, 1.0 / 24.0)
+            tally.add("kou lambda(t) out", gap < 1e-5)
+            emit(f"  lambda(t) {route} down-out, kou chain, vs per-slice "
+                 f"joint-lattice DP: gap {gap:.2e}")
 
     _verify_bounds(tally, emit)
     return tally
@@ -1083,7 +1121,7 @@ def verify_groups(suite: str, seed: int = 0, emit=print) -> Dict[str, Tuple[int,
     Groups: ``lcp`` -- "dense", "tridiagonal"; ``kernels`` -- "uniformized",
     "mean 800", "value iteration", "simulation"; ``dp`` -- "dense out",
     "dense in", "bs out", "bs in", "jump out", "bs sigma(t) out", "kou
-    sigma(t) out", "bounds".
+    sigma(t) out", "kou lambda(t) out", "bounds".
     """
 
     if suite not in _VERIFY_SUITES:

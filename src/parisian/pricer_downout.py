@@ -44,7 +44,6 @@ from .ctmc import (
     SpatialGrid,
     TimeGrid,
     block_inverse,
-    dense_rates,
     rate_block,
     slice_bands,
     slice_generators,
@@ -161,7 +160,7 @@ def duration_generator(
 
     if isinstance(gen, GeneratorMatrix) and gen.grid.n_below != ladder.n_below:
         raise ValueError("generator barrier node disagrees with the ladder")
-    R = dense_rates(gen)
+    R = rate_block(gen, slice(None), slice(None))
     N = ladder.n_states
     m = ladder.n_below
     tick = 1.0 / ladder.dtick
@@ -347,51 +346,51 @@ class _ReducedLadderOps:
     that ``sources`` found and the level maps that the Horner loop for P_0
     passed through, with no solve, and clamps them at 0.
 
-    The level maps are built on a factor: B has low numerical rank on a jump
-    chain (a Kou far-jump rate splits into a row factor times a column
-    factor, and the VG kernel is an integral of such terms), so
-    ``low_rank_factor`` returns B ~ U W with U of k columns at B's numerical
-    rank, k << nc (2 on every Kou reference grid and 15-16 on VG, against
-    174-890 columns), and the Horner loop runs on U: P_k = P_{U,k} W for
+    The level maps are built on a factor B ~ U W, of one shape on every
+    chain, and the Horner loop runs on U: P_k = P_{U,k} W for
     P_{U,k} = sum_j cup^j Q^-(j+1) U, and ``expand`` forms
-    P_{U,k} (W c[coupled]).  The maps are linear, so A_eff and the eliminated
-    values are the exact ones for B + E with ||E||_F <= 4 eps ||B||_F
-    (``_FACTOR_RTOL``; the loop's own rounding comes on top).  The signs
-    above are not kept term by term, since U has entries of both signs:
-    eliminated values near 0 may come out negative, and ``expand`` clamps
-    them at 0.  The exact value is >= 0, so the clamp never moves a value
-    away from it.  At the finest reference grids, before the clamp, 1,980
-    of 13,453 eliminated values of VG perpetual down-out were negative, the
-    worst at -1.4e-17 of its level's maximum; VG finite down-out (499,895
-    values) and both Kou down-outs had none, and the sigma(t) Kou
-    term-structure down-out none of 190,564, on the dense form and on the
-    separable one.  On a tridiagonal chain nc = 1 and the factor is B itself
-    with W = I: every P_k is one exact, nonnegative m-vector, the eliminated
-    values sum nonnegative terms, and the clamp moves nothing.
+    P_{U,k} (W c[coupled]).  B has low numerical rank on a jump chain (a Kou
+    far-jump rate splits into a row factor times a column factor, and the VG
+    kernel is an integral of such terms), so ``low_rank_factor`` returns U of
+    k columns at B's numerical rank, k << nc (2 on every Kou reference grid
+    and 15-16 on VG, against 174-890 columns), or U = B and W = I where no
+    narrower factor meets the bound.  The maps are linear, so A_eff and the
+    eliminated values are the exact ones for B + E with
+    ||E||_F <= 4 eps ||B||_F (``_FACTOR_RTOL``; the loop's own rounding comes
+    on top).  The signs above are not kept term by term, since U has entries
+    of both signs: eliminated values near 0 may come out negative, and
+    ``expand`` clamps them at 0.  The exact value is >= 0, so the clamp
+    never moves a value away from it.  At the finest reference grids, before
+    the clamp, 1,980 of 13,453 eliminated values of VG perpetual down-out
+    were negative, the worst at -1.4e-17 of its level's maximum; VG finite
+    down-out (499,895 values) and both Kou down-outs had none, and the
+    sigma(t) Kou term-structure down-out none of 190,564, on the dense form
+    and on the separable one.
 
-    On every chain the cross-barrier blocks B and A_ab come from the
-    slice's group record ``cross`` (a ``_CrossBlocks``; without one, the
-    slice is a group of its own).  A group is every slice whose generator
-    holds the same jump rates, or none: its slices differ in their local
-    bands alone, and the only band entries in B and A_ab are cG R[m-1, m]
-    and -cG R[m, m-1].  B_ref ~ U W is factored once per group, on the
-    reference slice, the one with the smallest |R[m-1, m]|, and each slice
-    adds its own band entries as exact rank-one terms: B_t = B_ref + d e_{m-1}
-    e_0^T is carried as U_t = [U | e_{m-1}], W_t = [W ; d e_0^T], so
-    B_t - U_t W_t is the reference's residual, and A_ab's entry enters the
-    feeder row of state m in A_eff and in ``sources``.  ||B_t||_F is no
-    less than ||B_ref||_F, so the residual meets every slice's bound
-    4 eps ||B_t||_F once it meets the reference's; each slice checks it
-    anyway, and raises if it does not.  On the sigma(t) Kou term-structure
-    down-out (61 slices, one jump block) that is one ``low_rank_factor``
-    where there were 61, and the Horner loop carries 3 columns on every
-    slice but the reference instead of 2.  A measure assembled per slice
-    has one slice per group and the arithmetic of a factor per slice.  A
-    chain without jumps has nothing to share: B and A_ab are its two band
-    entries, so its record is read on the one column and row that cross
-    the barrier (states m-1 and m), is zero there, and each slice adds both
-    entries whole, which is the arithmetic of a record per slice, with
-    nothing of size m x (N - m) formed.
+    The factor and A_ab come from the slice's group record ``cross`` (a
+    ``_CrossBlocks``; without one, the slice is a group of its own).  A group
+    is every slice whose generator holds the same jump rates, or none: its
+    slices differ in their local bands alone, and the only band entries in B
+    and A_ab are cG R[m-1, m] and -cG R[m, m-1].  B_ref ~ U W is factored
+    once per group, on the reference slice, the one with the smallest
+    |R[m-1, m]|.  A slice with the reference's band entry takes (U, W); any
+    other, B_t = B_ref + d e_{m-1} e_0^T, takes U_t = [U | e_{m-1}] and
+    W_t = [W ; d e_0^T], so B_t - U_t W_t is the reference's residual.  That
+    band entry is the only entry of B that differs within a group, so
+    ||B_t||_F >= ||B_ref||_F, and the residual that meets the reference's
+    bound meets every slice's 4 eps ||B_t||_F.  A_ab's band entry enters the
+    feeder row of state m in A_eff and in ``sources`` as the slice's d_ab.
+    On the sigma(t) Kou term-structure down-out (61 slices, one jump block)
+    that is one ``low_rank_factor`` where there were 61, and the Horner loop
+    carries 3 columns on every slice but the reference instead of 2.  A
+    measure assembled per slice has one slice per group.  A chain without
+    jumps has nothing to share: its record is the rank-0 factor (U of shape
+    (m, 0), W of shape (0, nc), nc = 1 on the one column that crosses the
+    barrier) and zero A_ab on one row, to which each slice adds its two band
+    entries; the Horner loop carries e_{m-1}, every P_k is one nonnegative
+    m-vector, d in W is the band entry itself, the eliminated values sum
+    nonnegative terms and the clamp moves nothing, with nothing of size
+    m x (N - m) formed.
     """
 
     def __init__(
@@ -429,8 +428,7 @@ class _ReducedLadderOps:
         fix = A_ab @ P
         if d_ab:
             fix[0] += d_ab * P[-1]
-        if W is not None:
-            fix = fix @ W
+        fix = fix @ W
         if not banded:
             A[feeders, coupled] += fix
         elif fix.size:  # the barrier node's diagonal, in A_aa's bands
@@ -474,9 +472,7 @@ class _ReducedLadderOps:
         M_k + P_k c_above[coupled] on each level, with no solve."""
 
         ladder = self.ladder
-        g = c_above[self.coupled]
-        if self.W is not None:
-            g = self.W @ g
+        g = self.W @ c_above[self.coupled]
         # clamp the round-off of a factor of B or of the separable form (see
         # the class); no value moves on an exact B with the other two forms
         values = np.maximum(levels + self.level_maps @ g, 0.0)
@@ -597,23 +593,21 @@ class _CrossBlocks:
     one jump block, or have none, built once on the group's reference slice
     (see ``_ReducedLadderOps``).
 
-    ``U``, ``W`` and ``residual`` are ``low_rank_factor`` of the reference's
-    below->above block B_ref on the ``coupled`` columns, ``norm`` is
-    ||B_ref||_F and ``to_above`` its band entry cG R[m-1, m]; ``A_ab`` is the
-    reference's above->below block on the ``feeders`` rows and
-    ``from_above`` its band entry -cG R[m, m-1].  Both spans cover every
-    slice of the group, so each slice differs from the reference only in
-    the two band entries, which ``slice_factor`` adds.  A group without jumps
-    has a reference of zero blocks on one column and one row, whose band
-    entries every slice adds whole.  ``jump_rows`` are the rows of the
-    below block's separable form (``_separable_rows``), None where it is not
-    separable.
+    ``U`` and ``W`` are ``low_rank_factor`` of the reference's below->above
+    block B_ref on the ``coupled`` columns, and ``to_above`` its band entry
+    cG R[m-1, m]; ``A_ab`` is the reference's above->below block on the
+    ``feeders`` rows and ``from_above`` its band entry -cG R[m, m-1].  Both
+    spans cover every slice of the group, so each slice differs from the
+    reference only in the two band entries, which ``slice_factor`` adds.  A
+    group without jumps has the rank-0 record: U of shape (m, 0), W of shape
+    (0, nc) for the one column (and row) that crosses the barrier, zero
+    blocks and band entries, so every slice adds both of its own.
+    ``jump_rows`` are the rows of the below block's separable form
+    (``_separable_rows``), None where it is not separable.
     """
 
     U: np.ndarray
-    W: Optional[np.ndarray]
-    residual: float
-    norm: float
+    W: np.ndarray
     to_above: float
     from_above: float
     coupled: slice
@@ -627,16 +621,16 @@ class _CrossBlocks:
         """The record of ``group`` (generators or plain rate matrices with
         one jump block, or tridiagonal generators), on the slice with the
         smallest |cG R[m-1, m]|: its ||B||_F is the group's smallest, so its
-        factor's bound the tightest.  Without jumps, on zero blocks."""
+        factor's bound the tightest.  Without jumps, the rank-0 record."""
 
         m = ladder.n_below
         entries = np.array([_band_entries(g, m, cG) for g in group])
         if isinstance(group[0], GeneratorMatrix) and group[0].is_tridiagonal:
             # no jump rates to share: B and A_ab are the band entries alone,
-            # which each slice adds whole to zero blocks on the one column
-            # and row that cross the barrier (states m-1 and m)
+            # on the one column and row that cross the barrier (states m-1
+            # and m)
             nc, nf = np.any(entries != 0.0, axis=0).astype(int)
-            return cls(np.zeros((m, nc)), None, 0.0, 0.0, 0.0, 0.0,
+            return cls(np.zeros((m, 0)), np.zeros((0, nc)), 0.0, 0.0,
                        slice(0, nc), slice(0, nf), np.zeros((nf, m)), cG, None)
         i = int(np.argmin(np.abs(entries[:, 0])))
         ref, (to_above, from_above) = group[i], entries[i]
@@ -649,42 +643,27 @@ class _CrossBlocks:
         feed = np.any(A_ab != 0.0, axis=1)
         feed[:1] |= np.any(entries[:, 1] != 0.0)
         feeders = _span(feed)
-        B = B[:, coupled]
-        U, W, residual = low_rank_factor(B, _FACTOR_RTOL)
-        return cls(U, W, residual, float(np.linalg.norm(B)), float(to_above),
-                   float(from_above), coupled, feeders, A_ab[feeders], cG,
-                   _separable_rows(ref, m, cG))
+        U, W, _ = low_rank_factor(B[:, coupled], _FACTOR_RTOL)
+        return cls(U, W, float(to_above), float(from_above), coupled, feeders,
+                   A_ab[feeders], cG, _separable_rows(ref, m, cG))
 
-    def slice_factor(self, gen) -> Tuple[np.ndarray, Optional[np.ndarray], float]:
+    def slice_factor(self, gen) -> Tuple[np.ndarray, np.ndarray, float]:
         """(U_t, W_t, d_ab) of one slice of the group: B_t = U_t W_t up to
-        the reference's residual, checked against the slice's own bound, and
-        d_ab, its A_ab entry (state m, m-1) less the reference's.
+        the reference's residual, and d_ab, its A_ab entry (state m, m-1)
+        less the reference's.
 
+        A slice with the reference's band entry gets (U, W).  Any other has
         B_t = B_ref + d e_{m-1} e_0^T, for d the change in the band entry
-        (state m is coupled column 0 whenever d != 0), so U_t = [U | e_{m-1}]
-        and W_t = [W ; d e_0^T] leave B_t - U_t W_t = B_ref - U W; when
-        W = I, U_t is B_ref with that entry replaced.
+        (state m is coupled column 0 whenever d != 0), and gets
+        U_t = [U | e_{m-1}] and W_t = [W ; d e_0^T], which leave
+        B_t - U_t W_t = B_ref - U W.
         """
 
         m = len(self.U)
         to_above, from_above = _band_entries(gen, m, self.cG)
         d_b, d_ab = to_above - self.to_above, from_above - self.from_above
-        if self.W is None:
-            if not d_b:
-                return self.U, None, d_ab
-            U = self.U.copy()
-            U[m - 1, 0] = to_above
-            return U, None, d_ab
-        if not d_b:  # B_ref itself, whose bound low_rank_factor checked
+        if not d_b:
             return self.U, self.W, d_ab
-        # ||B_t||_F^2 = ||B_ref||_F^2 + to_above^2 - ref^2, no less than
-        # ||B_ref||_F^2 by the choice of reference
-        lo, hi = abs(self.to_above), abs(to_above)
-        norm = math.sqrt(max(self.norm ** 2 + (hi - lo) * (hi + lo), 0.0))
-        if self.residual > _FACTOR_RTOL * norm:
-            raise RuntimeError(
-                f"factor of the below->above block misses its bound on a slice: "
-                f"residual {self.residual:.3e} > {_FACTOR_RTOL:.1e} * {norm:.3e}")
         r = self.U.shape[1]
         U = np.zeros((m, r + 1))
         U[:, :r] = self.U

@@ -376,7 +376,7 @@ class TestRunStudy:
         script = root / "scripts" / "convergence_order.py"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         out = subprocess.run(
-            [sys.executable, str(script), "--grids", "17,25", "--factor", "2"],
+            [sys.executable, str(script), "--grids", "33,49,65", "--factor", "2"],
             capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300,
         )
         assert out.returncode == 0, out.stderr
@@ -385,6 +385,19 @@ class TestRunStudy:
                        "finite-down-in", "finite-down-out"):
             assert sum(line.split()[0] == flavor and "observed order" in line
                        for line in lines if line.strip()) == 1, flavor
+
+    def test_convergence_order_script_fails_below_the_order_floor(self):
+        # grids 17 and 25 are short of the asymptotic regime: both finite
+        # flavors read orders below 1.5 there (0.71 and 0.03), and the
+        # script names them and exits 1
+        script = Path(__file__).resolve().parents[1] / "scripts" / "convergence_order.py"
+        out = subprocess.run(
+            [sys.executable, str(script), "--grids", "17,25", "--factor", "2"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.splitlines()[-1] == (
+            "observed order below 1.5: finite-down-in, finite-down-out")
 
 
 def _replace(cfg, **kw):

@@ -839,7 +839,7 @@ class TestLowRankElimination:
 
     def build(self, monkeypatch, gen, grid, dt, full):
         """The reduced operators; ``full`` builds them on B itself (W = I)."""
-        factor = (lambda B, rtol: (B, None, 0.0)) if full else low_rank_factor
+        factor = (lambda B, rtol: (B, np.eye(B.shape[1]), 0.0)) if full else low_rank_factor
         monkeypatch.setattr(pricer_downout, "low_rank_factor", factor)
         ladder = build_ladder(n_states=grid.n_states, n_below=grid.n_below, **self.LADDER)
         return _ReducedLadderOps(gen, ladder, 0.05, dt=dt)
@@ -917,6 +917,18 @@ def sigma_t_slices(top=400.0, per_slice_jumps=False):
     return grid, gens, ladder
 
 
+def bs_sigma_t_slices():
+    """(grid, slice generators, ladder) of a sigma(t) BS chain on 8 clock
+    slices: a tridiagonal generator per slice."""
+    model, grid, _ = small_bs_setup(n=48)
+    model = dataclasses.replace(
+        model, time_homogeneous=False,
+        diffusion_sq=lambda t, x: (0.3 * (1 + t / 2) * np.asarray(x, float)) ** 2)
+    gens = slice_generators(model, grid, TimeGrid(dt=1 / 24, horizon=0.25).times)
+    ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
+    return grid, gens, ladder
+
+
 class TestSharedCrossBlocks:
     DT = 1 / 24
 
@@ -951,42 +963,57 @@ class TestSharedCrossBlocks:
         assert len(calls) == len(gens) - 1  # none for the zero row past the end
 
     def test_every_slice_meets_the_factor_bound(self):
-        _, gens, ladder = sigma_t_slices()
-        m, N = ladder.n_below, ladder.n_states
-        record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
-        assert record.W is not None
-        widths = []
-        for g in gens[:-1]:
-            U, W, _ = record.slice_factor(g)
-            widths.append(U.shape[1])
-            B = rate_block(g, slice(0, m), slice(m, N), scale=self.DT)
-            B_c = B[:, record.coupled]
-            assert not np.any(np.delete(B, np.s_[record.coupled], axis=1))
-            gap = np.linalg.norm(B_c - U @ W)
-            assert gap <= 4 * np.finfo(float).eps * np.linalg.norm(B_c)
-        # the reference slice carries the factor as it is, every other slice
-        # (its volatility differs) one more column
-        r = record.U.shape[1]
-        assert sorted(set(widths)) == [r, r + 1] and widths.count(r) == 1
+        # the three shapes of a record: a low-rank factor (top 400), B kept
+        # whole with W = I (top 100: B narrower than the first sketch) and
+        # the rank-0 record of a chain without jumps
+        cases = [(top, *sigma_t_slices(top)[1:]) for top in (400.0, 100.0)]
+        cases.append(("bs", *bs_sigma_t_slices()[1:]))
+        for name, gens, ladder in cases:
+            m, N = ladder.n_below, ladder.n_states
+            record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
+            nc = record.coupled.stop - record.coupled.start
+            r = record.U.shape[1]
+            assert record.U.shape == (m, r) and record.W.shape == (r, nc), name
+            widths = []
+            for g in gens[:-1]:
+                U, W, _ = record.slice_factor(g)
+                widths.append(U.shape[1])
+                B = rate_block(g, slice(0, m), slice(m, N), scale=self.DT)
+                B_c = B[:, record.coupled]
+                assert not np.any(np.delete(B, np.s_[record.coupled], axis=1))
+                gap = np.linalg.norm(B_c - U @ W)
+                assert gap <= 4 * np.finfo(float).eps * np.linalg.norm(B_c), name
+                if name != 400.0:  # B_ref whole, or nothing: U_t W_t is B_t
+                    np.testing.assert_array_equal(U @ W, B_c, err_msg=str(name))
+            if name == "bs":  # no slice has the rank-0 reference's entry, 0
+                assert r == 0 and widths == [1] * len(widths)
+                continue
+            # the reference slice carries the factor as it is, every other
+            # slice (its volatility differs) one more column
+            assert r == (nc if name == 100.0 else 2), name
+            assert sorted(set(widths)) == [r, r + 1] and widths.count(r) == 1, name
 
     def test_shared_factor_agrees_with_a_factor_per_slice(self, monkeypatch):
         for top in (400.0, 100.0):  # 100: B narrower than the first sketch
             grid, gens, ladder = sigma_t_slices(top)
             m, N = ladder.n_below, ladder.n_states
             record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
-            assert (record.W is None) == (top == 100.0), top
+            nc = record.coupled.stop - record.coupled.start
+            whole = record.W.shape == (nc, nc)
+            assert whole == (top == 100.0), top
+            if whole:  # B_ref itself, with W = I
+                np.testing.assert_array_equal(record.W, np.eye(nc))
             for g in gens[:-1]:
                 ops = _ReducedLadderOps(g, ladder, 0.05, dt=self.DT, cross=record)
                 own = _ReducedLadderOps(g, ladder, 0.05, dt=self.DT)
                 assert rel_gap(ops.A_eff.to_dense(), own.A_eff.to_dense()) <= 1e-13
                 # the level maps times W: P_k on the coupled columns
-                maps = [o.level_maps if o.W is None else o.level_maps @ o.W
-                        for o in (ops, own)]
+                maps = [o.level_maps @ o.W for o in (ops, own)]
                 assert rel_gap(*maps) <= 1e-13, top
-                if record.W is None:  # B_t itself, its entry replaced
-                    U, _, _ = record.slice_factor(g)
+                if whole:  # B_t exactly, its entry carried in W
+                    U, W, _ = record.slice_factor(g)
                     B = rate_block(g, slice(0, m), slice(m, N), scale=self.DT)
-                    np.testing.assert_array_equal(U, B[:, record.coupled])
+                    np.testing.assert_array_equal(U @ W, B[:, record.coupled])
             f0 = np.where(np.arange(N) < m, 0.0, 1.0 + grid.states - grid.states[m])
             shared = _reduced(gens, ladder, f0, 0.05, self.DT)
             with monkeypatch.context() as patch:
@@ -1008,31 +1035,49 @@ class TestSharedCrossBlocks:
 
     def test_one_record_for_a_tridiagonal_sigma_t_chain(self, monkeypatch):
         # a sigma(t) BS chain: a generator per slice and no jump block, so
-        # every slice is in one group.  Its record is read on the one column
-        # and row that cross the barrier and holds no band entry, so each
-        # slice adds its own whole: the surface is the one on per-slice
-        # records bit for bit
-        model, grid, _ = small_bs_setup(n=48)
-        model = dataclasses.replace(
-            model, time_homogeneous=False,
-            diffusion_sq=lambda t, x: (0.3 * (1 + t / 2) * np.asarray(x, float)) ** 2)
-        gens = slice_generators(model, grid, TimeGrid(dt=self.DT, horizon=0.25).times)
+        # every slice is in one group.  Its record is the rank-0 factor on
+        # the one column and row that cross the barrier, so each slice adds
+        # its own band entries: the surface is the one on per-slice records
+        # bit for bit
+        grid, gens, ladder = bs_sigma_t_slices()
         assert all(g.is_tridiagonal for g in gens)
         assert len({id(g) for g in gens}) == len(gens) == 8
-        ladder = build_ladder(1 / 12, 1 / 120, grid.n_states, grid.n_below)
         m = ladder.n_below
         f0 = np.where(np.arange(grid.n_states) < m, 0.0, grid.states - 90.0 + 1.0)
         sizes = self.counted_builds(monkeypatch)
         shared = _reduced(gens, ladder, f0, 0.05, self.DT)
         assert sizes == [len(gens) - 1]  # none for the zero row past the end
         record = pricer_downout._CrossBlocks.build(gens[:-1], ladder, self.DT)
-        assert record.U.shape == (m, 1) and record.A_ab.shape == (1, m)
-        assert record.W is None and record.coupled == record.feeders == slice(0, 1)
+        assert record.U.shape == (m, 0) and record.W.shape == (0, 1)
+        assert record.A_ab.shape == (1, m)
+        assert record.coupled == record.feeders == slice(0, 1)
         with monkeypatch.context() as patch:
             self.per_slice(patch)
             own = _reduced(gens, ladder, f0, 0.05, self.DT)
         np.testing.assert_array_equal(shared, own)
         assert rel_gap(shared, _stacked(gens, ladder, f0, 0.05, self.DT)) <= 1e-12
+
+    def test_slices_with_no_up_cross_at_the_barrier(self):
+        # a slice whose rate R[m-1, m] is 0 takes the rank-0 factor as it is,
+        # so its Horner loop solves on no columns; on one slice of the group
+        # and on all of them, the reduced surface is the stacked one
+        grid, gens, ladder = bs_sigma_t_slices()
+        m = ladder.n_below
+        f0 = np.where(np.arange(grid.n_states) < m, 0.0, grid.states - 90.0 + 1.0)
+
+        def no_up_cross(g):
+            up, diag = g.up.copy(), g.diag.copy()
+            diag[m - 1] += up[m - 1]
+            up[m - 1] = 0.0
+            return dataclasses.replace(g, up=up, diag=diag)
+
+        for cut in (1, len(gens) - 1):  # the slices that lose the rate
+            cut_gens = [no_up_cross(g) if j < cut else g for j, g in enumerate(gens)]
+            record = pricer_downout._CrossBlocks.build(cut_gens[:-1], ladder, self.DT)
+            assert record.U.shape == (m, 0)
+            reduced = _reduced(cut_gens, ladder, f0, 0.05, self.DT)
+            stacked = _stacked(cut_gens, ladder, f0, 0.05, self.DT)
+            assert rel_gap(reduced, stacked) <= 1e-12, cut
 
     def test_a_homogeneous_recursion_builds_its_record_from_one_generator(
             self, monkeypatch):
@@ -1043,22 +1088,6 @@ class TestSharedCrossBlocks:
             sizes = self.counted_builds(monkeypatch)
             _reduced([gen] * 8, ladder, f0, 0.05, self.DT)
             assert sizes == [1], setup.__name__
-
-    def test_a_slice_past_its_bound_raises(self):
-        # a record whose residual sits at its reference's bound: a slice with
-        # a smaller band entry, so a smaller ||B||_F, would miss its own
-        _, gens, ladder = sigma_t_slices()
-        m = ladder.n_below
-        ref = min(gens, key=lambda g: g.up[m - 1])
-        other = max(gens, key=lambda g: g.up[m - 1])
-        record = pricer_downout._CrossBlocks.build([other], ladder, self.DT)
-        record.slice_factor(other)
-        record.slice_factor(ref)  # far inside its bound
-        at_bound = dataclasses.replace(
-            record, residual=pricer_downout._FACTOR_RTOL * record.norm)
-        at_bound.slice_factor(other)
-        with pytest.raises(RuntimeError, match="misses its bound"):
-            at_bound.slice_factor(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -357,16 +357,18 @@ class TestLowRankFactor:
     EPS = np.finfo(float).eps
 
     def test_narrow_block_draws_no_sketch(self, monkeypatch):
-        # no sketch is narrower than the block: B itself, with no generator
-        # seeded
-        def no_generator(seed):
-            raise AssertionError("a sketch generator was seeded")
+        # no sketch is narrower than the block: B itself with W = I, and no
+        # Gaussian column drawn
+        class NoDraws:
+            def standard_normal(self, size):
+                raise AssertionError("a sketch was drawn")
 
-        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
         for width in (8, 1, 0):
             B = np.ones((60, width))
             U, W, residual = low_rank_factor(B, 4 * self.EPS)
-            assert U is B and W is None and residual == 0.0
+            assert U is B and residual == 0.0
+            np.testing.assert_array_equal(W, np.eye(width))
 
     def test_low_rank_block_gets_the_first_width_that_meets_the_bound(self):
         # the sketches of width 8 and 16 are cut to the blocks' ranks
@@ -419,7 +421,8 @@ class TestLowRankFactor:
         for shape in ((60, 50), (60, 8), (60, 1)):
             B = rng.uniform(size=shape)
             U, W, residual = low_rank_factor(B, 4 * self.EPS)
-            assert U is B and W is None and residual == 0.0
+            assert U is B and residual == 0.0
+            np.testing.assert_array_equal(W, np.eye(shape[1]))
 
 
 class TestLemke:

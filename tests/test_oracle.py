@@ -237,13 +237,17 @@ class TestDpParisianLattice:
 
     def test_time_dependent_down_outs_match_the_per_slice_lattice(self, verify_suite):
         """Acceptance: 6 BS chains with a sigma(t) ramp or step (4 calls on
-        the reduced route, 2 payoffs on the stacked one) and a sigma(t) Kou
-        chain, each priced on a generator per clock slice, against the
-        lattice on each slice's own rates, agreement to 1e-5."""
+        the reduced route, 2 payoffs on the stacked one), a sigma(t) Kou
+        chain, and a call and a put (reduced and stacked routes) on a Kou
+        chain with jump intensity lam (1 + t/2), whose every slice has its
+        own jump block and cross-barrier record, each priced on a generator
+        per clock slice, against the lattice on each slice's own rates,
+        agreement to 1e-5."""
 
         lines, groups = verify_suite("dp")
         assert groups["bs sigma(t) out"] == (6, 0), "\n".join(lines)
         assert groups["kou sigma(t) out"] == (1, 0), "\n".join(lines)
+        assert groups["kou lambda(t) out"] == (2, 0), "\n".join(lines)
 
     def test_jump_down_out_lines_name_the_form_that_ran(self, verify_suite):
         """A Kou chain's below block is separable and takes the banded
@@ -308,7 +312,7 @@ class TestMonteCarlo:
 
 
 @pytest.mark.parametrize(
-    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 71)],
+    "suite, checks", [("lcp", 300), ("kernels", 57), ("dp", 73)],
     ids=["lcp", "kernels", "dp"],
 )
 def test_verify_suite_passes(verify_suite, suite, checks):
@@ -342,4 +346,4 @@ def test_raising_pricer_fails_one_check_and_the_suite_goes_on(monkeypatch):
     # every down-in check still ran: 25 against the DP, 8 finite prices and
     # 2 reported ones of the bounds
     assert len(calls) == 35
-    assert re.fullmatch(r"dp: \d+/71 checks passed", lines[-1])
+    assert re.fullmatch(r"dp: \d+/73 checks passed", lines[-1])
